@@ -160,8 +160,7 @@ func processNode(g *graph.Graph, pl *plan.Plan, asg partition.Assignment,
 				for _, tk := range in[startIdx:endIdx] {
 					exts++
 					getList := func(pos int) []graph.VertexID { return g.Neighbors(tk.emb[pos]) }
-					raw := pl.RawIntersect(scratch, level, tk.emb, getList, nil)
-					cands := pl.Candidates(scratch, level, tk.emb, raw, getList, labelOf)
+					cands, _ := pl.Extend(scratch, level, tk.emb, getList, nil, labelOf, nil)
 					if final {
 						local += uint64(len(cands))
 						continue

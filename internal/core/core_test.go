@@ -55,6 +55,13 @@ func (s *testSource) Label(v graph.VertexID) graph.Label { return s.local.Label(
 // the total match count and the metrics.
 func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config) (uint64, *metrics.Cluster) {
 	t.Helper()
+	return runClusterSink(t, g, pl, numNodes, cfg, false)
+}
+
+// runClusterSink is runCluster with a choice of sink: counting, or one that
+// takes every embedding and so keeps the engine off the count-only path.
+func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config, materialize bool) (uint64, *metrics.Cluster) {
+	t.Helper()
 	asg := partition.NewAssignment(numNodes, 1)
 	met := metrics.NewCluster(numNodes)
 	servers := make([]comm.Server, numNodes)
@@ -73,12 +80,14 @@ func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg c
 	fabric := comm.NewLocal(servers, met)
 	defer fabric.Close()
 
-	var labelOf plan.LabelFunc
+	ext := core.NewPlanExtender(pl, nil)
 	if g.Labeled() {
-		labelOf = g.Label
+		ext.LabelOf = g.Label
 	}
-	var total uint64
-	var mu sync.Mutex
+	if g.EdgeLabeled() {
+		ext.EdgeLabelOf = plan.EdgeLabelOracle(g)
+	}
+	var total atomic.Uint64
 	var wg sync.WaitGroup
 	errs := make([]error, numNodes)
 	for node := 0; node < numNodes; node++ {
@@ -86,14 +95,16 @@ func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg c
 		go func(node int) {
 			defer wg.Done()
 			src := &testSource{local: locals[node], fabric: fabric, met: met.Nodes[node]}
-			sink := &core.CountSink{}
+			count := &core.CountSink{}
+			var sink core.Sink = count
+			if materialize {
+				sink = &core.FuncSink{F: func([]graph.VertexID) { total.Add(1) }}
+			}
 			c := cfg
 			c.Metrics = met.Nodes[node]
-			eng := core.NewEngine(core.NewPlanExtender(pl, labelOf), src, sink, c)
+			eng := core.NewEngine(ext, src, sink, c)
 			errs[node] = eng.Run()
-			mu.Lock()
-			total += sink.Count()
-			mu.Unlock()
+			total.Add(count.Count())
 		}(node)
 	}
 	wg.Wait()
@@ -102,7 +113,7 @@ func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg c
 			t.Fatalf("node %d: %v", node, err)
 		}
 	}
-	return total, met
+	return total.Load(), met
 }
 
 func TestEngineSingleNodeMatchesPlan(t *testing.T) {

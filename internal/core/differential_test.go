@@ -1,0 +1,145 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"khuzdul/internal/core"
+	"khuzdul/internal/graph"
+	"khuzdul/internal/pattern"
+	"khuzdul/internal/plan"
+)
+
+// TestDifferentialCountPaths holds the four ways this repository counts a
+// pattern to one another: the engine under a count-only sink (bounded count
+// kernels at the last level), the engine under a materializing sink (bounded
+// materialize everywhere), the reference executor (materialize and len) and
+// brute force (no plan at all). It sweeps what the count path branches on —
+// pattern shape, induced or not, vertex or edge labels, restriction direction
+// and vertical computation sharing — with the hub threshold forced down so the
+// bitmap kernel fires on these small lists, on one and on three worker
+// threads.
+func TestDifferentialCountPaths(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+	}
+	dress := func(g *graph.Graph, seed int64) *graph.Graph {
+		lg, err := g.WithLabels(graph.RandomLabels(g.NumVertices(), 2, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lg.WithRandomEdgeLabels(2, seed+1)
+	}
+	// The R-MAT draw gets a mid-ID hub adjacent to three vertices in four: a
+	// list long enough (≥ 32× a one-element clip) for the gallop kernel, and
+	// on the wrong side of whichever direction the plan points.
+	rmat := graph.RMAT(56, 300, 0.7, 0.1, 0.1, 20230325)
+	hubbed := graph.NewBuilder(rmat.NumVertices())
+	for u := 0; u < rmat.NumVertices(); u++ {
+		for _, v := range rmat.Neighbors(graph.VertexID(u)) {
+			hubbed.AddEdge(graph.VertexID(u), v)
+		}
+		if u%4 != 0 {
+			hubbed.AddEdge(graph.VertexID(rmat.NumVertices()/2), graph.VertexID(u))
+		}
+	}
+	inputs := []input{
+		{"rmat", dress(hubbed.Build(), 7)},
+		{"er", dress(graph.Uniform(26, 110, 19800101), 11)},
+	}
+	var pats []*pattern.Pattern
+	for k := 2; k <= 4; k++ {
+		pats = append(pats, pattern.ConnectedPatterns(k)...)
+	}
+	pats = append(pats, pattern.Clique(5), pattern.House(), pattern.CycleP(5))
+
+	// kinds dresses a pattern: bare, vertex-labeled, edge-labeled. Labels
+	// follow vertex parity so that some symmetry — and with it some
+	// restrictions — survives.
+	kinds := []struct {
+		name  string
+		dress func(*pattern.Pattern) *pattern.Pattern
+	}{
+		{"unlabeled", func(p *pattern.Pattern) *pattern.Pattern { return p }},
+		{"labeled", func(p *pattern.Pattern) *pattern.Pattern {
+			labels := make([]graph.Label, p.NumVertices())
+			for v := range labels {
+				labels[v] = graph.Label(v % 2)
+			}
+			return p.WithLabels(labels)
+		}},
+		{"edge-labeled", func(p *pattern.Pattern) *pattern.Pattern {
+			q := p.Clone()
+			for u := 0; u < q.NumVertices(); u++ {
+				for _, v := range q.Neighbors(u) {
+					if u < v {
+						q.SetEdgeLabel(u, v, graph.Label((u+v)%2))
+					}
+				}
+			}
+			return q
+		}},
+	}
+	const hub = 3
+	var counting [4]uint64 // kernel ledger summed over the count-only runs
+	for _, in := range inputs {
+		for _, base := range pats {
+			for _, kind := range kinds {
+				pat := kind.dress(base)
+				for _, induced := range []bool{false, true} {
+					want := plan.BruteForceCount(in.g, pat, induced)
+					for variant := 0; variant < 4; variant++ {
+						descending, vcs := variant&1 != 0, variant&2 == 0
+						name := fmt.Sprintf("%s/%v/%s/induced=%v/descending=%v/vcs=%v", in.name, base, kind.name, induced, descending, vcs)
+						stats := plan.StatsOf(in.g)
+						stats.UpSq, stats.DownSq = 0, 1
+						if descending {
+							stats.UpSq, stats.DownSq = 1, 0
+						}
+						pl := plan.MustCompile(pat, plan.Options{Style: plan.StyleGraphPi, Induced: induced, DisableVCS: !vcs, Stats: stats})
+						if pl.Descending != (descending && len(pl.Restrictions) > 0) {
+							t.Fatalf("%s: plan.Descending = %v", name, pl.Descending)
+						}
+						ex := plan.NewExecutor(pl, in.g.Neighbors, in.g.Label)
+						ex.SetEdgeLabelOf(plan.EdgeLabelOracle(in.g))
+						ex.Scratch().SetHubThreshold(hub)
+						var ref uint64
+						for v := 0; v < in.g.NumVertices(); v++ {
+							ref += ex.CountRoot(graph.VertexID(v))
+						}
+						if ref != want {
+							t.Errorf("%s: executor %d, brute force %d", name, ref, want)
+						}
+						for _, threads := range []int{1, 3} {
+							cfg := core.Config{Threads: threads, HubThreshold: hub, ChunkSize: 64, HDS: true}
+							counted, cm := runClusterSink(t, in.g, pl, 2, cfg, false)
+							built, bm := runClusterSink(t, in.g, pl, 2, cfg, true)
+							if counted != want || built != want {
+								t.Errorf("%s threads=%d: count-only %d, materializing %d, brute force %d", name, threads, counted, built, want)
+							}
+							// Counting instead of building changes no embedding
+							// the engine creates on the way to the last level.
+							cs, bs := cm.Summarize(), bm.Summarize()
+							if cs.Matches != bs.Matches || cs.Extensions != bs.Extensions || cs.VerticalHits != bs.VerticalHits ||
+								(threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
+								t.Errorf("%s threads=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
+									name, threads, cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
+									bs.Matches, bs.Extensions, bs.VerticalHits, bs.PeakEmbeddings)
+							}
+							counting[0] += cs.KernelMerge
+							counting[1] += cs.KernelGallop
+							counting[2] += cs.KernelBitmap
+							counting[3] += cs.KernelPivot
+						}
+					}
+				}
+			}
+		}
+	}
+	for i, n := range counting {
+		if n == 0 {
+			t.Errorf("kernel %d (merge, gallop, bitmap, pivot) never ran under a count-only sink: %v", i, counting)
+		}
+	}
+}

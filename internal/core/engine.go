@@ -189,6 +189,7 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 			buf:     make([]child, 0, cfg.FlushSize),
 		}
 		w.getListFn = w.getList
+		w.scratch.SetCountOnly(e.countOnly)
 		if cfg.HubThreshold > 0 {
 			w.scratch.SetHubThreshold(cfg.HubThreshold)
 		}
@@ -460,7 +461,9 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 	cands, raw := e.ext.Extend(w.scratch, level+1, w.emb[:level+1], w.getListFn, ch.inter[idx])
 	if final {
 		if e.countOnly {
-			w.matches += uint64(len(cands))
+			// An extender that counted instead of building returns no
+			// candidates and leaves the number on the scratch.
+			w.matches += uint64(len(cands)) + w.scratch.TakeCount()
 			return
 		}
 		for _, v := range cands {

@@ -39,7 +39,10 @@ type Extender interface {
 	// edge lists. parentRaw is the intersection stored by the parent level
 	// (nil when absent). It returns the candidates and the raw intersection
 	// to store when StoreInter(level) is true. Both returned slices may
-	// alias scratch storage owned by s.
+	// alias scratch storage owned by s. Under a count-only sink the engine
+	// puts s in count-only mode (plan.Scratch.SetCountOnly): the last level
+	// may then return no candidates and leave their number in s for the
+	// engine to take, which is how PlanExtender counts without building.
 	Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID)
 	// RootOK reports whether a vertex may occupy position 0.
 	RootOK(v graph.VertexID) bool
@@ -90,10 +93,7 @@ func (e *PlanExtender) ListPositions(level int) []int {
 //
 //khuzdulvet:hotpath per-embedding extension kernel
 func (e *PlanExtender) Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID) {
-	raw = e.Plan.RawIntersect(s, level, emb, getList, parentRaw)
-	cands = e.Plan.Candidates(s, level, emb, raw, getList, e.LabelOf)
-	cands = e.Plan.FilterEdgeLabels(level, emb, cands, e.EdgeLabelOf)
-	return cands, raw
+	return e.Plan.Extend(s, level, emb, getList, parentRaw, e.LabelOf, e.EdgeLabelOf)
 }
 
 // RootOK implements Extender.

@@ -51,7 +51,7 @@ func (handTriangle) Extend(s *plan.Scratch, level int, emb []graph.VertexID,
 		return out, out
 	case 2:
 		// e' contains two vertices: candidates are N(v0) ∩ N(v1) above v1.
-		out := setops.IntersectBounded(nil, getList(0), getList(1), emb[1], ^graph.VertexID(0))
+		out := setops.Intersect(nil, setops.Clip(getList(0), emb[1]+1, setops.NoVertex), getList(1))
 		return out, out
 	default:
 		panic("handTriangle: bad level")

@@ -49,4 +49,25 @@ func TestEngineKernelCountersFlow(t *testing.T) {
 	if s3 := met3.Summarize(); s3.KernelMerge+s3.KernelGallop == 0 {
 		t.Errorf("pairwise kernels never counted: %+v", met3.Summarize())
 	}
+
+	// The ledger is the dispatcher's, not the sink's: a count-only triangle
+	// run (runCluster's CountSink, last level counted) and a materializing
+	// one make the same kernel choices call for call, on one thread where
+	// the hub two-touch order is deterministic.
+	for _, hub := range []uint32{0, 2} {
+		cfg := core.Config{Threads: 1, HubThreshold: hub}
+		counted, cm := runClusterSink(t, g, tri, 1, cfg, false)
+		built, bm := runClusterSink(t, g, tri, 1, cfg, true)
+		if counted != wantTri || built != wantTri {
+			t.Fatalf("triangle hub=%d: count-only %d, materializing %d, brute force %d", hub, counted, built, wantTri)
+		}
+		c, b := cm.Summarize(), bm.Summarize()
+		if c.KernelMerge+c.KernelGallop+c.KernelBitmap == 0 {
+			t.Errorf("hub=%d: count-only run entered nothing in the kernel ledger", hub)
+		}
+		if c.KernelMerge != b.KernelMerge || c.KernelGallop != b.KernelGallop || c.KernelBitmap != b.KernelBitmap || c.KernelPivot != b.KernelPivot {
+			t.Errorf("hub=%d: ledger differs: count-only merge/gallop/bitmap/pivot %d/%d/%d/%d, materializing %d/%d/%d/%d", hub,
+				c.KernelMerge, c.KernelGallop, c.KernelBitmap, c.KernelPivot, b.KernelMerge, b.KernelGallop, b.KernelBitmap, b.KernelPivot)
+		}
+	}
 }

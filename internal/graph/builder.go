@@ -102,7 +102,7 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	offsets[n] = w
-	g := &Graph{offsets: offsets, edges: edges[:w:w], maxDeg: maxDeg}
+	g := &Graph{offsets: offsets, edges: edges[:w:w], maxDeg: maxDeg, stats: new(adjStats)}
 	if b.labels != nil {
 		labels := make([]Label, n)
 		copy(labels, b.labels)
@@ -131,8 +131,9 @@ func FromAdjacency(adj [][]VertexID) *Graph {
 	return b.Build()
 }
 
-// FromCSR wraps pre-built CSR arrays. Adjacency lists must already be sorted
-// and deduplicated; this is validated and an error returned otherwise.
+// FromCSR wraps pre-built CSR arrays. Adjacency lists must already be sorted,
+// deduplicated and free of self-loops; this is validated and an error returned
+// otherwise.
 func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: empty offsets")
@@ -148,9 +149,14 @@ func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error)
 			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
 		adj := edges[offsets[v]:offsets[v+1]]
-		for i := 1; i < len(adj); i++ {
-			if adj[i-1] >= adj[i] {
+		for i, u := range adj {
+			if i > 0 && adj[i-1] >= u {
 				return nil, fmt.Errorf("graph: adjacency of %d not sorted/deduped", v)
+			}
+			// Build drops self-loops; the count-only kernels rely on it (a
+			// candidate drawn from N(u) is never u itself).
+			if u == VertexID(v) {
+				return nil, fmt.Errorf("graph: self-loop at %d", v)
 			}
 		}
 		if d := uint32(len(adj)); d > maxDeg {
@@ -160,5 +166,5 @@ func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error)
 	if labels != nil && len(labels) != n {
 		return nil, fmt.Errorf("graph: %d labels for %d vertices", len(labels), n)
 	}
-	return &Graph{offsets: offsets, edges: edges, labels: labels, maxDeg: maxDeg}, nil
+	return &Graph{offsets: offsets, edges: edges, labels: labels, maxDeg: maxDeg, stats: new(adjStats)}, nil
 }

@@ -89,7 +89,7 @@ func FromLabeledEdges(n int, edges []LabeledEdge) (*Graph, error) {
 	// Duplicate edges resolve symmetrically: both directions are inserted in
 	// the same order and the stable sort keeps the first occurrence, so the
 	// two directions of an edge always carry the same label.
-	return &Graph{offsets: offsets, edges: flatEdges, elabels: flatLabels, maxDeg: maxDeg}, nil
+	return &Graph{offsets: offsets, edges: flatEdges, elabels: flatLabels, maxDeg: maxDeg, stats: new(adjStats)}, nil
 }
 
 // WithRandomEdgeLabels returns a copy of g sharing adjacency storage with

@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // VertexID identifies a vertex. 32 bits is enough for every graph this
@@ -29,6 +30,40 @@ type Graph struct {
 	labels  []Label // nil if the graph is unlabeled
 	elabels []Label // per directed adjacency entry; nil if edges are unlabeled
 	maxDeg  uint32
+	// stats memoizes what the plan compiler reads off the adjacency alone.
+	// It is a pointer so the relabeled copies, which share the adjacency,
+	// share the one computation too.
+	stats *adjStats
+}
+
+// adjStats is computed once per adjacency, on first use: a graph is immutable
+// and a compile per FSM candidate or per service query must not rescan it.
+type adjStats struct {
+	once         sync.Once
+	hist         []int
+	upSq, downSq float64
+}
+
+func (g *Graph) adjStats() *adjStats {
+	st := g.stats
+	st.once.Do(func() {
+		for v := 0; v < g.NumVertices(); v++ {
+			adj := g.Neighbors(VertexID(v))
+			b := 0
+			for len(adj)>>uint(b+1) > 0 {
+				b++
+			}
+			for len(st.hist) <= b {
+				st.hist = append(st.hist, 0)
+			}
+			st.hist[b]++
+			down := sort.Search(len(adj), func(i int) bool { return adj[i] > VertexID(v) })
+			up := len(adj) - down
+			st.upSq += float64(up) * float64(up)
+			st.downSq += float64(down) * float64(down)
+		}
+	})
+	return st
 }
 
 // NumVertices returns the number of vertices.
@@ -107,19 +142,17 @@ func (g *Graph) WithLabels(labels []Label) (*Graph, error) {
 
 // DegreeHistogram returns counts of vertices per degree bucket boundaries
 // [1,2,4,8,...]; bucket i counts vertices with degree in [2^i, 2^(i+1)).
-// Bucket 0 additionally includes isolated vertices.
-func (g *Graph) DegreeHistogram() []int {
-	var hist []int
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.Degree(VertexID(v))
-		b := 0
-		for d>>uint(b+1) > 0 {
-			b++
-		}
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
+// Bucket 0 additionally includes isolated vertices. The slice is shared
+// between calls and must not be modified.
+func (g *Graph) DegreeHistogram() []int { return g.adjStats().hist }
+
+// IDSkew returns Σ up(v)² and Σ down(v)² over all vertices, where up(v) and
+// down(v) count v's neighbors with a larger and a smaller ID. The two sums
+// price the two directions a symmetry-breaking order on vertex IDs can take:
+// a level bounded below by v intersects up-neighborhoods, one bounded above
+// down-neighborhoods, and on graphs whose hubs cluster at one end of the ID
+// range (every R-MAT preset) the sums differ by an order of magnitude.
+func (g *Graph) IDSkew() (upSq, downSq float64) {
+	st := g.adjStats()
+	return st.upSq, st.downSq
 }

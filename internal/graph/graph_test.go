@@ -225,8 +225,47 @@ func TestFromCSRValidation(t *testing.T) {
 	if _, err := FromCSR([]uint64{0, 1}, []VertexID{}, nil); err == nil {
 		t.Fatal("want error for offsets/edges mismatch")
 	}
-	if _, err := FromCSR([]uint64{0, 1}, []VertexID{0}, []Label{1, 2}); err == nil {
+	if _, err := FromCSR([]uint64{0, 1, 2}, []VertexID{1, 0}, []Label{1, 2, 3}); err == nil {
 		t.Fatal("want error for label length mismatch")
+	}
+	if _, err := FromCSR([]uint64{0, 1}, []VertexID{0}, nil); err == nil {
+		t.Fatal("want error for self-loop")
+	}
+}
+
+func TestIDSkew(t *testing.T) {
+	// Star with the hub at ID 0: the hub has n-1 up-neighbors, each leaf one
+	// down-neighbor.
+	up, down := Star(11).IDSkew()
+	if up != 100 || down != 10 {
+		t.Fatalf("star IDSkew = (%v, %v), want (100, 10)", up, down)
+	}
+	// A relabeled copy shares the adjacency and the memoized statistics.
+	g := RMATDefault(200, 1200, 3)
+	lg, err := g.WithLabels(RandomLabels(g.NumVertices(), 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.DegreeHistogram()
+	if lh := lg.DegreeHistogram(); &h[0] != &lh[0] {
+		t.Fatal("labeled copy recomputed the degree histogram")
+	}
+	gu, gd := g.IDSkew()
+	var wantUp, wantDown float64
+	for v := 0; v < g.NumVertices(); v++ {
+		u, d := 0, 0
+		for _, w := range g.Neighbors(VertexID(v)) {
+			if w > VertexID(v) {
+				u++
+			} else {
+				d++
+			}
+		}
+		wantUp += float64(u * u)
+		wantDown += float64(d * d)
+	}
+	if gu != wantUp || gd != wantDown {
+		t.Fatalf("IDSkew = (%v, %v), want (%v, %v)", gu, gd, wantUp, wantDown)
 	}
 }
 

@@ -45,5 +45,5 @@ func Orient(g *Graph) *Graph {
 			maxDeg = d
 		}
 	}
-	return &Graph{offsets: offsets, edges: edges, labels: g.labels, maxDeg: maxDeg}
+	return &Graph{offsets: offsets, edges: edges, labels: g.labels, maxDeg: maxDeg, stats: new(adjStats)}
 }

@@ -34,9 +34,13 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		stats = GraphStats{NumVertices: 1 << 20, AvgDegree: 16}
 	}
 
+	// Pointing the restrictions down instead of up is free (see Restriction);
+	// it pays when the graph's down-neighborhoods are the smaller ones.
+	descending := stats.DownSq < stats.UpSq
+
 	var best *Plan
 	for _, order := range orders {
-		p, err := buildForOrder(pat, order, opts)
+		p, err := buildForOrder(pat, order, opts, descending)
 		if err != nil {
 			return nil, err
 		}
@@ -46,6 +50,7 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		}
 	}
 	best.HubThreshold = stats.HubThreshold()
+	best.UpSq, best.DownSq = stats.UpSq, stats.DownSq
 	return best, nil
 }
 
@@ -58,8 +63,9 @@ func MustCompile(pat *pattern.Pattern, opts Options) *Plan {
 	return p
 }
 
-// buildForOrder compiles a plan for one fixed matching order.
-func buildForOrder(pat *pattern.Pattern, order []int, opts Options) (*Plan, error) {
+// buildForOrder compiles a plan for one fixed matching order, its
+// restrictions pointing down the vertex IDs when descending is set.
+func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending bool) (*Plan, error) {
 	k := pat.NumVertices()
 	// q is the pattern relabeled so that position i of the matching order is
 	// vertex i of q.
@@ -118,8 +124,14 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options) (*Plan, erro
 			}
 			group = next
 		}
+		p.Descending = descending && len(p.Restrictions) > 0
 		for _, r := range p.Restrictions {
-			p.Levels[r.B].LowerBounds = append(p.Levels[r.B].LowerBounds, r.A)
+			lv := &p.Levels[r.B]
+			if p.Descending {
+				lv.UpperBounds = append(lv.UpperBounds, r.A)
+			} else {
+				lv.LowerBounds = append(lv.LowerBounds, r.A)
+			}
 		}
 	}
 
@@ -153,6 +165,12 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options) (*Plan, erro
 
 	// Structural kernel hints per EXTEND step.
 	annotateKernelHints(p)
+
+	// The last level's candidates are only ever counted by a count-only
+	// sink; mark it when the counting kernels cover its set expression
+	// (labels and chained subtractions fall back to a bounded materialize).
+	last := &p.Levels[k-1]
+	last.CountOnly = !p.Labeled() && !p.EdgeLabeled && len(last.Subtract) <= 1
 
 	return p, p.Validate()
 }
@@ -328,8 +346,8 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
 		cand := d * math.Pow(sel, float64(len(lv.Intersect)-1))
-		// Each lower-bound restriction halves the expected candidates.
-		cand /= math.Pow(2, float64(len(lv.LowerBounds)))
+		// Each restriction halves the expected candidates.
+		cand /= math.Pow(2, float64(len(lv.LowerBounds)+len(lv.UpperBounds)))
 		if cand < 1e-9 {
 			cand = 1e-9
 		}

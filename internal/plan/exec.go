@@ -36,6 +36,10 @@ type Scratch struct {
 	// kernels counts kernel invocations across all levels; engines drain it
 	// into their metrics node between rounds.
 	kernels [setops.NumKernels]uint64
+	// countOnly switches count-eligible levels from returning candidates to
+	// adding their number to counted; see SetCountOnly.
+	countOnly bool
+	counted   uint64
 }
 
 // NewScratch allocates buffers sized for plan p.
@@ -70,8 +74,128 @@ func (s *Scratch) SetHubThreshold(t uint32) {
 // and zeroes them at drain points; the scratch must be quiescent.
 func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels }
 
+// SetCountOnly tells Extend that the caller wants only the number of
+// candidates at count-eligible levels (Level.CountOnly): such a level then
+// returns no candidates and leaves their count for TakeCount. The mode rides
+// on the scratch, like the kernel ledger, so Extend stays the one call an
+// engine makes per embedding and a decorator around it sees the last level.
+func (s *Scratch) SetCountOnly(on bool) { s.countOnly = on }
+
+// TakeCount returns the candidates counted since the last call and resets
+// the counter.
+func (s *Scratch) TakeCount() uint64 {
+	n := s.counted
+	s.counted = 0
+	return n
+}
+
+// bounds folds the level's symmetry-breaking restrictions over the matched
+// prefix into one candidate interval [lo, hi): v > emb[a] for every lower
+// bound, v < emb[a] for every upper bound. (0, noUpper) is unbounded.
+func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
+	hi = noUpper
+	for _, a := range lv.LowerBounds {
+		if emb[a]+1 > lo {
+			lo = emb[a] + 1
+		}
+	}
+	for _, a := range lv.UpperBounds {
+		if emb[a] < hi {
+			hi = emb[a]
+		}
+	}
+	return lo, hi
+}
+
+// Extend is one EXTEND step of the compiled plan: the candidates for position
+// level given the matched prefix emb, and the raw intersection to keep when
+// the level's StoreInter is set. Every input list is clipped to the level's
+// restriction interval before a kernel touches it — except where the raw
+// intersection is stored, because the children that reuse it carry bounds of
+// their own. On a scratch in count-only mode a count-eligible level returns
+// nothing and leaves the number of candidates for TakeCount instead. labelOf
+// and edgeLabelOf may be nil for graphs without the corresponding labels.
+// Both returned slices may alias scratch storage, getList output or
+// parentRaw.
+//
+//khuzdulvet:hotpath runs once per extendable embedding in every engine
+func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
+	lv := &p.Levels[level]
+	lo, hi := lv.bounds(emb)
+	if s.countOnly && lv.CountOnly {
+		s.counted += uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi))
+		return nil, nil
+	}
+	if lv.StoreInter {
+		raw = p.RawIntersect(s, level, emb, getList, parentRaw, 0, noUpper)
+	} else {
+		raw = p.RawIntersect(s, level, emb, getList, parentRaw, lo, hi)
+	}
+	cands = p.Candidates(s, level, emb, raw, getList, labelOf, lo, hi)
+	return p.FilterEdgeLabels(level, emb, cands, edgeLabelOf), raw
+}
+
+// countLevel returns the number of candidates Candidates would produce for an
+// unlabeled level with at most one subtraction, without building them. The
+// level's set expression is reduced to one final operation on a materialized,
+// clipped operand x — x ∩ l or x \ b — and that operation is counted by the
+// level's dispatcher, so the kernel choice and the ledger are those of the
+// materializing path.
+//
+//khuzdulvet:hotpath the last level of every count-only run
+func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
+	lv := &p.Levels[level]
+	d := &s.disp[level]
+	// x ∩ l is the raw intersection; pair is false when x alone already is.
+	var x, l []graph.VertexID
+	xv, lkey, pair := setops.NoVertex, setops.NoVertex, false
+	switch reuse := p.VCS && parentRaw != nil; {
+	case reuse && lv.ReuseExtend:
+		x, l, lkey, pair = parentRaw, getList(level-1), emb[level-1], true
+	case len(lv.Intersect) == 2 && !(reuse && lv.ReuseSame):
+		j0, j1 := lv.Intersect[0], lv.Intersect[1]
+		x, xv, l, lkey, pair = getList(j0), emb[j0], getList(j1), emb[j1], true
+	default:
+		x = p.RawIntersect(s, level, emb, getList, parentRaw, lo, hi)
+	}
+	var sub []graph.VertexID
+	subtract := p.Induced && len(lv.Subtract) == 1
+	if subtract {
+		sub = getList(lv.Subtract[0])
+		if pair {
+			s.interB[level] = d.IntersectBounded(s.interB[level][:0], x, l, xv, lkey, lo, hi)
+			x, xv, pair = s.interB[level], setops.NoVertex, false
+		}
+	}
+	var n int
+	switch {
+	case pair:
+		n = d.CountBounded(x, l, xv, lkey, lo, hi)
+	case subtract:
+		n = d.CountSubtract(x, sub, xv, emb[lv.Subtract[0]], lo, hi)
+	default:
+		n = len(x)
+	}
+	// Distinctness. A candidate is adjacent to every intersected position,
+	// and graphs carry no self-loops, so it can only collide with one of the
+	// few earlier vertices the level does not intersect: test those for
+	// membership instead of filtering every candidate against the prefix.
+	if len(lv.Intersect) < level {
+		for q, v := range emb[:level] {
+			if v < lo || v >= hi || containsInt(lv.Intersect, q) {
+				continue
+			}
+			if setops.Contains(x, v) && (!pair || setops.Contains(l, v)) && !(subtract && setops.Contains(sub, v)) {
+				n--
+			}
+		}
+	}
+	return n
+}
+
 // RawIntersect computes the raw candidate intersection for the given level:
-// ∩ N(emb[j]) over j in Levels[level].Intersect, honoring the plan's
+// ∩ N(emb[j]) over j in Levels[level].Intersect, restricted to [lo, hi) by
+// clipping every input before it is read, honoring the plan's
 // vertical-computation-sharing annotations and the compiled kernel hints.
 // emb must hold the vertices matched at positions before level — the
 // dispatcher keys its hub-bitmap cache by vertex ID, which stays valid
@@ -80,35 +204,35 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 // intersection stored by the parent level (nil if none). The result may
 // alias getList output, parentRaw, or scratch storage; callers that retain
 // it across further calls must copy.
-func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID) []graph.VertexID {
+func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
 	d := &s.disp[level]
 	if p.VCS && parentRaw != nil {
 		if lv.ReuseSame {
-			return parentRaw
+			return setops.Clip(parentRaw, lo, hi)
 		}
 		if lv.ReuseExtend {
-			s.interA[level] = d.Intersect(s.interA[level][:0], parentRaw, getList(level-1), setops.NoVertex, emb[level-1])
+			s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), setops.NoVertex, emb[level-1], lo, hi)
 			return s.interA[level]
 		}
 	}
 	if len(lv.Intersect) == 1 {
-		return getList(lv.Intersect[0])
+		return setops.Clip(getList(lv.Intersect[0]), lo, hi)
 	}
 	if lv.KernelHint == HintPivot {
 		s.pivot = s.pivot[:0]
 		for _, j := range lv.Intersect {
-			s.pivot = append(s.pivot, getList(j))
+			s.pivot = append(s.pivot, setops.Clip(getList(j), lo, hi))
 		}
 		s.interA[level] = setops.IntersectPivot(s.interA[level][:0], s.pivot)
 		s.kernels[setops.KernelPivot]++
 		return s.interA[level]
 	}
 	j0, j1 := lv.Intersect[0], lv.Intersect[1]
-	a := d.Intersect(s.interA[level][:0], getList(j0), getList(j1), emb[j0], emb[j1])
+	a := d.IntersectBounded(s.interA[level][:0], getList(j0), getList(j1), emb[j0], emb[j1], lo, hi)
 	s.interA[level] = a
 	for _, j := range lv.Intersect[2:] {
-		b := d.Intersect(s.interB[level][:0], a, getList(j), setops.NoVertex, emb[j])
+		b := d.IntersectBounded(s.interB[level][:0], a, getList(j), setops.NoVertex, emb[j], lo, hi)
 		s.interB[level] = b
 		// Keep the freshest result in interA so the next round's [:0] reuse
 		// does not clobber it.
@@ -119,27 +243,19 @@ func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList
 }
 
 // Candidates filters the raw intersection into the final candidate set for
-// the level: symmetry-breaking lower bounds, distinctness from all earlier
-// vertices, induced-mode subtraction of non-neighbor lists, and the position
-// label. The result aliases the scratch candidate buffer for this level,
-// which deeper levels do not touch, so it remains valid while the caller
-// recurses.
-func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc) []graph.VertexID {
+// the level: the symmetry-breaking interval [lo, hi) (see Level.bounds),
+// distinctness from all earlier vertices, induced-mode subtraction of
+// non-neighbor lists, and the position label. The result aliases the scratch
+// candidate buffer for this level, which deeper levels do not touch, so it
+// remains valid while the caller recurses.
+func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
-	// Inclusive lower bound from symmetry-breaking restrictions: v > emb[a]
-	// for all a in LowerBounds ⇔ v ≥ max(emb[a]) + 1.
-	lo := graph.VertexID(0)
-	for _, a := range lv.LowerBounds {
-		if emb[a]+1 > lo {
-			lo = emb[a] + 1
-		}
-	}
-
-	src := raw
+	// A stored raw intersection arrives unclipped; slicing it is free.
+	src := setops.Clip(raw, lo, hi)
 	if p.Induced && len(lv.Subtract) > 0 {
 		a, b := s.subA[level], s.subB[level]
 		for _, j := range lv.Subtract {
-			a = setops.Subtract(a[:0], src, getList(j))
+			a = setops.Subtract(a[:0], src, setops.Clip(getList(j), lo, hi))
 			src = a
 			if len(a) == 0 {
 				break
@@ -149,7 +265,7 @@ func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []gra
 		s.subA[level], s.subB[level] = a[:0], b[:0] // retain grown capacity
 	}
 
-	out := setops.Filter(s.cand[level][:0], src, lo, noUpper, emb[:level])
+	out := setops.Filter(s.cand[level][:0], src, lo, hi, emb[:level])
 	if labelOf != nil && p.Labeled() {
 		want := p.PosLabel(level)
 		w := out[:0]
@@ -187,8 +303,11 @@ next:
 
 // Executor runs a compiled plan depth-first over a neighbor oracle. It is
 // the reference single-machine execution path used by the AutomineIH-style
-// engines and the baselines; the distributed Khuzdul engine uses the same
-// RawIntersect/Candidates kernels but schedules levels with chunks.
+// engines and the baselines; the distributed Khuzdul engine calls the same
+// Plan.Extend but schedules levels with chunks. The executor never switches
+// its scratch to count-only mode: it builds every last-level candidate set and
+// takes its length, which keeps CountGraph — the benchmark's oracle —
+// independent of the counting kernels.
 type Executor struct {
 	plan     *Plan
 	nbr      NeighborFunc
@@ -258,9 +377,7 @@ func (e *Executor) levelCandidates(level int) []graph.VertexID {
 	if level > 1 {
 		parentRaw = e.raws[level-1]
 	}
-	raw := p.RawIntersect(e.scratch, level, e.emb, e.getList, parentRaw)
-	cands := p.Candidates(e.scratch, level, e.emb, raw, e.getList, e.labelOf)
-	cands = p.FilterEdgeLabels(level, e.emb, cands, e.elabelOf)
+	cands, raw := p.Extend(e.scratch, level, e.emb, e.getList, parentRaw, e.labelOf, e.elabelOf)
 	if level < p.K-1 {
 		if p.Levels[level].StoreInter {
 			e.raws[level] = append(e.raws[level][:0], raw...)

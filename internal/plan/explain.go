@@ -7,7 +7,9 @@ import (
 
 // Explain renders the plan as pseudo-code in the paper's nested-loop style
 // (Figure 1/Figure 5): one loop per level with its set operations, symmetry
-// restrictions, reuse annotations and active-list bookkeeping. It is meant
+// restrictions and the clip they push below the kernels, reuse annotations,
+// count-only marking and active-list bookkeeping, plus — once — the direction
+// the restrictions point and the skew sums that chose it. It is meant
 // for humans inspecting what a client system compiled; `khuzdul -explain`
 // prints it.
 func (p *Plan) Explain() string {
@@ -24,6 +26,14 @@ func (p *Plan) Explain() string {
 	}
 	if p.EdgeLabeled {
 		sb.WriteString("edge labels: constrained per level\n")
+	}
+	switch {
+	case len(p.Restrictions) == 0:
+		sb.WriteString("restrictions: none\n")
+	case p.Descending:
+		fmt.Fprintf(&sb, "restrictions: descending (Σdown² = %.4g < Σup² = %.4g)\n", p.DownSq, p.UpSq)
+	default:
+		fmt.Fprintf(&sb, "restrictions: ascending (Σup² = %.4g ≤ Σdown² = %.4g)\n", p.UpSq, p.DownSq)
 	}
 	indent := func(n int) string { return strings.Repeat("  ", n+1) }
 	sb.WriteString("for v0 in V:")
@@ -58,6 +68,25 @@ func (p *Plan) Explain() string {
 		notes = append(notes, "kernel="+lv.KernelHint.String())
 		for _, a := range lv.LowerBounds {
 			notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
+		}
+		for _, a := range lv.UpperBounds {
+			notes = append(notes, fmt.Sprintf("v%d < v%d", i, a))
+		}
+		// The bounds clip every input list before the kernel reads it, unless
+		// the raw intersection is stored for children with bounds of their
+		// own; then they clip it on the way out.
+		clip := "clip"
+		if lv.StoreInter {
+			clip = "clip after store"
+		}
+		if len(lv.LowerBounds) > 0 {
+			notes = append(notes, fmt.Sprintf("%s lb=%v", clip, lv.LowerBounds))
+		}
+		if len(lv.UpperBounds) > 0 {
+			notes = append(notes, fmt.Sprintf("%s ub=%v", clip, lv.UpperBounds))
+		}
+		if lv.CountOnly {
+			notes = append(notes, "count-only")
 		}
 		if lv.StoreInter {
 			notes = append(notes, fmt.Sprintf("store R%d", i))

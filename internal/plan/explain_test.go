@@ -16,6 +16,9 @@ func TestExplainCliqueSchedule(t *testing.T) {
 		"for v1 in N(v0):",
 		"VCS",     // clique levels reuse intersections
 		"v1 > v0", // total-order symmetry breaking
+		"restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)", // no stats: today's direction
+		"clip after store lb=[0 1]",                       // R2 is kept whole for level 3
+		"clip lb=[0 1 2], count-only",                     // the last level counts
 		"emit(v0..v3)",
 		"estimated cost:",
 	} {
@@ -49,6 +52,39 @@ func TestExplainLabeled(t *testing.T) {
 	epl := MustCompile(epat, Options{Style: StyleAutomine})
 	if s := epl.Explain(); !strings.Contains(s, "edge labels") {
 		t.Errorf("Explain missing edge labels:\n%s", s)
+	}
+}
+
+// TestExplainDirection pins the whole rendering of a triangle plan compiled
+// against a graph whose hubs sit at the low IDs: the restrictions point down,
+// the clip is an upper bound, and the two sums that decided it are printed.
+func TestExplainDirection(t *testing.T) {
+	g := graph.Star(11)
+	pl := MustCompile(pattern.Triangle(), Options{Style: StyleAutomine, Stats: StatsOf(g)})
+	want := `pattern: pattern{n=3 edges=0-1 0-2 1-2}
+system:  automine   matching order: [0 1 2]   |Aut| = 6
+mode:    non-induced
+restrictions: descending (Σdown² = 10 < Σup² = 100)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # kernel=auto, v1 < v0, clip after store ub=[0], store R1, fetch N(v1) — active
+    for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # kernel=auto, v2 < v0, v2 < v1, clip ub=[0 1], count-only
+      emit(v0..v2)
+final level needs no edge lists: candidates are counted directly
+`
+	got := pl.Explain()
+	if i := strings.Index(got, "estimated cost:"); i >= 0 {
+		got = got[:i]
+	}
+	if got != want {
+		t.Errorf("Explain =\n%s\nwant\n%s", got, want)
+	}
+	if s := pl.String(); !strings.Contains(s, " descending ") || !strings.Contains(s, "ub=[0 1] count-only reuse=extend") {
+		t.Errorf("String missing direction, ub= or count-only: %s", s)
+	}
+	// A plan with no restrictions has no direction to report.
+	wedge := pattern.PathP(3).WithLabels([]graph.Label{1, 2, 3})
+	if s := MustCompile(wedge, Options{Style: StyleAutomine, Stats: StatsOf(g)}).Explain(); !strings.Contains(s, "restrictions: none") {
+		t.Errorf("Explain of an asymmetric pattern:\n%s", s)
 	}
 }
 

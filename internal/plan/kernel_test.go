@@ -108,18 +108,31 @@ func TestPivotKernelMatchesBruteForce(t *testing.T) {
 }
 
 func TestScratchKernelCountersAndOverride(t *testing.T) {
-	g := graph.Star(300) // hub degree ≥ derived threshold 128
-	// DisableVCS so level 2 recomputes N(v0) ∩ N(v1) with real vertex keys;
-	// the VCS path intersects an unkeyed stored intermediate instead, which
-	// deliberately never hub-promotes.
-	pl := MustCompile(pattern.Triangle(), Options{Style: StyleGraphPi, DisableVCS: true, Stats: StatsOf(g)})
+	// A wheel: hub 0 (degree ≥ derived threshold 128) plus a rim cycle, so
+	// that clipping N(hub) and N(rim vertex) to the restriction interval
+	// still leaves a pair for the kernel to intersect.
+	const n = 300
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, graph.VertexID(v))
+		b.AddEdge(graph.VertexID(v), graph.VertexID(v%(n-1)+1))
+	}
+	g := b.Build()
+	// The compiler would point the restrictions away from a low-ID hub and
+	// its list would never be read; hold them ascending. DisableVCS so level
+	// 2 recomputes N(v0) ∩ N(v1) with real vertex keys; the VCS path
+	// intersects an unkeyed stored intermediate instead, which deliberately
+	// never hub-promotes.
+	stats := StatsOf(g)
+	stats.UpSq, stats.DownSq = 0, 0
+	pl := MustCompile(pattern.Triangle(), Options{Style: StyleGraphPi, DisableVCS: true, Stats: stats})
 	e := NewExecutor(pl, g.Neighbors, nil)
 	for v := 0; v < g.NumVertices(); v++ {
 		e.CountRoot(graph.VertexID(v))
 	}
 	kc := e.Scratch().KernelCounts()
 	if kc[setops.KernelBitmap] == 0 {
-		t.Errorf("no bitmap invocations on a star graph; counts = %v", *kc)
+		t.Errorf("no bitmap invocations on a wheel graph; counts = %v", *kc)
 	}
 	// SetHubThreshold above the max degree turns the bitmap kernel off
 	// without touching the shared plan.
@@ -133,6 +146,55 @@ func TestScratchKernelCountersAndOverride(t *testing.T) {
 	}
 	if pl.HubThreshold != 128 {
 		t.Errorf("override mutated the shared plan: %d", pl.HubThreshold)
+	}
+}
+
+// TestExtendCountOnlyNoAlloc pins the count path's hot-path contract at run
+// time: with a warm scratch, a count-only last-level Extend allocates nothing
+// on any of its shapes — pair count (triangle), list minus list (induced
+// wedge), bare clipped list with a distinctness probe (wedge) — and agrees
+// with the materializing Extend on every embedding.
+func TestExtendCountOnlyNoAlloc(t *testing.T) {
+	g := graph.RMATDefault(200, 1600, 17)
+	for _, c := range []struct {
+		pat     *pattern.Pattern
+		induced bool
+	}{
+		{pattern.Triangle(), false}, {pattern.PathP(3), true}, {pattern.PathP(3), false},
+	} {
+		pl := MustCompile(c.pat, Options{Style: StyleAutomine, Induced: c.induced, DisableVCS: true, Stats: StatsOf(g)})
+		if !pl.Levels[2].CountOnly {
+			t.Fatalf("%v: last level not count-eligible", pl)
+		}
+		counting, building := NewScratch(pl), NewScratch(pl)
+		counting.SetCountOnly(true)
+		counting.SetHubThreshold(16)
+		building.SetHubThreshold(16)
+		emb := make([]graph.VertexID, 2, 3)
+		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
+		sweep := func(s *Scratch) (n uint64) {
+			for v0 := 0; v0 < g.NumVertices(); v0++ {
+				emb[0] = graph.VertexID(v0)
+				l1, _ := pl.Extend(building, 1, emb[:1], getList, nil, nil, nil)
+				for _, v1 := range l1 {
+					emb[1] = v1
+					cands, _ := pl.Extend(s, 2, emb, getList, nil, nil, nil)
+					n += uint64(len(cands)) + s.TakeCount()
+				}
+			}
+			return n
+		}
+		want := sweep(building) // also warms the level-1 buffers
+		if want == 0 || want != CountGraph(pl, g) {
+			t.Fatalf("%v: materializing sweep found %d, executor %d", pl, want, CountGraph(pl, g))
+		}
+		var got uint64
+		if allocs := testing.AllocsPerRun(3, func() { got = sweep(counting) }); allocs != 0 {
+			t.Errorf("%v: count-only Extend allocated %.0f times per sweep, want 0", pl, allocs)
+		}
+		if got != want {
+			t.Errorf("%v: count-only sweep %d, materializing %d", pl, got, want)
+		}
 	}
 }
 

@@ -41,10 +41,13 @@ func (s Style) String() string {
 	}
 }
 
-// Restriction is a symmetry-breaking constraint: the vertex matched at
-// position A must have a smaller ID than the vertex matched at position B.
-// Restrictions always point forward (A < B) and are enforced when matching
-// position B.
+// Restriction is a symmetry-breaking constraint between the vertices matched
+// at positions A and B: emb[A] < emb[B] in an ascending plan, emb[A] > emb[B]
+// when Plan.Descending is set. The stabilizer-chain scheme needs some total
+// order on vertex IDs, not a particular one, so the compiler picks per input
+// graph whichever direction leaves the shorter lists to intersect; all of a
+// plan's restrictions share it. Restrictions always point forward (A < B) and
+// are enforced when matching position B.
 type Restriction struct {
 	A, B int
 }
@@ -87,11 +90,17 @@ type Level struct {
 	// Subtract lists the earlier positions NOT adjacent to this one; in
 	// induced mode their edge lists are subtracted from the candidates.
 	Subtract []int
-	// LowerBounds lists earlier positions a with restriction emb[a] < v.
+	// LowerBounds lists earlier positions a with restriction emb[a] < v; an
+	// ascending plan's restrictions land here.
 	LowerBounds []int
-	// UpperBounds is unused by the stabilizer-chain scheme (restrictions
-	// always point forward) but kept for generality of hand-written plans.
+	// UpperBounds lists earlier positions a with restriction v < emb[a]; a
+	// descending plan's restrictions land here.
 	UpperBounds []int
+	// CountOnly marks a level whose candidates a count-only caller need not
+	// see: the last level of an unlabeled plan with at most one subtraction.
+	// On a scratch in count-only mode Extend counts such a level with the
+	// non-materializing kernels (see Scratch.SetCountOnly).
+	CountOnly bool
 	// ReuseSame marks that this level's raw intersection equals the parent
 	// level's stored intersection (no set operation needed at all).
 	ReuseSame bool
@@ -125,8 +134,13 @@ type Plan struct {
 	// Levels has one entry per position.
 	Levels []Level
 	// Restrictions is the full symmetry-breaking set (also folded into the
-	// per-level LowerBounds).
+	// per-level LowerBounds, or UpperBounds when Descending).
 	Restrictions []Restriction
+	// Descending records the direction of every restriction (see
+	// Restriction). UpSq and DownSq are the input's ID-skew sums
+	// (GraphStats) the compiler chose it by: descending when DownSq < UpSq.
+	Descending   bool
+	UpSq, DownSq float64
 	// AutSize is the order of the pattern's automorphism group.
 	AutSize int
 	// Induced selects induced matching (motif semantics).
@@ -173,20 +187,30 @@ type GraphStats struct {
 	// holds degrees in [2^i, 2^(i+1)); see graph.DegreeHistogram). Nil when
 	// the stats were synthesized rather than measured.
 	DegreeHist []int
+	// UpSq and DownSq are the graph's ID-skew sums Σ up(v)² and Σ down(v)²
+	// (see graph.IDSkew). The compiler points the symmetry-breaking
+	// restrictions in the cheaper direction; equal sums — synthesized stats
+	// leave both zero — keep them ascending.
+	UpSq, DownSq float64
 }
 
-// StatsOf extracts cost-model statistics from a graph.
+// StatsOf extracts cost-model statistics from a graph. The per-vertex scans
+// behind the histogram and the skew sums are memoized on the graph, so a
+// compile per candidate pattern or per query does not repeat them.
 func StatsOf(g *graph.Graph) GraphStats {
 	n := g.NumVertices()
 	avg := 0.0
 	if n > 0 {
 		avg = float64(g.NumDirectedEdges()) / float64(n)
 	}
+	up, down := g.IDSkew()
 	return GraphStats{
 		NumVertices: n,
 		AvgDegree:   avg,
 		MaxDegree:   g.MaxDegree(),
 		DegreeHist:  g.DegreeHistogram(),
+		UpSq:        up,
+		DownSq:      down,
 	}
 }
 
@@ -261,6 +285,9 @@ func (p *Plan) String() string {
 	if p.Induced {
 		sb.WriteString(" induced")
 	}
+	if p.Descending {
+		sb.WriteString(" descending")
+	}
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
 		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.Intersect)
@@ -269,6 +296,12 @@ func (p *Plan) String() string {
 		}
 		if len(lv.LowerBounds) > 0 {
 			fmt.Fprintf(&sb, " lb=%v", lv.LowerBounds)
+		}
+		if len(lv.UpperBounds) > 0 {
+			fmt.Fprintf(&sb, " ub=%v", lv.UpperBounds)
+		}
+		if lv.CountOnly {
+			sb.WriteString(" count-only")
 		}
 		if lv.ReuseSame {
 			sb.WriteString(" reuse=same")
@@ -315,6 +348,14 @@ func (p *Plan) Validate() error {
 			if r < 0 || r >= i {
 				return fmt.Errorf("plan: level %d lower bound on future position %d", i, r)
 			}
+		}
+		for _, r := range lv.UpperBounds {
+			if r < 0 || r >= i {
+				return fmt.Errorf("plan: level %d upper bound on future position %d", i, r)
+			}
+		}
+		if lv.CountOnly && (p.Labeled() || p.EdgeLabeled || len(lv.Subtract) > 1 || i != p.K-1) {
+			return fmt.Errorf("plan: level %d cannot be count-only", i)
 		}
 		if lv.ReuseSame && lv.ReuseExtend {
 			return fmt.Errorf("plan: level %d has both reuse modes", i)

