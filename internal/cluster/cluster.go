@@ -187,8 +187,11 @@ type Cluster struct {
 	cfg    Config
 	asg    partition.Assignment
 	locals []*partition.Local
-	met    *metrics.Cluster
-	fabric comm.Fabric
+	// baseRoots is each (node, socket) slot's root list under the base
+	// assignment; see rootsOf.
+	baseRoots [][]graph.VertexID
+	met       *metrics.Cluster
+	fabric    comm.Fabric
 	// injector and resilient are the fault-injection and retry layers of
 	// the fabric stack; nil when resilience is disabled.
 	injector  *fault.Injector
@@ -242,7 +245,7 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 			return out
 		})
 	}
-	c := &Cluster{g: g, cfg: cfg, asg: asg, locals: locals, met: met}
+	c := &Cluster{g: g, cfg: cfg, asg: asg, locals: locals, baseRoots: baseRootsOf(g, asg), met: met}
 	fabric, err := c.buildFabric(servers)
 	if err != nil {
 		return nil, err

@@ -88,23 +88,36 @@ func allTracked(trs []*rangeTracker) bool {
 	return true
 }
 
-// rootsOf computes the root list of one engine slot under a failover
-// snapshot (nil = base assignment): the slot's base-owned vertices plus any
-// it adopted from dead machines. RunWith precomputes this into each
-// nodeSource and recovery re-derives it here, so the two always agree —
-// checkpoint prefixes index into identical lists.
+// baseRootsOf splits the vertex set into one ascending root list per engine
+// slot under the base assignment, in one pass — the lists
+// partition.Local.OwnedVertices / SocketVertices would return slot by slot.
+func baseRootsOf(g *graph.Graph, asg partition.Assignment) [][]graph.VertexID {
+	sockets := asg.NumSockets()
+	roots := make([][]graph.VertexID, asg.NumNodes()*sockets)
+	for v := 0; v < g.NumVertices(); v++ {
+		id := graph.VertexID(v)
+		slot := asg.Owner(id) * sockets
+		if sockets > 1 {
+			slot += asg.Socket(id)
+		}
+		roots[slot] = append(roots[slot], id)
+	}
+	return roots
+}
+
+// rootsOf returns the root list of one engine slot under a failover snapshot
+// (nil = base assignment): the slot's base-owned vertices, memoized at
+// construction and shared by every run (callers only read it), plus any it
+// adopted from dead machines. RunWith hands this to each nodeSource and
+// recovery re-derives it here, so the two always agree — checkpoint prefixes
+// index into identical lists.
 func (c *Cluster) rootsOf(fo *failover, node, socket int) []graph.VertexID {
 	if fo != nil && fo.dead[node] {
 		// A machine dead at run start contributes no roots: its shard was
 		// re-partitioned to survivors when the topology was adopted.
 		return nil
 	}
-	var roots []graph.VertexID
-	if c.asg.NumSockets() > 1 {
-		roots = c.locals[node].SocketVertices(socket)
-	} else {
-		roots = c.locals[node].OwnedVertices()
-	}
+	roots := c.baseRoots[node*c.asg.NumSockets()+socket]
 	if fo == nil {
 		return roots
 	}

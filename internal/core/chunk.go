@@ -1,39 +1,61 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"khuzdul/internal/graph"
 )
 
-// chunk is a fixed-capacity batch of extendable embeddings of one tree level
+// chunk is a soft-capacity batch of extendable embeddings of one tree level
 // (paper §4.2). An embedding is stored as its new vertex plus a parent index
 // into the previous level's chunk — the hierarchical representation of
 // Figure 8 that realizes vertical data sharing: the active edge lists of the
 // earlier positions are reached through the parent chain instead of being
 // copied or re-fetched.
+//
+// A chunk owns all of its per-chunk memory — the columns and what prepare
+// builds over them (batches, HDS table, per-owner fetch groups) — allocates
+// none of it up front and keeps whatever it has grown to, so a recycled chunk
+// serves any level, any ChunkSize and any run (see chunkPool). The invariant
+// that makes recycling safe: outside [0, len) every entry of the
+// pointer-bearing columns is nil, and reset re-establishes it.
 type chunk struct {
 	level  int
 	parent []int32          // index into the parent chunk (-1 for roots)
 	vertex []graph.VertexID // the vertex this embedding added
-	// lists[i] is the edge list of vertex[i] once fetched (nil when the
-	// level does not need lists). It may alias the local partition, the
-	// static cache, a fetched buffer, or — via horizontal sharing — another
-	// embedding's list in the same chunk.
-	lists [][]graph.VertexID
+	// lists[i] is the edge list of vertex[i] once fetched. It may alias the
+	// local partition, the static cache, a fetched buffer, or — via
+	// horizontal sharing — another embedding's list in the same chunk. The
+	// column is carried only at levels whose vertex is an active vertex of a
+	// deeper level (hasLists); elsewhere it stays empty.
+	lists    [][]graph.VertexID
+	hasLists bool
 	// inter[i] is the raw intersection stored for vertical computation
 	// sharing; children reuse it instead of recomputing multi-way
-	// intersections. Shared by all children of one Extend call.
-	inter [][]graph.VertexID
+	// intersections. Shared by all children of one Extend call. Carried only
+	// at levels that store one (hasInter).
+	inter    [][]graph.VertexID
+	hasInter bool
 	// batches partition the chunk's embeddings by data source in circulant
 	// order (paper §4.3); extension proceeds batch by batch, waiting for
 	// each batch's communication to complete while later batches fetch in
-	// the background.
+	// the background. It is a prefix of batchStore.
 	batches []*fetchBatch
 	cap     int
 	// size mirrors len(vertex) so workers can poll fullness without taking
 	// the flush lock.
 	size atomic.Int32
+
+	// batchStore holds every fetchBatch this chunk ever built; their index
+	// slices keep their capacity across uses.
+	batchStore []*fetchBatch
+	// table is the horizontal-sharing hash table and groups the per-owner
+	// fetch work, both built by prepare only once the chunk meets a vertex
+	// it must fetch.
+	table  []int32
+	groups []fetchGroup
 }
 
 // fetchBatch is one circulant communication batch: the embeddings whose
@@ -48,21 +70,23 @@ type fetchBatch struct {
 	lazyFetch func()
 }
 
-func newFetchBatch() *fetchBatch {
-	return &fetchBatch{ready: make(chan struct{})}
-}
+// closedReady is the ready channel of every batch that needs no
+// communication.
+var closedReady = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // closeReady marks the batch's data as available.
 func (b *fetchBatch) closeReady() { close(b.ready) }
 
-func newChunk(level, capacity int) *chunk {
-	return &chunk{
-		level:  level,
-		parent: make([]int32, 0, capacity),
-		vertex: make([]graph.VertexID, 0, capacity),
-		cap:    capacity,
-	}
-}
+// chunkPool recycles chunks across engines and runs: an engine draws from it
+// when its own free list is empty and hands its chunks back only at the end
+// of a Run that returned nil (Engine.release). A sync.Pool because runs
+// execute concurrently on one cluster and idle memory must still return to
+// the garbage collector.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // len returns the number of embeddings currently in the chunk.
 func (c *chunk) len() int { return int(c.size.Load()) }
@@ -73,14 +97,26 @@ func (c *chunk) len() int { return int(c.size.Load()) }
 // children), preserving the paper's bounded-memory property up to a constant.
 func (c *chunk) full() bool { return int(c.size.Load()) >= c.cap }
 
-// reset clears the chunk for reuse at the given level.
-func (c *chunk) reset(level int) {
+// reset empties the chunk for reuse at the given level with the given soft
+// capacity, dropping every reference the previous use left in the
+// pointer-bearing columns — fetched slabs, arena blocks, cache entries — so
+// a recycled chunk pins none of them. It must not run while a fetch of the
+// previous use may still be writing the chunk: callers reset only chunks
+// whose batches were all waited for.
+func (c *chunk) reset(level, capacity int) {
 	c.level = level
+	c.cap = capacity
 	c.parent = c.parent[:0]
 	c.vertex = c.vertex[:0]
+	clear(c.lists)
 	c.lists = c.lists[:0]
+	clear(c.inter)
 	c.inter = c.inter[:0]
-	c.batches = nil
+	c.hasLists, c.hasInter = false, false
+	for _, b := range c.batches {
+		b.err, b.lazyFetch = nil, nil
+	}
+	c.batches = c.batchStore[:0]
 	c.size.Store(0)
 }
 
@@ -89,10 +125,60 @@ func (c *chunk) append(parent int32, v graph.VertexID, inter []graph.VertexID) i
 	idx := int32(len(c.vertex))
 	c.parent = append(c.parent, parent)
 	c.vertex = append(c.vertex, v)
-	c.lists = append(c.lists, nil)
-	c.inter = append(c.inter, inter)
+	if c.hasLists {
+		c.lists = append(c.lists, nil)
+	}
+	if c.hasInter {
+		c.inter = append(c.inter, inter)
+	}
 	c.size.Store(int32(len(c.vertex)))
 	return idx
+}
+
+// appendChildren adds a worker's buffered children in one pass.
+func (c *chunk) appendChildren(buf []child) {
+	for i := range buf {
+		c.parent = append(c.parent, buf[i].parent)
+		c.vertex = append(c.vertex, buf[i].vertex)
+	}
+	if c.hasInter {
+		for i := range buf {
+			c.inter = append(c.inter, buf[i].inter)
+		}
+	}
+	if c.hasLists {
+		// The entries past the old length are nil already (the chunk
+		// invariant, and growth zeroes what it adds), so within capacity
+		// this only reslices.
+		n := len(c.vertex)
+		c.lists = slices.Grow(c.lists, n-len(c.lists))[:n]
+	}
+	c.size.Store(int32(len(c.vertex)))
+}
+
+// newBatch opens the chunk's next communication batch, reusing a retired
+// one's index storage. ready is the batch's completion channel: closedReady
+// for a batch that waits for nothing.
+func (c *chunk) newBatch(ready chan struct{}) *fetchBatch {
+	n := len(c.batches)
+	if n == len(c.batchStore) {
+		c.batchStore = append(c.batchStore, &fetchBatch{})
+	}
+	c.batches = c.batchStore[:n+1]
+	b := c.batches[n]
+	b.idxs = b.idxs[:0]
+	b.next = 0
+	b.ready = ready
+	return b
+}
+
+// allIdxs opens one resolved batch covering every embedding of the chunk —
+// the whole communication plan of a level that fetches nothing.
+func (c *chunk) allIdxs() {
+	b := c.newBatch(closedReady)
+	for i, n := int32(0), int32(c.len()); i < n; i++ {
+		b.idxs = append(b.idxs, i)
+	}
 }
 
 // child is a freshly generated extendable embedding buffered by a worker

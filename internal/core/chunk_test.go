@@ -1,13 +1,18 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"khuzdul/internal/graph"
 )
 
+var errTest = errors.New("test")
+
 func TestChunkAppendAndReset(t *testing.T) {
-	c := newChunk(1, 4)
+	c := new(chunk)
+	c.reset(1, 4)
+	c.hasLists, c.hasInter = true, true
 	if c.len() != 0 || c.full() {
 		t.Fatal("fresh chunk not empty")
 	}
@@ -16,27 +21,56 @@ func TestChunkAppendAndReset(t *testing.T) {
 	if idx != 0 || c.len() != 1 {
 		t.Fatalf("append idx=%d len=%d", idx, c.len())
 	}
-	if c.vertex[0] != 42 || c.parent[0] != 3 || len(c.inter[0]) != 2 {
+	if c.vertex[0] != 42 || c.parent[0] != 3 || len(c.inter[0]) != 2 || len(c.lists) != 1 {
 		t.Fatal("append stored wrong fields")
 	}
-	for i := 0; i < 3; i++ {
-		c.append(0, graph.VertexID(i), nil)
-	}
+	c.appendChildren([]child{{parent: 0, vertex: 0, inter: inter}, {parent: 0, vertex: 1}, {parent: 0, vertex: 2}})
 	if !c.full() {
 		t.Fatalf("chunk with %d/%d entries not full", c.len(), c.cap)
 	}
-	c.reset(2)
-	if c.len() != 0 || c.level != 2 || c.full() {
+	if len(c.lists) != 4 || len(c.inter) != 4 || len(c.inter[1]) != 2 || c.inter[2] != nil {
+		t.Fatalf("appendChildren: %d lists, %d inter", len(c.lists), len(c.inter))
+	}
+	c.lists[2] = inter
+	c.allIdxs()
+	c.batches[0].err = errTest
+	c.batches[0].lazyFetch = func() {}
+
+	// The same chunk serves another level at another capacity, and nothing
+	// of the first use is reachable from it.
+	c.reset(2, 2)
+	if c.len() != 0 || c.level != 2 || c.cap != 2 || c.full() {
 		t.Fatal("reset did not clear the chunk")
 	}
-	if c.batches != nil {
-		t.Fatal("reset kept batches")
+	if len(c.batches) != 0 || c.hasLists || c.hasInter {
+		t.Fatal("reset kept batches or column flags")
+	}
+	if b := c.batchStore[0]; b.err != nil || b.lazyFetch != nil {
+		t.Fatal("reset left a retired batch holding an error or a closure")
+	}
+	for _, col := range [][][]graph.VertexID{c.lists[:cap(c.lists)], c.inter[:cap(c.inter)]} {
+		for i, l := range col {
+			if l != nil {
+				t.Fatalf("entry %d of a pointer column survived reset", i)
+			}
+		}
+	}
+}
+
+func TestChunkCarriesOnlyNeededColumns(t *testing.T) {
+	c := new(chunk)
+	c.reset(1, 8)
+	c.append(-1, 1, []graph.VertexID{9})
+	c.appendChildren([]child{{parent: 0, vertex: 2, inter: []graph.VertexID{9}}})
+	if c.len() != 2 || len(c.lists) != 0 || len(c.inter) != 0 {
+		t.Fatalf("len=%d lists=%d inter=%d, want 2 0 0", c.len(), len(c.lists), len(c.inter))
 	}
 }
 
 func TestChunkSoftCapacityOvershoot(t *testing.T) {
 	// Capacity is a soft bound: append never fails, full() just turns true.
-	c := newChunk(0, 2)
+	c := new(chunk)
+	c.reset(0, 2)
 	for i := 0; i < 5; i++ {
 		c.append(-1, graph.VertexID(i), nil)
 	}
@@ -46,7 +80,9 @@ func TestChunkSoftCapacityOvershoot(t *testing.T) {
 }
 
 func TestFetchBatchReady(t *testing.T) {
-	b := newFetchBatch()
+	c := new(chunk)
+	c.reset(0, 4)
+	b := c.newBatch(make(chan struct{}))
 	select {
 	case <-b.ready:
 		t.Fatal("fresh batch already ready")
@@ -58,10 +94,31 @@ func TestFetchBatchReady(t *testing.T) {
 	default:
 		t.Fatal("closed batch not ready")
 	}
+	select {
+	case <-c.newBatch(closedReady).ready:
+	default:
+		t.Fatal("resolved batch not ready")
+	}
+	// A retired batch comes back empty, with its index storage.
+	b.idxs = append(b.idxs, 1, 2, 3)
+	b.next = 2
+	c.reset(0, 4)
+	if nb := c.newBatch(closedReady); nb != b || len(nb.idxs) != 0 || cap(nb.idxs) < 3 || nb.next != 0 {
+		t.Fatalf("reused batch: same=%v idxs=%d/%d next=%d", nb == b, len(nb.idxs), cap(nb.idxs), nb.next)
+	}
 }
 
 func TestAllIdxs(t *testing.T) {
-	idxs := allIdxs(4)
+	c := new(chunk)
+	c.reset(0, 8)
+	for i := 0; i < 4; i++ {
+		c.append(-1, graph.VertexID(10+i), nil)
+	}
+	c.allIdxs()
+	if len(c.batches) != 1 {
+		t.Fatalf("%d batches", len(c.batches))
+	}
+	idxs := c.batches[0].idxs
 	if len(idxs) != 4 {
 		t.Fatalf("len = %d", len(idxs))
 	}
@@ -70,8 +127,10 @@ func TestAllIdxs(t *testing.T) {
 			t.Fatalf("idxs[%d] = %d", i, v)
 		}
 	}
-	if len(allIdxs(0)) != 0 {
-		t.Fatal("allIdxs(0) not empty")
+	c.reset(0, 8)
+	c.allIdxs()
+	if len(c.batches[0].idxs) != 0 {
+		t.Fatal("allIdxs of an empty chunk not empty")
 	}
 }
 

@@ -90,19 +90,37 @@ type BulkSink interface {
 	Add(n uint64)
 }
 
+// MatchesSink is implemented by materializing sinks that can take all the
+// final-level matches of one extension at once: the embeddings prefix+v for
+// every v in last. The engine then calls OnMatches once per extension that
+// found a match instead of OnMatch once per match. Both slices are reused by
+// the engine; implementations must copy to retain them.
+type MatchesSink interface {
+	Sink
+	OnMatches(prefix, last []graph.VertexID)
+}
+
 // Engine executes one client system's EXTEND function over one partition
 // with the BFS-DFS hybrid exploration. Create one per socket per machine.
 type Engine struct {
 	ext       Extender
 	src       DataSource
 	sink      Sink
-	bulk      BulkSink // non-nil when sink supports bulk counting
+	bulk      BulkSink    // non-nil when sink supports bulk counting
+	batch     MatchesSink // non-nil when a materializing sink takes matches per extension
 	cfg       Config
 	met       *metrics.Node
 	k         int
 	countOnly bool
+	// needsList and storeInter are the extender's per-level answers, asked
+	// once: they decide which columns a level's chunks carry.
+	needsList  []bool
+	storeInter []bool
 
-	path    []*chunk // current chunk per level along the DFS path
+	path []*chunk // current chunk per level along the DFS path
+	// free holds this run's retired chunks for reuse at any level; workers
+	// is nil outside Run. Both are drawn from and returned to the
+	// process-wide pools (see release).
 	free    []*chunk
 	workers []*workerCtx
 	flushMu sync.Mutex
@@ -118,6 +136,9 @@ type workerCtx struct {
 	emb     []graph.VertexID
 	lists   [][]graph.VertexID
 	buf     []child
+	// bufHigh is the longest buf has been since the worker left the pool:
+	// the prefix that may still hold raw-intersection pointers.
+	bufHigh int
 	matches uint64
 	exts    uint64
 	// vertHits counts active lists resolved through the parent chain —
@@ -131,11 +152,53 @@ type workerCtx struct {
 	// candidate sharing stores on child embeddings. Copies are carved out of
 	// one large block instead of one heap allocation per embedding; a full
 	// block is abandoned to the garbage collector (chunks may still reference
-	// its slices) and replaced.
+	// its slices) and replaced. The current block stays with a pooled worker
+	// and is refilled from its start.
 	arena []graph.VertexID
 }
 
 func (w *workerCtx) getList(pos int) []graph.VertexID { return w.lists[pos] }
+
+// workerPool recycles worker contexts — child buffer, ancestor/embedding/list
+// scratch, the current arena block — under the same rule as chunkPool.
+var workerPool = sync.Pool{New: func() any {
+	w := &workerCtx{}
+	w.getListFn = w.getList
+	return w
+}}
+
+// getWorker draws a worker context sized for this engine.
+func (e *Engine) getWorker() *workerCtx {
+	w := workerPool.Get().(*workerCtx)
+	if cap(w.anc) < e.k {
+		w.anc = make([]int32, e.k)
+		w.emb = make([]graph.VertexID, e.k)
+		w.lists = make([][]graph.VertexID, e.k)
+	}
+	w.anc, w.emb, w.lists = w.anc[:e.k], w.emb[:e.k], w.lists[:e.k]
+	if cap(w.buf) < e.cfg.FlushSize {
+		w.buf = make([]child, 0, e.cfg.FlushSize)
+	}
+	w.scratch = e.ext.NewScratch()
+	w.scratch.SetCountOnly(e.countOnly)
+	if e.cfg.HubThreshold > 0 {
+		w.scratch.SetHubThreshold(e.cfg.HubThreshold)
+	}
+	return w
+}
+
+// putWorker returns a worker context to the pool holding no reference into
+// the run it served: no scratch, no edge list, no raw intersection. Nothing
+// references the arena block any more once the run's chunks are reset, so it
+// is refilled from its start.
+func putWorker(w *workerCtx) {
+	w.scratch = nil
+	clear(w.lists)
+	clear(w.buf[:w.bufHigh])
+	w.bufHigh = 0
+	w.arena = w.arena[:0]
+	workerPool.Put(w)
+}
 
 // arenaBlock is the worker arena's block capacity: large enough to amortize
 // refills over thousands of typical raw intersections, small enough that an
@@ -177,23 +240,15 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 	if b, ok := sink.(BulkSink); ok && sink.CountOnly() {
 		e.bulk = b
 		e.countOnly = true
+	} else if m, ok := sink.(MatchesSink); ok {
+		e.batch = m
 	}
 	e.path = make([]*chunk, e.k)
-	e.workers = make([]*workerCtx, cfg.Threads)
-	for i := range e.workers {
-		w := &workerCtx{
-			scratch: ext.NewScratch(),
-			anc:     make([]int32, e.k),
-			emb:     make([]graph.VertexID, e.k),
-			lists:   make([][]graph.VertexID, e.k),
-			buf:     make([]child, 0, cfg.FlushSize),
-		}
-		w.getListFn = w.getList
-		w.scratch.SetCountOnly(e.countOnly)
-		if cfg.HubThreshold > 0 {
-			w.scratch.SetHubThreshold(cfg.HubThreshold)
-		}
-		e.workers[i] = w
+	e.needsList = make([]bool, e.k)
+	e.storeInter = make([]bool, e.k)
+	for l := 0; l < e.k; l++ {
+		e.needsList[l] = ext.NeedsList(l)
+		e.storeInter[l] = ext.StoreInter(l)
 	}
 	return e
 }
@@ -219,8 +274,18 @@ func (e *Engine) checkCanceled() error {
 // Run explores the embedding trees of every root this engine owns. It
 // blocks until exploration completes and returns the first fetch error.
 //
+// The engine's working set — chunks and worker contexts — comes from the
+// process-wide pools and goes back only when the exploration completed. A
+// run that failed or was canceled may have left fetch goroutines unjoined
+// that still write its chunks' lists, so it returns nothing and leaves its
+// memory to the garbage collector.
+//
 //khuzdulvet:longrun whole-partition exploration; must observe Config.Canceled
 func (e *Engine) Run() error {
+	e.workers = make([]*workerCtx, e.cfg.Threads)
+	for i := range e.workers {
+		e.workers[i] = e.getWorker()
+	}
 	roots := e.src.Roots()
 	for start := 0; start < len(roots); start += e.cfg.ChunkSize {
 		if e.cfg.Canceled != nil && e.cfg.Canceled() {
@@ -248,7 +313,25 @@ func (e *Engine) Run() error {
 			e.cfg.OnRangeDone(start, end)
 		}
 	}
+	e.release()
 	return nil
+}
+
+// release hands the working set of a run that completed cleanly back to the
+// pools. Every chunk is on the free list by then and every batch of every
+// chunk has been waited for, so nothing can still write them; reset drops
+// what their pointer columns reference.
+func (e *Engine) release() {
+	for _, ch := range e.free {
+		ch.reset(0, 0)
+		chunkPool.Put(ch)
+	}
+	e.free = nil
+	clear(e.path)
+	for _, w := range e.workers {
+		putWorker(w)
+	}
+	e.workers = nil
 }
 
 // rootChunk builds a level-0 chunk from a batch of roots. Root edge lists
@@ -260,18 +343,12 @@ func (e *Engine) rootChunk(roots []graph.VertexID) *chunk {
 			ch.append(-1, v, nil)
 		}
 	}
-	if e.ext.NeedsList(0) {
+	if ch.hasLists {
 		for i, v := range ch.vertex {
 			ch.lists[i] = e.src.LocalList(v)
 		}
 	}
-	b := newFetchBatch()
-	b.idxs = make([]int32, ch.len())
-	for i := range b.idxs {
-		b.idxs[i] = int32(i)
-	}
-	b.closeReady()
-	ch.batches = []*fetchBatch{b}
+	ch.allIdxs()
 	e.met.RecordPeakEmbeddings(uint64(e.live.Add(int64(ch.len()))))
 	return ch
 }
@@ -454,11 +531,19 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 	for l := 0; l <= level; l++ {
 		c := e.path[l]
 		w.emb[l] = c.vertex[w.anc[l]]
-		w.lists[l] = c.lists[w.anc[l]]
+		// A level without the column never had a list: w.lists[l] is nil
+		// from the pool and stays nil.
+		if c.hasLists {
+			w.lists[l] = c.lists[w.anc[l]]
+		}
 	}
 	w.exts++
 	w.vertHits += uint64(level)
-	cands, raw := e.ext.Extend(w.scratch, level+1, w.emb[:level+1], w.getListFn, ch.inter[idx])
+	var parentRaw []graph.VertexID
+	if ch.hasInter {
+		parentRaw = ch.inter[idx]
+	}
+	cands, raw := e.ext.Extend(w.scratch, level+1, w.emb[:level+1], w.getListFn, parentRaw)
 	if final {
 		if e.countOnly {
 			// An extender that counted instead of building returns no
@@ -466,15 +551,21 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 			w.matches += uint64(len(cands)) + w.scratch.TakeCount()
 			return
 		}
+		w.matches += uint64(len(cands))
+		if e.batch != nil {
+			if len(cands) > 0 {
+				e.batch.OnMatches(w.emb[:level+1], cands)
+			}
+			return
+		}
 		for _, v := range cands {
 			w.emb[level+1] = v
 			e.sink.OnMatch(w.emb[:e.k])
 		}
-		w.matches += uint64(len(cands))
 		return
 	}
 	var interCopy []graph.VertexID
-	if e.ext.StoreInter(level+1) && len(cands) > 0 {
+	if e.storeInter[level+1] && len(cands) > 0 {
 		interCopy = w.copyInter(raw)
 	}
 	for _, v := range cands {
@@ -492,22 +583,28 @@ func (e *Engine) flush(w *workerCtx, next *chunk) {
 		return
 	}
 	e.flushMu.Lock()
-	for _, c := range w.buf {
-		next.append(c.parent, c.vertex, c.inter)
-	}
+	next.appendChildren(w.buf)
 	e.flushMu.Unlock()
 	e.met.RecordPeakEmbeddings(uint64(e.live.Add(int64(len(w.buf)))))
+	if len(w.buf) > w.bufHigh {
+		w.bufHigh = len(w.buf)
+	}
 	w.buf = w.buf[:0]
 }
 
+// getChunk returns an empty chunk for the given level: one this run already
+// retired, else one from the pool.
 func (e *Engine) getChunk(level int) *chunk {
+	var ch *chunk
 	if n := len(e.free); n > 0 {
-		ch := e.free[n-1]
+		ch = e.free[n-1]
 		e.free = e.free[:n-1]
-		ch.reset(level)
-		return ch
+	} else {
+		ch = chunkPool.Get().(*chunk)
 	}
-	return newChunk(level, e.cfg.ChunkSize)
+	ch.reset(level, e.cfg.ChunkSize)
+	ch.hasLists, ch.hasInter = e.needsList[level], e.storeInter[level]
+	return ch
 }
 
 func (e *Engine) putChunk(ch *chunk) {

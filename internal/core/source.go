@@ -33,7 +33,10 @@ type DataSource interface {
 	// accounting the cross-socket traffic.
 	CrossSocketList(v graph.VertexID) []graph.VertexID
 	// Fetch blocks until the edge lists of ids arrive from the owner
-	// machine. The engine batches requests; pipelining happens above.
+	// machine. The engine batches requests; pipelining happens above. ids
+	// is never reused by the engine, so an implementation may still be
+	// reading it after Fetch returned (an abandoned attempt of a retrying
+	// fabric does).
 	Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error)
 	// NumNodes returns the number of machines in the cluster.
 	NumNodes() int

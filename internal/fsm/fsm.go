@@ -213,6 +213,21 @@ func (s *domainSink) OnMatch(emb []graph.VertexID) {
 	s.mu.Unlock()
 }
 
+// OnMatches implements core.MatchesSink: every final-level match of one
+// extension shares prefix, so its positions are marked once and the lock is
+// taken once per extension instead of once per match.
+func (s *domainSink) OnMatches(prefix, last []graph.VertexID) {
+	s.mu.Lock()
+	for pos, v := range prefix {
+		s.doms[s.order[pos]].set(uint32(v))
+	}
+	d := s.doms[s.order[len(prefix)]]
+	for _, v := range last {
+		d.set(uint32(v))
+	}
+	s.mu.Unlock()
+}
+
 func (s *domainSink) CountOnly() bool { return false }
 
 // merge ORs another sink's domains into this one (the cross-machine

@@ -206,6 +206,117 @@ func TestMineClusterMatchesSingle(t *testing.T) {
 	}
 }
 
+// benchGraph is the benchmark's fsm-mc-8n input for a seed (bench/workloads.go:
+// workload index 3, so generator seed+6 and label seed+7).
+func benchGraph(tb testing.TB, seed int64) *graph.Graph {
+	tb.Helper()
+	g0 := graph.RMAT(1600, 9600, 0.40, 0.20, 0.20, seed+6)
+	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 4, seed+7))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// TestMineMatchesSingleOnBenchSeeds mines the benchmark's FSM input on its 8
+// simulated nodes — 286 back-to-back cluster runs through recycled engine
+// memory into the per-extension domain sink — and holds the frequent set and
+// every support equal to the single-machine miner, which visits embeddings
+// one at a time through plan.Executor.
+func TestMineMatchesSingleOnBenchSeeds(t *testing.T) {
+	seeds := []int64{20230325, 19800101}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		g := benchGraph(t, seed)
+		cfg := Config{MinSupport: 160, MaxEdges: 3}
+		single, err := MineSingle(g, cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(g, cluster.Config{NumNodes: 8, ThreadsPerSocket: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := Mine(c, cfg)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dist.Examined != single.Examined || len(dist.Frequent) != len(single.Frequent) {
+			t.Fatalf("seed %d: cluster examined %d / frequent %d, single %d / %d",
+				seed, dist.Examined, len(dist.Frequent), single.Examined, len(single.Frequent))
+		}
+		if len(single.Frequent) == 0 {
+			t.Fatalf("seed %d: nothing frequent, the comparison is empty", seed)
+		}
+		for i := range single.Frequent {
+			a, b := single.Frequent[i], dist.Frequent[i]
+			if a.Support != b.Support || pattern.CanonicalCode(a.Pattern) != pattern.CanonicalCode(b.Pattern) {
+				t.Fatalf("seed %d: mismatch at %d: %v/%d vs %v/%d",
+					seed, i, a.Pattern, a.Support, b.Pattern, b.Support)
+			}
+		}
+	}
+}
+
+// TestDomainSinkBatchEqualsPerMatch feeds the same matches to one sink an
+// extension at a time and to another a match at a time.
+func TestDomainSinkBatchEqualsPerMatch(t *testing.T) {
+	pl := plan.MustCompile(pattern.PathP(3).WithLabels([]graph.Label{0, 1, 0}),
+		plan.Options{DisableSymmetryBreak: true})
+	batch, single := newDomainSink(pl, 200), newDomainSink(pl, 200)
+	exts := []struct {
+		prefix, last []graph.VertexID
+	}{
+		{[]graph.VertexID{3, 70}, []graph.VertexID{5, 64, 199}},
+		{[]graph.VertexID{128, 1}, []graph.VertexID{0}},
+		{[]graph.VertexID{9, 70}, []graph.VertexID{63, 65, 127, 130}},
+	}
+	for _, e := range exts {
+		batch.OnMatches(e.prefix, e.last)
+		for _, v := range e.last {
+			single.OnMatch(append(append([]graph.VertexID{}, e.prefix...), v))
+		}
+	}
+	for i := range batch.doms {
+		if batch.doms[i].count() != single.doms[i].count() {
+			t.Fatalf("position %d: %d vertices by extension, %d by match", i, batch.doms[i].count(), single.doms[i].count())
+		}
+		for w := range batch.doms[i] {
+			if batch.doms[i][w] != single.doms[i][w] {
+				t.Fatalf("position %d word %d differs", i, w)
+			}
+		}
+	}
+	if batch.support() != 2 {
+		t.Fatalf("support %d, want 2", batch.support())
+	}
+}
+
+// BenchmarkFSMMine is one whole mine of the benchmark's FSM input on 8 nodes:
+// per-pattern compile, cluster run and domain reduction, 286 times over.
+func BenchmarkFSMMine(b *testing.B) {
+	g := benchGraph(b, 20230325)
+	c, err := cluster.New(g, cluster.Config{NumNodes: 8, ThreadsPerSocket: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Mine(c, Config{MinSupport: 160, MaxEdges: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Frequent) == 0 {
+			b.Fatal("nothing frequent")
+		}
+	}
+}
+
 func TestMineRejectsUnlabeled(t *testing.T) {
 	g := graph.Path(5)
 	if _, err := MineSingle(g, Config{MinSupport: 1}, 1); err == nil {

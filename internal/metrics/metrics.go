@@ -65,7 +65,9 @@ func (n *Node) AddNetwork(d time.Duration) { n.networkNS.Add(int64(d)) }
 // AddScheduler accrues chunk/task scheduling and bookkeeping time.
 func (n *Node) AddScheduler(d time.Duration) { n.schedulerNS.Add(int64(d)) }
 
-// AddCache accrues software-cache maintenance time.
+// AddCache accrues software-cache maintenance time. The engine's figure is a
+// sampled estimate — it times one cache call in 64 and scales — so read it as
+// a share of the breakdown, not as a sum of measured calls.
 func (n *Node) AddCache(d time.Duration) { n.cacheNS.Add(int64(d)) }
 
 // Reset zeroes every counter. Callers must ensure no concurrent updates.
