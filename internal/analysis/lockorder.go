@@ -17,7 +17,7 @@ import (
 // loses the race. This analyzer finds the shape statically.
 //
 // The abstraction: a lock is identified by the struct type and field that
-// declare it (comm.TCP.mu, cluster.rangeTracker.mu), or by package/function
+// declare it (comm.TCP.mu, cluster.ledger.mu), or by package/function
 // scope for non-field mutexes. Per function, acquisitions are tracked in
 // statement order (the locksend approximation: a deferred unlock keeps the
 // lock held to function end, function literals run in their own context, a

@@ -79,10 +79,6 @@ type Config struct {
 	// outstanding per connection (0 = the fabric default). Ignored by the
 	// chan transport.
 	InFlight int
-	// SerialWire pins the TCP fabric's handshake window to the serial
-	// protocol generation (≤ v2), disabling request multiplexing — the
-	// transport ablation's baseline arm.
-	SerialWire bool
 	// MiniBatch and FlushSize pass through to the engine.
 	MiniBatch int
 	FlushSize int
@@ -193,9 +189,11 @@ type Cluster struct {
 	met       *metrics.Cluster
 	fabric    comm.Fabric
 	// injector and resilient are the fault-injection and retry layers of
-	// the fabric stack; nil when resilience is disabled.
+	// the fabric stack; nil when resilience is disabled. Each recovery round
+	// installs its own retry layer while concurrent runs consult the
+	// current one's dead verdicts, hence the atomic pointer.
 	injector  *fault.Injector
-	resilient *comm.Resilient
+	resilient atomic.Pointer[comm.Resilient]
 	// detector is the heartbeat failure detector; nil unless Heartbeat is
 	// configured. It runs for the cluster's whole lifetime over the
 	// original fabric stack.
@@ -273,8 +271,8 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 			Timeout:  cfg.HeartbeatTimeout,
 			Misses:   cfg.HeartbeatMisses,
 		}, c.met, selfDead)
-		if c.resilient != nil {
-			c.resilient.SetSuspector(c.detector.Suspected)
+		if r := c.resilient.Load(); r != nil {
+			r.SetSuspector(c.detector.Suspected)
 		}
 		c.detector.Start()
 	}
@@ -304,9 +302,6 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 		if c.cfg.InFlight > 0 {
 			t.SetInFlight(c.cfg.InFlight)
 		}
-		if c.cfg.SerialWire {
-			t.SetVersionWindow(comm.ProtoVersionMin, comm.ProtoVersionSerialMax)
-		}
 		fabric = t
 	default:
 		return nil, fmt.Errorf("%w %d", ErrUnknownTransport, c.cfg.Transport)
@@ -325,8 +320,8 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 			BreakerThreshold: c.cfg.BreakerThreshold,
 			Seed:             seedOf(c.cfg.Fault),
 		}, c.met)
-		if c.resilient != nil {
-			for _, n := range c.resilient.DeadNodes() {
+		if prev := c.resilient.Load(); prev != nil {
+			for _, n := range prev.DeadNodes() {
 				r.MarkDead(n)
 			}
 		}
@@ -335,7 +330,7 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 			// detector's verdicts.
 			r.SetSuspector(c.detector.Suspected)
 		}
-		c.resilient = r
+		c.resilient.Store(r)
 		fabric = r
 	}
 	return fabric, nil
@@ -463,140 +458,72 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 		// traffic.
 		c.met.Reset()
 	}
-	threads := c.cfg.ThreadsPerSocket
-	if opts.ThreadsPerSocket > 0 {
-		threads = opts.ThreadsPerSocket
-	}
-
-	var labelOf plan.LabelFunc
-	if c.g.Labeled() {
-		labelOf = c.g.Label
-	}
-	var edgeLabelOf plan.EdgeLabelFunc
-	if c.g.EdgeLabeled() {
-		edgeLabelOf = plan.EdgeLabelOracle(c.g)
-	}
-
-	cacheBytesPerSocket := c.cacheBytesPerSocket()
-
-	// Snapshot the resident failover topology once per run: dead machines'
-	// shards route to survivors from the first fetch, and the snapshot keeps
-	// routing stable even if a concurrent run's recovery adopts a newer
-	// topology mid-run.
-	fo := c.fo.Load()
+	r := c.newRun(pl, opts)
+	sockets := c.cfg.Sockets
+	slots := c.cfg.NumNodes * sockets
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	sinks := make([]core.Sink, 0, c.cfg.NumNodes*c.cfg.Sockets)
-	errs := make([]error, c.cfg.NumNodes*c.cfg.Sockets)
-	// Range trackers checkpoint each engine's completed source-vertex prefix
-	// (and the count committed at that point) so task-level recovery can
-	// re-execute only unfinished roots. Allocated only under resilience;
-	// entries stay nil for sinks that are not counting sinks, which makes
-	// that slot unrecoverable (recovery dedup needs committed-count
-	// snapshots).
-	var trackers []*rangeTracker
+	sinks := make([]core.Sink, slots)
+	errs := make([]error, slots)
+	// Ledgers checkpoint each engine's completed source-vertex prefix (and
+	// the count committed there) so task-level recovery can re-execute only
+	// unfinished roots. Allocated only under resilience; an entry stays nil
+	// for a sink that is not a counting sink, which makes that slot
+	// unrecoverable (recovery dedup needs committed-count snapshots).
+	var ledgers []*ledger
 	if c.cfg.Resilient {
-		trackers = make([]*rangeTracker, c.cfg.NumNodes*c.cfg.Sockets)
+		ledgers = make([]*ledger, slots)
+	}
+	for slot := range sinks {
+		sinks[slot] = sinkFactory(slot/sockets, slot%sockets)
+		if cs, ok := sinks[slot].(*core.CountSink); ok && ledgers != nil {
+			ledgers[slot] = &ledger{sink: cs}
+		}
 	}
 	// Straggler speculation needs concurrently running machines (an idle
-	// survivor to speculate onto) and full checkpoint tracking; the
-	// speculator stays inert when either is missing.
+	// survivor to speculate onto) and every slot tracked (reconciling the
+	// two copies' counts needs both ledgers).
 	var spec *speculator
-	if c.cfg.Speculate && !c.cfg.SequentialNodes && trackers != nil {
-		spec = newSpeculator(c, pl, labelOf, edgeLabelOf)
-		spec.fo = fo
+	if c.cfg.Speculate && !c.cfg.SequentialNodes && allTracked(ledgers) {
+		spec = newSpeculator(r, ledgers)
 	}
-	var engines []*core.Engine
-	for node := 0; node < c.cfg.NumNodes; node++ {
-		for socket := 0; socket < c.cfg.Sockets; socket++ {
-			slot := node*c.cfg.Sockets + socket
-			var ca cache.Cache
-			switch {
-			case c.scaches != nil:
-				ca = c.scaches[slot]
-			case cacheBytesPerSocket > 0:
-				ca = cache.New(c.cfg.CachePolicy, cacheBytesPerSocket, c.cfg.CacheDegreeThreshold)
-			}
-			src := &nodeSource{
-				local:  c.locals[node],
-				socket: socket,
-				fabric: c.fabric,
-				met:    c.met.Nodes[node],
-				g:      c.g,
-				fo:     fo,
-				roots:  c.rootsOf(fo, node, socket),
-			}
-			sink := sinkFactory(node, socket)
-			sinks = append(sinks, sink)
-			// The fetch-abort channel: speculation's per-slot channel when the
-			// speculator is live (it subsumes nothing else), otherwise the
-			// caller's cancel channel so a canceled query abandons in-flight
-			// remote fetches instead of draining their retry schedules.
-			if spec != nil {
-				src.cancel = spec.cancelChan(slot)
-			} else if opts.Cancel != nil {
-				src.cancel = opts.Cancel
-			}
-			var onRange func(start, end int)
-			if trackers != nil {
-				if cs, ok := sink.(*core.CountSink); ok {
-					tr := &rangeTracker{sink: cs}
-					trackers[slot] = tr
-					onRange = tr.onRangeDone
-				}
-			}
-			var canceled func() bool
-			switch {
-			case spec != nil && opts.Cancel != nil:
-				slot := slot
-				canceled = func() bool { return spec.canceled(slot) || chanClosed(opts.Cancel) }
-			case spec != nil:
-				slot := slot
-				canceled = func() bool { return spec.canceled(slot) }
-			case opts.Cancel != nil:
-				canceled = func() bool { return chanClosed(opts.Cancel) }
-			}
-			ext := core.NewPlanExtender(pl, labelOf)
-			ext.EdgeLabelOf = edgeLabelOf
-			eng := core.NewEngine(ext, src, sink, core.Config{
-				ChunkSize:      c.cfg.ChunkSize,
-				Threads:        threads,
-				MiniBatch:      c.cfg.MiniBatch,
-				FlushSize:      c.cfg.FlushSize,
-				HubThreshold:   c.cfg.HubThreshold,
-				HDS:            !c.cfg.DisableHDS,
-				StrictPipeline: c.cfg.StrictPipeline,
-				Cache:          ca,
-				Metrics:        c.met.Nodes[node],
-				OnRangeDone:    onRange,
-				Canceled:       canceled,
-			})
-			if c.cfg.SequentialNodes {
-				engines = append(engines, eng)
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				err := eng.Run()
-				errs[slot] = err
-				if spec != nil {
-					spec.slotDone(slot, err)
-				}
-			}()
+	cacheBytesPerSocket := c.cacheBytesPerSocket()
+	var wg sync.WaitGroup
+	for slot := range sinks {
+		node, socket := slot/sockets, slot%sockets
+		t := task{
+			node: node, socket: socket, fo: r.fo, roots: c.rootsOf(r.fo, node, socket),
+			fabric: c.fabric, sink: sinks[slot], stop: r.cancel,
 		}
-	}
-	if c.cfg.SequentialNodes {
-		for slot, eng := range engines {
-			errs[slot] = eng.Run()
+		switch {
+		case c.scaches != nil:
+			t.cache = c.scaches[slot]
+		case cacheBytesPerSocket > 0:
+			t.cache = cache.New(c.cfg.CachePolicy, cacheBytesPerSocket, c.cfg.CacheDegreeThreshold)
 		}
-	} else {
+		if ledgers != nil {
+			t.ledger = ledgers[slot]
+		}
 		if spec != nil {
-			spec.begin(trackers)
+			// The speculator owns the slot's stop signal: it raises it when
+			// the slot's copy wins, and forwards the caller's cancel into it.
+			t.stop = spec.stops[slot].ch
 		}
-		wg.Wait()
+		eng := r.engine(t)
+		if c.cfg.SequentialNodes {
+			errs[slot] = eng.Run()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[slot] = eng.Run()
+			if spec != nil {
+				spec.slotDone(slot, errs[slot])
+			}
+		}()
 	}
+	wg.Wait()
 	var overrides map[int]uint64
 	if spec != nil {
 		overrides = spec.finish(errs)
@@ -606,7 +533,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	// exactly the work the caller asked to stop. Any slot error — engine
 	// cancellation, an abandoned fetch, or a failure racing the abort — is
 	// subsumed by the cancellation verdict.
-	if opts.Cancel != nil && chanClosed(opts.Cancel) {
+	if chanClosed(r.cancel) {
 		for _, err := range errs {
 			if err != nil {
 				return Result{}, ErrRunCanceled
@@ -619,7 +546,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	// Classify failures: a fetch failure caused by a dead peer, exhausted
 	// retries or an injected crash is recoverable when every slot has a
 	// committed-count checkpoint; anything else aborts the run. A slot
-	// cancelled by a winning speculative copy is resolved by its override —
+	// stopped by a winning speculative copy is resolved by its override —
 	// unless some other slot pushes the run into recovery, which discards
 	// speculation and re-executes past each checkpoint instead.
 	recovering := false
@@ -630,19 +557,18 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 		if _, won := overrides[slot]; won && errors.Is(err, core.ErrCanceled) {
 			continue
 		}
-		if (recoverableError(err) || errors.Is(err, core.ErrCanceled)) && allTracked(trackers) {
+		if (recoverableError(err) || errors.Is(err, core.ErrCanceled)) && allTracked(ledgers) {
 			recovering = true
 			continue
 		}
-		return Result{}, fmt.Errorf("cluster: node %d socket %d: %w",
-			slot/c.cfg.Sockets, slot%c.cfg.Sockets, err)
+		return Result{}, fmt.Errorf("cluster: node %d socket %d: %w", slot/sockets, slot%sockets, err)
 	}
 
 	res := Result{}
 	if recovering {
 		// Serialized: concurrent runs must not race two fabric rebuilds.
 		c.recMu.Lock()
-		rec, err := c.recoverRun(pl, labelOf, edgeLabelOf, trackers, errs, fo, opts.Cancel)
+		rec, err := r.recover(ledgers, errs)
 		c.recMu.Unlock()
 		if err != nil {
 			return Result{}, err
@@ -669,12 +595,12 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	}
 	res.Elapsed = time.Since(start)
 	res.Summary = c.met.Summarize()
-	workers := c.cfg.Sockets * c.cfg.ThreadsPerSocket
+	workers := sockets * r.threads
 	for _, n := range c.met.Nodes {
 		b := n.Breakdown()
 		res.PerNode = append(res.PerNode, b)
 		modeled := b.Compute/time.Duration(workers) +
-			(b.Scheduler+b.Cache)/time.Duration(c.cfg.Sockets)
+			(b.Scheduler+b.Cache)/time.Duration(sockets)
 		if modeled > res.ModeledElapsed {
 			res.ModeledElapsed = modeled
 		}
@@ -731,84 +657,3 @@ func unionNodes(a, b []int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// nodeSource adapts one machine's partition + fabric to the engine's
-// DataSource, including NUMA socket classification (§5.4).
-type nodeSource struct {
-	local  *partition.Local
-	socket int
-	fabric comm.Fabric
-	met    *metrics.Node
-	// g is the full input graph, standing in for re-partitioned shard data
-	// when fo routes a dead machine's vertex here.
-	g *graph.Graph
-	// fo is the run's snapshot of the resident failover topology (nil when
-	// every machine is alive): vertices owned by dead machines route to
-	// their failover owner instead.
-	fo *failover
-	// roots is this slot's precomputed root list — base-owned vertices plus
-	// any adopted from dead machines — computed once by rootsOf so recovery
-	// re-derives the identical list.
-	roots []graph.VertexID
-	// cancel, when non-nil, aborts in-flight fetches (including their retry
-	// backoffs) the moment it closes — because this slot's speculative copy
-	// won, or because the run's caller canceled it. The resulting failure
-	// surfaces as engine cancellation, the same outcome the polled Canceled
-	// hook produces at range boundaries — just without waiting for the
-	// retry schedule to drain first.
-	cancel <-chan struct{}
-}
-
-func (s *nodeSource) Classify(v graph.VertexID) (core.Locality, int) {
-	asg := s.local.Assignment()
-	owner := asg.Owner(v)
-	if s.fo != nil && s.fo.dead[owner] {
-		// An adopted vertex: its base owner is dead, so route to the
-		// failover owner. Adopted shards carry no NUMA affinity — a local
-		// adoptee is served directly from the full graph.
-		owner = s.fo.Owner(v)
-		if owner != s.local.Node() {
-			return core.LocalityRemote, owner
-		}
-		return core.LocalityLocal, owner
-	}
-	if owner != s.local.Node() {
-		return core.LocalityRemote, owner
-	}
-	if asg.NumSockets() > 1 && asg.Socket(v) != s.socket {
-		return core.LocalityCrossSocket, owner
-	}
-	return core.LocalityLocal, owner
-}
-
-func (s *nodeSource) LocalList(v graph.VertexID) []graph.VertexID {
-	if s.fo != nil && s.fo.dead[s.local.Assignment().Owner(v)] {
-		return s.g.Neighbors(v)
-	}
-	return s.local.MustNeighbors(v)
-}
-
-func (s *nodeSource) CrossSocketList(v graph.VertexID) []graph.VertexID {
-	l := s.local.MustNeighbors(v)
-	s.met.CrossSocketFetches.Add(1)
-	s.met.CrossSocketBytes.Add(4 + 4*uint64(len(l)))
-	return l
-}
-
-func (s *nodeSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	if cf, ok := s.fabric.(comm.CancelFetcher); ok && s.cancel != nil {
-		lists, err := cf.FetchCancel(s.local.Node(), owner, ids, s.cancel)
-		if err != nil && errors.Is(err, comm.ErrFetchCanceled) {
-			return nil, fmt.Errorf("cluster: fetch aborted by cancellation: %w", core.ErrCanceled)
-		}
-		return lists, err
-	}
-	return s.fabric.Fetch(s.local.Node(), owner, ids)
-}
-
-func (s *nodeSource) NumNodes() int  { return s.local.Assignment().NumNodes() }
-func (s *nodeSource) LocalNode() int { return s.local.Node() }
-
-func (s *nodeSource) Roots() []graph.VertexID { return s.roots }
-
-func (s *nodeSource) Label(v graph.VertexID) graph.Label { return s.local.Label(v) }

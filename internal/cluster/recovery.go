@@ -2,8 +2,8 @@
 // in-flight work re-derivable from source vertices: every match descends from
 // exactly one root, and an engine explores its roots in contiguous ranges
 // that complete strictly in order. The driver therefore checkpoints, per
-// engine slot, just two integers — the completed-root prefix and the match
-// count committed at that point. On a fetch failure caused by a dead peer the
+// engine slot, just a ledger (executor.go) — the completed-root prefix and
+// the match count committed there. On a fetch failure caused by a dead peer the
 // driver re-partitions the dead machines' shards across survivors (served
 // from the full in-process graph, standing in for shard reload on a real
 // cluster) and re-executes only the unfinished roots. Counts stay exact
@@ -21,7 +21,6 @@ import (
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/partition"
-	"khuzdul/internal/plan"
 )
 
 // maxRecoveryRounds bounds cascading failovers (each round can itself lose
@@ -37,34 +36,6 @@ var ErrRecoveryStalled = errors.New("cluster: recovery did not converge")
 // nowhere left to re-execute pending roots.
 var ErrNoSurvivors = errors.New("cluster: no surviving nodes to recover onto")
 
-// rangeTracker is one engine slot's checkpoint: the prefix of its root list
-// explored to completion and the sink count committed at that point. Written
-// by the engine goroutine via OnRangeDone; read by the driver after the
-// engine has finished, and — under straggler speculation — sampled mid-run
-// by the monitor goroutine, hence the mutex: prefix and committed must be
-// observed as one consistent pair.
-type rangeTracker struct {
-	sink      *core.CountSink
-	mu        sync.Mutex
-	prefix    int
-	committed uint64
-}
-
-func (t *rangeTracker) onRangeDone(start, end int) {
-	n := t.sink.Count()
-	t.mu.Lock()
-	t.prefix = end
-	t.committed = n
-	t.mu.Unlock()
-}
-
-// snapshot returns the latest (prefix, committed) checkpoint pair.
-func (t *rangeTracker) snapshot() (int, uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.prefix, t.committed
-}
-
 // recoverableError reports whether a fetch failure can be repaired by
 // re-executing unfinished roots: the peer was declared dead, retries ran out
 // (a transient-error storm), or fault injection crashed a node.
@@ -72,20 +43,6 @@ func recoverableError(err error) bool {
 	return errors.Is(err, comm.ErrPeerDead) ||
 		errors.Is(err, comm.ErrRetriesExhausted) ||
 		errors.Is(err, fault.ErrNodeCrashed)
-}
-
-// allTracked reports whether every engine slot has a checkpoint, the
-// precondition for exact-count recovery.
-func allTracked(trs []*rangeTracker) bool {
-	if trs == nil {
-		return false
-	}
-	for _, t := range trs {
-		if t == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // baseRootsOf splits the vertex set into one ascending root list per engine
@@ -108,7 +65,7 @@ func baseRootsOf(g *graph.Graph, asg partition.Assignment) [][]graph.VertexID {
 // rootsOf returns the root list of one engine slot under a failover snapshot
 // (nil = base assignment): the slot's base-owned vertices, memoized at
 // construction and shared by every run (callers only read it), plus any it
-// adopted from dead machines. RunWith hands this to each nodeSource and
+// adopted from dead machines. RunWith hands this to each main task and
 // recovery re-derives it here, so the two always agree — checkpoint prefixes
 // index into identical lists.
 func (c *Cluster) rootsOf(fo *failover, node, socket int) []graph.VertexID {
@@ -134,8 +91,8 @@ func (c *Cluster) rootsOf(fo *failover, node, socket int) []graph.VertexID {
 // machines, ascending.
 func (c *Cluster) deadNodes() []int {
 	seen := make(map[int]bool)
-	if c.resilient != nil {
-		for _, n := range c.resilient.DeadNodes() {
+	if r := c.resilient.Load(); r != nil {
+		for _, n := range r.DeadNodes() {
 			seen[n] = true
 		}
 	}
@@ -259,54 +216,6 @@ func (f *failover) Owner(v graph.VertexID) int {
 	return f.alive[h%uint64(len(f.alive))]
 }
 
-// recoverySource is the DataSource of a recovery engine: an explicit root
-// list on one survivor, failover ownership for fetch routing, and the full
-// graph for locally-owned lists (the re-partitioned shard). Recovery engines
-// are per-machine, not per-socket, so there is no cross-socket locality.
-type recoverySource struct {
-	g      *graph.Graph
-	fo     *failover
-	node   int
-	roots  []graph.VertexID
-	fabric comm.Fabric
-	// cancel aborts in-flight recovery fetches (and their retry backoffs)
-	// when the run's caller gives up — deadline or drain.
-	cancel <-chan struct{}
-}
-
-func (s *recoverySource) Classify(v graph.VertexID) (core.Locality, int) {
-	owner := s.fo.Owner(v)
-	if owner != s.node {
-		return core.LocalityRemote, owner
-	}
-	return core.LocalityLocal, owner
-}
-
-// LocalList serves from the full graph: recovery roots inherited from a dead
-// machine count as local shard data, exactly as if the survivor had reloaded
-// that shard from storage.
-func (s *recoverySource) LocalList(v graph.VertexID) []graph.VertexID { return s.g.Neighbors(v) }
-
-func (s *recoverySource) CrossSocketList(v graph.VertexID) []graph.VertexID {
-	return s.g.Neighbors(v)
-}
-
-func (s *recoverySource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	if cf, ok := s.fabric.(comm.CancelFetcher); ok && s.cancel != nil {
-		lists, err := cf.FetchCancel(s.node, owner, ids, s.cancel)
-		if err != nil && errors.Is(err, comm.ErrFetchCanceled) {
-			return nil, fmt.Errorf("cluster: recovery fetch aborted by cancellation: %w", core.ErrCanceled)
-		}
-		return lists, err
-	}
-	return s.fabric.Fetch(s.node, owner, ids)
-}
-
-func (s *recoverySource) NumNodes() int                      { return s.fo.asg.NumNodes() }
-func (s *recoverySource) LocalNode() int                     { return s.node }
-func (s *recoverySource) Roots() []graph.VertexID            { return s.roots }
-func (s *recoverySource) Label(v graph.VertexID) graph.Label { return s.g.Label(v) }
-
 // recovery is the outcome of the recovery protocol: committed counts from
 // the failed run plus all recovery rounds, the round count, and the final
 // dead set.
@@ -316,28 +225,28 @@ type recovery struct {
 	dead   []int
 }
 
-// recoverRun commits every slot's checkpoint, then re-executes unfinished
-// roots on survivors until none remain. Partial counts past a checkpoint are
+// recover commits every slot's checkpoint, then re-executes unfinished roots
+// on survivors until none remain. Partial counts past a checkpoint are
 // deliberately discarded (they are not in the committed snapshots), which is
-// what keeps re-execution exact. fo is the failed run's failover snapshot
-// (its roots were computed under it); cancel, when closed, aborts recovery
-// — a query deadline or a drain hard-cancel must bound recovery rounds too,
-// not just the main run.
-func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc,
-	trackers []*rangeTracker, errs []error, fo *failover, cancel <-chan struct{}) (recovery, error) {
+// what keeps re-execution exact. The caller's cancel aborts recovery too — a
+// query deadline or a drain hard-cancel must bound recovery rounds, not just
+// the main run.
+func (r *run) recover(ledgers []*ledger, errs []error) (recovery, error) {
+	c := r.c
 	var rec recovery
 	var pending []graph.VertexID
-	for slot, tr := range trackers {
-		prefix, committed := tr.snapshot()
+	for slot, l := range ledgers {
+		prefix, committed := l.snapshot()
 		rec.count += committed
 		if errs[slot] == nil {
 			continue
 		}
-		roots := c.rootsOf(fo, slot/c.cfg.Sockets, slot%c.cfg.Sockets)
+		// The failed run's roots were computed under its failover snapshot.
+		roots := c.rootsOf(r.fo, slot/c.cfg.Sockets, slot%c.cfg.Sockets)
 		pending = append(pending, roots[prefix:]...)
 	}
 	for len(pending) > 0 {
-		if cancel != nil && chanClosed(cancel) {
+		if chanClosed(r.cancel) {
 			return rec, fmt.Errorf("cluster: recovery aborted: %w", ErrRunCanceled)
 		}
 		rec.rounds++
@@ -346,7 +255,7 @@ func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf 
 				ErrRecoveryStalled, maxRecoveryRounds, len(pending))
 		}
 		var err error
-		pending, err = c.recoveryRound(pl, labelOf, edgeLabelOf, &rec, pending, cancel)
+		pending, err = r.recoveryRound(&rec, pending)
 		if err != nil {
 			return rec, err
 		}
@@ -361,11 +270,11 @@ func (c *Cluster) recoverRun(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf 
 }
 
 // recoveryRound runs one failover round: re-partition dead shards, spread
-// pending roots over survivors, run one recovery engine per survivor on a
-// fresh fabric stack (sharing the fault injector's state and prior dead
+// pending roots over survivors, run one whole-machine engine per survivor on
+// a fresh fabric stack (sharing the fault injector's state and prior dead
 // verdicts), and return the roots still unfinished after this round.
-func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc,
-	rec *recovery, pending []graph.VertexID, cancel <-chan struct{}) ([]graph.VertexID, error) {
+func (r *run) recoveryRound(rec *recovery, pending []graph.VertexID) ([]graph.VertexID, error) {
+	c := r.c
 	dead := c.deadNodes()
 	fo := newFailover(c.asg, dead)
 	if len(fo.alive) == 0 {
@@ -377,7 +286,6 @@ func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabel
 	// around them.
 	servers := make([]comm.Server, c.cfg.NumNodes)
 	for node := 0; node < c.cfg.NumNodes; node++ {
-		node := node
 		if fo.dead[node] {
 			servers[node] = comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
 				panic(fmt.Sprintf("cluster: recovery fetch routed to dead node %d", node))
@@ -401,11 +309,11 @@ func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabel
 		return nil, err
 	}
 	defer fabric.Close()
-	if c.resilient != nil {
+	if res := c.resilient.Load(); res != nil {
 		// Carry crash-injected deaths into the breaker so any stray fetch
 		// fails fast instead of timing out.
 		for _, n := range dead {
-			c.resilient.MarkDead(n)
+			res.MarkDead(n)
 		}
 	}
 
@@ -414,66 +322,49 @@ func (c *Cluster) recoveryRound(pl *plan.Plan, labelOf plan.LabelFunc, edgeLabel
 		assigned[i%len(fo.alive)] = append(assigned[i%len(fo.alive)], v)
 	}
 
-	trs := make([]*rangeTracker, len(fo.alive))
+	ledgers := make([]*ledger, len(fo.alive))
 	errs := make([]error, len(fo.alive))
 	var wg sync.WaitGroup
 	for i, node := range fo.alive {
 		if len(assigned[i]) == 0 {
 			continue
 		}
-		sink := &core.CountSink{}
-		tr := &rangeTracker{sink: sink}
-		trs[i] = tr
-		ext := core.NewPlanExtender(pl, labelOf)
-		ext.EdgeLabelOf = edgeLabelOf
-		var canceled func() bool
-		if cancel != nil {
-			canceled = func() bool { return chanClosed(cancel) }
-		}
-		eng := core.NewEngine(ext, &recoverySource{
-			g: c.g, fo: fo, node: node, roots: assigned[i], fabric: fabric, cancel: cancel,
-		}, sink, core.Config{
-			ChunkSize:      c.cfg.ChunkSize,
-			Threads:        c.cfg.Sockets * c.cfg.ThreadsPerSocket,
-			MiniBatch:      c.cfg.MiniBatch,
-			FlushSize:      c.cfg.FlushSize,
-			HubThreshold:   c.cfg.HubThreshold,
-			HDS:            !c.cfg.DisableHDS,
-			StrictPipeline: c.cfg.StrictPipeline,
-			Metrics:        c.met.Nodes[node],
-			OnRangeDone:    tr.onRangeDone,
-			Canceled:       canceled,
+		l := &ledger{sink: &core.CountSink{}}
+		ledgers[i] = l
+		eng := r.engine(task{
+			node: node, socket: wholeMachine, fo: fo, roots: assigned[i],
+			fabric: fabric, sink: l.sink, ledger: l, stop: r.cancel,
 		})
 		if c.cfg.SequentialNodes {
 			errs[i] = eng.Run()
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			errs[i] = eng.Run()
-		}(i)
+		}()
 	}
 	wg.Wait()
 
-	if cancel != nil && chanClosed(cancel) {
+	if chanClosed(r.cancel) {
 		return nil, fmt.Errorf("cluster: recovery aborted: %w", ErrRunCanceled)
 	}
 	var next []graph.VertexID
 	for i, node := range fo.alive {
-		tr := trs[i]
-		if tr == nil {
+		if ledgers[i] == nil {
 			continue
 		}
-		rec.count += tr.committed
-		c.met.Nodes[node].RecoveredRoots.Add(uint64(tr.prefix))
+		prefix, committed := ledgers[i].snapshot()
+		rec.count += committed
+		c.met.Nodes[node].RecoveredRoots.Add(uint64(prefix))
 		if errs[i] == nil {
 			continue
 		}
 		if !recoverableError(errs[i]) {
 			return nil, fmt.Errorf("cluster: recovery on node %d: %w", node, errs[i])
 		}
-		next = append(next, assigned[i][tr.prefix:]...)
+		next = append(next, assigned[i][prefix:]...)
 	}
 	return next, nil
 }

@@ -14,7 +14,7 @@
 // finishes first, the straggler is cancelled and stops at some boundary
 // q ≥ p; the slot's exact total is then
 //
-//	committed(straggler, q) + spec(total) − spec(q)
+//	committed(straggler, q) + copy(total) − copy(q)
 //
 // — every root in [0, q) counted once by the straggler, every root in
 // [q, total) once by the copy, regardless of when the cancellation lands.
@@ -27,13 +27,10 @@ import (
 	"errors"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/metrics"
-	"khuzdul/internal/plan"
 )
 
 // specTick is the monitor's sampling period. Sampling only reads per-slot
@@ -41,81 +38,29 @@ import (
 // measurable.
 const specTick = 10 * time.Millisecond
 
-// specTracker records a speculative copy's committed count at every global
-// range boundary it crosses. Keys are indices into the straggler's full
-// root list (the copy starts at base), so the reconciliation in overrides
-// can subtract at the straggler's own stopping boundary.
-type specTracker struct {
-	sink *core.CountSink
-	base int
-	met  *metrics.Node
-
-	mu   sync.Mutex
-	hist map[int]uint64
-}
-
-func newSpecTracker(base int, met *metrics.Node) *specTracker {
-	return &specTracker{
-		sink: &core.CountSink{},
-		base: base,
-		met:  met,
-		hist: map[int]uint64{base: 0},
-	}
-}
-
-func (t *specTracker) onRangeDone(start, end int) {
-	n := t.sink.Count()
-	t.mu.Lock()
-	t.hist[t.base+end] = n
-	t.mu.Unlock()
-	if t.met != nil {
-		t.met.SpeculativeRanges.Add(1)
-	}
-}
-
-// at returns the committed count at global boundary p.
-func (t *specTracker) at(p int) (uint64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.hist[p]
-	return n, ok
-}
-
 // specRun is one speculative re-execution: the straggler slot it shadows,
-// the survivor hosting it, and the boundary it started from.
+// the survivor hosting it, and its ledger, based at the boundary it started
+// from.
 type specRun struct {
-	slot    int
-	node    int
-	base    int
-	total   int
-	tracker *specTracker
-	cancel  atomic.Bool
-	err     error // written by the spec goroutine before done closes
-	done    chan struct{}
+	slot   int
+	node   int
+	ledger *ledger
+	stop   *stopper
+	err    error // written by the copy's goroutine; read after wg.Wait
 }
 
 // speculator is the per-run straggler speculation controller. It owns the
-// monitor goroutine, the per-slot cancellation flags the main engines poll,
-// and the speculative engines themselves.
+// monitor goroutine, the speculative engines, and the stop signal of every
+// engine in the run: a main engine's is raised when its copy wins, a copy's
+// when its straggler finishes first, and all of them when the caller cancels
+// — a copy that kept fetching after the query was abandoned would drain its
+// whole retry schedule against work nobody wants.
 type speculator struct {
-	c           *Cluster
-	pl          *plan.Plan
-	labelOf     plan.LabelFunc
-	edgeLabelOf plan.EdgeLabelFunc
-	// fo is the failover snapshot the run launched with (nil before any
-	// node has ever died); root lists must match the main engines'.
-	fo *failover
-
-	slots  int
-	cancel []atomic.Bool // straggler-side cancel flags, polled via Canceled
-	// cancelCh mirrors cancel as per-slot channels so blocking waits (fetch
-	// retry backoffs via comm.CancelFetcher) unblock the moment a copy wins,
-	// instead of discovering the flag at the next range boundary.
-	cancelCh []chan struct{}
-
-	trackers []*rangeTracker
-	roots    [][]graph.VertexID
-	began    time.Time
+	r       *run
+	ledgers []*ledger
+	roots   [][]graph.VertexID
+	began   time.Time
+	stops   []*stopper // each slot's main engine's stop signal
 
 	mu    sync.Mutex
 	done  []bool
@@ -124,67 +69,39 @@ type speculator struct {
 	tried []bool           // at most one speculative copy per slot
 	busy  []bool           // nodes currently hosting a copy
 
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	quit *stopper // stops the monitor
+	wg   sync.WaitGroup
 }
 
-func newSpeculator(c *Cluster, pl *plan.Plan, labelOf plan.LabelFunc, edgeLabelOf plan.EdgeLabelFunc) *speculator {
-	slots := c.cfg.NumNodes * c.cfg.Sockets
-	cancelCh := make([]chan struct{}, slots)
-	for i := range cancelCh {
-		cancelCh[i] = make(chan struct{})
+// newSpeculator arms speculation over a run whose every slot is tracked
+// (ledgers has no nil entry) and starts the monitor.
+func newSpeculator(r *run, ledgers []*ledger) *speculator {
+	c := r.c
+	slots := len(ledgers)
+	s := &speculator{
+		r:       r,
+		ledgers: ledgers,
+		roots:   make([][]graph.VertexID, slots),
+		began:   time.Now(),
+		stops:   make([]*stopper, slots),
+		done:    make([]bool, slots),
+		errs:    make([]error, slots),
+		specs:   make(map[int]*specRun),
+		tried:   make([]bool, slots),
+		busy:    make([]bool, c.cfg.NumNodes),
+		quit:    newStopper(),
 	}
-	return &speculator{
-		c:           c,
-		pl:          pl,
-		labelOf:     labelOf,
-		edgeLabelOf: edgeLabelOf,
-		slots:       slots,
-		cancel:      make([]atomic.Bool, slots),
-		cancelCh:    cancelCh,
-		done:        make([]bool, slots),
-		errs:        make([]error, slots),
-		specs:       make(map[int]*specRun),
-		tried:       make([]bool, slots),
-		busy:        make([]bool, c.cfg.NumNodes),
-		stopCh:      make(chan struct{}),
+	for slot := range s.stops {
+		s.stops[slot] = newStopper()
+		s.roots[slot] = c.rootsOf(r.fo, slot/c.cfg.Sockets, slot%c.cfg.Sockets)
 	}
-}
-
-// canceled is the Config.Canceled hook for one main engine slot.
-func (s *speculator) canceled(slot int) bool { return s.cancel[slot].Load() }
-
-// cancelChan returns the channel closed when slot's speculative copy wins;
-// the slot's fetches select on it during retry backoffs.
-func (s *speculator) cancelChan(slot int) <-chan struct{} { return s.cancelCh[slot] }
-
-// cancelSlot raises slot's cancel flag and closes its channel exactly once.
-func (s *speculator) cancelSlot(slot int) {
-	if s.cancel[slot].CompareAndSwap(false, true) {
-		close(s.cancelCh[slot])
-	}
-}
-
-// begin arms the monitor once every slot's checkpoint tracker is known.
-// Without full tracking (some sink is not a counting sink) speculation
-// cannot reconcile counts, so the speculator stays inert.
-func (s *speculator) begin(trackers []*rangeTracker) {
-	if !allTracked(trackers) {
-		return
-	}
-	s.trackers = trackers
-	s.roots = make([][]graph.VertexID, s.slots)
-	for slot := range s.roots {
-		s.roots[slot] = s.c.rootsOf(s.fo, slot/s.c.cfg.Sockets, slot%s.c.cfg.Sockets)
-	}
-	s.began = time.Now()
 	s.wg.Add(1)
-	go s.run()
+	go s.monitor()
+	return s
 }
 
 // slotDone records a main engine's completion. Its speculative copy, if
-// any, is cancelled: either the straggler won the race, or the slot failed
+// any, is stopped: either the straggler won the race, or the slot failed
 // and task recovery (which discards speculation wholesale) takes over.
 func (s *speculator) slotDone(slot int, err error) {
 	s.mu.Lock()
@@ -192,25 +109,41 @@ func (s *speculator) slotDone(slot int, err error) {
 	s.done[slot] = true
 	s.errs[slot] = err
 	if sp := s.specs[slot]; sp != nil {
-		sp.cancel.Store(true)
+		sp.stop.stop()
 	}
 }
 
-// run is the monitor loop: sample progress each tick, speculate when idle
-// survivors and a straggler coexist.
+// monitor samples progress each tick and speculates when idle survivors and
+// a straggler coexist. When the caller cancels it stops every engine of the
+// run and retires: nothing is worth speculating on any more.
 //
-//khuzdulvet:longrun monitor loop; must exit promptly on stopCh
-func (s *speculator) run() {
+//khuzdulvet:longrun monitor loop; must exit promptly on quit
+func (s *speculator) monitor() {
 	defer s.wg.Done()
 	t := time.NewTicker(specTick)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopCh:
+		case <-s.quit.ch:
+			return
+		case <-s.r.cancel:
+			for _, st := range s.stops {
+				st.stop()
+			}
+			s.stopCopies()
 			return
 		case <-t.C:
 		}
 		s.maybeSpeculate()
+	}
+}
+
+// stopCopies stops every speculative copy launched so far.
+func (s *speculator) stopCopies() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sp := range s.specs {
+		sp.stop.stop()
 	}
 }
 
@@ -226,11 +159,11 @@ func (s *speculator) maybeSpeculate() {
 	}
 	elapsed := time.Since(s.began).Seconds()
 	best, bestEst := -1, -1.0
-	for slot := 0; slot < s.slots; slot++ {
+	for slot := range s.ledgers {
 		if s.done[slot] || s.tried[slot] {
 			continue
 		}
-		prefix, _ := s.trackers[slot].snapshot()
+		prefix, _ := s.ledgers[slot].snapshot()
 		remaining := len(s.roots[slot]) - prefix
 		if remaining <= 0 {
 			continue
@@ -254,13 +187,14 @@ func (s *speculator) maybeSpeculate() {
 // idleNodeLocked returns the lowest-numbered machine whose every slot has
 // finished cleanly and that is alive and not already hosting a copy, or -1.
 func (s *speculator) idleNodeLocked() int {
-	for node := 0; node < s.c.cfg.NumNodes; node++ {
+	c := s.r.c
+	for node := 0; node < c.cfg.NumNodes; node++ {
 		if s.busy[node] || s.nodeDead(node) {
 			continue
 		}
 		idle := true
-		for sock := 0; sock < s.c.cfg.Sockets; sock++ {
-			slot := node*s.c.cfg.Sockets + sock
+		for sock := 0; sock < c.cfg.Sockets; sock++ {
+			slot := node*c.cfg.Sockets + sock
 			if !s.done[slot] || s.errs[slot] != nil {
 				idle = false
 				break
@@ -274,27 +208,26 @@ func (s *speculator) idleNodeLocked() int {
 }
 
 func (s *speculator) nodeDead(node int) bool {
-	if s.c.resilient != nil && s.c.resilient.Dead(node) {
+	c := s.r.c
+	if r := c.resilient.Load(); r != nil && r.Dead(node) {
 		return true
 	}
-	return s.c.injector != nil && s.c.injector.Crashed(node)
+	return c.injector != nil && c.injector.Crashed(node)
 }
 
 // launchLocked starts one speculative copy of slot's unfinished roots on
 // node. Called with s.mu held.
 func (s *speculator) launchLocked(slot, node int) {
-	prefix, _ := s.trackers[slot].snapshot()
+	prefix, _ := s.ledgers[slot].snapshot()
 	suffix := s.roots[slot][prefix:]
 	if len(suffix) == 0 {
 		return
 	}
 	sp := &specRun{
-		slot:    slot,
-		node:    node,
-		base:    prefix,
-		total:   len(s.roots[slot]),
-		tracker: newSpecTracker(prefix, s.c.met.Nodes[node]),
-		done:    make(chan struct{}),
+		slot:   slot,
+		node:   node,
+		ledger: &ledger{sink: &core.CountSink{}, base: prefix, met: s.r.c.met.Nodes[node]},
+		stop:   newStopper(),
 	}
 	s.specs[slot] = sp
 	s.tried[slot] = true
@@ -303,81 +236,54 @@ func (s *speculator) launchLocked(slot, node int) {
 	go s.runSpec(sp, suffix)
 }
 
-// runSpec executes one speculative copy. The copy routes fetches by the
+// runSpec executes one speculative copy: a whole-machine task routed by the
 // run's failover view (the base assignment when nobody has ever died — a
-// straggler is just slow, not dead) and serves its inherited roots from
-// the full graph, exactly like a recovery engine. On clean
-// completion it cancels the straggler; the straggler then stops at its
-// next range boundary and overrides reconciles the two halves.
+// straggler is just slow, not dead), exactly like a recovery engine. On
+// clean completion it stops the straggler, which halts at its next range
+// boundary, and finish reconciles the two halves.
 func (s *speculator) runSpec(sp *specRun, suffix []graph.VertexID) {
 	defer s.wg.Done()
-	ext := core.NewPlanExtender(s.pl, s.labelOf)
-	ext.EdgeLabelOf = s.edgeLabelOf
-	fo := s.fo
-	if fo == nil {
-		fo = newFailover(s.c.asg, nil)
-	}
-	eng := core.NewEngine(ext, &recoverySource{
-		g:      s.c.g,
-		fo:     fo,
-		node:   sp.node,
-		roots:  suffix,
-		fabric: s.c.fabric,
-	}, sp.tracker.sink, core.Config{
-		ChunkSize:      s.c.cfg.ChunkSize,
-		Threads:        s.c.cfg.Sockets * s.c.cfg.ThreadsPerSocket,
-		MiniBatch:      s.c.cfg.MiniBatch,
-		FlushSize:      s.c.cfg.FlushSize,
-		HubThreshold:   s.c.cfg.HubThreshold,
-		HDS:            !s.c.cfg.DisableHDS,
-		StrictPipeline: s.c.cfg.StrictPipeline,
-		Metrics:        s.c.met.Nodes[sp.node],
-		OnRangeDone:    sp.tracker.onRangeDone,
-		Canceled:       sp.cancel.Load,
-	})
-	sp.err = eng.Run()
-	close(sp.done)
+	sp.err = s.r.engine(task{
+		node: sp.node, socket: wholeMachine, fo: s.r.fo, roots: suffix,
+		fabric: s.r.c.fabric, sink: sp.ledger.sink, ledger: sp.ledger, stop: sp.stop.ch,
+	}).Run()
 	s.mu.Lock()
 	s.busy[sp.node] = false
 	win := sp.err == nil && !s.done[sp.slot]
 	s.mu.Unlock()
 	if win {
-		s.cancelSlot(sp.slot)
+		s.stops[sp.slot].stop()
 	}
 }
 
-// finish stops the monitor, cancels and drains every outstanding copy, and
+// finish stops the monitor, stops and drains every outstanding copy, and
 // returns the per-slot count overrides for speculation wins: slots whose
-// main engine was cancelled by a clean speculative copy. errs is the main
+// main engine was stopped by a clean speculative copy. errs is the main
 // engines' outcome slice. When the run goes on to task recovery the caller
 // ignores the overrides — recovery re-executes everything past each slot's
 // checkpoint, which subsumes the speculative work.
 func (s *speculator) finish(errs []error) map[int]uint64 {
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.mu.Lock()
-	for _, sp := range s.specs {
-		sp.cancel.Store(true)
-	}
-	s.mu.Unlock()
+	s.quit.stop()
+	s.stopCopies()
 	s.wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	overrides := make(map[int]uint64)
 	for slot, sp := range s.specs {
 		if sp.err != nil || !errors.Is(errs[slot], core.ErrCanceled) {
 			continue
 		}
-		q, committed := s.trackers[slot].snapshot()
-		end, okEnd := sp.tracker.at(sp.total)
-		mid, okMid := sp.tracker.at(q)
-		if !okEnd || !okMid || q < sp.base {
-			// Unreachable by construction (the straggler is only cancelled
-			// after the copy completed every boundary from base to total,
+		q, committed := s.ledgers[slot].snapshot()
+		end, okEnd := sp.ledger.at(len(s.roots[slot]))
+		mid, okMid := sp.ledger.at(q)
+		if !okEnd || !okMid {
+			// Unreachable by construction (the straggler is only stopped
+			// after the copy crossed every boundary from its base to total,
 			// and q only grows); refuse the override rather than guess.
 			continue
 		}
 		overrides[slot] = committed + end - mid
-		if s.c.met != nil {
-			s.c.met.Nodes[sp.node].SpeculationWins.Add(1)
-		}
+		s.r.c.met.Nodes[sp.node].SpeculationWins.Add(1)
 	}
 	return overrides
 }

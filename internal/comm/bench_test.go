@@ -12,21 +12,16 @@ import (
 
 // Transport microbenchmarks. BenchmarkTCPFetchPipelined is the evidence for
 // the multiplexed wire path: 8 concurrent fetchers hammering one peer over
-// one loopback connection, which the serial exchange head-of-line blocks and
-// the v3 mux pipelines. The bench servers add a fixed service latency
-// emulating a remote peer — on loopback the exchange is otherwise pure CPU,
+// one loopback connection, which an in-flight window of 1 head-of-line
+// blocks and the default window pipelines. The bench servers add a fixed
+// service latency emulating a remote peer — on loopback the exchange is otherwise pure CPU,
 // which no wire discipline can overlap; the latency is what circulant
 // scheduling actually has to hide. BenchmarkDecodeLists pins the
-// response-decode allocation cost. Regenerate BENCH_comm.json with:
-//
-//	go test ./internal/comm -run '^$' -bench TCPFetchSerial -benchmem |
-//	    go run ./cmd/benchjson -label before -out BENCH_comm.json
-//	go test ./internal/comm -run '^$' -bench 'TCPFetchPipelined|DecodeLists' -benchmem |
-//	    go run ./cmd/benchjson -label after -out BENCH_comm.json
-//
-// (TCPFetchSerial pins the fabric to the v2 wire, whose exchange discipline
-// is the pre-multiplexing code path, so it stands in for "before" on the
-// same load shape.)
+// response-decode allocation cost. BENCH_comm.json records the pipeline that
+// regenerates it in its own "regenerate" field (-regen keeps it there;
+// without it benchjson stamps BENCH_hotpath.json's). TCPFetchWindow1 admits
+// one exchange at a time per connection — what the wire did before
+// multiplexing — so it stands in for "before" on the same load shape.
 
 // benchRemoteLatency is the emulated per-request service time of a remote
 // peer (network + queueing a real deployment pays per fetch).
@@ -117,13 +112,13 @@ func BenchmarkTCPFetchPipelined(b *testing.B) {
 	runFetchers(b, f, ids, 8)
 }
 
-// BenchmarkTCPFetchSerial pins the fabric to the serial protocol generation,
-// so the same 8-fetcher load queues behind one exchange at a time — the
-// baseline the mux path is measured against.
-func BenchmarkTCPFetchSerial(b *testing.B) {
+// BenchmarkTCPFetchWindow1 narrows the in-flight window to 1, so the same
+// 8-fetcher load queues behind one exchange at a time — the baseline the
+// pipelined window is measured against.
+func BenchmarkTCPFetchWindow1(b *testing.B) {
 	f, ids := benchFabric(b)
 	defer f.Close()
-	f.SetVersionWindow(ProtoVersionMin, ProtoVersionSerialMax)
+	f.SetInFlight(1)
 	runFetchers(b, f, ids, 8)
 }
 

@@ -53,41 +53,41 @@ func corpusSeeds() map[string]map[string][]byte {
 
 	// v3 multiplexed frames: request-ID-prefixed payloads, plus the hostile
 	// shapes around the prefix (missing ID, frame truncated mid-payload).
-	muxRequest := frame(ProtoVersionMux, frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
-	muxResponse := frame(ProtoVersionMux, frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
-	muxError := frame(ProtoVersionMux, frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
-	muxMissingID := frame(ProtoVersionMux, frameMuxRequest, []byte{0x2A})
+	muxRequest := frame(ProtoVersionMax, frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
+	muxResponse := frame(ProtoVersionMax, frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
+	muxError := frame(ProtoVersionMax, frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
+	muxMissingID := frame(ProtoVersionMax, frameMuxRequest, []byte{0x2A})
 
 	// Query-plane frames (v3): the service protocol's four message types,
 	// plus the hostile shapes the codecs must reject (a spec-length prefix
 	// that lies about the payload, a result truncated mid-fixed-header).
-	querySubmit := frame(ProtoVersionMux, frameQuerySubmit,
+	querySubmit := frame(ProtoVersionMax, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"}))
-	querySubmitRef := frame(ProtoVersionMux, frameQuerySubmit,
+	querySubmitRef := frame(ProtoVersionMax, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 8, Kind: QueryPlanRef, PlanID: 3}))
-	queryProgress := frame(ProtoVersionMux, frameQueryProgress,
+	queryProgress := frame(ProtoVersionMax, frameQueryProgress,
 		encodeQueryProgress(nil, &QueryProgress{ID: 7, Partial: 12345}))
-	queryResult := frame(ProtoVersionMux, frameQueryResult,
+	queryResult := frame(ProtoVersionMax, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7, Status: QueryOK, PlanID: 1, Count: 99, Elapsed: 1500000}))
-	queryRejected := frame(ProtoVersionMux, frameQueryResult,
+	queryRejected := frame(ProtoVersionMax, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 9, Status: QueryRejected, Detail: "admission window full"}))
-	queryCancel := frame(ProtoVersionMux, frameQueryCancel, encodeQueryCancel(nil, 7))
-	querySubmitDeadline := frame(ProtoVersionMux, frameQuerySubmit,
+	queryCancel := frame(ProtoVersionMax, frameQueryCancel, encodeQueryCancel(nil, 7))
+	querySubmitDeadline := frame(ProtoVersionMax, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 9, Spec: "triangle", Deadline: 5e9}))
-	submitLyingSpec := frame(ProtoVersionMux, frameQuerySubmit,
+	submitLyingSpec := frame(ProtoVersionMax, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"})[:querySubmitFixed+2])
-	resultTruncated := frame(ProtoVersionMux, frameQueryResult,
+	resultTruncated := frame(ProtoVersionMax, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7})[:queryResultFixed-4])
 
 	// QUERY_HEALTH in both directions (the empty probe and a populated
 	// report), plus the hostile shapes: a suspect-count prefix that lies
 	// about the payload and a report truncated mid-fixed-header.
-	queryHealthProbe := frame(ProtoVersionMux, frameQueryHealth, nil)
-	queryHealthReport := frame(ProtoVersionMux, frameQueryHealth,
+	queryHealthProbe := frame(ProtoVersionMax, frameQueryHealth, nil)
+	queryHealthReport := frame(ProtoVersionMax, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Draining: true, ActiveQueries: 2, Window: 4, Submitted: 17, DeadlineExceeded: 1, Suspects: []uint32{1, 3}}))
-	healthLyingSuspects := frame(ProtoVersionMux, frameQueryHealth,
+	healthLyingSuspects := frame(ProtoVersionMax, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: []uint32{2}})[:queryHealthFixed])
-	healthTruncated := frame(ProtoVersionMux, frameQueryHealth,
+	healthTruncated := frame(ProtoVersionMax, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4})[:queryHealthFixed-5])
 	// Self-consistent report announcing more suspects than the cap: the
 	// length prefix is honest, so only the maxHealthSuspects clamp rejects it.
@@ -95,7 +95,7 @@ func corpusSeeds() map[string]map[string][]byte {
 	for i := range oversized {
 		oversized[i] = uint32(i)
 	}
-	healthOversizedSuspects := frame(ProtoVersionMux, frameQueryHealth,
+	healthOversizedSuspects := frame(ProtoVersionMax, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: oversized}))
 
 	listsTruncated := append([]byte(nil), lists[:len(lists)-2]...)

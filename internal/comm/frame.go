@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"khuzdul/internal/graph"
 )
@@ -32,13 +34,13 @@ import (
 // length or CRC failure surfaces as ErrCorruptFrame — a retryable error —
 // instead of silently mis-parsed edge lists.
 //
-// Protocol generations. Versions 1 and 2 speak the serial exchange: one
-// request/response pair at a time per connection, responses in request
-// order. Version 3 multiplexes: MUX_REQUEST/MUX_RESPONSE/MUX_ERROR frames
-// prefix their payload with a u32 request ID, so many exchanges can be in
-// flight on one connection and responses may return out of order. The
-// handshake keeps mixed clusters honest — a peer capped at the serial
-// generation negotiates ≤2 and both sides fall back to the serial exchange.
+// One exchange discipline. Edge-list traffic is multiplexed: MUX_REQUEST /
+// MUX_RESPONSE / MUX_ERROR frames prefix their payload with a u32 request
+// ID, so many exchanges can be in flight on one connection and responses
+// may return out of order (mux.go). Versions 1 and 2, which spoke one
+// REQUEST/RESPONSE pair at a time, are retired: the window opens at 3, a
+// peer offering [1,2] is refused with ErrVersionMismatch on either plane,
+// and an in-flight window of 1 is the serial exchange on this protocol.
 //
 // The frame header is genuine wire overhead, but traffic accounting keeps
 // quoting the paper's payload formulas (RequestBytes/ResponseBytes) so
@@ -56,14 +58,9 @@ const (
 	frameMagic = 0x4B48 // "KH"
 
 	// ProtoVersionMin..ProtoVersionMax is the version window this build
-	// speaks. Versions up to ProtoVersionSerialMax use the serial exchange;
-	// ProtoVersionMux adds request multiplexing. The handshake keeps old and
-	// new builds interoperable: the negotiated version selects the exchange
-	// discipline on both sides of the connection.
-	ProtoVersionMin       = 1
-	ProtoVersionSerialMax = 2
-	ProtoVersionMux       = 3
-	ProtoVersionMax       = ProtoVersionMux
+	// speaks, on the data and the query plane alike.
+	ProtoVersionMin = 3
+	ProtoVersionMax = 3
 
 	frameHeaderSize = 12
 
@@ -87,19 +84,19 @@ const MaxWireLen = 1 << 29
 const (
 	frameHello    = 0x01 // client → server: version window + client node ID
 	frameHelloAck = 0x02 // server → client: chosen version
-	frameRequest  = 0x03 // edge-list request: u32 count + count u32 IDs
-	frameResponse = 0x04 // edge-list response: u32 count + per list (u32 len + vertices)
+	frameRequest  = 0x03 // reserved: the retired v1/v2 request; never sent, answered with frameError
+	frameResponse = 0x04 // reserved: the retired v1/v2 response; never sent
 	framePing     = 0x05 // heartbeat probe (empty payload)
 	framePong     = 0x06 // heartbeat reply (empty payload)
 	frameError    = 0x07 // connection-level rejection (e.g. corrupt request); empty payload
 
-	// v3 multiplexed exchange: payloads carry a u32 request ID prefix so the
-	// CRC covers it, followed by the canonical request/response payload.
+	// Multiplexed exchange: payloads carry a u32 request ID prefix so the CRC
+	// covers it, followed by the canonical request/response payload.
 	frameMuxRequest  = 0x08 // edge-list request: u32 request ID + IDs payload
 	frameMuxResponse = 0x09 // edge-list response: u32 request ID + lists payload
 	frameMuxError    = 0x0A // per-request rejection: u32 request ID (CRC-valid but malformed request)
 
-	// Query-service frames (v3+ only; see query.go for the payload codecs).
+	// Query-service frames (see query.go for the payload codecs).
 	// The query plane rides the same framed wire as edge-list traffic: a
 	// client submits pattern queries by ID and the server streams progress
 	// and a final result per query, many queries in flight per connection.
@@ -140,9 +137,11 @@ func writeFrame(w *bufio.Writer, version, typ uint8, payload []byte, corruptByte
 	return err
 }
 
-// readFrame reads and integrity-checks one frame. wantVersion 0 accepts any
-// version in the supported window (used for the handshake, which runs before
-// negotiation); otherwise the header must carry exactly wantVersion. The
+// readFrame reads and integrity-checks one frame. wantVersion 0 is the
+// handshake, which runs before negotiation: a HELLO may carry any header
+// version — its payload's window decides, so an outdated peer is answered as
+// a version mismatch rather than as line noise — and the ack one inside the
+// supported window. Otherwise the header must carry exactly wantVersion. The
 // returned payload aliases a fresh buffer.
 func readFrame(r *bufio.Reader, wantVersion uint8) (typ uint8, payload []byte, err error) {
 	return readFrameAlloc(r, wantVersion, freshPayload)
@@ -165,16 +164,16 @@ func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) 
 		return 0, nil, fmt.Errorf("bad magic %#04x: %w", m, ErrCorruptFrame)
 	}
 	v := hdr[2]
+	typ = hdr[3]
+	if typ < frameHello || typ > frameTypeMax {
+		return 0, nil, fmt.Errorf("unknown frame type %#02x: %w", typ, ErrCorruptFrame)
+	}
 	if wantVersion == 0 {
-		if v < ProtoVersionMin || v > ProtoVersionMax {
+		if typ != frameHello && (v < ProtoVersionMin || v > ProtoVersionMax) {
 			return 0, nil, fmt.Errorf("unsupported version %d: %w", v, ErrCorruptFrame)
 		}
 	} else if v != wantVersion {
 		return 0, nil, fmt.Errorf("version %d on a v%d connection: %w", v, wantVersion, ErrCorruptFrame)
-	}
-	typ = hdr[3]
-	if typ < frameHello || typ > frameTypeMax {
-		return 0, nil, fmt.Errorf("unknown frame type %#02x: %w", typ, ErrCorruptFrame)
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > maxFramePayload {
@@ -211,6 +210,36 @@ func decodeHello(p []byte) (minVer, maxVer uint8, node int, err error) {
 		return 0, 0, 0, fmt.Errorf("hello payload is %d bytes, want 6: %w", len(p), ErrCorruptFrame)
 	}
 	return p[0], p[1], int(binary.LittleEndian.Uint32(p[2:])), nil
+}
+
+// acceptHello runs the server half of the handshake, the same on the data
+// and the query plane: read the client's HELLO, pick the highest version in
+// both windows, and ack it. A peer whose window misses ours — one from a
+// retired protocol generation — is an ErrVersionMismatch and gets no ack.
+// deadline arms (or clears) the socket deadline for each half.
+func acceptHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, deadline func(func(time.Time) error)) (uint8, error) {
+	deadline(c.SetReadDeadline)
+	typ, payload, err := readFrame(r, 0)
+	if err != nil {
+		return 0, err
+	}
+	if typ != frameHello {
+		return 0, fmt.Errorf("frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
+	}
+	peerMin, peerMax, _, err := decodeHello(payload)
+	if err != nil {
+		return 0, err
+	}
+	version := negotiateVersion(ProtoVersionMin, ProtoVersionMax, peerMin, peerMax)
+	if version == 0 {
+		return 0, fmt.Errorf("peer window [%d,%d] misses [%d,%d]: %w",
+			peerMin, peerMax, ProtoVersionMin, ProtoVersionMax, ErrVersionMismatch)
+	}
+	deadline(c.SetWriteDeadline)
+	if err := writeFrame(w, version, frameHelloAck, []byte{version}, -1); err != nil {
+		return 0, err
+	}
+	return version, w.Flush()
 }
 
 // negotiateVersion picks the highest version inside both windows, or 0 when
@@ -328,23 +357,23 @@ func decodeLists(p []byte) ([][]graph.VertexID, error) {
 	return lists, nil
 }
 
-// Multiplexed (v3) payload helpers. The request ID rides inside the payload
+// Multiplexed payload helpers. The request ID rides inside the payload
 // rather than the header so the CRC covers it and the frame layout stays
 // identical across protocol versions.
 
-// encodeMuxIDs appends the v3 request payload: request ID + IDs payload.
+// encodeMuxIDs appends the mux request payload: request ID + IDs payload.
 func encodeMuxIDs(buf []byte, id uint32, ids []graph.VertexID) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, id)
 	return encodeIDs(buf, ids)
 }
 
-// encodeMuxLists appends the v3 response payload: request ID + lists payload.
+// encodeMuxLists appends the mux response payload: request ID + lists payload.
 func encodeMuxLists(buf []byte, id uint32, lists [][]graph.VertexID) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, id)
 	return encodeLists(buf, lists)
 }
 
-// muxID splits a v3 payload into its request ID and the inner payload.
+// muxID splits a mux payload into its request ID and the inner payload.
 func muxID(p []byte) (id uint32, rest []byte, err error) {
 	if len(p) < 4 {
 		return 0, nil, fmt.Errorf("comm: mux payload %d bytes, want request ID: %w", len(p), ErrCorruptFrame)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 
@@ -171,28 +172,40 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestTCPVersionMismatch: a peer that hangs up on our HELLO without an ack —
+// what any build does when the version windows do not overlap — surfaces as
+// ErrVersionMismatch, not as a retryable connection error.
 func TestTCPVersionMismatch(t *testing.T) {
 	leakcheck.Check(t)
-	g := graph.Path(8)
-	asg := partition.NewAssignment(2, 1)
-	srv, err := NewTCP(testServers(g, asg), nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cli, err := NewTCP(testServers(g, asg), nil)
+	defer ln.Close()
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if typ, _, err := readFrame(bufio.NewReader(c), 0); err != nil || typ != frameHello {
+			t.Errorf("peer read type %#02x, err %v; want a HELLO", typ, err)
+		}
+	}()
+	g := graph.Path(8)
+	cli, err := NewTCP(testServers(g, partition.NewAssignment(2, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	// Point the client at the server fabric and make it speak a future
-	// protocol generation only.
-	cli.addrs = srv.addrs
-	cli.minVer, cli.maxVer = ProtoVersionMax+1, ProtoVersionMax+3
+	cli.addrs[1] = ln.Addr().String()
 	_, err = cli.Fetch(0, 1, []graph.VertexID{1})
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("got %v, want ErrVersionMismatch", err)
 	}
+	<-hungUp
 }
 
 func TestTCPPing(t *testing.T) {

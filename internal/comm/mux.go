@@ -14,13 +14,13 @@ import (
 	"khuzdul/internal/metrics"
 )
 
-// Request multiplexing (protocol v3). A serial connection head-of-line
-// blocks: concurrent fetches to the same peer queue behind tcpConn.mu even
-// though the engine's circulant schedule deliberately overlaps them. A v3
-// connection instead runs two goroutines — a writer draining a request
-// queue, and a demux completing pending requests out of a request-ID map —
-// so up to `window` exchanges pipeline over one socket and responses may
-// return out of order.
+// Request multiplexing. One request/response pair at a time per connection
+// head-of-line blocks: concurrent fetches to the same peer queue behind each
+// other even though the engine's circulant schedule deliberately overlaps
+// them. A fetch connection instead runs two goroutines — a writer draining a
+// request queue, and a demux completing pending requests out of a
+// request-ID map — so up to `window` exchanges pipeline over one socket and
+// responses may return out of order.
 //
 // Failure semantics stay per-request: a CRC-valid but malformed request is
 // rejected with a MUX_ERROR frame carrying its request ID, and the stream
@@ -398,8 +398,8 @@ read:
 				}
 			}()
 		default:
-			// Declared frame type, wrong plane (a serial REQUEST on a v3
-			// stream, a query frame on the data port). Classify the
+			// Declared frame type, wrong plane (a retired-generation REQUEST,
+			// a query frame on the data port). Classify the
 			// violation — count it and answer frameError — before
 			// abandoning the stream, so the peer fails loudly.
 			putPayloadBuf(payload)

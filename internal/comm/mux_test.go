@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -19,8 +18,8 @@ import (
 // runOverlap fires two concurrent fetches at a peer whose server reports, per
 // request, whether the other request was in flight at the same time. The wait
 // bounds how long the first request holds out for the second before giving up,
-// so the serial case terminates instead of deadlocking.
-func runOverlap(t *testing.T, serial bool, wait time.Duration) []bool {
+// so the window-1 case terminates instead of deadlocking.
+func runOverlap(t *testing.T, window int, wait time.Duration) []bool {
 	t.Helper()
 	var (
 		mu      sync.Mutex
@@ -52,9 +51,7 @@ func runOverlap(t *testing.T, serial bool, wait time.Duration) []bool {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if serial {
-		f.SetVersionWindow(ProtoVersionMin, ProtoVersionSerialMax)
-	}
+	f.SetInFlight(window)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -76,78 +73,28 @@ func runOverlap(t *testing.T, serial bool, wait time.Duration) []bool {
 }
 
 // TestMuxFetchesOverlap proves the tentpole property: two fetches to the same
-// peer are in flight on one connection simultaneously. Against the serial
-// exchange this rendezvous can never happen (see the companion test below),
-// so the first request would wait out its full timeout.
+// peer are in flight on one connection simultaneously. With an in-flight
+// window of 1 this rendezvous can never happen (see the companion test
+// below), so the first request would wait out its full timeout.
 func TestMuxFetchesOverlap(t *testing.T) {
 	leakcheck.Check(t)
-	for i, overlapped := range runOverlap(t, false, 5*time.Second) {
+	for i, overlapped := range runOverlap(t, DefaultInFlight, 5*time.Second) {
 		if !overlapped {
 			t.Errorf("request %d never saw the other request in flight; fetches did not overlap", i)
 		}
 	}
 }
 
-// TestSerialFetchesDoNotOverlap pins the contrast: on a serial connection the
-// second request cannot even be written until the first exchange completes, so
-// the first request's rendezvous must time out. If this starts failing, the
-// overlap test above has lost its teeth.
+// TestSerialFetchesDoNotOverlap pins the contrast: with an in-flight window
+// of 1 — the serial exchange on this protocol — the second request cannot
+// even be queued until the first exchange completes, so the first request's
+// rendezvous must time out. If this starts failing, the overlap test above
+// has lost its teeth.
 func TestSerialFetchesDoNotOverlap(t *testing.T) {
 	leakcheck.Check(t)
-	got := runOverlap(t, true, 200*time.Millisecond)
+	got := runOverlap(t, 1, 200*time.Millisecond)
 	if got[0] && got[1] {
-		t.Fatal("serial fabric overlapped two fetches; head-of-line blocking assumption broken")
-	}
-}
-
-// TestMuxSerialInterop proves the v2<->v3 handshake story: a fabric whose
-// window stops at the serial generation still completes every fetch against a
-// mux-capable peer (and vice versa), and the negotiated-down connection never
-// takes the pipelined path.
-func TestMuxSerialInterop(t *testing.T) {
-	leakcheck.Check(t)
-	g := graph.RMATDefault(200, 800, 5)
-	asg := partition.NewAssignment(2, 1)
-	cases := []struct {
-		name                       string
-		clientSerial, serverSerial bool
-	}{
-		{"v2 client, v3 server", true, false},
-		{"v3 client, v2 server", false, true},
-		{"v3 both ends", false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := metrics.NewCluster(2)
-			client, err := NewTCP(testServers(g, asg), m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			server, err := NewTCP(testServers(g, asg), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer server.Close()
-			if tc.clientSerial {
-				client.SetVersionWindow(ProtoVersionMin, ProtoVersionSerialMax)
-			}
-			if tc.serverSerial {
-				server.SetVersionWindow(ProtoVersionMin, ProtoVersionSerialMax)
-			}
-			// Point the client's dials at the other fabric's listeners so the
-			// two version windows actually meet on the wire.
-			client.addrs = server.addrs
-			fetchAll(t, client, g, asg)
-			s := m.Summarize()
-			if tc.clientSerial || tc.serverSerial {
-				if s.PipelinedFetches != 0 {
-					t.Errorf("negotiated-down connection still pipelined %d fetches", s.PipelinedFetches)
-				}
-			} else if s.PipelinedFetches != uint64(g.NumVertices()) {
-				t.Errorf("pipelined %d fetches, want %d", s.PipelinedFetches, g.NumVertices())
-			}
-		})
+		t.Fatal("window 1 overlapped two fetches; the window is not a bound")
 	}
 }
 
@@ -200,7 +147,7 @@ func TestMuxInFlightWindowBound(t *testing.T) {
 	}
 }
 
-// TestMuxPerRequestError speaks raw v3 on a socket: a CRC-valid frame whose
+// TestMuxPerRequestError speaks the raw wire on a socket: a CRC-valid frame whose
 // inner request is malformed draws a MUX_ERROR naming that request, and the
 // same connection then serves a valid request — per-request failure does not
 // poison the stream.
@@ -214,38 +161,21 @@ func TestMuxPerRequestError(t *testing.T) {
 	}
 	defer f.Close()
 
-	c, err := net.Dial("tcp", f.addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r, w, _ := dialHandshake(t, f.addrs[1])
 	defer c.Close()
-	r, w := bufio.NewReader(c), bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 0), -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(r, 0)
-	if err != nil || typ != frameHelloAck || len(payload) != 1 {
-		t.Fatalf("hello ack: type %#02x payload %v err %v", typ, payload, err)
-	}
-	if payload[0] != ProtoVersionMux {
-		t.Fatalf("negotiated version %d, want %d", payload[0], ProtoVersionMux)
-	}
 
 	// Request 7: CRC-intact, but the inner batch announces 100 ids and
 	// carries none. The request ID is trustworthy, so the rejection must be
 	// per-request.
 	bad := binary.LittleEndian.AppendUint32(nil, 7)
 	bad = binary.LittleEndian.AppendUint32(bad, 100)
-	if err := writeFrame(w, ProtoVersionMux, frameMuxRequest, bad, -1); err != nil {
+	if err := writeFrame(w, ProtoVersionMax, frameMuxRequest, bad, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(r, ProtoVersionMux)
+	typ, payload, err := readFrame(r, ProtoVersionMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +196,13 @@ func TestMuxPerRequestError(t *testing.T) {
 		}
 	}
 	good := encodeMuxIDs(nil, 8, []graph.VertexID{v})
-	if err := writeFrame(w, ProtoVersionMux, frameMuxRequest, good, -1); err != nil {
+	if err := writeFrame(w, ProtoVersionMax, frameMuxRequest, good, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(r, ProtoVersionMux)
+	typ, payload, err = readFrame(r, ProtoVersionMax)
 	if err != nil || typ != frameMuxResponse {
 		t.Fatalf("valid request after rejection: type %#02x err %v, want MUX_RESPONSE", typ, err)
 	}

@@ -376,10 +376,8 @@ type QueryConn struct {
 }
 
 // DialQuery connects to a query server and runs the client half of the
-// handshake. The offered version window starts at the multiplexed
-// generation: a serial-only peer is a version mismatch, not a fallback.
-// timeout bounds each socket write (and the handshake); 0 disables
-// deadlines.
+// handshake. timeout bounds each socket write (and the handshake); 0
+// disables deadlines.
 func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -389,7 +387,7 @@ func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 	// -1 encodes as the QueryClientNode sentinel in the HELLO's u32 node
 	// field.
 	q.deadline(c.SetWriteDeadline)
-	if err := writeFrame(q.w, ProtoVersionMux, frameHello, encodeHello(ProtoVersionMux, ProtoVersionMax, -1), -1); err != nil {
+	if err := writeFrame(q.w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, -1), -1); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
@@ -404,45 +402,26 @@ func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 		c.Close()
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
-	if typ != frameHelloAck || len(payload) != 1 || payload[0] < ProtoVersionMux {
+	if typ != frameHelloAck || len(payload) != 1 || payload[0] < ProtoVersionMin {
 		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: peer cannot speak the mux generation: %w", ErrVersionMismatch)
+		return nil, fmt.Errorf("comm: query handshake: peer cannot speak this protocol generation: %w", ErrVersionMismatch)
 	}
 	q.version = payload[0]
 	return q, nil
 }
 
 // AcceptQuery runs the server half of the handshake on an accepted
-// connection. The negotiated version must reach the multiplexed generation;
-// older peers get the connection closed (they are fabric clients on the
-// wrong port, or builds predating the query plane).
+// connection. Outdated peers (fabric clients of a retired generation, builds
+// predating the query plane) are refused with ErrVersionMismatch and get the
+// connection closed.
 func AcceptQuery(c net.Conn, timeout time.Duration) (*QueryConn, error) {
 	q := &QueryConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), timeout: timeout}
-	q.deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(q.r, 0)
+	version, err := acceptHello(c, q.r, q.w, q.deadline)
 	c.SetReadDeadline(time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
-	if typ != frameHello {
-		return nil, fmt.Errorf("comm: query handshake: frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
-	}
-	peerMin, peerMax, _, err := decodeHello(payload)
-	if err != nil {
-		return nil, err
-	}
-	version := negotiateVersion(ProtoVersionMux, ProtoVersionMax, peerMin, peerMax)
-	if version == 0 {
-		return nil, fmt.Errorf("comm: query handshake: peer window [%d,%d] below the mux generation: %w", peerMin, peerMax, ErrVersionMismatch)
-	}
 	q.version = version
-	q.deadline(c.SetWriteDeadline)
-	if err := writeFrame(q.w, version, frameHelloAck, []byte{version}, -1); err != nil {
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	if err := q.w.Flush(); err != nil {
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
 	return q, nil
 }
 

@@ -215,8 +215,9 @@ func TestQueryConnExchange(t *testing.T) {
 	}
 }
 
-// TestQueryConnRejectsSerialPeer: a client capped at the serial protocol
-// generation must be refused — the query plane needs multiplexing.
+// TestQueryConnRejectsSerialPeer: a client capped at the retired serial
+// protocol generation must be refused as a version mismatch, not as a corrupt
+// frame. TestOutdatedPeerIsRejected is the data-plane twin.
 func TestQueryConnRejectsSerialPeer(t *testing.T) {
 	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -240,9 +241,9 @@ func TestQueryConnRejectsSerialPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A serial-generation HELLO: window [1,2].
+	// A serial-generation HELLO: window [1,2], header version 1.
 	w := bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionSerialMax, 0), -1); err != nil {
+	if err := writeFrame(w, 1, frameHello, encodeHello(1, 2, 0), -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

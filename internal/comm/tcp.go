@@ -19,15 +19,11 @@ import (
 const DefaultIOTimeout = 30 * time.Second
 
 // DefaultInFlight bounds how many multiplexed requests may be outstanding
-// per connection on the v3 wire path. SetInFlight overrides it. The window
-// also sizes the server's response queue, so it doubles as the transport's
-// memory bound per connection.
+// per connection. SetInFlight overrides it; a window of 1 is the serial
+// exchange — one request/response pair at a time — on the same protocol.
+// The window also sizes the server's response queue, so it doubles as the
+// transport's memory bound per connection.
 const DefaultInFlight = 16
-
-// serverBufRetain caps the response encode buffer a serial server loop
-// keeps between requests: one hub-vertex reply must not pin its high-water
-// mark for the connection's lifetime.
-const serverBufRetain = 1 << 20
 
 // maxFrameEntries bounds the u32 count prefixes of the wire format. A
 // corrupt or truncated frame can announce up to 2^32-1 entries; accepting
@@ -50,11 +46,7 @@ type TCP struct {
 	listeners []net.Listener
 	addrs     []string
 	ioTimeout atomic.Int64 // nanoseconds; read by server goroutines
-	inflight  atomic.Int64 // per-connection mux window (v3 connections only)
-
-	// minVer/maxVer is the version window this fabric offers in handshakes
-	// (defaults to the build's window; narrowed only by tests).
-	minVer, maxVer uint8
+	inflight  atomic.Int64 // per-connection mux window
 
 	// wireFaults, when set, injects byte-level corruption and mid-exchange
 	// connection drops (fault-injection hook; nil costs one comparison).
@@ -84,15 +76,14 @@ type connKey struct {
 }
 
 type tcpConn struct {
-	mu      sync.Mutex // serializes serial exchanges (v1/v2 fetches, pings)
+	mu      sync.Mutex // serializes ping round trips
 	c       net.Conn
 	r       *bufio.Reader
 	w       *bufio.Writer
-	version uint8  // negotiated protocol version
-	buf     []byte // reusable payload encode buffer (serial exchanges)
+	version uint8 // negotiated protocol version
 
-	// mux carries the request-multiplexing state when the connection
-	// negotiated ProtoVersionMux; nil on serial and ping connections.
+	// mux carries the request-multiplexing state of a fetch connection; nil
+	// on ping connections, whose round trips are serialized by mu instead.
 	mux *muxState
 }
 
@@ -105,8 +96,6 @@ func NewTCP(servers []Server, m *metrics.Cluster) (*TCP, error) {
 		dialed:   map[connKey]bool{},
 		accepted: map[net.Conn]struct{}{},
 		closed:   make(chan struct{}),
-		minVer:   ProtoVersionMin,
-		maxVer:   ProtoVersionMax,
 	}
 	t.ioTimeout.Store(int64(DefaultIOTimeout))
 	t.inflight.Store(DefaultInFlight)
@@ -153,13 +142,6 @@ func (t *TCP) SetInFlight(n int) {
 	}
 }
 
-// SetVersionWindow narrows the protocol window this fabric offers in
-// handshakes — e.g. capping at ProtoVersionSerialMax pins the serial
-// exchange (ablations, interop tests). Call before sharing the fabric.
-func (t *TCP) SetVersionWindow(lo, hi uint8) {
-	t.minVer, t.maxVer = lo, hi
-}
-
 // deadline arms a read or write deadline on c, or clears it when the
 // fabric's IO timeout is disabled.
 func (t *TCP) deadline(set func(time.Time) error) {
@@ -170,10 +152,8 @@ func (t *TCP) deadline(set func(time.Time) error) {
 	}
 }
 
-// serveConn performs the server half of the handshake, then hands the
-// connection to the exchange discipline the negotiated version selects:
-// serial request/response pairs up to ProtoVersionSerialMax, concurrent
-// multiplexed exchanges from ProtoVersionMux on.
+// serveConn performs the server half of the handshake, then serves the
+// connection's multiplexed exchanges (and pings) until it closes.
 func (t *TCP) serveConn(node int, c net.Conn) {
 	defer t.wg.Done()
 	defer c.Close()
@@ -196,108 +176,14 @@ func (t *TCP) serveConn(node int, c net.Conn) {
 	}()
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-
-	// Handshake: the client leads with HELLO; pick the highest common
-	// version or close (no overlap means the peer speaks a different
-	// protocol generation).
-	t.deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(r, 0)
-	if err != nil || typ != frameHello {
-		return
-	}
-	peerMin, peerMax, _, err := decodeHello(payload)
+	// A peer outside the version window, or one that does not lead with a
+	// HELLO, gets no ack: the connection just closes, which its own
+	// handshake reports as ErrVersionMismatch.
+	version, err := acceptHello(c, r, w, t.deadline)
 	if err != nil {
 		return
 	}
-	version := negotiateVersion(t.minVer, t.maxVer, peerMin, peerMax)
-	if version == 0 {
-		return
-	}
-	t.deadline(c.SetWriteDeadline)
-	if err := writeFrame(w, version, frameHelloAck, []byte{version}, -1); err != nil {
-		return
-	}
-	if err := w.Flush(); err != nil {
-		return
-	}
-	if version >= ProtoVersionMux {
-		t.serveMux(node, c, r, w, version)
-		return
-	}
-	t.serveSerial(node, c, r, w, version)
-}
-
-// serveSerial answers framed requests and pings one at a time — the v1/v2
-// exchange discipline.
-func (t *TCP) serveSerial(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, version uint8) {
-	var buf []byte
-	for {
-		// No read deadline here: a client connection legitimately idles
-		// between requests. Writes are bounded so a stalled client cannot
-		// pin the responder goroutine.
-		c.SetReadDeadline(time.Time{})
-		typ, payload, err := readFramePooled(r, version)
-		if err != nil {
-			if isCorrupt(err) {
-				// Integrity check caught a damaged request: account it,
-				// tell the client (best effort), and drop the stream — its
-				// framing can no longer be trusted.
-				if t.m != nil {
-					t.m.Nodes[node].CorruptFrames.Add(1)
-				}
-				t.deadline(c.SetWriteDeadline)
-				writeFrame(w, version, frameError, nil, -1)
-				w.Flush()
-			}
-			return
-		}
-		switch typ {
-		case framePing:
-			putPayloadBuf(payload)
-			t.deadline(c.SetWriteDeadline)
-			if writeFrame(w, version, framePong, nil, -1) != nil || w.Flush() != nil {
-				return
-			}
-		case frameRequest:
-			ids, err := decodeIDs(payload)
-			putPayloadBuf(payload)
-			if err != nil {
-				if t.m != nil {
-					t.m.Nodes[node].CorruptFrames.Add(1)
-				}
-				t.deadline(c.SetWriteDeadline)
-				writeFrame(w, version, frameError, nil, -1)
-				w.Flush()
-				return
-			}
-			lists := t.servers[node].ServeEdgeLists(ids)
-			buf = encodeLists(buf[:0], lists)
-			t.deadline(c.SetWriteDeadline)
-			err = writeFrame(w, version, frameResponse, buf, -1)
-			if cap(buf) > serverBufRetain {
-				// One oversized reply (a hub vertex) must not pin its
-				// high-water mark for the connection's lifetime.
-				buf = nil
-			}
-			if err != nil || w.Flush() != nil {
-				return
-			}
-		default:
-			// The frame passed the integrity checks, so the type is declared
-			// but has no business on a serial data-plane exchange (a query
-			// frame on the wrong port, a mux frame on a v1/v2 connection).
-			// Classify the violation — count it and answer frameError — so
-			// the peer sees a protocol error instead of a silent close.
-			putPayloadBuf(payload)
-			if t.m != nil {
-				t.m.Nodes[node].CorruptFrames.Add(1)
-			}
-			t.deadline(c.SetWriteDeadline)
-			writeFrame(w, version, frameError, nil, -1)
-			w.Flush()
-			return
-		}
-	}
+	t.serveMux(node, c, r, w, version)
 }
 
 // isCorrupt reports whether err is an integrity-check failure (as opposed to
@@ -306,80 +192,23 @@ func isCorrupt(err error) bool {
 	return errors.Is(err, ErrCorruptFrame)
 }
 
-// Fetch implements Fabric. On a v3 connection the exchange is multiplexed —
-// many fetches pipeline over one socket and complete out of order; on older
-// connections it falls back to the serial request/response pair.
+// Fetch implements Fabric. The exchange is multiplexed: up to the in-flight
+// window of fetches pipeline over the pair's one socket and complete out of
+// order.
 func (t *TCP) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
 	conn, err := t.conn(from, to, 0)
 	if err != nil {
 		return nil, err
 	}
-	if conn.mux != nil {
-		lists, err := conn.mux.fetch(from, to, ids)
-		if err != nil {
-			return nil, fmt.Errorf("comm: fetch %d->%d: %w", from, to, err)
-		}
-		account(t.m, from, to, RequestBytes(len(ids)), ResponseBytes(lists))
-		if t.m != nil {
-			t.m.Nodes[from].PipelinedFetches.Add(1)
-		}
-		return lists, nil
-	}
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	lists, err := t.exchange(conn, from, to, ids)
+	lists, err := conn.mux.fetch(from, to, ids)
 	if err != nil {
-		// The stream may be mid-frame; drop the connection so a retry
-		// redials instead of resuming on broken framing.
-		t.dropConn(connKey{from, to, 0}, conn)
 		return nil, fmt.Errorf("comm: fetch %d->%d: %w", from, to, err)
 	}
 	account(t.m, from, to, RequestBytes(len(ids)), ResponseBytes(lists))
+	if t.m != nil {
+		t.m.Nodes[from].PipelinedFetches.Add(1)
+	}
 	return lists, nil
-}
-
-// exchange performs one request/response pair on a held connection,
-// applying any injected wire faults.
-func (t *TCP) exchange(conn *tcpConn, from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	conn.buf = encodeIDs(conn.buf[:0], ids)
-	corrupt := -1
-	if t.wireFaults != nil && t.wireFaults.CorruptFrame(from, to) {
-		corrupt = len(conn.buf) / 2
-	}
-	t.deadline(conn.c.SetWriteDeadline)
-	if err := writeFrame(conn.w, conn.version, frameRequest, conn.buf, corrupt); err != nil {
-		return nil, fmt.Errorf("send: %w", err)
-	}
-	if err := conn.w.Flush(); err != nil {
-		return nil, fmt.Errorf("flush: %w", err)
-	}
-	if t.wireFaults != nil && t.wireFaults.DropAfterSend(from, to) {
-		// Sever the connection mid-exchange: the request may or may not have
-		// been served, the response is lost either way.
-		conn.c.Close()
-	}
-	t.deadline(conn.c.SetReadDeadline)
-	typ, payload, err := readFramePooled(conn.r, conn.version)
-	if err != nil {
-		if isCorrupt(err) && t.m != nil {
-			t.m.Nodes[from].CorruptFrames.Add(1)
-		}
-		return nil, fmt.Errorf("response: %w", err)
-	}
-	switch typ {
-	case frameResponse:
-		lists, err := decodeLists(payload)
-		putPayloadBuf(payload) // decodeLists copies into its slab
-		return lists, err
-	case frameError:
-		putPayloadBuf(payload)
-		// The server rejected our request as corrupt; surface it as the
-		// retryable integrity error it is.
-		return nil, fmt.Errorf("server rejected request: %w", ErrCorruptFrame)
-	default:
-		putPayloadBuf(payload)
-		return nil, fmt.Errorf("unexpected frame type %#02x in response: %w", typ, ErrCorruptFrame)
-	}
 }
 
 // Ping performs one heartbeat round trip on the dedicated ping connection
@@ -461,7 +290,7 @@ func (t *TCP) conn(from, to, class int) (*tcpConn, error) {
 		c.Close()
 		return nil, fmt.Errorf("comm: handshake with node %d: %w", to, err)
 	}
-	if class == 0 && tc.version >= ProtoVersionMux {
+	if class == 0 {
 		tc.mux = newMuxState(t, key, tc)
 		// Both mux goroutines are owned by the fabric's WaitGroup: Close
 		// severs the socket, the demux fails the connection, and both exit
@@ -479,9 +308,7 @@ func (t *TCP) conn(from, to, class int) (*tcpConn, error) {
 // connection.
 func (t *TCP) handshake(conn *tcpConn, from int) error {
 	t.deadline(conn.c.SetWriteDeadline)
-	// The HELLO header carries our minimum version so a peer from an older
-	// protocol generation can still parse the frame and negotiate down.
-	if err := writeFrame(conn.w, t.minVer, frameHello, encodeHello(t.minVer, t.maxVer, from), -1); err != nil {
+	if err := writeFrame(conn.w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, from), -1); err != nil {
 		return err
 	}
 	if err := conn.w.Flush(); err != nil {
@@ -497,7 +324,7 @@ func (t *TCP) handshake(conn *tcpConn, from int) error {
 		return fmt.Errorf("bad hello ack: %w", ErrCorruptFrame)
 	}
 	v := payload[0]
-	if v < t.minVer || v > t.maxVer {
+	if v < ProtoVersionMin || v > ProtoVersionMax {
 		return fmt.Errorf("server chose unsupported version %d: %w", v, ErrVersionMismatch)
 	}
 	conn.version = v

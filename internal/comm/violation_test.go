@@ -3,6 +3,7 @@ package comm
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -14,9 +15,9 @@ import (
 )
 
 // dialHandshake raw-dials a fabric listener and runs the client half of the
-// version negotiation with the given ceiling, returning the framed
-// connection and the negotiated version.
-func dialHandshake(t *testing.T, addr string, maxVer uint8) (net.Conn, *bufio.Reader, *bufio.Writer, uint8) {
+// version negotiation, returning the framed connection and the negotiated
+// version.
+func dialHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer, uint8) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -24,7 +25,7 @@ func dialHandshake(t *testing.T, addr string, maxVer uint8) (net.Conn, *bufio.Re
 	}
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, maxVer, 0), -1); err != nil {
+	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 0), -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -38,47 +39,60 @@ func dialHandshake(t *testing.T, addr string, maxVer uint8) (net.Conn, *bufio.Re
 	return c, r, w, payload[0]
 }
 
-// TestServeSerialRejectsUnexpectedFrameType: a frame whose type is declared
-// but has no business on a serial data-plane exchange must come back as an
-// explicit frameError (and count as a corrupt frame), not a silent close.
-func TestServeSerialRejectsUnexpectedFrameType(t *testing.T) {
+// TestOutdatedPeerIsRejected: a data-plane client from the retired serial
+// generation (window [1,2], header version 1) gets no ack — the listener
+// hangs up, which that client's own handshake reports as a version mismatch
+// — and the refusal is classified as ErrVersionMismatch, not as a corrupt
+// frame the retry layer would redial forever. The responder goroutine exits
+// with the connection (leakcheck).
+func TestOutdatedPeerIsRejected(t *testing.T) {
 	leakcheck.Check(t)
-	g := graph.Path(8)
-	asg := partition.NewAssignment(2, 1)
-	m := metrics.NewCluster(2)
-	f, err := NewTCP(testServers(g, asg), m)
+	f, err := NewTCP(testServers(graph.Path(8), partition.NewAssignment(2, 1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	c, r, w, version := dialHandshake(t, f.addrs[1], ProtoVersionSerialMax)
-	defer c.Close()
-	if version != ProtoVersionSerialMax {
-		t.Fatalf("negotiated version %d, want %d", version, ProtoVersionSerialMax)
+	hello := func(c net.Conn) error {
+		w := bufio.NewWriter(c)
+		if err := writeFrame(w, 1, frameHello, encodeHello(1, 2, 0), -1); err != nil {
+			return err
+		}
+		return w.Flush()
 	}
-	if err := writeFrame(w, version, frameQuerySubmit, nil, -1); err != nil {
+	c, err := net.Dial("tcp", f.addrs[1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	defer c.Close()
+	if err := hello(c); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := readFrame(r, version)
-	if err != nil {
-		t.Fatalf("server hung up without classifying the violation: %v", err)
+	if typ, _, err := readFrame(bufio.NewReader(c), 0); !errors.Is(err, io.EOF) {
+		t.Fatalf("outdated peer read frame %#02x, err %v; want a hang-up without an ack", typ, err)
 	}
-	if typ != frameError {
-		t.Fatalf("got frame %#02x, want frameError", typ)
+
+	// The verdict the listener acted on.
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	defer srv.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- hello(cli) }()
+	_, err = acceptHello(srv, bufio.NewReader(srv), bufio.NewWriter(srv), func(func(time.Time) error) {})
+	if !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("acceptHello: %v, want ErrVersionMismatch", err)
 	}
-	if m.Nodes[1].CorruptFrames.Load() == 0 {
-		t.Fatal("protocol violation not accounted as a corrupt frame")
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestServeMuxRejectsUnexpectedFrameType is the v3 twin: a serial REQUEST on
-// a multiplexed stream is a protocol violation the server must answer with
-// frameError before abandoning the connection.
+// TestServeMuxRejectsUnexpectedFrameType: a frame whose type is declared but
+// has no business on the data plane — here a REQUEST of the retired serial
+// generation — is a protocol violation the server must answer with
+// frameError (and count as a corrupt frame) before abandoning the
+// connection, not a silent close.
 func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.Path(8)
@@ -90,11 +104,8 @@ func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 	}
 	defer f.Close()
 
-	c, r, w, version := dialHandshake(t, f.addrs[1], ProtoVersionMax)
+	c, r, w, version := dialHandshake(t, f.addrs[1])
 	defer c.Close()
-	if version < ProtoVersionMux {
-		t.Fatalf("negotiated version %d, want ≥ %d", version, ProtoVersionMux)
-	}
 	if err := writeFrame(w, version, frameRequest, nil, -1); err != nil {
 		t.Fatal(err)
 	}
