@@ -32,6 +32,7 @@ import (
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/harness"
+	"khuzdul/internal/pattern"
 )
 
 func main() {
@@ -82,7 +83,7 @@ func runMine() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*nodes, *sockets, *threads, *retries, *inflight, *hubThresh, *fetchTO, 0, 0, *faultProf); err != nil {
+	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *hubThresh, *fetchTO, 0, 0, *faultProf); err != nil {
 		fatal(err)
 	}
 
@@ -134,11 +135,17 @@ func runMine() {
 		if err != nil {
 			fatal(err)
 		}
-		if p != nil {
-			s, err := eng.ExplainPattern(p, *induced)
-			if err != nil {
-				fatal(err)
-			}
+		var s string
+		switch {
+		case p != nil:
+			s, err = eng.ExplainPattern(p, *induced)
+		case strings.EqualFold(*app, "mc"):
+			s, err = eng.ExplainMotifs(*k)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		if s != "" {
 			fmt.Println(s)
 		}
 	}
@@ -197,7 +204,7 @@ func runServe(args []string) {
 		deadline  = fs.Duration("query-deadline", 0, "server-side cap on any query's execution time (0 = uncapped)")
 	)
 	fs.Parse(args)
-	if err := validateFlags(*nodes, *sockets, *threads, 0, 0, 0, 0, *drainTO, *deadline, ""); err != nil {
+	if err := validateFlags("", 0, *nodes, *sockets, *threads, 0, 0, 0, 0, *drainTO, *deadline, ""); err != nil {
 		fatal(err)
 	}
 	g, err := loadGraph(*graphSpec)
@@ -359,11 +366,16 @@ func runHealth(args []string) {
 	}
 }
 
-// validateFlags rejects nonsensical cluster and resilience settings up
-// front, before any graph loading, with errors that name the flag — the
-// alternative is a partition panic or a silently useless retry budget deep
-// inside a run.
-func validateFlags(nodes, sockets, threads, retries, inflight, hubThreshold int, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
+// validateFlags rejects nonsensical application, cluster and resilience
+// settings up front, before any graph loading, with errors that name the
+// flag — the alternative is a partition panic or a silently useless retry
+// budget deep inside a run. app and k are the mining job's (serve passes "").
+func validateFlags(app string, k, nodes, sockets, threads, retries, inflight, hubThreshold int, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
+	if strings.EqualFold(app, "mc") {
+		if err := pattern.CheckMotifSize(k); err != nil {
+			return fmt.Errorf("bad -k for -app mc: %w", err)
+		}
+	}
 	if nodes <= 0 {
 		return fmt.Errorf("-nodes must be positive, got %d", nodes)
 	}
@@ -398,7 +410,7 @@ func validateFlags(nodes, sockets, threads, retries, inflight, hubThreshold int,
 }
 
 // explainTarget resolves the single pattern an -explain request refers to
-// (nil for multi-pattern apps, which print nothing).
+// (nil for multi-pattern apps: mc explains its whole set, fsm prints nothing).
 func explainTarget(app string, k int, patName string) (*khuzdul.Pattern, error) {
 	switch strings.ToLower(app) {
 	case "tc":

@@ -1,22 +1,26 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"khuzdul/internal/pattern"
 )
 
 func TestValidateFlags(t *testing.T) {
 	ok := func(nodes, sockets, threads, retries int, to time.Duration, prof string) func(*testing.T) {
 		return func(t *testing.T) {
-			if err := validateFlags(nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof); err != nil {
+			if err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof); err != nil {
 				t.Fatalf("validateFlags: unexpected error %v", err)
 			}
 		}
 	}
 	bad := func(nodes, sockets, threads, retries int, to time.Duration, prof, want string) func(*testing.T) {
 		return func(t *testing.T) {
-			err := validateFlags(nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof)
+			err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof)
 			if err == nil {
 				t.Fatal("validateFlags: expected error, got nil")
 			}
@@ -36,38 +40,53 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("negative threads", bad(8, 1, -1, 0, 0, "", "-threads"))
 	t.Run("negative retries", bad(8, 1, 2, -1, 0, "", "-retries"))
 	t.Run("negative hub threshold", func(t *testing.T) {
-		err := validateFlags(8, 1, 2, 0, 0, -1, 0, 0, 0, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, -1, 0, 0, 0, "")
 		if err == nil || !strings.Contains(err.Error(), "-hub-threshold") {
 			t.Fatalf("validateFlags: error %v does not mention -hub-threshold", err)
 		}
 	})
 	t.Run("negative inflight", func(t *testing.T) {
-		err := validateFlags(8, 1, 2, 0, -1, 0, 0, 0, 0, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, -1, 0, 0, 0, 0, "")
 		if err == nil || !strings.Contains(err.Error(), "-inflight") {
 			t.Fatalf("validateFlags: error %v does not mention -inflight", err)
 		}
 	})
 	t.Run("negative timeout", bad(8, 1, 2, 0, -time.Second, "", "-fetch-timeout"))
 	t.Run("serve durations ok", func(t *testing.T) {
-		if err := validateFlags(8, 1, 2, 0, 0, 0, 0, 10*time.Second, time.Minute, ""); err != nil {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 10*time.Second, time.Minute, ""); err != nil {
 			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
 	t.Run("zero drain timeout ok", func(t *testing.T) {
-		if err := validateFlags(8, 1, 2, 0, 0, 0, 0, 0, 0, ""); err != nil {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 0, 0, ""); err != nil {
 			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
 	t.Run("negative drain timeout", func(t *testing.T) {
-		err := validateFlags(8, 1, 2, 0, 0, 0, 0, -time.Second, 0, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, -time.Second, 0, "")
 		if err == nil || !strings.Contains(err.Error(), "-drain-timeout") {
 			t.Fatalf("validateFlags: error %v does not mention -drain-timeout", err)
 		}
 	})
 	t.Run("negative query deadline", func(t *testing.T) {
-		err := validateFlags(8, 1, 2, 0, 0, 0, 0, 0, -time.Second, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 0, -time.Second, "")
 		if err == nil || !strings.Contains(err.Error(), "-query-deadline") {
 			t.Fatalf("validateFlags: error %v does not mention -query-deadline", err)
+		}
+	})
+	for _, k := range []int{1, 7} {
+		t.Run(fmt.Sprintf("motif size %d", k), func(t *testing.T) {
+			err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, "")
+			if err == nil || !errors.Is(err, pattern.ErrMotifSize) || !strings.Contains(err.Error(), "-k") {
+				t.Fatalf("validateFlags: error %v is not an ErrMotifSize naming -k", err)
+			}
+		})
+	}
+	t.Run("motif sizes ok", func(t *testing.T) {
+		for k := pattern.MinMotifSize; k <= pattern.MaxMotifSize; k++ {
+			if err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, ""); err != nil {
+				t.Fatalf("validateFlags: unexpected error %v", err)
+			}
 		}
 	})
 	t.Run("malformed profile", bad(8, 1, 2, 0, 0, "err=lots", "-fault-profile"))

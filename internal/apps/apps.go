@@ -76,19 +76,44 @@ func PatternCount(c *cluster.Cluster, pat *pattern.Pattern, sys System, induced 
 	return c.Count(pl)
 }
 
-// MotifCount runs k-MC: it counts the induced embeddings of every connected
-// size-k pattern, returning per-pattern results and the combined totals.
+// MotifCount runs k-MC by decomposition: it counts every connected size-k
+// pattern non-induced — plans without Subtract, whose star tails fold under
+// the cluster's counting sinks — and converts the counts to induced ones
+// through the motif set's spanning-supergraph matrix (pattern.InducedCounts).
+// The per-pattern Count and the combined Count are induced counts; every
+// other Result field, Summary included, describes the non-induced runs that
+// actually executed. k outside the supported motif sizes is a
+// pattern.ErrMotifSize error.
 func MotifCount(c *cluster.Cluster, k int, sys System) ([]cluster.Result, cluster.Result, error) {
+	if err := pattern.CheckMotifSize(k); err != nil {
+		return nil, cluster.Result{}, fmt.Errorf("apps: motif count: %w", err)
+	}
 	pats := pattern.ConnectedPatterns(k)
 	plans := make([]*plan.Plan, 0, len(pats))
 	for _, pat := range pats {
-		pl, err := Compile(sys, pat, c.Graph(), CompileOptions{Induced: true})
+		pl, err := Compile(sys, pat, c.Graph(), CompileOptions{})
 		if err != nil {
 			return nil, cluster.Result{}, err
 		}
 		plans = append(plans, pl)
 	}
-	return c.CountAll(plans)
+	per, combined, err := c.CountAll(plans)
+	if err != nil {
+		return nil, cluster.Result{}, err
+	}
+	counts := make([]uint64, len(per))
+	for i := range per {
+		counts[i] = per[i].Count
+	}
+	induced, total, err := pattern.InducedCounts(k, counts)
+	if err != nil {
+		return nil, cluster.Result{}, fmt.Errorf("apps: motif count: %w", err)
+	}
+	for i, n := range induced {
+		per[i].Count = n
+	}
+	combined.Count = total
+	return per, combined, nil
 }
 
 // OrientedCliqueCount counts k-cliques on a cluster built over an oriented

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"testing"
 
 	"khuzdul/internal/cluster"
@@ -49,29 +50,90 @@ func TestCliqueCount(t *testing.T) {
 	}
 }
 
+// TestMotifCount holds k-MC by decomposition — non-induced plans, folded star
+// tails, matrix conversion — to induced brute force, pattern by pattern, for
+// every motif size with more than one pattern that brute force can reach.
 func TestMotifCount(t *testing.T) {
-	g := graph.RMATDefault(70, 350, 181)
-	c := newCluster(t, g, 2)
-	for _, k := range []int{3, 4} {
-		per, combined, err := MotifCount(c, k, KAutomine)
+	g := graph.RMATDefault(40, 170, 181)
+	c := newCluster(t, g, 3)
+	for _, k := range []int{3, 4, 5} {
+		pats := pattern.ConnectedPatterns(k)
+		want := make([]uint64, len(pats))
+		for i, pat := range pats {
+			want[i] = plan.BruteForceCount(g, pat, true)
+		}
+		for _, sys := range []System{KAutomine, KGraphPi} {
+			per, combined, err := MotifCount(c, k, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(per) != len(pats) {
+				t.Fatalf("%d-MC returned %d results, want %d", k, len(per), len(pats))
+			}
+			var total uint64
+			for i, pat := range pats {
+				if per[i].Count != want[i] {
+					t.Errorf("%v %d-MC pattern %v = %d, want %d", sys, k, pat, per[i].Count, want[i])
+				}
+				total += want[i]
+			}
+			if combined.Count != total {
+				t.Errorf("%v %d-MC total = %d, want %d", sys, k, combined.Count, total)
+			}
+		}
+	}
+}
+
+// TestMotifCountSizeRange: a motif size the pattern enumerator does not
+// support is a classified error, not the panic it used to be.
+func TestMotifCountSizeRange(t *testing.T) {
+	c := newCluster(t, graph.RMATDefault(20, 60, 3), 1)
+	for _, k := range []int{1, 7} {
+		if _, _, err := MotifCount(c, k, KAutomine); !errors.Is(err, pattern.ErrMotifSize) {
+			t.Errorf("MotifCount(k=%d) = %v, want ErrMotifSize", k, err)
+		}
+	}
+}
+
+// TestMotifShipsOnePlan is the bytes evidence for 3-MC by decomposition, kept
+// in-tree because the benchmark's traced pass compiles induced plans of its
+// own: with no cache, what a run ships depends only on the lists its levels
+// read. The folded non-induced wedge reads N(v0) alone, which is local, so
+// MotifCount(3) ships exactly the triangle plan's bytes — well under half of
+// what the two induced plans it replaced ship.
+func TestMotifShipsOnePlan(t *testing.T) {
+	// A graph without ID skew, so that the half of the level-1 embeddings the
+	// triangle's restriction keeps asks for half the bytes, and small chunks,
+	// so that sharing a fetched list within a chunk does not hide how many
+	// embeddings asked for one.
+	g := graph.Uniform(600, 4000, 211)
+	c, err := cluster.New(g, cluster.Config{NumNodes: 8, ThreadsPerSocket: 1, ChunkSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, motifs, err := MotifCount(c, 3, KAutomine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triangle, err := TriangleCount(c, KAutomine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var induced uint64
+	for _, pat := range pattern.ConnectedPatterns(3) {
+		res, err := PatternCount(c, pat, KAutomine, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pats := pattern.ConnectedPatterns(k)
-		if len(per) != len(pats) {
-			t.Fatalf("%d-MC returned %d results, want %d", k, len(per), len(pats))
-		}
-		var want uint64
-		for i, pat := range pats {
-			w := plan.BruteForceCount(g, pat, true)
-			if per[i].Count != w {
-				t.Errorf("%d-MC pattern %v = %d, want %d", k, pat, per[i].Count, w)
-			}
-			want += w
-		}
-		if combined.Count != want {
-			t.Errorf("%d-MC total = %d, want %d", k, combined.Count, want)
-		}
+		induced += res.Summary.BytesSent
+	}
+	got := motifs.Summary.BytesSent
+	if got == 0 || got != triangle.Summary.BytesSent {
+		t.Errorf("3-MC shipped %d bytes, the triangle plan alone %d", got, triangle.Summary.BytesSent)
+	}
+	if float64(got) > 0.4*float64(induced) {
+		t.Errorf("3-MC shipped %d bytes, more than 0.4 × the %d of the two induced plans", got, induced)
 	}
 }
 
@@ -136,3 +198,28 @@ func TestCompileUnknownSystem(t *testing.T) {
 		t.Fatal("empty system name")
 	}
 }
+
+// benchmarkMotifCount times k-MC end to end — compile, run every non-induced
+// plan on an 8-node in-process cluster, convert.
+func benchmarkMotifCount(b *testing.B, k int) {
+	g := graph.RMATDefault(2000, 12000, 223)
+	c, err := cluster.New(g, cluster.Config{NumNodes: 8, ThreadsPerSocket: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, total, err := MotifCount(c, k, KAutomine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCount = total.Count
+	}
+}
+
+var benchCount uint64
+
+func BenchmarkMotifCount3(b *testing.B) { benchmarkMotifCount(b, 3) }
+func BenchmarkMotifCount4(b *testing.B) { benchmarkMotifCount(b, 4) }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"khuzdul/internal/automine"
 	"khuzdul/internal/cache"
+	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/graphpi"
 	"khuzdul/internal/pattern"
@@ -47,6 +49,35 @@ func TestClusterCountMatchesBruteForce(t *testing.T) {
 				t.Errorf("non-positive elapsed")
 			}
 		}
+	}
+}
+
+// TestFoldedCountExactOrLoud: a folded star tail counts in one step what
+// enumeration visits one by one, so it can reach counts enumeration never
+// could. One that fits is exact — C(20000, 4) 4-stars on a star graph, found
+// in one pass over the roots; one past uint64 — C(20000, 5) — fails the run
+// instead of wrapping.
+func TestFoldedCountExactOrLoud(t *testing.T) {
+	g := graph.Star(20001)
+	c := mustCluster(t, g, Config{NumNodes: 2, ThreadsPerSocket: 2})
+	pl, err := automine.Compile(pattern.StarP(5), g, automine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 20000 * 19999 * 19998 * 19997 / 24
+	res, err := c.Count(pl)
+	if err != nil || res.Count != want {
+		t.Fatalf("4-stars = %d, %v; want %d", res.Count, err, uint64(want))
+	}
+	if res.Summary.Extensions != uint64(g.NumVertices()) {
+		t.Errorf("%d extensions, want one per root", res.Summary.Extensions)
+	}
+	pl, err = automine.Compile(pattern.StarP(6), g, automine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Count(pl); !errors.Is(err, core.ErrCountOverflow) {
+		t.Fatalf("5-stars = %d, %v; want ErrCountOverflow", res.Count, err)
 	}
 }
 

@@ -109,6 +109,7 @@ func (r *run) engine(t task) *core.Engine {
 	}
 	ext := core.NewPlanExtender(r.pl, r.labelOf)
 	ext.EdgeLabelOf = r.edgeLabelOf
+	ext.CountOnly = core.CountsOnly(t.sink)
 	return core.NewEngine(ext, &rangeSource{c: c, local: c.locals[t.node], task: t}, t.sink, cfg)
 }
 

@@ -55,12 +55,26 @@ func (s *testSource) Label(v graph.VertexID) graph.Label { return s.local.Label(
 // the total match count and the metrics.
 func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config) (uint64, *metrics.Cluster) {
 	t.Helper()
-	return runClusterSink(t, g, pl, numNodes, cfg, false)
+	return runClusterSink(t, g, pl, numNodes, cfg, sinkCount)
 }
 
-// runClusterSink is runCluster with a choice of sink: counting, or one that
-// takes every embedding and so keeps the engine off the count-only path.
-func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config, materialize bool) (uint64, *metrics.Cluster) {
+// sinkMode is how runClusterSink's engines take their matches.
+type sinkMode int
+
+const (
+	// sinkCount: a count-only sink under an extender that was not told, so
+	// the engine walks every level and counts the last.
+	sinkCount sinkMode = iota
+	// sinkFold: a count-only sink under an extender that was told, as the
+	// cluster builds it: a plan's star tail folds.
+	sinkFold
+	// sinkBuild: a sink that takes every embedding, which keeps the engine
+	// off the count-only path.
+	sinkBuild
+)
+
+// runClusterSink is runCluster with a choice of sink.
+func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config, mode sinkMode) (uint64, *metrics.Cluster) {
 	t.Helper()
 	asg := partition.NewAssignment(numNodes, 1)
 	met := metrics.NewCluster(numNodes)
@@ -81,6 +95,7 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 	defer fabric.Close()
 
 	ext := core.NewPlanExtender(pl, nil)
+	ext.CountOnly = mode == sinkFold
 	if g.Labeled() {
 		ext.LabelOf = g.Label
 	}
@@ -97,7 +112,7 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 			src := &testSource{local: locals[node], fabric: fabric, met: met.Nodes[node]}
 			count := &core.CountSink{}
 			var sink core.Sink = count
-			if materialize {
+			if mode == sinkBuild {
 				sink = &core.FuncSink{F: func([]graph.VertexID) { total.Add(1) }}
 			}
 			c := cfg

@@ -19,6 +19,10 @@ import (
 // and vertical computation sharing — with the hub threshold forced down so the
 // bitmap kernel fires on these small lists, on one and on three worker
 // threads.
+//
+// Every plan also runs the way the cluster builds it — the extender told that
+// the sink only counts — which must change nothing but the depth of the walk,
+// and that only where the plan ends in a star tail.
 func TestDifferentialCountPaths(t *testing.T) {
 	type input struct {
 		name string
@@ -31,21 +35,8 @@ func TestDifferentialCountPaths(t *testing.T) {
 		}
 		return lg.WithRandomEdgeLabels(2, seed+1)
 	}
-	// The R-MAT draw gets a mid-ID hub adjacent to three vertices in four: a
-	// list long enough (≥ 32× a one-element clip) for the gallop kernel, and
-	// on the wrong side of whichever direction the plan points.
-	rmat := graph.RMAT(56, 300, 0.7, 0.1, 0.1, 20230325)
-	hubbed := graph.NewBuilder(rmat.NumVertices())
-	for u := 0; u < rmat.NumVertices(); u++ {
-		for _, v := range rmat.Neighbors(graph.VertexID(u)) {
-			hubbed.AddEdge(graph.VertexID(u), v)
-		}
-		if u%4 != 0 {
-			hubbed.AddEdge(graph.VertexID(rmat.NumVertices()/2), graph.VertexID(u))
-		}
-	}
 	inputs := []input{
-		{"rmat", dress(hubbed.Build(), 7)},
+		{"rmat", dress(hubbedRMAT(), 7)},
 		{"er", dress(graph.Uniform(26, 110, 19800101), 11)},
 	}
 	var pats []*pattern.Pattern
@@ -113,8 +104,8 @@ func TestDifferentialCountPaths(t *testing.T) {
 						}
 						for _, threads := range []int{1, 3} {
 							cfg := core.Config{Threads: threads, HubThreshold: hub, ChunkSize: 64, HDS: true}
-							counted, cm := runClusterSink(t, in.g, pl, 2, cfg, false)
-							built, bm := runClusterSink(t, in.g, pl, 2, cfg, true)
+							counted, cm := runClusterSink(t, in.g, pl, 2, cfg, sinkCount)
+							built, bm := runClusterSink(t, in.g, pl, 2, cfg, sinkBuild)
 							if counted != want || built != want {
 								t.Errorf("%s threads=%d: count-only %d, materializing %d, brute force %d", name, threads, counted, built, want)
 							}
@@ -126,6 +117,11 @@ func TestDifferentialCountPaths(t *testing.T) {
 								t.Errorf("%s threads=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
 									name, threads, cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
 									bs.Matches, bs.Extensions, bs.VerticalHits, bs.PeakEmbeddings)
+							}
+							folded, fm := runClusterSink(t, in.g, pl, 2, cfg, sinkFold)
+							if fs := fm.Summarize(); folded != want || fs.Matches != cs.Matches || (fs.Extensions < cs.Extensions) != (pl.Fold > 0) || fs.Extensions > cs.Extensions {
+								t.Errorf("%s threads=%d fold=%d: told extender counted %d (%d matches, %d extensions), untold %d (%d, %d)",
+									name, threads, pl.Fold, folded, fs.Matches, fs.Extensions, counted, cs.Matches, cs.Extensions)
 							}
 							counting[0] += cs.KernelMerge
 							counting[1] += cs.KernelGallop
@@ -139,7 +135,104 @@ func TestDifferentialCountPaths(t *testing.T) {
 	}
 	for i, n := range counting {
 		if n == 0 {
-			t.Errorf("kernel %d (merge, gallop, bitmap, pivot) never ran under a count-only sink: %v", i, counting)
+			t.Errorf("kernel %d (merge, gallop, bitmap, pivot) never ran under a count-only sink: %v", i, sinkCount)
 		}
 	}
+}
+
+// hubbedRMAT is a small R-MAT draw given a mid-ID hub adjacent to three
+// vertices in four: a list long enough (≥ 32× a one-element clip) for the
+// gallop kernel, and on the wrong side of whichever direction a plan points.
+func hubbedRMAT() *graph.Graph {
+	rmat := graph.RMAT(56, 300, 0.7, 0.1, 0.1, 20230325)
+	hubbed := graph.NewBuilder(rmat.NumVertices())
+	for u := 0; u < rmat.NumVertices(); u++ {
+		for _, v := range rmat.Neighbors(graph.VertexID(u)) {
+			hubbed.AddEdge(graph.VertexID(u), v)
+		}
+		if u%4 != 0 {
+			hubbed.AddEdge(graph.VertexID(rmat.NumVertices()/2), graph.VertexID(u))
+		}
+	}
+	return hubbed.Build()
+}
+
+// TestDifferentialFoldedPlans holds the folded count to the other three on
+// every shape that ends in a star tail: stars (the whole plan below the root
+// folds), and a triangle and a path carrying a pendant pair (the fold level
+// must subtract the earlier matched vertices it finds in the anchor's list).
+// The chunk sizes put the fold level's parents in one chunk and in many. A
+// fold that did not fire shows as an extension count no lower than the
+// unfolded run's; the hand-built last case — a bound from outside the tail —
+// must not fire.
+func TestDifferentialFoldedPlans(t *testing.T) {
+	g := hubbedRMAT()
+	shapes := []struct {
+		name string
+		pat  *pattern.Pattern
+		fold int
+	}{
+		{"wedge", pattern.PathP(3), 2},
+		{"3-star", pattern.StarP(4), 3},
+		{"4-star", pattern.StarP(5), 4},
+		{"triangle-with-two-pendants", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {0, 4}}), 2},
+		{"path-with-pendant-pair", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 4}}), 2},
+	}
+	check := func(name string, pl *plan.Plan, want uint64, fold int) {
+		t.Helper()
+		if pl.Fold != fold {
+			t.Fatalf("%s: %v, want fold=%d", name, pl, fold)
+		}
+		if ref := plan.CountGraph(pl, g); ref != want {
+			t.Errorf("%s: executor %d, want %d", name, ref, want)
+		}
+		for _, threads := range []int{1, 3} {
+			for _, chunk := range []int{8, 0} {
+				cfg := core.Config{Threads: threads, ChunkSize: chunk, HDS: true}
+				folded, fm := runClusterSink(t, g, pl, 2, cfg, sinkFold)
+				counted, cm := runClusterSink(t, g, pl, 2, cfg, sinkCount)
+				built, _ := runClusterSink(t, g, pl, 2, cfg, sinkBuild)
+				if folded != want || counted != want || built != want {
+					t.Errorf("%s threads=%d chunk=%d: folded %d, count-only %d, materializing %d, want %d", name, threads, chunk, folded, counted, built, want)
+				}
+				fs, cs := fm.Summarize(), cm.Summarize()
+				if fs.Matches != cs.Matches || (fs.Extensions < cs.Extensions) != (fold > 0) || fs.Extensions > cs.Extensions {
+					t.Errorf("%s threads=%d chunk=%d fold=%d: folded run %d matches in %d extensions, unfolded %d in %d",
+						name, threads, chunk, fold, fs.Matches, fs.Extensions, cs.Matches, cs.Extensions)
+				}
+			}
+		}
+	}
+	for _, sh := range shapes {
+		want := plan.BruteForceCount(g, sh.pat, false)
+		for _, descending := range []bool{false, true} {
+			stats := plan.StatsOf(g)
+			stats.UpSq, stats.DownSq = 0, 1
+			if descending {
+				stats.UpSq, stats.DownSq = 1, 0
+			}
+			pl := plan.MustCompile(sh.pat, plan.Options{Style: plan.StyleAutomine, Stats: stats})
+			if pl.Descending != descending {
+				t.Fatalf("%s: plan.Descending = %v", sh.name, pl.Descending)
+			}
+			check(fmt.Sprintf("%s/descending=%v", sh.name, descending), pl, want, sh.fold)
+		}
+	}
+
+	// A 3-star whose last level is also held above the root: v3 > v0 is a
+	// bound from outside the tail that level 1 does not carry, so the tail's
+	// candidate sets are no longer nested in level 1's and nothing may fold.
+	pl := plan.MustCompile(pattern.StarP(4), plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
+	pl.Levels[3].LowerBounds = append([]int{0}, pl.Levels[3].LowerBounds...)
+	for _, r := range []int{2, 3} {
+		pl.Fold = r
+		if err := pl.Validate(); err == nil {
+			t.Errorf("Validate accepted %v", pl)
+		}
+	}
+	pl.Fold = 0
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check("3-star with an outside bound", pl, plan.CountGraph(pl, g), 0)
 }

@@ -90,6 +90,13 @@ type BulkSink interface {
 	Add(n uint64)
 }
 
+// CountsOnly reports whether an engine given this sink only counts: the sink
+// says so and can absorb counts in bulk.
+func CountsOnly(sink Sink) bool {
+	_, ok := sink.(BulkSink)
+	return ok && sink.CountOnly()
+}
+
 // MatchesSink is implemented by materializing sinks that can take all the
 // final-level matches of one extension at once: the embeddings prefix+v for
 // every v in last. The engine then calls OnMatches once per extension that
@@ -237,8 +244,8 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 		met:  cfg.Metrics,
 		k:    ext.K(),
 	}
-	if b, ok := sink.(BulkSink); ok && sink.CountOnly() {
-		e.bulk = b
+	if CountsOnly(sink) {
+		e.bulk = sink.(BulkSink)
 		e.countOnly = true
 	} else if m, ok := sink.(MatchesSink); ok {
 		e.batch = m
@@ -259,6 +266,11 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 // callers must discard everything after the last committed range (exactly
 // what the recovery trackers' (prefix, committed) checkpoints do).
 var ErrCanceled = errors.New("core: engine canceled")
+
+// ErrCountOverflow is returned by Run when a count-only extension counted
+// more matches than a uint64 holds — a folded star tail on a hub can — rather
+// than reporting a wrapped number.
+var ErrCountOverflow = errors.New("core: match count overflows uint64")
 
 // checkCanceled polls Config.Canceled. process calls it at every batch
 // boundary so a canceled engine — a losing speculative copy, a shutdown —
@@ -367,6 +379,11 @@ func (e *Engine) process(ch *chunk) error {
 				return err
 			}
 			e.extendRound(ch, b, nil, true)
+		}
+		for _, w := range e.workers {
+			if w.scratch.Overflowed() {
+				return ErrCountOverflow
+			}
 		}
 		return nil
 	}

@@ -60,6 +60,13 @@ type PlanExtender struct {
 	// simulation; a production deployment would ship them alongside
 	// fetched edge lists (one extra label word per edge on the wire).
 	EdgeLabelOf plan.EdgeLabelFunc
+	// CountOnly says the engine this extender is built for runs under a
+	// count-only sink (CountsOnly). A plan that ends in a star tail then
+	// folds: K answers the fold level + 1, so the engine walks no deeper, and
+	// the scratches fold that level into a binomial (plan.Scratch.SetFold).
+	// Set it only where the sink is in hand; left false, the extender walks
+	// every level under any sink.
+	CountOnly bool
 }
 
 // NewPlanExtender wraps a plan as an Extender.
@@ -67,8 +74,14 @@ func NewPlanExtender(p *plan.Plan, labelOf plan.LabelFunc) *PlanExtender {
 	return &PlanExtender{Plan: p, LabelOf: labelOf}
 }
 
-// K implements Extender.
-func (e *PlanExtender) K() int { return e.Plan.K }
+// K implements Extender: the plan's depth, or the depth a folding count-only
+// walk ends at.
+func (e *PlanExtender) K() int {
+	if e.CountOnly && e.Plan.Fold > 0 {
+		return e.Plan.FoldLevel() + 1
+	}
+	return e.Plan.K
+}
 
 // NeedsList implements Extender.
 func (e *PlanExtender) NeedsList(level int) bool { return e.Plan.Levels[level].NeedsList }
@@ -105,4 +118,8 @@ func (e *PlanExtender) RootOK(v graph.VertexID) bool {
 }
 
 // NewScratch implements Extender.
-func (e *PlanExtender) NewScratch() *plan.Scratch { return plan.NewScratch(e.Plan) }
+func (e *PlanExtender) NewScratch() *plan.Scratch {
+	s := plan.NewScratch(e.Plan)
+	s.SetFold(e.CountOnly)
+	return s
+}

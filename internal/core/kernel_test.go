@@ -56,8 +56,8 @@ func TestEngineKernelCountersFlow(t *testing.T) {
 	// the hub two-touch order is deterministic.
 	for _, hub := range []uint32{0, 2} {
 		cfg := core.Config{Threads: 1, HubThreshold: hub}
-		counted, cm := runClusterSink(t, g, tri, 1, cfg, false)
-		built, bm := runClusterSink(t, g, tri, 1, cfg, true)
+		counted, cm := runClusterSink(t, g, tri, 1, cfg, sinkCount)
+		built, bm := runClusterSink(t, g, tri, 1, cfg, sinkBuild)
 		if counted != wantTri || built != wantTri {
 			t.Fatalf("triangle hub=%d: count-only %d, materializing %d, brute force %d", hub, counted, built, wantTri)
 		}

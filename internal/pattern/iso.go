@@ -133,37 +133,3 @@ func encodeUnder(p *Pattern, perm []int) string {
 	}
 	return string(buf)
 }
-
-// ConnectedPatterns returns all non-isomorphic connected unlabeled patterns
-// with exactly k vertices, in a deterministic order. This is the pattern set
-// of k-motif counting: e.g. 2 patterns for k=3, 6 for k=4, 21 for k=5.
-func ConnectedPatterns(k int) []*Pattern {
-	if k < 2 || k > 6 {
-		panic(fmt.Sprintf("pattern: ConnectedPatterns supports k in [2,6], got %d", k))
-	}
-	numPairs := k * (k - 1) / 2
-	seen := map[string]bool{}
-	var out []*Pattern
-	for bits := 0; bits < 1<<uint(numPairs); bits++ {
-		p := New(k)
-		idx := 0
-		for u := 0; u < k; u++ {
-			for v := u + 1; v < k; v++ {
-				if bits&(1<<uint(idx)) != 0 {
-					p.AddEdge(u, v)
-				}
-				idx++
-			}
-		}
-		if !p.Connected() {
-			continue
-		}
-		code := CanonicalCode(p)
-		if seen[code] {
-			continue
-		}
-		seen[code] = true
-		out = append(out, p)
-	}
-	return out
-}

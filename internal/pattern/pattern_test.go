@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -226,6 +228,61 @@ func TestConnectedPatternsCounts(t *testing.T) {
 			}
 			seen[code] = true
 		}
+	}
+}
+
+// TestConnectedPatternsMemoized: a second call costs nothing, returns the
+// same patterns in edge-count order, and hands out a slice of its own.
+func TestConnectedPatternsMemoized(t *testing.T) {
+	a, b := ConnectedPatterns(5), ConnectedPatterns(5)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("pattern %d recomputed", i)
+		}
+		if i > 0 && a[i-1].NumEdges() > a[i].NumEdges() {
+			t.Fatalf("pattern %d has %d edges after one with %d", i, a[i].NumEdges(), a[i-1].NumEdges())
+		}
+	}
+	a[0] = nil
+	if ConnectedPatterns(5)[0] == nil {
+		t.Fatal("callers share the memoized slice")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ConnectedPatterns(5) }); allocs > 1 {
+		t.Errorf("memoized ConnectedPatterns allocates %.0f times", allocs)
+	}
+}
+
+func TestMotifSizeRange(t *testing.T) {
+	for _, k := range []int{-1, 0, 1, 7, 11} {
+		if err := CheckMotifSize(k); !errors.Is(err, ErrMotifSize) {
+			t.Errorf("CheckMotifSize(%d) = %v", k, err)
+		}
+		if _, _, err := InducedCounts(k, nil); !errors.Is(err, ErrMotifSize) {
+			t.Errorf("InducedCounts(%d) = %v", k, err)
+		}
+	}
+	for k := MinMotifSize; k <= MaxMotifSize; k++ {
+		if err := CheckMotifSize(k); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestInducedCountsChecked: counts no graph produces are an error, never a
+// wrapped number — a triangle count three times too large for the wedges, a
+// product past uint64, a vector of the wrong length.
+func TestInducedCountsChecked(t *testing.T) {
+	if got, total, err := InducedCounts(3, []uint64{10, 2}); err != nil || got[0] != 4 || got[1] != 2 || total != 6 {
+		t.Fatalf("InducedCounts(3, [10 2]) = %v, %d, %v", got, total, err)
+	}
+	for _, bad := range [][]uint64{{10, 4}, {math.MaxUint64, math.MaxUint64/3 + 1}, {10}, {10, 2, 1}} {
+		if got, _, err := InducedCounts(3, bad); !errors.Is(err, ErrMotifConversion) {
+			t.Errorf("InducedCounts(3, %v) = %v, %v", bad, got, err)
+		}
+	}
+	// Two sparse 4-patterns whose induced counts each fit but sum past uint64.
+	if _, total, err := InducedCounts(4, []uint64{math.MaxUint64, math.MaxUint64, 0, 0, 0, 0}); !errors.Is(err, ErrMotifConversion) {
+		t.Errorf("InducedCounts(4) total = %d, %v", total, err)
 	}
 }
 

@@ -172,6 +172,14 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	last := &p.Levels[k-1]
 	last.CountOnly = !p.Labeled() && !p.EdgeLabeled && len(last.Subtract) <= 1
 
+	// A count-only run can stop earlier still where the plan ends in a star
+	// tail: mark the longest one.
+	for r := k - 1; r >= 2 && p.Fold == 0; r-- {
+		if p.foldable(r) {
+			p.Fold = r
+		}
+	}
+
 	return p, p.Validate()
 }
 

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math/bits"
+
 	"khuzdul/internal/graph"
 	"khuzdul/internal/setops"
 )
@@ -37,9 +39,13 @@ type Scratch struct {
 	// into their metrics node between rounds.
 	kernels [setops.NumKernels]uint64
 	// countOnly switches count-eligible levels from returning candidates to
-	// adding their number to counted; see SetCountOnly.
+	// adding their number to counted; see SetCountOnly. fold additionally
+	// ends a count-only walk at the plan's star tail; see SetFold.
 	countOnly bool
+	fold      bool
 	counted   uint64
+	// overflowed latches once a count did not fit counted; see Overflowed.
+	overflowed bool
 }
 
 // NewScratch allocates buffers sized for plan p.
@@ -81,12 +87,47 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 // engine makes per embedding and a decorator around it sees the last level.
 func (s *Scratch) SetCountOnly(on bool) { s.countOnly = on }
 
+// SetFold tells a count-only Extend to stop at a star tail (Plan.Fold): at
+// level Plan.FoldLevel it returns nothing and leaves C(n, Fold) for TakeCount,
+// n being that level's candidate count — every match the tail levels would
+// have built. Whoever sets it must not call Extend for the levels past
+// FoldLevel; it is separate from SetCountOnly because only the caller that
+// chose the walk's depth knows it stops there (core.PlanExtender, told by the
+// code that holds the sink), while any engine puts a scratch in count-only
+// mode.
+func (s *Scratch) SetFold(on bool) { s.fold = on }
+
 // TakeCount returns the candidates counted since the last call and resets
 // the counter.
 func (s *Scratch) TakeCount() uint64 {
 	n := s.counted
 	s.counted = 0
 	return n
+}
+
+// Overflowed reports whether any count since NewScratch exceeded a uint64 —
+// a folded star tail can count more matches in one step than enumeration
+// could visit in a lifetime. The counts taken since are then meaningless and
+// the run must fail.
+func (s *Scratch) Overflowed() bool { return s.overflowed }
+
+// binomial returns C(n, r), and false when it does not fit a uint64.
+func binomial(n uint64, r int) (uint64, bool) {
+	if uint64(r) > n {
+		return 0, true
+	}
+	c := uint64(1)
+	for i := uint64(1); i <= uint64(r); i++ {
+		// c is C(m-1, i-1) for m = n-r+i, so c·m/i = C(m, i) divides exactly;
+		// the intermediate values only grow, so the first to overflow is the
+		// earliest sign that the result does.
+		hi, lo := bits.Mul64(c, n-uint64(r)+i)
+		if hi >= i {
+			return 0, false
+		}
+		c, _ = bits.Div64(hi, lo, i)
+	}
+	return c, true
 }
 
 // bounds folds the level's symmetry-breaking restrictions over the matched
@@ -113,7 +154,8 @@ func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
 // restriction interval before a kernel touches it — except where the raw
 // intersection is stored, because the children that reuse it carry bounds of
 // their own. On a scratch in count-only mode a count-eligible level returns
-// nothing and leaves the number of candidates for TakeCount instead. labelOf
+// nothing and leaves the number of candidates for TakeCount instead, and so
+// does the first level of a star tail once SetFold allows it. labelOf
 // and edgeLabelOf may be nil for graphs without the corresponding labels.
 // Both returned slices may alias scratch storage, getList output or
 // parentRaw.
@@ -122,9 +164,19 @@ func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
 	lv := &p.Levels[level]
 	lo, hi := lv.bounds(emb)
-	if s.countOnly && lv.CountOnly {
-		s.counted += uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi))
-		return nil, nil
+	if s.countOnly {
+		if s.fold && level == p.FoldLevel() {
+			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.Fold)
+			s.counted += c
+			if !ok || s.counted < c {
+				s.overflowed = true
+			}
+			return nil, nil
+		}
+		if lv.CountOnly {
+			s.counted += uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi))
+			return nil, nil
+		}
 	}
 	if lv.StoreInter {
 		raw = p.RawIntersect(s, level, emb, getList, parentRaw, 0, noUpper)
@@ -136,13 +188,14 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 }
 
 // countLevel returns the number of candidates Candidates would produce for an
-// unlabeled level with at most one subtraction, without building them. The
+// unlabeled level with at most one subtraction — a count-eligible last level
+// or the first level of a star tail — without building them. The
 // level's set expression is reduced to one final operation on a materialized,
 // clipped operand x — x ∩ l or x \ b — and that operation is counted by the
 // level's dispatcher, so the kernel choice and the ledger are those of the
 // materializing path.
 //
-//khuzdulvet:hotpath the last level of every count-only run
+//khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
 	lv := &p.Levels[level]
 	d := &s.disp[level]

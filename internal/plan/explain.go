@@ -9,7 +9,8 @@ import (
 // (Figure 1/Figure 5): one loop per level with its set operations, symmetry
 // restrictions and the clip they push below the kernels, reuse annotations,
 // count-only marking and active-list bookkeeping, plus — once — the direction
-// the restrictions point and the skew sums that chose it. It is meant
+// the restrictions point and the skew sums that chose it, and below the loop
+// nest the binomial a count-only run folds a star tail into. It is meant
 // for humans inspecting what a client system compiled; `khuzdul -explain`
 // prints it.
 func (p *Plan) Explain() string {
@@ -100,9 +101,51 @@ func (p *Plan) Explain() string {
 		sb.WriteByte('\n')
 	}
 	fmt.Fprintf(&sb, "%semit(v0..v%d)\n", indent(p.K-1), p.K-1)
+	if p.Fold > 0 {
+		f := p.FoldLevel()
+		fmt.Fprintf(&sb, "%scount C(%s, %d) per %s — levels %d–%d folded (count-only)\n",
+			indent(f-1), p.foldSetSize(), p.Fold, prefixTuple(f), f, p.K-1)
+	}
 	if len(p.Levels[p.K-1].Active) == 0 {
 		sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	}
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
+}
+
+// foldSetSize renders the n of a folded plan's C(n, r): the size of the first
+// tail level's candidate set — the anchor's list, inside that level's bounds,
+// without the earlier matched vertices.
+func (p *Plan) foldSetSize() string {
+	f := p.FoldLevel()
+	lv := &p.Levels[f]
+	anchor := lv.Intersect[0]
+	var conds []string
+	for _, a := range lv.LowerBounds {
+		conds = append(conds, fmt.Sprintf("v > v%d", a))
+	}
+	for _, a := range lv.UpperBounds {
+		conds = append(conds, fmt.Sprintf("v < v%d", a))
+	}
+	for q := 0; q < f; q++ {
+		if q != anchor {
+			conds = append(conds, fmt.Sprintf("v ≠ v%d", q))
+		}
+	}
+	if len(conds) == 0 {
+		return fmt.Sprintf("|N(v%d)|", anchor)
+	}
+	return fmt.Sprintf("|{v in N(v%d): %s}|", anchor, strings.Join(conds, ", "))
+}
+
+// prefixTuple renders the matched prefix before level f: "v0" or "(v0, v1)".
+func prefixTuple(f int) string {
+	if f == 1 {
+		return "v0"
+	}
+	vs := make([]string, f)
+	for i := range vs {
+		vs[i] = fmt.Sprintf("v%d", i)
+	}
+	return "(" + strings.Join(vs, ", ") + ")"
 }

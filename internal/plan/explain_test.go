@@ -94,3 +94,60 @@ func TestExplainCountOnlyNote(t *testing.T) {
 		t.Errorf("Explain missing count-only note:\n%s", s)
 	}
 }
+
+// TestExplainFold pins the rendering of the two plans 3-MC and 4-MC fold
+// whole: the loop nest the materializing path runs stays, and where it ends
+// stands the binomial a count-only run replaces it with.
+func TestExplainFold(t *testing.T) {
+	for _, c := range []struct {
+		pat  *pattern.Pattern
+		want string
+		str  string
+	}{
+		{pattern.PathP(3), `pattern: pattern{n=3 edges=0-1 1-2}
+system:  automine   matching order: [1 0 2]   |Aut| = 2
+mode:    non-induced
+restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # kernel=auto, store R1
+    for v2 in R1  # reuse parent intersection (VCS):    # kernel=auto, v2 > v1, clip lb=[1], count-only
+      emit(v0..v2)
+  count C(|N(v0)|, 2) per v0 — levels 1–2 folded (count-only)
+final level needs no edge lists: candidates are counted directly
+`, " aut=2 fold=2 L1("},
+		{pattern.StarP(4), `pattern: pattern{n=4 edges=0-1 0-2 0-3}
+system:  automine   matching order: [0 1 2 3]   |Aut| = 6
+mode:    non-induced
+restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # kernel=auto, store R1
+    for v2 in R1  # reuse parent intersection (VCS):    # kernel=auto, v2 > v1, clip after store lb=[1], store R2
+      for v3 in R2  # reuse parent intersection (VCS):    # kernel=auto, v3 > v1, v3 > v2, clip lb=[1 2], count-only
+        emit(v0..v3)
+  count C(|N(v0)|, 3) per v0 — levels 1–3 folded (count-only)
+final level needs no edge lists: candidates are counted directly
+`, " aut=6 fold=3 L1("},
+	} {
+		pl := MustCompile(c.pat, Options{Style: StyleAutomine})
+		got := pl.Explain()
+		if i := strings.Index(got, "estimated cost:"); i >= 0 {
+			got = got[:i]
+		}
+		if got != c.want {
+			t.Errorf("Explain =\n%s\nwant\n%s", got, c.want)
+		}
+		if s := pl.String(); !strings.Contains(s, c.str) {
+			t.Errorf("String missing %q: %s", c.str, s)
+		}
+	}
+	// A fold level past the first names what it excludes; an induced wedge has
+	// a Subtract and no fold.
+	pendants := pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {0, 4}})
+	if s := MustCompile(pendants, Options{Style: StyleAutomine}).Explain(); !strings.Contains(s,
+		"      count C(|{v in N(v0): v ≠ v1, v ≠ v2}|, 2) per (v0, v1, v2) — levels 3–4 folded (count-only)\n") {
+		t.Errorf("Explain of a triangle with two pendants:\n%s", s)
+	}
+	if pl := MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true}); pl.Fold != 0 || strings.Contains(pl.Explain(), "folded") {
+		t.Errorf("induced wedge folds: %v", pl)
+	}
+}

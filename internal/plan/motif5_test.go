@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"khuzdul/internal/graph"
@@ -23,6 +24,84 @@ func TestAllFiveVertexMotifs(t *testing.T) {
 				if got := CountGraph(pl, g); got != want {
 					t.Errorf("pattern %d (%v) induced=%v %v: got %d, want %d",
 						i, pat, induced, style, got, want)
+				}
+			}
+		}
+	}
+}
+
+// patternAsGraph turns a pattern into a data graph on the same vertices.
+func patternAsGraph(p *pattern.Pattern) *graph.Graph {
+	b := graph.NewBuilder(p.NumVertices())
+	for u := 0; u < p.NumVertices(); u++ {
+		for _, v := range p.Neighbors(u) {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestMotifConversionMatrix checks the matrix k-MC converts by against its
+// definition — entry (i, j) is the non-induced count of pattern i in pattern
+// j taken as a graph, by the brute-force oracle — against its shape (unit
+// upper triangular in edge-count order, which back-substitution relies on),
+// and against the textbook entries.
+func TestMotifConversionMatrix(t *testing.T) {
+	for k := 2; k <= 5; k++ {
+		pats := pattern.ConnectedPatterns(k)
+		conv := pattern.MotifConversion(k)
+		if len(conv) != len(pats) {
+			t.Fatalf("k=%d: %d rows for %d patterns", k, len(conv), len(pats))
+		}
+		for i, row := range conv {
+			for j, got := range row {
+				if want := BruteForceCount(patternAsGraph(pats[j]), pats[i], false); got != want {
+					t.Errorf("k=%d: A[%d][%d] = %d, brute force finds %d copies of %v in %v", k, i, j, got, want, pats[i], pats[j])
+				}
+				if i == j && got != 1 || i > j && got != 0 {
+					t.Errorf("k=%d: A[%d][%d] = %d, not unit upper triangular", k, i, j, got)
+				}
+			}
+		}
+	}
+	if got := fmt.Sprint(pattern.MotifConversion(3)); got != "[[1 3] [0 1]]" {
+		t.Errorf("k=3 matrix = %s", got)
+	}
+	// The 4-clique column, by pattern.
+	pats, conv := pattern.ConnectedPatterns(4), pattern.MotifConversion(4)
+	for _, c := range []struct {
+		pat  *pattern.Pattern
+		want uint64
+	}{
+		{pattern.StarP(4), 4}, {pattern.PathP(4), 12}, {pattern.TailedTriangle(), 12},
+		{pattern.CycleP(4), 3}, {pattern.Diamond(), 6}, {pattern.Clique(4), 1},
+	} {
+		for i, pat := range pats {
+			if pattern.Isomorphic(pat, c.pat) && conv[i][len(pats)-1] != c.want {
+				t.Errorf("copies of %v in the 4-clique = %d, want %d", c.pat, conv[i][len(pats)-1], c.want)
+			}
+		}
+	}
+}
+
+// TestInducedCounts converts non-induced executor counts and holds every
+// induced count to brute force, for both plan styles.
+func TestInducedCounts(t *testing.T) {
+	g := graph.RMATDefault(30, 120, 457)
+	for k := 2; k <= 5; k++ {
+		pats := pattern.ConnectedPatterns(k)
+		for _, style := range []Style{StyleAutomine, StyleGraphPi} {
+			counts := make([]uint64, len(pats))
+			for i, pat := range pats {
+				counts[i] = CountGraph(MustCompile(pat, Options{Style: style, Stats: StatsOf(g)}), g)
+			}
+			induced, _, err := pattern.InducedCounts(k, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pat := range pats {
+				if want := BruteForceCount(g, pat, true); induced[i] != want {
+					t.Errorf("k=%d %v: induced %v = %d, brute force %d", k, style, pat, induced[i], want)
 				}
 			}
 		}

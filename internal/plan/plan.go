@@ -155,6 +155,17 @@ type Plan struct {
 	Style Style
 	// EstCost is the cost-model estimate used during order selection.
 	EstCost float64
+	// Fold is the length r of the plan's star tail, 0 when it has none: the
+	// last r ≥ 2 levels all intersect one and the same earlier position (the
+	// anchor) and nothing else, each is restricted against its predecessor
+	// in the tail, and none carries a restriction against a position before
+	// the tail that the first tail level does not carry too. The tail then
+	// matches exactly the r-subsets of the first tail level's candidate set,
+	// in ID order, so a count-only run stops at level FoldLevel and adds
+	// C(n, r) for its n candidates (see Scratch.SetFold). Only non-induced
+	// plans without vertex or edge labels fold; the materializing path
+	// ignores the field.
+	Fold int
 	// HubThreshold is the adjacency-list length at which the runtime
 	// dispatcher promotes a hub vertex to the bitmap kernel, derived from
 	// the input graph's degree histogram at compile time (0 disables the
@@ -267,6 +278,46 @@ func (p *Plan) PosLabel(i int) graph.Label {
 // Labeled reports whether the plan constrains vertex labels.
 func (p *Plan) Labeled() bool { return p.Labels != nil }
 
+// FoldLevel returns the first level of the star tail — the level a folding
+// count-only run ends at — or K when the plan has none.
+func (p *Plan) FoldLevel() int { return p.K - p.Fold }
+
+// foldable reports whether the last r levels of p form a star tail (see
+// Plan.Fold). The compiler marks the longest one; Validate holds a
+// hand-written Fold to the same conditions.
+func (p *Plan) foldable(r int) bool {
+	if r < 2 || r >= p.K || p.Induced || p.Labeled() || p.EdgeLabeled {
+		return false
+	}
+	f := p.K - r
+	first := &p.Levels[f]
+	if len(first.Intersect) != 1 {
+		return false
+	}
+	// chain is a level's bounds in the plan's direction, against the others —
+	// none in a compiled plan, whose restrictions all share the direction.
+	split := func(lv *Level) (chain, against []int) {
+		if p.Descending {
+			return lv.UpperBounds, lv.LowerBounds
+		}
+		return lv.LowerBounds, lv.UpperBounds
+	}
+	firstChain, _ := split(first)
+	for i := f + 1; i < p.K; i++ {
+		lv := &p.Levels[i]
+		chain, against := split(lv)
+		if len(lv.Intersect) != 1 || lv.Intersect[0] != first.Intersect[0] || len(against) != 0 || !containsInt(chain, i-1) {
+			return false
+		}
+		for _, a := range chain {
+			if a < f && !containsInt(firstChain, a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // MaxActive returns the maximum number of active positions over all levels.
 func (p *Plan) MaxActive() int {
 	max := 0
@@ -287,6 +338,9 @@ func (p *Plan) String() string {
 	}
 	if p.Descending {
 		sb.WriteString(" descending")
+	}
+	if p.Fold > 0 {
+		fmt.Fprintf(&sb, " fold=%d", p.Fold)
 	}
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
@@ -365,6 +419,9 @@ func (p *Plan) Validate() error {
 		if r.A >= r.B {
 			return fmt.Errorf("plan: restriction %v does not point forward", r)
 		}
+	}
+	if p.Fold != 0 && !p.foldable(p.Fold) {
+		return fmt.Errorf("plan: the last %d levels are not a star tail, cannot fold", p.Fold)
 	}
 	return nil
 }

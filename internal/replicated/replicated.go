@@ -8,6 +8,7 @@
 package replicated
 
 import (
+	"fmt"
 	"time"
 
 	"khuzdul/internal/graph"
@@ -66,8 +67,14 @@ func Count(g *graph.Graph, pat *pattern.Pattern, cfg Config) (Result, error) {
 	}, nil
 }
 
-// CountMotifs runs all connected size-k patterns with induced semantics.
+// CountMotifs counts all connected size-k patterns with induced semantics:
+// like apps.MotifCount, non-induced plans converted with the motif set's
+// matrix — though through plan.Executor, which never enters count-only mode,
+// so star tails are enumerated here, not folded.
 func CountMotifs(g *graph.Graph, k int, cfg Config) (Result, error) {
+	if err := pattern.CheckMotifSize(k); err != nil {
+		return Result{}, fmt.Errorf("replicated: %w", err)
+	}
 	if cfg.NumNodes <= 0 {
 		cfg.NumNodes = 1
 	}
@@ -75,18 +82,20 @@ func CountMotifs(g *graph.Graph, k int, cfg Config) (Result, error) {
 		cfg.ThreadsPerNode = 1
 	}
 	start := time.Now()
-	var total uint64
+	var counts []uint64
 	var modeled time.Duration
 	for _, pat := range pattern.ConnectedPatterns(k) {
-		pl, err := plan.Compile(pat, plan.Options{
-			Style: plan.StyleGraphPi, Induced: true, Stats: plan.StatsOf(g),
-		})
+		pl, err := plan.Compile(pat, plan.Options{Style: plan.StyleGraphPi, Stats: plan.StatsOf(g)})
 		if err != nil {
 			return Result{}, err
 		}
 		cnt, makespan := countStatic(pl, g, cfg.NumNodes*cfg.ThreadsPerNode)
-		total += cnt
+		counts = append(counts, cnt)
 		modeled += makespan
+	}
+	_, total, err := pattern.InducedCounts(k, counts)
+	if err != nil {
+		return Result{}, fmt.Errorf("replicated: %w", err)
 	}
 	return Result{
 		Count:          total,

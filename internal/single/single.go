@@ -91,20 +91,29 @@ func (e *Engine) CountPattern(g *graph.Graph, pat *pattern.Pattern, induced bool
 }
 
 // CountMotifs counts all connected size-k patterns (induced), returning the
-// per-pattern counts and the total elapsed time.
+// per-pattern counts and the total elapsed time. Like the Khuzdul ports
+// (apps.MotifCount) it counts every pattern non-induced and converts with the
+// motif set's matrix, so Table 3 compares engines, not algorithms; unlike
+// them it runs plan.Executor, which never enters count-only mode, so its star
+// tails are enumerated, not folded.
 func (e *Engine) CountMotifs(g *graph.Graph, k, threads int) ([]uint64, Result, error) {
+	if err := pattern.CheckMotifSize(k); err != nil {
+		return nil, Result{}, fmt.Errorf("%s: %w", e.name, err)
+	}
 	start := time.Now()
 	var counts []uint64
-	var total uint64
 	var modeled time.Duration
 	for _, pat := range pattern.ConnectedPatterns(k) {
-		r, err := e.CountPattern(g, pat, true, threads)
+		r, err := e.CountPattern(g, pat, false, threads)
 		if err != nil {
 			return nil, Result{}, err
 		}
 		counts = append(counts, r.Count)
-		total += r.Count
 		modeled += r.ModeledElapsed
+	}
+	counts, total, err := pattern.InducedCounts(k, counts)
+	if err != nil {
+		return nil, Result{}, fmt.Errorf("%s: %w", e.name, err)
 	}
 	return counts, Result{Count: total, Elapsed: time.Since(start), ModeledElapsed: modeled}, nil
 }

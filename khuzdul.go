@@ -21,6 +21,7 @@ package khuzdul
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"khuzdul/internal/apps"
@@ -303,6 +304,9 @@ func (e *Engine) Cliques(k int) (Result, error) {
 	return fromCluster(r), err
 }
 
+// ErrMotifSize classifies a motif size k that Motifs does not support.
+var ErrMotifSize = pattern.ErrMotifSize
+
 // MotifResult pairs a motif pattern with its induced embedding count.
 type MotifResult struct {
 	Pattern *Pattern
@@ -310,7 +314,8 @@ type MotifResult struct {
 }
 
 // Motifs counts the induced embeddings of every connected size-k pattern
-// and the combined result.
+// and the combined result. The engine counts each pattern non-induced and
+// converts (see ExplainMotifs); k outside [2,6] is an ErrMotifSize error.
 func (e *Engine) Motifs(k int) ([]MotifResult, Result, error) {
 	per, combined, err := apps.MotifCount(e.c, k, e.sys)
 	if err != nil {
@@ -416,6 +421,38 @@ func (e *Engine) ExplainPattern(p *Pattern, induced bool) (string, error) {
 		return "", err
 	}
 	return pl.Explain(), nil
+}
+
+// ExplainMotifs renders how Motifs(k) counts: for every connected size-k
+// pattern the non-induced plan the engine's current system compiles for it,
+// then the row of the conversion that turns the plans' counts into induced
+// ones — each row subtracts the induced counts of denser patterns, which sit
+// later in the list.
+func (e *Engine) ExplainMotifs(k int) (string, error) {
+	if err := pattern.CheckMotifSize(k); err != nil {
+		return "", err
+	}
+	pats := pattern.ConnectedPatterns(k)
+	conv := pattern.MotifConversion(k)
+	var sb strings.Builder
+	for i, p := range pats {
+		s, err := e.ExplainPattern(p, false)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&sb, "motif %d (of 0–%d)\n%s", i, len(pats)-1, s)
+		fmt.Fprintf(&sb, "conversion: induced[%d] = count[%d]", i, i)
+		for j := i + 1; j < len(pats); j++ {
+			if conv[i][j] != 0 {
+				fmt.Fprintf(&sb, " − %d·induced[%d]", conv[i][j], j)
+			}
+		}
+		sb.WriteString("\n")
+		if i < len(pats)-1 {
+			sb.WriteString("\n")
+		}
+	}
+	return sb.String(), nil
 }
 
 // String describes the engine.

@@ -2,6 +2,8 @@ package khuzdul_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"khuzdul"
@@ -70,6 +72,38 @@ func TestMotifsPublicAPI(t *testing.T) {
 	}
 	if sum != combined.Count {
 		t.Fatalf("per-pattern sum %d != combined %d", sum, combined.Count)
+	}
+	for _, m := range per {
+		if want := plan.BruteForceCount(g, m.Pattern, true); m.Count != want {
+			t.Errorf("induced %v = %d, want %d", m.Pattern, m.Count, want)
+		}
+	}
+	// A motif size the pattern enumerator cannot reach is an error — it used
+	// to panic — from the count and from its explanation alike.
+	for _, k := range []int{1, 7} {
+		if _, _, err := eng.Motifs(k); !errors.Is(err, khuzdul.ErrMotifSize) {
+			t.Errorf("Motifs(%d) = %v, want ErrMotifSize", k, err)
+		}
+		if _, err := eng.ExplainMotifs(k); !errors.Is(err, khuzdul.ErrMotifSize) {
+			t.Errorf("ExplainMotifs(%d) = %v, want ErrMotifSize", k, err)
+		}
+	}
+	// The explanation lists the plans that run — non-induced, the wedge
+	// folded — and how their counts convert.
+	s, err := eng.ExplainMotifs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"mode:    non-induced", "levels 1–2 folded (count-only)",
+		"conversion: induced[0] = count[0] − 3·induced[1]\n", "conversion: induced[1] = count[1]\n",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("ExplainMotifs(3) missing %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "mode:    induced") {
+		t.Errorf("ExplainMotifs(3) shows an induced plan:\n%s", s)
 	}
 }
 
