@@ -44,9 +44,9 @@ func TestSelectAnalyzers(t *testing.T) {
 }
 
 // TestRunListAndFilter drives the CLI entry point end to end: -list prints
-// every analyzer with its tier, -run with an unknown name exits 2, and a
-// filtered -json run over the real tree is clean and carries exactly one
-// timing line per selected analyzer.
+// every analyzer with its tier, -run with an unknown or retired name exits
+// 2, and a filtered -json run over the real tree is clean and carries
+// exactly one timing line per selected analyzer.
 func TestRunListAndFilter(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -69,13 +69,17 @@ func TestRunListAndFilter(t *testing.T) {
 		}
 	}
 
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-run", "nosuch", "./..."}, &out, &errOut); code != 2 {
-		t.Fatalf("-run nosuch exit = %d, want 2; stderr %q", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "nosuch") {
-		t.Fatalf("-run nosuch stderr does not name the analyzer: %q", errOut.String())
+	// atomicmix left the suite (go vet's copylocks covers its typed-atomic
+	// rows), so naming it is an unknown-analyzer error like any other name.
+	for _, name := range []string{"nosuch", "atomicmix"} {
+		out.Reset()
+		errOut.Reset()
+		if code := run([]string{"-run", name, "./..."}, &out, &errOut); code != 2 {
+			t.Fatalf("-run %s exit = %d, want 2; stderr %q", name, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), name) {
+			t.Fatalf("-run %s stderr does not name the analyzer: %q", name, errOut.String())
+		}
 	}
 
 	if testing.Short() {

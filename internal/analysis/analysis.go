@@ -1,10 +1,10 @@
 // Package analysis is a small, stdlib-only static-analysis framework for
 // enforcing Khuzdul's project-specific invariants: the rules that make exact
 // counts under chaos possible but that generic tools (go vet, staticcheck)
-// cannot see — canonical wire codecs, visibly-joined goroutines, classifiable
-// error chains, determinism-safe sleeping, and no blocking fabric traffic
-// under a lock. The Pass/Analyzer shape mirrors golang.org/x/tools/go/analysis
-// so analyzers stay portable, but the framework itself depends only on
+// cannot see — canonical wire codecs, classifiable error chains,
+// determinism-safe sleeping, and no blocking fabric traffic under a lock.
+// The Pass/Analyzer shape mirrors golang.org/x/tools/go/analysis so
+// analyzers stay portable, but the framework itself depends only on
 // go/parser, go/types and go/ast.
 //
 // The suite runs via cmd/khuzdulvet; findings print as
@@ -158,9 +158,8 @@ func Run(pkgs []*LoadedPackage, analyzers []*Analyzer) []Diagnostic {
 
 // A Timing is one analyzer's accumulated wall-clock cost across every
 // package of one RunTimed. Lazily-built whole-program fact bases (the lock
-// graph, the guard inference tables) are attributed to whichever analyzer
-// touches them first, so the first tier-3/4 analyzer in suite order carries
-// the shared construction cost.
+// table, the lock graph, the guard inference) are attributed to whichever
+// analyzer touches them first.
 type Timing struct {
 	Name    string
 	Elapsed time.Duration
@@ -245,7 +244,6 @@ func RunTimed(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, []Tim
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		WireCodec,
-		GoroutineJoin,
 		ErrClass,
 		SleepBan,
 		LockSend,
@@ -257,7 +255,6 @@ func Suite() []*Analyzer {
 		FrameCase,
 		MetricLive,
 		GuardField,
-		AtomicMix,
 		TimerStop,
 	}
 }

@@ -109,21 +109,19 @@ func runFixtureTest(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestWireCodec(t *testing.T)     { runFixtureTest(t, WireCodec) }
-func TestGoroutineJoin(t *testing.T) { runFixtureTest(t, GoroutineJoin) }
-func TestErrClass(t *testing.T)      { runFixtureTest(t, ErrClass) }
-func TestSleepBan(t *testing.T)      { runFixtureTest(t, SleepBan) }
-func TestLockSend(t *testing.T)      { runFixtureTest(t, LockSend) }
-func TestHotAlloc(t *testing.T)      { runFixtureTest(t, HotAlloc) }
-func TestMapOrder(t *testing.T)      { runFixtureTest(t, MapOrder) }
-func TestCancelPoll(t *testing.T)    { runFixtureTest(t, CancelPoll) }
-func TestLockOrder(t *testing.T)     { runFixtureTest(t, LockOrder) }
-func TestWireBound(t *testing.T)     { runFixtureTest(t, WireBound) }
-func TestFrameCase(t *testing.T)     { runFixtureTest(t, FrameCase) }
-func TestMetricLive(t *testing.T)    { runFixtureTest(t, MetricLive) }
-func TestGuardField(t *testing.T)    { runFixtureTest(t, GuardField) }
-func TestAtomicMix(t *testing.T)     { runFixtureTest(t, AtomicMix) }
-func TestTimerStop(t *testing.T)     { runFixtureTest(t, TimerStop) }
+func TestWireCodec(t *testing.T)  { runFixtureTest(t, WireCodec) }
+func TestErrClass(t *testing.T)   { runFixtureTest(t, ErrClass) }
+func TestSleepBan(t *testing.T)   { runFixtureTest(t, SleepBan) }
+func TestLockSend(t *testing.T)   { runFixtureTest(t, LockSend) }
+func TestHotAlloc(t *testing.T)   { runFixtureTest(t, HotAlloc) }
+func TestMapOrder(t *testing.T)   { runFixtureTest(t, MapOrder) }
+func TestCancelPoll(t *testing.T) { runFixtureTest(t, CancelPoll) }
+func TestLockOrder(t *testing.T)  { runFixtureTest(t, LockOrder) }
+func TestWireBound(t *testing.T)  { runFixtureTest(t, WireBound) }
+func TestFrameCase(t *testing.T)  { runFixtureTest(t, FrameCase) }
+func TestMetricLive(t *testing.T) { runFixtureTest(t, MetricLive) }
+func TestGuardField(t *testing.T) { runFixtureTest(t, GuardField) }
+func TestTimerStop(t *testing.T)  { runFixtureTest(t, TimerStop) }
 
 // TestCallGraph pins the program construction the tier-2 analyzers rely on:
 // directive roots, interface-method over-approximation, reachability and the
@@ -264,23 +262,22 @@ func TestTier3Directives(t *testing.T) {
 
 // TestTier4Directives is the directive × analyzer matrix for the tier-4
 // analyzers: hotpath/longrun roots neither gate nor suppress them, a live
-// ignore suppresses exactly its atomicmix finding, and stale ignores naming
+// ignore suppresses exactly its timerstop finding, and stale ignores naming
 // each tier-4 analyzer are audited.
 func TestTier4Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier4dir")
-	diags := Run(pkgs, []*Analyzer{GuardField, AtomicMix, TimerStop})
+	diags := Run(pkgs, []*Analyzer{GuardField, TimerStop})
 	counts := map[string]int{}
 	for _, d := range diags {
 		counts[d.Analyzer]++
 		if d.Analyzer == "staleignore" && strings.Contains(d.Message, "suppressed on purpose") {
-			t.Errorf("live atomicmix suppression reported stale: %s", d)
+			t.Errorf("live timerstop suppression reported stale: %s", d)
 		}
 	}
 	want := map[string]int{
 		"guardfield":  1, // lock-free read of the guarded field inside the hotpath root
-		"timerstop":   1, // ticker leaked on the stop path of the longrun root
-		"atomicmix":   0, // suppressed by the live ignore directive
-		"staleignore": 3, // one stale ignore per tier-4 analyzer
+		"timerstop":   1, // ticker leaked on the stop path of the longrun root; the discarded timer is suppressed
+		"staleignore": 2, // one stale ignore per tier-4 analyzer
 	}
 	for a, n := range want {
 		if counts[a] != n {
@@ -294,14 +291,14 @@ func TestTier4Directives(t *testing.T) {
 	}
 }
 
-// TestSuiteComposition pins the suite roster: fifteen analyzers, each in its
+// TestSuiteComposition pins the suite roster: thirteen analyzers, each in its
 // documented tier, in deterministic (tier, name) order.
 func TestSuiteComposition(t *testing.T) {
 	wantTiers := map[string]int{
-		"wirecodec": 1, "goroutinejoin": 1, "errclass": 1, "sleepban": 1, "locksend": 1,
+		"wirecodec": 1, "errclass": 1, "sleepban": 1, "locksend": 1,
 		"hotalloc": 2, "maporder": 2, "cancelpoll": 2,
 		"lockorder": 3, "wirebound": 3, "framecase": 3, "metriclive": 3,
-		"guardfield": 4, "atomicmix": 4, "timerstop": 4,
+		"guardfield": 4, "timerstop": 4,
 	}
 	suite := Suite()
 	if len(suite) != len(wantTiers) {

@@ -89,14 +89,13 @@ type Program struct {
 	// it to limit field tracking to structs the program declares.
 	Pkgs map[*types.Package]bool
 
-	// lockInfo is the tier-3 lock-acquisition graph of lockorder.go, built
-	// lazily on first use and shared by every pass of the Run.
-	lockInfo *lockGraphInfo
-	// guardInfo, atomicInfo and timerInfo are the tier-4 whole-program fact
-	// bases, likewise built lazily on first use.
-	guardInfo  *guardFieldInfo
-	atomicInfo *atomicMixInfo
-	timerInfo  *timerStopInfo
+	// lockTab is the lock table of locktable.go and lockInfo the lock graph
+	// of lockorder.go; guardInfo and timerInfo are the tier-4 fact bases. Each
+	// is built lazily on first use and shared by every pass of the Run.
+	lockTab   *lockTable
+	lockInfo  *lockGraphInfo
+	guardInfo *guardFieldInfo
+	timerInfo *timerStopInfo
 }
 
 // BuildProgram constructs the call graph, reachability closures and function

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -17,10 +18,9 @@ import (
 // happens under the same mutex, the stray access that doesn't is either a
 // data race or a deliberate exception worth documenting.
 //
-// The inference: every field access in the program is recorded together
-// with the set of locks held at that point — locks acquired in the same
-// function (the lockorder held-set scan: deferred unlocks keep the lock to
-// function end, `go` bodies hold nothing), plus the locks provably held on
+// The inference: every field access in the program is recorded in the lock
+// table (locktable.go) together with the set of locks held at that point —
+// locks acquired in the same function, plus the locks provably held on
 // entry, computed as the intersection over every call site of the function
 // (a helper only ever called under s.mu inherits s.mu). A field whose
 // accesses hold one consistent lock key (pkg.Type.field or a package-level
@@ -39,7 +39,7 @@ import (
 //   - Functions with no in-program callers (exported entry points) and
 //     functions spawned by `go` or taken as values enter lock-free.
 //   - sync.* and sync/atomic fields are exempt: mutexes are the guards, and
-//     atomics follow atomicmix's discipline instead.
+//     typed atomics need none.
 //
 // An intentional lock-free access (a racy-by-design stats read, a field
 // that is immutable after publication) is annotated in place:
@@ -63,23 +63,9 @@ const (
 )
 
 func runGuardField(pass *Pass) {
-	if pass.Prog == nil {
-		return
+	if pass.Prog != nil {
+		reportProg(pass, pass.Prog.guardFields().findings)
 	}
-	info := pass.Prog.guardFields()
-	for _, f := range info.findings {
-		if f.pkg == pass.Pkg {
-			pass.Reportf(f.pos, "%s", f.msg)
-		}
-	}
-}
-
-// progFinding is one whole-program finding attributed to a package, the
-// shape every lazily-built tier-4 fact base reports through.
-type progFinding struct {
-	pos token.Pos
-	pkg *types.Package
-	msg string
 }
 
 // guardFieldInfo is the whole-program guard-inference result, built once
@@ -88,131 +74,63 @@ type guardFieldInfo struct {
 	findings []progFinding
 }
 
-// guardAccess is one recorded field access with its lock context.
-type guardAccess struct {
-	pos token.Pos
-	fn  *types.Func
-	// held is the set of lock keys directly held at the access.
-	held []string
-	// entry records whether fn's entry-held set augments held (false inside
-	// function literals, which run on their own goroutine or at defer time).
-	entry bool
-	write bool
-}
-
-// guardCall is one recorded call site, the raw material of the entry-held
-// intersection.
-type guardCall struct {
-	caller *types.Func
-	callee *types.Func
-	held   []string
-	// entry: the caller's own entry-held set applies at this site (false
-	// inside literals).
-	entry bool
-	// spawn: the call is a `go` statement — the callee starts lock-free.
-	spawn bool
-}
-
-// guardFieldState accumulates one field's accesses plus its rendered name.
-type guardFieldState struct {
-	name     string
-	accesses []*guardAccess
-}
-
-type guardBuilder struct {
-	prog   *Program
-	fields map[types.Object]*guardFieldState
-	order  []types.Object // fields in first-seen order, for determinism
-	calls  []guardCall
-	// valueRef marks functions referenced as values: their entry set is
-	// unknowable, so they enter lock-free.
-	valueRef map[*types.Func]bool
-}
-
-// guardFields builds (once) and returns the program's guard inference.
+// guardFields builds (once) and returns the program's guard inference from
+// the lock table's field accesses and call sites.
 func (p *Program) guardFields() *guardFieldInfo {
 	if p.guardInfo != nil {
 		return p.guardInfo
 	}
-	b := &guardBuilder{
-		prog:     p,
-		fields:   map[types.Object]*guardFieldState{},
-		valueRef: map[*types.Func]bool{},
-	}
-	// Phase 1: per-function held-set scans recording field accesses and
-	// call sites.
-	for _, fn := range p.DeclList {
-		fd := p.Decls[fn]
-		if fd.Body == nil {
-			continue
-		}
-		s := &guardScanner{b: b, fn: fn, info: p.InfoOf[fn], entry: true,
-			ctor: ctorLocals(fd.Body, p.InfoOf[fn])}
-		s.scanStmts(fd.Body.List, nil)
-		for len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.entry = false
-			s.scanStmts(next.List, nil)
-		}
-	}
-	// Phase 2: entry-held sets to a fixpoint. entry(fn) is the intersection
+	tab := p.locks()
+	// Phase 1: entry-held sets to a fixpoint. entry(fn) is the intersection
 	// over every recorded call of (held at the site ∪ the caller's own entry
 	// set); functions never called in-program, spawned via go, or taken as
 	// values enter lock-free. Sets only ever shrink, so iteration converges;
 	// functions still unconstrained afterwards (call cycles unreachable from
 	// any root) resolve to lock-free.
 	called := map[*types.Func]bool{}
-	for _, rec := range b.calls {
+	for _, rec := range tab.calls {
 		for _, target := range p.implementations(rec.callee) {
-			if _, ok := p.Decls[target]; ok {
-				called[target] = true
-			}
+			called[target] = true
 		}
 	}
 	entry := map[*types.Func]map[string]bool{}
 	entryOf := func(fn *types.Func) (map[string]bool, bool) {
-		if !called[fn] || b.valueRef[fn] {
+		if !called[fn] || tab.valueRef[fn] {
 			return nil, true // known: lock-free
 		}
 		set, ok := entry[fn]
 		return set, ok // !ok: still unconstrained (⊤)
 	}
-	for fn := range b.valueRef {
-		entry[fn] = map[string]bool{}
+	// effective is the lock keys held at a site: those taken in its own body
+	// plus, in a declaration body, the function's entry set once known.
+	// known reports whether the function's entry set is known yet.
+	effective := func(site lockSite) (eff map[string]bool, known bool) {
+		eff = map[string]bool{}
+		for _, h := range site.held {
+			eff[h.key] = true
+		}
+		set, known := entryOf(site.fn)
+		if site.entry {
+			for k := range set {
+				eff[k] = true
+			}
+		}
+		return eff, known
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, rec := range b.calls {
-			var eff map[string]bool
-			if rec.spawn {
-				eff = map[string]bool{}
-			} else {
-				callerEntry, known := entryOf(rec.caller)
-				if !known {
+		for _, rec := range tab.calls {
+			eff := map[string]bool{}
+			if !rec.spawn {
+				var known bool
+				if eff, known = effective(rec.lockSite); !known {
 					continue // caller still ⊤: no constraint yet
-				}
-				eff = map[string]bool{}
-				for _, h := range rec.held {
-					eff[h] = true
-				}
-				if rec.entry {
-					for k := range callerEntry {
-						eff[k] = true
-					}
 				}
 			}
 			for _, target := range p.implementations(rec.callee) {
-				if _, ok := p.Decls[target]; !ok {
-					continue
-				}
 				cur, ok := entry[target]
 				if !ok {
-					set := make(map[string]bool, len(eff))
-					for k := range eff {
-						set[k] = true
-					}
-					entry[target] = set
+					entry[target] = maps.Clone(eff)
 					changed = true
 					continue
 				}
@@ -225,31 +143,19 @@ func (p *Program) guardFields() *guardFieldInfo {
 			}
 		}
 	}
-	// Phase 3: inference and reporting per field.
+	// Phase 2: inference and reporting per field.
 	info := &guardFieldInfo{}
-	for _, obj := range b.order {
-		st := b.fields[obj]
+	for _, obj := range tab.order {
+		st := tab.fields[obj]
 		total := len(st.accesses)
 		if total < guardMinAccesses {
 			continue
 		}
-		effective := func(a *guardAccess) map[string]bool {
-			eff := map[string]bool{}
-			for _, h := range a.held {
-				eff[h] = true
-			}
-			if a.entry {
-				if set, known := entryOf(a.fn); known {
-					for k := range set {
-						eff[k] = true
-					}
-				}
-			}
-			return eff
-		}
+		effs := make([]map[string]bool, total)
 		counts := map[string]int{}
-		for _, a := range st.accesses {
-			for key := range effective(a) {
+		for i, a := range st.accesses {
+			effs[i], _ = effective(a.lockSite)
+			for key := range effs[i] {
 				if guardableKey(key) {
 					counts[key]++
 				}
@@ -269,8 +175,8 @@ func (p *Program) guardFields() *guardFieldInfo {
 		if best == "" || bestN == total || float64(bestN) < guardThreshold*float64(total) {
 			continue
 		}
-		for _, a := range st.accesses {
-			if effective(a)[best] {
+		for i, a := range st.accesses {
+			if effs[i][best] {
 				continue
 			}
 			kind := "read"
@@ -351,356 +257,6 @@ func isCtorExpr(info *types.Info, e ast.Expr) bool {
 	return false
 }
 
-// guardScanner walks one function body in statement order, maintaining the
-// held-lock set (the lockorder machinery) while recording every struct-field
-// access and every resolvable call site.
-type guardScanner struct {
-	b    *guardBuilder
-	fn   *types.Func
-	info *types.Info
-	// entry: accesses and calls in the current body see fn's entry-held set
-	// (true for the declaration body, false inside queued literals).
-	entry bool
-	ctor  map[types.Object]bool
-	queue []*ast.BlockStmt
-}
-
-func (s *guardScanner) scanStmts(list []ast.Stmt, held []string) []string {
-	for _, st := range list {
-		held = s.scanStmt(st, held)
-	}
-	return held
-}
-
-func (s *guardScanner) scanStmt(st ast.Stmt, held []string) []string {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if key, op, ok := lockOpOf(s.info, s.fn, st.X); ok {
-			switch op {
-			case opLock:
-				return append(held, key)
-			case opUnlock:
-				return removeLockKey(held, key)
-			}
-		}
-		s.visit(st.X, held)
-	case *ast.IncDecStmt:
-		s.visitWrite(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the mutex held to function end. Other
-		// deferred calls run at exit under an unknown held set: record them
-		// lock-free (the safe under-approximation) and visit their argument
-		// expressions, which evaluate now.
-		if _, op, ok := lockOpOf(s.info, s.fn, st.Call); ok && op == opUnlock {
-			return held
-		}
-		s.recordCall(st.Call, nil, false)
-		for _, arg := range st.Call.Args {
-			s.visit(arg, held)
-		}
-		s.collectLits(st.Call)
-	case *ast.GoStmt:
-		// The goroutine holds nothing on entry regardless of the spawner's
-		// locks; argument expressions still evaluate on this stack.
-		s.recordCall(st.Call, nil, true)
-		for _, arg := range st.Call.Args {
-			s.visit(arg, held)
-		}
-		s.collectLits(st.Call)
-	case *ast.SendStmt:
-		s.visit(st.Chan, held)
-		s.visit(st.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.visit(e, held)
-		}
-		for _, e := range st.Lhs {
-			s.visitWrite(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.visit(e, held)
-		}
-	case *ast.DeclStmt:
-		ast.Inspect(st, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				s.visit(e, held)
-				return false
-			}
-			return true
-		})
-	case *ast.BlockStmt:
-		held = s.scanStmts(st.List, held)
-	case *ast.IfStmt:
-		// Branch-sensitive: each arm scans a copy of the held set, and the
-		// fall-through set is the intersection over the arms that can fall
-		// through. The early-return idiom — `if c { mu.Unlock(); return }`
-		// while holding mu — must not strip the lock from the straight-line
-		// path, and a conditionally-acquired lock must not count as held
-		// after the branch.
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		s.visit(st.Cond, held)
-		bodyOut := s.scanStmts(st.Body.List, append([]string(nil), held...))
-		var live [][]string
-		if !s.blockTerminates(st.Body.List) {
-			live = append(live, bodyOut)
-		}
-		if st.Else != nil {
-			elseOut := s.scanStmt(st.Else, append([]string(nil), held...))
-			if !s.stmtTerminates(st.Else) {
-				live = append(live, elseOut)
-			}
-		} else {
-			live = append(live, held)
-		}
-		if len(live) > 0 {
-			held = intersectHeld(live)
-		}
-	case *ast.ForStmt:
-		// Loop bodies scan a copy: a balanced lock/unlock inside the loop
-		// leaves the fall-through set untouched either way, and an
-		// unbalanced one must not leak into the straight-line path.
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.visit(st.Cond, held)
-		}
-		s.scanStmts(st.Body.List, append([]string(nil), held...))
-	case *ast.RangeStmt:
-		s.visit(st.X, held)
-		if st.Key != nil {
-			s.visitWrite(st.Key, held)
-		}
-		if st.Value != nil {
-			s.visitWrite(st.Value, held)
-		}
-		s.scanStmts(st.Body.List, append([]string(nil), held...))
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		s.visit(st.Tag, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, append([]string(nil), held...))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, append([]string(nil), held...))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				clause := append([]string(nil), held...)
-				if cc.Comm != nil {
-					clause = s.scanStmt(cc.Comm, clause)
-				}
-				s.scanStmts(cc.Body, clause)
-			}
-		}
-	case *ast.LabeledStmt:
-		held = s.scanStmt(st.Stmt, held)
-	}
-	return held
-}
-
-// blockTerminates reports whether a statement list cannot fall through.
-func (s *guardScanner) blockTerminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	return s.stmtTerminates(list[len(list)-1])
-}
-
-// stmtTerminates reports whether st always transfers control away from the
-// following statement: return, break/continue/goto, panic, or a block/if
-// whose every arm does.
-func (s *guardScanner) stmtTerminates(st ast.Stmt) bool {
-	switch st := st.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := st.X.(*ast.CallExpr)
-		return ok && isBuiltinCall(s.info, call, "panic")
-	case *ast.BlockStmt:
-		return s.blockTerminates(st.List)
-	case *ast.IfStmt:
-		return st.Else != nil && s.blockTerminates(st.Body.List) && s.stmtTerminates(st.Else)
-	}
-	return false
-}
-
-// intersectHeld keeps the lock keys present in every set, preserving the
-// first set's order.
-func intersectHeld(sets [][]string) []string {
-	var out []string
-	for _, key := range sets[0] {
-		inAll := true
-		for _, other := range sets[1:] {
-			found := false
-			for _, k := range other {
-				if k == key {
-					found = true
-					break
-				}
-			}
-			if !found {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			out = append(out, key)
-		}
-	}
-	return out
-}
-
-// visitWrite records the field an assignment target writes through, then
-// visits the rest of the target as reads. Index and dereference layers
-// unwrap to the selector that names the written field: s.m[k] = v writes
-// (through) field m.
-func (s *guardScanner) visitWrite(e ast.Expr, held []string) {
-	target := e
-	for {
-		switch t := target.(type) {
-		case *ast.ParenExpr:
-			target = t.X
-			continue
-		case *ast.StarExpr:
-			target = t.X
-			continue
-		case *ast.IndexExpr:
-			s.visit(t.Index, held)
-			target = t.X
-			continue
-		}
-		break
-	}
-	if sel, ok := target.(*ast.SelectorExpr); ok {
-		s.recordField(sel, held, true)
-		s.visit(sel.X, held)
-		return
-	}
-	s.visit(target, held)
-}
-
-// visit records field reads, call sites, and function value references in
-// an expression subtree; function literals queue for their own lock-free
-// scan.
-func (s *guardScanner) visit(e ast.Expr, held []string) {
-	if e == nil {
-		return
-	}
-	funs := map[ast.Node]bool{}
-	sels := map[*ast.Ident]bool{}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			s.queue = append(s.queue, n.Body)
-			return false
-		case *ast.CallExpr:
-			funs[n.Fun] = true
-			if _, _, ok := lockOpOf(s.info, s.fn, n); ok {
-				// Lock/Unlock calls are handled by the statement walk; do not
-				// record the mutex selector or a call edge, but still visit
-				// the receiver path below the mutex field.
-				if sel, isSel := n.Fun.(*ast.SelectorExpr); isSel {
-					if inner, isInner := sel.X.(*ast.SelectorExpr); isInner {
-						s.visit(inner.X, held)
-					}
-				}
-				return false
-			}
-			s.recordCall(n, held, false)
-			return true
-		case *ast.SelectorExpr:
-			// The Sel ident is owned by this selector: the Ident case below
-			// must not mistake it for a bare function-value reference.
-			sels[n.Sel] = true
-			if fn, ok := s.info.Uses[n.Sel].(*types.Func); ok && !funs[n] {
-				if _, declared := s.b.prog.Decls[fn]; declared {
-					s.b.valueRef[fn] = true
-				}
-			}
-			s.recordField(n, held, false)
-			return true
-		case *ast.Ident:
-			if fn, ok := s.info.Uses[n].(*types.Func); ok && !funs[n] && !sels[n] {
-				if _, declared := s.b.prog.Decls[fn]; declared {
-					s.b.valueRef[fn] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// recordField records one access to a program-declared struct field, unless
-// the field's type is exempt (sync primitives, atomics) or the access is
-// pre-escape constructor initialization.
-func (s *guardScanner) recordField(sel *ast.SelectorExpr, held []string, write bool) {
-	obj, ok := s.info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() || obj.Pkg() == nil || !s.b.prog.Pkgs[obj.Pkg()] {
-		return
-	}
-	if guardExemptType(obj.Type()) {
-		return
-	}
-	if s.ctor[rootIdentObj(s.info, sel.X)] {
-		return
-	}
-	st := s.b.fields[obj]
-	if st == nil {
-		ownerPkg, ownerName := namedType(receiverType(s.info, sel))
-		if ownerName == "" {
-			return
-		}
-		st = &guardFieldState{name: shortPkgPath(ownerPkg) + "." + ownerName + "." + obj.Name()}
-		s.b.fields[obj] = st
-		s.b.order = append(s.b.order, obj)
-	}
-	st.accesses = append(st.accesses, &guardAccess{
-		pos:   sel.Sel.Pos(),
-		fn:    s.fn,
-		held:  append([]string(nil), held...),
-		entry: s.entry,
-		write: write,
-	})
-}
-
-// recordCall records one resolvable call site for the entry-held
-// intersection.
-func (s *guardScanner) recordCall(call *ast.CallExpr, held []string, spawn bool) {
-	callee := calleeFunc(s.info, call)
-	if callee == nil {
-		return
-	}
-	s.b.calls = append(s.b.calls, guardCall{
-		caller: s.fn,
-		callee: callee,
-		held:   append([]string(nil), held...),
-		entry:  s.entry,
-		spawn:  spawn,
-	})
-}
-
-func (s *guardScanner) collectLits(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			s.queue = append(s.queue, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
 // rootIdentObj resolves the leftmost identifier of a selector/index chain
 // to its object, or nil.
 func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
@@ -724,7 +280,7 @@ func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
 
 // guardExemptType reports whether a field type is outside guard inference:
 // sync primitives are the guards themselves, and sync/atomic values (bare,
-// or as slice/array elements) follow atomicmix's discipline instead.
+// or as slice/array elements) need no lock.
 func guardExemptType(t types.Type) bool {
 	if p, _ := namedType(t); p == "sync" || p == "sync/atomic" {
 		return true

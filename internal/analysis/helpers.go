@@ -153,17 +153,3 @@ func inspectStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) 
 		return true
 	})
 }
-
-// enclosingFuncBody returns the body of the innermost function declaration
-// or literal in stack.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
-}

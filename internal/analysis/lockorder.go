@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -18,10 +17,8 @@ import (
 //
 // The abstraction: a lock is identified by the struct type and field that
 // declare it (comm.TCP.mu, cluster.ledger.mu), or by package/function
-// scope for non-field mutexes. Per function, acquisitions are tracked in
-// statement order (the locksend approximation: a deferred unlock keeps the
-// lock held to function end, function literals run in their own context, a
-// `go` statement's body does not hold the spawner's locks). Holding L while
+// scope for non-field mutexes. Acquisitions and calls, each with the locks
+// held there, come from the lock table (locktable.go). Holding L while
 // acquiring M — directly, or anywhere inside a callee reached without a `go`
 // statement, propagated to a fixpoint over the call graph like the tier-2
 // summaries — adds the edge L → M. A cycle in the resulting graph is a
@@ -44,11 +41,22 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) {
-	if pass.Prog == nil {
-		return
+	if pass.Prog != nil {
+		reportProg(pass, pass.Prog.lockGraph().findings)
 	}
-	info := pass.Prog.lockGraph()
-	for _, f := range info.findings {
+}
+
+// progFinding is one whole-program finding attributed to a package, the
+// shape every lazily-built fact base reports through.
+type progFinding struct {
+	pos token.Pos
+	pkg *types.Package
+	msg string
+}
+
+// reportProg reports the findings that belong to the pass's package.
+func reportProg(pass *Pass, findings []progFinding) {
+	for _, f := range findings {
 		if f.pkg == pass.Pkg {
 			pass.Reportf(f.pos, "%s", f.msg)
 		}
@@ -60,7 +68,7 @@ func runLockOrder(pass *Pass) {
 type lockGraphInfo struct {
 	// edges[from][to] is the first witness for "to acquired while from held".
 	edges    map[string]map[string]*lockEdge
-	findings []lockFinding
+	findings []progFinding
 }
 
 // lockEdge is one ordered acquisition: `to` taken while `from` is held.
@@ -72,12 +80,6 @@ type lockEdge struct {
 	fn  *types.Func
 	// desc is the human-readable acquisition path.
 	desc string
-}
-
-type lockFinding struct {
-	pos token.Pos
-	pkg *types.Package
-	msg string
 }
 
 // lockAcq records how a function comes to acquire a lock key: directly at
@@ -92,31 +94,31 @@ func (p *Program) lockGraph() *lockGraphInfo {
 	if p.lockInfo != nil {
 		return p.lockInfo
 	}
-	b := &lockGraphBuilder{
-		prog:   p,
-		info:   &lockGraphInfo{edges: map[string]map[string]*lockEdge{}},
-		direct: map[*types.Func]map[string]token.Pos{},
-	}
-	// Phase 1: per-function linear scans — direct acquisitions, direct
-	// ordered edges, and calls made while locks are held.
-	for _, fn := range p.DeclList {
-		fd := p.Decls[fn]
-		if fd.Body == nil {
+	tab := p.locks()
+	b := &lockGraphBuilder{info: &lockGraphInfo{edges: map[string]map[string]*lockEdge{}}}
+	// Phase 1: direct acquisitions — ordered edges from every held lock, and
+	// each function's first site per key. A spawned literal acquires on its
+	// own goroutine's stack, so its acquisitions are not its function's.
+	direct := map[*types.Func]map[string]token.Pos{}
+	for _, a := range tab.acquires {
+		for _, h := range a.held {
+			b.addEdge(h.key, a.key, a.pos, a.fn, fmt.Sprintf(
+				"%s acquired with %s held at %s (in %s)", a.key, h.key, p.pos(a.pos), a.fn.Name()))
+		}
+		if a.spawned {
 			continue
 		}
-		s := &lockOrderScanner{b: b, fn: fn, info: p.InfoOf[fn], attribute: true}
-		s.scanStmts(fd.Body.List, nil)
-		for len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.attribute = next.attribute
-			s.scanStmts(next.body.List, nil)
+		if direct[a.fn] == nil {
+			direct[a.fn] = map[string]token.Pos{}
+		}
+		if _, ok := direct[a.fn][a.key]; !ok {
+			direct[a.fn][a.key] = a.pos
 		}
 	}
 	// Phase 2: transitive acquisition sets to a fixpoint over the non-go
 	// call edges (a spawned goroutine acquires on its own stack).
 	acq := map[*types.Func]map[string]lockAcq{}
-	for fn, keys := range b.direct {
+	for fn, keys := range direct {
 		m := map[string]lockAcq{}
 		for key, pos := range keys {
 			m[key] = lockAcq{pos: pos}
@@ -142,7 +144,10 @@ func (p *Program) lockGraph() *lockGraphInfo {
 	}
 	// Phase 3: call-mediated edges — each call made under held locks orders
 	// those locks before everything the callee transitively acquires.
-	for _, rec := range b.calls {
+	for _, rec := range tab.calls {
+		if len(rec.held) == 0 {
+			continue
+		}
 		for _, target := range p.implementations(rec.callee) {
 			keys := make([]string, 0, len(acq[target]))
 			for key := range acq[target] {
@@ -152,12 +157,12 @@ func (p *Program) lockGraph() *lockGraphInfo {
 			for _, key := range keys {
 				site, owner := resolveAcq(acq, target, key)
 				for _, h := range rec.held {
-					if h == key {
+					if h.key == key {
 						continue
 					}
-					b.addEdge(h, key, rec.pos, rec.fn, fmt.Sprintf(
+					b.addEdge(h.key, key, rec.pos, rec.fn, fmt.Sprintf(
 						"%s held at call to %s (%s), which acquires %s (in %s at %s)",
-						h, target.Name(), p.pos(rec.pos), key, owner.Name(), p.pos(site)))
+						h.key, target.Name(), p.pos(rec.pos), key, owner.Name(), p.pos(site)))
 				}
 			}
 		}
@@ -196,7 +201,7 @@ func (p *Program) lockGraph() *lockGraphInfo {
 			for i := 0; i < len(cycle)-1; i++ {
 				parts = append(parts, b.info.edges[cycle[i]][cycle[i+1]].desc)
 			}
-			b.info.findings = append(b.info.findings, lockFinding{
+			b.info.findings = append(b.info.findings, progFinding{
 				pos: e.pos,
 				pkg: e.fn.Pkg(),
 				msg: fmt.Sprintf("potential deadlock: lock-order cycle %s: %s",
@@ -246,20 +251,8 @@ func canonicalCycle(cycle []string) string {
 	return strings.Join(keys, "|")
 }
 
-// lockCall is one call made while locks are held.
-type lockCall struct {
-	fn     *types.Func
-	pos    token.Pos
-	held   []string
-	callee *types.Func
-}
-
 type lockGraphBuilder struct {
-	prog *Program
 	info *lockGraphInfo
-	// direct[fn][key] is the first position where fn itself locks key.
-	direct map[*types.Func]map[string]token.Pos
-	calls  []lockCall
 }
 
 func (b *lockGraphBuilder) addEdge(from, to string, pos token.Pos, fn *types.Func, desc string) {
@@ -313,257 +306,4 @@ func (b *lockGraphBuilder) findPath(from, to string) []string {
 		}
 	}
 	return nil
-}
-
-// lockOrderScanner walks one function body in statement order, maintaining
-// the held-lock set. The shape mirrors locksend's scanner; the payload here
-// is acquisition edges and under-lock call sites rather than blocking ops.
-type lockOrderScanner struct {
-	b    *lockGraphBuilder
-	fn   *types.Func
-	info *types.Info
-	// attribute: whether acquisitions in the current body count as fn's own
-	// (feeding the transitive sets callers see). True for the declaration
-	// body and synchronously-runnable literals (plain and deferred); false
-	// inside `go`-spawned literals — a goroutine acquires on its own stack,
-	// so a caller holding a lock across a call to fn must not be ordered
-	// against what fn's goroutines lock.
-	attribute bool
-	// queue collects function literals for their own empty-held scan.
-	queue []queuedLit
-}
-
-type queuedLit struct {
-	body      *ast.BlockStmt
-	attribute bool
-}
-
-func (s *lockOrderScanner) scanStmts(list []ast.Stmt, held []string) []string {
-	for _, st := range list {
-		held = s.scanStmt(st, held)
-	}
-	return held
-}
-
-func (s *lockOrderScanner) scanStmt(st ast.Stmt, held []string) []string {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if key, op, ok := s.lockOp(st.X); ok {
-			switch op {
-			case opLock:
-				s.acquire(key, st.Pos(), held)
-				return append(held, key)
-			case opUnlock:
-				return removeLockKey(held, key)
-			}
-		}
-		s.checkExpr(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the mutex held to function end — modeled
-		// by not removing it. Other deferred work runs outside statement
-		// order; its literals scan in their own context but still on fn's
-		// stack, so their acquisitions stay attributed to fn.
-		s.collectLits(st.Call, s.attribute)
-	case *ast.GoStmt:
-		// The goroutine does not hold the spawner's locks, and its
-		// acquisitions happen on its own stack: scan the body separately,
-		// unattributed, and record no call under the current held set.
-		s.collectLits(st.Call, false)
-	case *ast.SendStmt:
-		s.checkExpr(st.Chan, held)
-		s.checkExpr(st.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.checkExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		ast.Inspect(st, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				s.checkExpr(e, held)
-				return false
-			}
-			return true
-		})
-	case *ast.BlockStmt:
-		held = s.scanStmts(st.List, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		s.checkExpr(st.Cond, held)
-		held = s.scanStmts(st.Body.List, held)
-		if st.Else != nil {
-			held = s.scanStmt(st.Else, held)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.checkExpr(st.Cond, held)
-		}
-		held = s.scanStmts(st.Body.List, held)
-	case *ast.RangeStmt:
-		s.checkExpr(st.X, held)
-		held = s.scanStmts(st.Body.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		s.checkExpr(st.Tag, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.LabeledStmt:
-		held = s.scanStmt(st.Stmt, held)
-	}
-	return held
-}
-
-// acquire records a direct acquisition: the first site per (fn, key) when
-// the current body is attributed to fn, and one ordered edge from every
-// currently-held lock regardless.
-func (s *lockOrderScanner) acquire(key string, pos token.Pos, held []string) {
-	if s.attribute {
-		d := s.b.direct[s.fn]
-		if d == nil {
-			d = map[string]token.Pos{}
-			s.b.direct[s.fn] = d
-		}
-		if _, ok := d[key]; !ok {
-			d[key] = pos
-		}
-	}
-	for _, h := range held {
-		s.b.addEdge(h, key, pos, s.fn, fmt.Sprintf(
-			"%s acquired with %s held at %s (in %s)",
-			key, h, s.b.prog.pos(pos), s.fn.Name()))
-	}
-}
-
-// checkExpr records resolvable calls made while locks are held and queues
-// function literals for their own scan.
-func (s *lockOrderScanner) checkExpr(e ast.Expr, held []string) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			s.queue = append(s.queue, queuedLit{body: n.Body, attribute: s.attribute})
-			return false
-		case *ast.CallExpr:
-			if len(held) == 0 {
-				return true
-			}
-			if _, _, ok := s.lockOp(n); ok {
-				return true // Lock/Unlock handled by the statement walk
-			}
-			if callee := calleeFunc(s.info, n); callee != nil {
-				s.b.calls = append(s.b.calls, lockCall{
-					fn: s.fn, pos: n.Pos(), held: append([]string(nil), held...), callee: callee,
-				})
-			}
-		}
-		return true
-	})
-}
-
-func (s *lockOrderScanner) collectLits(n ast.Node, attribute bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			s.queue = append(s.queue, queuedLit{body: lit.Body, attribute: attribute})
-			return false
-		}
-		return true
-	})
-}
-
-// lockOp classifies an expression as a mutex Lock/RLock or Unlock/RUnlock
-// call and derives the lock's program-wide key.
-func (s *lockOrderScanner) lockOp(e ast.Expr) (key string, op int, ok bool) {
-	return lockOpOf(s.info, s.fn, e)
-}
-
-// lockOpOf classifies an expression as a mutex Lock/RLock or Unlock/RUnlock
-// call and derives the lock's program-wide key. RLock counts as Lock: a
-// read-lock cycle still deadlocks once a writer queues between the readers.
-// Shared by the lockorder and guardfield held-set scanners.
-func lockOpOf(info *types.Info, fn *types.Func, e ast.Expr) (key string, op int, ok bool) {
-	call, isCall := e.(*ast.CallExpr)
-	if !isCall {
-		return "", 0, false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", 0, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		op = opLock
-	case "Unlock", "RUnlock":
-		op = opUnlock
-	default:
-		return "", 0, false
-	}
-	if !isSyncType(receiverType(info, sel), "Mutex", "RWMutex") {
-		return "", 0, false
-	}
-	return lockKeyOf(info, fn, sel.X), op, true
-}
-
-// lockKeyOf identifies the mutex behind expr program-wide: by declaring
-// struct type and field for field mutexes, by package for package-level
-// ones, and scoped to the enclosing function otherwise (locals cannot
-// participate in cross-function cycles).
-func lockKeyOf(info *types.Info, fn *types.Func, e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		if tv, ok := info.Types[x.X]; ok && tv.Type != nil {
-			if pkgPath, name := namedType(tv.Type); name != "" {
-				return shortPkgPath(pkgPath) + "." + name + "." + x.Sel.Name
-			}
-		}
-	case *ast.Ident:
-		if obj := info.Uses[x]; obj != nil && obj.Pkg() != nil &&
-			obj.Parent() == obj.Pkg().Scope() {
-			return shortPkgPath(obj.Pkg().Path()) + "." + x.Name
-		}
-	}
-	return fn.FullName() + ":" + types.ExprString(e)
-}
-
-// shortPkgPath renders a package path as its last segment for readable keys.
-func shortPkgPath(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-func removeLockKey(held []string, key string) []string {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == key {
-			return append(held[:i:i], held[i+1:]...)
-		}
-	}
-	return held
 }

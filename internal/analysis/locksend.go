@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -15,12 +14,13 @@ import (
 // stalls with it. That is exactly the deadlock shape partition chaos tests
 // exist to expose, so it is rejected statically.
 //
-// The analysis is a per-function linear approximation: it tracks Lock/RLock
-// and Unlock/RUnlock calls in statement order (a deferred unlock keeps the
-// lock held to the end of the function), and flags blocking operations while
-// any mutex is held. Function literals run in their own context — a
-// goroutine body does not hold its spawner's locks. Select statements with a
-// default clause are non-blocking and pass.
+// The blocking operations and their held sets come from the lock table
+// (locktable.go, walked by flow.go): an early-return arm that unlocks does
+// not release the lock on the path that continues, a deferred unlock keeps
+// the lock held to the end of the function, and a goroutine body does not
+// hold its spawner's locks. Select statements with a default clause are
+// non-blocking and pass; a select's communication clauses block as the
+// select, reported once.
 var LockSend = &Analyzer{
 	Name: "locksend",
 	Tier: 1,
@@ -40,246 +40,17 @@ var fabricMethods = map[string]bool{
 
 func runLockSend(pass *Pass) {
 	path := pass.Pkg.Path()
-	if !pathHasSegments(path, "internal", "comm") &&
+	if pass.Prog == nil || !pathHasSegments(path, "internal", "comm") &&
 		!pathHasSegments(path, "internal", "cluster") &&
 		!pathHasSegments(path, "internal", "core") &&
 		!pathHasSegments(path, "internal", "fault") {
 		return
 	}
-	s := &lockScanner{pass: pass}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				s.scanFunc(fd.Body)
-			}
+	for _, b := range pass.Prog.locks().blocks {
+		if b.fn.Pkg() == pass.Pkg {
+			pass.Reportf(b.pos, b.msg, b.held[len(b.held)-1].text)
 		}
 	}
-}
-
-// heldLock is one currently-held mutex, identified by the source text of its
-// receiver expression.
-type heldLock struct {
-	key string
-	pos token.Pos
-}
-
-type lockScanner struct {
-	pass *Pass
-	// queue collects function literals discovered mid-scan; each runs in its
-	// own context with no inherited locks.
-	queue []*ast.BlockStmt
-}
-
-// scanFunc analyzes one function body and then every function literal found
-// inside it, each with an empty held set.
-func (s *lockScanner) scanFunc(body *ast.BlockStmt) {
-	held := s.scanStmts(body.List, nil)
-	_ = held
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		s.queue = s.queue[1:]
-		s.scanStmts(next.List, nil)
-	}
-}
-
-// scanStmts walks statements in order, maintaining the held-lock set.
-func (s *lockScanner) scanStmts(list []ast.Stmt, held []heldLock) []heldLock {
-	for _, st := range list {
-		held = s.scanStmt(st, held)
-	}
-	return held
-}
-
-func (s *lockScanner) scanStmt(st ast.Stmt, held []heldLock) []heldLock {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if key, op, ok := mutexOp(s.pass.Info, st.X); ok {
-			switch op {
-			case opLock:
-				return append(held, heldLock{key: key, pos: st.Pos()})
-			case opUnlock:
-				return removeLock(held, key)
-			}
-		}
-		s.checkExpr(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the mutex held for the rest of the
-		// function, which is precisely what the scan models by not removing
-		// it. Other deferred calls run outside the statement order; skip.
-		s.collectFuncLits(st.Call)
-	case *ast.GoStmt:
-		// The goroutine does not hold the spawner's locks; its body is
-		// scanned in its own context.
-		s.collectFuncLits(st.Call)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			s.pass.Reportf(st.Pos(),
-				"channel send while %s is held: a blocked send under a lock is the deadlock shape partitions expose", lastLock(held))
-		}
-		s.checkExpr(st.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.checkExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		ast.Inspect(st, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				s.checkExpr(e, held)
-				return false
-			}
-			return true
-		})
-	case *ast.BlockStmt:
-		held = s.scanStmts(st.List, held)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		s.checkExpr(st.Cond, held)
-		held = s.scanStmts(st.Body.List, held)
-		if st.Else != nil {
-			held = s.scanStmt(st.Else, held)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			s.checkExpr(st.Cond, held)
-		}
-		held = s.scanStmts(st.Body.List, held)
-	case *ast.RangeStmt:
-		if len(held) > 0 && isChanType(s.pass.Info, st.X) {
-			s.pass.Reportf(st.Pos(),
-				"blocking receive (range over channel) while %s is held", lastLock(held))
-		}
-		s.checkExpr(st.X, held)
-		held = s.scanStmts(st.Body.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = s.scanStmt(st.Init, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.SelectStmt:
-		if len(held) > 0 && !selectHasDefault(st) {
-			s.pass.Reportf(st.Pos(),
-				"blocking select while %s is held: every case waits on communication", lastLock(held))
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				held = s.scanStmts(cc.Body, held)
-			}
-		}
-	case *ast.LabeledStmt:
-		held = s.scanStmt(st.Stmt, held)
-	}
-	return held
-}
-
-// checkExpr flags blocking operations inside an expression evaluated while
-// locks are held, and queues any function literals for their own scan.
-func (s *lockScanner) checkExpr(e ast.Expr, held []heldLock) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			s.queue = append(s.queue, n.Body)
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && len(held) > 0 {
-				s.pass.Reportf(n.Pos(),
-					"blocking channel receive while %s is held", lastLock(held))
-			}
-		case *ast.CallExpr:
-			if len(held) > 0 {
-				if name, ok := fabricCall(s.pass.Info, n); ok {
-					s.pass.Reportf(n.Pos(),
-						"fabric %s while %s is held: a blocked fabric operation under a lock is the deadlock shape partitions expose",
-						name, lastLock(held))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// collectFuncLits queues every function literal under n for an independent
-// scan.
-func (s *lockScanner) collectFuncLits(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			s.queue = append(s.queue, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
-const (
-	opLock = iota
-	opUnlock
-)
-
-// mutexOp classifies an expression statement as a mutex Lock/RLock or
-// Unlock/RUnlock call and returns the receiver's source text as its key.
-func mutexOp(info *types.Info, e ast.Expr) (key string, op int, ok bool) {
-	call, isCall := e.(*ast.CallExpr)
-	if !isCall {
-		return "", 0, false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", 0, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		op = opLock
-	case "Unlock", "RUnlock":
-		op = opUnlock
-	default:
-		return "", 0, false
-	}
-	if !isSyncType(receiverType(info, sel), "Mutex", "RWMutex") {
-		return "", 0, false
-	}
-	return types.ExprString(sel.X), op, true
-}
-
-func removeLock(held []heldLock, key string) []heldLock {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i].key == key {
-			return append(held[:i:i], held[i+1:]...)
-		}
-	}
-	return held
-}
-
-// lastLock names the most recently acquired held mutex for diagnostics.
-func lastLock(held []heldLock) string { return held[len(held)-1].key }
-
-func selectHasDefault(st *ast.SelectStmt) bool {
-	for _, c := range st.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // fabricCall reports whether call invokes a blocking fabric method — a
@@ -311,4 +82,14 @@ func isChanType(info *types.Info, e ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
+}
+
+// selectHasDefault reports whether a select has a default clause.
+func selectHasDefault(st *ast.SelectStmt) bool {
+	for _, c := range st.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -1,0 +1,347 @@
+package analysis
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+)
+
+// lockTable is the program-wide record the lock analyzers read: every mutex
+// acquisition, call, blocking operation and struct-field access, each with the
+// locks held at that point. It is built by one flow walk per Run (locks are
+// named by lockKeyOf, arms join by intersection) and shared by locksend,
+// lockorder and guardfield.
+type lockTable struct {
+	acquires []lockAcquire
+	calls    []lockCall
+	blocks   []lockBlock
+	// fields holds each program-declared struct field's accesses, order the
+	// fields in first-seen order (for determinism).
+	fields map[types.Object]*guardFieldState
+	order  []types.Object
+	// valueRef marks functions referenced as values: their entry set is
+	// unknowable, so they enter lock-free.
+	valueRef map[*types.Func]bool
+}
+
+// heldLock is one held mutex: key names it program-wide, text is its
+// receiver's source text for messages.
+type heldLock struct {
+	key, text string
+}
+
+// lockSite is where a record was taken: the enclosing declaration and the
+// kind of scope.
+type lockSite struct {
+	fn  *types.Func
+	pos token.Pos
+	// entry: the declaration body itself, where fn's entry-held set applies
+	// (false inside function literals, which run on their own goroutine or at
+	// defer time).
+	entry bool
+	// spawned: inside a literal that runs on a goroutine of its own.
+	spawned bool
+	held    []heldLock
+}
+
+// lockAcquire is one Lock/RLock call; held is the set before it.
+type lockAcquire struct {
+	lockSite
+	key string
+}
+
+// lockCall is one resolvable call site.
+type lockCall struct {
+	lockSite
+	callee *types.Func
+	// spawn: the call is a `go` statement, so the callee starts lock-free.
+	// A deferred call is recorded with no held locks and entry false: it runs
+	// at exit under an unknown held set.
+	spawn bool
+}
+
+// lockBlock is one operation that can block on communication, recorded only
+// while a lock is held. msg has one %s for the most recently acquired lock.
+type lockBlock struct {
+	lockSite
+	msg string
+}
+
+// guardFieldState accumulates one field's accesses plus its rendered name.
+type guardFieldState struct {
+	name     string
+	accesses []guardAccess
+}
+
+// guardAccess is one recorded field access with its lock context.
+type guardAccess struct {
+	lockSite
+	write bool
+}
+
+// locks builds (once) and returns the program's lock table.
+func (p *Program) locks() *lockTable {
+	if p.lockTab != nil {
+		return p.lockTab
+	}
+	w := &lockWalk{prog: p, tab: &lockTable{
+		fields:   map[types.Object]*guardFieldState{},
+		valueRef: map[*types.Func]bool{},
+	}}
+	w.f.hooks = w
+	for _, fn := range p.DeclList {
+		fd := p.Decls[fn]
+		if fd.Body == nil {
+			continue
+		}
+		w.fn, w.info = fn, p.InfoOf[fn]
+		w.ctor = ctorLocals(fd.Body, w.info)
+		w.comm = map[ast.Stmt]bool{}
+		w.f.walkFunc(w.info, fd.Body)
+	}
+	p.lockTab = w.tab
+	return w.tab
+}
+
+// lockWalk is the flow hook set that fills the lock table; its state is the
+// held-lock list.
+type lockWalk struct {
+	f    flow[[]heldLock]
+	prog *Program
+	tab  *lockTable
+	fn   *types.Func
+	info *types.Info
+	ctor map[types.Object]bool
+	// comm holds the communication statements of the selects seen so far:
+	// their blocking is the select's, reported once at the select.
+	comm map[ast.Stmt]bool
+}
+
+func (w *lockWalk) empty() []heldLock { return nil }
+
+func (w *lockWalk) clone(held []heldLock) []heldLock { return append([]heldLock(nil), held...) }
+
+// join keeps the locks held on every arm, in the first arm's order.
+func (w *lockWalk) join(arms [][]heldLock) []heldLock {
+	var out []heldLock
+	for _, h := range arms[0] {
+		inAll := true
+		for _, other := range arms[1:] {
+			inAll = inAll && holds(other, h.key)
+		}
+		if inAll {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+func (w *lockWalk) lit(held []heldLock, _ *ast.FuncLit) []heldLock { return held }
+
+func (w *lockWalk) exit([]heldLock) {}
+
+func (w *lockWalk) site(pos token.Pos, held []heldLock) lockSite {
+	return lockSite{fn: w.fn, pos: pos, entry: !w.f.inLit, spawned: w.f.spawned, held: held}
+}
+
+func (w *lockWalk) block(pos token.Pos, held []heldLock, msg string) {
+	if len(held) > 0 {
+		w.tab.blocks = append(w.tab.blocks, lockBlock{lockSite: w.site(pos, held), msg: msg})
+	}
+}
+
+func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLock, bool) {
+	parent := stackParent(stack)
+	switch n := n.(type) {
+	case *ast.SelectStmt:
+		for _, c := range n.Body.List {
+			if cc := c.(*ast.CommClause); cc.Comm != nil {
+				w.comm[cc.Comm] = true
+			}
+		}
+		if !selectHasDefault(n) {
+			w.block(n.Pos(), held, "blocking select while %s is held: every case waits on communication")
+		}
+	case *ast.RangeStmt:
+		if isChanType(w.info, n.X) {
+			w.block(n.Pos(), held, "blocking receive (range over channel) while %s is held")
+		}
+	case *ast.SendStmt:
+		if !w.comm[n] {
+			w.block(n.Pos(), held,
+				"channel send while %s is held: a blocked send under a lock is the deadlock shape partitions expose")
+		}
+	case *ast.UnaryExpr:
+		if root, _ := stackRoot(stack).(ast.Stmt); n.Op == token.ARROW && !w.comm[root] {
+			w.block(n.Pos(), held, "blocking channel receive while %s is held")
+		}
+	case *ast.CallExpr:
+		if key, text, acquire, ok := mutexCall(w.info, w.fn, n); ok {
+			// Only a Lock or Unlock statement changes the held set; a
+			// deferred Unlock leaves the lock held to the function's end.
+			if _, isStmt := parent.(*ast.ExprStmt); isStmt {
+				if !acquire {
+					return release(held, key), false
+				}
+				w.tab.acquires = append(w.tab.acquires, lockAcquire{lockSite: w.site(n.Pos(), held), key: key})
+				return append(w.clone(held), heldLock{key: key, text: text}), false
+			}
+			return held, false
+		}
+		_, spawn := parent.(*ast.GoStmt)
+		_, deferred := parent.(*ast.DeferStmt)
+		if name, ok := fabricCall(w.info, n); ok && !spawn && !deferred {
+			w.block(n.Pos(), held, "fabric "+name+
+				" while %s is held: a blocked fabric operation under a lock is the deadlock shape partitions expose")
+		}
+		if callee := calleeFunc(w.info, n); callee != nil {
+			site := w.site(n.Pos(), held)
+			if spawn || deferred {
+				site.held, site.entry = nil, false
+			}
+			w.tab.calls = append(w.tab.calls, lockCall{lockSite: site, callee: callee, spawn: spawn})
+		}
+	case *ast.SelectorExpr:
+		w.valueRef(n.Sel, parent, n)
+		w.field(n, held, stack)
+	case *ast.Ident:
+		if sel, ok := parent.(*ast.SelectorExpr); !ok || sel.Sel != n {
+			w.valueRef(n, parent, n)
+		}
+	}
+	return held, true
+}
+
+// valueRef marks a declared function named by id (through expr) as taken as
+// a value unless expr is the callee of a call.
+func (w *lockWalk) valueRef(id *ast.Ident, parent ast.Node, expr ast.Expr) {
+	fn, ok := w.info.Uses[id].(*types.Func)
+	if !ok {
+		return
+	}
+	if call, ok := parent.(*ast.CallExpr); ok && call.Fun == expr {
+		return
+	}
+	if _, declared := w.prog.Decls[fn]; declared {
+		w.tab.valueRef[fn] = true
+	}
+}
+
+// field records one access to a program-declared struct field, unless the
+// field's type is exempt (sync primitives, atomics) or the access is
+// pre-escape constructor initialization. The access is a write when sel is
+// (under index, dereference and parenthesis layers) an assignment target:
+// s.m[k] = v writes (through) field m.
+func (w *lockWalk) field(sel *ast.SelectorExpr, held []heldLock, stack []ast.Node) {
+	obj, ok := w.info.Uses[sel.Sel].(*types.Var)
+	if !ok || !obj.IsField() || obj.Pkg() == nil || !w.prog.Pkgs[obj.Pkg()] ||
+		guardExemptType(obj.Type()) || w.ctor[rootIdentObj(w.info, sel.X)] {
+		return
+	}
+	st := w.tab.fields[obj]
+	if st == nil {
+		ownerPkg, ownerName := namedType(receiverType(w.info, sel))
+		if ownerName == "" {
+			return
+		}
+		st = &guardFieldState{name: shortPkgPath(ownerPkg) + "." + ownerName + "." + obj.Name()}
+		w.tab.fields[obj] = st
+		w.tab.order = append(w.tab.order, obj)
+	}
+	var target ast.Node = sel
+	write := false
+up:
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr, *ast.StarExpr:
+			target = p
+			continue
+		case *ast.IndexExpr:
+			if p.X == target {
+				target = p
+				continue
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range p.Lhs {
+				write = write || lhs == target
+			}
+		case *ast.IncDecStmt:
+			write = p.X == target
+		case *ast.RangeStmt:
+			write = p.Key == target || p.Value == target
+		}
+		break up
+	}
+	st.accesses = append(st.accesses, guardAccess{lockSite: w.site(sel.Sel.Pos(), held), write: write})
+}
+
+// mutexCall classifies a call as a sync.Mutex/RWMutex Lock/RLock (acquire) or
+// Unlock/RUnlock, naming the lock by lockKeyOf and by its receiver's source
+// text. RLock counts as Lock: a read-lock cycle still deadlocks once a writer
+// queues between the readers.
+func mutexCall(info *types.Info, fn *types.Func, call *ast.CallExpr) (key, text string, acquire, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+	default:
+		return "", "", false, false
+	}
+	if !isSyncType(receiverType(info, sel), "Mutex", "RWMutex") {
+		return "", "", false, false
+	}
+	return lockKeyOf(info, fn, sel.X), types.ExprString(sel.X), acquire, true
+}
+
+// lockKeyOf identifies the mutex behind expr program-wide: by declaring
+// struct type and field for field mutexes, by package for package-level
+// ones, and scoped to the enclosing function otherwise (locals cannot
+// participate in cross-function cycles).
+func lockKeyOf(info *types.Info, fn *types.Func, e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.SelectorExpr:
+		if tv, ok := info.Types[x.X]; ok && tv.Type != nil {
+			if pkgPath, name := namedType(tv.Type); name != "" {
+				return shortPkgPath(pkgPath) + "." + name + "." + x.Sel.Name
+			}
+		}
+	case *ast.Ident:
+		if obj := info.Uses[x]; obj != nil && obj.Pkg() != nil &&
+			obj.Parent() == obj.Pkg().Scope() {
+			return shortPkgPath(obj.Pkg().Path()) + "." + x.Name
+		}
+	}
+	return fn.FullName() + ":" + types.ExprString(e)
+}
+
+// shortPkgPath renders a package path as its last segment for readable keys.
+func shortPkgPath(path string) string {
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
+	}
+	return path
+}
+
+// release drops the most recent hold of key.
+func release(held []heldLock, key string) []heldLock {
+	for i := len(held) - 1; i >= 0; i-- {
+		if held[i].key == key {
+			return append(held[:i:i], held[i+1:]...)
+		}
+	}
+	return held
+}
+
+func holds(held []heldLock, key string) bool {
+	for _, h := range held {
+		if h.key == key {
+			return true
+		}
+	}
+	return false
+}

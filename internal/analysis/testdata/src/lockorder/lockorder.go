@@ -61,6 +61,33 @@ func cWork() {
 	c.mu.Unlock()
 }
 
+type G struct{ mu sync.Mutex }
+type H struct{ mu sync.Mutex }
+
+var g G
+var h H
+
+// lockGHAfterEarlyReturn releases G only on the early-return arm, so the
+// path past it takes H with G still held: the cycle's only G→H edge.
+func lockGHAfterEarlyReturn(stop bool) {
+	g.mu.Lock()
+	if stop {
+		g.mu.Unlock()
+		return
+	}
+	h.mu.Lock() // want "potential deadlock: lock-order cycle"
+	h.mu.Unlock()
+	g.mu.Unlock()
+}
+
+// lockHG closes the cycle with H before G.
+func lockHG() {
+	h.mu.Lock()
+	g.mu.Lock()
+	g.mu.Unlock()
+	h.mu.Unlock()
+}
+
 type E struct{ mu sync.Mutex }
 type F struct{ mu sync.Mutex }
 

@@ -61,6 +61,18 @@ func (s *State) DrainUnderLock() int {
 	return total
 }
 
+// SendAfterEarlyReturn releases mu only on the early-return arm: the path
+// that continues still holds it when it sends.
+func (s *State) SendAfterEarlyReturn(stop bool) {
+	s.mu.Lock()
+	if stop {
+		s.mu.Unlock()
+		return
+	}
+	s.events <- 1 // want "channel send while"
+	s.mu.Unlock()
+}
+
 // SnapshotThenSend copies under the lock and sends after releasing it.
 func (s *State) SnapshotThenSend() {
 	s.mu.Lock()

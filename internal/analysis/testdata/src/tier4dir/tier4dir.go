@@ -6,7 +6,6 @@ package tier4dir
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -67,27 +66,17 @@ func pump(stop chan struct{}) {
 	}
 }
 
-// gauge.v is disciplined by the atomic witness in bump.
-type gauge struct {
-	v int64
-}
-
-func bump(g *gauge) {
-	atomic.AddInt64(&g.v, 1)
-}
-
-// readSuppressed carries a live atomicmix suppression: the finding is
-// silenced and the directive is not stale.
-func readSuppressed(g *gauge) int64 {
-	//khuzdulvet:ignore atomicmix tier4 matrix: suppressed on purpose
-	return g.v
+// schedule carries a live timerstop suppression: the discarded timer's
+// finding is silenced and the directive is not stale.
+func schedule(f func()) {
+	//khuzdulvet:ignore timerstop tier4 matrix: suppressed on purpose
+	time.AfterFunc(time.Second, f)
 }
 
 // fixedAll holds one stale ignore per tier-4 analyzer: the excused findings
 // no longer exist, so each directive is reported.
 func fixedAll() {
 	//khuzdulvet:ignore guardfield tier4 matrix: the access was locked
-	//khuzdulvet:ignore atomicmix tier4 matrix: the field went fully atomic
 	//khuzdulvet:ignore timerstop tier4 matrix: the ticker is stopped now
 	_ = 0
 }

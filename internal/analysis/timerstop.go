@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // TimerStop enforces Stop discipline on time.NewTicker, time.NewTimer and
@@ -14,16 +15,15 @@ import (
 // per-query ticker leaked on one early-return path is a slow memory and
 // wakeup leak that no test notices.
 //
-// The analyzer runs a linear, branch-merging abstract interpretation over
-// every declared body (and every function literal, each with its own
-// scope): each tracked timer carries two bits, stopped and escaped. At a
-// branch the state is cloned per arm and merged afterwards — stopped is
-// AND-ed (a timer is only stopped if every arm stopped it), escaped is
-// OR-ed. `defer t.Stop()` sets stopped for every later exit; receiving from
-// a timer's (not ticker's) C counts as stopped on that arm, because a fired
-// timer needs no Stop. At each return statement and at the body's end,
-// every live timer that is neither stopped nor escaped is reported at its
-// creation site.
+// The analyzer runs a branch-merging abstract interpretation on the shared
+// flow walker (flow.go) over every declared body (and every function
+// literal, each with its own scope): each tracked timer carries two bits,
+// stopped and escaped. Where arms join, stopped is AND-ed (a timer is only
+// stopped if every arm stopped it) and escaped is OR-ed. `defer t.Stop()`
+// sets stopped for every later exit; receiving from a timer's (not
+// ticker's) C counts as stopped on that arm, because a fired timer needs no
+// Stop. At each return statement and at the body's end, every live timer
+// that is neither stopped nor escaped is reported at its creation site.
 //
 // Escapes transfer responsibility rather than silencing the program-wide
 // check: a timer returned to the caller is tracked again at the call site
@@ -42,14 +42,8 @@ var TimerStop = &Analyzer{
 }
 
 func runTimerStop(pass *Pass) {
-	if pass.Prog == nil {
-		return
-	}
-	info := pass.Prog.timerStop()
-	for _, f := range info.findings {
-		if f.pkg == pass.Pkg {
-			pass.Reportf(f.pos, "%s", f.msg)
-		}
+	if pass.Prog != nil {
+		reportProg(pass, pass.Prog.timerStop().findings)
 	}
 }
 
@@ -71,35 +65,6 @@ type timerVal struct {
 // timerState maps local timer objects to their abstract state.
 type timerState map[types.Object]timerVal
 
-func cloneTimerState(st timerState) timerState {
-	out := make(timerState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
-// mergeTimerState replaces st with the join of branches (each derived from
-// a clone of st): stopped is AND-ed over the branches where the timer
-// exists, escaped is OR-ed.
-func mergeTimerState(st timerState, branches []timerState) {
-	for k := range st {
-		delete(st, k)
-	}
-	for _, b := range branches {
-		for obj, v := range b {
-			cur, ok := st[obj]
-			if !ok {
-				st[obj] = v
-				continue
-			}
-			cur.stopped = cur.stopped && v.stopped
-			cur.escaped = cur.escaped || v.escaped
-			st[obj] = cur
-		}
-	}
-}
-
 // timerStop builds (once) and returns the program's timer-leak findings.
 func (p *Program) timerStop() *timerStopInfo {
 	if p.timerInfo != nil {
@@ -114,24 +79,12 @@ func (p *Program) timerStop() *timerStopInfo {
 		seen[pos] = true
 		info.findings = append(info.findings, progFinding{pos: pos, pkg: pkg, msg: msg})
 	}
-	sources := p.timerSources()
-	fieldStops := p.timerFieldStops()
+	s := &timerWalk{sources: p.timerSources(), fieldStops: p.timerFieldStops(), report: report}
+	s.f.hooks = s
 	for _, fn := range p.DeclList {
-		fd := p.Decls[fn]
-		if fd.Body == nil {
-			continue
-		}
-		s := &timerScanner{
-			prog:       p,
-			info:       p.InfoOf[fn],
-			fn:         fn,
-			sources:    sources,
-			fieldStops: fieldStops,
-			report:     report,
-		}
-		st := timerState{}
-		if !s.scanStmts(st, fd.Body.List) {
-			s.checkExit(st)
+		if fd := p.Decls[fn]; fd.Body != nil {
+			s.fn, s.info = fn, p.InfoOf[fn]
+			s.f.walkFunc(s.info, fd.Body)
 		}
 	}
 	p.timerInfo = info
@@ -275,9 +228,10 @@ func (p *Program) timerFieldStops() map[types.Object]bool {
 	return out
 }
 
-// timerScanner runs the abstract interpretation over one declared body.
-type timerScanner struct {
-	prog       *Program
+// timerWalk is the flow hook set of the abstract interpretation; its state
+// is the timer map of the scope being walked.
+type timerWalk struct {
+	f          flow[timerState]
 	info       *types.Info
 	fn         *types.Func
 	sources    map[*types.Func]bool
@@ -285,10 +239,33 @@ type timerScanner struct {
 	report     func(pos token.Pos, pkg *types.Package, msg string)
 }
 
-func (s *timerScanner) pkg() *types.Package { return s.fn.Pkg() }
+func (s *timerWalk) empty() timerState { return timerState{} }
 
-// checkExit reports every live timer that is neither stopped nor escaped.
-func (s *timerScanner) checkExit(st timerState) {
+func (s *timerWalk) clone(st timerState) timerState { return maps.Clone(st) }
+
+// join is the merge of arms (each derived from a clone of one state):
+// stopped is AND-ed over the arms where the timer exists, escaped is OR-ed.
+func (s *timerWalk) join(arms []timerState) timerState {
+	out := timerState{}
+	for _, b := range arms {
+		for obj, v := range b {
+			cur, ok := out[obj]
+			if !ok {
+				out[obj] = v
+				continue
+			}
+			cur.stopped = cur.stopped && v.stopped
+			cur.escaped = cur.escaped || v.escaped
+			out[obj] = cur
+		}
+	}
+	return out
+}
+
+func (s *timerWalk) pkg() *types.Package { return s.fn.Pkg() }
+
+// exit reports every live timer that is neither stopped nor escaped.
+func (s *timerWalk) exit(st timerState) {
 	for _, tv := range st {
 		if tv.stopped || tv.escaped {
 			continue
@@ -308,26 +285,19 @@ func tickerSuffix(kind string) string {
 	return ""
 }
 
-// scanStmts scans a statement list in order; it reports true when the list
-// terminates (returns on every path), in which case the caller must not
-// merge its state back or run an exit check on it.
-func (s *timerScanner) scanStmts(st timerState, list []ast.Stmt) bool {
-	for _, stmt := range list {
-		if s.scanStmt(st, stmt) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanStmt scans one statement, mutating st; true means the statement
-// terminates the enclosing function on every path through it.
-func (s *timerScanner) scanStmt(st timerState, stmt ast.Stmt) bool {
-	switch n := stmt.(type) {
+// node handles the statements that bind, discard or defer-stop a timer
+// itself, and every identifier: t.Stop() calls (and method values) mark
+// stopped, <-t.C on a timer marks that arm stopped, t.C and t.Reset uses are
+// neutral, and any other appearance of a tracked timer — returned, passed,
+// aliased — marks it escaped.
+func (s *timerWalk) node(st timerState, n ast.Node, stack []ast.Node) (timerState, bool) {
+	switch n := n.(type) {
 	case *ast.AssignStmt:
 		s.scanAssign(st, n)
+		return st, false
 	case *ast.DeclStmt:
 		s.scanDecl(st, n)
+		return st, false
 	case *ast.ExprStmt:
 		if call, ok := n.X.(*ast.CallExpr); ok {
 			if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
@@ -336,174 +306,75 @@ func (s *timerScanner) scanStmt(st timerState, stmt ast.Stmt) bool {
 						"leaks its runtime timer%s — bind it and defer Stop",
 					callName, kind, tickerSuffix(kind)))
 				for _, a := range call.Args {
-					s.scanExpr(st, a)
+					s.f.visit(st, a)
 				}
-				return false
+				return st, false
 			}
 		}
-		s.scanExpr(st, n.X)
-	case *ast.SendStmt:
-		s.scanExpr(st, n.Chan)
-		s.scanExpr(st, n.Value)
-	case *ast.IncDecStmt:
-		s.scanExpr(st, n.X)
 	case *ast.DeferStmt:
-		s.scanDefer(st, n)
-	case *ast.GoStmt:
-		s.scanExpr(st, n.Call)
-	case *ast.ReturnStmt:
-		for _, r := range n.Results {
-			s.scanExpr(st, r)
-		}
-		s.checkExit(st)
-		return true
-	case *ast.BlockStmt:
-		return s.scanStmts(st, n.List)
-	case *ast.LabeledStmt:
-		return s.scanStmt(st, n.Stmt)
-	case *ast.IfStmt:
-		if n.Init != nil {
-			s.scanStmt(st, n.Init)
-		}
-		s.scanExpr(st, n.Cond)
-		thenSt := cloneTimerState(st)
-		thenDead := s.scanStmts(thenSt, n.Body.List)
-		elseSt := cloneTimerState(st)
-		elseDead := false
-		if n.Else != nil {
-			elseDead = s.scanStmt(elseSt, n.Else)
-		}
-		var live []timerState
-		if !thenDead {
-			live = append(live, thenSt)
-		}
-		if !elseDead {
-			live = append(live, elseSt)
-		}
-		if len(live) == 0 {
-			return true
-		}
-		mergeTimerState(st, live)
-	case *ast.ForStmt:
-		if n.Init != nil {
-			s.scanStmt(st, n.Init)
-		}
-		if n.Cond != nil {
-			s.scanExpr(st, n.Cond)
-		}
-		body := cloneTimerState(st)
-		dead := s.scanStmts(body, n.Body.List)
-		if !dead && n.Post != nil {
-			s.scanStmt(body, n.Post)
-		}
-		if n.Cond == nil && !hasBreak(n.Body) {
-			// `for { ... }` with no break never falls through; the only
-			// exits are the returns inside, already checked.
-			return true
-		}
-		branches := []timerState{cloneTimerState(st)}
-		if !dead {
-			branches = append(branches, body)
-		}
-		mergeTimerState(st, branches)
-	case *ast.RangeStmt:
-		s.scanExpr(st, n.X)
-		body := cloneTimerState(st)
-		dead := s.scanStmts(body, n.Body.List)
-		branches := []timerState{cloneTimerState(st)}
-		if !dead {
-			branches = append(branches, body)
-		}
-		mergeTimerState(st, branches)
-	case *ast.SwitchStmt:
-		if n.Init != nil {
-			s.scanStmt(st, n.Init)
-		}
-		if n.Tag != nil {
-			s.scanExpr(st, n.Tag)
-		}
-		return s.scanCases(st, n.Body, true)
-	case *ast.TypeSwitchStmt:
-		if n.Init != nil {
-			s.scanStmt(st, n.Init)
-		}
-		s.scanStmt(st, n.Assign)
-		return s.scanCases(st, n.Body, true)
-	case *ast.SelectStmt:
-		if len(n.Body.List) == 0 {
-			return true // select{} blocks forever
-		}
-		return s.scanCases(st, n.Body, false)
-	}
-	return false
-}
-
-// scanCases handles the clause bodies of switch, type-switch and select.
-// fallthroughToPre adds the pre-state as a branch when no default clause
-// exists (a switch may match nothing; a select without default still always
-// runs exactly one clause).
-func (s *timerScanner) scanCases(st timerState, body *ast.BlockStmt, fallthroughToPre bool) bool {
-	hasDefault := false
-	var live []timerState
-	for _, cs := range body.List {
-		var clauseBody []ast.Stmt
-		br := cloneTimerState(st)
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
+		// `defer t.Stop()` stops the timer for every later exit.
+		if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stop" {
+			if id, okID := sel.X.(*ast.Ident); okID {
+				obj := s.identDefOrUse(id)
+				if tv, tracked := st[obj]; tracked {
+					tv.stopped = true
+					st[obj] = tv
+					return st, false
+				}
 			}
-			for _, e := range c.List {
-				s.scanExpr(st, e)
-			}
-			clauseBody = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				s.scanStmt(br, c.Comm)
-			}
-			clauseBody = c.Body
 		}
-		if !s.scanStmts(br, clauseBody) {
-			live = append(live, br)
+	case *ast.Ident:
+		obj := s.info.Uses[n]
+		tv, tracked := st[obj]
+		if obj == nil || !tracked {
+			return st, true
 		}
+		if sel, okSel := stackParent(stack).(*ast.SelectorExpr); okSel && sel.X == n {
+			switch sel.Sel.Name {
+			case "Stop":
+				tv.stopped = true
+			case "Reset":
+				// Neutral: resetting neither stops nor leaks.
+			case "C":
+				// A received timer has fired; no Stop owed on this arm.
+				u, okU := stackParent(stack[:len(stack)-1]).(*ast.UnaryExpr)
+				tv.stopped = tv.stopped || okU && u.Op == token.ARROW && tv.kind == "timer"
+			default:
+				tv.escaped = true
+			}
+		} else {
+			tv.escaped = true
+		}
+		st[obj] = tv
 	}
-	if fallthroughToPre && !hasDefault {
-		live = append(live, cloneTimerState(st))
-	}
-	if len(live) == 0 {
-		return true
-	}
-	mergeTimerState(st, live)
-	return false
+	return st, true
 }
 
 // scanAssign handles bindings: creation calls and source-function calls
 // bind trackable timers; everything else is scanned for stops and escapes,
 // and storing a tracked timer into a never-stopped field is reported.
-func (s *timerScanner) scanAssign(st timerState, n *ast.AssignStmt) {
+func (s *timerWalk) scanAssign(st timerState, n *ast.AssignStmt) {
 	if len(n.Rhs) == 1 {
 		if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
 			if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
 				for _, a := range call.Args {
-					s.scanExpr(st, a)
+					s.f.visit(st, a)
 				}
 				s.bindCreation(st, n.Lhs, call, kind, callName)
 				return
 			}
 			if cf := calleeFunc(s.info, call); cf != nil && s.sources[cf] {
 				for _, a := range call.Args {
-					s.scanExpr(st, a)
+					s.f.visit(st, a)
 				}
-				s.scanExpr(st, call.Fun)
+				s.f.visit(st, call.Fun)
 				s.bindFromSource(st, n.Lhs, call, cf)
 				return
 			}
 		}
 	}
 	for _, r := range n.Rhs {
-		s.scanExpr(st, r)
+		s.f.visit(st, r)
 	}
 	if len(n.Lhs) == len(n.Rhs) {
 		for i := range n.Rhs {
@@ -512,13 +383,13 @@ func (s *timerScanner) scanAssign(st timerState, n *ast.AssignStmt) {
 	}
 	for _, l := range n.Lhs {
 		if _, isIdent := l.(*ast.Ident); !isIdent {
-			s.scanExpr(st, l)
+			s.f.visit(st, l)
 		}
 	}
 }
 
 // scanDecl handles `var t = time.NewTicker(d)` declarations.
-func (s *timerScanner) scanDecl(st timerState, n *ast.DeclStmt) {
+func (s *timerWalk) scanDecl(st timerState, n *ast.DeclStmt) {
 	gd, ok := n.Decl.(*ast.GenDecl)
 	if !ok {
 		return
@@ -532,7 +403,7 @@ func (s *timerScanner) scanDecl(st timerState, n *ast.DeclStmt) {
 			if call, okCall := vs.Values[0].(*ast.CallExpr); okCall {
 				if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
 					for _, a := range call.Args {
-						s.scanExpr(st, a)
+						s.f.visit(st, a)
 					}
 					s.bindIdent(st, vs.Names[0], call, kind, callName)
 					continue
@@ -540,7 +411,7 @@ func (s *timerScanner) scanDecl(st timerState, n *ast.DeclStmt) {
 			}
 		}
 		for _, v := range vs.Values {
-			s.scanExpr(st, v)
+			s.f.visit(st, v)
 		}
 	}
 }
@@ -548,7 +419,7 @@ func (s *timerScanner) scanDecl(st timerState, n *ast.DeclStmt) {
 // bindCreation binds a constructor result to its single LHS: a local starts
 // tracking, `_` is an immediate leak, a field store is checked against the
 // program-wide field-stop set.
-func (s *timerScanner) bindCreation(st timerState, lhs []ast.Expr, call *ast.CallExpr, kind, callName string) {
+func (s *timerWalk) bindCreation(st timerState, lhs []ast.Expr, call *ast.CallExpr, kind, callName string) {
 	if len(lhs) != 1 {
 		return
 	}
@@ -565,11 +436,11 @@ func (s *timerScanner) bindCreation(st timerState, lhs []ast.Expr, call *ast.Cal
 			}
 			return
 		}
-		s.scanExpr(st, l)
+		s.f.visit(st, l)
 	}
 }
 
-func (s *timerScanner) bindIdent(st timerState, id *ast.Ident, call *ast.CallExpr, kind, callName string) {
+func (s *timerWalk) bindIdent(st timerState, id *ast.Ident, call *ast.CallExpr, kind, callName string) {
 	if id.Name == "_" {
 		s.report(call.Pos(), s.pkg(), fmt.Sprintf(
 			"result of %s is discarded; the %s can never be stopped and leaks "+
@@ -588,7 +459,7 @@ func (s *timerScanner) bindIdent(st timerState, id *ast.Ident, call *ast.CallExp
 // checkRebind reports a live tracked timer about to be overwritten by a
 // fresh binding to the same variable: the old value becomes unreachable
 // with no Stop possible, so the leak must be charged now or never.
-func (s *timerScanner) checkRebind(st timerState, obj types.Object) {
+func (s *timerWalk) checkRebind(st timerState, obj types.Object) {
 	tv, tracked := st[obj]
 	if !tracked || tv.stopped || tv.escaped {
 		return
@@ -602,7 +473,7 @@ func (s *timerScanner) checkRebind(st timerState, obj types.Object) {
 
 // bindFromSource tracks the timer-typed results of a call to an in-program
 // timer source: `t, err := newDrainTimer()` makes t the caller's to stop.
-func (s *timerScanner) bindFromSource(st timerState, lhs []ast.Expr, call *ast.CallExpr, cf *types.Func) {
+func (s *timerWalk) bindFromSource(st timerState, lhs []ast.Expr, call *ast.CallExpr, cf *types.Func) {
 	for _, l := range lhs {
 		id, ok := l.(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -624,7 +495,7 @@ func (s *timerScanner) bindFromSource(st timerState, lhs []ast.Expr, call *ast.C
 // checkFieldStore reports a tracked timer stored into a field that no code
 // in the program can stop. The store still marks the value escaped (via
 // scanExpr's identifier rule), so the leak is reported exactly once, here.
-func (s *timerScanner) checkFieldStore(st timerState, lhs, rhs ast.Expr) {
+func (s *timerWalk) checkFieldStore(st timerState, lhs, rhs ast.Expr) {
 	id, ok := rhs.(*ast.Ident)
 	if !ok {
 		return
@@ -647,88 +518,12 @@ func (s *timerScanner) checkFieldStore(st timerState, lhs, rhs ast.Expr) {
 		tv.call, tv.name, fobj.Name(), tv.kind, tickerSuffix(tv.kind)))
 }
 
-// scanDefer handles deferred calls: `defer t.Stop()` stops the timer for
-// every later exit, a deferred closure is inspected for stops and escapes,
-// and a tracked timer deferred as an argument escapes.
-func (s *timerScanner) scanDefer(st timerState, n *ast.DeferStmt) {
-	call := n.Call
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Stop" {
-		if id, okID := sel.X.(*ast.Ident); okID {
-			if obj := s.identDefOrUse(id); obj != nil {
-				if tv, tracked := st[obj]; tracked {
-					tv.stopped = true
-					st[obj] = tv
-					return
-				}
-			}
-		}
-	}
-	s.scanExpr(st, call)
-}
-
-// scanExpr walks an expression, updating st: t.Stop() calls (and method
-// values) mark stopped, <-t.C on a timer marks that arm stopped, t.C and
-// t.Reset uses are neutral, and any other appearance of a tracked timer —
-// returned, passed, aliased, captured — marks it escaped. Function literals
-// are handled separately: their effect on outer timers is summarized, and
-// their own bodies are scanned as independent scopes.
-func (s *timerScanner) scanExpr(st timerState, e ast.Expr) {
-	if e == nil {
-		return
-	}
-	inspectStack(e, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			s.handleLit(st, n)
-			return false
-		case *ast.Ident:
-			obj := s.info.Uses[n]
-			if obj == nil {
-				return true
-			}
-			tv, tracked := st[obj]
-			if !tracked {
-				return true
-			}
-			parent := ast.Node(nil)
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			if sel, okSel := parent.(*ast.SelectorExpr); okSel && sel.X == n {
-				switch sel.Sel.Name {
-				case "Stop":
-					tv.stopped = true
-					st[obj] = tv
-				case "Reset":
-					// Neutral: resetting neither stops nor leaks.
-				case "C":
-					if tv.kind == "timer" && len(stack) > 1 {
-						if u, okU := stack[len(stack)-2].(*ast.UnaryExpr); okU && u.Op == token.ARROW {
-							// A received timer has fired; no Stop owed on
-							// this arm.
-							tv.stopped = true
-							st[obj] = tv
-						}
-					}
-				default:
-					tv.escaped = true
-					st[obj] = tv
-				}
-				return true
-			}
-			tv.escaped = true
-			st[obj] = tv
-		}
-		return true
-	})
-}
-
-// handleLit summarizes a function literal's effect on the outer timers —
-// a literal that calls t.Stop() stops it (deferred cleanup closures), one
-// that merely references t captures it (escape) — then scans the literal's
-// own body as an independent scope so timers created inside goroutines and
-// closures get their own exit checks.
-func (s *timerScanner) handleLit(st timerState, lit *ast.FuncLit) {
+// lit summarizes a function literal's effect on the outer timers — a
+// literal that calls t.Stop() stops it (deferred cleanup closures), one that
+// merely references t captures it (escape). The walker then walks the
+// literal's body as a scope of its own, so timers created inside goroutines
+// and closures get their own exit checks.
+func (s *timerWalk) lit(st timerState, lit *ast.FuncLit) timerState {
 	for obj, tv := range st {
 		switch litTimerUse(s.info, lit, obj) {
 		case litUseStop:
@@ -739,10 +534,7 @@ func (s *timerScanner) handleLit(st timerState, lit *ast.FuncLit) {
 			st[obj] = tv
 		}
 	}
-	inner := timerState{}
-	if !s.scanStmts(inner, lit.Body.List) {
-		s.checkExit(inner)
-	}
+	return st
 }
 
 const (
@@ -781,29 +573,9 @@ func litTimerUse(info *types.Info, lit *ast.FuncLit, obj types.Object) int {
 	return use
 }
 
-func (s *timerScanner) identDefOrUse(id *ast.Ident) types.Object {
+func (s *timerWalk) identDefOrUse(id *ast.Ident) types.Object {
 	if obj := s.info.Defs[id]; obj != nil {
 		return obj
 	}
 	return s.info.Uses[id]
-}
-
-// hasBreak reports whether body contains a break statement at any depth
-// outside nested function literals. Used to decide whether an infinite
-// `for {}` can fall through; nested-loop breaks make the answer
-// conservatively true.
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

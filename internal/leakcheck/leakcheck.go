@@ -1,11 +1,11 @@
 // Package leakcheck fails tests that leak goroutines. The chaos and TCP
 // fabric tests exercise exactly the code whose goroutines are easiest to
 // strand — abandoned fetch attempts, heartbeat loops, speculative engines —
-// and the goroutinejoin analyzer can only prove a join exists, not that it
-// is reached. This runtime check closes that gap with nothing but the
-// standard library: snapshot the goroutine count at test start, then after
-// the test give exiting goroutines a settle window and fail if the count
-// never returns to the baseline.
+// and a join visible in the source proves nothing about whether it is
+// reached. This check is the tree's one guard that every goroutine is
+// joined, with nothing but the standard library: snapshot the goroutine
+// count at test start, then after the test give exiting goroutines a
+// settle window and fail if the count never returns to the baseline.
 package leakcheck
 
 import (

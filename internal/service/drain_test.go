@@ -248,6 +248,32 @@ func TestServerDeadlineCap(t *testing.T) {
 	}
 }
 
+// TestSequentialSubmitsAdmitted: a client that waits for each result before
+// submitting again is never refused at MaxConcurrent 1 — the admission token
+// is back in the window before the result frame reaches the client.
+func TestSequentialSubmitsAdmitted(t *testing.T) {
+	leakcheck.Check(t)
+	_, srv := newTestServer(t, fastClusterConfig(), Config{MaxConcurrent: 1, WorkerBudget: 1})
+	cli, err := Dial(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const runs = 300
+	for i := 0; i < runs; i++ {
+		if out, err := cli.Run(Spec{Pattern: "triangle"}); err != nil {
+			t.Fatalf("run %d of %d: err %v (outcome %+v), want admitted", i+1, runs, err, out)
+		}
+	}
+	m := srv.Metrics()
+	if n := m.QueriesRejected.Load(); n != 0 {
+		t.Fatalf("QueriesRejected = %d, want 0", n)
+	}
+	if n := m.ActiveQueries.Load(); n != 0 {
+		t.Fatalf("ActiveQueries = %d after every result returned, want 0", n)
+	}
+}
+
 // TestHealthProbe: the health frame reports drain state and load over the
 // same connection queries use.
 func TestHealthProbe(t *testing.T) {

@@ -445,22 +445,30 @@ func (s *Server) deadlineFor(sub *comm.QuerySubmit) time.Duration {
 	return d
 }
 
-// runQuery executes one admitted query end to end: resolve the plan, arm
-// the deadline, stream progress while the cluster runs it under this
-// query's cancel channel and worker budget, and deliver the terminal
-// result. The result frame is always written before the qwg ticket is
-// released, so Drain can guarantee clients a final status.
+// runQuery executes one admitted query end to end and delivers its terminal
+// result. The query's admission token, its ActiveQueries count and its
+// connection registration are all released before the result frame is
+// written, so a client that resubmits the moment a result arrives finds the
+// slot free (and may reuse the query ID). The qwg ticket is released only
+// after the write, so Drain can guarantee clients a final status.
 func (s *Server) runQuery(st *connState, sub *comm.QuerySubmit, cancel chan struct{}) {
 	defer s.qwg.Done()
 	defer st.wg.Done()
-	defer func() { <-s.admit }()
-	defer st.finish(sub.ID)
 	cur := s.met.ActiveQueries.Add(1)
 	if cur > 0 {
 		s.met.RecordActivePeak(uint64(cur))
 	}
-	defer s.met.ActiveQueries.Add(-1)
+	res := s.execute(st, sub, cancel)
+	st.finish(sub.ID)
+	s.met.ActiveQueries.Add(-1)
+	<-s.admit
+	st.qc.WriteResult(res)
+}
 
+// execute resolves the plan, arms the deadline, streams progress while the
+// cluster runs it under this query's cancel channel and worker budget, and
+// returns the terminal result.
+func (s *Server) execute(st *connState, sub *comm.QuerySubmit, cancel chan struct{}) *comm.QueryResult {
 	// The deadline covers the query's whole server-side life — plan
 	// resolution, execution, and any crash-recovery rounds it triggers.
 	var deadlined atomic.Bool
@@ -475,37 +483,35 @@ func (s *Server) runQuery(st *connState, sub *comm.QuerySubmit, cancel chan stru
 
 	// canceled classifies a cancellation after the fact: the deadline
 	// fired, drain hard-canceled us, or the client asked.
-	canceled := func(planID uint32, elapsed time.Duration) {
+	canceled := func(planID uint32, elapsed time.Duration) *comm.QueryResult {
 		switch {
 		case deadlined.Load():
 			s.met.QueriesDeadlineExceeded.Add(1)
-			st.qc.WriteResult(&comm.QueryResult{
+			return &comm.QueryResult{
 				ID: sub.ID, Status: comm.QueryDeadlineExceeded, PlanID: planID,
 				Elapsed: elapsed, Detail: fmt.Sprintf("deadline %v exceeded", deadline),
-			})
+			}
 		case s.drainKill.Load():
 			s.met.QueriesCanceled.Add(1)
-			st.qc.WriteResult(&comm.QueryResult{
+			return &comm.QueryResult{
 				ID: sub.ID, Status: comm.QueryCanceled, PlanID: planID,
 				Elapsed: elapsed, Detail: "DRAINING: hard-canceled at drain timeout",
-			})
+			}
 		default:
 			s.met.QueriesCanceled.Add(1)
-			st.qc.WriteResult(&comm.QueryResult{
+			return &comm.QueryResult{
 				ID: sub.ID, Status: comm.QueryCanceled, PlanID: planID, Elapsed: elapsed,
-			})
+			}
 		}
 	}
 
 	planID, pl, err := s.reg.resolve(sub)
 	if err != nil {
 		s.met.QueriesFailed.Add(1)
-		st.qc.WriteResult(&comm.QueryResult{ID: sub.ID, Status: comm.QueryFailed, Detail: err.Error()})
-		return
+		return &comm.QueryResult{ID: sub.ID, Status: comm.QueryFailed, Detail: err.Error()}
 	}
 	if chanClosed(cancel) {
-		canceled(planID, 0)
-		return
+		return canceled(planID, 0)
 	}
 
 	start := time.Now()
@@ -515,18 +521,18 @@ func (s *Server) runQuery(st *connState, sub *comm.QuerySubmit, cancel chan stru
 	switch {
 	case runErr == nil:
 		s.met.QueriesOK.Add(1)
-		st.qc.WriteResult(&comm.QueryResult{
+		return &comm.QueryResult{
 			ID: sub.ID, Status: comm.QueryOK, PlanID: planID,
 			Count: res.Count, Elapsed: elapsed,
-		})
+		}
 	case errors.Is(runErr, cluster.ErrRunCanceled):
-		canceled(planID, elapsed)
+		return canceled(planID, elapsed)
 	default:
 		s.met.QueriesFailed.Add(1)
-		st.qc.WriteResult(&comm.QueryResult{
+		return &comm.QueryResult{
 			ID: sub.ID, Status: comm.QueryFailed, PlanID: planID,
 			Elapsed: elapsed, Detail: runErr.Error(),
-		})
+		}
 	}
 }
 
