@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -68,7 +69,6 @@ func runMine() {
 		cachePol  = flag.String("cache-policy", "static", "cache policy: static, fifo, lifo, lru, mru")
 		cacheDeg  = flag.Uint("cache-threshold", 8, "static cache degree admission threshold")
 		noHDS     = flag.Bool("no-hds", false, "disable horizontal data sharing")
-		hubThresh = flag.Int("hub-threshold", 0, "hub-vertex degree threshold for the bitmap intersection kernel (0 = derive from the degree histogram; set above the max degree to disable)")
 		tcp       = flag.Bool("tcp", false, "use the loopback TCP fabric")
 		inflight  = flag.Int("inflight", 0, "multiplexed requests kept in flight per TCP peer connection (0 = default 16)")
 		faultProf = flag.String("fault-profile", "", "deterministic fault injection spec, e.g. seed=7,err=0.05,corrupt=0.01,drop=0.01,partition=0|1@500,slow=2:20,crash=2@500 (empty disables)")
@@ -83,7 +83,7 @@ func runMine() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *hubThresh, *fetchTO, 0, 0, *faultProf); err != nil {
+	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *cacheDeg, *fetchTO, 0, 0, *faultProf); err != nil {
 		fatal(err)
 	}
 
@@ -108,7 +108,6 @@ func runMine() {
 		CachePolicy:          *cachePol,
 		CacheDegreeThreshold: uint32(*cacheDeg),
 		DisableHDS:           *noHDS,
-		HubThreshold:         uint32(*hubThresh),
 		TCP:                  *tcp,
 		InFlight:             *inflight,
 		FaultProfile:         *faultProf,
@@ -370,10 +369,15 @@ func runHealth(args []string) {
 // settings up front, before any graph loading, with errors that name the
 // flag — the alternative is a partition panic or a silently useless retry
 // budget deep inside a run. app and k are the mining job's (serve passes "").
-func validateFlags(app string, k, nodes, sockets, threads, retries, inflight, hubThreshold int, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
-	if strings.EqualFold(app, "mc") {
+func validateFlags(app string, k, nodes, sockets, threads, retries, inflight int, cacheThreshold uint, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
+	switch {
+	case strings.EqualFold(app, "mc"):
 		if err := pattern.CheckMotifSize(k); err != nil {
 			return fmt.Errorf("bad -k for -app mc: %w", err)
+		}
+	case strings.EqualFold(app, "cc"):
+		if k < 2 || k > pattern.MaxVertices {
+			return fmt.Errorf("bad -k for -app cc: k must be in [2,%d], got %d", pattern.MaxVertices, k)
 		}
 	}
 	if nodes <= 0 {
@@ -391,8 +395,8 @@ func validateFlags(app string, k, nodes, sockets, threads, retries, inflight, hu
 	if inflight < 0 {
 		return fmt.Errorf("-inflight must not be negative, got %d", inflight)
 	}
-	if hubThreshold < 0 {
-		return fmt.Errorf("-hub-threshold must not be negative, got %d", hubThreshold)
+	if cacheThreshold > math.MaxUint32 {
+		return fmt.Errorf("-cache-threshold must be at most %d, got %d", uint32(math.MaxUint32), cacheThreshold)
 	}
 	if fetchTO < 0 {
 		return fmt.Errorf("-fetch-timeout must not be negative, got %v", fetchTO)
@@ -442,9 +446,8 @@ func report(res khuzdul.Result, err error) {
 		fmt.Printf("  speculation: %d ranges re-executed, %d wins\n",
 			res.SpeculativeRanges, res.SpeculationWins)
 	}
-	if res.KernelMerge+res.KernelGallop+res.KernelBitmap+res.KernelPivot > 0 {
-		fmt.Printf("kernels: %d merge, %d gallop, %d bitmap, %d pivot\n",
-			res.KernelMerge, res.KernelGallop, res.KernelBitmap, res.KernelPivot)
+	if res.KernelMerge+res.KernelGallop > 0 {
+		fmt.Printf("kernels: %d merge, %d gallop\n", res.KernelMerge, res.KernelGallop)
 	}
 	if res.PipelinedFetches > 0 || res.InFlightPeak > 0 {
 		fmt.Printf("transport: %d pipelined fetches, in-flight peak %d\n",

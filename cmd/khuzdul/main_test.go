@@ -39,10 +39,19 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("zero threads", bad(8, 1, 0, 0, 0, "", "-threads"))
 	t.Run("negative threads", bad(8, 1, -1, 0, 0, "", "-threads"))
 	t.Run("negative retries", bad(8, 1, 2, -1, 0, "", "-retries"))
-	t.Run("negative hub threshold", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, -1, 0, 0, 0, "")
-		if err == nil || !strings.Contains(err.Error(), "-hub-threshold") {
-			t.Fatalf("validateFlags: error %v does not mention -hub-threshold", err)
+	// -cache-threshold is a flag.Uint narrowed to uint32: 2^32 would wrap to
+	// 0 (then defaulted to 64) and 2^32+1 to 1.
+	for _, c := range []uint{1 << 32, 1<<32 + 1} {
+		t.Run(fmt.Sprintf("cache threshold %d", c), func(t *testing.T) {
+			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, "")
+			if err == nil || !strings.Contains(err.Error(), "-cache-threshold") {
+				t.Fatalf("validateFlags: error %v does not mention -cache-threshold", err)
+			}
+		})
+	}
+	t.Run("cache threshold max ok", func(t *testing.T) {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 1<<32-1, 0, 0, 0, ""); err != nil {
+			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
 	t.Run("negative inflight", func(t *testing.T) {
@@ -79,6 +88,14 @@ func TestValidateFlags(t *testing.T) {
 			err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, "")
 			if err == nil || !errors.Is(err, pattern.ErrMotifSize) || !strings.Contains(err.Error(), "-k") {
 				t.Fatalf("validateFlags: error %v is not an ErrMotifSize naming -k", err)
+			}
+		})
+	}
+	for _, k := range []int{0, -1, pattern.MaxVertices + 1} {
+		t.Run(fmt.Sprintf("clique size %d", k), func(t *testing.T) {
+			err := validateFlags("cc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, "")
+			if err == nil || !strings.Contains(err.Error(), "-k") {
+				t.Fatalf("validateFlags: error %v does not name -k", err)
 			}
 		})
 	}

@@ -62,8 +62,11 @@ func TriangleCount(c *cluster.Cluster, sys System) (cluster.Result, error) {
 	return PatternCount(c, pattern.Triangle(), sys, false)
 }
 
-// CliqueCount runs k-CC on the cluster.
+// CliqueCount runs k-CC on the cluster. k must be in [2, pattern.MaxVertices].
 func CliqueCount(c *cluster.Cluster, k int, sys System) (cluster.Result, error) {
+	if k < 2 || k > pattern.MaxVertices {
+		return cluster.Result{}, fmt.Errorf("apps: clique count: k must be in [2,%d], got %d", pattern.MaxVertices, k)
+	}
 	return PatternCount(c, pattern.Clique(k), sys, false)
 }
 

@@ -82,10 +82,6 @@ type Config struct {
 	// MiniBatch and FlushSize pass through to the engine.
 	MiniBatch int
 	FlushSize int
-	// HubThreshold, when nonzero, overrides the compiled hub-vertex degree
-	// threshold for the engines' bitmap intersection kernel (0 keeps the
-	// value derived from the graph's degree histogram at plan compile time).
-	HubThreshold uint32
 	// StrictPipeline disables the engine's fire-all-fetches-at-seal
 	// overlapping (ablation of the paper's §4.3 design choice).
 	StrictPipeline bool

@@ -92,7 +92,6 @@ func (r *run) engine(t task) *core.Engine {
 		Threads:        r.threads,
 		MiniBatch:      c.cfg.MiniBatch,
 		FlushSize:      c.cfg.FlushSize,
-		HubThreshold:   c.cfg.HubThreshold,
 		HDS:            !c.cfg.DisableHDS,
 		StrictPipeline: c.cfg.StrictPipeline,
 		Cache:          t.cache,

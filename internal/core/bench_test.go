@@ -40,44 +40,3 @@ func BenchmarkExtendEngine(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkExtendEngineHub is the skewed counterpart: a hub-heavy RMAT graph
-// where the dispatcher promotes high-degree lists to the bitmap kernel.
-// Comparing against the same run with the bitmap disabled (HubThreshold far
-// above the max degree, leaving merge/gallop only) is the evidence for the
-// kernel-selection layer.
-func BenchmarkExtendEngineHub(b *testing.B) {
-	g := graph.RMAT(2000, 40000, 0.75, 0.1, 0.1, 7)
-	pl := plan.MustCompile(pattern.Triangle(),
-		plan.Options{Style: plan.StyleGraphPi, DisableVCS: true, Stats: plan.StatsOf(g)})
-	asg := partition.NewAssignment(1, 1)
-	local := partition.NewLocal(g, asg, 0)
-	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
-		panic("single node should not fetch")
-	})}, nil)
-	defer fabric.Close()
-	src := &testSource{local: local, fabric: fabric}
-
-	for _, cfg := range []struct {
-		name string
-		hub  uint32
-	}{
-		{"bitmap", 0},        // compiled threshold: hub lists promoted
-		{"generic", 1 << 30}, // bitmap off: merge/gallop only
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink := &core.CountSink{}
-				eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink,
-					core.Config{Threads: 1, HubThreshold: cfg.hub})
-				if err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				if sink.Count() == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-}

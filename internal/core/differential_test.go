@@ -16,9 +16,10 @@ import (
 // materialize everywhere), the reference executor (materialize and len) and
 // brute force (no plan at all). It sweeps what the count path branches on —
 // pattern shape, induced or not, vertex or edge labels, restriction direction
-// and vertical computation sharing — with the hub threshold forced down so the
-// bitmap kernel fires on these small lists, on one and on three worker
-// threads.
+// and vertical computation sharing — on one and on three worker threads; the
+// merge and gallop kernels must both fire under the count-only sink. Without
+// vertical computation sharing the K4 and K5 levels intersect three or more
+// lists pairwise.
 //
 // Every plan also runs the way the cluster builds it — the extender told that
 // the sink only counts — which must change nothing but the depth of the walk,
@@ -72,8 +73,7 @@ func TestDifferentialCountPaths(t *testing.T) {
 			return q
 		}},
 	}
-	const hub = 3
-	var counting [4]uint64 // kernel ledger summed over the count-only runs
+	var counting [2]uint64 // kernel ledger summed over the count-only runs
 	for _, in := range inputs {
 		for _, base := range pats {
 			for _, kind := range kinds {
@@ -94,7 +94,6 @@ func TestDifferentialCountPaths(t *testing.T) {
 						}
 						ex := plan.NewExecutor(pl, in.g.Neighbors, in.g.Label)
 						ex.SetEdgeLabelOf(plan.EdgeLabelOracle(in.g))
-						ex.Scratch().SetHubThreshold(hub)
 						var ref uint64
 						for v := 0; v < in.g.NumVertices(); v++ {
 							ref += ex.CountRoot(graph.VertexID(v))
@@ -103,7 +102,7 @@ func TestDifferentialCountPaths(t *testing.T) {
 							t.Errorf("%s: executor %d, brute force %d", name, ref, want)
 						}
 						for _, threads := range []int{1, 3} {
-							cfg := core.Config{Threads: threads, HubThreshold: hub, ChunkSize: 64, HDS: true}
+							cfg := core.Config{Threads: threads, ChunkSize: 64, HDS: true}
 							counted, cm := runClusterSink(t, in.g, pl, 2, cfg, sinkCount)
 							built, bm := runClusterSink(t, in.g, pl, 2, cfg, sinkBuild)
 							if counted != want || built != want {
@@ -125,8 +124,6 @@ func TestDifferentialCountPaths(t *testing.T) {
 							}
 							counting[0] += cs.KernelMerge
 							counting[1] += cs.KernelGallop
-							counting[2] += cs.KernelBitmap
-							counting[3] += cs.KernelPivot
 						}
 					}
 				}
@@ -135,7 +132,7 @@ func TestDifferentialCountPaths(t *testing.T) {
 	}
 	for i, n := range counting {
 		if n == 0 {
-			t.Errorf("kernel %d (merge, gallop, bitmap, pivot) never ran under a count-only sink: %v", i, sinkCount)
+			t.Errorf("kernel %d (merge, gallop) never ran under a count-only sink: %v", i, sinkCount)
 		}
 	}
 }

@@ -37,12 +37,6 @@ type Config struct {
 	// computation does not stall communication", §4.3); this knob exists to
 	// measure what that choice buys (ablation experiment).
 	StrictPipeline bool
-	// HubThreshold, when nonzero, overrides the plan's compiled hub-vertex
-	// degree threshold for the bitmap intersection kernel on this engine's
-	// workers (set it above the graph's maximum degree to disable the
-	// kernel). 0 keeps the compiled value. The override lands on per-worker
-	// scratch, never on the shared plan.
-	HubThreshold uint32
 	// Cache is the edge-list cache consulted before remote fetches; nil
 	// disables caching (§5.3, Figure 16/17 ablations).
 	Cache cache.Cache
@@ -188,9 +182,6 @@ func (e *Engine) getWorker() *workerCtx {
 	}
 	w.scratch = e.ext.NewScratch()
 	w.scratch.SetCountOnly(e.countOnly)
-	if e.cfg.HubThreshold > 0 {
-		w.scratch.SetHubThreshold(e.cfg.HubThreshold)
-	}
 	return w
 }
 
@@ -522,14 +513,6 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 		if kc[setops.KernelGallop] > 0 {
 			e.met.KernelGallop.Add(kc[setops.KernelGallop])
 			kc[setops.KernelGallop] = 0
-		}
-		if kc[setops.KernelBitmap] > 0 {
-			e.met.KernelBitmap.Add(kc[setops.KernelBitmap])
-			kc[setops.KernelBitmap] = 0
-		}
-		if kc[setops.KernelPivot] > 0 {
-			e.met.KernelPivot.Add(kc[setops.KernelPivot])
-			kc[setops.KernelPivot] = 0
 		}
 	}
 }

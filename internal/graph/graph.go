@@ -40,7 +40,6 @@ type Graph struct {
 // and a compile per FSM candidate or per service query must not rescan it.
 type adjStats struct {
 	once         sync.Once
-	hist         []int
 	upSq, downSq float64
 }
 
@@ -49,14 +48,6 @@ func (g *Graph) adjStats() *adjStats {
 	st.once.Do(func() {
 		for v := 0; v < g.NumVertices(); v++ {
 			adj := g.Neighbors(VertexID(v))
-			b := 0
-			for len(adj)>>uint(b+1) > 0 {
-				b++
-			}
-			for len(st.hist) <= b {
-				st.hist = append(st.hist, 0)
-			}
-			st.hist[b]++
 			down := sort.Search(len(adj), func(i int) bool { return adj[i] > VertexID(v) })
 			up := len(adj) - down
 			st.upSq += float64(up) * float64(up)
@@ -139,12 +130,6 @@ func (g *Graph) WithLabels(labels []Label) (*Graph, error) {
 	ng.labels = labels
 	return &ng, nil
 }
-
-// DegreeHistogram returns counts of vertices per degree bucket boundaries
-// [1,2,4,8,...]; bucket i counts vertices with degree in [2^i, 2^(i+1)).
-// Bucket 0 additionally includes isolated vertices. The slice is shared
-// between calls and must not be modified.
-func (g *Graph) DegreeHistogram() []int { return g.adjStats().hist }
 
 // IDSkew returns Σ up(v)² and Σ down(v)² over all vertices, where up(v) and
 // down(v) count v's neighbors with a larger and a smaller ID. The two sums

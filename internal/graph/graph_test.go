@@ -246,9 +246,8 @@ func TestIDSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := g.DegreeHistogram()
-	if lh := lg.DegreeHistogram(); &h[0] != &lh[0] {
-		t.Fatal("labeled copy recomputed the degree histogram")
+	if lg.stats != g.stats {
+		t.Fatal("labeled copy does not share the memoized statistics")
 	}
 	gu, gd := g.IDSkew()
 	var wantUp, wantDown float64
@@ -310,17 +309,6 @@ func TestWithLabels(t *testing.T) {
 	}
 	if g.Labeled() {
 		t.Fatal("WithLabels mutated the receiver")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(9) // hub degree 8, leaves degree 1
-	h := g.DegreeHistogram()
-	if h[0] != 8 {
-		t.Fatalf("bucket 0 = %d, want 8 leaves", h[0])
-	}
-	if h[3] != 1 {
-		t.Fatalf("bucket 3 = %d, want 1 hub (degree 8)", h[3])
 	}
 }
 

@@ -49,7 +49,6 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 			best = p
 		}
 	}
-	best.HubThreshold = stats.HubThreshold()
 	best.UpSq, best.DownSq = stats.UpSq, stats.DownSq
 	return best, nil
 }
@@ -163,9 +162,6 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	// Active positions and NeedsList.
 	annotateActive(p)
 
-	// Structural kernel hints per EXTEND step.
-	annotateKernelHints(p)
-
 	// The last level's candidates are only ever counted by a count-only
 	// sink; mark it when the counting kernels cover its set expression
 	// (labels and chained subtractions fall back to a bounded materialize).
@@ -181,22 +177,6 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	}
 
 	return p, p.Validate()
-}
-
-// annotateKernelHints derives each level's kernel hint from the step shape:
-// three or more intersected lists is clique-like — the k-way pivot kernel
-// touches each candidate once instead of materializing pairwise
-// intermediates. One- and two-list steps stay on the skew-adaptive
-// dispatcher (merge / gallop / hub bitmap, chosen per call at runtime). The
-// hint is set even on VCS-reusing levels: when a stored parent intersection
-// is available the reuse path wins, but engines that run without one (DFS
-// baselines, recovery re-execution) still fall back to the hinted kernel.
-func annotateKernelHints(p *Plan) {
-	for i := 1; i < p.K; i++ {
-		if len(p.Levels[i].Intersect) >= 3 {
-			p.Levels[i].KernelHint = HintPivot
-		}
-	}
 }
 
 // annotateVCS marks ReuseSame / ReuseExtend / StoreInter.

@@ -21,7 +21,7 @@ type EdgeLabelFunc func(u, v graph.VertexID) graph.Label
 // noUpper is the exclusive upper bound meaning "unbounded".
 const noUpper = ^graph.VertexID(0)
 
-// Scratch holds reusable per-level buffers and kernel dispatchers for plan
+// Scratch holds reusable per-level buffers and the kernel dispatcher for plan
 // execution. It is not safe for concurrent use; create one per worker.
 type Scratch struct {
 	interA [][]graph.VertexID
@@ -29,12 +29,7 @@ type Scratch struct {
 	subA   [][]graph.VertexID
 	subB   [][]graph.VertexID
 	cand   [][]graph.VertexID
-	// disp holds one skew-adaptive dispatcher per level: the per-level hub
-	// bitmap lives inside it, rebuilt only when the level moves to a new hub
-	// vertex and reused across every embedding that touches the same hub.
-	disp []setops.Dispatcher
-	// pivot gathers the input lists of a k-way pivot step.
-	pivot [][]graph.VertexID
+	disp   setops.Dispatcher
 	// kernels counts kernel invocations across all levels; engines drain it
 	// into their metrics node between rounds.
 	kernels [setops.NumKernels]uint64
@@ -56,24 +51,9 @@ func NewScratch(p *Plan) *Scratch {
 		subA:   make([][]graph.VertexID, p.K),
 		subB:   make([][]graph.VertexID, p.K),
 		cand:   make([][]graph.VertexID, p.K),
-		disp:   make([]setops.Dispatcher, p.K),
-		pivot:  make([][]graph.VertexID, 0, p.K),
 	}
-	for i := range s.disp {
-		s.disp[i].HubThreshold = int(p.HubThreshold)
-		s.disp[i].Counts = &s.kernels
-	}
+	s.disp.Counts = &s.kernels
 	return s
-}
-
-// SetHubThreshold overrides the compiled hub-promotion threshold for this
-// scratch's dispatchers (0 disables the bitmap kernel). Plans are shared and
-// possibly cached across concurrent runs, so per-run overrides land here, on
-// the per-worker state, never on the plan.
-func (s *Scratch) SetHubThreshold(t uint32) {
-	for i := range s.disp {
-		s.disp[i].HubThreshold = int(t)
-	}
 }
 
 // KernelCounts exposes the per-kernel invocation counters. The engine reads
@@ -179,9 +159,9 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 		}
 	}
 	if lv.StoreInter {
-		raw = p.RawIntersect(s, level, emb, getList, parentRaw, 0, noUpper)
+		raw = p.RawIntersect(s, level, getList, parentRaw, 0, noUpper)
 	} else {
-		raw = p.RawIntersect(s, level, emb, getList, parentRaw, lo, hi)
+		raw = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 	}
 	cands = p.Candidates(s, level, emb, raw, getList, labelOf, lo, hi)
 	return p.FilterEdgeLabels(level, emb, cands, edgeLabelOf), raw
@@ -192,40 +172,39 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 // or the first level of a star tail — without building them. The
 // level's set expression is reduced to one final operation on a materialized,
 // clipped operand x — x ∩ l or x \ b — and that operation is counted by the
-// level's dispatcher, so the kernel choice and the ledger are those of the
+// dispatcher, so the kernel choice and the ledger are those of the
 // materializing path.
 //
 //khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
 	lv := &p.Levels[level]
-	d := &s.disp[level]
+	d := &s.disp
 	// x ∩ l is the raw intersection; pair is false when x alone already is.
 	var x, l []graph.VertexID
-	xv, lkey, pair := setops.NoVertex, setops.NoVertex, false
+	pair := false
 	switch reuse := p.VCS && parentRaw != nil; {
 	case reuse && lv.ReuseExtend:
-		x, l, lkey, pair = parentRaw, getList(level-1), emb[level-1], true
+		x, l, pair = parentRaw, getList(level-1), true
 	case len(lv.Intersect) == 2 && !(reuse && lv.ReuseSame):
-		j0, j1 := lv.Intersect[0], lv.Intersect[1]
-		x, xv, l, lkey, pair = getList(j0), emb[j0], getList(j1), emb[j1], true
+		x, l, pair = getList(lv.Intersect[0]), getList(lv.Intersect[1]), true
 	default:
-		x = p.RawIntersect(s, level, emb, getList, parentRaw, lo, hi)
+		x = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 	}
 	var sub []graph.VertexID
 	subtract := p.Induced && len(lv.Subtract) == 1
 	if subtract {
 		sub = getList(lv.Subtract[0])
 		if pair {
-			s.interB[level] = d.IntersectBounded(s.interB[level][:0], x, l, xv, lkey, lo, hi)
-			x, xv, pair = s.interB[level], setops.NoVertex, false
+			s.interB[level] = d.IntersectBounded(s.interB[level][:0], x, l, lo, hi)
+			x, pair = s.interB[level], false
 		}
 	}
 	var n int
 	switch {
 	case pair:
-		n = d.CountBounded(x, l, xv, lkey, lo, hi)
+		n = d.CountBounded(x, l, lo, hi)
 	case subtract:
-		n = d.CountSubtract(x, sub, xv, emb[lv.Subtract[0]], lo, hi)
+		n = d.CountSubtract(x, sub, lo, hi)
 	default:
 		n = len(x)
 	}
@@ -248,44 +227,32 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 
 // RawIntersect computes the raw candidate intersection for the given level:
 // ∩ N(emb[j]) over j in Levels[level].Intersect, restricted to [lo, hi) by
-// clipping every input before it is read, honoring the plan's
-// vertical-computation-sharing annotations and the compiled kernel hints.
-// emb must hold the vertices matched at positions before level — the
-// dispatcher keys its hub-bitmap cache by vertex ID, which stays valid
-// however fetch buffers are recycled. getList(pos) must return the sorted
-// edge list of the vertex matched at position pos. parentRaw is the
-// intersection stored by the parent level (nil if none). The result may
-// alias getList output, parentRaw, or scratch storage; callers that retain
-// it across further calls must copy.
-func (p *Plan) RawIntersect(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
+// clipping every input before it is read and honoring the plan's
+// vertical-computation-sharing annotations. Three or more lists are
+// intersected pairwise, the running result narrowed by each further list.
+// getList(pos) must return the sorted edge list of the vertex matched at
+// position pos. parentRaw is the intersection stored by the parent level (nil
+// if none). The result may alias getList output, parentRaw, or scratch
+// storage; callers that retain it across further calls must copy.
+func (p *Plan) RawIntersect(s *Scratch, level int, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
-	d := &s.disp[level]
+	d := &s.disp
 	if p.VCS && parentRaw != nil {
 		if lv.ReuseSame {
 			return setops.Clip(parentRaw, lo, hi)
 		}
 		if lv.ReuseExtend {
-			s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), setops.NoVertex, emb[level-1], lo, hi)
+			s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), lo, hi)
 			return s.interA[level]
 		}
 	}
 	if len(lv.Intersect) == 1 {
 		return setops.Clip(getList(lv.Intersect[0]), lo, hi)
 	}
-	if lv.KernelHint == HintPivot {
-		s.pivot = s.pivot[:0]
-		for _, j := range lv.Intersect {
-			s.pivot = append(s.pivot, setops.Clip(getList(j), lo, hi))
-		}
-		s.interA[level] = setops.IntersectPivot(s.interA[level][:0], s.pivot)
-		s.kernels[setops.KernelPivot]++
-		return s.interA[level]
-	}
-	j0, j1 := lv.Intersect[0], lv.Intersect[1]
-	a := d.IntersectBounded(s.interA[level][:0], getList(j0), getList(j1), emb[j0], emb[j1], lo, hi)
+	a := d.IntersectBounded(s.interA[level][:0], getList(lv.Intersect[0]), getList(lv.Intersect[1]), lo, hi)
 	s.interA[level] = a
 	for _, j := range lv.Intersect[2:] {
-		b := d.IntersectBounded(s.interB[level][:0], a, getList(j), setops.NoVertex, emb[j], lo, hi)
+		b := d.IntersectBounded(s.interB[level][:0], a, getList(j), lo, hi)
 		s.interB[level] = b
 		// Keep the freshest result in interA so the next round's [:0] reuse
 		// does not clobber it.
@@ -388,10 +355,6 @@ func NewExecutor(p *Plan, nbr NeighborFunc, labelOf LabelFunc) *Executor {
 
 // Plan returns the executor's plan.
 func (e *Executor) Plan() *Plan { return e.plan }
-
-// Scratch exposes the executor's per-worker scratch; hub-threshold overrides
-// and the per-kernel invocation counters live there.
-func (e *Executor) Scratch() *Scratch { return e.scratch }
 
 // SetEdgeLabelOf installs an edge-label oracle for edge-labeled patterns.
 func (e *Executor) SetEdgeLabelOf(f EdgeLabelFunc) { e.elabelOf = f }

@@ -66,7 +66,6 @@ func (p *Plan) Explain() string {
 		}
 		fmt.Fprintf(&sb, "%sfor v%d in %s:", indent(i-1), i, set)
 		var notes []string
-		notes = append(notes, "kernel="+lv.KernelHint.String())
 		for _, a := range lv.LowerBounds {
 			notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
 		}

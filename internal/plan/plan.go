@@ -52,32 +52,6 @@ type Restriction struct {
 	A, B int
 }
 
-// KernelHint is the compiler's per-level suggestion for which set-
-// intersection kernel the runtime should use. It is derived purely from the
-// pattern structure; the runtime combines it with measured list sizes and
-// the graph's hub threshold to pick a concrete kernel per call.
-type KernelHint uint8
-
-const (
-	// HintAuto lets the runtime dispatcher choose merge, gallop or bitmap
-	// per call from measured skew (one- and two-constraint steps).
-	HintAuto KernelHint = iota
-	// HintPivot marks clique-like steps (three or more intersected lists)
-	// for the k-way pivot kernel, which never materializes intermediates.
-	HintPivot
-)
-
-func (h KernelHint) String() string {
-	switch h {
-	case HintAuto:
-		return "auto"
-	case HintPivot:
-		return "pivot"
-	default:
-		return fmt.Sprintf("hint(%d)", int(h))
-	}
-}
-
 // Level describes how to match the pattern position at a given depth.
 // Position 0 (the root) has a trivial level.
 type Level struct {
@@ -118,9 +92,6 @@ type Level struct {
 	// Active lists the positions whose edge lists must be available in an
 	// extendable embedding at this level (the paper's active vertices).
 	Active []int
-	// KernelHint is the compiler's structural suggestion for this level's
-	// intersection kernel (see KernelHint).
-	KernelHint KernelHint
 }
 
 // Plan is a compiled enumeration schedule for one pattern.
@@ -166,12 +137,6 @@ type Plan struct {
 	// plans without vertex or edge labels fold; the materializing path
 	// ignores the field.
 	Fold int
-	// HubThreshold is the adjacency-list length at which the runtime
-	// dispatcher promotes a hub vertex to the bitmap kernel, derived from
-	// the input graph's degree histogram at compile time (0 disables the
-	// bitmap kernel). Engines may override it per run via
-	// Scratch.SetHubThreshold without touching the shared plan.
-	HubThreshold uint32
 }
 
 // Options configures compilation.
@@ -188,16 +153,11 @@ type Options struct {
 	Stats GraphStats
 }
 
-// GraphStats summarizes the input graph for the cost model and the runtime
-// kernel selection.
+// GraphStats summarizes the input graph for the cost model and the
+// restriction direction.
 type GraphStats struct {
 	NumVertices int
 	AvgDegree   float64
-	MaxDegree   uint32
-	// DegreeHist counts vertices per power-of-two degree bucket (bucket i
-	// holds degrees in [2^i, 2^(i+1)); see graph.DegreeHistogram). Nil when
-	// the stats were synthesized rather than measured.
-	DegreeHist []int
 	// UpSq and DownSq are the graph's ID-skew sums Σ up(v)² and Σ down(v)²
 	// (see graph.IDSkew). The compiler points the symmetry-breaking
 	// restrictions in the cheaper direction; equal sums — synthesized stats
@@ -205,9 +165,9 @@ type GraphStats struct {
 	UpSq, DownSq float64
 }
 
-// StatsOf extracts cost-model statistics from a graph. The per-vertex scans
-// behind the histogram and the skew sums are memoized on the graph, so a
-// compile per candidate pattern or per query does not repeat them.
+// StatsOf extracts cost-model statistics from a graph. The per-vertex scan
+// behind the skew sums is memoized on the graph, so a compile per candidate
+// pattern or per query does not repeat it.
 func StatsOf(g *graph.Graph) GraphStats {
 	n := g.NumVertices()
 	avg := 0.0
@@ -218,53 +178,9 @@ func StatsOf(g *graph.Graph) GraphStats {
 	return GraphStats{
 		NumVertices: n,
 		AvgDegree:   avg,
-		MaxDegree:   g.MaxDegree(),
-		DegreeHist:  g.DegreeHistogram(),
 		UpSq:        up,
 		DownSq:      down,
 	}
-}
-
-// minHubDegree floors the hub threshold: below it the O(|hub|) bitmap build
-// cannot amortize against the probes it saves.
-const minHubDegree = 128
-
-// HubThreshold derives the adjacency-list length at which the bitmap kernel
-// pays off: the smallest power-of-two degree boundary that at most 1/64 of
-// the vertices exceed, clamped to minHubDegree. A graph whose maximum degree
-// is below the floor gets 0 — no hubs, bitmap kernel off. Without a measured
-// histogram it falls back to MaxDegree/8.
-func (s GraphStats) HubThreshold() uint32 {
-	if s.MaxDegree < minHubDegree {
-		return 0
-	}
-	if len(s.DegreeHist) == 0 {
-		if t := s.MaxDegree / 8; t > minHubDegree {
-			return t
-		}
-		return minHubDegree
-	}
-	total := 0
-	for _, c := range s.DegreeHist {
-		total += c
-	}
-	budget := total / 64
-	if budget < 1 {
-		budget = 1
-	}
-	tail := 0
-	for i := len(s.DegreeHist) - 1; i >= 0; i-- {
-		tail += s.DegreeHist[i]
-		if tail > budget {
-			// Bucket i holds too many vertices; the smallest admissible
-			// boundary is the one just above it.
-			if t := uint32(1) << uint(i+1); t > minHubDegree {
-				return t
-			}
-			return minHubDegree
-		}
-	}
-	return minHubDegree
 }
 
 // PosLabel returns the required label of the vertex matched at position i.

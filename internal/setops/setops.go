@@ -16,9 +16,9 @@ import (
 	"khuzdul/internal/graph"
 )
 
-// Kernel names one concrete intersection implementation. The dispatcher and
-// the plan runtime pick a kernel per call; per-kernel invocation counters
-// flow into metrics so the selection policy is observable.
+// Kernel names one concrete intersection implementation. The dispatcher
+// picks a kernel per call; per-kernel invocation counters flow into metrics
+// so the selection policy is observable.
 type Kernel uint8
 
 const (
@@ -27,11 +27,6 @@ const (
 	// KernelGallop is exponential + binary search of a short list into a
 	// much longer one (lopsided sizes).
 	KernelGallop
-	// KernelBitmap probes a dense per-hub bitset, amortizing one O(|hub|)
-	// build across every embedding that touches the same hub vertex.
-	KernelBitmap
-	// KernelPivot is the k-way intersection driven by the shortest list.
-	KernelPivot
 	// NumKernels sizes per-kernel counter arrays.
 	NumKernels
 )
@@ -42,17 +37,12 @@ func (k Kernel) String() string {
 		return "merge"
 	case KernelGallop:
 		return "gallop"
-	case KernelBitmap:
-		return "bitmap"
-	case KernelPivot:
-		return "pivot"
 	default:
 		return "kernel(?)"
 	}
 }
 
-// NoVertex marks a list with no owning vertex (a scratch intermediate, not
-// an adjacency list). The dispatcher never hub-caches such a list.
+// NoVertex is the exclusive upper bound meaning "unbounded" (see Clip).
 const NoVertex = ^graph.VertexID(0)
 
 // gallopRatio is the size ratio at which Intersect escalates from the linear
@@ -174,10 +164,10 @@ func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	return a
 }
 
-// Bitmap is a dense bitset over vertex IDs, rebuilt per hub vertex and
-// probed once per embedding touching that hub. Build keeps its own copy of
-// the built list so clearing stale bits never depends on the caller's buffer
-// (fetched adjacency lists live in recycled communication slabs).
+// Bitmap is a dense bitset over vertex IDs. With IntersectBitmap and
+// IntersectPivot it is a standalone kernel the engine never selects; the
+// benchmark's layer probes measure all three. Build keeps its own copy of
+// the built list so clearing stale bits never depends on the caller's buffer.
 type Bitmap struct {
 	words []uint64
 	built []graph.VertexID
@@ -211,8 +201,7 @@ func (b *Bitmap) Contains(v graph.VertexID) bool {
 }
 
 // IntersectBitmap appends a ∩ built(bm) to dst by probing the bitmap once
-// per element of a — O(|a|) regardless of the built list's length, which is
-// what makes a one-time O(|hub|) build pay for itself across a level.
+// per element of a — O(|a|) regardless of the built list's length.
 func IntersectBitmap(dst, a []graph.VertexID, bm *Bitmap) []graph.VertexID {
 	for _, x := range a {
 		if bm.Contains(x) {
@@ -276,45 +265,21 @@ outer:
 	return dst
 }
 
-// Dispatcher is the skew-adaptive two-way kernel selector: one instance per
-// plan level per worker. Callers identify each input list by its owning
-// vertex (NoVertex for scratch intermediates); when a list at or above
-// HubThreshold shows up for the same hub twice in a row, the dispatcher
-// builds a bitmap for it and probes that for every later embedding touching
-// the hub. The two-touch promotion avoids O(|hub|) build thrash when hub
-// lists merely alternate. Below the threshold it escalates merge → gallop
-// on measured skew, exactly like Intersect.
+// Dispatcher is the skew-adaptive two-way kernel selector, one per worker:
+// it clips both inputs to the bounds, then escalates merge → gallop on
+// measured skew, exactly like Intersect, and enters the choice in Counts.
 type Dispatcher struct {
-	// HubThreshold is the list length at which bitmap promotion engages;
-	// 0 disables the bitmap kernel entirely.
-	HubThreshold int
 	// Counts, when non-nil, receives one increment per call at the chosen
 	// kernel's index.
 	Counts *[NumKernels]uint64
-
-	bm       Bitmap
-	builtFor graph.VertexID
-	lastHub  graph.VertexID
-	hasBuilt bool
-	hasLast  bool
-}
-
-// Intersect appends a ∩ b to dst through the selected kernel. av and bv name
-// the vertices owning a and b (NoVertex when the list is not an adjacency
-// list); the hub cache is keyed by vertex ID, which stays valid however the
-// underlying buffers are recycled.
-func (d *Dispatcher) Intersect(dst, a, b []graph.VertexID, av, bv graph.VertexID) []graph.VertexID {
-	return d.IntersectBounded(dst, a, b, av, bv, 0, NoVertex)
 }
 
 // IntersectBounded appends {x ∈ a ∩ b : lo ≤ x < hi} to dst: both inputs are
 // clipped to the bounds first (see Clip), then the selected kernel runs on
 // what is left.
-func (d *Dispatcher) IntersectBounded(dst, a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) []graph.VertexID {
-	a, b, k := d.choose(a, b, av, bv, lo, hi)
+func (d *Dispatcher) IntersectBounded(dst, a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
+	a, b, k := d.choose(a, b, lo, hi)
 	switch k {
-	case KernelBitmap:
-		return IntersectBitmap(dst, a, &d.bm)
 	case KernelGallop:
 		return gallopIntersect(dst, a, b)
 	case KernelMerge:
@@ -326,17 +291,9 @@ func (d *Dispatcher) IntersectBounded(dst, a, b []graph.VertexID, av, bv, lo, hi
 // CountBounded returns |{x ∈ a ∩ b : lo ≤ x < hi}| without materializing it:
 // the same clip, kernel choice and ledger entry as IntersectBounded, with the
 // kernel counting where the other appends.
-func (d *Dispatcher) CountBounded(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) int {
-	a, b, k := d.choose(a, b, av, bv, lo, hi)
+func (d *Dispatcher) CountBounded(a, b []graph.VertexID, lo, hi graph.VertexID) int {
+	a, b, k := d.choose(a, b, lo, hi)
 	switch k {
-	case KernelBitmap:
-		n := 0
-		for _, x := range a {
-			if d.bm.Contains(x) {
-				n++
-			}
-		}
-		return n
 	case KernelGallop:
 		return countGallop(a, b)
 	case KernelMerge:
@@ -347,28 +304,21 @@ func (d *Dispatcher) CountBounded(a, b []graph.VertexID, av, bv, lo, hi graph.Ve
 
 // CountSubtract returns |{x ∈ a \ b : lo ≤ x < hi}| as |A| − |A ∩ B| over the
 // clipped lists.
-func (d *Dispatcher) CountSubtract(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) int {
-	return len(Clip(a, lo, hi)) - d.CountBounded(a, b, av, bv, lo, hi)
+func (d *Dispatcher) CountSubtract(a, b []graph.VertexID, lo, hi graph.VertexID) int {
+	return len(Clip(a, lo, hi)) - d.CountBounded(a, b, lo, hi)
 }
 
 // choose is the selection policy shared by the materializing and the counting
 // forms: it returns the clipped inputs, shorter first, and the kernel to run
 // on them, already entered in Counts — NumKernels when an input is empty and
-// no kernel runs. Hub promotion looks at the unclipped list: being a hub is a
-// property of the vertex, and the bitmap built from the whole list answers
-// every clip of it, so only the probing side needs clipping.
-func (d *Dispatcher) choose(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID) ([]graph.VertexID, []graph.VertexID, Kernel) {
+// no kernel runs.
+func (d *Dispatcher) choose(a, b []graph.VertexID, lo, hi graph.VertexID) ([]graph.VertexID, []graph.VertexID, Kernel) {
 	if len(a) > len(b) {
 		a, b = b, a
-		av, bv = bv, av
 	}
 	a = Clip(a, lo, hi)
 	if len(a) == 0 {
 		return nil, nil, NumKernels
-	}
-	if d.HubThreshold > 0 && bv != NoVertex && len(b) >= d.HubThreshold && d.promote(b, bv) {
-		d.count(KernelBitmap)
-		return a, nil, KernelBitmap
 	}
 	b = Clip(b, lo, hi)
 	if len(a) > len(b) {
@@ -383,21 +333,6 @@ func (d *Dispatcher) choose(a, b []graph.VertexID, av, bv, lo, hi graph.VertexID
 	}
 	d.count(KernelMerge)
 	return a, b, KernelMerge
-}
-
-// promote reports whether hub bv's bitmap is ready to probe, building it from
-// b on the second consecutive touch of the same hub.
-func (d *Dispatcher) promote(b []graph.VertexID, bv graph.VertexID) bool {
-	if d.hasBuilt && d.builtFor == bv {
-		return true
-	}
-	if d.hasLast && d.lastHub == bv {
-		d.bm.Build(b)
-		d.builtFor, d.hasBuilt = bv, true
-		return true
-	}
-	d.lastHub, d.hasLast = bv, true
-	return false
 }
 
 func (d *Dispatcher) count(k Kernel) {
@@ -488,10 +423,10 @@ func IntersectMany(dst []graph.VertexID, lists [][]graph.VertexID, scratch []gra
 }
 
 // CountIntersect returns |a ∩ b| without materializing the result: CountBounded
-// with no bounds and no hub keys, so merge or gallop by measured skew.
+// with no bounds, so merge or gallop by measured skew.
 func CountIntersect(a, b []graph.VertexID) int {
 	var d Dispatcher
-	return d.CountBounded(a, b, NoVertex, NoVertex, 0, NoVertex)
+	return d.CountBounded(a, b, 0, NoVertex)
 }
 
 // countMerge is IntersectMerge with a counter for the append; a is the

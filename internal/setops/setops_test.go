@@ -74,8 +74,8 @@ func TestIntersectAppendsToDst(t *testing.T) {
 func boundedBoth(t *testing.T, a, b []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	t.Helper()
 	var d Dispatcher
-	got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
-	if n := d.CountBounded(a, b, NoVertex, NoVertex, lo, hi); n != len(got) {
+	got := d.IntersectBounded(nil, a, b, lo, hi)
+	if n := d.CountBounded(a, b, lo, hi); n != len(got) {
 		t.Fatalf("CountBounded(lo=%d, hi=%d) = %d, IntersectBounded found %v", lo, hi, n, got)
 	}
 	return got
@@ -268,7 +268,7 @@ func TestPropertyBoundedSubsetOfIntersect(t *testing.T) {
 		lo := graph.VertexID(rng.Intn(200))
 		hi := lo + graph.VertexID(rng.Intn(100))
 		var d Dispatcher
-		got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
+		got := d.IntersectBounded(nil, a, b, lo, hi)
 		full := Intersect(nil, a, b)
 		j := 0
 		for _, x := range full {
@@ -452,25 +452,24 @@ func TestIntersectPivotEdgeCases(t *testing.T) {
 }
 
 func TestDispatcherMatchesReference(t *testing.T) {
-	// The dispatcher must stay exact whatever kernel it picks, across
-	// random hub thresholds, list shapes, and vertex keys — including the
-	// bitmap path once the same hub repeats (two-touch promotion).
+	// The dispatcher must stay exact whatever kernel it picks, across list
+	// shapes: a long list against short ones (gallop) and comparable pairs
+	// (merge).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := Dispatcher{HubThreshold: 1 + rng.Intn(64)}
+		var d Dispatcher
 		hub := randSorted(rng, 200+rng.Intn(400), 4000)
-		hubID := graph.VertexID(rng.Intn(100))
 		for step := 0; step < 20; step++ {
 			a := randSorted(rng, rng.Intn(50), 4000)
-			b, bv := hub, hubID
-			if rng.Intn(3) == 0 { // sometimes a non-hub pairing
-				b, bv = randSorted(rng, rng.Intn(40), 4000), NoVertex
+			b := hub
+			if rng.Intn(3) == 0 { // sometimes a balanced pairing
+				b = randSorted(rng, rng.Intn(40), 4000)
 			}
-			if !equal(d.Intersect(nil, a, b, NoVertex, bv), refIntersect(a, b)) {
+			if !equal(d.IntersectBounded(nil, a, b, 0, NoVertex), refIntersect(a, b)) {
 				return false
 			}
 			// Argument order must not matter.
-			if !equal(d.Intersect(nil, b, a, bv, NoVertex), refIntersect(a, b)) {
+			if !equal(d.IntersectBounded(nil, b, a, 0, NoVertex), refIntersect(a, b)) {
 				return false
 			}
 		}
@@ -478,38 +477,6 @@ func TestDispatcherMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDispatcherPromotesHubOnSecondTouch(t *testing.T) {
-	var counts [NumKernels]uint64
-	d := Dispatcher{HubThreshold: 4, Counts: &counts}
-	hub := ids(1, 2, 3, 4, 5, 6, 7, 8)
-	probe := ids(2, 5, 9)
-	if got := d.Intersect(nil, probe, hub, NoVertex, 7); !equal(got, ids(2, 5)) {
-		t.Fatalf("first touch = %v", got)
-	}
-	if counts[KernelBitmap] != 0 {
-		t.Fatal("bitmap fired on first touch; build thrash guard broken")
-	}
-	if got := d.Intersect(nil, probe, hub, NoVertex, 7); !equal(got, ids(2, 5)) {
-		t.Fatalf("second touch = %v", got)
-	}
-	if counts[KernelBitmap] != 1 {
-		t.Fatalf("bitmap count after second touch = %d, want 1", counts[KernelBitmap])
-	}
-	// Third touch probes the cached bitmap without rebuilding.
-	d.Intersect(nil, probe, hub, NoVertex, 7)
-	if counts[KernelBitmap] != 2 {
-		t.Fatalf("bitmap count after third touch = %d, want 2", counts[KernelBitmap])
-	}
-	// A scratch intermediate (NoVertex) of hub length must never promote.
-	d2 := Dispatcher{HubThreshold: 4, Counts: &counts}
-	for i := 0; i < 3; i++ {
-		d2.Intersect(nil, probe, hub, NoVertex, NoVertex)
-	}
-	if counts[KernelBitmap] != 2 {
-		t.Fatal("NoVertex list was hub-promoted")
 	}
 }
 
@@ -556,8 +523,8 @@ func TestPropertyBoundedMatchesReference(t *testing.T) {
 		lo := graph.VertexID(rng.Intn(200))
 		hi := lo + graph.VertexID(rng.Intn(100))
 		var d Dispatcher
-		got := d.IntersectBounded(nil, a, b, NoVertex, NoVertex, lo, hi)
-		if d.CountBounded(a, b, NoVertex, NoVertex, lo, hi) != len(got) {
+		got := d.IntersectBounded(nil, a, b, lo, hi)
+		if d.CountBounded(a, b, lo, hi) != len(got) {
 			return false
 		}
 		j := 0
@@ -613,17 +580,20 @@ func TestIntersectPivotNoAlloc(t *testing.T) {
 func TestDispatcherNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randSorted(rng, 100, 4000)
-	hub := randSorted(rng, 2000, 4000)
-	d := Dispatcher{HubThreshold: 256}
+	b := randSorted(rng, 150, 4000)
+	hub := randSorted(rng, 3500, 4000)
+	var counts [NumKernels]uint64
+	d := Dispatcher{Counts: &counts}
 	dst := make([]graph.VertexID, 0, 100)
-	// Warm: two touches build the bitmap, growing its storage once.
-	dst = d.Intersect(dst[:0], a, hub, NoVertex, 1)
-	dst = d.Intersect(dst[:0], a, hub, NoVertex, 1)
 	allocs := testing.AllocsPerRun(50, func() {
-		dst = d.Intersect(dst[:0], a, hub, NoVertex, 1)
+		dst = d.IntersectBounded(dst[:0], a, b, 0, NoVertex)       // merge
+		dst = d.IntersectBounded(dst[:0], a[:3], hub, 0, NoVertex) // gallop
 	})
 	if allocs != 0 {
-		t.Fatalf("dispatcher bitmap probe allocated %.0f times per run, want 0", allocs)
+		t.Fatalf("dispatcher with a ledger allocated %.0f times per run, want 0", allocs)
+	}
+	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 {
+		t.Fatalf("merge/gallop = %v, want both entered", counts)
 	}
 }
 
@@ -634,7 +604,7 @@ func TestIntersectBoundedNoAlloc(t *testing.T) {
 	dst := make([]graph.VertexID, 0, 30)
 	var d Dispatcher
 	allocs := testing.AllocsPerRun(50, func() {
-		dst = d.IntersectBounded(dst[:0], a, b, NoVertex, NoVertex, 100, 1900)
+		dst = d.IntersectBounded(dst[:0], a, b, 100, 1900)
 	})
 	if allocs != 0 {
 		t.Fatalf("IntersectBounded allocated %.0f times per run with warm dst, want 0", allocs)
@@ -646,15 +616,11 @@ func TestCountBoundedNoAlloc(t *testing.T) {
 	a := randSorted(rng, 100, 4000)
 	b := randSorted(rng, 150, 4000)
 	hub := randSorted(rng, 2000, 4000)
-	d := Dispatcher{HubThreshold: 256}
-	// Warm: two touches build the hub bitmap, growing its storage once.
-	d.CountBounded(a, hub, NoVertex, 1, 0, NoVertex)
-	d.CountBounded(a, hub, NoVertex, 1, 0, NoVertex)
+	var d Dispatcher
 	allocs := testing.AllocsPerRun(50, func() {
-		sinkInt += d.CountBounded(a, hub, NoVertex, 1, 500, 3500)       // bitmap
-		sinkInt += d.CountBounded(a, b, NoVertex, 2, 500, 3500)         // merge
-		sinkInt += d.CountBounded(a[:3], hub, 3, NoVertex, 0, NoVertex) // gallop
-		sinkInt += d.CountSubtract(a, b, 4, 2, 500, 3500)
+		sinkInt += d.CountBounded(a, b, 500, 3500)         // merge
+		sinkInt += d.CountBounded(a[:3], hub, 0, NoVertex) // gallop
+		sinkInt += d.CountSubtract(a, b, 500, 3500)
 		sinkInt += CountIntersect(a, b)
 	})
 	if allocs != 0 {
@@ -681,9 +647,8 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 	edge := []graph.VertexID{0, 1, NoVertex - 1, NoVertex}
 	var counts [NumKernels]uint64
 	for trial := 0; trial < 400; trial++ {
-		// Threshold 1 promotes every keyed list on its second touch; 0 keeps
-		// the pairwise kernels; lopsided sizes reach gallop.
-		d := Dispatcher{HubThreshold: trial % 2, Counts: &counts}
+		// Lopsided sizes reach gallop, comparable ones merge.
+		d := Dispatcher{Counts: &counts}
 		max := 40 + rng.Intn(400)
 		a := randSorted(rng, rng.Intn(40), max)
 		b := randSorted(rng, rng.Intn(max/2), max)
@@ -702,16 +667,16 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 				hi = edge[rng.Intn(len(edge))]
 			}
 			want := naive(a, b, lo, hi, false)
-			if got := d.CountBounded(a, b, 1, 2, lo, hi); got != want {
+			if got := d.CountBounded(a, b, lo, hi); got != want {
 				t.Fatalf("CountBounded(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
-			if got := d.CountBounded(b, a, 2, 1, lo, hi); got != want {
+			if got := d.CountBounded(b, a, lo, hi); got != want {
 				t.Fatalf("CountBounded swapped(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
-			if got := len(d.IntersectBounded(nil, a, b, 1, 2, lo, hi)); got != want {
+			if got := len(d.IntersectBounded(nil, a, b, lo, hi)); got != want {
 				t.Fatalf("IntersectBounded(%v, %v, lo=%d, hi=%d) has %d elements, want %d", a, b, lo, hi, got, want)
 			}
-			if got, want := d.CountSubtract(a, b, 1, 2, lo, hi), naive(a, b, lo, hi, true); got != want {
+			if got, want := d.CountSubtract(a, b, lo, hi), naive(a, b, lo, hi, true); got != want {
 				t.Fatalf("CountSubtract(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
 			if got, want := len(Clip(a, lo, hi)), naive(a, nil, lo, hi, true); got != want {
@@ -722,14 +687,14 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 			t.Fatalf("CountIntersect(%v, %v) = %d, want %d", a, b, got, want)
 		}
 	}
-	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 || counts[KernelBitmap] == 0 {
-		t.Fatalf("a pairwise kernel never ran: merge/gallop/bitmap/pivot = %v", counts)
+	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 {
+		t.Fatalf("a pairwise kernel never ran: merge/gallop = %v", counts)
 	}
 }
 
-// BenchmarkCountBoundedMerge and BenchmarkCountBoundedBitmap are the counting
-// counterparts of the two benchmarks below on the same skewed hub input, with
-// a restriction that discards the lower half of both lists.
+// BenchmarkCountBoundedMerge is the counting merge on a skewed pair below
+// the gallop ratio, with a restriction that discards the lower half of both
+// lists.
 func BenchmarkCountBoundedMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randSorted(rng, 20000, 1<<20)
@@ -738,64 +703,6 @@ func BenchmarkCountBoundedMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt += d.CountBounded(a, hub, 1, 2, 1<<19, NoVertex)
-	}
-}
-
-func BenchmarkCountBoundedBitmap(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randSorted(rng, 200, 1<<20)
-	hub := randSorted(rng, 100000, 1<<20)
-	d := Dispatcher{HubThreshold: 1000}
-	d.CountBounded(a, hub, 1, 2, 0, NoVertex)
-	d.CountBounded(a, hub, 1, 2, 0, NoVertex) // second touch builds the bitmap
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkInt += d.CountBounded(a, hub, 1, 2, 1<<19, NoVertex)
-	}
-}
-
-// BenchmarkIntersectHubMerge is the generic-merge baseline on the identical
-// skewed hub input that BenchmarkIntersectBitmap probes: the pair is the
-// before/after evidence for the dispatcher's hub promotion.
-func BenchmarkIntersectHubMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randSorted(rng, 200, 1<<20)
-	hub := randSorted(rng, 100000, 1<<20)
-	dst := make([]graph.VertexID, 0, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = IntersectMerge(dst[:0], a, hub)
-	}
-}
-
-func BenchmarkIntersectBitmap(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randSorted(rng, 200, 1<<20)
-	hub := randSorted(rng, 100000, 1<<20)
-	var bm Bitmap
-	bm.Build(hub)
-	dst := make([]graph.VertexID, 0, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = IntersectBitmap(dst[:0], a, &bm)
-	}
-}
-
-func BenchmarkIntersectPivot(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	lists := make([][]graph.VertexID, 4)
-	for i := range lists {
-		lists[i] = randSorted(rng, 800, 4000)
-	}
-	lists[2] = randSorted(rng, 60, 4000) // one short pivot list, the clique shape
-	dst := make([]graph.VertexID, 0, 60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = IntersectPivot(dst[:0], lists)
+		sinkInt += d.CountBounded(a, hub, 1<<19, NoVertex)
 	}
 }

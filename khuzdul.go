@@ -115,11 +115,6 @@ type Config struct {
 	CacheDegreeThreshold uint32
 	// DisableHDS turns off horizontal data sharing.
 	DisableHDS bool
-	// HubThreshold, when nonzero, overrides the hub-vertex degree threshold
-	// for the bitmap intersection kernel (0 derives it from the graph's
-	// degree histogram; set it above the maximum degree to disable the
-	// kernel on pathologically skewed inputs).
-	HubThreshold uint32
 	// TCP routes all remote fetches through loopback TCP sockets instead of
 	// the in-process fabric.
 	TCP bool
@@ -201,12 +196,10 @@ type Result struct {
 	// InFlightPeak is the per-machine high-water mark of concurrently
 	// outstanding multiplexed requests.
 	InFlightPeak uint64
-	// KernelMerge, KernelGallop, KernelBitmap and KernelPivot count the
-	// set-intersection kernel invocations the run's dispatchers selected.
+	// KernelMerge and KernelGallop count the set-intersection kernel
+	// invocations the run's dispatchers selected.
 	KernelMerge  uint64
 	KernelGallop uint64
-	KernelBitmap uint64
-	KernelPivot  uint64
 }
 
 func fromCluster(r cluster.Result) Result {
@@ -233,8 +226,6 @@ func fromCluster(r cluster.Result) Result {
 
 		KernelMerge:  r.Summary.KernelMerge,
 		KernelGallop: r.Summary.KernelGallop,
-		KernelBitmap: r.Summary.KernelBitmap,
-		KernelPivot:  r.Summary.KernelPivot,
 	}
 }
 
@@ -264,7 +255,6 @@ func Open(g *Graph, cfg Config) (*Engine, error) {
 		ThreadsPerSocket:     cfg.Threads,
 		ChunkSize:            cfg.ChunkSize,
 		DisableHDS:           cfg.DisableHDS,
-		HubThreshold:         cfg.HubThreshold,
 		CacheFraction:        cfg.CacheFraction,
 		CachePolicy:          pol,
 		CacheDegreeThreshold: cfg.CacheDegreeThreshold,

@@ -51,6 +51,12 @@ func TestCliquesAndSystems(t *testing.T) {
 			t.Fatalf("%v Cliques(4) = %d, want %d", sys, res.Count, want)
 		}
 	}
+	// A clique size no pattern can hold is an error, not a panic.
+	for _, k := range []int{0, pattern.MaxVertices + 1} {
+		if _, err := eng.Cliques(k); err == nil {
+			t.Errorf("Cliques(%d) returned no error", k)
+		}
+	}
 }
 
 func TestMotifsPublicAPI(t *testing.T) {
