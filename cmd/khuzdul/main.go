@@ -83,7 +83,7 @@ func runMine() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *cacheDeg, *fetchTO, 0, 0, *faultProf); err != nil {
+	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *cacheFrac, *cacheDeg, *fetchTO, 0, 0, *faultProf); err != nil {
 		fatal(err)
 	}
 
@@ -203,7 +203,7 @@ func runServe(args []string) {
 		deadline  = fs.Duration("query-deadline", 0, "server-side cap on any query's execution time (0 = uncapped)")
 	)
 	fs.Parse(args)
-	if err := validateFlags("", 0, *nodes, *sockets, *threads, 0, 0, 0, 0, *drainTO, *deadline, ""); err != nil {
+	if err := validateFlags("", 0, *nodes, *sockets, *threads, 0, 0, *cacheFrac, 0, 0, *drainTO, *deadline, ""); err != nil {
 		fatal(err)
 	}
 	g, err := loadGraph(*graphSpec)
@@ -369,7 +369,7 @@ func runHealth(args []string) {
 // settings up front, before any graph loading, with errors that name the
 // flag — the alternative is a partition panic or a silently useless retry
 // budget deep inside a run. app and k are the mining job's (serve passes "").
-func validateFlags(app string, k, nodes, sockets, threads, retries, inflight int, cacheThreshold uint, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
+func validateFlags(app string, k, nodes, sockets, threads, retries, inflight int, cacheFrac float64, cacheThreshold uint, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
 	switch {
 	case strings.EqualFold(app, "mc"):
 		if err := pattern.CheckMotifSize(k); err != nil {
@@ -394,6 +394,9 @@ func validateFlags(app string, k, nodes, sockets, threads, retries, inflight int
 	}
 	if inflight < 0 {
 		return fmt.Errorf("-inflight must not be negative, got %d", inflight)
+	}
+	if math.IsNaN(cacheFrac) || math.IsInf(cacheFrac, 0) || cacheFrac < 0 {
+		return fmt.Errorf("-cache must be a finite, non-negative fraction of the graph size, got %v", cacheFrac)
 	}
 	if cacheThreshold > math.MaxUint32 {
 		return fmt.Errorf("-cache-threshold must be at most %d, got %d", uint32(math.MaxUint32), cacheThreshold)

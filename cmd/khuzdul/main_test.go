@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -13,14 +14,14 @@ import (
 func TestValidateFlags(t *testing.T) {
 	ok := func(nodes, sockets, threads, retries int, to time.Duration, prof string) func(*testing.T) {
 		return func(t *testing.T) {
-			if err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof); err != nil {
+			if err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0.1, 0, to, 0, 0, prof); err != nil {
 				t.Fatalf("validateFlags: unexpected error %v", err)
 			}
 		}
 	}
 	bad := func(nodes, sockets, threads, retries int, to time.Duration, prof, want string) func(*testing.T) {
 		return func(t *testing.T) {
-			err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0, to, 0, 0, prof)
+			err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0.1, 0, to, 0, 0, prof)
 			if err == nil {
 				t.Fatal("validateFlags: expected error, got nil")
 			}
@@ -43,49 +44,66 @@ func TestValidateFlags(t *testing.T) {
 	// 0 (then defaulted to 64) and 2^32+1 to 1.
 	for _, c := range []uint{1 << 32, 1<<32 + 1} {
 		t.Run(fmt.Sprintf("cache threshold %d", c), func(t *testing.T) {
-			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, "")
+			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, c, 0, 0, 0, "")
 			if err == nil || !strings.Contains(err.Error(), "-cache-threshold") {
 				t.Fatalf("validateFlags: error %v does not mention -cache-threshold", err)
 			}
 		})
 	}
 	t.Run("cache threshold max ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 1<<32-1, 0, 0, 0, ""); err != nil {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 1<<32-1, 0, 0, 0, ""); err != nil {
 			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
+	// -cache is a fraction of the graph size: NaN, ±Inf and negatives are
+	// rejected before the graph loads; 0 disables the cache.
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		t.Run(fmt.Sprintf("cache %v", c), func(t *testing.T) {
+			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, 0, "")
+			if err == nil || !strings.Contains(err.Error(), "-cache ") {
+				t.Fatalf("validateFlags: error %v does not mention -cache", err)
+			}
+		})
+	}
+	t.Run("cache fractions ok", func(t *testing.T) {
+		for _, c := range []float64{0, 0.1, 1} {
+			if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, 0, ""); err != nil {
+				t.Fatalf("validateFlags(-cache %v): unexpected error %v", c, err)
+			}
+		}
+	})
 	t.Run("negative inflight", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, -1, 0, 0, 0, 0, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, -1, 0.1, 0, 0, 0, 0, "")
 		if err == nil || !strings.Contains(err.Error(), "-inflight") {
 			t.Fatalf("validateFlags: error %v does not mention -inflight", err)
 		}
 	})
 	t.Run("negative timeout", bad(8, 1, 2, 0, -time.Second, "", "-fetch-timeout"))
 	t.Run("serve durations ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 10*time.Second, time.Minute, ""); err != nil {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 10*time.Second, time.Minute, ""); err != nil {
 			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
 	t.Run("zero drain timeout ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 0, 0, ""); err != nil {
+		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, ""); err != nil {
 			t.Fatalf("validateFlags: unexpected error %v", err)
 		}
 	})
 	t.Run("negative drain timeout", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, -time.Second, 0, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, -time.Second, 0, "")
 		if err == nil || !strings.Contains(err.Error(), "-drain-timeout") {
 			t.Fatalf("validateFlags: error %v does not mention -drain-timeout", err)
 		}
 	})
 	t.Run("negative query deadline", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0, 0, 0, -time.Second, "")
+		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, -time.Second, "")
 		if err == nil || !strings.Contains(err.Error(), "-query-deadline") {
 			t.Fatalf("validateFlags: error %v does not mention -query-deadline", err)
 		}
 	})
 	for _, k := range []int{1, 7} {
 		t.Run(fmt.Sprintf("motif size %d", k), func(t *testing.T) {
-			err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, "")
+			err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, "")
 			if err == nil || !errors.Is(err, pattern.ErrMotifSize) || !strings.Contains(err.Error(), "-k") {
 				t.Fatalf("validateFlags: error %v is not an ErrMotifSize naming -k", err)
 			}
@@ -93,7 +111,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, k := range []int{0, -1, pattern.MaxVertices + 1} {
 		t.Run(fmt.Sprintf("clique size %d", k), func(t *testing.T) {
-			err := validateFlags("cc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, "")
+			err := validateFlags("cc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, "")
 			if err == nil || !strings.Contains(err.Error(), "-k") {
 				t.Fatalf("validateFlags: error %v does not name -k", err)
 			}
@@ -101,7 +119,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	t.Run("motif sizes ok", func(t *testing.T) {
 		for k := pattern.MinMotifSize; k <= pattern.MaxMotifSize; k++ {
-			if err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0, 0, 0, 0, ""); err != nil {
+			if err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, ""); err != nil {
 				t.Fatalf("validateFlags: unexpected error %v", err)
 			}
 		}

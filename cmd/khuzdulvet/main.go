@@ -40,9 +40,10 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonTiming is the -json per-analyzer timing line, emitted after the
-// findings. It has no "file" key, so the CI problem matcher skips it; the
-// slowest-analyzers CI step selects on "elapsed_ms".
+// jsonTiming is the -json timing line, emitted after the findings: first
+// "program" (the shared program build: fact walk, call graph, summaries),
+// then one per analyzer. It has no "file" key, so the CI problem matcher
+// skips it; the slowest-analyzers CI step selects on "elapsed_ms".
 type jsonTiming struct {
 	Analyzer  string  `json:"analyzer"`
 	ElapsedMs float64 `json:"elapsed_ms"`

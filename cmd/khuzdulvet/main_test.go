@@ -45,8 +45,8 @@ func TestSelectAnalyzers(t *testing.T) {
 
 // TestRunListAndFilter drives the CLI entry point end to end: -list prints
 // every analyzer with its tier, -run with an unknown or retired name exits
-// 2, and a filtered -json run over the real tree is clean and carries
-// exactly one timing line per selected analyzer.
+// 2, and a filtered -json run over the real tree is clean and carries the
+// program-build timing line followed by one line per selected analyzer.
 func TestRunListAndFilter(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -102,7 +102,11 @@ func TestRunListAndFilter(t *testing.T) {
 		}
 		timings = append(timings, tm)
 	}
-	if len(timings) != 2 || timings[0].Analyzer != "wirecodec" || timings[1].Analyzer != "sleepban" {
-		t.Fatalf("timing lines = %+v, want wirecodec then sleepban", timings)
+	if len(timings) != 3 || timings[0].Analyzer != "program" ||
+		timings[1].Analyzer != "wirecodec" || timings[2].Analyzer != "sleepban" {
+		t.Fatalf("timing lines = %+v, want program, wirecodec, sleepban", timings)
+	}
+	if timings[0].ElapsedMs <= 0 {
+		t.Errorf("program build reported %v ms; it walks every body of the module", timings[0].ElapsedMs)
 	}
 }

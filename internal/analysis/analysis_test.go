@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/types"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -151,17 +152,27 @@ func TestCallGraph(t *testing.T) {
 		t.Errorf("hotalloc.Cold must not be hot-reachable")
 	}
 
-	var drain, waitStop *types.Func
+	var drain, waitStop, spawnLit, spawnCall *types.Func
 	for fn := range prog.Decls {
 		switch fn.Pkg().Path() + "." + fn.Name() {
 		case "cancelpoll.drain":
 			drain = fn
 		case "cancelpoll.waitStop":
 			waitStop = fn
+		case "cancelpoll.spawnLit":
+			spawnLit = fn
+		case "cancelpoll.spawnCall":
+			spawnCall = fn
 		}
 	}
-	if drain == nil || waitStop == nil {
+	if drain == nil || waitStop == nil || spawnLit == nil || spawnCall == nil {
 		t.Fatalf("fixture functions missing from program")
+	}
+	// A goroutine blocks on its own stack, whether spawned as a literal or a
+	// call.
+	if prog.Blocks(spawnLit) || prog.Blocks(spawnCall) {
+		t.Errorf("spawners must not summarize as blocking: spawnLit %v, spawnCall %v",
+			prog.Blocks(spawnLit), prog.Blocks(spawnCall))
 	}
 	if !prog.Long[drain] {
 		t.Errorf("drain must be longrun-reachable through RunIndirect")
@@ -335,6 +346,40 @@ func TestFindModule(t *testing.T) {
 	}
 	if filepath.Base(filepath.Dir(filepath.Dir(root))) == "" {
 		t.Fatalf("implausible module root %q", root)
+	}
+}
+
+// TestLoadSkipsNestedModule pins the loader's scope to the module `go vet
+// ./...` covers: a subdirectory with its own go.mod is another module.
+func TestLoadSkipsNestedModule(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":            "module outer\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module outer/nested\n",
+		"nested/b/b.go":     "package b\n",
+		"nested/nested.go":  "package nested\n",
+		"notnested/note.go": "package notnested\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(root, "outer")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if strings.Join(got, " ") != "outer/a outer/notnested" {
+		t.Fatalf("loaded %v, want [outer/a outer/notnested]", got)
 	}
 }
 

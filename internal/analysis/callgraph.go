@@ -67,9 +67,10 @@ type Program struct {
 	// static callees plus the implementation expansion of interface-method
 	// callees. Only functions declared in the program appear as targets.
 	Callees map[*types.Func][]*types.Func
-	// syncCallees is Callees minus edges introduced by `go` statements:
-	// a spawned goroutine's blocking or polling happens on its own stack,
-	// so summary propagation must not attribute it to the spawner.
+	// syncCallees is Callees minus the calls that run on a goroutine of their
+	// own — `go` statements and every call inside a spawned literal: a
+	// spawned goroutine's blocking or polling happens on its own stack, so
+	// summary propagation must not attribute it to the spawner.
 	// Reachability (Hot/Long) still uses the full edge set — work done on a
 	// spawned goroutine is still on the hot or long-running path.
 	syncCallees map[*types.Func][]*types.Func
@@ -80,27 +81,27 @@ type Program struct {
 	Hot  map[*types.Func]bool
 	Long map[*types.Func]bool
 
-	// summaries are the per-function facts of summary.go, computed to a
-	// fixpoint over Callees.
-	polls  map[*types.Func]bool
-	blocks map[*types.Func]bool
+	// summary holds the per-function facts of summary.go, propagated to a
+	// fixpoint over syncCallees.
+	summary map[*types.Func]map[summaryFact]bool
 
 	// Pkgs is the set of loaded (in-program) packages; tier-4 analyzers use
 	// it to limit field tracking to structs the program declares.
 	Pkgs map[*types.Package]bool
 
-	// lockTab is the lock table of locktable.go and lockInfo the lock graph
-	// of lockorder.go; guardInfo and timerInfo are the tier-4 fact bases. Each
-	// is built lazily on first use and shared by every pass of the Run.
-	lockTab   *lockTable
+	// tab is the fact table of locktable.go. lockInfo is the lock graph of
+	// lockorder.go; guardInfo and timerInfo are the tier-4 results. Each of
+	// those three is built lazily by the one analyzer that reads it.
+	tab       *lockTable
 	lockInfo  *lockGraphInfo
 	guardInfo *guardFieldInfo
 	timerInfo *timerStopInfo
 }
 
-// BuildProgram constructs the call graph, reachability closures and function
-// summaries for the given packages. It is called once per Run and shared by
-// every pass through Pass.Prog.
+// BuildProgram walks every declared body once (the fact table) and derives
+// from it the call graph, reachability closures and function summaries for
+// the given packages. It is called once per Run and shared by every pass
+// through Pass.Prog.
 func BuildProgram(pkgs []*LoadedPackage) *Program {
 	p := &Program{
 		Decls:       map[*types.Func]*ast.FuncDecl{},
@@ -109,6 +110,7 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		syncCallees: map[*types.Func][]*types.Func{},
 		Hot:         map[*types.Func]bool{},
 		Long:        map[*types.Func]bool{},
+		summary:     map[*types.Func]map[summaryFact]bool{},
 		Pkgs:        map[*types.Package]bool{},
 	}
 	if len(pkgs) > 0 {
@@ -118,8 +120,7 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		p.Pkgs[pkg.Types] = true
 	}
 	// Phase 1: declarations and directive-marked roots.
-	type markedPkg struct{ hot, long bool }
-	pkgMarks := map[*types.Package]*markedPkg{}
+	pkgHot, pkgLong := map[*types.Package]bool{}, map[*types.Package]bool{}
 	for _, pkg := range pkgs {
 		for fn, fd := range funcDecls(pkg.Info, pkg.Files) {
 			p.Decls[fn] = fd
@@ -127,15 +128,8 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		}
 		for _, f := range pkg.Files {
 			hot, long := directiveKinds(f.Doc)
-			if hot || long {
-				m := pkgMarks[pkg.Types]
-				if m == nil {
-					m = &markedPkg{}
-					pkgMarks[pkg.Types] = m
-				}
-				m.hot = m.hot || hot
-				m.long = m.long || long
-			}
+			pkgHot[pkg.Types] = pkgHot[pkg.Types] || hot
+			pkgLong[pkg.Types] = pkgLong[pkg.Types] || long
 		}
 	}
 	for fn := range p.Decls {
@@ -146,106 +140,46 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 	})
 	for _, fn := range p.DeclList {
 		hot, long := directiveKinds(p.Decls[fn].Doc)
-		if m := pkgMarks[fn.Pkg()]; m != nil {
-			hot = hot || m.hot
-			long = long || m.long
-		}
-		if hot {
+		if hot || pkgHot[fn.Pkg()] {
 			p.HotRoots = append(p.HotRoots, fn)
 		}
-		if long {
+		if long || pkgLong[fn.Pkg()] {
 			p.LongRoots = append(p.LongRoots, fn)
 		}
 	}
 
-	// Phase 2: call edges. Interface-method callees expand to every declared
-	// concrete method implementing the interface; function literals belong to
-	// their enclosing declaration (a helper goroutine spawned on the hot path
-	// is still hot).
-	methodIndex := map[string][]*types.Func{}
-	for _, fn := range p.DeclList {
-		if recv := recvOf(fn); recv != nil {
-			if _, isIface := recv.Type().Underlying().(*types.Interface); !isIface {
-				methodIndex[fn.Name()] = append(methodIndex[fn.Name()], fn)
+	// Phase 2: the fact walk, and the call edges read off its call records.
+	// Function literals belong to their enclosing declaration (a helper
+	// goroutine spawned on the hot path is still hot).
+	p.tab = p.buildTable()
+	seen, seenSync := map[[2]*types.Func]bool{}, map[[2]*types.Func]bool{}
+	for _, rec := range p.tab.calls {
+		for _, target := range p.implementations(rec.callee) {
+			e := [2]*types.Func{rec.fn, target}
+			if !seen[e] {
+				seen[e] = true
+				p.Callees[rec.fn] = append(p.Callees[rec.fn], target)
+			}
+			if !rec.spawn && !rec.spawned && !seenSync[e] {
+				seenSync[e] = true
+				p.syncCallees[rec.fn] = append(p.syncCallees[rec.fn], target)
 			}
 		}
-	}
-	for _, fn := range p.DeclList {
-		fd := p.Decls[fn]
-		info := p.InfoOf[fn]
-		seen := map[*types.Func]bool{}
-		seenSync := map[*types.Func]bool{}
-		goCalls := map[*ast.CallExpr]bool{}
-		ast.Inspect(fd, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				goCalls[g.Call] = true
-				return true
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(info, call)
-			if callee == nil {
-				return true
-			}
-			for _, target := range p.resolve(callee, methodIndex) {
-				if !seen[target] {
-					seen[target] = true
-					p.Callees[fn] = append(p.Callees[fn], target)
-				}
-				if !goCalls[call] && !seenSync[target] {
-					seenSync[target] = true
-					p.syncCallees[fn] = append(p.syncCallees[fn], target)
-				}
-			}
-			return true
-		})
 	}
 
 	p.Hot = p.reachable(p.HotRoots)
 	p.Long = p.reachable(p.LongRoots)
-	p.computeSummaries()
+	propagate(p, p.summary, func(fn, _ *types.Func, f summaryFact, _ bool) (bool, bool) {
+		return true, f != factTimerSource || hasTimerResult(fn)
+	})
 	return p
-}
-
-// resolve expands one statically-resolved callee object into declared
-// targets: the object itself when it has a body, or — for an interface
-// method — every declared concrete method implementing it.
-func (p *Program) resolve(callee *types.Func, methodIndex map[string][]*types.Func) []*types.Func {
-	recv := recvOf(callee)
-	if recv == nil {
-		if _, ok := p.Decls[callee]; ok {
-			return []*types.Func{callee}
-		}
-		return nil
-	}
-	iface, isIface := recv.Type().Underlying().(*types.Interface)
-	if !isIface {
-		if _, ok := p.Decls[callee]; ok {
-			return []*types.Func{callee}
-		}
-		return nil
-	}
-	var out []*types.Func
-	for _, cand := range methodIndex[callee.Name()] {
-		rt := recvOf(cand).Type()
-		if types.Implements(rt, iface) {
-			out = append(out, cand)
-			continue
-		}
-		if _, isPtr := rt.(*types.Pointer); !isPtr && types.Implements(types.NewPointer(rt), iface) {
-			out = append(out, cand)
-		}
-	}
-	return out
 }
 
 // implementations resolves a callee object to its declared implementations:
 // the object itself when the program declares it, or — for an interface
 // method — every declared concrete method implementing it, in DeclList
-// order (the same expansion the call-graph edges use, available after
-// BuildProgram to analyzers that resolve call sites themselves).
+// order. The call graph's edges and every analyzer that resolves a call
+// site itself expand through it.
 func (p *Program) implementations(fn *types.Func) []*types.Func {
 	if _, ok := p.Decls[fn]; ok {
 		return []*types.Func{fn}

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // CancelPoll guards cancellability of the long-running machinery:
 // speculation's first-completion-wins protocol (§4 of the resilience design)
@@ -45,7 +42,6 @@ func runCancelPoll(pass *Pass) {
 		if fn.Pkg() != pass.Pkg || !pass.Prog.Long[fn] || fd.Body == nil {
 			continue
 		}
-		c := &cancelScanner{pass: pass}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch loop := n.(type) {
@@ -54,7 +50,7 @@ func runCancelPoll(pass *Pass) {
 			case *ast.RangeStmt:
 				if isChanType(pass.Info, loop.X) {
 					// Ranging over a channel is itself a blocking receive.
-					if !c.subtreePolls(loop.Body) {
+					if !loopHas(pass, loop.Body, factPolls) {
 						pass.Reportf(loop.Pos(), "loop ranges over a channel but never polls cancellation; a stalled sender strands it (function %s)", fn.Name())
 					}
 					return true
@@ -63,7 +59,7 @@ func runCancelPoll(pass *Pass) {
 			default:
 				return true
 			}
-			if c.loopBlocks(body) && !c.subtreePolls(body) {
+			if loopHas(pass, body, factBlocks) && !loopHas(pass, body, factPolls) {
 				pass.Reportf(n.Pos(), "loop blocks on channel communication but never polls Config.Canceled or a cancel channel (function %s); cancellation and Close can strand it", fn.Name())
 			}
 			return true
@@ -71,83 +67,41 @@ func runCancelPoll(pass *Pass) {
 	}
 }
 
-type cancelScanner struct {
-	pass *Pass
-}
-
-// loopBlocks reports whether the loop body itself can park: a direct
-// blocking channel operation or a call to a (transitively) blocking
-// function, excluding nested loops (reported separately) and function
-// literals (the spawned goroutine blocks, not this loop).
-func (c *cancelScanner) loopBlocks(body *ast.BlockStmt) bool {
-	blocks := false
+// loopHas reports whether fact f holds for a loop body: directly (blocksNode,
+// pollsCancelNode) or through a resolved callee's summary. Function literals
+// and go statements are skipped — the spawned goroutine blocks or polls, not
+// this loop. For blocking, a range over a channel counts and nested loops
+// are skipped (each gets its own finding); for polling, nested loops count —
+// a poll in an inner loop covers every enclosing loop's iteration.
+func loopHas(pass *Pass, body *ast.BlockStmt, f summaryFact) bool {
+	direct, blocking := pollsCancelNode, f == factBlocks
+	if blocking {
+		direct = blocksNode
+	}
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if blocks {
+		if found {
 			return false
 		}
 		switch n := n.(type) {
-		case *ast.ForStmt, *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.RangeStmt:
-			if isChanType(c.pass.Info, n.X) {
-				blocks = true
-			}
-			return false
-		case *ast.CallExpr:
-			if fn := calleeFunc(c.pass.Info, n); fn != nil {
-				for _, target := range c.targets(fn) {
-					if c.pass.Prog.Blocks(target) {
-						blocks = true
-						return false
-					}
-				}
-			}
-		default:
-			if blocksNode(n) {
-				blocks = true
-				return false
-			}
-		}
-		return true
-	})
-	return blocks
-}
-
-// subtreePolls reports whether cancellation is observed anywhere under body:
-// directly, or through any resolved callee. Nested loops count — a poll in
-// an inner loop covers every enclosing loop's iteration.
-func (c *cancelScanner) subtreePolls(body *ast.BlockStmt) bool {
-	polls := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if polls {
-			return false
-		}
-		switch n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
-		}
-		if pollsCancelNode(n) {
-			polls = true
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(c.pass.Info, call); fn != nil {
-				for _, target := range c.targets(fn) {
-					if c.pass.Prog.Polls(target) {
-						polls = true
-						return false
-					}
+		case *ast.ForStmt:
+			return !blocking
+		case *ast.RangeStmt:
+			if blocking {
+				found = isChanType(pass.Info, n.X)
+				return false
+			}
+		case *ast.CallExpr:
+			if fn := calleeFunc(pass.Info, n); fn != nil {
+				for _, target := range pass.Prog.implementations(fn) {
+					found = found || pass.Prog.summary[target][f]
 				}
 			}
 		}
-		return true
+		found = found || direct(n)
+		return !found
 	})
-	return polls
-}
-
-// targets resolves a callee object to its declared implementations: itself,
-// or — for an interface method — every concrete method the program declares
-// for it (the same expansion the call graph uses).
-func (c *cancelScanner) targets(fn *types.Func) []*types.Func {
-	return c.pass.Prog.implementations(fn)
+	return found
 }

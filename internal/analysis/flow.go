@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// This file is the one control-flow walker under the lock analyzers
-// (locksend, lockorder, guardfield, through the lock table of locktable.go)
-// and timerstop. The walker owns control flow for a function body; the
-// analyzer owns an abstract state S and says what each node does to it:
+// This file is the package's one control-flow walker. It runs the fact walk
+// of locktable.go (which the call graph, the summaries and the lock analyzers
+// read), timerstop's interpretation and wirebound's taint tracking. The
+// walker owns control flow for a function body; the analyzer owns an
+// abstract state S and says what each node does to it:
 //
 //   - each arm of an if, switch or select walks a copy of the state, and the
 //     arms that can fall through are joined. An arm ending in return,

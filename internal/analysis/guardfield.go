@@ -80,7 +80,7 @@ func (p *Program) guardFields() *guardFieldInfo {
 	if p.guardInfo != nil {
 		return p.guardInfo
 	}
-	tab := p.locks()
+	tab := p.tab
 	// Phase 1: entry-held sets to a fixpoint. entry(fn) is the intersection
 	// over every recorded call of (held at the site ∪ the caller's own entry
 	// set); functions never called in-program, spawned via go, or taken as
@@ -117,8 +117,7 @@ func (p *Program) guardFields() *guardFieldInfo {
 		}
 		return eff, known
 	}
-	for changed := true; changed; {
-		changed = false
+	fixpoint(func() (changed bool) {
 		for _, rec := range tab.calls {
 			eff := map[string]bool{}
 			if !rec.spawn {
@@ -142,18 +141,25 @@ func (p *Program) guardFields() *guardFieldInfo {
 				}
 			}
 		}
-	}
+		return changed
+	})
 	// Phase 2: inference and reporting per field.
 	info := &guardFieldInfo{}
 	for _, obj := range tab.order {
 		st := tab.fields[obj]
-		total := len(st.accesses)
+		var accesses []guardAccess
+		for _, a := range st.accesses {
+			if !a.ctor {
+				accesses = append(accesses, a)
+			}
+		}
+		total := len(accesses)
 		if total < guardMinAccesses {
 			continue
 		}
 		effs := make([]map[string]bool, total)
 		counts := map[string]int{}
-		for i, a := range st.accesses {
+		for i, a := range accesses {
 			effs[i], _ = effective(a.lockSite)
 			for key := range effs[i] {
 				if guardableKey(key) {
@@ -175,7 +181,7 @@ func (p *Program) guardFields() *guardFieldInfo {
 		if best == "" || bestN == total || float64(bestN) < guardThreshold*float64(total) {
 			continue
 		}
-		for i, a := range st.accesses {
+		for i, a := range accesses {
 			if effs[i][best] {
 				continue
 			}

@@ -143,13 +143,10 @@ func inspectStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) 
 			stack = stack[:len(stack)-1]
 			return true
 		}
-		descend := visit(n, stack)
-		stack = append(stack, n)
-		if !descend {
-			// Still push/popped symmetrically; prune by skipping children.
-			stack = stack[:len(stack)-1]
-			return false
+		if !visit(n, stack) {
+			return false // no children, so no closing nil call
 		}
+		stack = append(stack, n)
 		return true
 	})
 }

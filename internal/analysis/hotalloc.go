@@ -44,20 +44,8 @@ func runHotAlloc(pass *Pass) {
 		if fn.Pkg() != pass.Pkg || !pass.Prog.Hot[fn] || fd.Body == nil {
 			continue
 		}
-		h := &hotScanner{
-			pass:        pass,
-			emptyLocals: emptySliceLocals(pass.Info, fd),
-			callFuns:    map[*ast.SelectorExpr]bool{},
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					h.callFuns[sel] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(fd.Body, h.visit)
+		h := &hotScanner{pass: pass, emptyLocals: emptySliceLocals(pass.Info, fd)}
+		inspectStack(fd.Body, h.visit)
 	}
 }
 
@@ -66,12 +54,9 @@ type hotScanner struct {
 	// emptyLocals holds the local slice variables declared with provably
 	// empty backing (var s []T, s := []T(nil), s := []T{}).
 	emptyLocals map[*types.Var]bool
-	// callFuns marks selectors that are the Fun of a call, so x.M() is not
-	// reported as a bound method value.
-	callFuns map[*ast.SelectorExpr]bool
 }
 
-func (h *hotScanner) visit(n ast.Node) bool {
+func (h *hotScanner) visit(n ast.Node, stack []ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		h.checkCall(n)
@@ -85,7 +70,10 @@ func (h *hotScanner) visit(n ast.Node) bool {
 			}
 		}
 	case *ast.SelectorExpr:
-		h.checkMethodValue(n)
+		// x.M() is a call, not a method value.
+		if call, ok := stackParent(stack).(*ast.CallExpr); !ok || call.Fun != n {
+			h.checkMethodValue(n)
+		}
 	}
 	return true
 }
@@ -178,10 +166,6 @@ func (h *hotScanner) checkCompositeLit(lit *ast.CompositeLit) {
 func (h *hotScanner) checkMethodValue(sel *ast.SelectorExpr) {
 	selInfo, ok := h.pass.Info.Selections[sel]
 	if !ok || selInfo.Kind() != types.MethodVal {
-		return
-	}
-	// x.M() is a call, not a value; callFuns filters those out.
-	if h.callFuns[sel] {
 		return
 	}
 	h.pass.Reportf(sel.Pos(), "bound method value %s allocates a closure per evaluation; hoist it into setup", types.ExprString(sel))

@@ -114,7 +114,8 @@ type rawPackage struct {
 }
 
 // parseTree walks dir and parses every package in it, skipping testdata,
-// vendored and hidden directories and all _test.go files.
+// vendored and hidden directories, nested modules (a subdirectory with its
+// own go.mod, which `go vet ./...` skips too) and all _test.go files.
 func parseTree(fset *token.FileSet, root, modulePath string) (map[string]*rawPackage, error) {
 	pkgs := map[string]*rawPackage{}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -122,9 +123,15 @@ func parseTree(fset *token.FileSet, root, modulePath string) (map[string]*rawPac
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -18,9 +18,9 @@ import (
 // The abstraction: a lock is identified by the struct type and field that
 // declare it (comm.TCP.mu, cluster.ledger.mu), or by package/function
 // scope for non-field mutexes. Acquisitions and calls, each with the locks
-// held there, come from the lock table (locktable.go). Holding L while
-// acquiring M — directly, or anywhere inside a callee reached without a `go`
-// statement, propagated to a fixpoint over the call graph like the tier-2
+// held there, come from the fact table (locktable.go). Holding L while
+// acquiring M — directly, or anywhere inside a callee reached without
+// spawning a goroutine, propagated over the call graph like the tier-2
 // summaries — adds the edge L → M. A cycle in the resulting graph is a
 // potential deadlock, reported once with both acquisition paths cited.
 //
@@ -94,57 +94,34 @@ func (p *Program) lockGraph() *lockGraphInfo {
 	if p.lockInfo != nil {
 		return p.lockInfo
 	}
-	tab := p.locks()
-	b := &lockGraphBuilder{info: &lockGraphInfo{edges: map[string]map[string]*lockEdge{}}}
+	g := &lockGraphInfo{edges: map[string]map[string]*lockEdge{}}
 	// Phase 1: direct acquisitions — ordered edges from every held lock, and
 	// each function's first site per key. A spawned literal acquires on its
 	// own goroutine's stack, so its acquisitions are not its function's.
-	direct := map[*types.Func]map[string]token.Pos{}
-	for _, a := range tab.acquires {
+	acq := map[*types.Func]map[string]lockAcq{}
+	for _, a := range p.tab.acquires {
 		for _, h := range a.held {
-			b.addEdge(h.key, a.key, a.pos, a.fn, fmt.Sprintf(
+			g.addEdge(h.key, a.key, a.pos, a.fn, fmt.Sprintf(
 				"%s acquired with %s held at %s (in %s)", a.key, h.key, p.pos(a.pos), a.fn.Name()))
 		}
 		if a.spawned {
 			continue
 		}
-		if direct[a.fn] == nil {
-			direct[a.fn] = map[string]token.Pos{}
+		if acq[a.fn] == nil {
+			acq[a.fn] = map[string]lockAcq{}
 		}
-		if _, ok := direct[a.fn][a.key]; !ok {
-			direct[a.fn][a.key] = a.pos
+		if _, ok := acq[a.fn][a.key]; !ok {
+			acq[a.fn][a.key] = lockAcq{pos: a.pos}
 		}
 	}
-	// Phase 2: transitive acquisition sets to a fixpoint over the non-go
+	// Phase 2: transitive acquisition sets, propagated over the synchronous
 	// call edges (a spawned goroutine acquires on its own stack).
-	acq := map[*types.Func]map[string]lockAcq{}
-	for fn, keys := range direct {
-		m := map[string]lockAcq{}
-		for key, pos := range keys {
-			m[key] = lockAcq{pos: pos}
-		}
-		acq[fn] = m
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range p.DeclList {
-			for _, c := range p.syncCallees[fn] {
-				for key := range acq[c] {
-					if _, ok := acq[fn][key]; ok {
-						continue
-					}
-					if acq[fn] == nil {
-						acq[fn] = map[string]lockAcq{}
-					}
-					acq[fn][key] = lockAcq{via: c}
-					changed = true
-				}
-			}
-		}
-	}
+	propagate(p, acq, func(_, c *types.Func, _ string, _ lockAcq) (lockAcq, bool) {
+		return lockAcq{via: c}, true
+	})
 	// Phase 3: call-mediated edges — each call made under held locks orders
 	// those locks before everything the callee transitively acquires.
-	for _, rec := range tab.calls {
+	for _, rec := range p.tab.calls {
 		if len(rec.held) == 0 {
 			continue
 		}
@@ -160,7 +137,7 @@ func (p *Program) lockGraph() *lockGraphInfo {
 					if h.key == key {
 						continue
 					}
-					b.addEdge(h.key, key, rec.pos, rec.fn, fmt.Sprintf(
+					g.addEdge(h.key, key, rec.pos, rec.fn, fmt.Sprintf(
 						"%s held at call to %s (%s), which acquires %s (in %s at %s)",
 						h.key, target.Name(), p.pos(rec.pos), key, owner.Name(), p.pos(site)))
 				}
@@ -171,20 +148,20 @@ func (p *Program) lockGraph() *lockGraphInfo {
 	// its source closes a cycle; each distinct cycle (as a node set) is
 	// reported once, at its lexically-first edge, citing every acquisition
 	// path around the loop.
-	froms := make([]string, 0, len(b.info.edges))
-	for from := range b.info.edges {
+	froms := make([]string, 0, len(g.edges))
+	for from := range g.edges {
 		froms = append(froms, from)
 	}
 	sort.Strings(froms)
 	seen := map[string]bool{}
 	for _, from := range froms {
-		tos := make([]string, 0, len(b.info.edges[from]))
-		for to := range b.info.edges[from] {
+		tos := make([]string, 0, len(g.edges[from]))
+		for to := range g.edges[from] {
 			tos = append(tos, to)
 		}
 		sort.Strings(tos)
 		for _, to := range tos {
-			path := b.findPath(to, from)
+			path := g.findPath(to, from)
 			if path == nil {
 				continue
 			}
@@ -196,12 +173,12 @@ func (p *Program) lockGraph() *lockGraphInfo {
 				continue
 			}
 			seen[id] = true
-			e := b.info.edges[from][to]
+			e := g.edges[from][to]
 			var parts []string
 			for i := 0; i < len(cycle)-1; i++ {
-				parts = append(parts, b.info.edges[cycle[i]][cycle[i+1]].desc)
+				parts = append(parts, g.edges[cycle[i]][cycle[i+1]].desc)
 			}
-			b.info.findings = append(b.info.findings, progFinding{
+			g.findings = append(g.findings, progFinding{
 				pos: e.pos,
 				pkg: e.fn.Pkg(),
 				msg: fmt.Sprintf("potential deadlock: lock-order cycle %s: %s",
@@ -209,8 +186,8 @@ func (p *Program) lockGraph() *lockGraphInfo {
 			})
 		}
 	}
-	p.lockInfo = b.info
-	return b.info
+	p.lockInfo = g
+	return g
 }
 
 // pos renders a token.Pos as file:line using the shared FileSet.
@@ -251,18 +228,14 @@ func canonicalCycle(cycle []string) string {
 	return strings.Join(keys, "|")
 }
 
-type lockGraphBuilder struct {
-	info *lockGraphInfo
-}
-
-func (b *lockGraphBuilder) addEdge(from, to string, pos token.Pos, fn *types.Func, desc string) {
+func (g *lockGraphInfo) addEdge(from, to string, pos token.Pos, fn *types.Func, desc string) {
 	if from == to {
 		return // instance-insensitive keys cannot distinguish re-entry from siblings
 	}
-	m := b.info.edges[from]
+	m := g.edges[from]
 	if m == nil {
 		m = map[string]*lockEdge{}
-		b.info.edges[from] = m
+		g.edges[from] = m
 	}
 	if m[to] == nil {
 		m[to] = &lockEdge{from: from, to: to, pos: pos, fn: fn, desc: desc}
@@ -272,7 +245,7 @@ func (b *lockGraphBuilder) addEdge(from, to string, pos token.Pos, fn *types.Fun
 // findPath returns the node path from `from` to `to` over the edge graph
 // (excluding `from` itself, ending in `to`), or nil if unreachable.
 // Deterministic: BFS with sorted adjacency.
-func (b *lockGraphBuilder) findPath(from, to string) []string {
+func (g *lockGraphInfo) findPath(from, to string) []string {
 	if from == to {
 		return []string{to}
 	}
@@ -281,8 +254,8 @@ func (b *lockGraphBuilder) findPath(from, to string) []string {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		next := make([]string, 0, len(b.info.edges[n]))
-		for m := range b.info.edges[n] {
+		next := make([]string, 0, len(g.edges[n]))
+		for m := range g.edges[n] {
 			next = append(next, m)
 		}
 		sort.Strings(next)

@@ -46,7 +46,7 @@ func runLockSend(pass *Pass) {
 		!pathHasSegments(path, "internal", "fault") {
 		return
 	}
-	for _, b := range pass.Prog.locks().blocks {
+	for _, b := range pass.Prog.tab.blocks {
 		if b.fn.Pkg() == pass.Pkg {
 			pass.Reportf(b.pos, b.msg, b.held[len(b.held)-1].text)
 		}

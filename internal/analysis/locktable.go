@@ -7,11 +7,13 @@ import (
 	"strings"
 )
 
-// lockTable is the program-wide record the lock analyzers read: every mutex
-// acquisition, call, blocking operation and struct-field access, each with the
-// locks held at that point. It is built by one flow walk per Run (locks are
-// named by lockKeyOf, arms join by intersection) and shared by locksend,
-// lockorder and guardfield.
+// lockTable is the program's fact table: every mutex acquisition, call,
+// blocking operation and struct-field access, each with the locks held at
+// that point. BuildProgram fills it with one flow walk over every declaration
+// (locks are named by lockKeyOf, arms join by intersection), and everything
+// else is read off it: the call graph's edges, the direct summary facts (the
+// same walk records them into Program.summary), the lock analyzers' inputs,
+// and timerstop's field stops.
 type lockTable struct {
 	acquires []lockAcquire
 	calls    []lockCall
@@ -78,13 +80,27 @@ type guardFieldState struct {
 type guardAccess struct {
 	lockSite
 	write bool
+	// ctor: the access goes through a value still inside its constructor,
+	// which guard inference skips.
+	ctor bool
+	use  fieldUse
 }
 
-// locks builds (once) and returns the program's lock table.
-func (p *Program) locks() *lockTable {
-	if p.lockTab != nil {
-		return p.lockTab
-	}
+// fieldUse is what an access does with the field's value, by the expression
+// directly around it.
+type fieldUse uint8
+
+const (
+	// useHandOff: the value goes onward (aliased, passed, returned, compared,
+	// address taken, another method called) to code that may stop it.
+	useHandOff fieldUse = iota
+	useStore            // an assignment target
+	useStop             // x.f.Stop
+	useTick             // x.f.C or x.f.Reset: used without being stopped
+)
+
+// buildTable runs the program's one fact walk.
+func (p *Program) buildTable() *lockTable {
 	w := &lockWalk{prog: p, tab: &lockTable{
 		fields:   map[types.Object]*guardFieldState{},
 		valueRef: map[*types.Func]bool{},
@@ -100,7 +116,6 @@ func (p *Program) locks() *lockTable {
 		w.comm = map[ast.Stmt]bool{}
 		w.f.walkFunc(w.info, fd.Body)
 	}
-	p.lockTab = w.tab
 	return w.tab
 }
 
@@ -152,6 +167,10 @@ func (w *lockWalk) block(pos token.Pos, held []heldLock, msg string) {
 }
 
 func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLock, bool) {
+	// A spawned goroutine blocks, polls and creates timers on its own stack.
+	if _, inGo := stackRoot(stack).(*ast.GoStmt); !inGo && !w.f.spawned {
+		w.directFacts(n)
+	}
 	parent := stackParent(stack)
 	switch n := n.(type) {
 	case *ast.SelectStmt:
@@ -213,6 +232,29 @@ func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLo
 	return held, true
 }
 
+// directFacts records the summary facts n establishes for the function being
+// walked; a timer creation counts only where the function can hand the timer
+// back (see hasTimerResult).
+func (w *lockWalk) directFacts(n ast.Node) {
+	set := func(f summaryFact) {
+		if w.prog.summary[w.fn] == nil {
+			w.prog.summary[w.fn] = map[summaryFact]bool{}
+		}
+		w.prog.summary[w.fn][f] = true
+	}
+	if pollsCancelNode(n) {
+		set(factPolls)
+	}
+	if blocksNode(n) {
+		set(factBlocks)
+	}
+	if call, ok := n.(*ast.CallExpr); ok && hasTimerResult(w.fn) {
+		if _, _, creates := timerCreationCall(w.info, call); creates {
+			set(factTimerSource)
+		}
+	}
+}
+
 // valueRef marks a declared function named by id (through expr) as taken as
 // a value unless expr is the callee of a call.
 func (w *lockWalk) valueRef(id *ast.Ident, parent ast.Node, expr ast.Expr) {
@@ -229,14 +271,14 @@ func (w *lockWalk) valueRef(id *ast.Ident, parent ast.Node, expr ast.Expr) {
 }
 
 // field records one access to a program-declared struct field, unless the
-// field's type is exempt (sync primitives, atomics) or the access is
-// pre-escape constructor initialization. The access is a write when sel is
-// (under index, dereference and parenthesis layers) an assignment target:
+// field's type is exempt (sync primitives, atomics); pre-escape constructor
+// initialization is marked ctor. The access is a write when sel is (under
+// index, dereference and parenthesis layers) an assignment target:
 // s.m[k] = v writes (through) field m.
 func (w *lockWalk) field(sel *ast.SelectorExpr, held []heldLock, stack []ast.Node) {
 	obj, ok := w.info.Uses[sel.Sel].(*types.Var)
 	if !ok || !obj.IsField() || obj.Pkg() == nil || !w.prog.Pkgs[obj.Pkg()] ||
-		guardExemptType(obj.Type()) || w.ctor[rootIdentObj(w.info, sel.X)] {
+		guardExemptType(obj.Type()) {
 		return
 	}
 	st := w.tab.fields[obj]
@@ -273,7 +315,32 @@ up:
 		}
 		break up
 	}
-	st.accesses = append(st.accesses, guardAccess{lockSite: w.site(sel.Sel.Pos(), held), write: write})
+	st.accesses = append(st.accesses, guardAccess{
+		lockSite: w.site(sel.Sel.Pos(), held),
+		write:    write,
+		ctor:     w.ctor[rootIdentObj(w.info, sel.X)],
+		use:      fieldUseOf(sel, stackParent(stack)),
+	})
+}
+
+// fieldUseOf classifies an access by the node directly around it.
+func fieldUseOf(sel *ast.SelectorExpr, parent ast.Node) fieldUse {
+	switch p := parent.(type) {
+	case *ast.SelectorExpr:
+		switch p.Sel.Name {
+		case "Stop":
+			return useStop
+		case "C", "Reset":
+			return useTick
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range p.Lhs {
+			if lhs == sel {
+				return useStore
+			}
+		}
+	}
+	return useHandOff
 }
 
 // mutexCall classifies a call as a sync.Mutex/RWMutex Lock/RLock (acquire) or

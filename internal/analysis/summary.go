@@ -21,54 +21,82 @@ import (
 //     whose name says cancel/stop/done/quit/closed.
 //
 // Both are syntactic over-approximations refined to a fixpoint over the
-// approximate call graph; cancelpoll combines them per loop.
+// approximate call graph; cancelpoll combines them per loop. A third fact
+// rides along for timerstop:
+//
+//   - timer source: the function hands a timer it (transitively) created
+//     back to its caller — its results include a *time.Ticker or
+//     *time.Timer and it reaches a constructor directly or through another
+//     source. Result type alone is not enough: a getter returning a
+//     struct's ticker field hands out a borrowed value whose Stop belongs
+//     to the owner, not the caller.
+//
+// The fact walk (locktable.go) records the direct facts outside spawned
+// goroutines, and BuildProgram propagates them.
 
-// computeSummaries derives the direct facts per declared function, then
-// propagates them over Callees until nothing changes. Cycles (recursion)
-// converge because facts only ever flip false→true.
-func (p *Program) computeSummaries() {
-	p.polls = map[*types.Func]bool{}
-	p.blocks = map[*types.Func]bool{}
-	for fn, fd := range p.Decls {
-		if fd.Body == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.GoStmt); ok {
-				// A spawned goroutine blocks and polls on its own stack.
-				return false
-			}
-			if pollsCancelNode(n) {
-				p.polls[fn] = true
-			}
-			if blocksNode(n) {
-				p.blocks[fn] = true
-			}
-			return !(p.polls[fn] && p.blocks[fn])
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn := range p.Decls {
+// summaryFact is one per-function fact that flows from callee to caller.
+type summaryFact uint8
+
+const (
+	factPolls summaryFact = iota
+	factBlocks
+	factTimerSource
+)
+
+// Polls reports whether fn (transitively) observes cancellation.
+func (p *Program) Polls(fn *types.Func) bool { return p.summary[fn][factPolls] }
+
+// Blocks reports whether fn (transitively) can park on channel communication.
+func (p *Program) Blocks(fn *types.Func) bool { return p.summary[fn][factBlocks] }
+
+// propagate grows each declared function's facts by those of its
+// synchronous callees until nothing changes. inherit says whether fn takes
+// callee's fact k, and what fn records for it. Facts are only ever added, so
+// recursion converges; passes visit DeclList and each callee list in order,
+// so the witness recorded for a fact is deterministic.
+func propagate[K comparable, V any](p *Program, facts map[*types.Func]map[K]V,
+	inherit func(fn, callee *types.Func, k K, v V) (V, bool)) {
+	fixpoint(func() (changed bool) {
+		for _, fn := range p.DeclList {
 			for _, c := range p.syncCallees[fn] {
-				if p.polls[c] && !p.polls[fn] {
-					p.polls[fn] = true
-					changed = true
-				}
-				if p.blocks[c] && !p.blocks[fn] {
-					p.blocks[fn] = true
-					changed = true
+				for k, v := range facts[c] {
+					if _, ok := facts[fn][k]; ok {
+						continue
+					}
+					if v, ok := inherit(fn, c, k, v); ok {
+						if facts[fn] == nil {
+							facts[fn] = map[K]V{}
+						}
+						facts[fn][k] = v
+						changed = true
+					}
 				}
 			}
 		}
+		return changed
+	})
+}
+
+// fixpoint repeats pass until a pass changes nothing. It is the package's
+// one fixpoint loop: propagate runs on it, and so does guardfield's
+// entry-set intersection.
+func fixpoint(pass func() (changed bool)) {
+	for changed := true; changed; {
+		changed = pass()
 	}
 }
 
-// Polls reports whether fn (transitively) observes cancellation.
-func (p *Program) Polls(fn *types.Func) bool { return p.polls[fn] }
-
-// Blocks reports whether fn (transitively) can park on channel communication.
-func (p *Program) Blocks(fn *types.Func) bool { return p.blocks[fn] }
+// hasTimerResult reports whether fn's results include a *time.Ticker or
+// *time.Timer.
+func hasTimerResult(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	for i := 0; i < sig.Results().Len(); i++ {
+		if timerTypeKind(sig.Results().At(i).Type()) != "" {
+			return true
+		}
+	}
+	return false
+}
 
 // cancelNames are the substrings that make a channel identifier read as a
 // cancellation signal.

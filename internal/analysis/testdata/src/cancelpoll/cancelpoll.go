@@ -120,6 +120,12 @@ func RunSpawner(work chan int, n int) {
 	}
 }
 
+// spawnLit and spawnCall hand drain to a goroutine: the goroutine blocks on
+// its own stack, so neither spawner blocks.
+func spawnLit(work chan int) { go func() { drain(work) }() }
+
+func spawnCall(work chan int) { go drain(work) }
+
 // coldDrain blocks but is unreachable from any longrun root: no finding.
 func coldDrain(work chan int) {
 	for {

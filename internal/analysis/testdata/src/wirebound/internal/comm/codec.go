@@ -99,6 +99,30 @@ func decodeViaHelper(p []byte) []byte {
 	return make([]byte, n) // want "make sized by a wire-decoded integer"
 }
 
+// decodeBranchy taints n on one arm only; the constant on the other arm does
+// not clean the path that decoded.
+func decodeBranchy(p []byte, wire bool) []uint32 {
+	var n int
+	if wire {
+		n = int(binary.LittleEndian.Uint32(p))
+	} else {
+		n = 4
+	}
+	return make([]uint32, n) // want "make sized by a wire-decoded integer"
+}
+
+// decodeHalfClamped clamps on the strict path only; the lax path reaches the
+// make unclamped.
+func decodeHalfClamped(p []byte, strict bool) []uint32 {
+	n := int(binary.LittleEndian.Uint32(p))
+	if strict {
+		if n > maxEntries {
+			return nil
+		}
+	}
+	return make([]uint32, n) // want "make sized by a wire-decoded integer"
+}
+
 // decodeConstSize allocates a fixed-size buffer after decoding: the size is
 // untainted, so no finding.
 func decodeConstSize(p []byte) []byte {

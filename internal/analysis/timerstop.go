@@ -79,7 +79,16 @@ func (p *Program) timerStop() *timerStopInfo {
 		seen[pos] = true
 		info.findings = append(info.findings, progFinding{pos: pos, pkg: pkg, msg: msg})
 	}
-	s := &timerWalk{sources: p.timerSources(), fieldStops: p.timerFieldStops(), report: report}
+	// A field can be stopped when some access stops its value or hands it
+	// onward; one whose only uses are stores, C-receives and Resets cannot,
+	// and stores into it are leaks.
+	fieldStops := map[types.Object]bool{}
+	for obj, st := range p.tab.fields {
+		for _, a := range st.accesses {
+			fieldStops[obj] = fieldStops[obj] || a.use == useStop || a.use == useHandOff
+		}
+	}
+	s := &timerWalk{prog: p, fieldStops: fieldStops, report: report}
 	s.f.hooks = s
 	for _, fn := range p.DeclList {
 		if fd := p.Decls[fn]; fd.Body != nil {
@@ -117,124 +126,13 @@ func timerCreationCall(info *types.Info, call *ast.CallExpr) (kind, callName str
 	return "", "", false
 }
 
-// timerSources computes, to a fixpoint, the declared functions that hand a
-// timer they (transitively) created back to their caller: the declared
-// result type includes *time.Ticker or *time.Timer, and the body reaches a
-// constructor directly or through another source. Result-type alone is not
-// enough — a getter returning a struct's ticker field hands out a borrowed
-// value whose Stop belongs to the owner, not the caller.
-func (p *Program) timerSources() map[*types.Func]bool {
-	srcs := map[*types.Func]bool{}
-	hasTimerResult := func(fn *types.Func) bool {
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok {
-			return false
-		}
-		for i := 0; i < sig.Results().Len(); i++ {
-			if timerTypeKind(sig.Results().At(i).Type()) != "" {
-				return true
-			}
-		}
-		return false
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range p.DeclList {
-			if srcs[fn] || !hasTimerResult(fn) {
-				continue
-			}
-			info := p.InfoOf[fn]
-			creates := false
-			ast.Inspect(p.Decls[fn], func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if _, _, isNew := timerCreationCall(info, call); isNew {
-					creates = true
-				} else if cf := calleeFunc(info, call); cf != nil && srcs[cf] {
-					creates = true
-				}
-				return !creates
-			})
-			if creates {
-				srcs[fn] = true
-				changed = true
-			}
-		}
-	}
-	return srcs
-}
-
-// timerFieldStops computes the set of timer-typed struct fields that some
-// code in the program could stop: a direct x.f.Stop() call, or any read of
-// the field that hands the value onward (alias, argument, return). A field
-// whose only uses are stores, C-receives and Resets can never be stopped,
-// and stores into it are leaks.
-func (p *Program) timerFieldStops() map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, fn := range p.DeclList {
-		fd := p.Decls[fn]
-		info := p.InfoOf[fn]
-		if fd.Body == nil {
-			continue
-		}
-		inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			obj, ok := info.Uses[sel.Sel].(*types.Var)
-			if !ok || !obj.IsField() || timerTypeKind(obj.Type()) == "" {
-				return true
-			}
-			parent := ast.Node(nil)
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			switch pn := parent.(type) {
-			case *ast.SelectorExpr:
-				if pn.X == sel {
-					switch pn.Sel.Name {
-					case "Stop":
-						out[obj] = true
-					case "C", "Reset":
-						// Using the timer without being able to stop it.
-					default:
-						out[obj] = true
-					}
-					return true
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range pn.Lhs {
-					if lhs == sel {
-						return true // a store, not a potential stop
-					}
-				}
-				out[obj] = true // read into an alias — the alias may stop it
-			case *ast.KeyValueExpr:
-				if pn.Value != sel {
-					return true
-				}
-				out[obj] = true
-			default:
-				// Returned, passed as an argument, address taken, compared:
-				// the value reaches code that may stop it.
-				out[obj] = true
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // timerWalk is the flow hook set of the abstract interpretation; its state
 // is the timer map of the scope being walked.
 type timerWalk struct {
 	f          flow[timerState]
+	prog       *Program
 	info       *types.Info
 	fn         *types.Func
-	sources    map[*types.Func]bool
 	fieldStops map[types.Object]bool
 	report     func(pos token.Pos, pkg *types.Package, msg string)
 }
@@ -293,18 +191,19 @@ func tickerSuffix(kind string) string {
 func (s *timerWalk) node(st timerState, n ast.Node, stack []ast.Node) (timerState, bool) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		s.scanAssign(st, n)
+		s.scanAssign(st, n.Lhs, n.Rhs)
 		return st, false
-	case *ast.DeclStmt:
-		s.scanDecl(st, n)
+	case *ast.ValueSpec:
+		lhs := make([]ast.Expr, len(n.Names))
+		for i, id := range n.Names {
+			lhs[i] = id
+		}
+		s.scanAssign(st, lhs, n.Values)
 		return st, false
 	case *ast.ExprStmt:
 		if call, ok := n.X.(*ast.CallExpr); ok {
 			if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
-				s.report(call.Pos(), s.pkg(), fmt.Sprintf(
-					"result of %s is discarded; the %s can never be stopped and "+
-						"leaks its runtime timer%s — bind it and defer Stop",
-					callName, kind, tickerSuffix(kind)))
+				s.discarded(call, kind, callName)
 				for _, a := range call.Args {
 					s.f.visit(st, a)
 				}
@@ -350,110 +249,85 @@ func (s *timerWalk) node(st timerState, n ast.Node, stack []ast.Node) (timerStat
 	return st, true
 }
 
-// scanAssign handles bindings: creation calls and source-function calls
-// bind trackable timers; everything else is scanned for stops and escapes,
-// and storing a tracked timer into a never-stopped field is reported.
-func (s *timerWalk) scanAssign(st timerState, n *ast.AssignStmt) {
-	if len(n.Rhs) == 1 {
-		if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+// scanAssign handles bindings (assignments and `var` specs): creation calls
+// and source-function calls bind trackable timers; everything else is
+// scanned for stops and escapes, and storing a tracked timer into a
+// never-stopped field is reported.
+func (s *timerWalk) scanAssign(st timerState, lhs, rhs []ast.Expr) {
+	if len(rhs) == 1 {
+		if call, ok := rhs[0].(*ast.CallExpr); ok {
 			if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
 				for _, a := range call.Args {
 					s.f.visit(st, a)
 				}
-				s.bindCreation(st, n.Lhs, call, kind, callName)
+				if len(lhs) == 1 {
+					s.bindCreation(st, lhs[0], call, kind, callName)
+				}
 				return
 			}
-			if cf := calleeFunc(s.info, call); cf != nil && s.sources[cf] {
+			if cf := calleeFunc(s.info, call); cf != nil && s.prog.summary[cf][factTimerSource] {
 				for _, a := range call.Args {
 					s.f.visit(st, a)
 				}
 				s.f.visit(st, call.Fun)
-				s.bindFromSource(st, n.Lhs, call, cf)
+				s.bindFromSource(st, lhs, call, cf)
 				return
 			}
 		}
 	}
-	for _, r := range n.Rhs {
+	for _, r := range rhs {
 		s.f.visit(st, r)
 	}
-	if len(n.Lhs) == len(n.Rhs) {
-		for i := range n.Rhs {
-			s.checkFieldStore(st, n.Lhs[i], n.Rhs[i])
+	if len(lhs) == len(rhs) {
+		for i := range rhs {
+			s.checkFieldStore(st, lhs[i], rhs[i])
 		}
 	}
-	for _, l := range n.Lhs {
+	for _, l := range lhs {
 		if _, isIdent := l.(*ast.Ident); !isIdent {
 			s.f.visit(st, l)
 		}
 	}
 }
 
-// scanDecl handles `var t = time.NewTicker(d)` declarations.
-func (s *timerWalk) scanDecl(st timerState, n *ast.DeclStmt) {
-	gd, ok := n.Decl.(*ast.GenDecl)
-	if !ok {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		if len(vs.Values) == 1 && len(vs.Names) == 1 {
-			if call, okCall := vs.Values[0].(*ast.CallExpr); okCall {
-				if kind, callName, isNew := timerCreationCall(s.info, call); isNew {
-					for _, a := range call.Args {
-						s.f.visit(st, a)
-					}
-					s.bindIdent(st, vs.Names[0], call, kind, callName)
-					continue
-				}
-			}
-		}
-		for _, v := range vs.Values {
-			s.f.visit(st, v)
-		}
-	}
-}
-
-// bindCreation binds a constructor result to its single LHS: a local starts
+// bindCreation binds a constructor result to its target: a local starts
 // tracking, `_` is an immediate leak, a field store is checked against the
 // program-wide field-stop set.
-func (s *timerWalk) bindCreation(st timerState, lhs []ast.Expr, call *ast.CallExpr, kind, callName string) {
-	if len(lhs) != 1 {
-		return
-	}
-	switch l := lhs[0].(type) {
+func (s *timerWalk) bindCreation(st timerState, lhs ast.Expr, call *ast.CallExpr, kind, callName string) {
+	switch l := lhs.(type) {
 	case *ast.Ident:
-		s.bindIdent(st, l, call, kind, callName)
+		if l.Name == "_" {
+			s.discarded(call, kind, callName)
+		} else if obj := s.identDefOrUse(l); obj != nil {
+			s.checkRebind(st, obj)
+			st[obj] = timerVal{pos: call.Pos(), name: l.Name, kind: kind, call: callName}
+		}
 	case *ast.SelectorExpr:
 		if fobj, ok := s.info.Uses[l.Sel].(*types.Var); ok && fobj.IsField() {
-			if !s.fieldStops[fobj] {
-				s.report(call.Pos(), s.pkg(), fmt.Sprintf(
-					"%s result is stored in field %s, which no code in the "+
-						"program ever stops — the %s leaks its runtime timer%s",
-					callName, fobj.Name(), kind, tickerSuffix(kind)))
-			}
+			s.fieldStore(call.Pos(), callName+" result", fobj, kind)
 			return
 		}
 		s.f.visit(st, l)
 	}
 }
 
-func (s *timerWalk) bindIdent(st timerState, id *ast.Ident, call *ast.CallExpr, kind, callName string) {
-	if id.Name == "_" {
-		s.report(call.Pos(), s.pkg(), fmt.Sprintf(
-			"result of %s is discarded; the %s can never be stopped and leaks "+
-				"its runtime timer%s — bind it and defer Stop",
-			callName, kind, tickerSuffix(kind)))
-		return
+// discarded reports a creation whose result is dropped on the spot.
+func (s *timerWalk) discarded(call *ast.CallExpr, kind, callName string) {
+	s.report(call.Pos(), s.pkg(), fmt.Sprintf(
+		"result of %s is discarded; the %s can never be stopped and leaks "+
+			"its runtime timer%s — bind it and defer Stop",
+		callName, kind, tickerSuffix(kind)))
+}
+
+// fieldStore reports a timer (what: its creating call and name) stored into
+// field, unless some code in the program can stop that field.
+func (s *timerWalk) fieldStore(pos token.Pos, what string, field *types.Var, kind string) {
+	if !s.fieldStops[field] {
+		s.report(pos, s.pkg(), fmt.Sprintf(
+			"%s is stored in field %s, which no code in the program ever stops — "+
+				"the %s leaks its runtime timer%s",
+			what, field.Name(), kind, tickerSuffix(kind)))
 	}
-	obj := s.identDefOrUse(id)
-	if obj == nil {
-		return
-	}
-	s.checkRebind(st, obj)
-	st[obj] = timerVal{pos: call.Pos(), name: id.Name, kind: kind, call: callName}
 }
 
 // checkRebind reports a live tracked timer about to be overwritten by a
@@ -494,83 +368,55 @@ func (s *timerWalk) bindFromSource(st timerState, lhs []ast.Expr, call *ast.Call
 
 // checkFieldStore reports a tracked timer stored into a field that no code
 // in the program can stop. The store still marks the value escaped (via
-// scanExpr's identifier rule), so the leak is reported exactly once, here.
+// the identifier rule of node), so the leak is reported exactly once, here.
 func (s *timerWalk) checkFieldStore(st timerState, lhs, rhs ast.Expr) {
-	id, ok := rhs.(*ast.Ident)
-	if !ok {
+	id, isIdent := rhs.(*ast.Ident)
+	sel, isSel := lhs.(*ast.SelectorExpr)
+	if !isIdent || !isSel {
 		return
 	}
 	tv, tracked := st[s.identDefOrUse(id)]
-	if !tracked {
-		return
+	if fobj, ok := s.info.Uses[sel.Sel].(*types.Var); tracked && ok && fobj.IsField() {
+		s.fieldStore(tv.pos, tv.call+" result "+tv.name, fobj, tv.kind)
 	}
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	fobj, ok := s.info.Uses[sel.Sel].(*types.Var)
-	if !ok || !fobj.IsField() || s.fieldStops[fobj] {
-		return
-	}
-	s.report(tv.pos, s.pkg(), fmt.Sprintf(
-		"%s result %s is stored in field %s, which no code in the program "+
-			"ever stops — the %s leaks its runtime timer%s",
-		tv.call, tv.name, fobj.Name(), tv.kind, tickerSuffix(tv.kind)))
 }
 
 // lit summarizes a function literal's effect on the outer timers — a
 // literal that calls t.Stop() stops it (deferred cleanup closures), one that
-// merely references t captures it (escape). The walker then walks the
-// literal's body as a scope of its own, so timers created inside goroutines
-// and closures get their own exit checks.
+// otherwise references t captures it (escape); t.C and t.Reset are neutral,
+// since a closure that only receives ticks cannot stop the timer. The walker
+// then walks the literal's body as a scope of its own, so timers created
+// inside goroutines and closures get their own exit checks.
 func (s *timerWalk) lit(st timerState, lit *ast.FuncLit) timerState {
-	for obj, tv := range st {
-		switch litTimerUse(s.info, lit, obj) {
-		case litUseStop:
-			tv.stopped = true
-			st[obj] = tv
-		case litUseCapture:
-			tv.escaped = true
-			st[obj] = tv
-		}
-	}
-	return st
-}
-
-const (
-	litUseNone = iota
-	litUseStop
-	litUseCapture
-)
-
-// litTimerUse classifies how a literal's body uses one outer timer object.
-func litTimerUse(info *types.Info, lit *ast.FuncLit, obj types.Object) int {
-	use := litUseNone
+	stops, captures := map[types.Object]bool{}, map[types.Object]bool{}
 	inspectStack(lit.Body, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
-		if !ok || info.Uses[id] != obj {
+		if !ok {
 			return true
 		}
-		if len(stack) > 0 {
-			if sel, okSel := stack[len(stack)-1].(*ast.SelectorExpr); okSel && sel.X == id {
-				switch sel.Sel.Name {
-				case "Stop":
-					use = litUseStop
-					return false
-				case "C", "Reset":
-					// Neutral: a closure that only receives ticks cannot
-					// stop the timer, so it does not discharge the outer
-					// scope's obligation.
-					return true
-				}
-			}
+		obj := s.info.Uses[id]
+		if _, tracked := st[obj]; !tracked {
+			return true
 		}
-		if use == litUseNone {
-			use = litUseCapture
+		use := ""
+		if sel, ok := stackParent(stack).(*ast.SelectorExpr); ok && sel.X == id {
+			use = sel.Sel.Name
+		}
+		switch use {
+		case "Stop":
+			stops[obj] = true
+		case "C", "Reset":
+		default:
+			captures[obj] = true
 		}
 		return true
 	})
-	return use
+	for obj, tv := range st {
+		tv.stopped = tv.stopped || stops[obj]
+		tv.escaped = tv.escaped || captures[obj] && !stops[obj]
+		st[obj] = tv
+	}
+	return st
 }
 
 func (s *timerWalk) identDefOrUse(id *ast.Ident) types.Object {

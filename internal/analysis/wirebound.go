@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"regexp"
 	"strings"
 )
@@ -17,11 +18,15 @@ import (
 // bounded-memory guarantee is only real if no such value reaches an
 // allocation unclamped.
 //
-// Taint is tracked per function, per variable, in statement order: an
-// assignment whose right side contains a wire decode taints the target; a
-// clamp kills it. The recognized clamp is an `if` that magnitude-compares
-// the variable (<, <=, >, >=) and then returns (the `if n > maxFrameEntries
-// { return ErrCorruptFrame }` idiom) or reassigns it. An equality-shaped
+// Taint is tracked per function on the shared flow walker (flow.go): the
+// state is the set of tainted variables, and arms join by union, so a value
+// tainted on any path that reaches a sink is tainted there. An assignment
+// whose right side contains a wire decode taints the target; any other
+// assignment clears it. The recognized clamp is an `if` that
+// magnitude-compares the variable (<, <=, >, >=) and then returns (the
+// `if n > maxFrameEntries { return ErrCorruptFrame }` idiom) or reassigns
+// it; seen at its condition, it kills the taint on the arms that follow, so
+// a clamp on only one path leaves the other path tainted. An equality-shaped
 // length check (`if len(p) != fixed+4*n`) is NOT a clamp: it proves
 // consistency, not a bound, and still admits every length the frame cap
 // allows. Function literals and parameters are out of scope — the analysis
@@ -38,19 +43,114 @@ func runWireBound(pass *Pass) {
 	if !pathHasSegments(pass.Pkg.Path(), "internal", "comm") {
 		return
 	}
+	w := &wireWalk{pass: pass}
+	w.f.hooks = w
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				w := &wireBoundScanner{pass: pass, tainted: map[types.Object]bool{}}
-				w.scanStmts(fd.Body.List)
+				w.f.walkFunc(pass.Info, fd.Body)
 			}
 		}
 	}
 }
 
-type wireBoundScanner struct {
-	pass    *Pass
-	tainted map[types.Object]bool
+// taintSet holds the variables that carry an unclamped wire-decoded integer.
+type taintSet map[types.Object]bool
+
+// wireWalk is the flow hook set of the taint tracking.
+type wireWalk struct {
+	f    flow[taintSet]
+	pass *Pass
+}
+
+func (w *wireWalk) empty() taintSet { return taintSet{} }
+
+func (w *wireWalk) clone(st taintSet) taintSet { return maps.Clone(st) }
+
+func (w *wireWalk) join(arms []taintSet) taintSet {
+	out := taintSet{}
+	for _, arm := range arms {
+		maps.Copy(out, arm)
+	}
+	return out
+}
+
+func (w *wireWalk) lit(st taintSet, _ *ast.FuncLit) taintSet { return st }
+
+func (w *wireWalk) exit(taintSet) {}
+
+// node checks each statement's sinks against the taint before it and then
+// applies its assignments; an if or for condition is checked where the
+// walker reaches it, and an if condition that clamps kills its taint. The
+// hook handles every subtree itself, so it never descends (and never
+// queues a function literal).
+func (w *wireWalk) node(st taintSet, n ast.Node, stack []ast.Node) (taintSet, bool) {
+	if w.f.inLit {
+		return st, false
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		w.bind(st, n.Lhs, n.Rhs)
+	case *ast.DeclStmt:
+		for _, spec := range n.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				lhs := make([]ast.Expr, len(vs.Names))
+				for i, id := range vs.Names {
+					lhs[i] = id
+				}
+				w.bind(st, lhs, vs.Values)
+			}
+		}
+	case *ast.ExprStmt:
+		w.sinks(st, n.X)
+	case *ast.ReturnStmt:
+		w.sinks(st, n.Results...)
+	case *ast.SendStmt:
+		w.sinks(st, n.Value)
+	case *ast.RangeStmt:
+		w.sinks(st, n.X)
+	case ast.Expr:
+		switch s := stackParent(stack).(type) {
+		case *ast.IfStmt:
+			if s.Cond == n {
+				w.sinks(st, n)
+				w.clamp(st, s)
+			}
+		case *ast.ForStmt:
+			if s.Cond == n {
+				w.loopBound(st, s)
+			}
+		}
+	}
+	return st, false
+}
+
+// bind checks the sinks of an assignment's (or var spec's) right side, then
+// sets each target's taint from its source; n, err := decode(...) taints
+// every target from the one source.
+func (w *wireWalk) bind(st taintSet, lhs, rhs []ast.Expr) {
+	w.sinks(st, rhs...)
+	for i, l := range lhs {
+		t := false
+		if len(lhs) == len(rhs) {
+			t = w.tainted(st, rhs[i])
+		} else if len(rhs) == 1 {
+			t = w.tainted(st, rhs[0])
+		}
+		id, ok := l.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			continue
+		}
+		obj := w.pass.Info.Defs[id]
+		if obj == nil {
+			obj = w.pass.Info.Uses[id]
+		}
+		if t && obj != nil {
+			st[obj] = true
+		} else {
+			delete(st, obj)
+		}
+	}
 }
 
 // readHelperRE matches readU32-style decode helpers by name.
@@ -58,192 +158,51 @@ var readHelperRE = regexp.MustCompile(`^read.*[Uu](?:int)?(?:8|16|32|64)$`)
 
 // wireDecodeCall reports whether call reads an integer off the wire: a
 // binary.LittleEndian/BigEndian UintN accessor, or a read*U<N> helper.
-func (w *wireBoundScanner) wireDecodeCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	name := sel.Sel.Name
-	if strings.HasPrefix(name, "Uint") {
-		if inner, ok := sel.X.(*ast.SelectorExpr); ok {
-			if id, ok := inner.X.(*ast.Ident); ok &&
-				pkgOfIdent(w.pass.Info, id) == "encoding/binary" {
-				return true
-			}
+func wireDecodeCall(info *types.Info, call *ast.CallExpr) bool {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return readHelperRE.MatchString(fun.Name)
+	case *ast.SelectorExpr:
+		if !strings.HasPrefix(fun.Sel.Name, "Uint") {
+			return readHelperRE.MatchString(fun.Sel.Name)
 		}
-		return false
+		if inner, ok := fun.X.(*ast.SelectorExpr); ok {
+			id, ok := inner.X.(*ast.Ident)
+			return ok && pkgOfIdent(info, id) == "encoding/binary"
+		}
 	}
-	return readHelperRE.MatchString(name)
+	return false
 }
 
-// exprTainted reports whether e contains a wire decode or a tainted
-// variable. Function literals are opaque.
-func (w *wireBoundScanner) exprTainted(e ast.Expr) bool {
+// tainted reports whether e contains a wire decode or a tainted variable.
+// Function literals are opaque.
+func (w *wireWalk) tainted(st taintSet, e ast.Expr) bool {
 	tainted := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if tainted {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if w.wireDecodeCall(n) {
-				tainted = true
-				return false
-			}
-			if id, ok := n.Fun.(*ast.Ident); ok && readHelperRE.MatchString(id.Name) {
-				tainted = true
-				return false
-			}
+			tainted = tainted || wireDecodeCall(w.pass.Info, n)
 		case *ast.Ident:
-			if obj := w.pass.Info.Uses[n]; obj != nil && w.tainted[obj] {
-				tainted = true
-				return false
-			}
+			tainted = tainted || st[w.pass.Info.Uses[n]]
 		}
-		return true
+		return !tainted
 	})
 	return tainted
 }
 
-func (w *wireBoundScanner) scanStmts(list []ast.Stmt) {
-	for _, st := range list {
-		w.scanStmt(st)
-	}
-}
-
-func (w *wireBoundScanner) scanStmt(st ast.Stmt) {
-	switch st := st.(type) {
-	case *ast.AssignStmt:
-		w.checkExprs(st.Rhs)
-		if len(st.Lhs) == len(st.Rhs) {
-			for i, lhs := range st.Lhs {
-				w.assign(lhs, w.exprTainted(st.Rhs[i]))
-			}
-		} else if len(st.Rhs) == 1 {
-			// n, err := decode(...): one source taints every target.
-			t := w.exprTainted(st.Rhs[0])
-			for _, lhs := range st.Lhs {
-				w.assign(lhs, t)
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				w.checkExprs(vs.Values)
-				for i, name := range vs.Names {
-					t := false
-					if i < len(vs.Values) {
-						t = w.exprTainted(vs.Values[i])
-					} else if len(vs.Values) == 1 {
-						t = w.exprTainted(vs.Values[0])
-					}
-					if obj := w.pass.Info.Defs[name]; obj != nil {
-						w.tainted[obj] = t
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.scanStmt(st.Init)
-		}
-		killed := w.clampKills(st)
-		w.checkExpr(st.Cond)
-		w.scanStmts(st.Body.List)
-		if st.Else != nil {
-			w.scanStmt(st.Else)
-		}
-		for _, obj := range killed {
-			w.tainted[obj] = false
-		}
-	case *ast.ExprStmt:
-		w.checkExpr(st.X)
-	case *ast.ReturnStmt:
-		w.checkExprs(st.Results)
-	case *ast.SendStmt:
-		w.checkExpr(st.Value)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.scanStmt(st.Init)
-		}
-		if st.Cond != nil {
-			w.checkLoopBound(st.Cond, st.Pos())
-		}
-		w.scanStmts(st.Body.List)
-	case *ast.RangeStmt:
-		w.checkExpr(st.X)
-		w.scanStmts(st.Body.List)
-	case *ast.BlockStmt:
-		w.scanStmts(st.List)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.scanStmt(st.Init)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.scanStmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.scanStmts(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.scanStmts(cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.scanStmt(st.Stmt)
-	}
-}
-
-// assign updates the taint of an assignment target.
-func (w *wireBoundScanner) assign(lhs ast.Expr, tainted bool) {
-	id, ok := lhs.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	obj := w.pass.Info.Defs[id]
-	if obj == nil {
-		obj = w.pass.Info.Uses[id]
-	}
-	if obj != nil {
-		w.tainted[obj] = tainted
-	}
-}
-
-// clampKills recognizes the sanctioned validation shape on an if statement
-// and returns the variables it clamps: the condition magnitude-compares a
-// tainted variable and the body either returns (reject path) or reassigns
-// the variable (saturate path).
-func (w *wireBoundScanner) clampKills(st *ast.IfStmt) []types.Object {
+// clamp recognizes the sanctioned validation shape on an if statement and
+// kills the taint of the variables it clamps: the condition
+// magnitude-compares a tainted variable and the body either leaves (reject
+// path) or reassigns the variable (saturate path).
+func (w *wireWalk) clamp(st taintSet, s *ast.IfStmt) {
 	var compared []types.Object
-	ast.Inspect(st.Cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch be.Op {
-		case token.GTR, token.GEQ, token.LSS, token.LEQ:
-		default:
-			return true
-		}
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			ast.Inspect(side, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := w.pass.Info.Uses[id]; obj != nil && w.tainted[obj] {
-						compared = append(compared, obj)
-					}
+	ast.Inspect(s.Cond, func(n ast.Node) bool {
+		if be, ok := n.(*ast.BinaryExpr); ok && isMagnitudeOp(be.Op) {
+			ast.Inspect(be, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok && st[w.pass.Info.Uses[id]] {
+					compared = append(compared, w.pass.Info.Uses[id])
 				}
 				return true
 			})
@@ -251,110 +210,94 @@ func (w *wireBoundScanner) clampKills(st *ast.IfStmt) []types.Object {
 		return true
 	})
 	if len(compared) == 0 {
-		return nil
+		return
 	}
 	exits := false
 	assigned := map[types.Object]bool{}
-	ast.Inspect(st.Body, func(n ast.Node) bool {
+	ast.Inspect(s.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ReturnStmt, *ast.BranchStmt:
 			exits = true
 		case *ast.CallExpr:
-			if isBuiltinCall(w.pass.Info, n, "panic") {
-				exits = true
-			}
+			exits = exits || isBuiltinCall(w.pass.Info, n, "panic")
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := w.pass.Info.Uses[id]; obj != nil {
-						assigned[obj] = true
-					}
+					assigned[w.pass.Info.Uses[id]] = true
 				}
 			}
 		}
 		return true
 	})
-	var killed []types.Object
 	for _, obj := range compared {
 		if exits || assigned[obj] {
-			killed = append(killed, obj)
+			delete(st, obj)
 		}
 	}
-	return killed
 }
 
-// checkExprs / checkExpr flag tainted values reaching sinks: make sizes and
-// capacities, alloc-named helpers, and (via checkLoopBound) loop bounds.
-func (w *wireBoundScanner) checkExprs(list []ast.Expr) {
+func isMagnitudeOp(op token.Token) bool {
+	return op == token.GTR || op == token.GEQ || op == token.LSS || op == token.LEQ
+}
+
+// sinks flags tainted values reaching sinks: make sizes and capacities and
+// alloc-named helpers.
+func (w *wireWalk) sinks(st taintSet, list ...ast.Expr) {
 	for _, e := range list {
-		w.checkExpr(e)
-	}
-}
-
-func (w *wireBoundScanner) checkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isBuiltinCall(w.pass.Info, call, "make") {
-			for _, arg := range call.Args[1:] {
-				if w.exprTainted(arg) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			args, name := call.Args, calledName(call)
+			if isBuiltinCall(w.pass.Info, call, "make") {
+				args, name = args[1:], "make"
+			} else if !allocSinkName(name) {
+				return true
+			}
+			for _, arg := range args {
+				if !w.tainted(st, arg) {
+					continue
+				}
+				if name == "make" {
 					w.pass.Reportf(call.Pos(),
 						"make sized by a wire-decoded integer with no bound check: clamp it against a constant cap (and return a classified ErrCorruptFrame) first")
-					break
-				}
-			}
-			return true
-		}
-		if name := calledName(call); allocSinkName(name) {
-			for _, arg := range call.Args {
-				if w.exprTainted(arg) {
+				} else {
 					w.pass.Reportf(call.Pos(),
 						"%s called with a wire-decoded integer with no bound check: clamp it against a constant cap first", name)
-					break
 				}
+				break
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 }
 
-// checkLoopBound flags a for-loop condition bounded by a tainted value: the
-// loop trip count becomes attacker-controlled.
-func (w *wireBoundScanner) checkLoopBound(cond ast.Expr, pos token.Pos) {
+// loopBound flags a for-loop condition bounded by a tainted value — the
+// trip count becomes attacker-controlled — and checks the condition's sinks.
+func (w *wireWalk) loopBound(st taintSet, s *ast.ForStmt) {
 	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	ast.Inspect(s.Cond, func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
+		if found || !ok {
+			return !found
+		}
+		if !isMagnitudeOp(be.Op) && be.Op != token.NEQ {
 			return true
 		}
-		switch be.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.NEQ:
-		default:
-			return true
-		}
-		if w.exprTainted(be.X) || w.exprTainted(be.Y) {
-			found = true
-		}
+		found = w.tainted(st, be.X) || w.tainted(st, be.Y)
 		return false
 	})
 	if found {
-		w.pass.Reportf(pos,
+		w.pass.Reportf(s.Pos(),
 			"loop bounded by a wire-decoded integer with no bound check: clamp it against a constant cap before iterating")
 	}
-	w.checkExpr(cond)
+	w.sinks(st, s.Cond)
 }
 
 // allocSinkName matches helper names whose argument sizes an allocation
