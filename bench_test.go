@@ -115,7 +115,7 @@ func BenchmarkAblationChaos(b *testing.B) { runExperiment(b, "ablation-chaos", 0
 // useful for regression tracking).
 func BenchmarkEngineTriangles(b *testing.B) {
 	g := khuzdul.RMAT(20_000, 150_000, 5)
-	eng, err := khuzdul.Open(g, khuzdul.Config{Nodes: 4, Threads: 2, CacheFraction: 0.1})
+	eng, err := khuzdul.Open(g, khuzdul.Config{NumNodes: 4, ThreadsPerSocket: 2, CacheFraction: 0.1})
 	if err != nil {
 		b.Fatal(err)
 	}

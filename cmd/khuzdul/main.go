@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"khuzdul"
-	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/harness"
 	"khuzdul/internal/pattern"
@@ -54,6 +53,17 @@ func main() {
 }
 
 func runMine() {
+	var cf clusterFlags
+	cf.register(flag.CommandLine)
+	flag.StringVar(&cf.cachePol, "cache-policy", "static", "cache policy: static, fifo, lifo, lru, mru")
+	flag.UintVar(&cf.cacheDeg, "cache-threshold", 8, "static cache degree admission threshold")
+	flag.BoolVar(&cf.noHDS, "no-hds", false, "disable horizontal data sharing")
+	flag.IntVar(&cf.inflight, "inflight", 0, "multiplexed requests kept in flight per TCP peer connection (0 = default 16)")
+	flag.StringVar(&cf.faultProf, "fault-profile", "", "deterministic fault injection spec, e.g. seed=7,err=0.05,corrupt=0.01,drop=0.01,partition=0|1@500,slow=2:20,crash=2@500 (empty disables)")
+	flag.DurationVar(&cf.fetchTO, "fetch-timeout", 0, "per-fetch-attempt timeout; enables the resilience layer (0 = default 250ms when enabled)")
+	flag.IntVar(&cf.retries, "retries", 0, "retry budget per fetch; enables the resilience layer (0 = default 5 when enabled)")
+	flag.BoolVar(&cf.heartbeat, "heartbeat", false, "run the heartbeat failure detector; enables the resilience layer")
+	flag.BoolVar(&cf.speculate, "speculate", false, "re-execute straggler root ranges on idle machines; enables the resilience layer")
 	var (
 		graphSpec = flag.String("graph", "rmat:10000:100000", "input graph: FILE (.bin or edge list), rmat:N:M[:SEED], uniform:N:M[:SEED], or preset:ABBR")
 		app       = flag.String("app", "tc", "application: tc, cc, mc, pattern, fsm")
@@ -61,21 +71,6 @@ func runMine() {
 		patName   = flag.String("pattern", "triangle", "pattern name for -app pattern")
 		induced   = flag.Bool("induced", false, "induced matching semantics for -app pattern")
 		system    = flag.String("system", "graphpi", "client system: automine or graphpi")
-		nodes     = flag.Int("nodes", 8, "simulated machine count")
-		sockets   = flag.Int("sockets", 1, "NUMA sockets per machine")
-		threads   = flag.Int("threads", 2, "compute threads per socket")
-		chunk     = flag.Int("chunk", 0, "chunk capacity in embeddings (0 = default)")
-		cacheFrac = flag.Float64("cache", 0.1, "static cache size as fraction of graph size (0 disables)")
-		cachePol  = flag.String("cache-policy", "static", "cache policy: static, fifo, lifo, lru, mru")
-		cacheDeg  = flag.Uint("cache-threshold", 8, "static cache degree admission threshold")
-		noHDS     = flag.Bool("no-hds", false, "disable horizontal data sharing")
-		tcp       = flag.Bool("tcp", false, "use the loopback TCP fabric")
-		inflight  = flag.Int("inflight", 0, "multiplexed requests kept in flight per TCP peer connection (0 = default 16)")
-		faultProf = flag.String("fault-profile", "", "deterministic fault injection spec, e.g. seed=7,err=0.05,corrupt=0.01,drop=0.01,partition=0|1@500,slow=2:20,crash=2@500 (empty disables)")
-		fetchTO   = flag.Duration("fetch-timeout", 0, "per-fetch-attempt timeout; enables the resilience layer (0 = default 250ms when enabled)")
-		retries   = flag.Int("retries", 0, "retry budget per fetch; enables the resilience layer (0 = default 5 when enabled)")
-		heartbeat = flag.Bool("heartbeat", false, "run the heartbeat failure detector; enables the resilience layer")
-		speculate = flag.Bool("speculate", false, "re-execute straggler root ranges on idle machines; enables the resilience layer")
 		support   = flag.Uint64("support", 100, "FSM minimum support")
 		maxEdges  = flag.Int("max-edges", 3, "FSM maximum pattern edges")
 		labels    = flag.Int("labels", 0, "synthesize N random vertex labels (needed for fsm on unlabeled inputs)")
@@ -83,7 +78,8 @@ func runMine() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*app, *k, *nodes, *sockets, *threads, *retries, *inflight, *cacheFrac, *cacheDeg, *fetchTO, 0, 0, *faultProf); err != nil {
+	cfg, err := validateFlags(*app, *k, *maxEdges, cf, 0, 0)
+	if err != nil {
 		fatal(err)
 	}
 
@@ -99,23 +95,7 @@ func runMine() {
 	}
 	fmt.Printf("graph: %v\n", g)
 
-	eng, err := khuzdul.Open(g, khuzdul.Config{
-		Nodes:                *nodes,
-		Sockets:              *sockets,
-		Threads:              *threads,
-		ChunkSize:            *chunk,
-		CacheFraction:        *cacheFrac,
-		CachePolicy:          *cachePol,
-		CacheDegreeThreshold: uint32(*cacheDeg),
-		DisableHDS:           *noHDS,
-		TCP:                  *tcp,
-		InFlight:             *inflight,
-		FaultProfile:         *faultProf,
-		FetchTimeout:         *fetchTO,
-		FetchRetries:         *retries,
-		Heartbeat:            *heartbeat,
-		Speculate:            *speculate,
-	})
+	eng, err := khuzdul.Open(g, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -187,14 +167,10 @@ func runMine() {
 // static caches, answering pattern queries over TCP until interrupted.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("khuzdul serve", flag.ExitOnError)
+	var cf clusterFlags
+	cf.register(fs)
 	var (
 		graphSpec = fs.String("graph", "rmat:10000:100000", "input graph: FILE (.bin or edge list), rmat:N:M[:SEED], uniform:N:M[:SEED], or preset:ABBR")
-		nodes     = fs.Int("nodes", 8, "simulated machine count")
-		sockets   = fs.Int("sockets", 1, "NUMA sockets per machine")
-		threads   = fs.Int("threads", 2, "compute threads per socket")
-		chunk     = fs.Int("chunk", 0, "chunk capacity in embeddings (0 = default)")
-		cacheFrac = fs.Float64("cache", 0.1, "static cache size as fraction of graph size (0 disables)")
-		tcp       = fs.Bool("tcp", false, "use the loopback TCP fabric between cluster nodes")
 		addr      = fs.String("addr", "127.0.0.1:0", "listen address for the query endpoint")
 		window    = fs.Int("window", 0, "admission window: queries executing at once (0 = default)")
 		budget    = fs.Int("budget", 0, "worker threads per admitted query (0 = threads/window)")
@@ -203,23 +179,18 @@ func runServe(args []string) {
 		deadline  = fs.Duration("query-deadline", 0, "server-side cap on any query's execution time (0 = uncapped)")
 	)
 	fs.Parse(args)
-	if err := validateFlags("", 0, *nodes, *sockets, *threads, 0, 0, *cacheFrac, 0, 0, *drainTO, *deadline, ""); err != nil {
+	cfg, err := validateFlags("", 0, 0, cf, *drainTO, *deadline)
+	if err != nil {
 		fatal(err)
 	}
+	// The resident shape: a stream of queries shares the warm static caches.
+	cfg.SharedCache = true
 	g, err := loadGraph(*graphSpec)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("graph: %v\n", g)
-	eng, err := khuzdul.Open(g, khuzdul.Config{
-		Nodes:         *nodes,
-		Sockets:       *sockets,
-		Threads:       *threads,
-		ChunkSize:     *chunk,
-		CacheFraction: *cacheFrac,
-		TCP:           *tcp,
-		SharedCache:   true,
-	})
+	eng, err := khuzdul.Open(g, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -365,55 +336,98 @@ func runHealth(args []string) {
 	}
 }
 
-// validateFlags rejects nonsensical application, cluster and resilience
-// settings up front, before any graph loading, with errors that name the
-// flag — the alternative is a partition panic or a silently useless retry
-// budget deep inside a run. app and k are the mining job's (serve passes "").
-func validateFlags(app string, k, nodes, sockets, threads, retries, inflight int, cacheFrac float64, cacheThreshold uint, fetchTO, drainTO, queryDeadline time.Duration, faultProf string) error {
+// clusterFlags holds the flag values that configure the simulated cluster.
+// Mining runs and `khuzdul serve` share the sizing flags (register); the
+// resilience and cache-design flags are the mining run's alone, and serve
+// leaves them at their zero value.
+type clusterFlags struct {
+	nodes, sockets, threads, chunk, inflight, retries int
+	cacheFrac                                         float64
+	cacheDeg                                          uint
+	cachePol, faultProf                               string
+	fetchTO                                           time.Duration
+	noHDS, tcp, heartbeat, speculate                  bool
+}
+
+// register defines the sizing flags on fs.
+func (f *clusterFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.nodes, "nodes", 8, "simulated machine count")
+	fs.IntVar(&f.sockets, "sockets", 1, "NUMA sockets per machine")
+	fs.IntVar(&f.threads, "threads", 2, "compute threads per socket")
+	fs.IntVar(&f.chunk, "chunk", 0, "chunk capacity in embeddings (0 = default)")
+	fs.Float64Var(&f.cacheFrac, "cache", 0.1, "static cache size as fraction of graph size (0 disables)")
+	fs.BoolVar(&f.tcp, "tcp", false, "use the loopback TCP fabric between cluster nodes")
+}
+
+// validateFlags rejects nonsensical settings up front, before any graph
+// loading, and returns the cluster configuration the flags describe — the
+// alternative is a partition panic or a silently useless retry budget deep
+// inside a run. What only the command line forbids (the job's sizes, zero
+// machines, sockets or threads, a threshold that would wrap, negative serve
+// durations, an unparsable spec) names the flag; the rest is
+// khuzdul.Config.Validate, the check Open applies, which names the field.
+// app, k and maxEdges are the mining job's (serve passes "").
+func validateFlags(app string, k, maxEdges int, f clusterFlags, drainTO, queryDeadline time.Duration) (khuzdul.Config, error) {
+	var cfg khuzdul.Config
 	switch {
 	case strings.EqualFold(app, "mc"):
 		if err := pattern.CheckMotifSize(k); err != nil {
-			return fmt.Errorf("bad -k for -app mc: %w", err)
+			return cfg, fmt.Errorf("bad -k for -app mc: %w", err)
 		}
 	case strings.EqualFold(app, "cc"):
 		if k < 2 || k > pattern.MaxVertices {
-			return fmt.Errorf("bad -k for -app cc: k must be in [2,%d], got %d", pattern.MaxVertices, k)
+			return cfg, fmt.Errorf("bad -k for -app cc: k must be in [2,%d], got %d", pattern.MaxVertices, k)
+		}
+	case strings.EqualFold(app, "fsm"):
+		if maxEdges < 1 {
+			return cfg, fmt.Errorf("bad -max-edges for -app fsm: must be at least 1, got %d", maxEdges)
 		}
 	}
-	if nodes <= 0 {
-		return fmt.Errorf("-nodes must be positive, got %d", nodes)
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"-nodes", f.nodes}, {"-sockets", f.sockets}, {"-threads", f.threads}} {
+		if c.n <= 0 {
+			return cfg, fmt.Errorf("%s must be positive, got %d", c.flag, c.n)
+		}
 	}
-	if sockets <= 0 {
-		return fmt.Errorf("-sockets must be positive, got %d", sockets)
-	}
-	if threads <= 0 {
-		return fmt.Errorf("-threads must be positive, got %d", threads)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must not be negative, got %d", retries)
-	}
-	if inflight < 0 {
-		return fmt.Errorf("-inflight must not be negative, got %d", inflight)
-	}
-	if math.IsNaN(cacheFrac) || math.IsInf(cacheFrac, 0) || cacheFrac < 0 {
-		return fmt.Errorf("-cache must be a finite, non-negative fraction of the graph size, got %v", cacheFrac)
-	}
-	if cacheThreshold > math.MaxUint32 {
-		return fmt.Errorf("-cache-threshold must be at most %d, got %d", uint32(math.MaxUint32), cacheThreshold)
-	}
-	if fetchTO < 0 {
-		return fmt.Errorf("-fetch-timeout must not be negative, got %v", fetchTO)
+	if f.cacheDeg > math.MaxUint32 {
+		return cfg, fmt.Errorf("-cache-threshold must be at most %d, got %d", uint32(math.MaxUint32), f.cacheDeg)
 	}
 	if drainTO < 0 {
-		return fmt.Errorf("-drain-timeout must not be negative, got %v", drainTO)
+		return cfg, fmt.Errorf("-drain-timeout must not be negative, got %v", drainTO)
 	}
 	if queryDeadline < 0 {
-		return fmt.Errorf("-query-deadline must not be negative, got %v", queryDeadline)
+		return cfg, fmt.Errorf("-query-deadline must not be negative, got %v", queryDeadline)
 	}
-	if _, err := fault.ParseProfile(faultProf); err != nil {
-		return fmt.Errorf("bad -fault-profile: %w", err)
+	prof, err := khuzdul.ParseFaultProfile(f.faultProf)
+	if err != nil {
+		return cfg, fmt.Errorf("bad -fault-profile: %w", err)
 	}
-	return nil
+	pol, err := khuzdul.ParseCachePolicy(f.cachePol)
+	if err != nil {
+		return cfg, fmt.Errorf("bad -cache-policy: %w", err)
+	}
+	cfg = khuzdul.Config{
+		NumNodes:             f.nodes,
+		Sockets:              f.sockets,
+		ThreadsPerSocket:     f.threads,
+		ChunkSize:            f.chunk,
+		CacheFraction:        f.cacheFrac,
+		CachePolicy:          pol,
+		CacheDegreeThreshold: uint32(f.cacheDeg),
+		DisableHDS:           f.noHDS,
+		InFlight:             f.inflight,
+		Fault:                prof,
+		FetchTimeout:         f.fetchTO,
+		FetchRetries:         f.retries,
+		Heartbeat:            f.heartbeat,
+		Speculate:            f.speculate,
+	}
+	if f.tcp {
+		cfg.Transport = khuzdul.TransportTCP
+	}
+	return cfg, cfg.Validate()
 }
 
 // explainTarget resolves the single pattern an -explain request refers to
@@ -435,26 +449,27 @@ func report(res khuzdul.Result, err error) {
 	if err != nil {
 		fatal(err)
 	}
+	s := res.Summary
 	fmt.Printf("count: %d\nelapsed: %v\ntraffic: %s\ncache hit rate: %.1f%%\nextensions: %d\n",
-		res.Count, res.Elapsed, harness.FmtBytes(res.TrafficBytes),
-		100*res.CacheHitRate, res.Extensions)
-	if res.FaultsInjected > 0 || res.FetchRetries > 0 || res.RecoveryRounds > 0 ||
-		res.CorruptFrames > 0 || res.HeartbeatMisses > 0 || res.SpeculativeRanges > 0 {
+		res.Count, res.Elapsed, harness.FmtBytes(s.BytesSent),
+		100*s.CacheHitRate(), s.Extensions)
+	if s.FaultsInjected > 0 || s.FetchRetries > 0 || res.RecoveryRounds > 0 ||
+		s.CorruptFrames > 0 || s.HeartbeatMisses > 0 || s.SpeculativeRanges > 0 {
 		fmt.Printf("resilience: %d faults injected, %d retries, %d recovery rounds, %d roots recovered, dead nodes %v\n",
-			res.FaultsInjected, res.FetchRetries, res.RecoveryRounds, res.RecoveredRoots, res.DeadNodes)
+			s.FaultsInjected, s.FetchRetries, res.RecoveryRounds, s.RecoveredRoots, res.DeadNodes)
 		fmt.Printf("  wire: %d corrupt frames rejected, %d redials\n",
-			res.CorruptFrames, res.Redials)
+			s.CorruptFrames, s.Redials)
 		fmt.Printf("  detector: %d heartbeat misses, %d nodes suspected\n",
-			res.HeartbeatMisses, res.NodesSuspected)
+			s.HeartbeatMisses, s.NodesSuspected)
 		fmt.Printf("  speculation: %d ranges re-executed, %d wins\n",
-			res.SpeculativeRanges, res.SpeculationWins)
+			s.SpeculativeRanges, s.SpeculationWins)
 	}
-	if res.KernelMerge+res.KernelGallop > 0 {
-		fmt.Printf("kernels: %d merge, %d gallop\n", res.KernelMerge, res.KernelGallop)
+	if s.KernelMerge+s.KernelGallop > 0 {
+		fmt.Printf("kernels: %d merge, %d gallop\n", s.KernelMerge, s.KernelGallop)
 	}
-	if res.PipelinedFetches > 0 || res.InFlightPeak > 0 {
+	if s.PipelinedFetches > 0 || s.InFlightPeak > 0 {
 		fmt.Printf("transport: %d pipelined fetches, in-flight peak %d\n",
-			res.PipelinedFetches, res.InFlightPeak)
+			s.PipelinedFetches, s.InFlightPeak)
 	}
 }
 

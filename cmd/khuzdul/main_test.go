@@ -8,20 +8,31 @@ import (
 	"testing"
 	"time"
 
+	"khuzdul"
 	"khuzdul/internal/pattern"
 )
 
 func TestValidateFlags(t *testing.T) {
-	ok := func(nodes, sockets, threads, retries int, to time.Duration, prof string) func(*testing.T) {
+	// flags is the -app tc command line with the given cluster sizes,
+	// retries, fetch timeout and fault profile; everything else at its
+	// default.
+	flags := func(nodes, sockets, threads, retries int, to time.Duration, prof string) clusterFlags {
+		return clusterFlags{nodes: nodes, sockets: sockets, threads: threads, retries: retries,
+			fetchTO: to, faultProf: prof, cacheFrac: 0.1}
+	}
+	def := flags(8, 1, 2, 0, 0, "")
+	accept := func(app string, k, maxEdges int, f clusterFlags, drainTO, deadline time.Duration) func(*testing.T) {
 		return func(t *testing.T) {
-			if err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0.1, 0, to, 0, 0, prof); err != nil {
+			if _, err := validateFlags(app, k, maxEdges, f, drainTO, deadline); err != nil {
 				t.Fatalf("validateFlags: unexpected error %v", err)
 			}
 		}
 	}
-	bad := func(nodes, sockets, threads, retries int, to time.Duration, prof, want string) func(*testing.T) {
+	// reject expects an error naming want: the flag for checks only the
+	// command line makes, the Config field for checks Config.Validate makes.
+	reject := func(app string, k, maxEdges int, f clusterFlags, drainTO, deadline time.Duration, want string) func(*testing.T) {
 		return func(t *testing.T) {
-			err := validateFlags("tc", 4, nodes, sockets, threads, retries, 0, 0.1, 0, to, 0, 0, prof)
+			_, err := validateFlags(app, k, maxEdges, f, drainTO, deadline)
 			if err == nil {
 				t.Fatal("validateFlags: expected error, got nil")
 			}
@@ -29,6 +40,17 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("validateFlags: error %q does not mention %q", err, want)
 			}
 		}
+	}
+	ok := func(nodes, sockets, threads, retries int, to time.Duration, prof string) func(*testing.T) {
+		return accept("tc", 4, 3, flags(nodes, sockets, threads, retries, to, prof), 0, 0)
+	}
+	bad := func(nodes, sockets, threads, retries int, to time.Duration, prof, want string) func(*testing.T) {
+		return reject("tc", 4, 3, flags(nodes, sockets, threads, retries, to, prof), 0, 0, want)
+	}
+	with := func(edit func(*clusterFlags)) clusterFlags {
+		f := def
+		edit(&f)
+		return f
 	}
 	t.Run("defaults", ok(8, 1, 2, 0, 0, ""))
 	t.Run("full resilience", ok(4, 2, 2, 3, 100*time.Millisecond,
@@ -39,94 +61,65 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("zero sockets", bad(8, 0, 2, 0, 0, "", "-sockets"))
 	t.Run("zero threads", bad(8, 1, 0, 0, 0, "", "-threads"))
 	t.Run("negative threads", bad(8, 1, -1, 0, 0, "", "-threads"))
-	t.Run("negative retries", bad(8, 1, 2, -1, 0, "", "-retries"))
+	t.Run("negative retries", bad(8, 1, 2, -1, 0, "", "FetchRetries"))
 	// -cache-threshold is a flag.Uint narrowed to uint32: 2^32 would wrap to
 	// 0 (then defaulted to 64) and 2^32+1 to 1.
 	for _, c := range []uint{1 << 32, 1<<32 + 1} {
-		t.Run(fmt.Sprintf("cache threshold %d", c), func(t *testing.T) {
-			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, c, 0, 0, 0, "")
-			if err == nil || !strings.Contains(err.Error(), "-cache-threshold") {
-				t.Fatalf("validateFlags: error %v does not mention -cache-threshold", err)
-			}
-		})
+		t.Run(fmt.Sprintf("cache threshold %d", c),
+			reject("tc", 4, 3, with(func(f *clusterFlags) { f.cacheDeg = c }), 0, 0, "-cache-threshold"))
 	}
-	t.Run("cache threshold max ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 1<<32-1, 0, 0, 0, ""); err != nil {
-			t.Fatalf("validateFlags: unexpected error %v", err)
-		}
-	})
+	t.Run("cache threshold max ok", accept("tc", 4, 3, with(func(f *clusterFlags) { f.cacheDeg = 1<<32 - 1 }), 0, 0))
 	// -cache is a fraction of the graph size: NaN, ±Inf and negatives are
 	// rejected before the graph loads; 0 disables the cache.
 	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
 		t.Run(fmt.Sprintf("cache %v", c), func(t *testing.T) {
-			err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, 0, "")
-			if err == nil || !strings.Contains(err.Error(), "-cache ") {
-				t.Fatalf("validateFlags: error %v does not mention -cache", err)
+			_, err := validateFlags("tc", 4, 3, with(func(f *clusterFlags) { f.cacheFrac = c }), 0, 0)
+			if !errors.Is(err, khuzdul.ErrInvalidConfig) || !strings.Contains(err.Error(), "CacheFraction") {
+				t.Fatalf("validateFlags: error %v is not an ErrInvalidConfig naming CacheFraction", err)
 			}
 		})
 	}
 	t.Run("cache fractions ok", func(t *testing.T) {
 		for _, c := range []float64{0, 0.1, 1} {
-			if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, c, 0, 0, 0, 0, ""); err != nil {
+			if _, err := validateFlags("tc", 4, 3, with(func(f *clusterFlags) { f.cacheFrac = c }), 0, 0); err != nil {
 				t.Fatalf("validateFlags(-cache %v): unexpected error %v", c, err)
 			}
 		}
 	})
-	t.Run("negative inflight", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, -1, 0.1, 0, 0, 0, 0, "")
-		if err == nil || !strings.Contains(err.Error(), "-inflight") {
-			t.Fatalf("validateFlags: error %v does not mention -inflight", err)
-		}
-	})
-	t.Run("negative timeout", bad(8, 1, 2, 0, -time.Second, "", "-fetch-timeout"))
-	t.Run("serve durations ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 10*time.Second, time.Minute, ""); err != nil {
-			t.Fatalf("validateFlags: unexpected error %v", err)
-		}
-	})
-	t.Run("zero drain timeout ok", func(t *testing.T) {
-		if err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, ""); err != nil {
-			t.Fatalf("validateFlags: unexpected error %v", err)
-		}
-	})
-	t.Run("negative drain timeout", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, -time.Second, 0, "")
-		if err == nil || !strings.Contains(err.Error(), "-drain-timeout") {
-			t.Fatalf("validateFlags: error %v does not mention -drain-timeout", err)
-		}
-	})
-	t.Run("negative query deadline", func(t *testing.T) {
-		err := validateFlags("tc", 4, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, -time.Second, "")
-		if err == nil || !strings.Contains(err.Error(), "-query-deadline") {
-			t.Fatalf("validateFlags: error %v does not mention -query-deadline", err)
-		}
-	})
+	t.Run("negative inflight", reject("tc", 4, 3, with(func(f *clusterFlags) { f.inflight = -1 }), 0, 0, "InFlight"))
+	t.Run("negative timeout", bad(8, 1, 2, 0, -time.Second, "", "FetchTimeout"))
+	t.Run("serve durations ok", accept("tc", 4, 3, def, 10*time.Second, time.Minute))
+	t.Run("zero drain timeout ok", accept("tc", 4, 3, def, 0, 0))
+	t.Run("negative drain timeout", reject("tc", 4, 3, def, -time.Second, 0, "-drain-timeout"))
+	t.Run("negative query deadline", reject("tc", 4, 3, def, 0, -time.Second, "-query-deadline"))
 	for _, k := range []int{1, 7} {
 		t.Run(fmt.Sprintf("motif size %d", k), func(t *testing.T) {
-			err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, "")
+			_, err := validateFlags("mc", k, 3, def, 0, 0)
 			if err == nil || !errors.Is(err, pattern.ErrMotifSize) || !strings.Contains(err.Error(), "-k") {
 				t.Fatalf("validateFlags: error %v is not an ErrMotifSize naming -k", err)
 			}
 		})
 	}
 	for _, k := range []int{0, -1, pattern.MaxVertices + 1} {
-		t.Run(fmt.Sprintf("clique size %d", k), func(t *testing.T) {
-			err := validateFlags("cc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, "")
-			if err == nil || !strings.Contains(err.Error(), "-k") {
-				t.Fatalf("validateFlags: error %v does not name -k", err)
-			}
-		})
+		t.Run(fmt.Sprintf("clique size %d", k), reject("cc", k, 3, def, 0, 0, "-k"))
 	}
 	t.Run("motif sizes ok", func(t *testing.T) {
 		for k := pattern.MinMotifSize; k <= pattern.MaxMotifSize; k++ {
-			if err := validateFlags("mc", k, 8, 1, 2, 0, 0, 0.1, 0, 0, 0, 0, ""); err != nil {
+			if _, err := validateFlags("mc", k, 3, def, 0, 0); err != nil {
 				t.Fatalf("validateFlags: unexpected error %v", err)
 			}
 		}
 	})
+	// -max-edges bounds FSM's pattern growth; below 1 there is nothing to
+	// mine, and the miner used to fall back to 3 without a word.
+	for _, e := range []int{0, -1} {
+		t.Run(fmt.Sprintf("fsm max edges %d", e), reject("fsm", 4, e, def, 0, 0, "-max-edges"))
+	}
+	t.Run("fsm max edges 1 ok", accept("fsm", 4, 1, def, 0, 0))
 	t.Run("malformed profile", bad(8, 1, 2, 0, 0, "err=lots", "-fault-profile"))
 	t.Run("unknown profile key", bad(8, 1, 2, 0, 0, "frobnicate=1", "-fault-profile"))
 	t.Run("malformed partition", bad(8, 1, 2, 0, 0, "partition=0|@5", "-fault-profile"))
 	t.Run("overlapping partition", bad(8, 1, 2, 0, 0, "partition=0|0@5", "-fault-profile"))
 	t.Run("bad slow factor", bad(8, 1, 2, 0, 0, "slow=1:0", "-fault-profile"))
+	t.Run("unknown cache policy", reject("tc", 4, 3, with(func(f *clusterFlags) { f.cachePol = "bogus" }), 0, 0, "-cache-policy"))
 }

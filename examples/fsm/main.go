@@ -22,7 +22,7 @@ func main() {
 	}
 	fmt.Println("input:", g)
 
-	eng, err := khuzdul.Open(g, khuzdul.Config{Nodes: 4, Threads: 2})
+	eng, err := khuzdul.Open(g, khuzdul.Config{NumNodes: 4, ThreadsPerSocket: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

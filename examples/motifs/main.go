@@ -15,7 +15,7 @@ func main() {
 	g := khuzdul.RMAT(20_000, 150_000, 7)
 	fmt.Println("input:", g)
 
-	eng, err := khuzdul.Open(g, khuzdul.Config{Nodes: 4, Threads: 2, CacheFraction: 0.1})
+	eng, err := khuzdul.Open(g, khuzdul.Config{NumNodes: 4, ThreadsPerSocket: 2, CacheFraction: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}

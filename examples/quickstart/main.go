@@ -14,12 +14,12 @@ func main() {
 	g := khuzdul.RMAT(50_000, 400_000, 42)
 	fmt.Println("input:", g)
 
-	// Eight simulated machines, two workers each, static cache at 10% of
-	// the graph per machine.
+	// Eight simulated machines, two workers per socket, static cache at 10%
+	// of the graph per machine.
 	eng, err := khuzdul.Open(g, khuzdul.Config{
-		Nodes:         8,
-		Threads:       2,
-		CacheFraction: 0.10,
+		NumNodes:         8,
+		ThreadsPerSocket: 2,
+		CacheFraction:    0.10,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("triangles: %d  (%v, traffic %d bytes, cache hit %.0f%%)\n",
-		tc.Count, tc.Elapsed, tc.TrafficBytes, 100*tc.CacheHitRate)
+		tc.Count, tc.Elapsed, tc.Summary.BytesSent, 100*tc.Summary.CacheHitRate())
 
 	// Compare the two client systems on 4-clique counting.
 	for _, sys := range []khuzdul.System{khuzdul.Automine, khuzdul.GraphPi} {

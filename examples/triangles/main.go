@@ -26,16 +26,16 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-28s count=%d elapsed=%v traffic=%dB hit=%.0f%%\n",
-			name, res.Count, res.Elapsed, res.TrafficBytes, 100*res.CacheHitRate)
+			name, res.Count, res.Elapsed, res.Summary.BytesSent, 100*res.Summary.CacheHitRate())
 		return res
 	}
 
-	base := khuzdul.Config{Nodes: 4, Threads: 2, CacheFraction: 0.1}
+	base := khuzdul.Config{NumNodes: 4, ThreadsPerSocket: 2, CacheFraction: 0.1}
 
 	a := run("in-process fabric", base)
 
 	tcpCfg := base
-	tcpCfg.TCP = true
+	tcpCfg.Transport = khuzdul.TransportTCP
 	b := run("loopback TCP fabric", tcpCfg)
 
 	noCache := base
@@ -47,6 +47,6 @@ func main() {
 		log.Fatalf("count mismatch: %d / %d / %d", a.Count, b.Count, c.Count)
 	}
 	fmt.Printf("\ndata-reuse traffic saving: %.1f%% (%d -> %d bytes)\n",
-		100*(1-float64(a.TrafficBytes)/float64(c.TrafficBytes)),
-		c.TrafficBytes, a.TrafficBytes)
+		100*(1-float64(a.Summary.BytesSent)/float64(c.Summary.BytesSent)),
+		c.Summary.BytesSent, a.Summary.BytesSent)
 }

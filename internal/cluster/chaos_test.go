@@ -24,7 +24,6 @@ func chaosConfig(prof *fault.Profile, transport Transport) Config {
 		FetchTimeout:     50 * time.Millisecond,
 		FetchRetries:     5,
 		RetryBackoff:     200 * time.Microsecond,
-		BreakerThreshold: 3,
 	}
 }
 
@@ -306,8 +305,6 @@ func TestChaosHeartbeatSuspectsCrashedNode(t *testing.T) {
 	cfg := chaosConfig(prof, TransportChan)
 	cfg.Heartbeat = true
 	cfg.HeartbeatInterval = 5 * time.Millisecond
-	cfg.HeartbeatTimeout = 10 * time.Millisecond
-	cfg.HeartbeatMisses = 2
 	c := mustCluster(t, g, cfg)
 	res, err := c.Count(pl)
 	if err != nil {
@@ -424,8 +421,6 @@ func TestChaosKitchenSinkExactCounts(t *testing.T) {
 			cfg := chaosConfig(prof, transport)
 			cfg.Heartbeat = true
 			cfg.HeartbeatInterval = 5 * time.Millisecond
-			cfg.HeartbeatTimeout = 10 * time.Millisecond
-			cfg.HeartbeatMisses = 3
 			cfg.Speculate = true
 			c := mustCluster(t, g, cfg)
 			res, err := c.Count(pl)

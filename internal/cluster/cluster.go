@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,9 +25,11 @@ import (
 	"khuzdul/internal/plan"
 )
 
-// ErrUnknownTransport marks a Config naming a transport the cluster cannot
-// build. It is a configuration error, not a runtime fault: nothing ran yet.
-var ErrUnknownTransport = errors.New("cluster: unknown transport")
+// ErrInvalidConfig marks a Config that New refuses: a negative count, size
+// or duration, a non-finite or negative CacheFraction, or an unknown
+// Transport or CachePolicy. It is a configuration error, not a runtime fault:
+// nothing ran yet.
+var ErrInvalidConfig = errors.New("cluster: invalid config")
 
 // ErrRunCanceled marks a run aborted by its RunOpts.Cancel channel. It is
 // deliberate, not a fault: the run bypasses task-level recovery (which would
@@ -44,7 +47,10 @@ const (
 	TransportTCP
 )
 
-// Config describes a simulated cluster.
+// Config describes a simulated cluster. It is the one configuration of a run:
+// the public API re-exports it and run.engine derives every engine's
+// core.Config from it. Zero is valid everywhere and selects the default; New
+// rejects what Validate rejects.
 type Config struct {
 	// NumNodes is the number of machines (paper default: 8).
 	NumNodes int
@@ -79,9 +85,8 @@ type Config struct {
 	// outstanding per connection (0 = the fabric default). Ignored by the
 	// chan transport.
 	InFlight int
-	// MiniBatch and FlushSize pass through to the engine.
+	// MiniBatch passes through to the engine.
 	MiniBatch int
-	FlushSize int
 	// StrictPipeline disables the engine's fire-all-fetches-at-seal
 	// overlapping (ablation of the paper's §4.3 design choice).
 	StrictPipeline bool
@@ -99,8 +104,10 @@ type Config struct {
 	Fault *fault.Profile
 	// Resilient enables the retry/deadline/circuit-breaker fetch layer and
 	// task-level recovery even without a fault profile (e.g. for real
-	// networks). Implied by Fault, FetchTimeout, FetchRetries or
-	// BreakerThreshold being set.
+	// networks). Implied by Fault, FetchTimeout, FetchRetries, Heartbeat
+	// or Speculate being set. Three consecutive timed-out fetches to one
+	// peer declare it dead (comm.RetryConfig's breaker default), and
+	// task-level recovery takes over its unfinished source ranges.
 	Resilient bool
 	// FetchTimeout bounds each fetch attempt (default 250ms when resilience
 	// is enabled).
@@ -111,26 +118,17 @@ type Config struct {
 	// RetryBackoff is the initial retry backoff; it doubles per attempt
 	// with deterministic jitter (default 1ms).
 	RetryBackoff time.Duration
-	// BreakerThreshold is the number of consecutive timed-out fetches to
-	// one peer after which it is declared dead and task-level recovery
-	// takes over its unfinished source ranges (default 3).
-	BreakerThreshold int
 
 	// Heartbeat runs a failure detector: one goroutine per machine pings
-	// every peer over the fabric and declares a peer suspect after
-	// HeartbeatMisses consecutive missed pings. Suspicion feeds the retry
-	// layer's dead-peer verdicts, so every worker fails fast against a dead
-	// machine instead of independently burning its retry budget. Implies
-	// Resilient.
+	// every peer over the fabric and declares a peer suspect after three
+	// consecutive missed pings, each bounded by twice the interval (the
+	// comm.DetectorConfig defaults). Suspicion feeds the retry layer's
+	// dead-peer verdicts, so every worker fails fast against a dead machine
+	// instead of independently burning its retry budget. Implies Resilient.
 	Heartbeat bool
 	// HeartbeatInterval is the ping period per (node, peer) pair
 	// (default 20ms).
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout bounds one ping round trip (default 2×interval).
-	HeartbeatTimeout time.Duration
-	// HeartbeatMisses is the consecutive-miss threshold for suspicion
-	// (default 3).
-	HeartbeatMisses int
 
 	// Speculate enables straggler speculation: the driver samples each
 	// engine's completed-root prefix, and once some machines sit idle it
@@ -155,8 +153,7 @@ func (c Config) withDefaults() Config {
 	if c.CacheDegreeThreshold == 0 {
 		c.CacheDegreeThreshold = 64
 	}
-	if c.Fault != nil || c.FetchTimeout > 0 || c.FetchRetries > 0 || c.BreakerThreshold > 0 ||
-		c.Heartbeat || c.Speculate {
+	if c.Fault != nil || c.FetchTimeout > 0 || c.FetchRetries > 0 || c.Heartbeat || c.Speculate {
 		c.Resilient = true
 	}
 	if c.Resilient {
@@ -166,11 +163,45 @@ func (c Config) withDefaults() Config {
 		if c.FetchRetries <= 0 {
 			c.FetchRetries = 5
 		}
-		if c.BreakerThreshold <= 0 {
-			c.BreakerThreshold = 3
-		}
 	}
 	return c
+}
+
+// Validate reports the first setting New cannot honor, wrapped around
+// ErrInvalidConfig and named by its field. Zero is valid everywhere.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"NumNodes", c.NumNodes}, {"Sockets", c.Sockets}, {"ThreadsPerSocket", c.ThreadsPerSocket},
+		{"ChunkSize", c.ChunkSize}, {"InFlight", c.InFlight}, {"MiniBatch", c.MiniBatch},
+		{"FetchRetries", c.FetchRetries},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("%w: %s must not be negative, got %d", ErrInvalidConfig, f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"FetchTimeout", c.FetchTimeout}, {"RetryBackoff", c.RetryBackoff}, {"HeartbeatInterval", c.HeartbeatInterval},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("%w: %s must not be negative, got %v", ErrInvalidConfig, f.name, f.d)
+		}
+	}
+	switch {
+	case math.IsNaN(c.CacheFraction) || math.IsInf(c.CacheFraction, 0) || c.CacheFraction < 0:
+		return fmt.Errorf("%w: CacheFraction must be a finite, non-negative fraction of the graph size, got %v",
+			ErrInvalidConfig, c.CacheFraction)
+	case c.Transport != TransportChan && c.Transport != TransportTCP:
+		return fmt.Errorf("%w: unknown Transport %d", ErrInvalidConfig, c.Transport)
+	case c.CachePolicy < cache.Static || c.CachePolicy > cache.MRU:
+		return fmt.Errorf("%w: unknown CachePolicy %d", ErrInvalidConfig, c.CachePolicy)
+	}
+	return nil
 }
 
 // Cluster is a running simulated deployment over one input graph.
@@ -214,6 +245,9 @@ type Cluster struct {
 
 // New partitions g across the configured machines and opens the fabric.
 func New(g *graph.Graph, cfg Config) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	asg := partition.NewAssignment(cfg.NumNodes, cfg.Sockets)
 	met := metrics.NewCluster(cfg.NumNodes)
@@ -262,11 +296,8 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		if c.injector != nil {
 			selfDead = c.injector.Crashed
 		}
-		c.detector = comm.NewDetector(c.fabric, cfg.NumNodes, comm.DetectorConfig{
-			Interval: cfg.HeartbeatInterval,
-			Timeout:  cfg.HeartbeatTimeout,
-			Misses:   cfg.HeartbeatMisses,
-		}, c.met, selfDead)
+		c.detector = comm.NewDetector(c.fabric, cfg.NumNodes,
+			comm.DetectorConfig{Interval: cfg.HeartbeatInterval}, c.met, selfDead)
 		if r := c.resilient.Load(); r != nil {
 			r.SetSuspector(c.detector.Suspected)
 		}
@@ -282,10 +313,9 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 // verdicts so crashes persist across rounds.
 func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 	var fabric comm.Fabric
-	switch c.cfg.Transport {
-	case TransportChan:
+	if c.cfg.Transport == TransportChan {
 		fabric = comm.NewLocal(servers, c.met)
-	case TransportTCP:
+	} else { // TransportTCP, the only other transport Validate admits
 		t, err := comm.NewTCP(servers, c.met)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -299,8 +329,6 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 			t.SetInFlight(c.cfg.InFlight)
 		}
 		fabric = t
-	default:
-		return nil, fmt.Errorf("%w %d", ErrUnknownTransport, c.cfg.Transport)
 	}
 	if c.cfg.Fault != nil && !c.cfg.Fault.Zero() {
 		if c.injector == nil {
@@ -310,11 +338,10 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 	}
 	if c.cfg.Resilient {
 		r := comm.NewResilient(fabric, c.cfg.NumNodes, comm.RetryConfig{
-			Timeout:          c.cfg.FetchTimeout,
-			Retries:          c.cfg.FetchRetries,
-			Backoff:          c.cfg.RetryBackoff,
-			BreakerThreshold: c.cfg.BreakerThreshold,
-			Seed:             seedOf(c.cfg.Fault),
+			Timeout: c.cfg.FetchTimeout,
+			Retries: c.cfg.FetchRetries,
+			Backoff: c.cfg.RetryBackoff,
+			Seed:    seedOf(c.cfg.Fault),
 		}, c.met)
 		if prev := c.resilient.Load(); prev != nil {
 			for _, n := range prev.DeadNodes() {

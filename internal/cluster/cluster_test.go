@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"khuzdul/internal/automine"
 	"khuzdul/internal/cache"
@@ -277,5 +280,51 @@ func TestClusterConfigValidation(t *testing.T) {
 	defer c.Close()
 	if c.Config().NumNodes != 1 || c.Config().Sockets != 1 {
 		t.Fatalf("defaults not applied: %+v", c.Config())
+	}
+}
+
+// TestConfigValidate: every setting New cannot honor is refused up front with
+// ErrInvalidConfig and names its field; the zero value and the ordinary
+// non-zero settings are accepted.
+func TestConfigValidate(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg   Config
+		field string
+	}{
+		"NaN cache":          {Config{CacheFraction: math.NaN()}, "CacheFraction"},
+		"+Inf cache":         {Config{CacheFraction: math.Inf(1)}, "CacheFraction"},
+		"-Inf cache":         {Config{CacheFraction: math.Inf(-1)}, "CacheFraction"},
+		"negative cache":     {Config{CacheFraction: -0.1}, "CacheFraction"},
+		"negative nodes":     {Config{NumNodes: -3}, "NumNodes"},
+		"negative sockets":   {Config{Sockets: -1}, "Sockets"},
+		"negative threads":   {Config{ThreadsPerSocket: -1}, "ThreadsPerSocket"},
+		"negative chunk":     {Config{ChunkSize: -8}, "ChunkSize"},
+		"negative inflight":  {Config{InFlight: -1}, "InFlight"},
+		"negative minibatch": {Config{MiniBatch: -1}, "MiniBatch"},
+		"negative retries":   {Config{FetchRetries: -1}, "FetchRetries"},
+		"negative timeout":   {Config{FetchTimeout: -time.Millisecond}, "FetchTimeout"},
+		"negative backoff":   {Config{RetryBackoff: -time.Millisecond}, "RetryBackoff"},
+		"negative heartbeat": {Config{HeartbeatInterval: -time.Millisecond}, "HeartbeatInterval"},
+		"unknown transport":  {Config{Transport: TransportTCP + 1}, "Transport"},
+		"negative transport": {Config{Transport: -1}, "Transport"},
+		"unknown policy":     {Config{CachePolicy: cache.MRU + 1}, "CachePolicy"},
+		"negative policy":    {Config{CachePolicy: -1}, "CachePolicy"},
+	} {
+		err := tc.cfg.Validate()
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidConfig naming %s", name, err, tc.field)
+		}
+		if _, err := New(graph.Path(4), tc.cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: New = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+	for _, cfg := range []Config{{}, {
+		NumNodes: 8, Sockets: 2, ThreadsPerSocket: 4, ChunkSize: 64, CacheFraction: 1,
+		CachePolicy: cache.MRU, Transport: TransportTCP, InFlight: 1, MiniBatch: 4,
+		FetchTimeout: time.Second, FetchRetries: 3, RetryBackoff: time.Millisecond, HeartbeatInterval: time.Millisecond,
+	}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
 	}
 }

@@ -91,7 +91,6 @@ func (r *run) engine(t task) *core.Engine {
 		ChunkSize:      c.cfg.ChunkSize,
 		Threads:        r.threads,
 		MiniBatch:      c.cfg.MiniBatch,
-		FlushSize:      c.cfg.FlushSize,
 		HDS:            !c.cfg.DisableHDS,
 		StrictPipeline: c.cfg.StrictPipeline,
 		Cache:          t.cache,

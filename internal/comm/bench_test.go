@@ -17,11 +17,9 @@ import (
 // service latency emulating a remote peer — on loopback the exchange is otherwise pure CPU,
 // which no wire discipline can overlap; the latency is what circulant
 // scheduling actually has to hide. BenchmarkDecodeLists pins the
-// response-decode allocation cost. BENCH_comm.json records the pipeline that
-// regenerates it in its own "regenerate" field (-regen keeps it there;
-// without it benchjson stamps BENCH_hotpath.json's). TCPFetchWindow1 admits
-// one exchange at a time per connection — what the wire did before
-// multiplexing — so it stands in for "before" on the same load shape.
+// response-decode allocation cost. TCPFetchWindow1 admits one exchange at a
+// time per connection — what the wire did before multiplexing — so it stands
+// in for "before" on the same load shape.
 
 // benchRemoteLatency is the emulated per-request service time of a remote
 // peer (network + queueing a real deployment pays per fetch).

@@ -47,16 +47,13 @@ type Fabric interface {
 	// machine from. It blocks until the response arrives (the paper's remote
 	// fetches are blocking; engines batch and pipeline around it).
 	Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error)
+	// Ping carries one heartbeat probe from machine from to machine to. Pings
+	// are control traffic: they round-trip through the transport (and through
+	// any fault-injecting wrapper) but are excluded from byte accounting so
+	// experiment traffic numbers stay payload-only.
+	Ping(from, to int) error
 	// Close releases transport resources.
 	Close() error
-}
-
-// Pinger is implemented by fabrics that can carry heartbeat probes. Pings
-// are control traffic: they round-trip through the transport (and through
-// any fault-injecting wrapper) but are excluded from byte accounting so
-// experiment traffic numbers stay payload-only.
-type Pinger interface {
-	Ping(from, to int) error
 }
 
 // RequestBytes returns the accounted wire size of a fetch request.
@@ -109,7 +106,7 @@ func (l *Local) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, e
 	return lists, nil
 }
 
-// Ping implements Pinger: an in-process peer is reachable iff it exists.
+// Ping implements Fabric: an in-process peer is reachable iff it exists.
 func (l *Local) Ping(from, to int) error {
 	if to < 0 || to >= len(l.servers) {
 		return fmt.Errorf("comm: ping to node %d: %w", to, ErrUnknownNode)

@@ -45,7 +45,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 // Detector is a running heartbeat failure detector over one fabric.
 type Detector struct {
 	fabric Fabric
-	pinger Pinger // fabric's ping surface, nil when unsupported
 	n      int
 	cfg    DetectorConfig
 	m      *metrics.Cluster
@@ -68,10 +67,8 @@ type Detector struct {
 // nil to disable accounting; selfDead may be nil when nodes cannot die
 // outside the detector's own view.
 func NewDetector(fabric Fabric, numNodes int, cfg DetectorConfig, m *metrics.Cluster, selfDead func(int) bool) *Detector {
-	p, _ := fabric.(Pinger)
 	return &Detector{
 		fabric:    fabric,
-		pinger:    p,
 		n:         numNodes,
 		cfg:       cfg.withDefaults(),
 		m:         m,
@@ -155,7 +152,7 @@ func (d *Detector) pingOnce(node, peer, pair int) {
 	defer d.wg.Done()
 	defer d.inflight[pair].Store(false)
 	done := make(chan error, 1)
-	go func() { done <- d.ping(node, peer) }()
+	go func() { done <- d.fabric.Ping(node, peer) }()
 	t := time.NewTimer(d.cfg.Timeout)
 	defer t.Stop()
 	var err error
@@ -181,14 +178,4 @@ func (d *Detector) pingOnce(node, peer, pair int) {
 			d.m.Nodes[node].NodesSuspected.Add(1)
 		}
 	}
-}
-
-// ping issues one probe over the fabric's control channel, falling back to
-// an empty fetch when the transport has no ping surface.
-func (d *Detector) ping(node, peer int) error {
-	if d.pinger != nil {
-		return d.pinger.Ping(node, peer)
-	}
-	_, err := d.fabric.Fetch(node, peer, nil)
-	return err
 }

@@ -268,15 +268,10 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(h%uint64(d/2+1))
 }
 
-// Ping implements Pinger by delegating to the inner transport. Heartbeats
+// Ping implements Fabric by delegating to the inner transport. Heartbeats
 // bypass the retry/breaker discipline: the detector owns its own timeout
 // and miss accounting.
-func (r *Resilient) Ping(from, to int) error {
-	if p, ok := r.inner.(Pinger); ok {
-		return p.Ping(from, to)
-	}
-	return nil
-}
+func (r *Resilient) Ping(from, to int) error { return r.inner.Ping(from, to) }
 
 // Close implements Fabric. It releases every caller parked in a backoff or
 // deadline wait (they fail with ErrFetchCanceled) before closing the inner

@@ -35,6 +35,8 @@ func (f *flakyFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.Verte
 	return make([][]graph.VertexID, len(ids)), nil
 }
 
+func (f *flakyFabric) Ping(from, to int) error { return nil }
+
 func (f *flakyFabric) Close() error {
 	select {
 	case <-f.hung:
@@ -56,7 +58,8 @@ func (f *permFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.Vertex
 	f.calls.Add(1)
 	return nil, fmt.Errorf("wrapped: %w", permErr{})
 }
-func (f *permFabric) Close() error { return nil }
+func (f *permFabric) Ping(from, to int) error { return nil }
+func (f *permFabric) Close() error            { return nil }
 
 func TestResilientRetriesTransientErrors(t *testing.T) {
 	m := metrics.NewCluster(2)

@@ -14,8 +14,8 @@ import (
 // BenchmarkExtendEngine drives the whole per-embedding hot path — extendOne,
 // PlanExtender.Extend, the setops kernels, and the VCS intermediate-copy
 // machinery (clique plans store raw intersections) — on a single node so no
-// network noise enters the numbers. This is the benchmark behind
-// BENCH_hotpath.json.
+// network noise enters the numbers. CI runs it once per change (bench-smoke);
+// its allocs/op and B/op are the zero-alloc hot path's evidence.
 func BenchmarkExtendEngine(b *testing.B) {
 	g := graph.RMATDefault(400, 3200, 7)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})

@@ -501,7 +501,7 @@ func (f *fabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, 
 	return f.inner.Fetch(from, to, ids)
 }
 
-// Ping implements comm.Pinger with the liveness-relevant fault classes:
+// Ping implements comm.Fabric with the liveness-relevant fault classes:
 // pings hang toward crashed or partitioned peers (heartbeat misses), but
 // skip latency, straggler delay and the probabilistic error classes — a
 // slow or flaky node is still alive, and the failure detector must not
@@ -517,10 +517,7 @@ func (f *fabric) Ping(from, to int) error {
 		<-f.closed
 		return fmt.Errorf("fault: fabric closed while pinging unreachable node %d: %w", to, ErrNodeCrashed)
 	}
-	if p, ok := f.inner.(comm.Pinger); ok {
-		return p.Ping(from, to)
-	}
-	return nil
+	return f.inner.Ping(from, to)
 }
 
 // Close implements comm.Fabric.

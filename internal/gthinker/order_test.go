@@ -23,7 +23,8 @@ func (f *recordingFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.V
 	return out, nil
 }
 
-func (f *recordingFabric) Close() error { return nil }
+func (f *recordingFabric) Ping(from, to int) error { return nil }
+func (f *recordingFabric) Close() error            { return nil }
 
 // TestFetchRemoteOwnerOrder pins the wire determinism maporder enforces:
 // fetchRemote must batch by owner in ascending owner order, not in Go's

@@ -37,48 +37,6 @@ func runAblationChaos(o Options) (*Table, error) {
 	}
 	g := d.Generate(o.Scale)
 
-	type scenario struct {
-		name       string
-		resilient  bool
-		prof       *fault.Profile
-		transport  cluster.Transport
-		heartbeat  bool
-		speculate  bool
-		concurrent bool // run node slots concurrently (needed for speculation)
-		chunk      int  // root-range granularity override (0 = experiment default)
-		reps       int  // repetitions, keeping the fastest (0 = once)
-	}
-	scenarios := []scenario{
-		{name: "baseline"},
-		{name: "resilient, no faults", resilient: true},
-		{name: "transient err=5%", prof: &fault.Profile{Seed: 7, ErrorRate: 0.05}},
-		{name: "err=5% + crash n1", prof: &fault.Profile{
-			Seed: 7, ErrorRate: 0.05, Crashes: []fault.Crash{{Node: 1, After: 10}},
-		}},
-		// The two TCP rows form the protocol-overhead comparison; they are
-		// noise-sensitive, so each reports its best of three runs. The
-		// detector runs at a 50ms interval — brisk enough to beat the
-		// breaker's timeout path to a verdict by an order of magnitude,
-		// without 56 ping pairs competing with compute for cycles.
-		{name: "tcp wire (crc)", transport: cluster.TransportTCP, reps: 3},
-		{name: "tcp + heartbeat", transport: cluster.TransportTCP, heartbeat: true, reps: 3},
-		{name: "tcp corrupt+drop=2%", transport: cluster.TransportTCP, prof: &fault.Profile{
-			Seed: 7, CorruptRate: 0.02, DropRate: 0.02,
-		}},
-		{name: "partition 0+1+2|3", prof: &fault.Profile{
-			Seed: 7, Partitions: []fault.Partition{{A: []int{0, 1, 2}, B: []int{3}, After: 2}},
-		}},
-		// The straggler pair uses fine-grained root ranges: the straggler
-		// polls for cancellation only at range boundaries, so speculation's
-		// win shows up as soon as ranges are small enough to checkpoint often.
-		{name: "slow n1 x200", concurrent: true, resilient: true, chunk: 256, prof: &fault.Profile{
-			Seed: 7, Slowdowns: []fault.Slowdown{{Node: 1, Factor: 200}},
-		}},
-		{name: "slow n1 x200 + speculation", concurrent: true, speculate: true, chunk: 256, prof: &fault.Profile{
-			Seed: 7, Slowdowns: []fault.Slowdown{{Node: 1, Factor: 200}},
-		}},
-	}
-
 	elapsed := map[string]time.Duration{}
 	appsList := []appSpec{appTC}
 	if !o.Quick {
@@ -86,32 +44,13 @@ func runAblationChaos(o Options) (*Table, error) {
 	}
 	for ai, a := range appsList {
 		var want uint64
-		for i, sc := range scenarios {
+		for i, sc := range chaosScenarios {
 			// A crash permanently poisons the injector, so every scenario gets
 			// a fresh cluster.
-			chunk := experimentChunkSize
-			if sc.chunk > 0 {
-				chunk = sc.chunk
-			}
 			var r cluster.Result
 			reps := max(sc.reps, 1)
 			for rep := 0; rep < reps; rep++ {
-				c, err := cluster.New(g, cluster.Config{
-					NumNodes:             o.Nodes,
-					ThreadsPerSocket:     o.Threads,
-					ChunkSize:            chunk,
-					CacheFraction:        0.10,
-					CacheDegreeThreshold: 8,
-					SequentialNodes:      !sc.concurrent,
-					Transport:            sc.transport,
-					Resilient:            sc.resilient,
-					Heartbeat:            sc.heartbeat,
-					HeartbeatInterval:    50 * time.Millisecond,
-					Speculate:            sc.speculate,
-					Fault:                sc.prof,
-					FetchTimeout:         50 * time.Millisecond,
-					RetryBackoff:         200 * time.Microsecond,
-				})
+				c, err := cluster.New(g, sc.config(o))
 				if err != nil {
 					return nil, err
 				}
@@ -147,6 +86,10 @@ func runAblationChaos(o Options) (*Table, error) {
 		}
 	}
 	t.AddNote("all scenarios reproduce the fault-free count exactly; recovery re-executes only unfinished source-vertex ranges on survivors")
+	if base, res := elapsed["baseline"], elapsed["resilient, no faults"]; base > 0 {
+		t.AddNote("retry layer with no faults vs the plain cluster: %+.1f%%",
+			100*(float64(res)-float64(base))/float64(base))
+	}
 	if base, hb := elapsed["tcp wire (crc)"], elapsed["tcp + heartbeat"]; base > 0 {
 		t.AddNote("CRC-framed TCP + heartbeat overhead vs CRC-framed TCP alone: %+.1f%%",
 			100*(float64(hb)-float64(base))/float64(base))
@@ -155,4 +98,84 @@ func runAblationChaos(o Options) (*Table, error) {
 		t.AddNote("speculation vs straggler-bound run: %.2fx elapsed", float64(slow)/float64(spec))
 	}
 	return t, nil
+}
+
+// chaosScenario is one row of the chaos experiment.
+type chaosScenario struct {
+	name string
+	// resilient runs the retry layer. Every scenario that injects faults,
+	// runs the heartbeat detector or speculates needs it (and the cluster
+	// would turn it on regardless), so the table states it on each such row.
+	resilient  bool
+	prof       *fault.Profile
+	transport  cluster.Transport
+	heartbeat  bool
+	speculate  bool
+	concurrent bool // run node slots concurrently (needed for speculation)
+	chunk      int  // root-range granularity override (0 = experiment default)
+	reps       int  // repetitions, keeping the fastest (0 = once)
+}
+
+var chaosScenarios = []chaosScenario{
+	// The healthy pair measures the retry layer's steady-state cost: the
+	// plain cluster against the layer with nothing to absorb. Like the TCP
+	// pair below, each reports its best of three runs.
+	{name: "baseline", reps: 3},
+	{name: "resilient, no faults", resilient: true, reps: 3},
+	{name: "transient err=5%", resilient: true, prof: &fault.Profile{Seed: 7, ErrorRate: 0.05}},
+	{name: "err=5% + crash n1", resilient: true, prof: &fault.Profile{
+		Seed: 7, ErrorRate: 0.05, Crashes: []fault.Crash{{Node: 1, After: 10}},
+	}},
+	// The two TCP rows form the protocol-overhead comparison; both run the
+	// retry layer, so the difference is the detector alone. They are
+	// noise-sensitive, so each reports its best of three runs. The detector
+	// runs at a 50ms interval — brisk enough to beat the breaker's timeout
+	// path to a verdict by an order of magnitude, without 56 ping pairs
+	// competing with compute for cycles.
+	{name: "tcp wire (crc)", resilient: true, transport: cluster.TransportTCP, reps: 3},
+	{name: "tcp + heartbeat", resilient: true, transport: cluster.TransportTCP, heartbeat: true, reps: 3},
+	{name: "tcp corrupt+drop=2%", resilient: true, transport: cluster.TransportTCP, prof: &fault.Profile{
+		Seed: 7, CorruptRate: 0.02, DropRate: 0.02,
+	}},
+	{name: "partition 0+1+2|3", resilient: true, prof: &fault.Profile{
+		Seed: 7, Partitions: []fault.Partition{{A: []int{0, 1, 2}, B: []int{3}, After: 2}},
+	}},
+	// The straggler pair uses fine-grained root ranges: the straggler
+	// polls for cancellation only at range boundaries, so speculation's
+	// win shows up as soon as ranges are small enough to checkpoint often.
+	{name: "slow n1 x200", resilient: true, concurrent: true, chunk: 256, prof: &fault.Profile{
+		Seed: 7, Slowdowns: []fault.Slowdown{{Node: 1, Factor: 200}},
+	}},
+	{name: "slow n1 x200 + speculation", resilient: true, concurrent: true, speculate: true, chunk: 256, prof: &fault.Profile{
+		Seed: 7, Slowdowns: []fault.Slowdown{{Node: 1, Factor: 200}},
+	}},
+}
+
+// config is the cluster a scenario runs on. Only scenarios that run the
+// retry layer get its short deadlines: any of those settings turns the layer
+// on, so setting them on the baseline would make it the layer compared with
+// itself.
+func (sc chaosScenario) config(o Options) cluster.Config {
+	cfg := cluster.Config{
+		NumNodes:             o.Nodes,
+		ThreadsPerSocket:     o.Threads,
+		ChunkSize:            experimentChunkSize,
+		CacheFraction:        0.10,
+		CacheDegreeThreshold: 8,
+		SequentialNodes:      !sc.concurrent,
+		Transport:            sc.transport,
+		Resilient:            sc.resilient,
+		Heartbeat:            sc.heartbeat,
+		HeartbeatInterval:    50 * time.Millisecond,
+		Speculate:            sc.speculate,
+		Fault:                sc.prof,
+	}
+	if sc.chunk > 0 {
+		cfg.ChunkSize = sc.chunk
+	}
+	if sc.resilient {
+		cfg.FetchTimeout = 50 * time.Millisecond
+		cfg.RetryBackoff = 200 * time.Microsecond
+	}
+	return cfg
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"khuzdul/internal/cluster"
+	"khuzdul/internal/graph"
 )
 
 func TestDatasetPresets(t *testing.T) {
@@ -149,5 +152,30 @@ func TestFormatters(t *testing.T) {
 	}
 	if got := FmtSpeedup(time.Second, 0); got != "-" {
 		t.Errorf("FmtSpeedup zero = %q", got)
+	}
+}
+
+// TestChaosScenarioConfigs: each ablation-chaos row runs the retry layer
+// exactly when its table entry says so. In particular the baseline is the
+// plain cluster and "resilient, no faults" is the layer with nothing to
+// absorb — otherwise the steady-state overhead row compares a configuration
+// with itself.
+func TestChaosScenarioConfigs(t *testing.T) {
+	o := Options{}.withDefaults()
+	resilient := map[string]bool{}
+	for _, sc := range chaosScenarios {
+		c, err := cluster.New(graph.Path(4), sc.config(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resilient[sc.name] = c.Config().Resilient
+		c.Close()
+		if resilient[sc.name] != sc.resilient {
+			t.Errorf("%q: cluster resilient = %v, scenario says %v", sc.name, resilient[sc.name], sc.resilient)
+		}
+	}
+	if resilient["baseline"] || !resilient["resilient, no faults"] {
+		t.Fatalf("baseline resilient = %v, resilient-no-faults resilient = %v; want false, true",
+			resilient["baseline"], resilient["resilient, no faults"])
 	}
 }

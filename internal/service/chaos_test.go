@@ -54,7 +54,6 @@ func TestServiceChaosSoak(t *testing.T) {
 		FetchTimeout:     50 * time.Millisecond,
 		FetchRetries:     5,
 		RetryBackoff:     200 * time.Microsecond,
-		BreakerThreshold: 3,
 	}
 	cl, err := cluster.New(g, ccfg)
 	if err != nil {

@@ -7,15 +7,18 @@
 // graph is 1-D hash partitioned across nodes, and each node runs the
 // Khuzdul engine — extendable embeddings scheduled with BFS-DFS hybrid
 // exploration, circulant communication batching, and GPM-specific data
-// reuse (vertical, horizontal, static cache).
+// reuse (vertical, horizontal, static cache). One Config, validated by Open,
+// sets machines, sockets, workers per socket, chunk and cache sizes,
+// transport and resilience; one Result carries the count, the wall time and
+// the summed per-machine metrics.
 //
 // Quick start:
 //
 //	g := khuzdul.RMAT(100_000, 1_000_000, 42)
-//	eng, _ := khuzdul.Open(g, khuzdul.Config{Nodes: 8, Threads: 4})
+//	eng, _ := khuzdul.Open(g, khuzdul.Config{NumNodes: 8, ThreadsPerSocket: 4})
 //	defer eng.Close()
 //	res, _ := eng.Triangles()
-//	fmt.Println(res.Count, res.Elapsed, res.TrafficBytes)
+//	fmt.Println(res.Count, res.Elapsed, res.Summary.BytesSent)
 package khuzdul
 
 import (
@@ -95,139 +98,49 @@ func ParsePattern(name string) (*Pattern, error) { return pattern.Parse(name) }
 // Clique returns the complete pattern on k vertices.
 func Clique(k int) *Pattern { return pattern.Clique(k) }
 
-// Config tunes the simulated cluster and per-node engines. The zero value
-// is a single node with one thread and no cache.
-type Config struct {
-	// Nodes is the number of simulated machines.
-	Nodes int
-	// Sockets is the NUMA socket count per machine (1 = no NUMA).
-	Sockets int
-	// Threads is the compute worker count per socket.
-	Threads int
-	// ChunkSize is the BFS-DFS chunk capacity in embeddings (0 = default).
-	ChunkSize int
-	// CacheFraction sizes the per-node static cache relative to the graph
-	// (paper: 0.05–0.15; 0 disables).
-	CacheFraction float64
-	// CachePolicy is "static" (default), "fifo", "lifo", "lru" or "mru".
-	CachePolicy string
-	// CacheDegreeThreshold is the static cache admission threshold.
-	CacheDegreeThreshold uint32
-	// DisableHDS turns off horizontal data sharing.
-	DisableHDS bool
-	// TCP routes all remote fetches through loopback TCP sockets instead of
-	// the in-process fabric.
-	TCP bool
-	// InFlight bounds how many multiplexed requests the TCP fabric keeps
-	// outstanding per peer connection (0 = the fabric default, 16). Only
-	// meaningful with TCP.
-	InFlight int
-	// FaultProfile injects deterministic faults into the fabric, in
-	// fault.ParseProfile syntax, e.g. "seed=7,err=0.05,latency=200us,
-	// crash=2@500". Empty, "none" and "off" disable injection (the default;
-	// no overhead). A non-empty profile enables the resilience layer.
-	FaultProfile string
-	// FetchTimeout bounds each remote fetch attempt. Setting it enables the
-	// resilience layer (default 250ms once enabled).
-	FetchTimeout time.Duration
-	// FetchRetries is the retry budget per fetch after the first attempt.
-	// Setting it enables the resilience layer (default 5 once enabled).
-	FetchRetries int
-	// Heartbeat runs a heartbeat failure detector: each machine pings every
-	// peer and a peer missing three consecutive pings is declared dead for
-	// all workers at once, ahead of per-fetch circuit breakers. Enables the
-	// resilience layer.
-	Heartbeat bool
-	// Speculate enables straggler speculation: once machines sit idle, the
-	// slowest machine's unfinished source-vertex ranges are re-executed on
-	// an idle machine, first completion wins, and counts are reconciled
-	// exactly. Enables the resilience layer.
-	Speculate bool
-	// SharedCache keeps one static cache per NUMA slot alive across runs
-	// instead of rebuilding it per run — the resident-server shape, where a
-	// stream of queries shares the warm cache. Requires CacheFraction > 0 to
-	// have any effect.
-	SharedCache bool
-}
+// The cluster's own configuration and result types, re-exported. Zero selects
+// the default in every Config field; Open rejects what Config.Validate rejects
+// with an error wrapping ErrInvalidConfig.
+type (
+	// Config tunes the simulated cluster and its per-node engines. The zero
+	// value is one node with one thread and no cache.
+	Config = cluster.Config
+	// Result reports one mining run: Summary.BytesSent is the exact
+	// remote-fetch traffic, Summary.CacheHitRate() the static-cache hit rate.
+	Result = cluster.Result
+	// Transport selects the fabric between simulated machines.
+	Transport = cluster.Transport
+	// CachePolicy selects the static cache design.
+	CachePolicy = cache.Policy
+	// FaultProfile injects deterministic faults into the fabric; a non-nil
+	// Config.Fault enables the resilience layer.
+	FaultProfile = fault.Profile
+)
 
-// Result reports one mining run.
-type Result struct {
-	// Count is the number of embeddings found.
-	Count uint64
-	// Elapsed is the end-to-end wall time.
-	Elapsed time.Duration
-	// TrafficBytes is the exact remote-fetch traffic.
-	TrafficBytes uint64
-	// CacheHitRate is the static-cache hit rate in [0,1].
-	CacheHitRate float64
-	// Extensions is the number of fine-grained extension tasks executed.
-	Extensions uint64
-	// FetchRetries is the number of retried remote fetches (resilience).
-	FetchRetries uint64
-	// FaultsInjected is the number of injected transient fetch errors.
-	FaultsInjected uint64
-	// RecoveredRoots is the number of source vertices re-executed by
-	// task-level recovery after a node failure.
-	RecoveredRoots uint64
-	// RecoveryRounds is the number of task-level recovery rounds the run
-	// needed (0 on a healthy run).
-	RecoveryRounds int
-	// DeadNodes lists machines declared dead during the run, ascending.
-	DeadNodes []int
-	// CorruptFrames is the number of wire frames rejected on a CRC or
-	// header mismatch (TCP fabric integrity checking).
-	CorruptFrames uint64
-	// Redials is the number of TCP connections re-established after a drop.
-	Redials uint64
-	// HeartbeatMisses is the number of heartbeat pings that timed out.
-	HeartbeatMisses uint64
-	// NodesSuspected is the number of peers the failure detector declared
-	// suspect.
-	NodesSuspected uint64
-	// SpeculativeRanges is the number of root ranges re-executed by
-	// straggler speculation.
-	SpeculativeRanges uint64
-	// SpeculationWins is the number of speculative re-executions that beat
-	// the straggler.
-	SpeculationWins uint64
-	// PipelinedFetches is the number of remote fetches completed over a
-	// multiplexed (v3) TCP connection.
-	PipelinedFetches uint64
-	// InFlightPeak is the per-machine high-water mark of concurrently
-	// outstanding multiplexed requests.
-	InFlightPeak uint64
-	// KernelMerge and KernelGallop count the set-intersection kernel
-	// invocations the run's dispatchers selected.
-	KernelMerge  uint64
-	KernelGallop uint64
-}
+const (
+	// TransportChan is the in-process fabric (default).
+	TransportChan = cluster.TransportChan
+	// TransportTCP routes every remote fetch through loopback TCP sockets.
+	TransportTCP = cluster.TransportTCP
 
-func fromCluster(r cluster.Result) Result {
-	return Result{
-		Count:          r.Count,
-		Elapsed:        r.Elapsed,
-		TrafficBytes:   r.Summary.BytesSent,
-		CacheHitRate:   r.Summary.CacheHitRate(),
-		Extensions:     r.Summary.Extensions,
-		FetchRetries:   r.Summary.FetchRetries,
-		FaultsInjected: r.Summary.FaultsInjected,
-		RecoveredRoots: r.Summary.RecoveredRoots,
-		RecoveryRounds: r.RecoveryRounds,
-		DeadNodes:      r.DeadNodes,
+	// Cache policies: the paper's insert-once STATIC design (default) and
+	// the Figure 16 replacement designs.
+	CacheStatic = cache.Static
+	CacheFIFO   = cache.FIFO
+	CacheLIFO   = cache.LIFO
+	CacheLRU    = cache.LRU
+	CacheMRU    = cache.MRU
+)
 
-		CorruptFrames:     r.Summary.CorruptFrames,
-		Redials:           r.Summary.Redials,
-		HeartbeatMisses:   r.Summary.HeartbeatMisses,
-		NodesSuspected:    r.Summary.NodesSuspected,
-		SpeculativeRanges: r.Summary.SpeculativeRanges,
-		SpeculationWins:   r.Summary.SpeculationWins,
-		PipelinedFetches:  r.Summary.PipelinedFetches,
-		InFlightPeak:      r.Summary.InFlightPeak,
-
-		KernelMerge:  r.Summary.KernelMerge,
-		KernelGallop: r.Summary.KernelGallop,
-	}
-}
+var (
+	// ErrInvalidConfig classifies a Config that Open refuses.
+	ErrInvalidConfig = cluster.ErrInvalidConfig
+	// ParseCachePolicy parses "static", "fifo", "lifo", "lru" or "mru".
+	ParseCachePolicy = cache.ParsePolicy
+	// ParseFaultProfile parses a fault spec such as "seed=7,err=0.05,
+	// latency=200us,crash=2@500"; empty, "none" and "off" return nil.
+	ParseFaultProfile = fault.ParseProfile
+)
 
 // Engine is an open mining session over one graph.
 type Engine struct {
@@ -237,36 +150,7 @@ type Engine struct {
 
 // Open partitions g over a simulated cluster and returns a mining engine.
 func Open(g *Graph, cfg Config) (*Engine, error) {
-	pol, err := cache.ParsePolicy(cfg.CachePolicy)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := fault.ParseProfile(cfg.FaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	transport := cluster.TransportChan
-	if cfg.TCP {
-		transport = cluster.TransportTCP
-	}
-	c, err := cluster.New(g, cluster.Config{
-		NumNodes:             cfg.Nodes,
-		Sockets:              cfg.Sockets,
-		ThreadsPerSocket:     cfg.Threads,
-		ChunkSize:            cfg.ChunkSize,
-		DisableHDS:           cfg.DisableHDS,
-		CacheFraction:        cfg.CacheFraction,
-		CachePolicy:          pol,
-		CacheDegreeThreshold: cfg.CacheDegreeThreshold,
-		Transport:            transport,
-		InFlight:             cfg.InFlight,
-		Fault:                prof,
-		FetchTimeout:         cfg.FetchTimeout,
-		FetchRetries:         cfg.FetchRetries,
-		Heartbeat:            cfg.Heartbeat,
-		Speculate:            cfg.Speculate,
-		SharedCache:          cfg.SharedCache,
-	})
+	c, err := cluster.New(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,16 +167,10 @@ func (e *Engine) Graph() *Graph { return e.c.Graph() }
 func (e *Engine) SetSystem(sys System) { e.sys = sys }
 
 // Triangles counts triangles.
-func (e *Engine) Triangles() (Result, error) {
-	r, err := apps.TriangleCount(e.c, e.sys)
-	return fromCluster(r), err
-}
+func (e *Engine) Triangles() (Result, error) { return apps.TriangleCount(e.c, e.sys) }
 
 // Cliques counts k-cliques.
-func (e *Engine) Cliques(k int) (Result, error) {
-	r, err := apps.CliqueCount(e.c, k, e.sys)
-	return fromCluster(r), err
-}
+func (e *Engine) Cliques(k int) (Result, error) { return apps.CliqueCount(e.c, k, e.sys) }
 
 // ErrMotifSize classifies a motif size k that Motifs does not support.
 var ErrMotifSize = pattern.ErrMotifSize
@@ -316,14 +194,13 @@ func (e *Engine) Motifs(k int) ([]MotifResult, Result, error) {
 	for i := range per {
 		out[i] = MotifResult{Pattern: pats[i], Count: per[i].Count}
 	}
-	return out, fromCluster(combined), nil
+	return out, combined, nil
 }
 
 // CountPattern counts embeddings of an arbitrary pattern; induced selects
 // motif semantics (non-edges must be absent).
 func (e *Engine) CountPattern(p *Pattern, induced bool) (Result, error) {
-	r, err := apps.PatternCount(e.c, p, e.sys, induced)
-	return fromCluster(r), err
+	return apps.PatternCount(e.c, p, e.sys, induced)
 }
 
 // FrequentPattern is one FSM result: a labeled pattern and its MNI support.

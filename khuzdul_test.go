@@ -3,6 +3,7 @@ package khuzdul_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func open(t *testing.T, g *khuzdul.Graph, cfg khuzdul.Config) *khuzdul.Engine {
 func TestTrianglesPublicAPI(t *testing.T) {
 	g := khuzdul.RMAT(200, 1000, 7)
 	want := plan.BruteForceCount(g, pattern.Triangle(), false)
-	eng := open(t, g, khuzdul.Config{Nodes: 4, Threads: 2, CacheFraction: 0.1})
+	eng := open(t, g, khuzdul.Config{NumNodes: 4, ThreadsPerSocket: 2, CacheFraction: 0.1})
 	res, err := eng.Triangles()
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestTrianglesPublicAPI(t *testing.T) {
 	if res.Count != want {
 		t.Fatalf("Triangles = %d, want %d", res.Count, want)
 	}
-	if res.Elapsed <= 0 || res.Extensions == 0 {
+	if res.Elapsed <= 0 || res.Summary.Extensions == 0 {
 		t.Fatalf("metrics not populated: %+v", res)
 	}
 }
@@ -40,7 +41,7 @@ func TestTrianglesPublicAPI(t *testing.T) {
 func TestCliquesAndSystems(t *testing.T) {
 	g := khuzdul.RMAT(150, 800, 9)
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
-	eng := open(t, g, khuzdul.Config{Nodes: 3, Threads: 2})
+	eng := open(t, g, khuzdul.Config{NumNodes: 3, ThreadsPerSocket: 2})
 	for _, sys := range []khuzdul.System{khuzdul.Automine, khuzdul.GraphPi} {
 		eng.SetSystem(sys)
 		res, err := eng.Cliques(4)
@@ -61,7 +62,7 @@ func TestCliquesAndSystems(t *testing.T) {
 
 func TestMotifsPublicAPI(t *testing.T) {
 	g := khuzdul.RMAT(100, 500, 11)
-	eng := open(t, g, khuzdul.Config{Nodes: 2, Threads: 2})
+	eng := open(t, g, khuzdul.Config{NumNodes: 2, ThreadsPerSocket: 2})
 	per, combined, err := eng.Motifs(3)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestCountPatternByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := plan.BruteForceCount(g, p, true)
-	eng := open(t, g, khuzdul.Config{Nodes: 2, Threads: 2})
+	eng := open(t, g, khuzdul.Config{NumNodes: 2, ThreadsPerSocket: 2})
 	res, err := eng.CountPattern(p, true)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestMineFrequentPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := open(t, g, khuzdul.Config{Nodes: 2, Threads: 2})
+	eng := open(t, g, khuzdul.Config{NumNodes: 2, ThreadsPerSocket: 2})
 	fps, elapsed, err := eng.MineFrequent(5, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestMineFrequentPublicAPI(t *testing.T) {
 func TestTCPTransportPublicAPI(t *testing.T) {
 	g := khuzdul.RMAT(120, 600, 19)
 	want := plan.BruteForceCount(g, pattern.Triangle(), false)
-	eng := open(t, g, khuzdul.Config{Nodes: 3, Threads: 2, TCP: true})
+	eng := open(t, g, khuzdul.Config{NumNodes: 3, ThreadsPerSocket: 2, Transport: khuzdul.TransportTCP})
 	res, err := eng.Triangles()
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestTCPTransportPublicAPI(t *testing.T) {
 	if res.Count != want {
 		t.Fatalf("TCP Triangles = %d, want %d", res.Count, want)
 	}
-	if res.TrafficBytes == 0 {
+	if res.Summary.BytesSent == 0 {
 		t.Fatal("no traffic over TCP")
 	}
 }
@@ -183,16 +184,28 @@ func TestGraphIORoundTripPublicAPI(t *testing.T) {
 }
 
 func TestOpenBadPolicy(t *testing.T) {
+	if _, err := khuzdul.ParseCachePolicy("bogus"); err == nil {
+		t.Fatal("want error for bad cache policy name")
+	}
 	g := khuzdul.RMAT(50, 100, 23)
-	if _, err := khuzdul.Open(g, khuzdul.Config{CachePolicy: "bogus"}); err == nil {
-		t.Fatal("want error for bad cache policy")
+	if _, err := khuzdul.Open(g, khuzdul.Config{CachePolicy: khuzdul.CacheMRU + 1}); !errors.Is(err, khuzdul.ErrInvalidConfig) {
+		t.Fatalf("Open with an unknown cache policy = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestOpenInvalidConfig: a cache fraction that sizes no finite cache is
+// refused before any cache is built, not turned into a 2^63-byte bound.
+func TestOpenInvalidConfig(t *testing.T) {
+	g := khuzdul.RMAT(50, 100, 23)
+	if _, err := khuzdul.Open(g, khuzdul.Config{CacheFraction: math.NaN()}); !errors.Is(err, khuzdul.ErrInvalidConfig) {
+		t.Fatalf("Open with a NaN cache fraction = %v, want ErrInvalidConfig", err)
 	}
 }
 
 func TestNUMAConfigPublicAPI(t *testing.T) {
 	g := khuzdul.RMAT(150, 800, 27)
 	want := plan.BruteForceCount(g, pattern.Triangle(), false)
-	eng := open(t, g, khuzdul.Config{Nodes: 2, Sockets: 2, Threads: 1, CacheFraction: 0.05})
+	eng := open(t, g, khuzdul.Config{NumNodes: 2, Sockets: 2, ThreadsPerSocket: 1, CacheFraction: 0.05})
 	res, err := eng.Triangles()
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +218,7 @@ func TestNUMAConfigPublicAPI(t *testing.T) {
 func TestTinyChunkPublicAPI(t *testing.T) {
 	g := khuzdul.RMAT(100, 500, 29)
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
-	eng := open(t, g, khuzdul.Config{Nodes: 3, Threads: 2, ChunkSize: 8})
+	eng := open(t, g, khuzdul.Config{NumNodes: 3, ThreadsPerSocket: 2, ChunkSize: 8})
 	res, err := eng.Cliques(4)
 	if err != nil {
 		t.Fatal(err)
