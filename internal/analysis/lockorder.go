@@ -10,7 +10,7 @@ import (
 
 // LockOrder enforces acyclic lock acquisition across the whole program. The
 // resident service runs many queries concurrently over ~20 interacting
-// mutexes (Server.mu, connState.mu, recMu, the mux and tracker locks); two
+// mutexes (Server.mu, connState.mu, adoptMu, the mux and tracker locks); two
 // goroutines acquiring the same pair of locks in opposite orders is the
 // classic deadlock, and it only shows up dynamically when the interleaving
 // loses the race. This analyzer finds the shape statically.

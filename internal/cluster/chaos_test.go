@@ -152,7 +152,7 @@ func TestResilientNoFaultsNoEvents(t *testing.T) {
 	}
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
-	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2, Resilient: true})
+	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2, FetchTimeout: 250 * time.Millisecond})
 	res, err := c.Count(pl)
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,9 @@ import (
 )
 
 // ErrInvalidConfig marks a Config that New refuses: a negative count, size
-// or duration, a non-finite or negative CacheFraction, or an unknown
-// Transport or CachePolicy. It is a configuration error, not a runtime fault:
-// nothing ran yet.
+// or duration, a non-finite or negative CacheFraction, an unknown Transport
+// or CachePolicy, or Speculate with SequentialNodes. It is a configuration
+// error, not a runtime fault: nothing ran yet.
 var ErrInvalidConfig = errors.New("cluster: invalid config")
 
 // ErrRunCanceled marks a run aborted by its RunOpts.Cancel channel. It is
@@ -100,20 +100,18 @@ type Config struct {
 
 	// Fault injects deterministic faults (transient fetch errors, latency,
 	// permanent node crashes) into the fabric. Nil disables injection and
-	// adds zero overhead. A non-nil profile implies Resilient.
+	// adds zero overhead. A non-nil profile turns the retry layer on.
 	Fault *fault.Profile
-	// Resilient enables the retry/deadline/circuit-breaker fetch layer and
-	// task-level recovery even without a fault profile (e.g. for real
-	// networks). Implied by Fault, FetchTimeout, FetchRetries, Heartbeat
-	// or Speculate being set. Three consecutive timed-out fetches to one
-	// peer declare it dead (comm.RetryConfig's breaker default), and
-	// task-level recovery takes over its unfinished source ranges.
-	Resilient bool
-	// FetchTimeout bounds each fetch attempt (default 250ms when resilience
-	// is enabled).
+	// FetchTimeout bounds each fetch attempt and turns on the
+	// retry/deadline/circuit-breaker fetch layer and task-level recovery,
+	// with or without a fault profile (e.g. for real networks). Three
+	// consecutive timed-out fetches to one peer declare it dead
+	// (comm.RetryConfig's breaker default), and task-level recovery takes
+	// over its unfinished source ranges. Setting Fault, FetchRetries,
+	// Heartbeat or Speculate turns the layer on too, with a 250ms default.
 	FetchTimeout time.Duration
 	// FetchRetries is the number of retry attempts per fetch after the
-	// first (default 5 when resilience is enabled).
+	// first (default 5 when the retry layer is on).
 	FetchRetries int
 	// RetryBackoff is the initial retry backoff; it doubles per attempt
 	// with deterministic jitter (default 1ms).
@@ -124,7 +122,8 @@ type Config struct {
 	// consecutive missed pings, each bounded by twice the interval (the
 	// comm.DetectorConfig defaults). Suspicion feeds the retry layer's
 	// dead-peer verdicts, so every worker fails fast against a dead machine
-	// instead of independently burning its retry budget. Implies Resilient.
+	// instead of independently burning its retry budget. Turns the retry
+	// layer on.
 	Heartbeat bool
 	// HeartbeatInterval is the ping period per (node, peer) pair
 	// (default 20ms).
@@ -135,8 +134,8 @@ type Config struct {
 	// re-executes the slowest engine's unfinished roots on an idle machine.
 	// Whichever copy completes the tail first wins; counts are reconciled
 	// at range granularity so the result is bit-identical to a run without
-	// speculation. Requires concurrently running machines and counting
-	// sinks; implies Resilient.
+	// speculation. Requires concurrently running machines (Validate rejects
+	// it with SequentialNodes) and counting sinks; turns the retry layer on.
 	Speculate bool
 }
 
@@ -153,10 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheDegreeThreshold == 0 {
 		c.CacheDegreeThreshold = 64
 	}
+	// After defaults, the retry layer is on exactly when FetchTimeout > 0.
 	if c.Fault != nil || c.FetchTimeout > 0 || c.FetchRetries > 0 || c.Heartbeat || c.Speculate {
-		c.Resilient = true
-	}
-	if c.Resilient {
 		if c.FetchTimeout <= 0 {
 			c.FetchTimeout = 250 * time.Millisecond
 		}
@@ -200,6 +197,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: unknown Transport %d", ErrInvalidConfig, c.Transport)
 	case c.CachePolicy < cache.Static || c.CachePolicy > cache.MRU:
 		return fmt.Errorf("%w: unknown CachePolicy %d", ErrInvalidConfig, c.CachePolicy)
+	case c.Speculate && c.SequentialNodes:
+		return fmt.Errorf("%w: Speculate needs concurrently running machines, not SequentialNodes", ErrInvalidConfig)
 	}
 	return nil
 }
@@ -214,23 +213,23 @@ type Cluster struct {
 	// assignment; see rootsOf.
 	baseRoots [][]graph.VertexID
 	met       *metrics.Cluster
-	fabric    comm.Fabric
+	// fabric is the cluster's one fabric stack, built once by New: every
+	// engine fetches through it — main engines, recovery engines and
+	// speculative copies alike, each routed by its own failover view.
+	fabric comm.Fabric
 	// injector and resilient are the fault-injection and retry layers of
-	// the fabric stack; nil when resilience is disabled. Each recovery round
-	// installs its own retry layer while concurrent runs consult the
-	// current one's dead verdicts, hence the atomic pointer.
+	// the fabric stack; nil when the config does not turn them on.
 	injector  *fault.Injector
-	resilient atomic.Pointer[comm.Resilient]
+	resilient *comm.Resilient
 	// detector is the heartbeat failure detector; nil unless Heartbeat is
-	// configured. It runs for the cluster's whole lifetime over the
-	// original fabric stack.
+	// configured. It runs for the cluster's whole lifetime.
 	detector *comm.Detector
 	// scaches, under Config.SharedCache, holds one persistent cache per
 	// (node, socket) slot, reused by every run instead of rebuilt cold.
 	scaches []cache.Cache
-	// recMu serializes task-level recovery: concurrent runs (the query
-	// service) must not race two fabric rebuilds.
-	recMu sync.Mutex
+	// adoptMu serializes adopt: concurrent runs whose recoveries converge on
+	// the same dead set must share one re-partition.
+	adoptMu sync.Mutex
 	// fo is the resident failover routing adopted after a successful
 	// recovery: subsequent runs route dead machines' shards to survivors
 	// from the start instead of re-discovering the crash per run. Each run
@@ -264,21 +263,19 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 					continue
 				}
 				// A vertex this machine does not own under the base
-				// assignment: the requester routed it here through an adopted
-				// failover topology, so serve it from the full graph — the
-				// stand-in for the re-partitioned shard a survivor reloads
-				// after a crash.
+				// assignment: the requester routed it here through a failover
+				// view (an adopted topology or a recovery round's), so serve it
+				// from the full graph — the stand-in for the re-partitioned
+				// shard a survivor reloads after a crash.
 				out[i] = g.Neighbors(id)
 			}
 			return out
 		})
 	}
 	c := &Cluster{g: g, cfg: cfg, asg: asg, locals: locals, baseRoots: baseRootsOf(g, asg), met: met}
-	fabric, err := c.buildFabric(servers)
-	if err != nil {
+	if err := c.buildFabric(servers); err != nil {
 		return nil, err
 	}
-	c.fabric = fabric
 	if cfg.SharedCache {
 		if bytesPerSocket := c.cacheBytesPerSocket(); bytesPerSocket > 0 {
 			c.scaches = make([]cache.Cache, cfg.NumNodes*cfg.Sockets)
@@ -298,27 +295,23 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		}
 		c.detector = comm.NewDetector(c.fabric, cfg.NumNodes,
 			comm.DetectorConfig{Interval: cfg.HeartbeatInterval}, c.met, selfDead)
-		if r := c.resilient.Load(); r != nil {
-			r.SetSuspector(c.detector.Suspected)
-		}
+		c.resilient.SetSuspector(c.detector.Suspected) // Heartbeat turns the retry layer on
 		c.detector.Start()
 	}
 	return c, nil
 }
 
-// buildFabric assembles the fabric stack for one set of servers: the base
-// transport, optionally wrapped by the fault injector, optionally wrapped by
-// the retry/deadline/breaker layer. The same stack shape is rebuilt for
-// recovery rounds, sharing the injector's fault state and the known-dead
-// verdicts so crashes persist across rounds.
-func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
+// buildFabric assembles c.fabric over servers: the base transport, wrapped
+// by the fault injector when the profile injects anything, wrapped by the
+// retry/deadline/breaker layer when FetchTimeout is set.
+func (c *Cluster) buildFabric(servers []comm.Server) error {
 	var fabric comm.Fabric
 	if c.cfg.Transport == TransportChan {
 		fabric = comm.NewLocal(servers, c.met)
 	} else { // TransportTCP, the only other transport Validate admits
 		t, err := comm.NewTCP(servers, c.met)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
+			return fmt.Errorf("cluster: %w", err)
 		}
 		if c.cfg.FetchTimeout > 0 {
 			// Bound every socket operation by the fetch deadline so a hung
@@ -331,32 +324,20 @@ func (c *Cluster) buildFabric(servers []comm.Server) (comm.Fabric, error) {
 		fabric = t
 	}
 	if c.cfg.Fault != nil && !c.cfg.Fault.Zero() {
-		if c.injector == nil {
-			c.injector = fault.NewInjector(*c.cfg.Fault, c.cfg.NumNodes, c.met)
-		}
+		c.injector = fault.NewInjector(*c.cfg.Fault, c.cfg.NumNodes, c.met)
 		fabric = c.injector.Wrap(fabric)
 	}
-	if c.cfg.Resilient {
-		r := comm.NewResilient(fabric, c.cfg.NumNodes, comm.RetryConfig{
+	if c.cfg.FetchTimeout > 0 {
+		c.resilient = comm.NewResilient(fabric, c.cfg.NumNodes, comm.RetryConfig{
 			Timeout: c.cfg.FetchTimeout,
 			Retries: c.cfg.FetchRetries,
 			Backoff: c.cfg.RetryBackoff,
 			Seed:    seedOf(c.cfg.Fault),
 		}, c.met)
-		if prev := c.resilient.Load(); prev != nil {
-			for _, n := range prev.DeadNodes() {
-				r.MarkDead(n)
-			}
-		}
-		if c.detector != nil {
-			// Fabric rebuilds (recovery rounds) keep consuming the running
-			// detector's verdicts.
-			r.SetSuspector(c.detector.Suspected)
-		}
-		c.resilient.Store(r)
-		fabric = r
+		fabric = c.resilient
 	}
-	return fabric, nil
+	c.fabric = fabric
+	return nil
 }
 
 // seedOf extracts the jitter seed from an optional fault profile.
@@ -494,7 +475,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 	// for a sink that is not a counting sink, which makes that slot
 	// unrecoverable (recovery dedup needs committed-count snapshots).
 	var ledgers []*ledger
-	if c.cfg.Resilient {
+	if c.resilient != nil {
 		ledgers = make([]*ledger, slots)
 	}
 	for slot := range sinks {
@@ -503,11 +484,10 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 			ledgers[slot] = &ledger{sink: cs}
 		}
 	}
-	// Straggler speculation needs concurrently running machines (an idle
-	// survivor to speculate onto) and every slot tracked (reconciling the
-	// two copies' counts needs both ledgers).
+	// Straggler speculation needs every slot tracked: reconciling the two
+	// copies' counts needs both ledgers.
 	var spec *speculator
-	if c.cfg.Speculate && !c.cfg.SequentialNodes && allTracked(ledgers) {
+	if c.cfg.Speculate && allTracked(ledgers) {
 		spec = newSpeculator(r, ledgers)
 	}
 	cacheBytesPerSocket := c.cacheBytesPerSocket()
@@ -516,7 +496,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 		node, socket := slot/sockets, slot%sockets
 		t := task{
 			node: node, socket: socket, fo: r.fo, roots: c.rootsOf(r.fo, node, socket),
-			fabric: c.fabric, sink: sinks[slot], stop: r.cancel,
+			sink: sinks[slot], stop: r.cancel,
 		}
 		switch {
 		case c.scaches != nil:
@@ -589,10 +569,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 
 	res := Result{}
 	if recovering {
-		// Serialized: concurrent runs must not race two fabric rebuilds.
-		c.recMu.Lock()
 		rec, err := r.recover(ledgers, errs)
-		c.recMu.Unlock()
 		if err != nil {
 			return Result{}, err
 		}
@@ -612,7 +589,7 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 				res.Count += cs.Count()
 			}
 		}
-		if c.cfg.Resilient {
+		if c.resilient != nil {
 			res.DeadNodes = c.deadNodes()
 		}
 	}

@@ -309,6 +309,7 @@ func TestConfigValidate(t *testing.T) {
 		"negative transport": {Config{Transport: -1}, "Transport"},
 		"unknown policy":     {Config{CachePolicy: cache.MRU + 1}, "CachePolicy"},
 		"negative policy":    {Config{CachePolicy: -1}, "CachePolicy"},
+		"sequential spec":    {Config{Speculate: true, SequentialNodes: true}, "Speculate"},
 	} {
 		err := tc.cfg.Validate()
 		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {

@@ -66,13 +66,13 @@ type task struct {
 	// cross-socket, and serves its roots — which it may have inherited from
 	// any machine — from the full graph, the stand-in for a reloaded shard.
 	socket int
-	// fo is the view fetches are routed by: vertices of its dead machines go
-	// to their failover owner. Nil is the base assignment.
-	fo     *failover
-	roots  []graph.VertexID
-	fabric comm.Fabric
-	sink   core.Sink
-	cache  cache.Cache
+	// fo is the view fetches over the cluster's fabric are routed by:
+	// vertices of its dead machines go to their failover owner. Nil is the
+	// base assignment.
+	fo    *failover
+	roots []graph.VertexID
+	sink  core.Sink
+	cache cache.Cache
 	// ledger checkpoints the engine's completed ranges; nil leaves the task
 	// untracked, which makes its roots unrecoverable.
 	ledger *ledger
@@ -112,8 +112,8 @@ func (r *run) engine(t task) *core.Engine {
 }
 
 // rangeSource adapts a task to the engine's DataSource: its roots, its
-// machine's partition with NUMA socket classification (§5.4), and the fabric
-// routed by its failover view.
+// machine's partition with NUMA socket classification (§5.4), and the
+// cluster's fabric routed by its failover view.
 type rangeSource struct {
 	c     *Cluster
 	local *partition.Local // the task's machine's partition
@@ -154,7 +154,7 @@ func (s *rangeSource) CrossSocketList(v graph.VertexID) []graph.VertexID {
 }
 
 func (s *rangeSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	if cf, ok := s.fabric.(comm.CancelFetcher); ok && s.stop != nil {
+	if cf, ok := s.c.fabric.(comm.CancelFetcher); ok && s.stop != nil {
 		lists, err := cf.FetchCancel(s.node, owner, ids, s.stop)
 		if err != nil && errors.Is(err, comm.ErrFetchCanceled) {
 			// The same outcome the polled Canceled hook produces at a
@@ -163,7 +163,7 @@ func (s *rangeSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID
 		}
 		return lists, err
 	}
-	return s.fabric.Fetch(s.node, owner, ids)
+	return s.c.fabric.Fetch(s.node, owner, ids)
 }
 
 func (s *rangeSource) NumNodes() int                      { return s.c.asg.NumNodes() }

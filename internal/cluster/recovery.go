@@ -87,23 +87,17 @@ func (c *Cluster) rootsOf(fo *failover, node, socket int) []graph.VertexID {
 	return append(out, adopted...)
 }
 
-// deadNodes returns the union of breaker-declared and crash-injected dead
-// machines, ascending.
+// isDead reports whether node is dead: declared so by the breaker or the
+// failure detector, or crashed by fault injection.
+func (c *Cluster) isDead(node int) bool {
+	return c.resilient != nil && c.resilient.Dead(node) || c.injector != nil && c.injector.Crashed(node)
+}
+
+// deadNodes returns every machine isDead reports, ascending.
 func (c *Cluster) deadNodes() []int {
-	seen := make(map[int]bool)
-	if r := c.resilient.Load(); r != nil {
-		for _, n := range r.DeadNodes() {
-			seen[n] = true
-		}
-	}
-	if c.injector != nil {
-		for _, n := range c.injector.CrashedNodes() {
-			seen[n] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
+	var out []int
 	for n := 0; n < c.cfg.NumNodes; n++ {
-		if seen[n] {
+		if c.isDead(n) {
 			out = append(out, n)
 		}
 	}
@@ -136,23 +130,14 @@ func newFailover(asg partition.Assignment, deadNodes []int) *failover {
 	return f
 }
 
-// sameDead reports whether the failover's dead set equals deadNodes
-// (ascending).
-func (f *failover) sameDead(deadNodes []int) bool {
-	n := 0
-	for _, d := range deadNodes {
-		if !f.dead[d] {
+// covers reports whether every machine dead in o is dead in f too.
+func (f *failover) covers(o *failover) bool {
+	for n, d := range o.dead {
+		if d && !f.dead[n] {
 			return false
 		}
-		n++
 	}
-	have := 0
-	for _, d := range f.dead {
-		if d {
-			have++
-		}
-	}
-	return n == have
+	return true
 }
 
 // adoptedFor returns the vertices slot (node, socket) inherited from dead
@@ -167,11 +152,14 @@ func (f *failover) adoptedFor(node, socket int) []graph.VertexID {
 // adopt installs fo as the cluster's resident topology: every vertex owned
 // by a dead machine is assigned to its failover owner's slot list, so
 // subsequent runs mine dead shards on survivors from the start instead of
-// paying a recovery round per run. Called under recMu; a no-op when the
-// dead set already matches the resident topology (concurrent queries that
-// tripped over the same crash share one re-partition).
+// paying a recovery round per run. Serialized by adoptMu; a no-op when the
+// resident topology's dead set already covers fo's: concurrent queries that
+// tripped over the same crash share one re-partition, and since dead sets
+// only grow, a smaller one is a concurrent recovery's older verdict.
 func (c *Cluster) adopt(fo *failover) {
-	if cur := c.fo.Load(); cur != nil && cur.sameDead(deadList(fo)) {
+	c.adoptMu.Lock()
+	defer c.adoptMu.Unlock()
+	if cur := c.fo.Load(); cur != nil && cur.covers(fo) {
 		return
 	}
 	sockets := c.asg.NumSockets()
@@ -193,17 +181,6 @@ func (c *Cluster) adopt(fo *failover) {
 	c.repart.Add(1)
 }
 
-// deadList renders a failover's dead set ascending.
-func deadList(f *failover) []int {
-	var out []int
-	for n, d := range f.dead {
-		if d {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 func (f *failover) Owner(v graph.VertexID) int {
 	if o := f.asg.Owner(v); !f.dead[o] {
 		return o
@@ -212,7 +189,6 @@ func (f *failover) Owner(v graph.VertexID) int {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	//khuzdulvet:ignore guardfield failover topologies are immutable once published; recMu only guards construction and adoption
 	return f.alive[h%uint64(len(f.alive))]
 }
 
@@ -271,8 +247,11 @@ func (r *run) recover(ledgers []*ledger, errs []error) (recovery, error) {
 
 // recoveryRound runs one failover round: re-partition dead shards, spread
 // pending roots over survivors, run one whole-machine engine per survivor on
-// a fresh fabric stack (sharing the fault injector's state and prior dead
-// verdicts), and return the roots still unfinished after this round.
+// the cluster's fabric routed by the round's failover view, and return the
+// roots still unfinished after this round. The view never routes a vertex to
+// a dead machine, and a survivor's server already serves vertices it does
+// not own from the full graph (the adopted-topology path), so no
+// round-specific servers or fabric are needed.
 func (r *run) recoveryRound(rec *recovery, pending []graph.VertexID) ([]graph.VertexID, error) {
 	c := r.c
 	dead := c.deadNodes()
@@ -280,41 +259,10 @@ func (r *run) recoveryRound(rec *recovery, pending []graph.VertexID) ([]graph.Ve
 	if len(fo.alive) == 0 {
 		return nil, ErrNoSurvivors
 	}
-
-	// Survivors serve everything they own under failover from the full graph;
-	// dead machines' servers must never be reached, since failover routes
-	// around them.
-	servers := make([]comm.Server, c.cfg.NumNodes)
-	for node := 0; node < c.cfg.NumNodes; node++ {
-		if fo.dead[node] {
-			servers[node] = comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
-				panic(fmt.Sprintf("cluster: recovery fetch routed to dead node %d", node))
-			})
-			continue
-		}
-		servers[node] = comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
-			out := make([][]graph.VertexID, len(ids))
-			for i, id := range ids {
-				if fo.Owner(id) != node {
-					panic(fmt.Sprintf("cluster: recovery node %d asked for vertex %d (failover owner %d)",
-						node, id, fo.Owner(id)))
-				}
-				out[i] = c.g.Neighbors(id)
-			}
-			return out
-		})
-	}
-	fabric, err := c.buildFabric(servers)
-	if err != nil {
-		return nil, err
-	}
-	defer fabric.Close()
-	if res := c.resilient.Load(); res != nil {
-		// Carry crash-injected deaths into the breaker so any stray fetch
-		// fails fast instead of timing out.
-		for _, n := range dead {
-			res.MarkDead(n)
-		}
+	// Carry crash-injected deaths into the breaker so stray fetches from
+	// concurrent runs fail fast instead of timing out.
+	for _, n := range dead {
+		c.resilient.MarkDead(n)
 	}
 
 	assigned := make([][]graph.VertexID, len(fo.alive))
@@ -333,7 +281,7 @@ func (r *run) recoveryRound(rec *recovery, pending []graph.VertexID) ([]graph.Ve
 		ledgers[i] = l
 		eng := r.engine(task{
 			node: node, socket: wholeMachine, fo: fo, roots: assigned[i],
-			fabric: fabric, sink: l.sink, ledger: l, stop: r.cancel,
+			sink: l.sink, ledger: l, stop: r.cancel,
 		})
 		if c.cfg.SequentialNodes {
 			errs[i] = eng.Run()

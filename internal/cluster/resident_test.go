@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // TestResidentCrashTwoConcurrentQueries is the resident-failover scenario:
 // two queries are in flight on one cluster when a node crashes. Both must
 // complete with exact counts, the re-partition must happen exactly once
-// (the queries share one adoption, serialized under the recovery lock),
+// (the queries share one adoption, serialized under the adoption lock),
 // and a query submitted afterwards must reuse the adopted topology — no
 // fresh recovery round, still exact.
 func TestResidentCrashTwoConcurrentQueries(t *testing.T) {
@@ -109,4 +110,47 @@ func TestResidentRecoveryHonorsCancel(t *testing.T) {
 	if _, err := c.CountWith(pl, RunOpts{Cancel: cancel}); err == nil {
 		t.Fatal("canceled run completed cleanly")
 	}
+}
+
+// TestResidentLaterFailureOneRecoveryRound: a resident cluster survives a
+// crash, adopts the failover topology, and keeps serving until a partition
+// opens. The run that trips over the partition must recover in exactly one
+// round: recovery fetches through the cluster's own retry layer, so the
+// breaker verdict the run's fetches reached is the dead set the round routes
+// around.
+func TestResidentLaterFailureOneRecoveryRound(t *testing.T) {
+	leakcheck.Check(t)
+	g := graph.RMATDefault(150, 900, 47)
+	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.BruteForceCount(g, pattern.Clique(4), false)
+	prof := &fault.Profile{
+		Seed:       11,
+		Crashes:    []fault.Crash{{Node: 3, After: 10}},
+		Partitions: []fault.Partition{{A: []int{0}, B: []int{2}, After: 1000}},
+	}
+	c := mustCluster(t, g, chaosConfig(prof, TransportChan))
+	for i := 0; i < 20; i++ {
+		res, err := c.CountWith(pl, RunOpts{KeepMetrics: true})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.Count != want {
+			t.Fatalf("run %d: count = %d, want %d", i, res.Count, want)
+		}
+		if i == 0 || res.RecoveryRounds == 0 {
+			continue // the crash run, or a run before the partition opened
+		}
+		if res.RecoveryRounds != 1 || !slices.Equal(res.DeadNodes, []int{2, 3}) {
+			t.Fatalf("partition run %d: %d recovery rounds, dead %v; want 1 round, dead [2 3]",
+				i, res.RecoveryRounds, res.DeadNodes)
+		}
+		if n := c.Repartitions(); n != 2 {
+			t.Fatalf("Repartitions() = %d after a crash and a partition, want 2", n)
+		}
+		return
+	}
+	t.Fatal("the partition never forced a recovery")
 }

@@ -189,7 +189,7 @@ func (s *speculator) maybeSpeculate() {
 func (s *speculator) idleNodeLocked() int {
 	c := s.r.c
 	for node := 0; node < c.cfg.NumNodes; node++ {
-		if s.busy[node] || s.nodeDead(node) {
+		if s.busy[node] || c.isDead(node) {
 			continue
 		}
 		idle := true
@@ -205,14 +205,6 @@ func (s *speculator) idleNodeLocked() int {
 		}
 	}
 	return -1
-}
-
-func (s *speculator) nodeDead(node int) bool {
-	c := s.r.c
-	if r := c.resilient.Load(); r != nil && r.Dead(node) {
-		return true
-	}
-	return c.injector != nil && c.injector.Crashed(node)
 }
 
 // launchLocked starts one speculative copy of slot's unfinished roots on
@@ -245,7 +237,7 @@ func (s *speculator) runSpec(sp *specRun, suffix []graph.VertexID) {
 	defer s.wg.Done()
 	sp.err = s.r.engine(task{
 		node: sp.node, socket: wholeMachine, fo: s.r.fo, roots: suffix,
-		fabric: s.r.c.fabric, sink: sp.ledger.sink, ledger: sp.ledger, stop: sp.stop.ch,
+		sink: sp.ledger.sink, ledger: sp.ledger, stop: sp.stop.ch,
 	}).Run()
 	s.mu.Lock()
 	s.busy[sp.node] = false

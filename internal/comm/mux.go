@@ -326,7 +326,6 @@ func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, v
 	go func() {
 		defer writerWG.Done()
 		broken := false
-		//khuzdulvet:ignore cancelpoll respq is closed after the read loop and workers exit; cancellation arrives as a socket close that fails the read, not on a channel
 		for rp := range respq {
 			if !broken {
 				t.deadline(c.SetWriteDeadline)
@@ -345,7 +344,6 @@ func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, v
 	}()
 	var workers sync.WaitGroup
 read:
-	//khuzdulvet:ignore cancelpoll cancellation arrives as a socket close that fails the blocking read; respq sends cannot strand because the writer drains until close
 	for {
 		c.SetReadDeadline(time.Time{}) // clients legitimately idle between requests
 		typ, payload, err := readFramePooled(r, version)

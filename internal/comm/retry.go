@@ -127,20 +127,9 @@ func (r *Resilient) Dead(node int) bool {
 	return r.dead[node].Load() || (r.suspect != nil && r.suspect(node))
 }
 
-// DeadNodes returns every peer declared dead so far — by the breaker or by
-// the failure detector — ascending.
-func (r *Resilient) DeadNodes() []int {
-	var out []int
-	for i := range r.dead {
-		if r.Dead(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// MarkDead force-trips the breaker for node (used by the driver to carry
-// death verdicts across recovery rounds).
+// MarkDead force-trips the breaker for node. The driver uses it to carry
+// crash-injected deaths into the breaker at the start of a recovery round,
+// so stray fetches from concurrent runs fail fast.
 func (r *Resilient) MarkDead(node int) {
 	if node >= 0 && node < len(r.dead) {
 		r.dead[node].Store(true)

@@ -109,11 +109,8 @@ func TestResilientTimeoutAndBreaker(t *testing.T) {
 	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("err = %v, want ErrPeerDead", err)
 	}
-	if !r.Dead(2) || r.Dead(1) {
-		t.Fatalf("dead state: node2=%v node1=%v", r.Dead(2), r.Dead(1))
-	}
-	if nodes := r.DeadNodes(); len(nodes) != 1 || nodes[0] != 2 {
-		t.Fatalf("DeadNodes = %v", nodes)
+	if !r.Dead(2) || r.Dead(1) || r.Dead(0) {
+		t.Fatalf("dead state: node2=%v node1=%v node0=%v", r.Dead(2), r.Dead(1), r.Dead(0))
 	}
 	s := m.Summarize()
 	if s.FetchTimeouts < 3 {

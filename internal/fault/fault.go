@@ -288,9 +288,9 @@ func (p Profile) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Injector holds the fault state of one simulated cluster. The state is
-// shared by every fabric the injector wraps, so a node that crashed during
-// the main run stays crashed in recovery rounds run over a fresh fabric.
+// Injector holds the fault state of one simulated cluster: a node that
+// crashed during a run stays crashed for every later run and recovery round
+// over the cluster's fabric.
 type Injector struct {
 	prof    Profile
 	n       int
@@ -400,17 +400,6 @@ func (in *Injector) Profile() Profile { return in.prof }
 // Crashed reports whether node has permanently crashed.
 func (in *Injector) Crashed(node int) bool {
 	return node >= 0 && node < in.n && in.crashed[node].Load()
-}
-
-// CrashedNodes returns every node that has crashed so far, ascending.
-func (in *Injector) CrashedNodes() []int {
-	var out []int
-	for i := range in.crashed {
-		if in.crashed[i].Load() {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Wrap returns a fabric that injects this injector's faults in front of

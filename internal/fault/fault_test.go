@@ -137,11 +137,8 @@ func TestCrashSemantics(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrNodeCrashed) {
 		t.Fatalf("post-close error = %v, want ErrNodeCrashed", err)
 	}
-	if !in.Crashed(1) {
-		t.Fatal("node not marked crashed")
-	}
-	if nodes := in.CrashedNodes(); len(nodes) != 1 || nodes[0] != 1 {
-		t.Fatalf("CrashedNodes = %v", nodes)
+	if !in.Crashed(1) || in.Crashed(0) {
+		t.Fatalf("crashed: node1=%v node0=%v, want only node 1", in.Crashed(1), in.Crashed(0))
 	}
 }
 

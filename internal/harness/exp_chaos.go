@@ -17,8 +17,9 @@ import (
 // protocol alone and with the heartbeat detector on top (protocol overhead),
 // real byte corruption and severed connections on that wire, an asymmetric
 // network partition, and a straggler node with and without speculative
-// re-execution. Every faulted run must reproduce the fault-free count
-// exactly.
+// re-execution. A crash and the partition also run with the detector off
+// and on, so the detector's time-to-verdict is measured against the
+// breaker's. Every faulted run must reproduce the fault-free count exactly.
 
 func init() {
 	register(Experiment{ID: "ablation-chaos", Title: "Fault injection, retries and task-level recovery (extra)", Run: runAblationChaos})
@@ -37,7 +38,7 @@ func runAblationChaos(o Options) (*Table, error) {
 	}
 	g := d.Generate(o.Scale)
 
-	elapsed := map[string]time.Duration{}
+	first := map[string]cluster.Result{} // the first app's row per scenario
 	appsList := []appSpec{appTC}
 	if !o.Quick {
 		appsList = append(appsList, app4CC)
@@ -74,7 +75,7 @@ func runAblationChaos(o Options) (*Table, error) {
 					a.name, sc.name, r.Count, want)
 			}
 			if ai == 0 {
-				elapsed[sc.name] = r.Elapsed
+				first[sc.name] = r
 			}
 			t.AddRow(a.name, sc.name, elapsedStr(r.Elapsed),
 				FmtCount(r.Summary.FaultsInjected), FmtCount(r.Summary.FetchRetries),
@@ -86,15 +87,22 @@ func runAblationChaos(o Options) (*Table, error) {
 		}
 	}
 	t.AddNote("all scenarios reproduce the fault-free count exactly; recovery re-executes only unfinished source-vertex ranges on survivors")
-	if base, res := elapsed["baseline"], elapsed["resilient, no faults"]; base > 0 {
+	if base, res := first["baseline"].Elapsed, first["resilient, no faults"].Elapsed; base > 0 {
 		t.AddNote("retry layer with no faults vs the plain cluster: %+.1f%%",
 			100*(float64(res)-float64(base))/float64(base))
 	}
-	if base, hb := elapsed["tcp wire (crc)"], elapsed["tcp + heartbeat"]; base > 0 {
+	if base, hb := first["tcp wire (crc)"].Elapsed, first["tcp + heartbeat"].Elapsed; base > 0 {
 		t.AddNote("CRC-framed TCP + heartbeat overhead vs CRC-framed TCP alone: %+.1f%%",
 			100*(float64(hb)-float64(base))/float64(base))
 	}
-	if slow, spec := elapsed["slow n1 x200"], elapsed["slow n1 x200 + speculation"]; spec > 0 {
+	for _, name := range []string{"crash n1", "partition 0+1+2|3"} {
+		off, on := first[name], first[name+" + heartbeat"]
+		if on.Elapsed > 0 {
+			t.AddNote("%s: detector off vs on %.2fx elapsed; nodes suspected %d vs %d",
+				name, float64(off.Elapsed)/float64(on.Elapsed), off.Summary.NodesSuspected, on.Summary.NodesSuspected)
+		}
+	}
+	if slow, spec := first["slow n1 x200"].Elapsed, first["slow n1 x200 + speculation"].Elapsed; spec > 0 {
 		t.AddNote("speculation vs straggler-bound run: %.2fx elapsed", float64(slow)/float64(spec))
 	}
 	return t, nil
@@ -103,9 +111,10 @@ func runAblationChaos(o Options) (*Table, error) {
 // chaosScenario is one row of the chaos experiment.
 type chaosScenario struct {
 	name string
-	// resilient runs the retry layer. Every scenario that injects faults,
-	// runs the heartbeat detector or speculates needs it (and the cluster
-	// would turn it on regardless), so the table states it on each such row.
+	// resilient runs the retry layer, by setting its fetch deadline. Every
+	// scenario that injects faults, runs the heartbeat detector or
+	// speculates needs it (and the cluster would turn it on regardless), so
+	// the table states it on each such row.
 	resilient  bool
 	prof       *fault.Profile
 	transport  cluster.Transport
@@ -115,6 +124,13 @@ type chaosScenario struct {
 	chunk      int  // root-range granularity override (0 = experiment default)
 	reps       int  // repetitions, keeping the fastest (0 = once)
 }
+
+// The faults the detector's rent rows pair up: node 1 crashed after 10
+// served fetches, and nodes 0–2 cut off from node 3 after 2 fetches.
+var (
+	crashN1    = &fault.Profile{Seed: 7, Crashes: []fault.Crash{{Node: 1, After: 10}}}
+	partition3 = &fault.Profile{Seed: 7, Partitions: []fault.Partition{{A: []int{0, 1, 2}, B: []int{3}, After: 2}}}
+)
 
 var chaosScenarios = []chaosScenario{
 	// The healthy pair measures the retry layer's steady-state cost: the
@@ -126,6 +142,11 @@ var chaosScenarios = []chaosScenario{
 	{name: "err=5% + crash n1", resilient: true, prof: &fault.Profile{
 		Seed: 7, ErrorRate: 0.05, Crashes: []fault.Crash{{Node: 1, After: 10}},
 	}},
+	// The detector's rent rows: each fault alone, with the detector off and
+	// on, everything else held fixed. The note reports the elapsed ratio and
+	// how many nodes the detector suspected before the breaker's verdict.
+	{name: "crash n1", resilient: true, prof: crashN1},
+	{name: "crash n1 + heartbeat", resilient: true, heartbeat: true, prof: crashN1},
 	// The two TCP rows form the protocol-overhead comparison; both run the
 	// retry layer, so the difference is the detector alone. They are
 	// noise-sensitive, so each reports its best of three runs. The detector
@@ -137,9 +158,8 @@ var chaosScenarios = []chaosScenario{
 	{name: "tcp corrupt+drop=2%", resilient: true, transport: cluster.TransportTCP, prof: &fault.Profile{
 		Seed: 7, CorruptRate: 0.02, DropRate: 0.02,
 	}},
-	{name: "partition 0+1+2|3", resilient: true, prof: &fault.Profile{
-		Seed: 7, Partitions: []fault.Partition{{A: []int{0, 1, 2}, B: []int{3}, After: 2}},
-	}},
+	{name: "partition 0+1+2|3", resilient: true, prof: partition3},
+	{name: "partition 0+1+2|3 + heartbeat", resilient: true, heartbeat: true, prof: partition3},
 	// The straggler pair uses fine-grained root ranges: the straggler
 	// polls for cancellation only at range boundaries, so speculation's
 	// win shows up as soon as ranges are small enough to checkpoint often.
@@ -164,7 +184,6 @@ func (sc chaosScenario) config(o Options) cluster.Config {
 		CacheDegreeThreshold: 8,
 		SequentialNodes:      !sc.concurrent,
 		Transport:            sc.transport,
-		Resilient:            sc.resilient,
 		Heartbeat:            sc.heartbeat,
 		HeartbeatInterval:    50 * time.Millisecond,
 		Speculate:            sc.speculate,

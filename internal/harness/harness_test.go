@@ -168,7 +168,7 @@ func TestChaosScenarioConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resilient[sc.name] = c.Config().Resilient
+		resilient[sc.name] = c.Config().FetchTimeout > 0
 		c.Close()
 		if resilient[sc.name] != sc.resilient {
 			t.Errorf("%q: cluster resilient = %v, scenario says %v", sc.name, resilient[sc.name], sc.resilient)
