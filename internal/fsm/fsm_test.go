@@ -63,23 +63,64 @@ func labeledGraph(n int, m uint64, numLabels int, seed int64) *graph.Graph {
 	return g
 }
 
+// TestSupportMatchesReference holds both support paths — the single-machine
+// executor and the cluster — to brute force on every labeled pattern of up to
+// three edges that candidate generation reaches on a 2-label graph. Both
+// paths filter candidates through plan.Candidates, so only brute force can
+// catch a bug there; the stars and wedges with same-label leaves are the
+// ones whose distinctness test excludes matched vertices.
 func TestSupportMatchesReference(t *testing.T) {
 	g := labeledGraph(40, 160, 2, 151)
-	pats := []*pattern.Pattern{
-		pattern.PathP(2).WithLabels([]graph.Label{0, 1}),
-		pattern.PathP(3).WithLabels([]graph.Label{0, 1, 0}),
-		pattern.Triangle().WithLabels([]graph.Label{0, 0, 1}),
-		pattern.StarP(4).WithLabels([]graph.Label{1, 0, 0, 0}),
+	c, err := cluster.New(g, cluster.Config{NumNodes: 3, ThreadsPerSocket: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
+	labels := distinctLabels(g)
+	seen := map[string]bool{}
+	var pats []*pattern.Pattern
+	add := func(pat *pattern.Pattern) {
+		if code := pattern.CanonicalCode(pat); !seen[code] {
+			seen[code] = true
+			pats = append(pats, pat)
+		}
+	}
+	for i, la := range labels {
+		for _, lb := range labels[i:] {
+			add(pattern.PathP(2).WithLabels([]graph.Label{la, lb}))
+		}
+	}
+	for edges := 2; edges <= 3; edges++ {
+		for _, pat := range pats {
+			if pat.NumEdges() == edges-1 {
+				for _, cand := range extendByOneEdge(pat, labels) {
+					add(cand)
+				}
+			}
+		}
+	}
+	sameLeaves := false
 	for _, pat := range pats {
 		want := refSupport(g, pat)
-		got, err := localSupport(g, pat, plan.StyleAutomine, 3)
+		local, err := localSupport(g, pat, plan.StyleAutomine, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("localSupport(%v) = %d, want %d", pat, got, want)
+		dist, _, err := clusterSupport(c, pat, plan.StyleAutomine)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if local != want || dist != want {
+			t.Errorf("%v: localSupport %d, clusterSupport %d, brute force %d", pat, local, dist, want)
+		}
+		for u := 0; u < pat.NumVertices(); u++ {
+			if l := pat.Neighbors(u); len(l) == 3 && pat.Label(l[0]) == pat.Label(l[1]) && pat.Label(l[1]) == pat.Label(l[2]) {
+				sameLeaves = true
+			}
+		}
+	}
+	if len(pats) < 30 || !sameLeaves {
+		t.Fatalf("generated %d patterns, a 3-star with same-label leaves among them: %v", len(pats), sameLeaves)
 	}
 }
 

@@ -88,6 +88,7 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 				lv.Intersect = append(lv.Intersect, j)
 			} else {
 				lv.Subtract = append(lv.Subtract, j)
+				lv.Exclude = append(lv.Exclude, j)
 			}
 		}
 		if len(lv.Intersect) == 0 {
@@ -157,6 +158,9 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	// relationships between consecutive levels' intersect sets.
 	if p.VCS {
 		annotateVCS(p)
+		for i := 1; i < k; i++ {
+			p.Levels[i].ClipStore = p.storeClippable(i)
+		}
 	}
 
 	// Active positions and NeedsList.

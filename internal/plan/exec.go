@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"khuzdul/internal/graph"
+	"khuzdul/internal/pattern"
 	"khuzdul/internal/setops"
 )
 
@@ -132,8 +133,9 @@ func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
 // level given the matched prefix emb, and the raw intersection to keep when
 // the level's StoreInter is set. Every input list is clipped to the level's
 // restriction interval before a kernel touches it — except where the raw
-// intersection is stored, because the children that reuse it carry bounds of
-// their own. On a scratch in count-only mode a count-eligible level returns
+// intersection is stored for levels that may reach outside the interval
+// (StoreInter without ClipStore): that set is computed whole and clipped on
+// the way out. On a scratch in count-only mode a count-eligible level returns
 // nothing and leaves the number of candidates for TakeCount instead, and so
 // does the first level of a star tail once SetFold allows it. labelOf
 // and edgeLabelOf may be nil for graphs without the corresponding labels.
@@ -158,12 +160,15 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 			return nil, nil
 		}
 	}
-	if lv.StoreInter {
+	var src []graph.VertexID
+	if lv.StoreInter && !lv.ClipStore {
 		raw = p.RawIntersect(s, level, getList, parentRaw, 0, noUpper)
+		src = setops.Clip(raw, lo, hi)
 	} else {
 		raw = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
+		src = raw
 	}
-	cands = p.Candidates(s, level, emb, raw, getList, labelOf, lo, hi)
+	cands = p.Candidates(s, level, emb, src, getList, labelOf, lo, hi)
 	return p.FilterEdgeLabels(level, emb, cands, edgeLabelOf), raw
 }
 
@@ -208,18 +213,16 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	default:
 		n = len(x)
 	}
-	// Distinctness. A candidate is adjacent to every intersected position,
-	// and graphs carry no self-loops, so it can only collide with one of the
-	// few earlier vertices the level does not intersect: test those for
-	// membership instead of filtering every candidate against the prefix.
-	if len(lv.Intersect) < level {
-		for q, v := range emb[:level] {
-			if v < lo || v >= hi || containsInt(lv.Intersect, q) {
-				continue
-			}
-			if setops.Contains(x, v) && (!pair || setops.Contains(l, v)) && !(subtract && setops.Contains(sub, v)) {
-				n--
-			}
+	// Distinctness (see Level.Exclude): test the few matched vertices a
+	// candidate can equal for membership instead of filtering every
+	// candidate against the prefix.
+	for _, q := range lv.Exclude {
+		v := emb[q]
+		if v < lo || v >= hi {
+			continue
+		}
+		if setops.Contains(x, v) && (!pair || setops.Contains(l, v)) && !(subtract && setops.Contains(sub, v)) {
+			n--
 		}
 	}
 	return n
@@ -262,16 +265,22 @@ func (p *Plan) RawIntersect(s *Scratch, level int, getList func(int) []graph.Ver
 	return a
 }
 
-// Candidates filters the raw intersection into the final candidate set for
-// the level: the symmetry-breaking interval [lo, hi) (see Level.bounds),
-// distinctness from all earlier vertices, induced-mode subtraction of
-// non-neighbor lists, and the position label. The result aliases the scratch
-// candidate buffer for this level, which deeper levels do not touch, so it
-// remains valid while the caller recurses.
+// maxExclude bounds a level's Exclude list: at most K−2 positions.
+const maxExclude = pattern.MaxVertices - 2
+
+// Candidates filters the raw intersection, already clipped to the
+// symmetry-breaking interval [lo, hi) (see Level.bounds), into the final
+// candidate set for the level: induced-mode subtraction of non-neighbor
+// lists, distinctness from the earlier vertices and the position label. Only
+// the matched vertices at Level.Exclude positions that lie in [lo, hi) — and,
+// on a labeled walk, carry the level's label — can be candidates, so they
+// form a short exclusion list, and one pass tests each candidate's label and
+// that list; with both empty the pass is a plain copy. The result aliases the
+// scratch candidate buffer for this level, which deeper levels do not touch,
+// so it remains valid while the caller recurses.
 func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
-	// A stored raw intersection arrives unclipped; slicing it is free.
-	src := setops.Clip(raw, lo, hi)
+	src := raw
 	if p.Induced && len(lv.Subtract) > 0 {
 		a, b := s.subA[level], s.subB[level]
 		for _, j := range lv.Subtract {
@@ -285,19 +294,44 @@ func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []gra
 		s.subA[level], s.subB[level] = a[:0], b[:0] // retain grown capacity
 	}
 
-	out := setops.Filter(s.cand[level][:0], src, lo, hi, emb[:level])
-	if labelOf != nil && p.Labeled() {
-		want := p.PosLabel(level)
-		w := out[:0]
-		for _, v := range out {
-			if labelOf(v) == want {
-				w = append(w, v)
+	labeled := labelOf != nil && p.Labeled()
+	want := p.PosLabel(level)
+	var buf [maxExclude]graph.VertexID
+	excl := buf[:0]
+	for _, q := range lv.Exclude {
+		if v := emb[q]; v >= lo && v < hi && (!labeled || labelOf(v) == want) {
+			excl = append(excl, v)
+		}
+	}
+	out := s.cand[level][:0]
+	switch {
+	case labeled:
+		for _, v := range src {
+			if labelOf(v) == want && !containsVertex(excl, v) {
+				out = append(out, v)
 			}
 		}
-		out = w
+	case len(excl) > 0:
+		for _, v := range src {
+			if !containsVertex(excl, v) {
+				out = append(out, v)
+			}
+		}
+	default:
+		out = append(out, src...)
 	}
 	s.cand[level] = out
 	return out
+}
+
+// containsVertex reports whether the short unsorted list excl holds v.
+func containsVertex(excl []graph.VertexID, v graph.VertexID) bool {
+	for _, x := range excl {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 // FilterEdgeLabels drops candidates whose edges back to the matched

@@ -73,10 +73,10 @@ func (p *Plan) Explain() string {
 			notes = append(notes, fmt.Sprintf("v%d < v%d", i, a))
 		}
 		// The bounds clip every input list before the kernel reads it, unless
-		// the raw intersection is stored for children with bounds of their
-		// own; then they clip it on the way out.
+		// the raw intersection is stored for levels that may reach outside
+		// them; then they clip it on the way out.
 		clip := "clip"
-		if lv.StoreInter {
+		if lv.StoreInter && !lv.ClipStore {
 			clip = "clip after store"
 		}
 		if len(lv.LowerBounds) > 0 {

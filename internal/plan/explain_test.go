@@ -17,7 +17,7 @@ func TestExplainCliqueSchedule(t *testing.T) {
 		"VCS",     // clique levels reuse intersections
 		"v1 > v0", // total-order symmetry breaking
 		"restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)", // no stats: today's direction
-		"clip after store lb=[0 1]",                       // R2 is kept whole for level 3
+		"clip lb=[0 1], store R2",                         // R2 is clipped before the store
 		"clip lb=[0 1 2], count-only",                     // the last level counts
 		"emit(v0..v3)",
 		"estimated cost:",
@@ -66,7 +66,7 @@ system:  automine   matching order: [0 1 2]   |Aut| = 6
 mode:    non-induced
 restrictions: descending (Σdown² = 10 < Σup² = 100)
 for v0 in V:    # keep N(v0) — active
-  for v1 in N(v0):    # v1 < v0, clip after store ub=[0], store R1, fetch N(v1) — active
+  for v1 in N(v0):    # v1 < v0, clip ub=[0], store R1, fetch N(v1) — active
     for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # v2 < v0, v2 < v1, clip ub=[0 1], count-only
       emit(v0..v2)
 final level needs no edge lists: candidates are counted directly
@@ -121,7 +121,7 @@ mode:    non-induced
 restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
 for v0 in V:    # keep N(v0) — active
   for v1 in N(v0):    # store R1
-    for v2 in R1  # reuse parent intersection (VCS):    # v2 > v1, clip after store lb=[1], store R2
+    for v2 in R1  # reuse parent intersection (VCS):    # v2 > v1, clip lb=[1], store R2
       for v3 in R2  # reuse parent intersection (VCS):    # v3 > v1, v3 > v2, clip lb=[1 2], count-only
         emit(v0..v3)
   count C(|N(v0)|, 3) per v0 — levels 1–3 folded (count-only)

@@ -102,3 +102,116 @@ func TestBinomial(t *testing.T) {
 		t.Errorf("C(20000, 5) = %d fits a uint64", c)
 	}
 }
+
+var sinkCands int
+
+// hubbedRMAT is a skewed R-MAT draw given a mid-ID hub adjacent to three
+// vertices in four, so that some stored intersections are long and sit on
+// both sides of the IDs that bound them.
+func hubbedRMAT(n int, m uint64, seed int64) *graph.Graph {
+	rmat := graph.RMAT(n, m, 0.7, 0.1, 0.1, seed)
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for _, v := range rmat.Neighbors(graph.VertexID(u)) {
+			b.AddEdge(graph.VertexID(u), v)
+		}
+		if u%4 != 0 {
+			b.AddEdge(graph.VertexID(n/2), graph.VertexID(u))
+		}
+	}
+	return b.Build()
+}
+
+// BenchmarkExtendStoredClip is one op over every (v0, v1) prefix of a
+// 4-clique plan on a hubbed R-MAT: level 2's Extend, R1 ∩ N(v1) from the
+// stored R1, itself stored as R2 for level 3. Both stores are clipped to
+// their level's bounds (Level.ClipStore), so the merge reads only the side of
+// each list the restrictions keep. Must stay allocation-free.
+func BenchmarkExtendStoredClip(b *testing.B) {
+	g := hubbedRMAT(2048, 16000, 20230325)
+	pl := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, Stats: StatsOf(g)})
+	if !pl.Levels[1].ClipStore || !pl.Levels[2].ClipStore {
+		b.Fatalf("4-clique levels 1 and 2 do not clip their stores: %v", pl)
+	}
+	s := NewScratch(pl)
+	emb := make([]graph.VertexID, pl.K)
+	getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
+	type prefix struct {
+		v0, v1 graph.VertexID
+		r1     []graph.VertexID
+	}
+	var prefixes []prefix
+	for v0 := 0; v0 < g.NumVertices(); v0++ {
+		emb[0] = graph.VertexID(v0)
+		cands, raw := pl.Extend(s, 1, emb[:1], getList, nil, nil, nil)
+		r1 := append([]graph.VertexID(nil), raw...)
+		for _, v1 := range cands {
+			prefixes = append(prefixes, prefix{emb[0], v1, r1})
+		}
+	}
+	sweep := func() (n int) {
+		for _, p := range prefixes {
+			emb[0], emb[1] = p.v0, p.v1
+			cands, _ := pl.Extend(s, 2, emb[:2], getList, p.r1, nil, nil)
+			n += len(cands)
+		}
+		return n
+	}
+	sweep() // warm the scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCands = sweep()
+	}
+}
+
+// BenchmarkCandidatesLabeled is one op over the leaf level of a labeled
+// 3-star (center label 0, leaves label 1) on a 4-label graph, compiled as
+// frequent subgraph mining compiles it — no symmetry breaking — for up to
+// 20 000 (v0, v1, v2) prefixes: one pass over N(v0) that tests each
+// candidate's label and excludes v1 and v2, which share the leaf label. Must
+// stay allocation-free.
+func BenchmarkCandidatesLabeled(b *testing.B) {
+	g0 := graph.RMAT(1600, 9600, 0.40, 0.20, 0.20, 20230325)
+	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 4, 20230326))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl := MustCompile(pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1}),
+		Options{Style: StyleAutomine, DisableSymmetryBreak: true, Stats: StatsOf(g)})
+	if pl.Order[0] != 0 || len(pl.Levels[3].Exclude) != 2 {
+		b.Fatalf("3-star not rooted at its center: %v", pl)
+	}
+	s := NewScratch(pl)
+	emb := make([]graph.VertexID, pl.K)
+	getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
+	labelOf := LabelFunc(g.Label)
+	var prefixes [][3]graph.VertexID
+	for v0 := 0; v0 < g.NumVertices() && len(prefixes) < 20000; v0++ {
+		if g.Label(graph.VertexID(v0)) != 0 {
+			continue
+		}
+		for _, v1 := range g.Neighbors(graph.VertexID(v0)) {
+			for _, v2 := range g.Neighbors(graph.VertexID(v0)) {
+				if v1 != v2 && g.Label(v1) == 1 && g.Label(v2) == 1 {
+					prefixes = append(prefixes, [3]graph.VertexID{graph.VertexID(v0), v1, v2})
+				}
+			}
+		}
+	}
+	sweep := func() (n int) {
+		for _, p := range prefixes {
+			copy(emb, p[:])
+			n += len(pl.Candidates(s, 3, emb[:3], g.Neighbors(p[0]), getList, labelOf, 0, noUpper))
+		}
+		return n
+	}
+	if sweep() == 0 { // also warms the scratch buffers
+		b.Fatal("no candidates: the benchmark measures nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCands = sweep()
+	}
+}

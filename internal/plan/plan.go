@@ -64,6 +64,11 @@ type Level struct {
 	// Subtract lists the earlier positions NOT adjacent to this one; in
 	// induced mode their edge lists are subtracted from the candidates.
 	Subtract []int
+	// Exclude lists the earlier positions NOT adjacent to this one, in every
+	// mode: the only matched vertices a candidate can equal. A candidate is
+	// adjacent to every Intersect position and graphs carry no self-loops,
+	// so distinctness from the prefix is a test against these few.
+	Exclude []int
 	// LowerBounds lists earlier positions a with restriction emb[a] < v; an
 	// ascending plan's restrictions land here.
 	LowerBounds []int
@@ -85,6 +90,13 @@ type Level struct {
 	// StoreInter marks that the raw intersection computed at this level must
 	// be kept in the extendable embedding for reuse by its children.
 	StoreInter bool
+	// ClipStore marks a bounded StoreInter level whose stored intersection is
+	// clipped to the level's own bounds, like every other input: each level
+	// that derives its raw intersection from it — the child, and below it for
+	// as long as the reuse chain keeps storing — keeps only candidates inside
+	// those bounds (see storeClippable). Without it the set is stored whole
+	// and clipped on the way out.
+	ClipStore bool
 	// NeedsList marks that the vertex matched at this level is an active
 	// vertex of some deeper level, i.e. its edge list must be fetched and
 	// carried in the extendable embedding.
@@ -234,6 +246,54 @@ func (p *Plan) foldable(r int) bool {
 	return true
 }
 
+// storeClippable reports whether level i may store its raw intersection R_i
+// clipped to its own bounds (see Level.ClipStore). Every level that derives
+// its raw from R_i must keep only candidates inside those bounds: the child
+// i+1, and each level below it while the reuse chain keeps storing, because a
+// clipped R_i flows through every stored intersection built on it. The test
+// is per side: a level passes if it carries every bound position of level i,
+// or if it is bounded by a position already shown to lie inside them — i
+// itself, or an earlier level of the chain. The compiler marks every level
+// that passes; Validate holds a hand-set ClipStore to the same conditions.
+func (p *Plan) storeClippable(i int) bool {
+	lv := &p.Levels[i]
+	if !lv.StoreInter || len(lv.LowerBounds)+len(lv.UpperBounds) == 0 {
+		return false
+	}
+	inside := []int{i}
+	for m := i + 1; m < p.K && p.Levels[m-1].StoreInter; m++ {
+		c := &p.Levels[m]
+		if !c.ReuseSame && !c.ReuseExtend {
+			break
+		}
+		if !boundedWithin(lv.LowerBounds, c.LowerBounds, inside) || !boundedWithin(lv.UpperBounds, c.UpperBounds, inside) {
+			return false
+		}
+		inside = append(inside, m)
+	}
+	return true
+}
+
+// boundedWithin reports whether a level bounded on one side by the positions
+// in got keeps its candidates inside the bounds want on that side: it carries
+// all of want, or one of got lies inside already.
+func boundedWithin(want, got, inside []int) bool {
+	if len(want) == 0 {
+		return true
+	}
+	for _, a := range got {
+		if containsInt(inside, a) {
+			return true
+		}
+	}
+	for _, a := range want {
+		if !containsInt(got, a) {
+			return false
+		}
+	}
+	return true
+}
+
 // MaxActive returns the maximum number of active positions over all levels.
 func (p *Plan) MaxActive() int {
 	max := 0
@@ -329,6 +389,23 @@ func (p *Plan) Validate() error {
 		}
 		if lv.ReuseSame && lv.ReuseExtend {
 			return fmt.Errorf("plan: level %d has both reuse modes", i)
+		}
+		// Distinctness tests only the excluded positions, so they must be
+		// every earlier position the level does not intersect.
+		n := 0
+		for j := 0; j < i; j++ {
+			if !containsInt(lv.Intersect, j) {
+				if !containsInt(lv.Exclude, j) {
+					return fmt.Errorf("plan: level %d excludes %v, missing position %d it does not intersect", i, lv.Exclude, j)
+				}
+				n++
+			}
+		}
+		if len(lv.Exclude) != n {
+			return fmt.Errorf("plan: level %d excludes %v, beyond the positions it does not intersect", i, lv.Exclude)
+		}
+		if lv.ClipStore && !p.storeClippable(i) {
+			return fmt.Errorf("plan: level %d cannot clip its stored intersection: a level deriving from it reaches outside its bounds", i)
 		}
 	}
 	for _, r := range p.Restrictions {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,64 @@ func TestVCSAnnotationsOnCliques(t *testing.T) {
 		if !pl.Levels[i-1].StoreInter {
 			t.Errorf("clique level %d should StoreInter", i-1)
 		}
+	}
+}
+
+// TestClipStoreFlag pins where a stored intersection is clipped before the
+// store. Every level below a clique's stores carries the bounds above it, so
+// K4 clips at levels 1 and 2 and the triangle at level 1, in either
+// direction. The parity-labeled K5 of the differential sweep keeps R1 and R2
+// whole: level 3 derives from R2, which derives from R1, and carries no
+// bounds. Validate must reject the flag hand-set there.
+func TestClipStoreFlag(t *testing.T) {
+	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
+	for _, c := range []struct {
+		name string
+		pl   *Plan
+		clip []bool
+	}{
+		{"K4", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi}), []bool{false, true, true, false}},
+		{"K4/descending", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, Stats: down}), []bool{false, true, true, false}},
+		{"triangle", MustCompile(pattern.Triangle(), Options{Style: StyleAutomine}), []bool{false, true, false}},
+		{"triangle/descending", MustCompile(pattern.Triangle(), Options{Style: StyleAutomine, Stats: down}), []bool{false, true, false}},
+		{"K4/no-vcs", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, DisableVCS: true}), []bool{false, false, false, false}},
+	} {
+		for i, want := range c.clip {
+			if got := c.pl.Levels[i].ClipStore; got != want {
+				t.Errorf("%s: level %d ClipStore = %v, want %v: %v", c.name, i, got, want, c.pl)
+			}
+		}
+	}
+
+	parity := pattern.Clique(5).WithLabels([]graph.Label{0, 1, 0, 1, 0})
+	pl := MustCompile(parity, Options{Style: StyleGraphPi, Stats: down})
+	if !pl.Descending || !pl.Levels[1].StoreInter || len(pl.Levels[1].UpperBounds) == 0 || len(pl.Levels[3].UpperBounds) != 0 {
+		t.Fatalf("parity-labeled K5 no longer has the shape this test pins: %v", pl)
+	}
+	for i, lv := range pl.Levels {
+		if lv.ClipStore {
+			t.Errorf("parity-labeled K5: level %d clips its store: %v", i, pl)
+		}
+	}
+	if s := pl.Explain(); !strings.Contains(s, "v1 < v0, clip after store ub=[0], store R1") {
+		t.Errorf("Explain of the parity-labeled K5 does not clip R1 after the store:\n%s", s)
+	}
+	bad := *pl
+	bad.Levels = append([]Level(nil), pl.Levels...)
+	bad.Levels[1].ClipStore = true
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted ClipStore on the parity-labeled K5's level 1")
+	}
+
+	// Distinctness reads Exclude alone, so it must name every position the
+	// level does not intersect.
+	star := MustCompile(pattern.StarP(4), Options{Style: StyleAutomine})
+	if got := star.Levels[3].Exclude; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("3-star leaf level excludes %v, want [1 2]", got)
+	}
+	star.Levels[3].Exclude = star.Levels[3].Exclude[:1]
+	if err := star.Validate(); err == nil {
+		t.Error("Validate accepted a level that excludes only part of what it does not intersect")
 	}
 }
 

@@ -150,9 +150,8 @@ func gallopIntersect(dst, a, b []graph.VertexID) []graph.VertexID {
 }
 
 // Clip returns the sub-slice {x ∈ a : lo ≤ x < hi}. Bounds encode
-// symmetry-breaking restrictions with Filter's conventions: the lower bound is
-// inclusive so that 0 means "unbounded", the upper bound exclusive so that
-// NoVertex does. Both cut points are found by galloping from the front, so a
+// symmetry-breaking restrictions: the lower bound is inclusive so that 0
+// means "unbounded", the upper bound exclusive so that NoVertex does. Both cut points are found by galloping from the front, so a
 // bounded kernel never walks the prefix or suffix the restriction discards.
 func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	if lo > 0 {
@@ -356,25 +355,6 @@ func Subtract(dst, a, b []graph.VertexID) []graph.VertexID {
 	return dst
 }
 
-// Filter appends {x ∈ a : lo ≤ x < hi, x ∉ excl} to dst. excl is a small
-// unsorted slice (the previously matched vertices); the lower bound is
-// inclusive so that 0 means "unbounded", the upper bound exclusive.
-func Filter(dst, a []graph.VertexID, lo, hi graph.VertexID, excl []graph.VertexID) []graph.VertexID {
-	for _, x := range a {
-		if x >= hi {
-			break
-		}
-		if x < lo {
-			continue
-		}
-		if contains(excl, x) {
-			continue
-		}
-		dst = append(dst, x)
-	}
-	return dst
-}
-
 // Contains reports whether sorted list a contains x, via binary search.
 func Contains(a []graph.VertexID, x graph.VertexID) bool {
 	l, r := 0, len(a)
@@ -387,16 +367,6 @@ func Contains(a []graph.VertexID, x graph.VertexID) bool {
 		}
 	}
 	return l < len(a) && a[l] == x
-}
-
-// contains is linear scan over a tiny unsorted slice.
-func contains(s []graph.VertexID, x graph.VertexID) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }
 
 // IntersectMany appends the intersection of all lists to dst. lists must be

@@ -100,18 +100,6 @@ func TestSubtract(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	a := ids(1, 2, 3, 4, 5, 6, 7)
-	got := Filter(nil, a, 2, 7, ids(4))
-	if !equal(got, ids(2, 3, 5, 6)) {
-		t.Fatalf("Filter = %v, want [2 3 5 6]", got)
-	}
-	// lo = 0 means unbounded below (inclusive semantics).
-	if got := Filter(nil, ids(0, 1), 0, 7, nil); !equal(got, ids(0, 1)) {
-		t.Fatalf("Filter lo=0 = %v, want [0 1]", got)
-	}
-}
-
 func TestContains(t *testing.T) {
 	a := ids(2, 4, 6, 8)
 	for _, x := range []int{2, 4, 6, 8} {
@@ -637,7 +625,7 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 	naive := func(a, b []graph.VertexID, lo, hi graph.VertexID, subtract bool) int {
 		n := 0
 		for _, x := range a {
-			if x >= lo && x < hi && contains(b, x) != subtract {
+			if x >= lo && x < hi && Contains(b, x) != subtract {
 				n++
 			}
 		}
