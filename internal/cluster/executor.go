@@ -107,7 +107,6 @@ func (r *run) engine(t task) *core.Engine {
 	}
 	ext := core.NewPlanExtender(r.pl, r.labelOf)
 	ext.EdgeLabelOf = r.edgeLabelOf
-	ext.CountOnly = core.CountsOnly(t.sink)
 	return core.NewEngine(ext, &rangeSource{c: c, local: c.locals[t.node], task: t}, t.sink, cfg)
 }
 
@@ -166,10 +165,9 @@ func (s *rangeSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID
 	return s.c.fabric.Fetch(s.node, owner, ids)
 }
 
-func (s *rangeSource) NumNodes() int                      { return s.c.asg.NumNodes() }
-func (s *rangeSource) LocalNode() int                     { return s.node }
-func (s *rangeSource) Roots() []graph.VertexID            { return s.roots }
-func (s *rangeSource) Label(v graph.VertexID) graph.Label { return s.c.g.Label(v) }
+func (s *rangeSource) NumNodes() int           { return s.c.asg.NumNodes() }
+func (s *rangeSource) LocalNode() int          { return s.node }
+func (s *rangeSource) Roots() []graph.VertexID { return s.roots }
 
 // ledger is one engine's checkpoint record. The engine's chunk lifecycle
 // (§3.3) completes root ranges strictly in order, and every match descends

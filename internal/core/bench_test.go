@@ -6,6 +6,7 @@ import (
 	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
+	"khuzdul/internal/metrics"
 	"khuzdul/internal/partition"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
@@ -17,8 +18,30 @@ import (
 // network noise enters the numbers. CI runs it once per change (bench-smoke);
 // its allocs/op and B/op are the zero-alloc hot path's evidence.
 func BenchmarkExtendEngine(b *testing.B) {
+	benchExtendEngine(b, plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi}),
+		func(sink *core.CountSink, met *metrics.Node, roots int) {
+			if sink.Count() == 0 {
+				b.Fatal("no matches")
+			}
+		})
+}
+
+// BenchmarkExtendEngineStarFold is the folded path of the same engine: a
+// 3-star under a CountSink folds at level 1 into one binomial per root, so
+// the run must take exactly one extension per root.
+func BenchmarkExtendEngineStarFold(b *testing.B) {
+	benchExtendEngine(b, plan.MustCompile(pattern.StarP(4), plan.Options{Style: plan.StyleAutomine}),
+		func(sink *core.CountSink, met *metrics.Node, roots int) {
+			if n := met.Extensions.Load(); sink.Count() == 0 || n != uint64(roots) {
+				b.Fatalf("%d matches in %d extensions over %d roots: the star did not fold", sink.Count(), n, roots)
+			}
+		})
+}
+
+// benchExtendEngine runs pl on one node of a 400-vertex R-MAT graph under a
+// fresh CountSink per iteration and hands check each run's outcome.
+func benchExtendEngine(b *testing.B, pl *plan.Plan, check func(sink *core.CountSink, met *metrics.Node, roots int)) {
 	g := graph.RMATDefault(400, 3200, 7)
-	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
 	asg := partition.NewAssignment(1, 1)
 	local := partition.NewLocal(g, asg, 0)
 	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
@@ -26,17 +49,16 @@ func BenchmarkExtendEngine(b *testing.B) {
 	})}, nil)
 	defer fabric.Close()
 	src := &testSource{local: local, fabric: fabric}
+	roots := len(src.Roots())
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink := &core.CountSink{}
-		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, core.Config{Threads: 1})
+		sink, met := &core.CountSink{}, &metrics.Node{}
+		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, core.Config{Threads: 1, Metrics: met})
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
-		if sink.Count() == 0 {
-			b.Fatal("no matches")
-		}
+		check(sink, met, roots)
 	}
 }

@@ -151,15 +151,15 @@ func TestHashVertexSpreads(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.ChunkSize <= 0 || cfg.Threads <= 0 || cfg.MiniBatch <= 0 || cfg.FlushSize <= 0 {
+	if cfg.ChunkSize <= 0 || cfg.Threads <= 0 || cfg.MiniBatch <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Metrics == nil {
 		t.Fatal("nil metrics after defaults")
 	}
 	// Explicit values survive.
-	cfg2 := Config{ChunkSize: 7, Threads: 3, MiniBatch: 5, FlushSize: 9}.withDefaults()
-	if cfg2.ChunkSize != 7 || cfg2.Threads != 3 || cfg2.MiniBatch != 5 || cfg2.FlushSize != 9 {
+	cfg2 := Config{ChunkSize: 7, Threads: 3, MiniBatch: 5}.withDefaults()
+	if cfg2.ChunkSize != 7 || cfg2.Threads != 3 || cfg2.MiniBatch != 5 {
 		t.Fatalf("explicit config overridden: %+v", cfg2)
 	}
 }

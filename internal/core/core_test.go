@@ -46,10 +46,9 @@ func (s *testSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID,
 	return s.fabric.Fetch(s.local.Node(), owner, ids)
 }
 
-func (s *testSource) NumNodes() int                      { return s.local.Assignment().NumNodes() }
-func (s *testSource) LocalNode() int                     { return s.local.Node() }
-func (s *testSource) Roots() []graph.VertexID            { return s.local.OwnedVertices() }
-func (s *testSource) Label(v graph.VertexID) graph.Label { return s.local.Label(v) }
+func (s *testSource) NumNodes() int           { return s.local.Assignment().NumNodes() }
+func (s *testSource) LocalNode() int          { return s.local.Node() }
+func (s *testSource) Roots() []graph.VertexID { return s.local.OwnedVertices() }
 
 // runCluster executes one engine per node over a local fabric and returns
 // the total match count and the metrics.
@@ -62,12 +61,9 @@ func runCluster(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg c
 type sinkMode int
 
 const (
-	// sinkCount: a count-only sink under an extender that was not told, so
-	// the engine walks every level and counts the last.
+	// sinkCount: a *CountSink, so the engine only counts: the last level is
+	// counted without being built, and a plan's star tail folds.
 	sinkCount sinkMode = iota
-	// sinkFold: a count-only sink under an extender that was told, as the
-	// cluster builds it: a plan's star tail folds.
-	sinkFold
 	// sinkBuild: a sink that takes every embedding, which keeps the engine
 	// off the count-only path.
 	sinkBuild
@@ -95,7 +91,6 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 	defer fabric.Close()
 
 	ext := core.NewPlanExtender(pl, nil)
-	ext.CountOnly = mode == sinkFold
 	if g.Labeled() {
 		ext.LabelOf = g.Label
 	}
@@ -252,14 +247,13 @@ type embSink struct {
 	embs [][]graph.VertexID
 }
 
-func (s *embSink) OnMatch(emb []graph.VertexID) {
-	cp := append([]graph.VertexID(nil), emb...)
+func (s *embSink) OnMatches(prefix, last []graph.VertexID) {
 	s.mu.Lock()
-	s.embs = append(s.embs, cp)
+	for _, v := range last {
+		s.embs = append(s.embs, append(append([]graph.VertexID(nil), prefix...), v))
+	}
 	s.mu.Unlock()
 }
-
-func (s *embSink) CountOnly() bool { return false }
 
 func TestEngineEmitsValidEmbeddings(t *testing.T) {
 	g := graph.RMATDefault(60, 300, 19)

@@ -1,11 +1,16 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"khuzdul/internal/cluster"
+	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
+	"khuzdul/internal/metrics"
+	"khuzdul/internal/partition"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
 )
@@ -19,11 +24,8 @@ import (
 // and vertical computation sharing — on one and on three worker threads; the
 // merge and gallop kernels must both fire under the count-only sink. Without
 // vertical computation sharing the K4 and K5 levels intersect three or more
-// lists pairwise.
-//
-// Every plan also runs the way the cluster builds it — the extender told that
-// the sink only counts — which must change nothing but the depth of the walk,
-// and that only where the plan ends in a star tail.
+// lists pairwise. Counting instead of building must change nothing but the
+// depth of the walk, and that only where the plan ends in a star tail.
 func TestDifferentialCountPaths(t *testing.T) {
 	type input struct {
 		name string
@@ -109,18 +111,15 @@ func TestDifferentialCountPaths(t *testing.T) {
 								t.Errorf("%s threads=%d: count-only %d, materializing %d, brute force %d", name, threads, counted, built, want)
 							}
 							// Counting instead of building changes no embedding
-							// the engine creates on the way to the last level.
+							// the engine creates on the way to the last level —
+							// unless a star tail folds, which ends the walk at the
+							// fold level with fewer extensions.
 							cs, bs := cm.Summarize(), bm.Summarize()
-							if cs.Matches != bs.Matches || cs.Extensions != bs.Extensions || cs.VerticalHits != bs.VerticalHits ||
-								(threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
-								t.Errorf("%s threads=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
-									name, threads, cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
+							if cs.Matches != bs.Matches || (cs.Extensions == bs.Extensions) != (pl.Fold == 0) || cs.Extensions > bs.Extensions ||
+								pl.Fold == 0 && (cs.VerticalHits != bs.VerticalHits || threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
+								t.Errorf("%s threads=%d fold=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
+									name, threads, pl.Fold, cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
 									bs.Matches, bs.Extensions, bs.VerticalHits, bs.PeakEmbeddings)
-							}
-							folded, fm := runClusterSink(t, in.g, pl, 2, cfg, sinkFold)
-							if fs := fm.Summarize(); folded != want || fs.Matches != cs.Matches || (fs.Extensions < cs.Extensions) != (pl.Fold > 0) || fs.Extensions > cs.Extensions {
-								t.Errorf("%s threads=%d fold=%d: told extender counted %d (%d matches, %d extensions), untold %d (%d, %d)",
-									name, threads, pl.Fold, folded, fs.Matches, fs.Extensions, counted, cs.Matches, cs.Extensions)
 							}
 							counting[0] += cs.KernelMerge
 							counting[1] += cs.KernelGallop
@@ -160,10 +159,17 @@ func hubbedRMAT() *graph.Graph {
 // must subtract the earlier matched vertices it finds in the anchor's list).
 // The chunk sizes put the fold level's parents in one chunk and in many. A
 // fold that did not fire shows as an extension count no lower than the
-// unfolded run's; the hand-built last case — a bound from outside the tail —
-// must not fire.
+// materializing run's; the hand-built last case — a bound from outside the
+// tail — must not fire. The folding engines are bare ones, a CountSink under
+// core.NewPlanExtender and nothing else, and must take exactly the
+// extensions cluster.Count takes.
 func TestDifferentialFoldedPlans(t *testing.T) {
 	g := hubbedRMAT()
+	cl, err := cluster.New(g, cluster.Config{NumNodes: 2, ThreadsPerSocket: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
 	shapes := []struct {
 		name string
 		pat  *pattern.Pattern
@@ -183,19 +189,26 @@ func TestDifferentialFoldedPlans(t *testing.T) {
 		if ref := plan.CountGraph(pl, g); ref != want {
 			t.Errorf("%s: executor %d, want %d", name, ref, want)
 		}
+		res, err := cl.Count(pl)
+		if err != nil || res.Count != want {
+			t.Fatalf("%s: cluster.Count = %d, %v; want %d", name, res.Count, err, want)
+		}
 		for _, threads := range []int{1, 3} {
 			for _, chunk := range []int{8, 0} {
 				cfg := core.Config{Threads: threads, ChunkSize: chunk, HDS: true}
-				folded, fm := runClusterSink(t, g, pl, 2, cfg, sinkFold)
-				counted, cm := runClusterSink(t, g, pl, 2, cfg, sinkCount)
-				built, _ := runClusterSink(t, g, pl, 2, cfg, sinkBuild)
-				if folded != want || counted != want || built != want {
-					t.Errorf("%s threads=%d chunk=%d: folded %d, count-only %d, materializing %d, want %d", name, threads, chunk, folded, counted, built, want)
+				folded, fm := runClusterSink(t, g, pl, 2, cfg, sinkCount)
+				built, bm := runClusterSink(t, g, pl, 2, cfg, sinkBuild)
+				if folded != want || built != want {
+					t.Errorf("%s threads=%d chunk=%d: count-only %d, materializing %d, want %d", name, threads, chunk, folded, built, want)
 				}
-				fs, cs := fm.Summarize(), cm.Summarize()
-				if fs.Matches != cs.Matches || (fs.Extensions < cs.Extensions) != (fold > 0) || fs.Extensions > cs.Extensions {
-					t.Errorf("%s threads=%d chunk=%d fold=%d: folded run %d matches in %d extensions, unfolded %d in %d",
-						name, threads, chunk, fold, fs.Matches, fs.Extensions, cs.Matches, cs.Extensions)
+				fs, bs := fm.Summarize(), bm.Summarize()
+				if fs.Matches != bs.Matches || (fs.Extensions < bs.Extensions) != (fold > 0) || fs.Extensions > bs.Extensions {
+					t.Errorf("%s threads=%d chunk=%d fold=%d: count-only run %d matches in %d extensions, materializing %d in %d",
+						name, threads, chunk, fold, fs.Matches, fs.Extensions, bs.Matches, bs.Extensions)
+				}
+				if fs.Extensions != res.Summary.Extensions {
+					t.Errorf("%s threads=%d chunk=%d fold=%d: bare engine took %d extensions, cluster.Count %d",
+						name, threads, chunk, fold, fs.Extensions, res.Summary.Extensions)
 				}
 			}
 		}
@@ -232,4 +245,43 @@ func TestDifferentialFoldedPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("3-star with an outside bound", pl, plan.CountGraph(pl, g), 0)
+}
+
+// TestBareEngineFoldExactOrLoud is cluster's TestFoldedCountExactOrLoud on a
+// bare engine: a CountSink alone makes it fold, so C(20000, 4) 4-stars on a
+// star graph come exact in one extension per root, and C(20000, 5) 5-stars,
+// which overflow a uint64, fail the run with ErrCountOverflow before the
+// range holding the hub is committed.
+func TestBareEngineFoldExactOrLoud(t *testing.T) {
+	g := graph.Star(20001)
+	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
+		panic("single node should not fetch")
+	})}, nil)
+	defer fabric.Close()
+	src := &testSource{local: partition.NewLocal(g, partition.NewAssignment(1, 1), 0), fabric: fabric}
+	run := func(pat *pattern.Pattern) (*core.CountSink, *metrics.Node, int, error) {
+		pl := plan.MustCompile(pat, plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
+		if pl.FoldLevel() != 1 {
+			t.Fatalf("%v: want the whole tail below the root folded", pl)
+		}
+		sink, met := &core.CountSink{}, &metrics.Node{}
+		committed := 0
+		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, core.Config{
+			Threads: 2, ChunkSize: 1000, Metrics: met,
+			OnRangeDone: func(_, end int) { committed = end },
+		})
+		err := eng.Run()
+		return sink, met, committed, err
+	}
+	const want = 20000 * 19999 * 19998 * 19997 / 24
+	sink, met, _, err := run(pattern.StarP(5))
+	if err != nil || sink.Count() != want {
+		t.Fatalf("4-stars = %d, %v; want %d", sink.Count(), err, uint64(want))
+	}
+	if n := met.Extensions.Load(); n != uint64(g.NumVertices()) {
+		t.Errorf("%d extensions, want one per root", n)
+	}
+	if _, _, committed, err := run(pattern.StarP(6)); !errors.Is(err, core.ErrCountOverflow) || committed != 0 {
+		t.Fatalf("5-stars: %v with %d roots committed; want ErrCountOverflow and none", err, committed)
+	}
 }

@@ -26,9 +26,6 @@ type Config struct {
 	Threads int
 	// MiniBatch is the work-distribution unit in embeddings (paper: 64).
 	MiniBatch int
-	// FlushSize is the per-worker child buffer flushed into the next-level
-	// chunk under one lock acquisition (paper: half the L1-D cache).
-	FlushSize int
 	// HDS enables horizontal data sharing within a chunk (§5.2).
 	HDS bool
 	// StrictPipeline makes each circulant batch's fetch start only when the
@@ -68,51 +65,27 @@ func (c Config) withDefaults() Config {
 	if c.MiniBatch <= 0 {
 		c.MiniBatch = 64
 	}
-	if c.FlushSize <= 0 {
-		c.FlushSize = 1024
-	}
 	if c.Metrics == nil {
 		c.Metrics = &metrics.Node{}
 	}
 	return c
 }
 
-// BulkSink is implemented by sinks that can absorb match counts without
-// materialized embeddings (the counting fast path).
-type BulkSink interface {
-	Sink
-	Add(n uint64)
-}
-
-// CountsOnly reports whether an engine given this sink only counts: the sink
-// says so and can absorb counts in bulk.
-func CountsOnly(sink Sink) bool {
-	_, ok := sink.(BulkSink)
-	return ok && sink.CountOnly()
-}
-
-// MatchesSink is implemented by materializing sinks that can take all the
-// final-level matches of one extension at once: the embeddings prefix+v for
-// every v in last. The engine then calls OnMatches once per extension that
-// found a match instead of OnMatch once per match. Both slices are reused by
-// the engine; implementations must copy to retain them.
-type MatchesSink interface {
-	Sink
-	OnMatches(prefix, last []graph.VertexID)
-}
+// flushSize is the per-worker child buffer flushed into the next-level chunk
+// under one lock acquisition (paper: half the L1-D cache).
+const flushSize = 1024
 
 // Engine executes one client system's EXTEND function over one partition
 // with the BFS-DFS hybrid exploration. Create one per socket per machine.
 type Engine struct {
-	ext       Extender
-	src       DataSource
-	sink      Sink
-	bulk      BulkSink    // non-nil when sink supports bulk counting
-	batch     MatchesSink // non-nil when a materializing sink takes matches per extension
-	cfg       Config
-	met       *metrics.Node
-	k         int
-	countOnly bool
+	ext  Extender
+	src  DataSource
+	sink Sink
+	// count is the sink when it is a *CountSink: the engine then only counts.
+	count *CountSink
+	cfg   Config
+	met   *metrics.Node
+	k     int
 	// needsList and storeInter are the extender's per-level answers, asked
 	// once: they decide which columns a level's chunks carry.
 	needsList  []bool
@@ -177,11 +150,11 @@ func (e *Engine) getWorker() *workerCtx {
 		w.lists = make([][]graph.VertexID, e.k)
 	}
 	w.anc, w.emb, w.lists = w.anc[:e.k], w.emb[:e.k], w.lists[:e.k]
-	if cap(w.buf) < e.cfg.FlushSize {
-		w.buf = make([]child, 0, e.cfg.FlushSize)
+	if cap(w.buf) < flushSize {
+		w.buf = make([]child, 0, flushSize)
 	}
 	w.scratch = e.ext.NewScratch()
-	w.scratch.SetCountOnly(e.countOnly)
+	w.scratch.SetCountOnly(e.count != nil)
 	return w
 }
 
@@ -235,12 +208,7 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 		met:  cfg.Metrics,
 		k:    ext.K(),
 	}
-	if CountsOnly(sink) {
-		e.bulk = sink.(BulkSink)
-		e.countOnly = true
-	} else if m, ok := sink.(MatchesSink); ok {
-		e.batch = m
-	}
+	e.count, _ = sink.(*CountSink)
 	e.path = make([]*chunk, e.k)
 	e.needsList = make([]bool, e.k)
 	e.storeInter = make([]bool, e.k)
@@ -260,7 +228,8 @@ var ErrCanceled = errors.New("core: engine canceled")
 
 // ErrCountOverflow is returned by Run when a count-only extension counted
 // more matches than a uint64 holds — a folded star tail on a hub can — rather
-// than reporting a wrapped number.
+// than reporting a wrapped number. It is checked before every root range is
+// committed, so no overflowed count reaches Config.OnRangeDone.
 var ErrCountOverflow = errors.New("core: match count overflows uint64")
 
 // checkCanceled polls Config.Canceled. process calls it at every batch
@@ -299,16 +268,15 @@ func (e *Engine) Run() error {
 			end = len(roots)
 		}
 		ch := e.rootChunk(roots[start:end])
-		if ch.len() == 0 {
-			e.putChunk(ch)
-			if e.cfg.OnRangeDone != nil {
-				e.cfg.OnRangeDone(start, end)
-			}
-			continue
+		var err error
+		if ch.len() > 0 {
+			e.path[0] = ch
+			err = e.process(ch)
 		}
-		e.path[0] = ch
-		err := e.process(ch)
 		e.putChunk(ch)
+		if err == nil {
+			err = e.overflowed()
+		}
 		if err != nil {
 			return err
 		}
@@ -317,6 +285,16 @@ func (e *Engine) Run() error {
 		}
 	}
 	e.release()
+	return nil
+}
+
+// overflowed returns ErrCountOverflow once any worker counted past a uint64.
+func (e *Engine) overflowed() error {
+	for _, w := range e.workers {
+		if w.scratch.Overflowed() {
+			return ErrCountOverflow
+		}
+	}
 	return nil
 }
 
@@ -370,11 +348,6 @@ func (e *Engine) process(ch *chunk) error {
 				return err
 			}
 			e.extendRound(ch, b, nil, true)
-		}
-		for _, w := range e.workers {
-			if w.scratch.Overflowed() {
-				return ErrCountOverflow
-			}
 		}
 		return nil
 	}
@@ -492,8 +465,8 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 	for _, w := range e.workers {
 		if w.matches > 0 {
 			e.met.Matches.Add(w.matches)
-			if e.bulk != nil {
-				e.bulk.Add(w.matches)
+			if e.count != nil {
+				e.count.Add(w.matches)
 			}
 			w.matches = 0
 		}
@@ -544,23 +517,14 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 		parentRaw = ch.inter[idx]
 	}
 	cands, raw := e.ext.Extend(w.scratch, level+1, w.emb[:level+1], w.getListFn, parentRaw)
+	// A count-only scratch may count a level instead of building it — the
+	// last, or the first of a star tail, whose nil candidates end the walk
+	// here — and leave the number for the engine to take.
+	w.matches += w.scratch.TakeCount()
 	if final {
-		if e.countOnly {
-			// An extender that counted instead of building returns no
-			// candidates and leaves the number on the scratch.
-			w.matches += uint64(len(cands)) + w.scratch.TakeCount()
-			return
-		}
 		w.matches += uint64(len(cands))
-		if e.batch != nil {
-			if len(cands) > 0 {
-				e.batch.OnMatches(w.emb[:level+1], cands)
-			}
-			return
-		}
-		for _, v := range cands {
-			w.emb[level+1] = v
-			e.sink.OnMatch(w.emb[:e.k])
+		if e.count == nil && len(cands) > 0 {
+			e.sink.OnMatches(w.emb[:level+1], cands)
 		}
 		return
 	}
@@ -571,7 +535,7 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 	for _, v := range cands {
 		w.buf = append(w.buf, child{parent: idx, vertex: v, inter: interCopy})
 	}
-	if len(w.buf) >= e.cfg.FlushSize {
+	if len(w.buf) >= flushSize {
 		e.flush(w, next)
 	}
 }

@@ -46,8 +46,6 @@ func (s *failingSource) Roots() []graph.VertexID {
 	return out
 }
 
-func (s *failingSource) Label(v graph.VertexID) graph.Label { return 0 }
-
 func TestEngineSurfacesFetchErrors(t *testing.T) {
 	g := graph.RMATDefault(100, 600, 77)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})

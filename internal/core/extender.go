@@ -31,18 +31,17 @@ type Extender interface {
 	// the given level should be stored for reuse by the next level (the
 	// paper's vertical computation sharing).
 	StoreInter(level int) bool
-	// ListPositions returns the positions whose edge lists Extend reads when
-	// matching the given level.
-	ListPositions(level int) []int
 	// Extend computes the candidate vertices for matching position level,
 	// given the embedding's earlier vertices and an accessor for the active
 	// edge lists. parentRaw is the intersection stored by the parent level
 	// (nil when absent). It returns the candidates and the raw intersection
 	// to store when StoreInter(level) is true. Both returned slices may
-	// alias scratch storage owned by s. Under a count-only sink the engine
-	// puts s in count-only mode (plan.Scratch.SetCountOnly): the last level
-	// may then return no candidates and leave their number in s for the
-	// engine to take, which is how PlanExtender counts without building.
+	// alias scratch storage owned by s. Under a *CountSink the engine puts s
+	// in count-only mode (plan.Scratch.SetCountOnly) and takes s's count
+	// after every call: any level may then return no candidates and leave
+	// their number in s instead — the last level counted without building,
+	// or the first level of a star tail folded into a binomial, which ends
+	// the walk there.
 	Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID)
 	// RootOK reports whether a vertex may occupy position 0.
 	RootOK(v graph.VertexID) bool
@@ -60,13 +59,6 @@ type PlanExtender struct {
 	// simulation; a production deployment would ship them alongside
 	// fetched edge lists (one extra label word per edge on the wire).
 	EdgeLabelOf plan.EdgeLabelFunc
-	// CountOnly says the engine this extender is built for runs under a
-	// count-only sink (CountsOnly). A plan that ends in a star tail then
-	// folds: K answers the fold level + 1, so the engine walks no deeper, and
-	// the scratches fold that level into a binomial (plan.Scratch.SetFold).
-	// Set it only where the sink is in hand; left false, the extender walks
-	// every level under any sink.
-	CountOnly bool
 }
 
 // NewPlanExtender wraps a plan as an Extender.
@@ -74,32 +66,14 @@ func NewPlanExtender(p *plan.Plan, labelOf plan.LabelFunc) *PlanExtender {
 	return &PlanExtender{Plan: p, LabelOf: labelOf}
 }
 
-// K implements Extender: the plan's depth, or the depth a folding count-only
-// walk ends at.
-func (e *PlanExtender) K() int {
-	if e.CountOnly && e.Plan.Fold > 0 {
-		return e.Plan.FoldLevel() + 1
-	}
-	return e.Plan.K
-}
+// K implements Extender.
+func (e *PlanExtender) K() int { return e.Plan.K }
 
 // NeedsList implements Extender.
 func (e *PlanExtender) NeedsList(level int) bool { return e.Plan.Levels[level].NeedsList }
 
 // StoreInter implements Extender.
 func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Levels[level].StoreInter }
-
-// ListPositions implements Extender.
-func (e *PlanExtender) ListPositions(level int) []int {
-	lv := &e.Plan.Levels[level]
-	if !e.Plan.Induced || len(lv.Subtract) == 0 {
-		return lv.Intersect
-	}
-	out := make([]int, 0, len(lv.Intersect)+len(lv.Subtract))
-	out = append(out, lv.Intersect...)
-	out = append(out, lv.Subtract...)
-	return out
-}
 
 // Extend implements Extender. It runs once per extendable embedding, so it
 // is the hottest code in the repository.
@@ -118,8 +92,4 @@ func (e *PlanExtender) RootOK(v graph.VertexID) bool {
 }
 
 // NewScratch implements Extender.
-func (e *PlanExtender) NewScratch() *plan.Scratch {
-	s := plan.NewScratch(e.Plan)
-	s.SetFold(e.CountOnly)
-	return s
-}
+func (e *PlanExtender) NewScratch() *plan.Scratch { return plan.NewScratch(e.Plan) }

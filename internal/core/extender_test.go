@@ -28,13 +28,6 @@ func (handTriangle) NeedsList(level int) bool { return level <= 1 }
 
 func (handTriangle) StoreInter(level int) bool { return false }
 
-func (handTriangle) ListPositions(level int) []int {
-	if level == 1 {
-		return []int{0}
-	}
-	return []int{0, 1}
-}
-
 func (handTriangle) Extend(s *plan.Scratch, level int, emb []graph.VertexID,
 	getList func(int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID) {
 	switch level {

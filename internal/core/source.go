@@ -45,21 +45,21 @@ type DataSource interface {
 	// Roots returns the vertices this engine instance starts embedding
 	// trees from (its sub-partition's vertices).
 	Roots() []graph.VertexID
-	// Label returns the label of any vertex (labels are replicated).
-	Label(v graph.VertexID) graph.Label
 }
 
 // Sink receives the embeddings the engine finds. Implementations must be
-// safe for concurrent use; the engine calls OnMatch from worker threads.
+// safe for concurrent use; the engine calls OnMatches from worker threads.
+// A *CountSink makes the engine count-only: it counts what it can without
+// building it — the last level, and a star tail folded into one binomial
+// (plan.Plan.Fold) — and never calls OnMatches.
 type Sink interface {
-	// OnMatch receives one matched embedding in matching-order positions.
-	// The slice is reused by the engine; implementations must copy to
-	// retain it.
-	OnMatch(emb []graph.VertexID)
-	// CountOnly reports whether the sink only needs match counts; the
-	// engine then skips materializing final-level embeddings and counts
-	// candidates directly (the common fast path for counting applications).
-	CountOnly() bool
+	// OnMatches receives every match of one extension: the embeddings
+	// prefix+v, in matching-order positions, for each v in last. prefix is
+	// the engine's own buffer with room for one more vertex, so
+	// prefix[:len(prefix)+1] may be written to build a full embedding. Both
+	// slices are reused by the engine; implementations must copy to retain
+	// them.
+	OnMatches(prefix, last []graph.VertexID)
 }
 
 // CountSink counts matches without materializing them.
@@ -67,11 +67,8 @@ type CountSink struct {
 	n atomic.Uint64
 }
 
-// OnMatch implements Sink.
-func (s *CountSink) OnMatch(emb []graph.VertexID) { s.n.Add(1) }
-
-// CountOnly implements Sink.
-func (s *CountSink) CountOnly() bool { return true }
+// OnMatches implements Sink.
+func (s *CountSink) OnMatches(prefix, last []graph.VertexID) { s.n.Add(uint64(len(last))) }
 
 // Add records n matches found in bulk.
 func (s *CountSink) Add(n uint64) { s.n.Add(n) }
@@ -80,13 +77,17 @@ func (s *CountSink) Add(n uint64) { s.n.Add(n) }
 func (s *CountSink) Count() uint64 { return s.n.Load() }
 
 // FuncSink adapts a function to Sink for applications that need every
-// embedding (e.g. FSM support computation).
+// embedding one at a time.
 type FuncSink struct {
 	F func(emb []graph.VertexID)
 }
 
-// OnMatch implements Sink.
-func (s *FuncSink) OnMatch(emb []graph.VertexID) { s.F(emb) }
-
-// CountOnly implements Sink.
-func (s *FuncSink) CountOnly() bool { return false }
+// OnMatches implements Sink: F sees each embedding of the extension in turn,
+// built in the engine's buffer.
+func (s *FuncSink) OnMatches(prefix, last []graph.VertexID) {
+	emb := prefix[:len(prefix)+1]
+	for _, v := range last {
+		emb[len(prefix)] = v
+		s.F(emb)
+	}
+}

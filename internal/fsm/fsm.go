@@ -205,17 +205,9 @@ func newDomainSink(pl *plan.Plan, n int) *domainSink {
 	return s
 }
 
-func (s *domainSink) OnMatch(emb []graph.VertexID) {
-	s.mu.Lock()
-	for pos, v := range emb {
-		s.doms[s.order[pos]].set(uint32(v))
-	}
-	s.mu.Unlock()
-}
-
-// OnMatches implements core.MatchesSink: every final-level match of one
-// extension shares prefix, so its positions are marked once and the lock is
-// taken once per extension instead of once per match.
+// OnMatches implements core.Sink: every final-level match of one extension
+// shares prefix, so its positions are marked once and the lock is taken once
+// per extension instead of once per match.
 func (s *domainSink) OnMatches(prefix, last []graph.VertexID) {
 	s.mu.Lock()
 	for pos, v := range prefix {
@@ -227,8 +219,6 @@ func (s *domainSink) OnMatches(prefix, last []graph.VertexID) {
 	}
 	s.mu.Unlock()
 }
-
-func (s *domainSink) CountOnly() bool { return false }
 
 // merge ORs another sink's domains into this one (the cross-machine
 // reduction).
@@ -305,6 +295,7 @@ func localSupportTimed(g *graph.Graph, pat *pattern.Pattern, style plan.Style, t
 	n := g.NumVertices()
 	block := (n + threads - 1) / threads
 	sink := newDomainSink(pl, n)
+	onMatch := func(emb []graph.VertexID) { sink.OnMatches(emb[:len(emb)-1], emb[len(emb)-1:]) }
 	ex := plan.NewExecutor(pl, g.Neighbors, g.Label)
 	var makespan time.Duration
 	for t := 0; t < threads; t++ {
@@ -314,7 +305,7 @@ func localSupportTimed(g *graph.Graph, pat *pattern.Pattern, style plan.Style, t
 		}
 		t0 := time.Now()
 		for v := lo; v < hi; v++ {
-			ex.VisitRoot(graph.VertexID(v), sink.OnMatch)
+			ex.VisitRoot(graph.VertexID(v), onMatch)
 		}
 		if d := time.Since(t0); d > makespan {
 			makespan = d

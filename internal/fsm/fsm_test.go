@@ -317,8 +317,8 @@ func TestDomainSinkBatchEqualsPerMatch(t *testing.T) {
 	}
 	for _, e := range exts {
 		batch.OnMatches(e.prefix, e.last)
-		for _, v := range e.last {
-			single.OnMatch(append(append([]graph.VertexID{}, e.prefix...), v))
+		for i := range e.last {
+			single.OnMatches(e.prefix, e.last[i:i+1])
 		}
 	}
 	for i := range batch.doms {

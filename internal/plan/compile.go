@@ -87,15 +87,11 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 			if q.HasEdge(j, i) {
 				lv.Intersect = append(lv.Intersect, j)
 			} else {
-				lv.Subtract = append(lv.Subtract, j)
 				lv.Exclude = append(lv.Exclude, j)
 			}
 		}
 		if len(lv.Intersect) == 0 {
 			return nil, fmt.Errorf("plan: order %v has disconnected prefix at %d", order, i)
-		}
-		if !opts.Induced {
-			lv.Subtract = nil
 		}
 	}
 
@@ -163,14 +159,13 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 		}
 	}
 
-	// Active positions and NeedsList.
-	annotateActive(p)
+	annotateNeedsList(p)
 
 	// The last level's candidates are only ever counted by a count-only
 	// sink; mark it when the counting kernels cover its set expression
 	// (labels and chained subtractions fall back to a bounded materialize).
 	last := &p.Levels[k-1]
-	last.CountOnly = !p.Labeled() && !p.EdgeLabeled && len(last.Subtract) <= 1
+	last.CountOnly = !p.Labeled() && !p.EdgeLabeled && (!p.Induced || len(last.Exclude) <= 1)
 
 	// A count-only run can stop earlier still where the plan ends in a star
 	// tail: mark the longest one.
@@ -199,46 +194,21 @@ func annotateVCS(p *Plan) {
 	}
 }
 
-// annotateActive computes, for each level, the set of positions whose edge
-// lists an extendable embedding at that level must carry (the paper's active
-// vertices), plus the per-level NeedsList flag.
-func annotateActive(p *Plan) {
-	needed := make([]bool, p.K)
-	for i := 1; i < p.K; i++ {
-		for _, j := range p.Levels[i].Intersect {
-			needed[j] = true
+// annotateNeedsList marks every position whose edge list a deeper level
+// reads — one it intersects, or in induced mode one it subtracts — as an
+// active vertex (the paper's term) whose list the extendable embedding
+// carries.
+func annotateNeedsList(p *Plan) {
+	for m := 1; m < p.K; m++ {
+		lv := &p.Levels[m]
+		for _, j := range lv.Intersect {
+			p.Levels[j].NeedsList = true
 		}
-		for _, j := range p.Levels[i].Subtract {
-			needed[j] = true
-		}
-	}
-	for i := 0; i < p.K; i++ {
-		p.Levels[i].NeedsList = false
-	}
-	// NeedsList(i): position i's list is used by some level > i.
-	for i := 0; i < p.K; i++ {
-		used := false
-		for m := i + 1; m < p.K; m++ {
-			if containsInt(p.Levels[m].Intersect, i) || containsInt(p.Levels[m].Subtract, i) {
-				used = true
-				break
+		if p.Induced {
+			for _, j := range lv.Exclude {
+				p.Levels[j].NeedsList = true
 			}
 		}
-		p.Levels[i].NeedsList = used
-	}
-	// Active(i): positions j ≤ i used by some level > i. Anti-monotone by
-	// construction, as the paper observes.
-	for i := 0; i < p.K; i++ {
-		var active []int
-		for j := 0; j <= i; j++ {
-			for m := i + 1; m < p.K; m++ {
-				if containsInt(p.Levels[m].Intersect, j) || containsInt(p.Levels[m].Subtract, j) {
-					active = append(active, j)
-					break
-				}
-			}
-		}
-		p.Levels[i].Active = active
 	}
 }
 
@@ -345,7 +315,10 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 		}
 		// Work at this level is proportional to parent embeddings times the
 		// cost of the set operations (number of lists intersected).
-		opCost := float64(len(lv.Intersect) + len(lv.Subtract))
+		opCost := float64(len(lv.Intersect))
+		if p.Induced {
+			opCost += float64(len(lv.Exclude))
+		}
 		if lv.ReuseSame {
 			opCost = 0.1
 		} else if lv.ReuseExtend {

@@ -34,11 +34,10 @@ type Scratch struct {
 	// kernels counts kernel invocations across all levels; engines drain it
 	// into their metrics node between rounds.
 	kernels [setops.NumKernels]uint64
-	// countOnly switches count-eligible levels from returning candidates to
-	// adding their number to counted; see SetCountOnly. fold additionally
-	// ends a count-only walk at the plan's star tail; see SetFold.
+	// countOnly switches count-eligible levels, and the first level of the
+	// plan's star tail, from returning candidates to adding their number to
+	// counted; see SetCountOnly.
 	countOnly bool
-	fold      bool
 	counted   uint64
 	// overflowed latches once a count did not fit counted; see Overflowed.
 	overflowed bool
@@ -61,22 +60,17 @@ func NewScratch(p *Plan) *Scratch {
 // and zeroes them at drain points; the scratch must be quiescent.
 func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels }
 
-// SetCountOnly tells Extend that the caller wants only the number of
-// candidates at count-eligible levels (Level.CountOnly): such a level then
-// returns no candidates and leaves their count for TakeCount. The mode rides
-// on the scratch, like the kernel ledger, so Extend stays the one call an
-// engine makes per embedding and a decorator around it sees the last level.
+// SetCountOnly tells Extend that the caller wants only the number of matches.
+// A count-eligible level (Level.CountOnly) then returns no candidates and
+// leaves their count for TakeCount, and so does the first level of a star
+// tail (Plan.Fold): at Plan.FoldLevel it leaves C(n, Fold), n being that
+// level's candidate count — every match the tail levels would have built —
+// and its nil candidates end the walk there. A count-only caller must
+// therefore take the count after every Extend, not only at the last level.
+// The mode rides on the scratch, like the kernel ledger, so Extend stays the
+// one call an engine makes per embedding and a decorator around it sees
+// every level.
 func (s *Scratch) SetCountOnly(on bool) { s.countOnly = on }
-
-// SetFold tells a count-only Extend to stop at a star tail (Plan.Fold): at
-// level Plan.FoldLevel it returns nothing and leaves C(n, Fold) for TakeCount,
-// n being that level's candidate count — every match the tail levels would
-// have built. Whoever sets it must not call Extend for the levels past
-// FoldLevel; it is separate from SetCountOnly because only the caller that
-// chose the walk's depth knows it stops there (core.PlanExtender, told by the
-// code that holds the sink), while any engine puts a scratch in count-only
-// mode.
-func (s *Scratch) SetFold(on bool) { s.fold = on }
 
 // TakeCount returns the candidates counted since the last call and resets
 // the counter.
@@ -135,19 +129,18 @@ func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
 // restriction interval before a kernel touches it — except where the raw
 // intersection is stored for levels that may reach outside the interval
 // (StoreInter without ClipStore): that set is computed whole and clipped on
-// the way out. On a scratch in count-only mode a count-eligible level returns
-// nothing and leaves the number of candidates for TakeCount instead, and so
-// does the first level of a star tail once SetFold allows it. labelOf
-// and edgeLabelOf may be nil for graphs without the corresponding labels.
-// Both returned slices may alias scratch storage, getList output or
-// parentRaw.
+// the way out. On a scratch in count-only mode a count-eligible level, and the
+// first level of a star tail, return nothing and leave their count for
+// TakeCount instead (see SetCountOnly). labelOf and edgeLabelOf may be nil
+// for graphs without the corresponding labels. Both returned slices may alias
+// scratch storage, getList output or parentRaw.
 //
 //khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
 	lv := &p.Levels[level]
 	lo, hi := lv.bounds(emb)
 	if s.countOnly {
-		if s.fold && level == p.FoldLevel() {
+		if level == p.FoldLevel() {
 			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.Fold)
 			s.counted += c
 			if !ok || s.counted < c {
@@ -196,9 +189,9 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 		x = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 	}
 	var sub []graph.VertexID
-	subtract := p.Induced && len(lv.Subtract) == 1
+	subtract := p.Induced && len(lv.Exclude) == 1
 	if subtract {
-		sub = getList(lv.Subtract[0])
+		sub = getList(lv.Exclude[0])
 		if pair {
 			s.interB[level] = d.IntersectBounded(s.interB[level][:0], x, l, lo, hi)
 			x, pair = s.interB[level], false
@@ -281,9 +274,9 @@ const maxExclude = pattern.MaxVertices - 2
 func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
 	src := raw
-	if p.Induced && len(lv.Subtract) > 0 {
+	if p.Induced && len(lv.Exclude) > 0 {
 		a, b := s.subA[level], s.subB[level]
-		for _, j := range lv.Subtract {
+		for _, j := range lv.Exclude {
 			a = setops.Subtract(a[:0], src, setops.Clip(getList(j), lo, hi))
 			src = a
 			if len(a) == 0 {

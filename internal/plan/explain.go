@@ -57,9 +57,9 @@ func (p *Plan) Explain() string {
 			}
 			set = strings.Join(terms, " ∩ ")
 		}
-		if p.Induced && len(lv.Subtract) > 0 {
-			subs := make([]string, len(lv.Subtract))
-			for j, pos := range lv.Subtract {
+		if p.Induced && len(lv.Exclude) > 0 {
+			subs := make([]string, len(lv.Exclude))
+			for j, pos := range lv.Exclude {
 				subs[j] = fmt.Sprintf("N(v%d)", pos)
 			}
 			set += " \\ (" + strings.Join(subs, " ∪ ") + ")"
@@ -105,9 +105,7 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "%scount C(%s, %d) per %s — levels %d–%d folded (count-only)\n",
 			indent(f-1), p.foldSetSize(), p.Fold, prefixTuple(f), f, p.K-1)
 	}
-	if len(p.Levels[p.K-1].Active) == 0 {
-		sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
-	}
+	sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
 }

@@ -29,7 +29,6 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		}
 		counting, building := NewScratch(pl), NewScratch(pl)
 		counting.SetCountOnly(true)
-		counting.SetFold(c.fold)
 		emb := make([]graph.VertexID, pl.K)
 		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
 		// walk builds the levels before end with the materializing scratch and

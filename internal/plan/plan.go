@@ -61,13 +61,11 @@ type Level struct {
 	// EdgeLabels, when the pattern is edge-labeled, holds the required
 	// label of the edge to each Intersect position (parallel slices).
 	EdgeLabels []graph.Label
-	// Subtract lists the earlier positions NOT adjacent to this one; in
-	// induced mode their edge lists are subtracted from the candidates.
-	Subtract []int
-	// Exclude lists the earlier positions NOT adjacent to this one, in every
-	// mode: the only matched vertices a candidate can equal. A candidate is
-	// adjacent to every Intersect position and graphs carry no self-loops,
-	// so distinctness from the prefix is a test against these few.
+	// Exclude lists the earlier positions NOT adjacent to this one: the only
+	// matched vertices a candidate can equal. A candidate is adjacent to
+	// every Intersect position and graphs carry no self-loops, so
+	// distinctness from the prefix is a test against these few. In induced
+	// mode their edge lists are also subtracted from the candidates.
 	Exclude []int
 	// LowerBounds lists earlier positions a with restriction emb[a] < v; an
 	// ascending plan's restrictions land here.
@@ -101,9 +99,6 @@ type Level struct {
 	// vertex of some deeper level, i.e. its edge list must be fetched and
 	// carried in the extendable embedding.
 	NeedsList bool
-	// Active lists the positions whose edge lists must be available in an
-	// extendable embedding at this level (the paper's active vertices).
-	Active []int
 }
 
 // Plan is a compiled enumeration schedule for one pattern.
@@ -145,7 +140,7 @@ type Plan struct {
 	// the tail that the first tail level does not carry too. The tail then
 	// matches exactly the r-subsets of the first tail level's candidate set,
 	// in ID order, so a count-only run stops at level FoldLevel and adds
-	// C(n, r) for its n candidates (see Scratch.SetFold). Only non-induced
+	// C(n, r) for its n candidates (see Scratch.SetCountOnly). Only non-induced
 	// plans without vertex or edge labels fold; the materializing path
 	// ignores the field.
 	Fold int
@@ -294,17 +289,6 @@ func boundedWithin(want, got, inside []int) bool {
 	return true
 }
 
-// MaxActive returns the maximum number of active positions over all levels.
-func (p *Plan) MaxActive() int {
-	max := 0
-	for _, lv := range p.Levels {
-		if len(lv.Active) > max {
-			max = len(lv.Active)
-		}
-	}
-	return max
-}
-
 // String renders a compact human-readable schedule.
 func (p *Plan) String() string {
 	var sb strings.Builder
@@ -321,8 +305,8 @@ func (p *Plan) String() string {
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
 		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.Intersect)
-		if len(lv.Subtract) > 0 {
-			fmt.Fprintf(&sb, " sub=%v", lv.Subtract)
+		if p.Induced && len(lv.Exclude) > 0 {
+			fmt.Fprintf(&sb, " sub=%v", lv.Exclude)
 		}
 		if len(lv.LowerBounds) > 0 {
 			fmt.Fprintf(&sb, " lb=%v", lv.LowerBounds)
@@ -384,7 +368,7 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("plan: level %d upper bound on future position %d", i, r)
 			}
 		}
-		if lv.CountOnly && (p.Labeled() || p.EdgeLabeled || len(lv.Subtract) > 1 || i != p.K-1) {
+		if lv.CountOnly && (p.Labeled() || p.EdgeLabeled || p.Induced && len(lv.Exclude) > 1 || i != p.K-1) {
 			return fmt.Errorf("plan: level %d cannot be count-only", i)
 		}
 		if lv.ReuseSame && lv.ReuseExtend {

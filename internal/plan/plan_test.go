@@ -256,27 +256,29 @@ func TestClipStoreFlag(t *testing.T) {
 	}
 }
 
-func TestActiveAntiMonotone(t *testing.T) {
-	// Once a position becomes inactive it stays inactive (paper §3.1).
+// TestNeedsListMarksReadPositions: a position's edge list is carried exactly
+// when a deeper level reads it — intersects it, or in induced mode subtracts
+// it — so the last level never carries one.
+func TestNeedsListMarksReadPositions(t *testing.T) {
 	for _, pat := range []*pattern.Pattern{
 		pattern.Clique(5), pattern.House(), pattern.CycleP(5), pattern.StarP(5),
 	} {
-		pl := MustCompile(pat, Options{Style: StyleAutomine})
-		for i := 1; i < pl.K; i++ {
-			prev := map[int]bool{}
-			for _, a := range pl.Levels[i-1].Active {
-				prev[a] = true
-			}
-			for _, a := range pl.Levels[i].Active {
-				if a < i && !prev[a] {
-					t.Errorf("%v: position %d inactive at level %d but active at %d",
-						pat, a, i-1, i)
+		for _, induced := range []bool{false, true} {
+			pl := MustCompile(pat, Options{Style: StyleAutomine, Induced: induced})
+			for i := 0; i < pl.K; i++ {
+				read := false
+				for m := i + 1; m < pl.K; m++ {
+					lv := &pl.Levels[m]
+					read = read || containsInt(lv.Intersect, i) || induced && containsInt(lv.Exclude, i)
+				}
+				if pl.Levels[i].NeedsList != read {
+					t.Errorf("%v induced=%v: level %d NeedsList = %v, read by a deeper level = %v",
+						pat, induced, i, pl.Levels[i].NeedsList, read)
 				}
 			}
-		}
-		// Last level needs no lists.
-		if pl.Levels[pl.K-1].NeedsList {
-			t.Errorf("%v: last level claims NeedsList", pat)
+			if pl.Levels[pl.K-1].NeedsList {
+				t.Errorf("%v induced=%v: last level claims NeedsList", pat, induced)
+			}
 		}
 	}
 }
@@ -354,12 +356,5 @@ func TestPlanStringAndValidate(t *testing.T) {
 	bad.Order = []int{0, 0, 1, 2}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted non-permutation order")
-	}
-}
-
-func TestMaxActiveBounded(t *testing.T) {
-	pl := MustCompile(pattern.Clique(5), Options{Style: StyleGraphPi})
-	if ma := pl.MaxActive(); ma < 1 || ma > 4 {
-		t.Fatalf("MaxActive = %d out of range", ma)
 	}
 }
