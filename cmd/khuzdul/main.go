@@ -465,7 +465,11 @@ func report(res khuzdul.Result, err error) {
 			s.SpeculativeRanges, s.SpeculationWins)
 	}
 	if s.KernelMerge+s.KernelGallop > 0 {
-		fmt.Printf("kernels: %d merge, %d gallop\n", s.KernelMerge, s.KernelGallop)
+		fmt.Printf("kernels: %d merge, %d gallop", s.KernelMerge, s.KernelGallop)
+		if s.KernelBitmap > 0 {
+			fmt.Printf(", %d bitmap (dense suffix)", s.KernelBitmap)
+		}
+		fmt.Println()
 	}
 	if s.PipelinedFetches > 0 || s.InFlightPeak > 0 {
 		fmt.Printf("transport: %d pipelined fetches, in-flight peak %d\n",

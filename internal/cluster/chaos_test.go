@@ -259,7 +259,7 @@ func TestChaosPartitionRecoveryExactCounts(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prof := &fault.Profile{
 				Seed:       31,
-				Partitions: []fault.Partition{{A: []int{0}, B: []int{1}, After: 30}},
+				Partitions: []fault.Partition{{A: []int{0}, B: []int{1}, After: 10}},
 			}
 			c := mustCluster(t, g, chaosConfig(prof, transport))
 			res, err := c.Count(pl)

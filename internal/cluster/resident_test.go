@@ -129,7 +129,7 @@ func TestResidentLaterFailureOneRecoveryRound(t *testing.T) {
 	prof := &fault.Profile{
 		Seed:       11,
 		Crashes:    []fault.Crash{{Node: 3, After: 10}},
-		Partitions: []fault.Partition{{A: []int{0}, B: []int{2}, After: 1000}},
+		Partitions: []fault.Partition{{A: []int{0}, B: []int{2}, After: 300}},
 	}
 	c := mustCluster(t, g, chaosConfig(prof, TransportChan))
 	for i := 0; i < 20; i++ {

@@ -39,8 +39,11 @@ type muxState struct {
 
 	mu      sync.Mutex
 	pending map[uint32]chan muxReply
-	nextID  uint32
-	failed  error // sticky teardown error; set before stop is closed
+	// doomed holds the requests an injected drop severs the socket after:
+	// their replies are never delivered, their waiters fail with errDropped.
+	doomed map[uint32]bool
+	nextID uint32
+	failed error // sticky teardown error; set before stop is closed
 
 	stop     chan struct{} // closed on teardown; releases the writer and waiters
 	stopOnce sync.Once
@@ -117,7 +120,14 @@ func (m *muxState) fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID
 			// check must catch real end-to-end damage.
 			req.corrupt = 4 + (len(payload)-4)/2
 		}
-		req.drop = wf.DropAfterSend(from, to)
+		if req.drop = wf.DropAfterSend(from, to); req.drop {
+			m.mu.Lock()
+			if m.doomed == nil {
+				m.doomed = make(map[uint32]bool)
+			}
+			m.doomed[id] = true
+			m.mu.Unlock()
+		}
 	}
 	select {
 	case m.sendq <- req:
@@ -210,6 +220,10 @@ func (m *muxState) fail(cause error) {
 	m.stopOnce.Do(func() { close(m.stop) })
 }
 
+// errDropped fails the requests in flight on a connection an injected
+// mid-exchange drop severed. It is retryable: the next fetch redials.
+var errDropped = fmt.Errorf("injected drop after send: %w", net.ErrClosed)
+
 // writeLoop serializes request frames onto the socket, flushing when the
 // queue drains so back-to-back requests batch into one syscall.
 func (m *muxState) writeLoop() {
@@ -225,9 +239,11 @@ func (m *muxState) writeLoop() {
 			putPayloadBuf(req.payload)
 			if req.drop {
 				// Injected mid-exchange drop: the request may or may not be
-				// served; every response in flight is lost with the socket.
+				// served, but its reply is never delivered (see doomed) and
+				// every waiter still pending fails with the socket.
 				m.conn.w.Flush()
-				m.conn.c.Close()
+				m.fail(errDropped)
+				return
 			}
 			if err != nil {
 				m.fail(fmt.Errorf("send: %w", err))
@@ -274,6 +290,14 @@ func (m *muxState) readLoop() {
 				return
 			}
 			m.mu.Lock()
+			if m.doomed[id] {
+				// The reply to a dropped request beat the writer's teardown:
+				// fail it with the socket, as if it had been lost in flight.
+				m.mu.Unlock()
+				putPayloadBuf(payload)
+				m.fail(errDropped)
+				return
+			}
 			ch, ok := m.pending[id]
 			delete(m.pending, id)
 			m.mu.Unlock()

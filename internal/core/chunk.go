@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"khuzdul/internal/graph"
+	"khuzdul/internal/plan"
 )
 
 // chunk is a soft-capacity batch of extendable embeddings of one tree level
@@ -38,6 +39,15 @@ type chunk struct {
 	// at levels that store one (hasInter).
 	inter    [][]graph.VertexID
 	hasInter bool
+	// rows, rowOff, rowIdx and runs serve a level-1 chunk of a dense plan
+	// (see layoutRows): the bit rows its embeddings build, each embedding's
+	// row offset into rows and index in its parent's stored set, and the
+	// start of each parent's run of children, with the chunk's length at the
+	// end. They hold no pointers and keep their capacity across uses.
+	rows   []uint64
+	rowOff []int
+	rowIdx []int32
+	runs   []int32
 	// batches partition the chunk's embeddings by data source in circulant
 	// order (paper §4.3); extension proceeds batch by batch, waiting for
 	// each batch's communication to complete while later batches fetch in
@@ -179,6 +189,39 @@ func (c *chunk) allIdxs() {
 	for i, n := int32(0), int32(c.len()); i < n; i++ {
 		b.idxs = append(b.idxs, i)
 	}
+}
+
+// layoutRows lays out the rows of a level-1 chunk of a dense plan and returns
+// their total in words. The children of one parent are contiguous — one
+// Extend appends them all to a worker's buffer before any flush — and are, in
+// order, the parent's stored set S; the run's n rows of
+// plan.DenseRowWords(n) words each sit back to back in rows.
+func (c *chunk) layoutRows() int {
+	n := c.len()
+	c.runs = c.runs[:0]
+	c.rowOff = slices.Grow(c.rowOff[:0], n)[:n]
+	c.rowIdx = slices.Grow(c.rowIdx[:0], n)[:n]
+	words := 0
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && c.parent[j] == c.parent[i] {
+			j++
+		}
+		if j-i != len(c.inter[i]) {
+			panic("core: a dense parent's children are not its stored set")
+		}
+		c.runs = append(c.runs, int32(i))
+		w := plan.DenseRowWords(j - i)
+		for k := i; k < j; k++ {
+			c.rowOff[k] = words
+			c.rowIdx[k] = int32(k - i)
+			words += w
+		}
+		i = j
+	}
+	c.runs = append(c.runs, int32(n))
+	c.rows = slices.Grow(c.rows[:0], words)[:words]
+	return words
 }
 
 // child is a freshly generated extendable embedding buffered by a worker

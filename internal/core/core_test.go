@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,10 @@ const (
 	// sinkBuild: a sink that takes every embedding, which keeps the engine
 	// off the count-only path.
 	sinkBuild
+	// sinkVerify: sinkBuild that also checks each embedding it takes is a
+	// match of the plan's pattern in the graph: distinct vertices, and every
+	// pattern edge present (unlabeled patterns only).
+	sinkVerify
 )
 
 // runClusterSink is runCluster with a choice of sink.
@@ -107,8 +112,16 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 			src := &testSource{local: locals[node], fabric: fabric, met: met.Nodes[node]}
 			count := &core.CountSink{}
 			var sink core.Sink = count
-			if mode == sinkBuild {
+			switch mode {
+			case sinkBuild:
 				sink = &core.FuncSink{F: func([]graph.VertexID) { total.Add(1) }}
+			case sinkVerify:
+				sink = &core.FuncSink{F: func(emb []graph.VertexID) {
+					total.Add(1)
+					if err := checkEmbedding(g, pl, emb); err != nil {
+						t.Error(err)
+					}
+				}}
 			}
 			c := cfg
 			c.Metrics = met.Nodes[node]
@@ -124,6 +137,25 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 		}
 	}
 	return total.Load(), met
+}
+
+// checkEmbedding reports why emb, in matching-order positions, is not a
+// match of pl's pattern in g, or nil when it is.
+func checkEmbedding(g *graph.Graph, pl *plan.Plan, emb []graph.VertexID) error {
+	if len(emb) != pl.K {
+		return fmt.Errorf("embedding %v has %d vertices, want %d", emb, len(emb), pl.K)
+	}
+	for i := 0; i < pl.K; i++ {
+		for j := 0; j < i; j++ {
+			if emb[i] == emb[j] {
+				return fmt.Errorf("embedding %v repeats a vertex", emb)
+			}
+			if pl.Pattern.HasEdge(pl.Order[i], pl.Order[j]) && !g.HasEdge(emb[i], emb[j]) {
+				return fmt.Errorf("embedding %v misses the edge between positions %d and %d", emb, j, i)
+			}
+		}
+	}
+	return nil
 }
 
 func TestEngineSingleNodeMatchesPlan(t *testing.T) {

@@ -285,3 +285,112 @@ func TestBareEngineFoldExactOrLoud(t *testing.T) {
 		t.Fatalf("5-stars: %v with %d roots committed; want ErrCountOverflow and none", err, committed)
 	}
 }
+
+// TestDifferentialDensePlans holds the dense suffix (plan.Plan.Dense) to brute
+// force and to the executor, which runs the sorted schedule whatever Dense
+// says: cliques k = 3–6, and every other connected k ≤ 5 pattern the compiler
+// marks dense in some style. Each plan runs in both restriction directions ×
+// threads {1, 2} × ChunkSize {8, default} × {CountSink, materializing sink};
+// on one materializing run per plan every embedding is checked against the
+// graph. The graph's two hubs
+// give neighborhoods past 64 and 128 vertices, so rows span several words and
+// bound masks cut inside one. Every run asserts the dense pass ran — bitmap
+// kernels entered — exactly when the plan is dense, so a dense row cannot
+// pass on the sorted path, and that no list past level 1 was fetched.
+func TestDifferentialDensePlans(t *testing.T) {
+	g := twoHubRMAT()
+	pats := []*pattern.Pattern{pattern.Clique(3), pattern.Clique(4), pattern.Clique(5), pattern.Clique(6)}
+	styles := []plan.Style{plan.StyleAutomine, plan.StyleGraphPi}
+	nonCliques := 0
+	for k := 4; k <= 5; k++ {
+		for _, pat := range pattern.ConnectedPatterns(k) {
+			if pat.NumEdges() == k*(k-1)/2 {
+				continue
+			}
+			for _, st := range styles {
+				if plan.MustCompile(pat, plan.Options{Style: st, Stats: plan.StatsOf(g)}).Dense {
+					pats = append(pats, pat)
+					nonCliques++
+					break
+				}
+			}
+		}
+	}
+	if nonCliques == 0 {
+		t.Fatal("no dense non-clique among the connected k ≤ 5 patterns")
+	}
+	for _, pat := range pats {
+		want := plan.BruteForceCount(g, pat, false)
+		for _, st := range styles {
+			for _, descending := range []bool{false, true} {
+				stats := plan.StatsOf(g)
+				stats.UpSq, stats.DownSq = 0, 1
+				if descending {
+					stats.UpSq, stats.DownSq = 1, 0
+				}
+				pl := plan.MustCompile(pat, plan.Options{Style: st, Stats: stats})
+				clique := pat.NumEdges() == pl.K*(pl.K-1)/2
+				if !clique && !pl.Dense {
+					continue // a non-clique the compiler marks dense only elsewhere
+				}
+				name := fmt.Sprintf("%v/%v/descending=%v", pat, st, descending)
+				if clique && pl.Dense != (pl.K >= 4) {
+					t.Fatalf("%s: Dense = %v: %v", name, pl.Dense, pl)
+				}
+				if ref := plan.CountGraph(pl, g); ref != want {
+					t.Errorf("%s: executor %d, brute force %d", name, ref, want)
+				}
+				for _, threads := range []int{1, 2} {
+					for _, chunk := range []int{8, 0} {
+						for _, mode := range []sinkMode{sinkCount, sinkBuild} {
+							if mode == sinkBuild && threads == 2 && chunk == 8 {
+								mode = sinkVerify // one run per plan checks every embedding
+							}
+							cfg := core.Config{Threads: threads, ChunkSize: chunk, HDS: true}
+							got, met := runClusterSink(t, g, pl, 2, cfg, mode)
+							s := met.Summarize()
+							if got != want || s.Matches != want {
+								t.Errorf("%s threads=%d chunk=%d sink=%d: %d matches (%d counted), brute force %d",
+									name, threads, chunk, mode, got, s.Matches, want)
+							}
+							if (s.KernelBitmap > 0) != pl.Dense {
+								t.Errorf("%s threads=%d chunk=%d sink=%d: %d bitmap kernels on a plan with Dense = %v",
+									name, threads, chunk, mode, s.KernelBitmap, pl.Dense)
+							}
+							if pl.Dense && s.Extensions > uint64(g.NumVertices())+2*uint64(g.NumEdges()) {
+								t.Errorf("%s threads=%d chunk=%d sink=%d: %d extensions, past one per root and per level-1 embedding",
+									name, threads, chunk, mode, s.Extensions)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// twoHubRMAT is a small R-MAT draw given two hubs, adjacent to one vertex in
+// two and one in five, so a neighborhood reaches past 64 vertices, and a
+// planted 7-clique spread over the IDs, so K6 has matches.
+func twoHubRMAT() *graph.Graph {
+	rmat := graph.RMAT(140, 600, 0.6, 0.13, 0.13, 19800101)
+	b := graph.NewBuilder(rmat.NumVertices())
+	for u := 0; u < rmat.NumVertices(); u++ {
+		for _, v := range rmat.Neighbors(graph.VertexID(u)) {
+			b.AddEdge(graph.VertexID(u), v)
+		}
+		if u%2 == 1 {
+			b.AddEdge(graph.VertexID(rmat.NumVertices()/3), graph.VertexID(u))
+		}
+		if u%5 == 2 {
+			b.AddEdge(graph.VertexID(rmat.NumVertices()-7), graph.VertexID(u))
+		}
+	}
+	planted := []graph.VertexID{3, 22, 41, 64, 87, 110, 129}
+	for i, u := range planted {
+		for _, v := range planted[i+1:] {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}

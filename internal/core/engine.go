@@ -90,6 +90,14 @@ type Engine struct {
 	// once: they decide which columns a level's chunks carry.
 	needsList  []bool
 	storeInter []bool
+	// dense is the extender's plan when it finishes levels ≥ 2 on the root's
+	// neighborhood (Extender.Dense): a level-1 chunk then builds rows and runs
+	// the dense pass instead of feeding a level-2 chunk. emit is the sink's
+	// OnMatches for that pass, nil under a CountSink, which it popcounts.
+	dense *plan.Plan
+	emit  func(prefix, last []graph.VertexID)
+	// rowPeak is the most row words one level-1 chunk of a dense plan held.
+	rowPeak int
 
 	path []*chunk // current chunk per level along the DFS path
 	// free holds this run's retired chunks for reuse at any level; workers
@@ -209,6 +217,10 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 		k:    ext.K(),
 	}
 	e.count, _ = sink.(*CountSink)
+	e.dense = ext.Dense()
+	if e.dense != nil && e.count == nil {
+		e.emit = sink.OnMatches
+	}
 	e.path = make([]*chunk, e.k)
 	e.needsList = make([]bool, e.k)
 	e.storeInter = make([]bool, e.k)
@@ -338,6 +350,9 @@ func (e *Engine) rootChunk(roots []graph.VertexID) *chunk {
 // BFS within a chunk (paper Figure 7). ch's communication batches must
 // already be prepared and its entry installed in e.path.
 func (e *Engine) process(ch *chunk) error {
+	if e.dense != nil && ch.level == 1 {
+		return e.processDense(ch)
+	}
 	final := ch.level == e.k-2
 	if final {
 		for _, b := range ch.batches {
@@ -385,6 +400,84 @@ func (e *Engine) process(ch *chunk) error {
 	return nil
 }
 
+// processDense finishes every embedding below a level-1 chunk of a dense
+// plan: each batch, once its lists arrived, builds its embeddings' rows over
+// their parents' stored sets, and then one pass per parent ANDs its children's
+// rows through the levels ≥ 2 (plan.Plan.DenseFinish). No level-2 chunk is
+// built and no list past level 1 fetched.
+func (e *Engine) processDense(ch *chunk) error {
+	e.rowPeak = max(e.rowPeak, ch.layoutRows())
+	for _, b := range ch.batches {
+		if err := e.checkCanceled(); err != nil {
+			return err
+		}
+		if err := e.waitBatch(b); err != nil {
+			return err
+		}
+		e.extendRound(ch, b, nil, false)
+	}
+	return e.denseRound(ch)
+}
+
+// denseRound runs the dense pass over every parent of a level-1 chunk, the
+// parents split into mini-batches across the workers. Config.Canceled is
+// polled between parents.
+func (e *Engine) denseRound(ch *chunk) error {
+	runs := len(ch.runs) - 1
+	mini := e.cfg.MiniBatch
+	nWorkers := min((runs+mini-1)/mini, e.cfg.Threads)
+	var cursor atomic.Int64
+	var canceled atomic.Bool
+	work := func(w *workerCtx) {
+		t0 := time.Now()
+		for !canceled.Load() {
+			start := (int(cursor.Add(1)) - 1) * mini
+			if start >= runs {
+				break
+			}
+			for r := start; r < min(start+mini, runs); r++ {
+				if e.checkCanceled() != nil {
+					canceled.Store(true)
+					break
+				}
+				e.finishRun(w, ch, r)
+			}
+		}
+		e.met.AddCompute(time.Since(t0))
+	}
+	e.runWorkers(nWorkers, work)
+	e.drainWorkers()
+	if canceled.Load() {
+		return ErrCanceled
+	}
+	return nil
+}
+
+// finishRun runs the dense pass below the r-th parent of a level-1 chunk.
+//
+//khuzdulvet:hotpath once per level-1 parent of a dense plan
+func (e *Engine) finishRun(w *workerCtx, ch *chunk, r int) {
+	start, end := ch.runs[r], ch.runs[r+1]
+	set := ch.inter[start]
+	off := ch.rowOff[start]
+	w.emb[0] = e.path[0].vertex[ch.parent[start]]
+	rows := ch.rows[off : off+int(end-start)*plan.DenseRowWords(len(set))]
+	w.matches += e.dense.DenseFinish(w.scratch, w.emb, set, rows, e.emit)
+}
+
+// buildRow builds the row of one level-1 embedding of a dense plan: its
+// vertex's neighbors among its parent's stored set, as bits over the set's
+// indices. It is that embedding's extension.
+//
+//khuzdulvet:hotpath once per level-1 embedding of a dense plan
+func (e *Engine) buildRow(w *workerCtx, ch *chunk, idx int32) {
+	set := ch.inter[idx]
+	off := ch.rowOff[idx]
+	e.dense.DenseRow(w.scratch, ch.rows[off:off+plan.DenseRowWords(len(set))], set, int(ch.rowIdx[idx]), ch.lists[idx])
+	w.exts++
+	w.vertHits++
+}
+
 // waitBatch blocks until a batch's communication completes, accounting the
 // wait as network time. Under strict pipelining the fetch itself runs here.
 func (e *Engine) waitBatch(b *fetchBatch) error {
@@ -418,6 +511,7 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 	if nWorkers > e.cfg.Threads {
 		nWorkers = e.cfg.Threads
 	}
+	rows := e.dense != nil && ch.level == 1
 	var cursor atomic.Int64
 	work := func(w *workerCtx) {
 		t0 := time.Now()
@@ -435,7 +529,11 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 				end = len(rem)
 			}
 			for _, idx := range rem[start:end] {
-				e.extendOne(w, ch, idx, next, final)
+				if rows {
+					e.buildRow(w, ch, idx)
+				} else {
+					e.extendOne(w, ch, idx, next, final)
+				}
 			}
 		}
 		if next != nil {
@@ -443,25 +541,36 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 		}
 		e.met.AddCompute(time.Since(t0))
 	}
-	if nWorkers <= 1 {
-		work(e.workers[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < nWorkers; i++ {
-			wg.Add(1)
-			go func(w *workerCtx) {
-				defer wg.Done()
-				work(w)
-			}(e.workers[i])
-		}
-		wg.Wait()
-	}
+	e.runWorkers(nWorkers, work)
 	consumed := int(cursor.Load()) * mini
 	if consumed > len(rem) {
 		consumed = len(rem)
 	}
 	b.next += consumed
-	// Drain per-worker counters.
+	e.drainWorkers()
+}
+
+// runWorkers runs work on the first n workers, on the calling goroutine when
+// n ≤ 1, and returns when all are done.
+func (e *Engine) runWorkers(n int, work func(w *workerCtx)) {
+	if n <= 1 {
+		work(e.workers[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(w *workerCtx) {
+			defer wg.Done()
+			work(w)
+		}(e.workers[i])
+	}
+	wg.Wait()
+}
+
+// drainWorkers moves the workers' counters into the metrics node, and their
+// matches into the sink when it is a CountSink.
+func (e *Engine) drainWorkers() {
 	for _, w := range e.workers {
 		if w.matches > 0 {
 			e.met.Matches.Add(w.matches)
@@ -486,6 +595,10 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 		if kc[setops.KernelGallop] > 0 {
 			e.met.KernelGallop.Add(kc[setops.KernelGallop])
 			kc[setops.KernelGallop] = 0
+		}
+		if kc[setops.KernelBitmap] > 0 {
+			e.met.KernelBitmap.Add(kc[setops.KernelBitmap])
+			kc[setops.KernelBitmap] = 0
 		}
 	}
 }

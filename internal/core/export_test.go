@@ -39,3 +39,7 @@ func InspectChunkPool(n int) (recycled int, dirty []string) {
 	}
 	return recycled, dirty
 }
+
+// DenseRowPeak returns the most row words one level-1 chunk of a dense plan
+// held during e's runs.
+func DenseRowPeak(e *Engine) int { return e.rowPeak }

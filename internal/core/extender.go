@@ -43,6 +43,13 @@ type Extender interface {
 	// or the first level of a star tail folded into a binomial, which ends
 	// the walk there.
 	Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID)
+	// Dense returns the plan whose dense suffix (plan.Plan.Dense) the engine
+	// runs below level 1, or nil when every level extends through Extend.
+	// With a dense plan the engine builds one row per level-1 embedding
+	// (plan.Plan.DenseRow) and finishes each level-1 parent's children in one
+	// pass of word ANDs (plan.Plan.DenseFinish): no level-2 chunk, no level-2
+	// fetch, and no Extend call below level 1.
+	Dense() *plan.Plan
 	// RootOK reports whether a vertex may occupy position 0.
 	RootOK(v graph.VertexID) bool
 	// NewScratch allocates per-worker scratch storage.
@@ -69,8 +76,11 @@ func NewPlanExtender(p *plan.Plan, labelOf plan.LabelFunc) *PlanExtender {
 // K implements Extender.
 func (e *PlanExtender) K() int { return e.Plan.K }
 
-// NeedsList implements Extender.
-func (e *PlanExtender) NeedsList(level int) bool { return e.Plan.Levels[level].NeedsList }
+// NeedsList implements Extender. A dense plan reads no list past level 1:
+// deeper levels AND the rows that level-1 embeddings built from theirs.
+func (e *PlanExtender) NeedsList(level int) bool {
+	return e.Plan.Levels[level].NeedsList && !(e.Plan.Dense && level >= 2)
+}
 
 // StoreInter implements Extender.
 func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Levels[level].StoreInter }
@@ -81,6 +91,14 @@ func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Levels[level].
 //khuzdulvet:hotpath per-embedding extension kernel
 func (e *PlanExtender) Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID) {
 	return e.Plan.Extend(s, level, emb, getList, parentRaw, e.LabelOf, e.EdgeLabelOf)
+}
+
+// Dense implements Extender.
+func (e *PlanExtender) Dense() *plan.Plan {
+	if e.Plan.Dense {
+		return e.Plan
+	}
+	return nil
 }
 
 // RootOK implements Extender.

@@ -51,6 +51,8 @@ func (handTriangle) Extend(s *plan.Scratch, level int, emb []graph.VertexID,
 	}
 }
 
+func (handTriangle) Dense() *plan.Plan { return nil }
+
 func (handTriangle) RootOK(v graph.VertexID) bool { return true }
 
 func (handTriangle) NewScratch() *plan.Scratch {

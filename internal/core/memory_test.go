@@ -3,8 +3,11 @@ package core_test
 import (
 	"testing"
 
+	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
+	"khuzdul/internal/metrics"
+	"khuzdul/internal/partition"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
 )
@@ -38,4 +41,53 @@ func TestBoundedMemoryClaim(t *testing.T) {
 	if peakHuge <= peakSmall {
 		t.Fatalf("BFS-style peak %d not above hybrid peak %d", peakHuge, peakSmall)
 	}
+}
+
+// TestDenseRowsBounded is the bounded-memory claim on the dense suffix: a K5
+// on a hub-heavy R-MAT at ChunkSize 8 keeps its live embeddings within the
+// BFS-DFS bound — no level past 1 is ever built — and the rows one level-1
+// chunk holds within that chunk's embeddings × ⌈max|S|/64⌉ words, the chunk
+// being the soft capacity plus one round's overshoot (one mini-batch of roots
+// per thread, each emitting up to maxdeg children). A BFS-style run's single
+// level-1 chunk holds every row at once.
+func TestDenseRowsBounded(t *testing.T) {
+	g := graph.RMAT(2000, 16000, 0.65, 0.12, 0.12, 20230325)
+	pl := plan.MustCompile(pattern.Clique(5), plan.Options{Style: plan.StyleGraphPi, Stats: plan.StatsOf(g)})
+	if !pl.Dense {
+		t.Fatalf("K5 not dense: %v", pl)
+	}
+	want := plan.CountGraph(pl, g)
+	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
+		panic("single node should not fetch")
+	})}, nil)
+	defer fabric.Close()
+	src := &testSource{local: partition.NewLocal(g, partition.NewAssignment(1, 1), 0), fabric: fabric}
+	run := func(cfg core.Config) (peak uint64, rows int) {
+		sink, met := &core.CountSink{}, &metrics.Node{}
+		cfg.Metrics = met
+		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, cfg)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if sink.Count() != want || met.KernelBitmap.Load() == 0 {
+			t.Fatalf("%+v: %d K5s with %d bitmap kernels, want %d from the dense pass", cfg, sink.Count(), met.KernelBitmap.Load(), want)
+		}
+		return met.PeakEmbeddings.Load(), core.DenseRowPeak(eng)
+	}
+
+	const chunkSize, threads, mini = 8, 2, 4
+	maxdeg := int(g.MaxDegree())
+	peak, rows := run(core.Config{ChunkSize: chunkSize, Threads: threads, MiniBatch: mini})
+	if bound := uint64(pl.K*chunkSize + threads*mini*maxdeg); peak > bound {
+		t.Errorf("peak %d embeddings exceeds the BFS-DFS bound %d", peak, bound)
+	}
+	chunkLen := chunkSize + threads*mini*maxdeg
+	if bound := chunkLen * plan.DenseRowWords(maxdeg); rows == 0 || rows > bound {
+		t.Errorf("one level-1 chunk held %d row words, want 1..%d", rows, bound)
+	}
+	_, rowsBFS := run(core.Config{ChunkSize: 1 << 22, Threads: threads})
+	if rowsBFS <= rows {
+		t.Errorf("BFS-style run held %d row words, not above the chunked run's %d", rowsBFS, rows)
+	}
+	t.Logf("maxdeg %d: peak %d embeddings, %d row words per level-1 chunk (BFS: %d)", maxdeg, peak, rows, rowsBFS)
 }

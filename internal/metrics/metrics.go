@@ -27,6 +27,7 @@ type Node struct {
 	Matches            atomic.Uint64 // full pattern embeddings found
 	KernelMerge        atomic.Uint64 // set kernels: linear-merge intersections executed
 	KernelGallop       atomic.Uint64 // set kernels: galloping intersections executed
+	KernelBitmap       atomic.Uint64 // set kernels: dense-suffix candidate sets computed by word AND
 	CrossSocketFetches atomic.Uint64 // NUMA: lists served from another socket
 	CrossSocketBytes   atomic.Uint64 // NUMA: modeled cross-socket traffic
 	FetchRetries       atomic.Uint64 // resilience: fetch attempts retried after a failure
@@ -83,6 +84,7 @@ func (n *Node) Reset() {
 	n.Matches.Store(0)
 	n.KernelMerge.Store(0)
 	n.KernelGallop.Store(0)
+	n.KernelBitmap.Store(0)
 	n.CrossSocketFetches.Store(0)
 	n.CrossSocketBytes.Store(0)
 	n.FetchRetries.Store(0)
@@ -208,7 +210,7 @@ type Summary struct {
 	Matches            uint64
 	KernelMerge        uint64
 	KernelGallop       uint64
-	KernelBitmap       uint64 // always 0 (the engine never selects it); the benchmark's trace reads it
+	KernelBitmap       uint64 // dense-suffix candidate sets computed by word AND (plan.Plan.Dense)
 	KernelPivot        uint64 // always 0 (the engine never selects it); the benchmark's trace reads it
 	CrossSocketFetches uint64
 	CrossSocketBytes   uint64
@@ -250,6 +252,7 @@ func (c *Cluster) Summarize() Summary {
 		s.Matches += n.Matches.Load()
 		s.KernelMerge += n.KernelMerge.Load()
 		s.KernelGallop += n.KernelGallop.Load()
+		s.KernelBitmap += n.KernelBitmap.Load()
 		s.CrossSocketFetches += n.CrossSocketFetches.Load()
 		s.CrossSocketBytes += n.CrossSocketBytes.Load()
 		s.FetchRetries += n.FetchRetries.Load()

@@ -174,6 +174,7 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 			p.Fold = r
 		}
 	}
+	p.Dense = p.denseable()
 
 	return p, p.Validate()
 }

@@ -1,0 +1,269 @@
+package plan
+
+import (
+	"math/bits"
+	"slices"
+
+	"khuzdul/internal/graph"
+	"khuzdul/internal/pattern"
+	"khuzdul/internal/setops"
+)
+
+// denseable reports whether p may finish its levels ≥ 2 on the root's
+// neighborhood (see Plan.Dense). Every level ≥ 1 must intersect position 0,
+// and every level ≥ 2 must stay inside level 1's bounds — carry them, or be
+// bounded by a position already inside them, the storeClippable reasoning —
+// so that each candidate lies in S, level 1's stored raw, clipped to those
+// bounds before the store. The compiler marks every plan that passes and has
+// a level ≥ 3 intersecting a position ≥ 2; Validate holds a hand-set Dense to
+// the same rule.
+func (p *Plan) denseable() bool {
+	if p.K < 4 || !p.VCS || p.Induced || p.Labeled() || p.EdgeLabeled || p.Fold != 0 {
+		return false
+	}
+	first := &p.Levels[1]
+	if !first.StoreInter || !first.ClipStore && len(first.LowerBounds)+len(first.UpperBounds) > 0 {
+		return false
+	}
+	inside := []int{1}
+	deep := false
+	for m := 1; m < p.K; m++ {
+		lv := &p.Levels[m]
+		if !containsInt(lv.Intersect, 0) {
+			return false
+		}
+		if m == 1 {
+			continue
+		}
+		if !boundedWithin(first.LowerBounds, lv.LowerBounds, inside) || !boundedWithin(first.UpperBounds, lv.UpperBounds, inside) {
+			return false
+		}
+		inside = append(inside, m)
+		for _, j := range lv.Intersect {
+			deep = deep || m >= 3 && j >= 2
+		}
+	}
+	return deep
+}
+
+// denseRowSide returns which side of its own index a dense row must cover:
+// +1 when every level that reads a row is held above the row's vertex (an
+// ascending plan whose restrictions chain down to it), −1 below (the
+// descending mirror), and 0 when rows must cover all of S.
+func (p *Plan) denseRowSide() int8 {
+	for l := 2; l < p.K; l++ {
+		for _, q := range p.Levels[l].Intersect {
+			if q > 0 && !p.heldBeyond(l, q) {
+				return 0
+			}
+		}
+	}
+	if p.Descending {
+		return -1
+	}
+	return 1
+}
+
+// heldBeyond reports whether the vertex matched at level l lies beyond the
+// one at position q < l in the plan's direction: l is restricted against q,
+// or against a position past q that is itself held beyond q.
+func (p *Plan) heldBeyond(l, q int) bool {
+	chain := p.Levels[l].LowerBounds
+	if p.Descending {
+		chain = p.Levels[l].UpperBounds
+	}
+	for _, a := range chain {
+		if a == q || a > q && p.heldBeyond(a, q) {
+			return true
+		}
+	}
+	return false
+}
+
+// denseTables derives, per level ≥ 2 of a dense plan, the positions whose
+// rows the level ANDs (its Intersect positions past 0) and the bound
+// positions that can cut its candidates: a bound in the plan's direction is
+// implied, and dropped, when another bound of the level is held beyond it,
+// and a bound against v0 when level 1 carries it, S lying beyond v0 already.
+func (p *Plan) denseTables() (rows, lower, upper [][]int) {
+	rows = make([][]int, p.K)
+	lower = make([][]int, p.K)
+	upper = make([][]int, p.K)
+	first := &p.Levels[1]
+	prune := func(bounds, firstBounds []int, chain bool) []int {
+		var kept []int
+		for _, a := range bounds {
+			implied := chain && a == 0 && containsInt(firstBounds, 0)
+			for _, b := range bounds {
+				implied = implied || chain && b > a && p.heldBeyond(b, a)
+			}
+			if !implied {
+				kept = append(kept, a)
+			}
+		}
+		return kept
+	}
+	for l := 2; l < p.K; l++ {
+		lv := &p.Levels[l]
+		for _, q := range lv.Intersect {
+			if q > 0 {
+				rows[l] = append(rows[l], q)
+			}
+		}
+		lower[l] = prune(lv.LowerBounds, first.LowerBounds, !p.Descending)
+		upper[l] = prune(lv.UpperBounds, first.UpperBounds, p.Descending)
+	}
+	return rows, lower, upper
+}
+
+// DenseRowWords returns the number of 64-bit words of one dense row over a
+// set of n vertices.
+func DenseRowWords(n int) int { return (n + 63) >> 6 }
+
+// DenseRow writes row(set[j]) into dst, DenseRowWords(len(set)) words: bit i
+// is set when set[i] is in nbr, the edge list of set[j]. set is S, the
+// level-1 stored raw of the row vertex's parent. Where every level that reads
+// rows is held beyond the row's own vertex, only that side of index j is
+// built — the same merge, over the same part of S, as the sorted path's R2 —
+// and the other side stays zero. The merge is entered in the kernel ledger
+// like any other.
+//
+//khuzdulvet:hotpath once per level-1 embedding of a dense plan
+func (p *Plan) DenseRow(s *Scratch, dst []uint64, set []graph.VertexID, j int, nbr []graph.VertexID) {
+	clear(dst)
+	switch s.denseSide {
+	case 1:
+		s.disp.IntersectRow(dst, set[j+1:], j+1, nbr)
+	case -1:
+		s.disp.IntersectRow(dst, set[:j], 0, nbr)
+	default:
+		s.disp.IntersectRow(dst, set, 0, nbr)
+	}
+}
+
+// DenseFinish runs levels 2..K−1 of a dense plan below one level-1 parent and
+// returns the number of matches. emb[0] is the root v0 and emb has room for K
+// vertices; DenseFinish writes positions 1..K−2. set is S, the parent's
+// stored raw — in order, the vertices of its level-1 children — and rows
+// holds row(set[j]) at rows[j·w : (j+1)·w] for w = DenseRowWords(len(set)).
+// Candidates at a level are the AND of the rows of its Intersect positions
+// past 0 (all of S when there are none); the level's bounds become an index
+// mask, S being ID-sorted; its Exclude positions clear their own bit. With
+// emit nil the last level is popcounted; otherwise emit receives each
+// extension's matches as a core.Sink's OnMatches does — the prefix emb[:K−1]
+// and the last level's vertices. Each candidate set computed is entered in
+// the kernel ledger as one KernelBitmap.
+//
+//khuzdulvet:hotpath once per level-1 parent of a dense plan
+func (p *Plan) DenseFinish(s *Scratch, emb, set []graph.VertexID, rows []uint64, emit func(prefix, last []graph.VertexID)) uint64 {
+	n := len(set)
+	w := DenseRowWords(n)
+	s.denseBits = slices.Grow(s.denseBits[:0], p.K*w)[:p.K*w]
+	// The index of the first vertex above v0: the bound against the root.
+	s.denseRoot = n - len(setops.Clip(set, emb[0]+1, noUpper))
+	var total uint64
+	for j := 0; j < n; j++ {
+		s.denseIdx[1] = j
+		emb[1] = set[j]
+		total += p.denseLevel(s, 2, emb, set, rows, w, emit)
+	}
+	return total
+}
+
+// andWord returns word i of the AND of rows, all ones when there are none.
+func andWord(rows [][]uint64, i int) uint64 {
+	x := ^uint64(0)
+	for _, r := range rows {
+		x &= r[i]
+	}
+	return x
+}
+
+// denseLevel computes level l's candidate words below the matched prefix
+// and recurses into each candidate, or counts or emits them at the last
+// level.
+//
+//khuzdulvet:hotpath the dense suffix's per-level step
+func (p *Plan) denseLevel(s *Scratch, l int, emb, set []graph.VertexID, rows []uint64, w int, emit func(prefix, last []graph.VertexID)) uint64 {
+	lo, hi := 0, len(set)
+	for _, a := range s.denseLower[l] {
+		b := s.denseRoot
+		if a > 0 {
+			b = s.denseIdx[a] + 1
+		}
+		lo = max(lo, b)
+	}
+	for _, a := range s.denseUpper[l] {
+		b := s.denseRoot
+		if a > 0 {
+			b = s.denseIdx[a]
+		}
+		hi = min(hi, b)
+	}
+	if lo >= hi {
+		return 0
+	}
+	s.kernels[setops.KernelBitmap]++
+	var rbuf [pattern.MaxVertices][]uint64
+	rr := rbuf[:0]
+	for _, q := range s.denseRows[l] {
+		o := s.denseIdx[q] * w
+		rr = append(rr, rows[o:o+w])
+	}
+	wlo, whi := lo>>6, (hi+63)>>6
+	loMask, hiMask := ^uint64(0)<<(lo&63), ^uint64(0)>>((64-hi&63)&63)
+	excl := p.Levels[l].Exclude
+	if l == p.K-1 && emit == nil {
+		c := 0
+		for i := wlo; i < whi; i++ {
+			x := andWord(rr, i)
+			if i == wlo {
+				x &= loMask
+			}
+			if i == whi-1 {
+				x &= hiMask
+			}
+			c += bits.OnesCount64(x)
+		}
+		for _, q := range excl {
+			if i := s.denseIdx[q]; q > 0 && i >= lo && i < hi && andWord(rr, i>>6)&(1<<(i&63)) != 0 {
+				c--
+			}
+		}
+		return uint64(c)
+	}
+	out := s.denseBits[l*w : l*w+whi]
+	for i := wlo; i < whi; i++ {
+		out[i] = andWord(rr, i)
+	}
+	out[wlo] &= loMask
+	out[whi-1] &= hiMask
+	for _, q := range excl {
+		if i := s.denseIdx[q]; q > 0 && i >= lo && i < hi {
+			out[i>>6] &^= 1 << (i & 63)
+		}
+	}
+	if l == p.K-1 {
+		last := s.denseOut[:0]
+		for i := wlo; i < whi; i++ {
+			for x := out[i]; x != 0; x &= x - 1 {
+				last = append(last, set[i<<6+bits.TrailingZeros64(x)])
+			}
+		}
+		s.denseOut = last
+		if len(last) > 0 {
+			emit(emb[:l], last)
+		}
+		return uint64(len(last))
+	}
+	var total uint64
+	for i := wlo; i < whi; i++ {
+		for x := out[i]; x != 0; x &= x - 1 {
+			j := i<<6 + bits.TrailingZeros64(x)
+			s.denseIdx[l] = j
+			emb[l] = set[j]
+			total += p.denseLevel(s, l+1, emb, set, rows, w, emit)
+		}
+	}
+	return total
+}

@@ -41,6 +41,20 @@ type Scratch struct {
 	counted   uint64
 	// overflowed latches once a count did not fit counted; see Overflowed.
 	overflowed bool
+	// The dense suffix's state (DenseRow, DenseFinish): the side of its own
+	// index a row covers and, per level, the positions whose rows it ANDs and
+	// the bound positions that can cut it, all derived from the plan by
+	// NewScratch; per-level candidate words; the S-index matched at each
+	// position and the index bounding candidates against the root; the last
+	// level's vertices for a materializing sink.
+	denseSide  int8
+	denseRows  [][]int
+	denseLower [][]int
+	denseUpper [][]int
+	denseBits  []uint64
+	denseIdx   []int
+	denseRoot  int
+	denseOut   []graph.VertexID
 }
 
 // NewScratch allocates buffers sized for plan p.
@@ -53,6 +67,11 @@ func NewScratch(p *Plan) *Scratch {
 		cand:   make([][]graph.VertexID, p.K),
 	}
 	s.disp.Counts = &s.kernels
+	if p.Dense {
+		s.denseSide = p.denseRowSide()
+		s.denseRows, s.denseLower, s.denseUpper = p.denseTables()
+		s.denseIdx = make([]int, p.K)
+	}
 	return s
 }
 

@@ -9,8 +9,10 @@ import (
 // (Figure 1/Figure 5): one loop per level with its set operations, symmetry
 // restrictions and the clip they push below the kernels, reuse annotations,
 // count-only marking and active-list bookkeeping, plus — once — the direction
-// the restrictions point and the skew sums that chose it, and below the loop
-// nest the binomial a count-only run folds a star tail into. It is meant
+// the restrictions point and the skew sums that chose it, below the loop
+// nest the binomial a count-only run folds a star tail into, and for a dense
+// plan the row each level-1 embedding builds and the word ANDs that replace
+// the levels below it. It is meant
 // for humans inspecting what a client system compiled; `khuzdul -explain`
 // prints it.
 func (p *Plan) Explain() string {
@@ -44,6 +46,10 @@ func (p *Plan) Explain() string {
 	sb.WriteByte('\n')
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
+		if p.Dense && i >= 2 {
+			p.explainDense(&sb, i, indent(i-1))
+			continue
+		}
 		var set string
 		switch {
 		case lv.ReuseSame:
@@ -65,13 +71,6 @@ func (p *Plan) Explain() string {
 			set += " \\ (" + strings.Join(subs, " ∪ ") + ")"
 		}
 		fmt.Fprintf(&sb, "%sfor v%d in %s:", indent(i-1), i, set)
-		var notes []string
-		for _, a := range lv.LowerBounds {
-			notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
-		}
-		for _, a := range lv.UpperBounds {
-			notes = append(notes, fmt.Sprintf("v%d < v%d", i, a))
-		}
 		// The bounds clip every input list before the kernel reads it, unless
 		// the raw intersection is stored for levels that may reach outside
 		// them; then they clip it on the way out.
@@ -79,12 +78,7 @@ func (p *Plan) Explain() string {
 		if lv.StoreInter && !lv.ClipStore {
 			clip = "clip after store"
 		}
-		if len(lv.LowerBounds) > 0 {
-			notes = append(notes, fmt.Sprintf("%s lb=%v", clip, lv.LowerBounds))
-		}
-		if len(lv.UpperBounds) > 0 {
-			notes = append(notes, fmt.Sprintf("%s ub=%v", clip, lv.UpperBounds))
-		}
+		notes := boundNotes(i, lv, clip)
 		if lv.CountOnly {
 			notes = append(notes, "count-only")
 		}
@@ -98,6 +92,17 @@ func (p *Plan) Explain() string {
 			sb.WriteString("    # " + strings.Join(notes, ", "))
 		}
 		sb.WriteByte('\n')
+		if p.Dense && i == 1 {
+			side := ""
+			switch p.denseRowSide() {
+			case 1:
+				side = ", above v1"
+			case -1:
+				side = ", below v1"
+			}
+			fmt.Fprintf(&sb, "%srow(v1) = bits of R1 ∩ N(v1) over S = R1%s  # reuse parent intersection (VCS)    # dense suffix: levels 2–%d are word ANDs of rows, ⌈|S|/64⌉ words each, no list fetched past v1\n",
+				indent(1), side, p.K-1)
+		}
 	}
 	fmt.Fprintf(&sb, "%semit(v0..v%d)\n", indent(p.K-1), p.K-1)
 	if p.Fold > 0 {
@@ -108,6 +113,54 @@ func (p *Plan) Explain() string {
 	sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
+}
+
+// explainDense renders level i ≥ 2 of a dense plan: the AND of the rows of its
+// Intersect positions past 0 (all of S when none), its bounds as an index
+// mask, and the popcount that ends a count-only run.
+func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
+	lv := &p.Levels[i]
+	var rows []string
+	for _, q := range lv.Intersect {
+		if q > 0 {
+			rows = append(rows, fmt.Sprintf("row(v%d)", q))
+		}
+	}
+	set := "S"
+	if len(rows) > 0 {
+		set = strings.Join(rows, " & ")
+	}
+	fmt.Fprintf(sb, "%sfor v%d in %s:", ind, i, set)
+	notes := boundNotes(i, lv, "mask")
+	for _, q := range lv.Exclude {
+		notes = append(notes, fmt.Sprintf("clear v%d", q))
+	}
+	if i == p.K-1 {
+		notes = append(notes, "popcount (count-only)")
+	}
+	if len(notes) > 0 {
+		sb.WriteString("    # " + strings.Join(notes, ", "))
+	}
+	sb.WriteByte('\n')
+}
+
+// boundNotes renders level i's restrictions, then how they apply: "clip",
+// "clip after store" or a dense level's "mask", per side.
+func boundNotes(i int, lv *Level, apply string) []string {
+	var notes []string
+	for _, a := range lv.LowerBounds {
+		notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
+	}
+	for _, a := range lv.UpperBounds {
+		notes = append(notes, fmt.Sprintf("v%d < v%d", i, a))
+	}
+	if len(lv.LowerBounds) > 0 {
+		notes = append(notes, fmt.Sprintf("%s lb=%v", apply, lv.LowerBounds))
+	}
+	if len(lv.UpperBounds) > 0 {
+		notes = append(notes, fmt.Sprintf("%s ub=%v", apply, lv.UpperBounds))
+	}
+	return notes
 }
 
 // foldSetSize renders the n of a folded plan's C(n, r): the size of the first

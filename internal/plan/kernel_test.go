@@ -5,6 +5,7 @@ import (
 
 	"khuzdul/internal/graph"
 	"khuzdul/internal/pattern"
+	"khuzdul/internal/setops"
 )
 
 // TestExtendCountOnlyNoAlloc pins the count path's hot-path contract at run
@@ -67,6 +68,51 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		}
 		if got != want || counting.Overflowed() {
 			t.Errorf("%v: count-only sweep %d (overflowed %v), materializing %d", pl, got, counting.Overflowed(), want)
+		}
+	}
+}
+
+// TestDenseNoAlloc pins the dense suffix's hot-path contract at run time:
+// with a warm scratch, building every root's rows and finishing its levels
+// allocates nothing, counted or emitted, and both agree with the executor.
+// The rows sit in one buffer the sweep owns, as a level-1 chunk's do.
+func TestDenseNoAlloc(t *testing.T) {
+	g := graph.RMATDefault(300, 3000, 17)
+	for _, k := range []int{4, 5} {
+		pl := MustCompile(pattern.Clique(k), Options{Style: StyleAutomine, Stats: StatsOf(g)})
+		if !pl.Dense {
+			t.Fatalf("K%d not dense: %v", k, pl)
+		}
+		s := NewScratch(pl)
+		emb := make([]graph.VertexID, pl.K)
+		rows := make([]uint64, g.MaxDegree()*uint32(DenseRowWords(int(g.MaxDegree()))))
+		var emitted uint64
+		emit := func(prefix, last []graph.VertexID) { emitted += uint64(len(last)) }
+		sweep := func(emit func(prefix, last []graph.VertexID)) (n uint64) {
+			for v0 := 0; v0 < g.NumVertices(); v0++ {
+				emb[0] = graph.VertexID(v0)
+				lo, hi := pl.Levels[1].bounds(emb)
+				set := setops.Clip(g.Neighbors(emb[0]), lo, hi)
+				w := DenseRowWords(len(set))
+				for j, u := range set {
+					pl.DenseRow(s, rows[j*w:(j+1)*w], set, j, g.Neighbors(u))
+				}
+				n += pl.DenseFinish(s, emb, set, rows[:len(set)*w], emit)
+			}
+			return n
+		}
+		want := CountGraph(pl, g)
+		if got := sweep(emit); got != want || emitted != want { // also warms the buffers
+			t.Fatalf("K%d: dense sweep %d, emitted %d, executor %d", k, got, emitted, want)
+		}
+		for _, e := range []func(prefix, last []graph.VertexID){nil, emit} {
+			var got uint64
+			if allocs := testing.AllocsPerRun(3, func() { got = sweep(e) }); allocs != 0 {
+				t.Errorf("K%d: dense sweep allocated %.0f times, want 0", k, allocs)
+			}
+			if got != want {
+				t.Errorf("K%d: dense sweep %d, executor %d", k, got, want)
+			}
 		}
 	}
 }

@@ -144,6 +144,18 @@ type Plan struct {
 	// plans without vertex or edge labels fold; the materializing path
 	// ignores the field.
 	Fold int
+	// Dense marks a plan whose levels ≥ 2 finish on the root's neighborhood:
+	// every level ≥ 1 intersects position 0 and stays inside level 1's
+	// bounds, so every candidate lies in S = R1, the level-1 stored raw. An
+	// engine then builds, per level-1 embedding (v0, u), the bit row of u
+	// over S's indices and runs every deeper level as word ANDs of sibling
+	// rows, with no level-2 chunk and no level-2 fetch (see DenseRow and
+	// DenseFinish). The compiler marks it where a level ≥ 3 intersects a
+	// position ≥ 2 — where the sorted path fetches a level-2 list — on
+	// non-induced, unlabeled, non-folding plans with K ≥ 4 and vertical
+	// computation sharing on. The Level fields keep describing the sorted
+	// schedule, which the Executor runs whatever Dense says.
+	Dense bool
 }
 
 // Options configures compilation.
@@ -302,6 +314,9 @@ func (p *Plan) String() string {
 	if p.Fold > 0 {
 		fmt.Fprintf(&sb, " fold=%d", p.Fold)
 	}
+	if p.Dense {
+		sb.WriteString(" dense")
+	}
 	for i := 1; i < p.K; i++ {
 		lv := &p.Levels[i]
 		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.Intersect)
@@ -399,6 +414,9 @@ func (p *Plan) Validate() error {
 	}
 	if p.Fold != 0 && !p.foldable(p.Fold) {
 		return fmt.Errorf("plan: the last %d levels are not a star tail, cannot fold", p.Fold)
+	}
+	if p.Dense && !p.denseable() {
+		return fmt.Errorf("plan: levels ≥ 2 cannot finish on the root's neighborhood, cannot run dense")
 	}
 	return nil
 }

@@ -358,3 +358,85 @@ func TestPlanStringAndValidate(t *testing.T) {
 		t.Fatal("Validate accepted non-permutation order")
 	}
 }
+
+// TestDenseMarksCliqueSuffixes pins where the compiler marks a dense suffix:
+// every clique K ≥ 4 in both styles and directions, and none of the diamond,
+// the tailed triangle, the house and the triangle, nor any labeled,
+// edge-labeled, induced, VCS-off or folding plan of a connected k ≤ 5
+// pattern — the plans TC, 3-MC and FSM run among them — and Explain prints
+// the dense suffix exactly where it is marked. Validate holds a hand-set
+// Dense to the compiler's rule.
+func TestDenseMarksCliqueSuffixes(t *testing.T) {
+	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
+	styles := []Style{StyleAutomine, StyleGraphPi}
+	for _, st := range styles {
+		for _, stats := range []GraphStats{{}, down} {
+			for k := 4; k <= 6; k++ {
+				if pl := MustCompile(pattern.Clique(k), Options{Style: st, Stats: stats}); !pl.Dense || !strings.Contains(pl.String(), " dense ") {
+					t.Errorf("K%d not dense: %v", k, pl)
+				}
+			}
+			for _, pat := range []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.House(), pattern.Triangle()} {
+				if pl := MustCompile(pat, Options{Style: st, Stats: stats}); pl.Dense || strings.Contains(pl.String(), "dense") {
+					t.Errorf("%v marked dense: %v", pat, pl)
+				}
+			}
+			for k := 2; k <= 5; k++ {
+				for _, base := range pattern.ConnectedPatterns(k) {
+					labels := make([]graph.Label, k)
+					for v := range labels {
+						labels[v] = graph.Label(v % 2)
+					}
+					elab := base.Clone()
+					for u := 0; u < k; u++ {
+						for _, v := range elab.Neighbors(u) {
+							if u < v {
+								elab.SetEdgeLabel(u, v, graph.Label((u+v)%2))
+							}
+						}
+					}
+					for _, c := range []struct {
+						name string
+						pat  *pattern.Pattern
+						opts Options
+					}{
+						{"labeled", base.WithLabels(labels), Options{Style: st, Stats: stats}},
+						{"edge-labeled", elab, Options{Style: st, Stats: stats}},
+						{"induced", base, Options{Style: st, Stats: stats, Induced: true}},
+						{"no-vcs", base, Options{Style: st, Stats: stats, DisableVCS: true}},
+						{"bare", base, Options{Style: st, Stats: stats}},
+					} {
+						pl := MustCompile(c.pat, c.opts)
+						if pl.Dense && (c.name != "bare" || pl.Fold > 0) {
+							t.Errorf("%s %v marked dense: %v", c.name, c.pat, pl)
+						}
+						if strings.Contains(pl.Explain(), "dense suffix") != pl.Dense {
+							t.Errorf("%s %v: Dense = %v but Explain says otherwise:\n%s", c.name, c.pat, pl.Dense, pl.Explain())
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The diamond's R1 is stored whole, so its levels are not all inside S.
+	// A K4 whose last level no longer reuses R2 and drops its bounds keeps a
+	// valid clipped R1 — level 3 is off the reuse chain — but reaches
+	// outside S.
+	bad := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
+	bad.Dense = true
+	if err := bad.Validate(); err == nil {
+		t.Errorf("Validate accepted a dense diamond: %v", bad)
+	}
+	k4 := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi})
+	k4.Levels = append([]Level(nil), k4.Levels...)
+	k4.Levels[2].StoreInter, k4.Levels[2].ClipStore = false, false
+	k4.Levels[3].ReuseExtend, k4.Levels[3].LowerBounds = false, nil
+	if err := k4.Validate(); err == nil {
+		t.Errorf("Validate accepted a dense K4 whose level 3 leaves R1's bounds: %v", k4)
+	}
+	k4.Dense = false
+	if err := k4.Validate(); err != nil {
+		t.Fatalf("the same K4 without Dense: %v", err)
+	}
+}

@@ -27,6 +27,10 @@ const (
 	// KernelGallop is exponential + binary search of a short list into a
 	// much longer one (lopsided sizes).
 	KernelGallop
+	// KernelBitmap is a word AND over dense rows: one candidate set of a
+	// plan's dense suffix (plan.Plan.Dense). The dispatcher never picks it;
+	// the plan enters it in the same ledger.
+	KernelBitmap
 	// NumKernels sizes per-kernel counter arrays.
 	NumKernels
 )
@@ -37,6 +41,8 @@ func (k Kernel) String() string {
 		return "merge"
 	case KernelGallop:
 		return "gallop"
+	case KernelBitmap:
+		return "bitmap"
 	default:
 		return "kernel(?)"
 	}
@@ -300,6 +306,65 @@ func (d *Dispatcher) CountBounded(a, b []graph.VertexID, lo, hi graph.VertexID) 
 	}
 	return 0
 }
+
+// IntersectRow sets bit base+i of row for every a[i] in b: a ∩ b as a bitmap
+// over a's indices, a dense row. b is clipped to a's range first; the kernel
+// choice and the ledger entry are IntersectBounded's, the kernel marking where
+// the other appends.
+func (d *Dispatcher) IntersectRow(row []uint64, a []graph.VertexID, base int, b []graph.VertexID) {
+	if len(a) == 0 {
+		return
+	}
+	b = Clip(b, a[0], a[len(a)-1]+1)
+	switch {
+	case len(b) == 0:
+	case len(a) >= gallopRatio*len(b):
+		d.count(KernelGallop)
+		lo := 0
+		for _, x := range b {
+			if lo = gallopTo(a, lo, x); lo >= len(a) {
+				break
+			}
+			if a[lo] == x {
+				setBit(row, base+lo)
+				lo++
+			}
+		}
+	case len(b) >= gallopRatio*len(a):
+		d.count(KernelGallop)
+		lo := 0
+		for i, x := range a {
+			if lo = gallopTo(b, lo, x); lo >= len(b) {
+				break
+			}
+			if b[lo] == x {
+				setBit(row, base+i)
+				lo++
+			}
+		}
+	default:
+		// Branch-free, like countMerge: the cursors advance by comparison
+		// results and the bits of the current word gather in a register.
+		d.count(KernelMerge)
+		i, j := 0, 0
+		wi := base >> 6
+		var cur uint64
+		for i < len(a) && j < len(b) {
+			x, y := a[i], b[j]
+			k := base + i
+			if k>>6 != wi {
+				row[wi] |= cur
+				wi, cur = k>>6, 0
+			}
+			cur |= uint64(b2i(x == y)) << (k & 63)
+			i += b2i(x <= y)
+			j += b2i(y <= x)
+		}
+		row[wi] |= cur
+	}
+}
+
+func setBit(row []uint64, i int) { row[i>>6] |= 1 << (i & 63) }
 
 // CountSubtract returns |{x ∈ a \ b : lo ≤ x < hi}| as |A| − |A ∩ B| over the
 // clipped lists.

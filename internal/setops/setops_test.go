@@ -694,3 +694,40 @@ func BenchmarkCountBoundedMerge(b *testing.B) {
 		sinkInt += d.CountBounded(a, hub, 1<<19, NoVertex)
 	}
 }
+
+// TestIntersectRowMatchesNaive holds the dense-row kernel to a naive loop
+// under each kernel the dispatcher can pick — merge, and gallop from either
+// side — at offsets that put the row across word boundaries, and checks the
+// ledger entry and that the row's other bits stay as they were.
+func TestIntersectRowMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(20230325))
+	var counts [NumKernels]uint64
+	d := Dispatcher{Counts: &counts}
+	for trial := 0; trial < 300; trial++ {
+		max := 50 + rng.Intn(3000)
+		a := randSorted(rng, rng.Intn(min(200, max)), max)
+		b := randSorted(rng, rng.Intn(max), max)
+		switch trial % 3 {
+		case 1:
+			b = b[:min(len(b), 3)] // a ≥ 32·b: gallop b into a
+		case 2:
+			a = a[:min(len(a), 2)] // b ≥ 32·a: gallop a into b
+		}
+		base := rng.Intn(130)
+		row := make([]uint64, (base+len(a)+63)/64+1)
+		row[len(row)-1] = 0xF0F0
+		d.IntersectRow(row, a, base, b)
+		for i := 0; i < 64*(len(row)-1); i++ {
+			want := i >= base && i < base+len(a) && Contains(b, a[i-base])
+			if got := row[i>>6]&(1<<(i&63)) != 0; got != want {
+				t.Fatalf("trial %d: bit %d = %v, want %v (a=%v b=%v base=%d)", trial, i, got, want, a, b, base)
+			}
+		}
+		if row[len(row)-1] != 0xF0F0 {
+			t.Fatalf("trial %d: IntersectRow wrote past a's indices", trial)
+		}
+	}
+	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 {
+		t.Fatalf("merge/gallop = %v, want both entered", counts)
+	}
+}
