@@ -27,7 +27,7 @@ import (
 //     the union of possible callees.
 //   - Calls of function values (fields, parameters, locals) resolve to
 //     nothing. Analyzers that care about those sites match them syntactically
-//     (e.g. cancelpoll treats a call of a func value named Canceled as a
+//     (e.g. cancelpoll treats a call of any function named *Canceled as a
 //     poll).
 //
 // Roots come from two directives, mirroring //khuzdulvet:ignore:

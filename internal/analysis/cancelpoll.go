@@ -17,9 +17,10 @@ import "go/ast"
 //	blocks — the loop's own iteration can park: a receive, send, or select
 //	    without default appears outside nested loops and function literals,
 //	    or a called function (transitively) blocks;
-//	polls — anywhere in the subtree, cancellation is observed: a call of a
-//	    Canceled-shaped predicate, a receive or select case on a
-//	    cancel-named channel, or a callee that polls.
+//	polls — anywhere in the subtree, cancellation is observed: a receive or
+//	    select case on a cancel-named channel (core's Config.Stop, a
+//	    task's stop, a fabric's closed), a call of a function named
+//	    *Canceled (such as core's checkCanceled), or a callee that polls.
 //
 // A loop with blocks && !polls is flagged. Blocking evidence inside a nested
 // loop is attributed to that nested loop (it gets its own finding); blocking
@@ -29,7 +30,7 @@ var CancelPoll = &Analyzer{
 	Name: "cancelpoll",
 	Tier: 2,
 	Doc: "loops reachable from //khuzdulvet:longrun roots that block on " +
-		"channels must poll Config.Canceled or select on a cancel channel",
+		"channels must poll Config.Stop or another cancel channel",
 	Run: runCancelPoll,
 }
 
@@ -60,7 +61,7 @@ func runCancelPoll(pass *Pass) {
 				return true
 			}
 			if loopHas(pass, body, factBlocks) && !loopHas(pass, body, factPolls) {
-				pass.Reportf(n.Pos(), "loop blocks on channel communication but never polls Config.Canceled or a cancel channel (function %s); cancellation and Close can strand it", fn.Name())
+				pass.Reportf(n.Pos(), "loop blocks on channel communication but never polls Config.Stop or another cancel channel (function %s); cancellation and Close can strand it", fn.Name())
 			}
 			return true
 		})

@@ -32,10 +32,9 @@ var LockSend = &Analyzer{
 // fabricMethods are the comm-package method names whose calls block on the
 // network.
 var fabricMethods = map[string]bool{
-	"Fetch":       true,
-	"FetchCancel": true,
-	"Send":        true,
-	"Ping":        true,
+	"Fetch": true,
+	"Send":  true,
+	"Ping":  true,
 }
 
 func runLockSend(pass *Pass) {
@@ -54,7 +53,7 @@ func runLockSend(pass *Pass) {
 }
 
 // fabricCall reports whether call invokes a blocking fabric method — a
-// method named Fetch/FetchCancel/Send/Ping declared in a comm package
+// method named Fetch/Send/Ping declared in a comm package
 // (matched on path segments so fixture trees qualify too).
 func fabricCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

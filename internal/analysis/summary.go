@@ -17,8 +17,8 @@ import (
 //     stranded-on-a-peer shape cancelpoll exists to catch, and counting it
 //     would flag every recovery round's join.
 //   - polls: the function observes cancellation directly or via a callee — it
-//     calls a Canceled()-shaped predicate, or receives/selects on a channel
-//     whose name says cancel/stop/done/quit/closed.
+//     receives/selects on a channel whose name says
+//     cancel/stop/done/quit/closed, or calls a function named *Canceled.
 //
 // Both are syntactic over-approximations refined to a fixpoint over the
 // approximate call graph; cancelpoll combines them per loop. A third fact
@@ -115,8 +115,8 @@ func isCancelChan(e ast.Expr) bool {
 }
 
 // pollsCancelNode reports whether n directly observes cancellation: a call of
-// a Canceled-shaped predicate (core.Config.Canceled and wrappers), a receive
-// from a cancel-named channel, or a select with a cancel-named receive case.
+// a function named *Canceled (core's checkCanceled), a receive from a
+// cancel-named channel, or a select with a cancel-named receive case.
 func pollsCancelNode(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.CallExpr:
@@ -156,7 +156,7 @@ func blocksNode(n ast.Node) bool {
 
 // calledName returns the bare name of the called function or method,
 // whatever the callee resolves to — including calls of func-typed fields
-// like e.cfg.Canceled().
+// like e.cfg.OnRangeDone(start, end).
 func calledName(call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:

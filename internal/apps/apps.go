@@ -9,34 +9,40 @@ package apps
 import (
 	"fmt"
 
-	"khuzdul/internal/automine"
 	"khuzdul/internal/cluster"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
 )
 
-// System selects the client GPM system.
+// System selects the client GPM system. A system is its schedule
+// generator, a plan.Style: both ported systems share the Khuzdul runtime and
+// differ only in how plan.Compile picks the matching order.
 type System int
 
 const (
-	// KAutomine is Automine ported on Khuzdul.
+	// KAutomine is Automine ported on Khuzdul: its canonical greedy
+	// matching order (plan.StyleAutomine).
 	KAutomine System = iota
-	// KGraphPi is GraphPi ported on Khuzdul.
+	// KGraphPi is GraphPi ported on Khuzdul: its cost-model search over
+	// matching orders (plan.StyleGraphPi).
 	KGraphPi
 )
 
 func (s System) String() string {
 	switch s {
 	case KAutomine:
-		return automine.Name
+		return "k-Automine"
 	case KGraphPi:
-		return graphpi.Name
+		return "k-GraphPi"
 	default:
 		return fmt.Sprintf("system(%d)", int(s))
 	}
 }
+
+// Style returns the plan style that implements the system. The systems'
+// values are the styles' values; plan.Compile rejects an unknown one.
+func (s System) Style() plan.Style { return plan.Style(s) }
 
 // CompileOptions forwards system-specific knobs.
 type CompileOptions struct {
@@ -45,16 +51,19 @@ type CompileOptions struct {
 	DisableSymmetryBreak bool
 }
 
-// Compile compiles one pattern with the selected system.
+// Compile compiles one pattern with the selected system, using g's degree
+// statistics to drive the schedule cost model (g may be nil for defaults).
 func Compile(sys System, pat *pattern.Pattern, g *graph.Graph, opts CompileOptions) (*plan.Plan, error) {
-	switch sys {
-	case KAutomine:
-		return automine.Compile(pat, g, automine.Options(opts))
-	case KGraphPi:
-		return graphpi.Compile(pat, g, graphpi.Options(opts))
-	default:
-		return nil, fmt.Errorf("apps: unknown system %d", int(sys))
+	po := plan.Options{
+		Style:                sys.Style(),
+		Induced:              opts.Induced,
+		DisableVCS:           opts.DisableVCS,
+		DisableSymmetryBreak: opts.DisableSymmetryBreak,
 	}
+	if g != nil {
+		po.Stats = plan.StatsOf(g)
+	}
+	return plan.Compile(pat, po)
 }
 
 // TriangleCount runs TC on the cluster.

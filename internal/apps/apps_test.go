@@ -190,6 +190,82 @@ func TestPatternCountInduced(t *testing.T) {
 	}
 }
 
+// compileExact compiles pat with sys and checks the plan's style and that it
+// counts exactly.
+func compileExact(t *testing.T, sys System, style plan.Style, pat *pattern.Pattern, g *graph.Graph) {
+	t.Helper()
+	if sys.Style() != style {
+		t.Fatalf("%v.Style() = %v, want %v", sys, sys.Style(), style)
+	}
+	pl, err := Compile(sys, pat, g, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Style != style {
+		t.Fatalf("%v compiled %v in style %v", sys, pat, pl.Style)
+	}
+	if got, want := plan.CountGraph(pl, g), plan.BruteForceCount(g, pat, false); got != want {
+		t.Fatalf("%v %v: count = %d, want %d", sys, pat, got, want)
+	}
+}
+
+func TestCompileProducesAutomineStyle(t *testing.T) {
+	compileExact(t, KAutomine, plan.StyleAutomine, pattern.Clique(4), graph.RMATDefault(100, 500, 811))
+}
+
+func TestCompileProducesGraphPiStyle(t *testing.T) {
+	compileExact(t, KGraphPi, plan.StyleGraphPi, pattern.House(), graph.RMATDefault(100, 500, 821))
+}
+
+func TestCompileOptionsForwarded(t *testing.T) {
+	for _, sys := range []System{KAutomine, KGraphPi} {
+		pl, err := Compile(sys, pattern.Clique(4), nil, CompileOptions{DisableVCS: true, DisableSymmetryBreak: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.VCS || len(pl.Restrictions) != 0 {
+			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS, len(pl.Restrictions))
+		}
+	}
+}
+
+func TestCompileRejectsDisconnected(t *testing.T) {
+	disc := pattern.New(4)
+	disc.AddEdge(0, 1)
+	disc.AddEdge(2, 3)
+	for _, sys := range []System{KAutomine, KGraphPi} {
+		if _, err := Compile(sys, disc, nil, CompileOptions{}); err == nil {
+			t.Fatalf("%v: want error for disconnected pattern", sys)
+		}
+	}
+}
+
+// TestCompileMotifs: induced plans for every connected 3-pattern, compiled
+// by either system, sum to the brute-force induced 3-motif total.
+func TestCompileMotifs(t *testing.T) {
+	g := graph.RMATDefault(60, 300, 827)
+	var want uint64
+	for _, pat := range pattern.ConnectedPatterns(3) {
+		want += plan.BruteForceCount(g, pat, true)
+	}
+	for _, sys := range []System{KAutomine, KGraphPi} {
+		var total uint64
+		for _, pat := range pattern.ConnectedPatterns(3) {
+			pl, err := Compile(sys, pat, g, CompileOptions{Induced: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pl.Induced {
+				t.Fatalf("%v: motif plan not induced", sys)
+			}
+			total += plan.CountGraph(pl, g)
+		}
+		if total != want {
+			t.Fatalf("%v: 3-motif total = %d, want %d", sys, total, want)
+		}
+	}
+}
+
 func TestCompileUnknownSystem(t *testing.T) {
 	if _, err := Compile(System(9), pattern.Triangle(), nil, CompileOptions{}); err == nil {
 		t.Fatal("want error for unknown system")

@@ -6,7 +6,6 @@ import (
 
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
@@ -34,10 +33,7 @@ func chaosConfig(prof *fault.Profile, transport Transport) Config {
 func TestChaosTransientErrorsExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	c := mustCluster(t, g, chaosConfig(&fault.Profile{Seed: 7, ErrorRate: 0.2}, TransportChan))
@@ -64,10 +60,7 @@ func TestChaosTransientErrorsExactCounts(t *testing.T) {
 func TestChaosCrashRecoveryExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -117,10 +110,7 @@ func TestChaosCrashRecoveryExactCounts(t *testing.T) {
 func TestChaosCrashDeterministicGivenSeed(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(120, 700, 41)
-	pl, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Triangle(), false)
 
 	run := func() Result {
@@ -146,10 +136,7 @@ func TestChaosCrashDeterministicGivenSeed(t *testing.T) {
 func TestResilientNoFaultsNoEvents(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(120, 700, 41)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2, FetchTimeout: 250 * time.Millisecond})
@@ -177,10 +164,7 @@ func TestResilientNoFaultsNoEvents(t *testing.T) {
 func TestChaosWireCorruptionExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -213,10 +197,7 @@ func TestChaosWireCorruptionExactCounts(t *testing.T) {
 func TestChaosConnectionDropsExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -249,10 +230,7 @@ func TestChaosConnectionDropsExactCounts(t *testing.T) {
 func TestChaosPartitionRecoveryExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -295,10 +273,7 @@ func TestChaosPartitionRecoveryExactCounts(t *testing.T) {
 func TestChaosHeartbeatSuspectsCrashedNode(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	prof := &fault.Profile{Seed: 11, Crashes: []fault.Crash{{Node: 1, After: 10}}}
@@ -338,10 +313,7 @@ func TestChaosHeartbeatSuspectsCrashedNode(t *testing.T) {
 func TestChaosSlowNodeSpeculationExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -375,10 +347,7 @@ func TestChaosSlowNodeSpeculationExactCounts(t *testing.T) {
 func TestChaosSpeculationHealthyRunExact(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	cfg := chaosConfig(nil, TransportChan)
@@ -402,10 +371,7 @@ func TestChaosSpeculationHealthyRunExact(t *testing.T) {
 func TestChaosKitchenSinkExactCounts(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 
 	for name, transport := range map[string]Transport{"chan": TransportChan, "tcp": TransportTCP} {
@@ -450,10 +416,7 @@ func TestChaosKitchenSinkExactCounts(t *testing.T) {
 func TestChaosCountAllSurvivesCrash(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(100, 500, 43)
-	plans, err := graphpi.CompileMotifs(3, g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans := inducedMotifPlans(t, 3, g)
 	var want uint64
 	for _, pat := range pattern.ConnectedPatterns(3) {
 		want += plan.BruteForceCount(g, pat, true)

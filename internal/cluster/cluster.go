@@ -411,10 +411,10 @@ type Result struct {
 // reproduces Run's behavior exactly.
 type RunOpts struct {
 	// Cancel, when non-nil and closed, aborts the run: every engine stops at
-	// its next range or batch boundary, and in-flight remote fetches —
-	// including their retry backoffs — are abandoned through the resilient
-	// layer's FetchCancel. The run returns ErrRunCanceled without entering
-	// task-level recovery.
+	// its next range or batch boundary, or at once if it is waiting for a
+	// remote fetch, on any fabric. A fetch it leaves behind finishes in the
+	// background. The run returns ErrRunCanceled without entering task-level
+	// recovery.
 	Cancel <-chan struct{}
 	// ThreadsPerSocket overrides Config.ThreadsPerSocket for this run
 	// (0 = the configured value). The query service uses it as the

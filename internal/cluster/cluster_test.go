@@ -7,11 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"khuzdul/internal/automine"
 	"khuzdul/internal/cache"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
 )
@@ -26,6 +24,29 @@ func mustCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 	return c
 }
 
+// mustCompile compiles pat with g's degree statistics driving the schedule,
+// as the applications compile it.
+func mustCompile(t *testing.T, pat *pattern.Pattern, g *graph.Graph, opts plan.Options) *plan.Plan {
+	t.Helper()
+	opts.Stats = plan.StatsOf(g)
+	pl, err := plan.Compile(pat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// inducedMotifPlans compiles an induced GraphPi-style plan for every
+// connected size-k pattern.
+func inducedMotifPlans(t *testing.T, k int, g *graph.Graph) []*plan.Plan {
+	t.Helper()
+	var plans []*plan.Plan
+	for _, pat := range pattern.ConnectedPatterns(k) {
+		plans = append(plans, mustCompile(t, pat, g, plan.Options{Style: plan.StyleGraphPi, Induced: true}))
+	}
+	return plans
+}
+
 func TestClusterCountMatchesBruteForce(t *testing.T) {
 	g := graph.RMATDefault(120, 700, 41)
 	for _, cfg := range []Config{
@@ -36,10 +57,7 @@ func TestClusterCountMatchesBruteForce(t *testing.T) {
 	} {
 		c := mustCluster(t, g, cfg)
 		for _, pat := range []*pattern.Pattern{pattern.Triangle(), pattern.Clique(4)} {
-			pl, err := graphpi.Compile(pat, g, graphpi.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pl := mustCompile(t, pat, g, plan.Options{Style: plan.StyleGraphPi})
 			want := plan.BruteForceCount(g, pat, false)
 			res, err := c.Count(pl)
 			if err != nil {
@@ -63,10 +81,7 @@ func TestClusterCountMatchesBruteForce(t *testing.T) {
 func TestFoldedCountExactOrLoud(t *testing.T) {
 	g := graph.Star(20001)
 	c := mustCluster(t, g, Config{NumNodes: 2, ThreadsPerSocket: 2})
-	pl, err := automine.Compile(pattern.StarP(5), g, automine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.StarP(5), g, plan.Options{Style: plan.StyleAutomine})
 	const want = 20000 * 19999 * 19998 * 19997 / 24
 	res, err := c.Count(pl)
 	if err != nil || res.Count != want {
@@ -75,10 +90,7 @@ func TestFoldedCountExactOrLoud(t *testing.T) {
 	if res.Summary.Extensions != uint64(g.NumVertices()) {
 		t.Errorf("%d extensions, want one per root", res.Summary.Extensions)
 	}
-	pl, err = automine.Compile(pattern.StarP(6), g, automine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl = mustCompile(t, pattern.StarP(6), g, plan.Options{Style: plan.StyleAutomine})
 	if res, err := c.Count(pl); !errors.Is(err, core.ErrCountOverflow) {
 		t.Fatalf("5-stars = %d, %v; want ErrCountOverflow", res.Count, err)
 	}
@@ -86,10 +98,7 @@ func TestFoldedCountExactOrLoud(t *testing.T) {
 
 func TestClusterTCPTransportSameResult(t *testing.T) {
 	g := graph.RMATDefault(100, 500, 43)
-	pl, err := automine.Compile(pattern.Clique(4), g, automine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleAutomine})
 	chanC := mustCluster(t, g, Config{NumNodes: 3, ThreadsPerSocket: 2})
 	tcpC := mustCluster(t, g, Config{NumNodes: 3, ThreadsPerSocket: 2, Transport: TransportTCP})
 	a, err := chanC.Count(pl)
@@ -110,10 +119,7 @@ func TestClusterTCPTransportSameResult(t *testing.T) {
 
 func TestClusterNUMAMatchesNonNUMA(t *testing.T) {
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	single := mustCluster(t, g, Config{NumNodes: 2, Sockets: 1, ThreadsPerSocket: 2})
 	numa := mustCluster(t, g, Config{NumNodes: 2, Sockets: 2, ThreadsPerSocket: 1})
 	a, err := single.Count(pl)
@@ -137,10 +143,7 @@ func TestClusterNUMAMatchesNonNUMA(t *testing.T) {
 
 func TestClusterMetricsResetBetweenRuns(t *testing.T) {
 	g := graph.RMATDefault(80, 400, 53)
-	pl, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2})
 	r1, err := c.Count(pl)
 	if err != nil {
@@ -162,10 +165,7 @@ func TestClusterMetricsResetBetweenRuns(t *testing.T) {
 
 func TestClusterCachePoliciesAllCorrect(t *testing.T) {
 	g := graph.RMATDefault(150, 900, 59)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 	for _, pol := range []cache.Policy{cache.Static, cache.FIFO, cache.LIFO, cache.LRU, cache.MRU} {
 		c := mustCluster(t, g, Config{
@@ -184,10 +184,7 @@ func TestClusterCachePoliciesAllCorrect(t *testing.T) {
 
 func TestClusterCountAllMotifs(t *testing.T) {
 	g := graph.RMATDefault(60, 300, 61)
-	plans, err := graphpi.CompileMotifs(3, g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans := inducedMotifPlans(t, 3, g)
 	c := mustCluster(t, g, Config{NumNodes: 2, ThreadsPerSocket: 2})
 	per, combined, err := c.CountAll(plans)
 	if err != nil {
@@ -211,11 +208,7 @@ func TestClusterOrientedCliqueCounting(t *testing.T) {
 	g := graph.RMATDefault(120, 700, 67)
 	dag := graph.Orient(g)
 	for _, k := range []int{3, 4} {
-		pl, err := automine.Compile(pattern.Clique(k), dag,
-			automine.Options{DisableSymmetryBreak: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := mustCompile(t, pattern.Clique(k), dag, plan.Options{Style: plan.StyleAutomine, DisableSymmetryBreak: true})
 		c := mustCluster(t, dag, Config{NumNodes: 3, ThreadsPerSocket: 2})
 		res, err := c.Count(pl)
 		if err != nil {
@@ -241,10 +234,7 @@ func TestClusterEdgeLabeledPattern(t *testing.T) {
 		pat.SetEdgeLabel(0, 1, la)
 		pat.SetEdgeLabel(1, 2, la)
 		pat.SetEdgeLabel(0, 2, la)
-		pl, err := graphpi.Compile(pat, g, graphpi.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := mustCompile(t, pat, g, plan.Options{Style: plan.StyleGraphPi})
 		res, err := c.Count(pl)
 		if err != nil {
 			t.Fatal(err)
@@ -255,10 +245,7 @@ func TestClusterEdgeLabeledPattern(t *testing.T) {
 		}
 		sum += res.Count
 	}
-	all, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	res, err := c.Count(all)
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,10 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
 	"khuzdul/internal/cache"
-	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/metrics"
@@ -76,11 +73,11 @@ type task struct {
 	// ledger checkpoints the engine's completed ranges; nil leaves the task
 	// untracked, which makes its roots unrecoverable.
 	ledger *ledger
-	// stop, once closed, stops the engine at its next range or batch boundary
-	// and abandons its in-flight fetches, retry backoffs included. Nil never
-	// stops. One signal serves both: whoever decides the engine's work is no
-	// longer wanted — the caller, or the speculator when the other copy of
-	// the range won — closes it.
+	// stop is the engine's Config.Stop: once closed, the engine returns at
+	// its next boundary or at once from a wait for a fetch, leaving the fetch
+	// to finish in the background. Nil never stops. Whoever decides the
+	// engine's work is no longer wanted — the caller, or the speculator when
+	// the other copy of the range won — closes it.
 	stop <-chan struct{}
 }
 
@@ -95,15 +92,13 @@ func (r *run) engine(t task) *core.Engine {
 		StrictPipeline: c.cfg.StrictPipeline,
 		Cache:          t.cache,
 		Metrics:        c.met.Nodes[t.node],
+		Stop:           t.stop,
 	}
 	if t.socket == wholeMachine {
 		cfg.Threads *= c.cfg.Sockets
 	}
 	if t.ledger != nil {
 		cfg.OnRangeDone = t.ledger.onRangeDone
-	}
-	if stop := t.stop; stop != nil {
-		cfg.Canceled = func() bool { return chanClosed(stop) }
 	}
 	ext := core.NewPlanExtender(r.pl, r.labelOf)
 	ext.EdgeLabelOf = r.edgeLabelOf
@@ -153,15 +148,6 @@ func (s *rangeSource) CrossSocketList(v graph.VertexID) []graph.VertexID {
 }
 
 func (s *rangeSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	if cf, ok := s.c.fabric.(comm.CancelFetcher); ok && s.stop != nil {
-		lists, err := cf.FetchCancel(s.node, owner, ids, s.stop)
-		if err != nil && errors.Is(err, comm.ErrFetchCanceled) {
-			// The same outcome the polled Canceled hook produces at a
-			// boundary, without draining the retry schedule first.
-			return nil, fmt.Errorf("cluster: fetch aborted by cancellation: %w", core.ErrCanceled)
-		}
-		return lists, err
-	}
 	return s.c.fabric.Fetch(s.node, owner, ids)
 }
 

@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/pattern"
+	"khuzdul/internal/plan"
 )
 
 // TestCancelUnderSpeculationAbandonsFetches: every fetch takes up to 800 ms,
@@ -22,10 +23,7 @@ import (
 // engines' and any speculative copy's alike — have drained.
 func TestCancelUnderSpeculationAbandonsFetches(t *testing.T) {
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	for _, speculate := range []bool{false, true} {
 		t.Run(fmt.Sprintf("speculate=%v", speculate), func(t *testing.T) {
 			leakcheck.Check(t)
@@ -48,16 +46,66 @@ func TestCancelUnderSpeculationAbandonsFetches(t *testing.T) {
 	}
 }
 
+// silentPeer is a fabric whose fetches to one peer never answer until the
+// test ends: a hung machine with no retry layer above to time it out.
+type silentPeer struct {
+	comm.Fabric
+	peer    int
+	release chan struct{}
+}
+
+func (f *silentPeer) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
+	if to == f.peer {
+		<-f.release
+		return nil, errors.New("silent peer: released")
+	}
+	return f.Fabric.Fetch(from, to, ids)
+}
+
+// TestCancelWithoutRetryLayer: on a chan-fabric cluster with no retry layer,
+// a run whose fetches to one peer never answer must still return
+// ErrRunCanceled promptly once its caller cancels. No fabric layer can cut
+// those fetches short, so the engines must stop waiting for them.
+func TestCancelWithoutRetryLayer(t *testing.T) {
+	leakcheck.Check(t)
+	g := graph.RMATDefault(150, 900, 47)
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
+	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2, ChunkSize: 8})
+	if c.resilient != nil {
+		t.Fatal("the cluster has a retry layer")
+	}
+	silent := &silentPeer{Fabric: c.fabric, peer: 2, release: make(chan struct{})}
+	c.fabric = silent
+	t.Cleanup(func() { close(silent.release) })
+
+	cancel := make(chan struct{})
+	defer time.AfterFunc(30*time.Millisecond, func() { close(cancel) }).Stop()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := c.CountWith(pl, RunOpts{Cancel: cancel})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRunCanceled) {
+			t.Fatalf("err = %v, want ErrRunCanceled", err)
+		}
+		if took := time.Since(start); took > 250*time.Millisecond {
+			t.Fatalf("canceled run returned after %v", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled run still waiting for its unanswered fetches after 5s")
+	}
+}
+
 // TestRunThreadBudgetGovernsEveryEngine: RunOpts.ThreadsPerSocket is the
 // budget of the whole run — the modeled makespan divides by it, and a
 // whole-machine engine (recovery, speculation) gets Sockets × the override,
 // not Sockets × Config.ThreadsPerSocket.
 func TestRunThreadBudgetGovernsEveryEngine(t *testing.T) {
 	g := graph.RMATDefault(150, 900, 409)
-	pl, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	c := mustCluster(t, g, Config{NumNodes: 2, Sockets: 2, ThreadsPerSocket: 4, SequentialNodes: true})
 	opts := RunOpts{ThreadsPerSocket: 1}
 	res, err := c.CountWith(pl, opts)

@@ -7,7 +7,6 @@ import (
 
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
@@ -22,14 +21,8 @@ import (
 func TestResidentCrashTwoConcurrentQueries(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl4, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl3, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl4 := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
+	pl3 := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	want4 := plan.BruteForceCount(g, pattern.Clique(4), false)
 	want3 := plan.BruteForceCount(g, pattern.Triangle(), false)
 
@@ -99,10 +92,7 @@ func TestResidentCrashTwoConcurrentQueries(t *testing.T) {
 func TestResidentRecoveryHonorsCancel(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	prof := &fault.Profile{Seed: 11, Crashes: []fault.Crash{{Node: 1, After: 10}}}
 	c := mustCluster(t, g, chaosConfig(prof, TransportChan))
 	cancel := make(chan struct{})
@@ -121,10 +111,7 @@ func TestResidentRecoveryHonorsCancel(t *testing.T) {
 func TestResidentLaterFailureOneRecoveryRound(t *testing.T) {
 	leakcheck.Check(t)
 	g := graph.RMATDefault(150, 900, 47)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	want := plan.BruteForceCount(g, pattern.Clique(4), false)
 	prof := &fault.Profile{
 		Seed:       11,

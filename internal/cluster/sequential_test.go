@@ -4,18 +4,15 @@ import (
 	"testing"
 
 	"khuzdul/internal/graph"
-	"khuzdul/internal/graphpi"
 	"khuzdul/internal/pattern"
+	"khuzdul/internal/plan"
 )
 
 func TestSequentialNodesIdenticalResults(t *testing.T) {
 	// Sequential machine execution must change nothing observable except
 	// timing: same counts, same traffic, same per-batch fetch structure.
 	g := graph.RMATDefault(200, 1200, 401)
-	pl, err := graphpi.Compile(pattern.Clique(4), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Clique(4), g, plan.Options{Style: plan.StyleGraphPi})
 	// No cache and one thread per machine: static-cache admission and chunk
 	// fill order depend on scheduling, which legitimately perturbs traffic
 	// by a few collisions; with deterministic per-engine execution the
@@ -45,10 +42,7 @@ func TestModeledBelowTotalWork(t *testing.T) {
 	// The modeled makespan must never exceed the sum of busy times (it is a
 	// max over machines of per-machine fractions).
 	g := graph.RMATDefault(150, 900, 409)
-	pl, err := graphpi.Compile(pattern.Triangle(), g, graphpi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 2, SequentialNodes: true})
 	r, err := c.Count(pl)
 	if err != nil {

@@ -53,8 +53,8 @@ type specRun struct {
 // monitor goroutine, the speculative engines, and the stop signal of every
 // engine in the run: a main engine's is raised when its copy wins, a copy's
 // when its straggler finishes first, and all of them when the caller cancels
-// — a copy that kept fetching after the query was abandoned would drain its
-// whole retry schedule against work nobody wants.
+// — a copy that kept running after the query was abandoned would go on
+// fetching and extending work nobody wants.
 type speculator struct {
 	r       *run
 	ledgers []*ledger

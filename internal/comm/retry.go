@@ -16,7 +16,11 @@ import (
 // circuit breaker that classifies a peer as dead after N consecutive
 // timeouts. The base fabrics stay oblivious — resilience composes over any
 // transport (including the fault-injecting wrapper) exactly like the flow
-// control HUGE layers over its RPC substrate.
+// control HUGE layers over its RPC substrate. Cancellation is not this
+// layer's concern: an engine stops waiting for a fetch through its own stop
+// channel, on every fabric alike, and a fetch nobody waits for any more runs
+// on here until it succeeds, exhausts its retries, trips the breaker (at most
+// BreakerThreshold timeouts) or the fabric closes.
 
 // ErrFetchTimeout marks a fetch attempt that exceeded its deadline.
 var ErrFetchTimeout = errors.New("comm: fetch timeout")
@@ -29,19 +33,10 @@ var ErrPeerDead = errors.New("comm: peer dead")
 // without the peer being declared dead (e.g. persistent transient errors).
 var ErrRetriesExhausted = errors.New("comm: retries exhausted")
 
-// ErrFetchCanceled marks a fetch abandoned because its cancel channel fired
-// or the fabric was closed mid-retry. It is not a peer failure: the cluster
-// driver maps it to engine cancellation, never to recovery.
-var ErrFetchCanceled = errors.New("comm: fetch canceled")
-
-// CancelFetcher is implemented by fabrics whose fetches can be cut short by
-// a caller-owned cancel channel — closing it aborts backoff waits and
-// in-flight attempt deadlines instead of letting them run to completion.
-// Speculation uses this: when a speculative copy wins, the straggler's next
-// fetch must unblock now, not after the remaining backoff schedule.
-type CancelFetcher interface {
-	FetchCancel(from, to int, ids []graph.VertexID, cancel <-chan struct{}) ([][]graph.VertexID, error)
-}
+// ErrFabricClosed marks a fetch abandoned because the fabric was closed
+// mid-retry. It is not a peer failure: the cluster driver never enters
+// recovery on it.
+var ErrFabricClosed = errors.New("comm: fabric closed")
 
 // PermanentError is implemented by errors that retrying cannot fix; the
 // resilient fabric fails fast on them.
@@ -137,15 +132,10 @@ func (r *Resilient) MarkDead(node int) {
 }
 
 // Fetch implements Fabric with the retry/deadline/breaker discipline.
+// Closing the fabric interrupts backoff waits and the current attempt's
+// deadline wait; the fetch then fails with ErrFabricClosed instead of
+// running out its retry schedule.
 func (r *Resilient) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
-	return r.FetchCancel(from, to, ids, nil)
-}
-
-// FetchCancel implements CancelFetcher: Fetch, but abandonable. Closing
-// cancel (or closing the fabric) interrupts backoff waits and the current
-// attempt's deadline wait; the fetch then fails with ErrFetchCanceled
-// instead of running out its retry schedule. A nil cancel never fires.
-func (r *Resilient) FetchCancel(from, to int, ids []graph.VertexID, cancel <-chan struct{}) ([][]graph.VertexID, error) {
 	if r.Dead(to) {
 		return nil, fmt.Errorf("comm: fetch %d->%d: %w", from, to, ErrPeerDead)
 	}
@@ -155,14 +145,14 @@ func (r *Resilient) FetchCancel(from, to int, ids []graph.VertexID, cancel <-cha
 			if r.m != nil {
 				r.m.Nodes[from].FetchRetries.Add(1)
 			}
-			if err := r.waitBackoff(from, to, r.backoff(attempt), cancel); err != nil {
+			if err := r.waitBackoff(from, to, r.backoff(attempt)); err != nil {
 				return nil, err
 			}
 			if r.Dead(to) {
 				return nil, fmt.Errorf("comm: fetch %d->%d: %w", from, to, ErrPeerDead)
 			}
 		}
-		lists, err := r.attempt(from, to, ids, cancel)
+		lists, err := r.attempt(from, to, ids)
 		if err == nil {
 			r.consec[to].Store(0)
 			return lists, nil
@@ -172,8 +162,8 @@ func (r *Resilient) FetchCancel(from, to int, ids []graph.VertexID, cancel <-cha
 		if errors.As(err, &pe) && pe.Permanent() {
 			return nil, err
 		}
-		if errors.Is(err, ErrFetchCanceled) {
-			// Cancellation is final; retrying a canceled fetch would defeat it.
+		if errors.Is(err, ErrFabricClosed) {
+			// No retry can succeed on a closed fabric.
 			return nil, err
 		}
 		if errors.Is(err, ErrFetchTimeout) {
@@ -196,20 +186,17 @@ func (r *Resilient) FetchCancel(from, to int, ids []graph.VertexID, cancel <-cha
 		from, to, r.cfg.Retries+1, ErrRetriesExhausted, lastErr)
 }
 
-// waitBackoff blocks for the pre-retry backoff d, or until cancellation:
-// the caller's cancel channel firing or the fabric closing. A sleep here
-// would strand the cancellation path for the whole backoff schedule — this
-// wait is exactly the sleepban invariant's motivating case.
-func (r *Resilient) waitBackoff(from, to int, d time.Duration, cancel <-chan struct{}) error {
+// waitBackoff blocks for the pre-retry backoff d, or until the fabric
+// closes. A sleep here would strand Close for the whole backoff schedule —
+// this wait is exactly the sleepban invariant's motivating case.
+func (r *Resilient) waitBackoff(from, to int, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return nil
-	case <-cancel:
-		return fmt.Errorf("comm: fetch %d->%d interrupted in backoff: %w", from, to, ErrFetchCanceled)
 	case <-r.closed:
-		return fmt.Errorf("comm: fetch %d->%d: fabric closed in backoff: %w", from, to, ErrFetchCanceled)
+		return fmt.Errorf("comm: fetch %d->%d interrupted in backoff: %w", from, to, ErrFabricClosed)
 	}
 }
 
@@ -217,7 +204,7 @@ func (r *Resilient) waitBackoff(from, to int, d time.Duration, cancel <-chan str
 // own goroutine so a hung transport cannot block the caller past the
 // deadline; an abandoned attempt's goroutine parks until the inner fabric
 // is closed.
-func (r *Resilient) attempt(from, to int, ids []graph.VertexID, cancel <-chan struct{}) ([][]graph.VertexID, error) {
+func (r *Resilient) attempt(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
 	if r.cfg.Timeout <= 0 {
 		return r.inner.Fetch(from, to, ids)
 	}
@@ -238,10 +225,8 @@ func (r *Resilient) attempt(from, to int, ids []graph.VertexID, cancel <-chan st
 	case <-t.C:
 		return nil, fmt.Errorf("comm: fetch %d->%d exceeded %v deadline: %w",
 			from, to, r.cfg.Timeout, ErrFetchTimeout)
-	case <-cancel:
-		return nil, fmt.Errorf("comm: fetch %d->%d abandoned mid-attempt: %w", from, to, ErrFetchCanceled)
 	case <-r.closed:
-		return nil, fmt.Errorf("comm: fetch %d->%d: fabric closed mid-attempt: %w", from, to, ErrFetchCanceled)
+		return nil, fmt.Errorf("comm: fetch %d->%d abandoned mid-attempt: %w", from, to, ErrFabricClosed)
 	}
 }
 
@@ -263,7 +248,7 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 func (r *Resilient) Ping(from, to int) error { return r.inner.Ping(from, to) }
 
 // Close implements Fabric. It releases every caller parked in a backoff or
-// deadline wait (they fail with ErrFetchCanceled) before closing the inner
+// deadline wait (they fail with ErrFabricClosed) before closing the inner
 // transport.
 func (r *Resilient) Close() error {
 	r.closeOnce.Do(func() { close(r.closed) })

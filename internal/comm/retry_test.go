@@ -165,53 +165,55 @@ func TestResilientBackoffBounds(t *testing.T) {
 	}
 }
 
-// TestResilientBackoffCancel pins the interruptible-backoff behaviour: with
-// a multi-second backoff ahead of it, a fetch must return the moment its
-// cancel channel closes, classified as ErrFetchCanceled. Against the old
-// time.Sleep backoff this test fails — the sleep cannot be interrupted, so
-// the fetch stays parked for the full backoff and trips the deadline below.
-func TestResilientBackoffCancel(t *testing.T) {
+// TestResilientCloseUnblocksBackoff pins the interruptible backoff: with a
+// multi-second backoff ahead of it, a fetch must return the moment the fabric
+// closes, classified as ErrFabricClosed, and attempt nothing more. Against a
+// time.Sleep backoff this fails — the sleep cannot be interrupted, so the
+// fetch stays parked for the full backoff.
+func TestResilientCloseUnblocksBackoff(t *testing.T) {
 	inner := newFlakyFabric(2, 1000, -1) // every attempt fails
 	r := NewResilient(inner, 2, RetryConfig{
 		Retries: 3, Backoff: 2 * time.Second, MaxBackoff: 2 * time.Second,
 	}, nil)
-	defer r.Close()
 
-	cancel := make(chan struct{})
 	done := make(chan error, 1)
-	start := time.Now()
 	go func() {
-		_, err := r.FetchCancel(0, 1, nil, cancel)
+		_, err := r.Fetch(0, 1, nil)
 		done <- err
 	}()
-	// Let the first attempt fail and the fetch park in its 2s backoff, then
-	// cancel.
+	// Let the first attempt fail and the fetch park in its 2s backoff.
 	time.Sleep(20 * time.Millisecond)
-	close(cancel)
+	r.Close()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrFetchCanceled) {
-			t.Fatalf("err = %v, want ErrFetchCanceled", err)
-		}
-		if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-			t.Fatalf("cancellation took %v, want well under the 2s backoff", elapsed)
+		if !errors.Is(err, ErrFabricClosed) {
+			t.Fatalf("err = %v, want ErrFabricClosed", err)
 		}
 	case <-time.After(500 * time.Millisecond):
-		t.Fatal("fetch still parked in backoff 500ms after cancel")
+		t.Fatal("fetch still parked in backoff 500ms after Close")
 	}
 	if got := inner.calls[1].Load(); got != 1 {
-		t.Fatalf("attempts after cancel = %d, want 1 (cancel must stop the retry schedule)", got)
+		t.Fatalf("attempts = %d, want 1 (Close must end the retry schedule)", got)
 	}
 }
 
-// TestResilientCloseUnblocksBackoff checks the fabric-wide half of the same
-// fix: Close releases callers parked in a backoff even when they passed no
-// cancel channel.
-func TestResilientCloseUnblocksBackoff(t *testing.T) {
-	inner := newFlakyFabric(2, 1000, -1)
-	r := NewResilient(inner, 2, RetryConfig{
-		Retries: 3, Backoff: 2 * time.Second, MaxBackoff: 2 * time.Second,
-	}, nil)
+// stuckFabric's fetches hang until the test releases them; its Close does
+// not, so only the layer above can free a caller.
+type stuckFabric struct{ release chan struct{} }
+
+func (f *stuckFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
+	<-f.release
+	return nil, errors.New("stuck: released")
+}
+func (f *stuckFabric) Ping(from, to int) error { return nil }
+func (f *stuckFabric) Close() error            { return nil }
+
+// TestResilientCloseUnblocksAttempt: a caller parked in an attempt's deadline
+// wait is released by Close, not by the deadline or the inner transport.
+func TestResilientCloseUnblocksAttempt(t *testing.T) {
+	inner := &stuckFabric{release: make(chan struct{})}
+	defer close(inner.release)
+	r := NewResilient(inner, 2, RetryConfig{Timeout: 5 * time.Second, Retries: 3}, nil)
 
 	done := make(chan error, 1)
 	go func() {
@@ -222,11 +224,11 @@ func TestResilientCloseUnblocksBackoff(t *testing.T) {
 	r.Close()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrFetchCanceled) {
-			t.Fatalf("err = %v, want ErrFetchCanceled", err)
+		if !errors.Is(err, ErrFabricClosed) {
+			t.Fatalf("err = %v, want ErrFabricClosed", err)
 		}
 	case <-time.After(500 * time.Millisecond):
-		t.Fatal("fetch still parked in backoff 500ms after Close")
+		t.Fatal("fetch still parked mid-attempt 500ms after Close")
 	}
 }
 

@@ -75,8 +75,8 @@ type fetchBatch struct {
 	next  int // extension progress: idxs[:next] already extended
 	ready chan struct{}
 	err   error
-	// lazyFetch, when set (strict pipelining), performs the batch's fetch
-	// synchronously the first time the extender waits on it.
+	// lazyFetch, when set (strict pipelining), is the batch's fetch, which
+	// waitBatch starts the first time the extender waits on the batch.
 	lazyFetch func()
 }
 

@@ -8,11 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"khuzdul/internal/cache"
 	"khuzdul/internal/comm"
 	"khuzdul/internal/core"
 	"khuzdul/internal/graph"
+	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/metrics"
 	"khuzdul/internal/partition"
 	"khuzdul/internal/pattern"
@@ -317,10 +319,26 @@ func TestEngineEmitsValidEmbeddings(t *testing.T) {
 	}
 }
 
-// TestEngineCancelMidRange pins the cancelpoll fix: cancellation raised
-// after exploration of a range has begun must still stop the engine (process
-// polls Config.Canceled at batch boundaries). The old engine only checked at
-// range boundaries, so a single-range run could never be canceled.
+// stopSource closes stop on its n-th list read: a stop raised at a fixed
+// point of the exploration, wherever the engine happens to look for it.
+type stopSource struct {
+	core.DataSource
+	stop  chan struct{}
+	n     int64
+	reads atomic.Int64
+}
+
+func (s *stopSource) LocalList(v graph.VertexID) []graph.VertexID {
+	if s.reads.Add(1) == s.n {
+		close(s.stop)
+	}
+	return s.DataSource.LocalList(v)
+}
+
+// TestEngineCancelMidRange pins the cancelpoll fix: a stop raised after
+// exploration of a range has begun must still stop the engine (process reads
+// Config.Stop at batch boundaries). The old engine only checked at range
+// boundaries, so a single-range run could never be canceled.
 func TestEngineCancelMidRange(t *testing.T) {
 	g := graph.RMATDefault(120, 700, 7)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
@@ -330,18 +348,68 @@ func TestEngineCancelMidRange(t *testing.T) {
 		panic("single node should not fetch")
 	})}, nil)
 	defer fabric.Close()
-	src := &testSource{local: local, fabric: fabric}
-	// The first poll happens at Run's range boundary and reports false; every
-	// later poll — all of them inside process — reports true. ChunkSize far
-	// above the root count keeps the whole run in one range, so only the
-	// mid-range polls can observe the cancellation.
-	var calls atomic.Int64
-	cfg := core.Config{Threads: 1, ChunkSize: 1 << 20, Canceled: func() bool {
-		return calls.Add(1) > 1
+	// The first list read is the root chunk's, after Run's range boundary
+	// was passed. ChunkSize far above the root count keeps the whole run in
+	// one range, so only the reads inside the range can observe the stop.
+	src := &stopSource{DataSource: &testSource{local: local, fabric: fabric}, stop: make(chan struct{}), n: 1}
+	cfg := core.Config{Threads: 1, ChunkSize: 1 << 20, Stop: src.stop, OnRangeDone: func(start, end int) {
+		t.Errorf("range [%d, %d) committed after the stop", start, end)
 	}}
 	eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{}, cfg)
 	if err := eng.Run(); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("Run = %v, want ErrCanceled", err)
+	}
+}
+
+// blockedSource holds every remote fetch until the test ends and reports
+// when the first one began.
+type blockedSource struct {
+	*testSource
+	fetching, release chan struct{}
+	once              sync.Once
+}
+
+func (s *blockedSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error) {
+	s.once.Do(func() { close(s.fetching) })
+	<-s.release
+	return nil, errors.New("blocked source: released")
+}
+
+// TestEngineStopAbandonsBlockedFetch: a stop raised while the engine waits
+// for a fetch that never answers must end Run at once, under both pipeline
+// schedules — the engine, not the fabric, owns the wait. An engine that only
+// polls its stop at boundaries stays parked until the fetch is released.
+func TestEngineStopAbandonsBlockedFetch(t *testing.T) {
+	g := graph.RMATDefault(150, 900, 61)
+	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
+	local := partition.NewLocal(g, partition.NewAssignment(2, 1), 0)
+	for _, strict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
+			leakcheck.Check(t)
+			src := &blockedSource{testSource: &testSource{local: local},
+				fetching: make(chan struct{}), release: make(chan struct{})}
+			t.Cleanup(func() { close(src.release) })
+			stop := make(chan struct{})
+			eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{},
+				core.Config{Threads: 2, StrictPipeline: strict, HDS: true, Stop: stop})
+			done := make(chan error, 1)
+			go func() { done <- eng.Run() }()
+			<-src.fetching
+			time.Sleep(20 * time.Millisecond) // let the engine park in its wait
+			close(stop)
+			stopped := time.Now()
+			select {
+			case err := <-done:
+				if !errors.Is(err, core.ErrCanceled) {
+					t.Fatalf("Run = %v, want ErrCanceled", err)
+				}
+				if took := time.Since(stopped); took > 250*time.Millisecond {
+					t.Fatalf("Run returned %v after the stop, want under 250ms", took)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run still waiting for its fetch 5s after the stop")
+			}
+		})
 	}
 }
 

@@ -47,12 +47,13 @@ type Config struct {
 	// (the chunk lifecycle of §3.3 makes lost work re-derivable from source
 	// vertices). Nil disables checkpointing at zero cost.
 	OnRangeDone func(start, end int)
-	// Canceled, when set, is polled between root ranges; when it returns true
-	// Run stops before starting the next range and returns ErrCanceled. The
-	// check sits only at range boundaries, so a cancelled engine always
-	// leaves a clean prefix of fully-explored ranges behind — the property
-	// straggler speculation relies on to reconcile counts exactly.
-	Canceled func() bool
+	// Stop, once closed, stops Run and makes it return ErrCanceled. Run
+	// reads it at every root range and batch boundary and between the dense
+	// pass's parents, and a wait for a batch's fetch gives way to it, so a
+	// stopped engine never waits out a fetch, whatever the fabric. Ranges
+	// committed before the stop have fully reached the sink — the clean
+	// prefix straggler speculation reconciles counts on. Nil never stops.
+	Stop <-chan struct{}
 }
 
 func (c Config) withDefaults() Config {
@@ -231,11 +232,11 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 	return e
 }
 
-// ErrCanceled is returned by Run when Config.Canceled reports true at a
-// range or batch boundary. Every range completed before the cancellation has
-// fully reached the sink; the range in flight may have partially counted, so
-// callers must discard everything after the last committed range (exactly
-// what the recovery trackers' (prefix, committed) checkpoints do).
+// ErrCanceled is returned by Run once Config.Stop is closed. Every range
+// completed before the stop has fully reached the sink; the range in flight
+// may have partially counted, so callers must discard everything after the
+// last committed range (exactly what the recovery trackers' (prefix,
+// committed) checkpoints do).
 var ErrCanceled = errors.New("core: engine canceled")
 
 // ErrCountOverflow is returned by Run when a count-only extension counted
@@ -244,15 +245,16 @@ var ErrCanceled = errors.New("core: engine canceled")
 // committed, so no overflowed count reaches Config.OnRangeDone.
 var ErrCountOverflow = errors.New("core: match count overflows uint64")
 
-// checkCanceled polls Config.Canceled. process calls it at every batch
-// boundary so a canceled engine — a losing speculative copy, a shutdown —
-// releases its memory and its fetches promptly instead of exploring the rest
-// of the chunk tree.
+// checkCanceled reads Config.Stop. process calls it at every batch boundary
+// so a canceled engine — a losing speculative copy, a shutdown — releases its
+// memory promptly instead of exploring the rest of the chunk tree.
 func (e *Engine) checkCanceled() error {
-	if e.cfg.Canceled != nil && e.cfg.Canceled() {
+	select {
+	case <-e.cfg.Stop:
 		return ErrCanceled
+	default:
+		return nil
 	}
-	return nil
 }
 
 // Run explores the embedding trees of every root this engine owns. It
@@ -261,10 +263,11 @@ func (e *Engine) checkCanceled() error {
 // The engine's working set — chunks and worker contexts — comes from the
 // process-wide pools and goes back only when the exploration completed. A
 // run that failed or was canceled may have left fetch goroutines unjoined
-// that still write its chunks' lists, so it returns nothing and leaves its
-// memory to the garbage collector.
+// that still write its chunks' lists — a stopped run does not wait for the
+// fetches in flight — so it returns nothing and leaves its memory to the
+// garbage collector.
 //
-//khuzdulvet:longrun whole-partition exploration; must observe Config.Canceled
+//khuzdulvet:longrun whole-partition exploration; must observe Config.Stop
 func (e *Engine) Run() error {
 	e.workers = make([]*workerCtx, e.cfg.Threads)
 	for i := range e.workers {
@@ -272,8 +275,8 @@ func (e *Engine) Run() error {
 	}
 	roots := e.src.Roots()
 	for start := 0; start < len(roots); start += e.cfg.ChunkSize {
-		if e.cfg.Canceled != nil && e.cfg.Canceled() {
-			return ErrCanceled
+		if err := e.checkCanceled(); err != nil {
+			return err
 		}
 		end := start + e.cfg.ChunkSize
 		if end > len(roots) {
@@ -420,8 +423,8 @@ func (e *Engine) processDense(ch *chunk) error {
 }
 
 // denseRound runs the dense pass over every parent of a level-1 chunk, the
-// parents split into mini-batches across the workers. Config.Canceled is
-// polled between parents.
+// parents split into mini-batches across the workers. Config.Stop is read
+// between parents.
 func (e *Engine) denseRound(ch *chunk) error {
 	runs := len(ch.runs) - 1
 	mini := e.cfg.MiniBatch
@@ -478,24 +481,30 @@ func (e *Engine) buildRow(w *workerCtx, ch *chunk, idx int32) {
 	w.vertHits++
 }
 
-// waitBatch blocks until a batch's communication completes, accounting the
-// wait as network time. Under strict pipelining the fetch itself runs here.
+// waitBatch blocks until a batch's communication completes or Config.Stop
+// closes, accounting the wait as network time. Under strict pipelining the
+// batch's fetch starts here, the first time the batch is waited on. A stopped
+// engine leaves the fetch running; Run then hands nothing it wrote to the
+// pools.
 func (e *Engine) waitBatch(b *fetchBatch) error {
 	if f := b.lazyFetch; f != nil {
 		b.lazyFetch = nil
-		t0 := time.Now()
-		f()
-		e.met.AddNetwork(time.Since(t0))
-		return b.err
+		go f()
 	}
 	select {
 	case <-b.ready:
+		return b.err
 	default:
-		t0 := time.Now()
-		<-b.ready
-		e.met.AddNetwork(time.Since(t0))
 	}
-	return b.err
+	t0 := time.Now()
+	err := ErrCanceled
+	select {
+	case <-b.ready:
+		err = b.err
+	case <-e.cfg.Stop:
+	}
+	e.met.AddNetwork(time.Since(t0))
+	return err
 }
 
 // extendRound extends the unprocessed embeddings of batch b, appending

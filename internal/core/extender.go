@@ -6,8 +6,9 @@
 // three forms of GPM-specific data reuse (§5): vertical sharing through
 // parent pointers, horizontal sharing within a chunk, and the static cache.
 //
-// The engine is client-agnostic: client GPM systems (internal/automine,
-// internal/graphpi) supply an Extender — the paper's EXTEND function — and a
+// The engine is client-agnostic: it runs any Extender — the paper's EXTEND
+// function. The client systems, k-Automine and k-GraphPi, are the two
+// schedule styles of plan.Compile, and NewPlanExtender runs either's plan; a
 // DataSource supplies partitioned graph data.
 package core
 

@@ -3,7 +3,6 @@ package core_test
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"khuzdul/internal/comm"
@@ -82,13 +81,10 @@ func TestFailedRunDoesNotPoisonPool(t *testing.T) {
 		}
 		close(src.gate)
 
-		// A run canceled mid-exploration.
-		var polls atomic.Int64
-		eng = core.NewEngine(core.NewPlanExtender(pl, nil), &testSource{local: locals[1], fabric: fabric},
-			&core.CountSink{}, core.Config{
-				Threads: 2, ChunkSize: 8, HDS: true,
-				Canceled: func() bool { return polls.Add(1) > 20 },
-			})
+		// A run canceled mid-exploration, with fetches in flight.
+		stopped := &stopSource{DataSource: &testSource{local: locals[1], fabric: fabric}, stop: make(chan struct{}), n: 40}
+		eng = core.NewEngine(core.NewPlanExtender(pl, nil), stopped, &core.CountSink{},
+			core.Config{Threads: 2, ChunkSize: 8, HDS: true, Stop: stopped.stop})
 		if err := eng.Run(); !errors.Is(err, core.ErrCanceled) {
 			t.Fatalf("round %d: canceled run returned %v", round, err)
 		}

@@ -36,7 +36,8 @@ type DataSource interface {
 	// machine. The engine batches requests; pipelining happens above. ids
 	// is never reused by the engine, so an implementation may still be
 	// reading it after Fetch returned (an abandoned attempt of a retrying
-	// fabric does).
+	// fabric does). A stopped engine does not wait for its fetches, so a
+	// Fetch may still be running after Run returned.
 	Fetch(owner int, ids []graph.VertexID) ([][]graph.VertexID, error)
 	// NumNodes returns the number of machines in the cluster.
 	NumNodes() int

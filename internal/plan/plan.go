@@ -7,8 +7,8 @@
 // computation sharing).
 //
 // A plan is the Go equivalent of the paper's compiled EXTEND function: the
-// client systems (internal/automine, internal/graphpi) produce plans in their
-// respective styles, and every engine in the repository executes them.
+// client systems k-Automine and k-GraphPi are Compile's two Styles, and every
+// engine in the repository executes the plans either produces.
 package plan
 
 import (

@@ -31,6 +31,22 @@ func TestCompileRejectsBadPatterns(t *testing.T) {
 	}
 }
 
+func TestScheduleSearchUsesCostModel(t *testing.T) {
+	// GraphPi's search must never pick a schedule worse than Automine's
+	// canonical one under the same cost model.
+	g := graph.RMATDefault(100, 500, 823)
+	for _, pat := range []*pattern.Pattern{
+		pattern.House(), pattern.TailedTriangle(), pattern.CycleP(5), pattern.Diamond(),
+	} {
+		gp := compile(t, pat, Options{Style: StyleGraphPi, Stats: StatsOf(g)})
+		am := compile(t, pat, Options{Style: StyleAutomine, Stats: StatsOf(g)})
+		if gp.EstCost > am.EstCost {
+			t.Errorf("%v: GraphPi schedule cost %.1f worse than Automine's %.1f",
+				pat, gp.EstCost, am.EstCost)
+		}
+	}
+}
+
 func TestTriangleCountKnownGraphs(t *testing.T) {
 	cases := []struct {
 		name string

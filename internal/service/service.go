@@ -14,10 +14,10 @@
 //     budget (by default the cluster's threads split across the window), so
 //     one heavy 5-motif query cannot starve point lookups.
 //   - Cancellation. An explicit CANCEL frame or the client's disconnect
-//     closes the query's cancel channel, which aborts every engine at its
-//     next range or batch boundary and abandons in-flight remote fetches
-//     through the resilient layer — a canceled query releases its admission
-//     slot promptly even mid-fetch.
+//     closes the query's cancel channel, which stops every engine at its
+//     next range or batch boundary, or at once while it waits for a remote
+//     fetch, on any fabric — a canceled query releases its admission slot
+//     promptly even mid-fetch.
 //   - Deadlines. Each query carries an optional deadline (client-requested,
 //     capped by Config.QueryDeadline); when it fires, the same cancel
 //     channel closes and the query completes with QueryDeadlineExceeded.
@@ -70,6 +70,33 @@ type Config struct {
 	QueryDeadline time.Duration
 }
 
+// ErrInvalidConfig marks a Config that New refuses: a negative
+// MaxConcurrent, WorkerBudget, IOTimeout or QueryDeadline.
+var ErrInvalidConfig = errors.New("service: invalid config")
+
+// Validate reports the first setting New cannot honor, wrapped around
+// ErrInvalidConfig and named by its field. Zero is valid everywhere; a
+// negative ProgressInterval is the documented "streaming off".
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"MaxConcurrent", c.MaxConcurrent}, {"WorkerBudget", c.WorkerBudget}} {
+		if f.n < 0 {
+			return fmt.Errorf("%w: %s must not be negative, got %d", ErrInvalidConfig, f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"IOTimeout", c.IOTimeout}, {"QueryDeadline", c.QueryDeadline}} {
+		if f.d < 0 {
+			return fmt.Errorf("%w: %s must not be negative, got %v", ErrInvalidConfig, f.name, f.d)
+		}
+	}
+	return nil
+}
+
 // Defaults for Config's zero fields.
 const (
 	DefaultMaxConcurrent    = 4
@@ -114,6 +141,9 @@ type Server struct {
 // and must not have speculation enabled — speculation assumes it owns the
 // whole cluster per run, while the service schedules queries itself.
 func New(cl *cluster.Cluster, cfg Config) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	ccfg := cl.Config()
 	if ccfg.Speculate {
 		return nil, errors.New("service: clusters with Speculate are not servable; the service schedules queries itself")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +404,43 @@ func TestServerCloseCancelsClients(t *testing.T) {
 	if _, err := q.Result(); err == nil {
 		t.Fatal("query resolved cleanly across a server shutdown")
 	}
+}
+
+// TestNewRejectsInvalidConfig: New refuses every negative setting it cannot
+// honor, by field, before it listens; a negative ProgressInterval is the
+// documented "streaming off" and passes.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	leakcheck.Check(t)
+	cl, err := cluster.New(testGraph(t), fastClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxConcurrent", Config{MaxConcurrent: -1}},
+		{"WorkerBudget", Config{WorkerBudget: -1}},
+		{"IOTimeout", Config{IOTimeout: -time.Second}},
+		{"QueryDeadline", Config{QueryDeadline: -time.Second}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			srv, err := New(cl, tc.cfg)
+			if err == nil {
+				srv.Close()
+				t.Fatalf("New accepted a negative %s", tc.field)
+			}
+			if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want ErrInvalidConfig naming %s", err, tc.field)
+			}
+		})
+	}
+	srv, err := New(cl, Config{ProgressInterval: -1})
+	if err != nil {
+		t.Fatalf("negative ProgressInterval refused: %v", err)
+	}
+	srv.Close()
 }
 
 // TestSpeculatingClusterRefused: the service owns scheduling; a cluster

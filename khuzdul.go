@@ -34,7 +34,6 @@ import (
 	"khuzdul/internal/fsm"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/pattern"
-	"khuzdul/internal/plan"
 	"khuzdul/internal/service"
 )
 
@@ -213,11 +212,7 @@ type FrequentPattern struct {
 // labeled patterns with at most maxEdges edges whose MNI support reaches
 // minSupport.
 func (e *Engine) MineFrequent(minSupport uint64, maxEdges int) ([]FrequentPattern, time.Duration, error) {
-	style := plan.StyleGraphPi
-	if e.sys == Automine {
-		style = plan.StyleAutomine
-	}
-	res, err := fsm.Mine(e.c, fsm.Config{MinSupport: minSupport, MaxEdges: maxEdges, Style: style})
+	res, err := fsm.Mine(e.c, fsm.Config{MinSupport: minSupport, MaxEdges: maxEdges, Style: e.sys.Style()})
 	if err != nil {
 		return nil, 0, err
 	}
