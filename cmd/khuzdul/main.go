@@ -62,7 +62,6 @@ func runMine() {
 	flag.StringVar(&cf.faultProf, "fault-profile", "", "deterministic fault injection spec, e.g. seed=7,err=0.05,corrupt=0.01,drop=0.01,partition=0|1@500,slow=2:20,crash=2@500 (empty disables)")
 	flag.DurationVar(&cf.fetchTO, "fetch-timeout", 0, "per-fetch-attempt timeout; enables the resilience layer (0 = default 250ms when enabled)")
 	flag.IntVar(&cf.retries, "retries", 0, "retry budget per fetch; enables the resilience layer (0 = default 5 when enabled)")
-	flag.BoolVar(&cf.heartbeat, "heartbeat", false, "run the heartbeat failure detector; enables the resilience layer")
 	flag.BoolVar(&cf.speculate, "speculate", false, "re-execute straggler root ranges on idle machines; enables the resilience layer")
 	var (
 		graphSpec = flag.String("graph", "rmat:10000:100000", "input graph: FILE (.bin or edge list), rmat:N:M[:SEED], uniform:N:M[:SEED], or preset:ABBR")
@@ -346,7 +345,7 @@ type clusterFlags struct {
 	cacheDeg                                          uint
 	cachePol, faultProf                               string
 	fetchTO                                           time.Duration
-	noHDS, tcp, heartbeat, speculate                  bool
+	noHDS, tcp, speculate                             bool
 }
 
 // register defines the sizing flags on fs.
@@ -421,7 +420,6 @@ func validateFlags(app string, k, maxEdges int, f clusterFlags, drainTO, queryDe
 		Fault:                prof,
 		FetchTimeout:         f.fetchTO,
 		FetchRetries:         f.retries,
-		Heartbeat:            f.heartbeat,
 		Speculate:            f.speculate,
 	}
 	if f.tcp {
@@ -454,13 +452,11 @@ func report(res khuzdul.Result, err error) {
 		res.Count, res.Elapsed, harness.FmtBytes(s.BytesSent),
 		100*s.CacheHitRate(), s.Extensions)
 	if s.FaultsInjected > 0 || s.FetchRetries > 0 || res.RecoveryRounds > 0 ||
-		s.CorruptFrames > 0 || s.HeartbeatMisses > 0 || s.SpeculativeRanges > 0 {
+		s.CorruptFrames > 0 || s.SpeculativeRanges > 0 {
 		fmt.Printf("resilience: %d faults injected, %d retries, %d recovery rounds, %d roots recovered, dead nodes %v\n",
 			s.FaultsInjected, s.FetchRetries, res.RecoveryRounds, s.RecoveredRoots, res.DeadNodes)
 		fmt.Printf("  wire: %d corrupt frames rejected, %d redials\n",
 			s.CorruptFrames, s.Redials)
-		fmt.Printf("  detector: %d heartbeat misses, %d nodes suspected\n",
-			s.HeartbeatMisses, s.NodesSuspected)
 		fmt.Printf("  speculation: %d ranges re-executed, %d wins\n",
 			s.SpeculativeRanges, s.SpeculationWins)
 	}

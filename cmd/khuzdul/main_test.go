@@ -121,5 +121,10 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("malformed partition", bad(8, 1, 2, 0, 0, "partition=0|@5", "-fault-profile"))
 	t.Run("overlapping partition", bad(8, 1, 2, 0, 0, "partition=0|0@5", "-fault-profile"))
 	t.Run("bad slow factor", bad(8, 1, 2, 0, 0, "slow=1:0", "-fault-profile"))
+	// A profile naming a machine the cluster does not have used to inject
+	// nothing and report a clean success.
+	t.Run("crash node outside cluster", bad(4, 1, 2, 0, 0, "crash=7@100", "Fault"))
+	t.Run("partition node outside cluster", bad(4, 1, 2, 0, 0, "partition=0|4@5", "Fault"))
+	t.Run("slow node outside cluster", bad(4, 1, 2, 0, 0, "slow=9:2", "Fault"))
 	t.Run("unknown cache policy", reject("tc", 4, 3, with(func(f *clusterFlags) { f.cachePol = "bogus" }), 0, 0, "-cache-policy"))
 }

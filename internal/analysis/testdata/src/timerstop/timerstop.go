@@ -90,15 +90,15 @@ func scheduled(d time.Duration, f func()) {
 	f()
 }
 
-// newHeartbeat creates and returns: the ticker escapes to the caller, which
+// newPulse creates and returns: the ticker escapes to the caller, which
 // now owns the Stop. Clean here, tracked again at every call site.
-func newHeartbeat() *time.Ticker {
+func newPulse() *time.Ticker {
 	return time.NewTicker(time.Second)
 }
 
-// useHeartbeat is the responsible caller.
-func useHeartbeat(done chan struct{}) {
-	t := newHeartbeat()
+// usePulse is the responsible caller.
+func usePulse(done chan struct{}) {
+	t := newPulse()
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -106,9 +106,9 @@ func useHeartbeat(done chan struct{}) {
 	}
 }
 
-// useHeartbeatLeak takes ownership from the source and drops it.
-func useHeartbeatLeak(done chan struct{}) {
-	t := newHeartbeat() // want "not stopped on every exit path"
+// usePulseLeak takes ownership from the source and drops it.
+func usePulseLeak(done chan struct{}) {
+	t := newPulse() // want "not stopped on every exit path"
 	select {
 	case <-t.C:
 	case <-done:
@@ -217,8 +217,8 @@ func rebindStopped(a, b time.Duration) {
 // rebindFromSource overwrites a live ticker obtained from an in-program
 // source: the rebind check follows source bindings too.
 func rebindFromSource(done chan struct{}) {
-	t := newHeartbeat() // want "rebound before being stopped"
-	t = newHeartbeat()
+	t := newPulse() // want "rebound before being stopped"
+	t = newPulse()
 	defer t.Stop()
 	select {
 	case <-t.C:

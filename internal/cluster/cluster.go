@@ -27,8 +27,9 @@ import (
 
 // ErrInvalidConfig marks a Config that New refuses: a negative count, size
 // or duration, a non-finite or negative CacheFraction, an unknown Transport
-// or CachePolicy, or Speculate with SequentialNodes. It is a configuration
-// error, not a runtime fault: nothing ran yet.
+// or CachePolicy, Speculate with SequentialNodes, or a Fault profile the
+// cluster cannot honor. It is a configuration error, not a runtime fault:
+// nothing ran yet.
 var ErrInvalidConfig = errors.New("cluster: invalid config")
 
 // ErrRunCanceled marks a run aborted by its RunOpts.Cancel channel. It is
@@ -100,15 +101,16 @@ type Config struct {
 
 	// Fault injects deterministic faults (transient fetch errors, latency,
 	// permanent node crashes) into the fabric. Nil disables injection and
-	// adds zero overhead. A non-nil profile turns the retry layer on.
+	// adds zero overhead. A non-nil profile turns the retry layer on. Its
+	// nodes must lie in [0, NumNodes) and its rates in [0,1].
 	Fault *fault.Profile
 	// FetchTimeout bounds each fetch attempt and turns on the
 	// retry/deadline/circuit-breaker fetch layer and task-level recovery,
 	// with or without a fault profile (e.g. for real networks). Three
 	// consecutive timed-out fetches to one peer declare it dead
 	// (comm.RetryConfig's breaker default), and task-level recovery takes
-	// over its unfinished source ranges. Setting Fault, FetchRetries,
-	// Heartbeat or Speculate turns the layer on too, with a 250ms default.
+	// over its unfinished source ranges. Setting Fault, FetchRetries or
+	// Speculate turns the layer on too, with a 250ms default.
 	FetchTimeout time.Duration
 	// FetchRetries is the number of retry attempts per fetch after the
 	// first (default 5 when the retry layer is on).
@@ -116,18 +118,6 @@ type Config struct {
 	// RetryBackoff is the initial retry backoff; it doubles per attempt
 	// with deterministic jitter (default 1ms).
 	RetryBackoff time.Duration
-
-	// Heartbeat runs a failure detector: one goroutine per machine pings
-	// every peer over the fabric and declares a peer suspect after three
-	// consecutive missed pings, each bounded by twice the interval (the
-	// comm.DetectorConfig defaults). Suspicion feeds the retry layer's
-	// dead-peer verdicts, so every worker fails fast against a dead machine
-	// instead of independently burning its retry budget. Turns the retry
-	// layer on.
-	Heartbeat bool
-	// HeartbeatInterval is the ping period per (node, peer) pair
-	// (default 20ms).
-	HeartbeatInterval time.Duration
 
 	// Speculate enables straggler speculation: the driver samples each
 	// engine's completed-root prefix, and once some machines sit idle it
@@ -153,7 +143,7 @@ func (c Config) withDefaults() Config {
 		c.CacheDegreeThreshold = 64
 	}
 	// After defaults, the retry layer is on exactly when FetchTimeout > 0.
-	if c.Fault != nil || c.FetchTimeout > 0 || c.FetchRetries > 0 || c.Heartbeat || c.Speculate {
+	if c.Fault != nil || c.FetchTimeout > 0 || c.FetchRetries > 0 || c.Speculate {
 		if c.FetchTimeout <= 0 {
 			c.FetchTimeout = 250 * time.Millisecond
 		}
@@ -165,7 +155,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate reports the first setting New cannot honor, wrapped around
-// ErrInvalidConfig and named by its field. Zero is valid everywhere.
+// ErrInvalidConfig and named by its field. Zero is valid everywhere. Fault's
+// nodes are checked against the effective node count (NumNodes, or 1 when
+// zero).
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -183,7 +175,7 @@ func (c Config) Validate() error {
 		name string
 		d    time.Duration
 	}{
-		{"FetchTimeout", c.FetchTimeout}, {"RetryBackoff", c.RetryBackoff}, {"HeartbeatInterval", c.HeartbeatInterval},
+		{"FetchTimeout", c.FetchTimeout}, {"RetryBackoff", c.RetryBackoff},
 	} {
 		if f.d < 0 {
 			return fmt.Errorf("%w: %s must not be negative, got %v", ErrInvalidConfig, f.name, f.d)
@@ -199,6 +191,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: unknown CachePolicy %d", ErrInvalidConfig, c.CachePolicy)
 	case c.Speculate && c.SequentialNodes:
 		return fmt.Errorf("%w: Speculate needs concurrently running machines, not SequentialNodes", ErrInvalidConfig)
+	}
+	if c.Fault != nil {
+		if err := c.Fault.Validate(c.withDefaults().NumNodes); err != nil {
+			return fmt.Errorf("%w: Fault: %v", ErrInvalidConfig, err)
+		}
 	}
 	return nil
 }
@@ -221,9 +218,6 @@ type Cluster struct {
 	// the fabric stack; nil when the config does not turn them on.
 	injector  *fault.Injector
 	resilient *comm.Resilient
-	// detector is the heartbeat failure detector; nil unless Heartbeat is
-	// configured. It runs for the cluster's whole lifetime.
-	detector *comm.Detector
 	// scaches, under Config.SharedCache, holds one persistent cache per
 	// (node, socket) slot, reused by every run instead of rebuilt cold.
 	scaches []cache.Cache
@@ -284,30 +278,24 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	if cfg.Heartbeat {
-		// The detector pings through the full fabric stack (including the
-		// fault injector) so crashes and partitions are felt exactly as data
-		// traffic feels them. A crashed machine's own detector goroutine
-		// stops accusing peers — a dead process's timers stop firing.
-		var selfDead func(int) bool
-		if c.injector != nil {
-			selfDead = c.injector.Crashed
-		}
-		c.detector = comm.NewDetector(c.fabric, cfg.NumNodes,
-			comm.DetectorConfig{Interval: cfg.HeartbeatInterval}, c.met, selfDead)
-		c.resilient.SetSuspector(c.detector.Suspected) // Heartbeat turns the retry layer on
-		c.detector.Start()
-	}
 	return c, nil
 }
 
 // buildFabric assembles c.fabric over servers: the base transport, wrapped
 // by the fault injector when the profile injects anything, wrapped by the
-// retry/deadline/breaker layer when FetchTimeout is set.
+// retry/deadline/breaker layer when FetchTimeout is set. The transport itself
+// gets the injector's corrupt/drop hooks.
 func (c *Cluster) buildFabric(servers []comm.Server) error {
+	var wire comm.WireFaults // nil unless the profile injects anything
+	if c.cfg.Fault != nil && !c.cfg.Fault.Zero() {
+		c.injector = fault.NewInjector(*c.cfg.Fault, c.cfg.NumNodes, c.met)
+		wire = c.injector
+	}
 	var fabric comm.Fabric
 	if c.cfg.Transport == TransportChan {
-		fabric = comm.NewLocal(servers, c.met)
+		l := comm.NewLocal(servers, c.met)
+		l.SetWireFaults(wire)
+		fabric = l
 	} else { // TransportTCP, the only other transport Validate admits
 		t, err := comm.NewTCP(servers, c.met)
 		if err != nil {
@@ -321,10 +309,10 @@ func (c *Cluster) buildFabric(servers []comm.Server) error {
 		if c.cfg.InFlight > 0 {
 			t.SetInFlight(c.cfg.InFlight)
 		}
+		t.SetWireFaults(wire)
 		fabric = t
 	}
-	if c.cfg.Fault != nil && !c.cfg.Fault.Zero() {
-		c.injector = fault.NewInjector(*c.cfg.Fault, c.cfg.NumNodes, c.met)
+	if c.injector != nil {
 		fabric = c.injector.Wrap(fabric)
 	}
 	if c.cfg.FetchTimeout > 0 {
@@ -348,22 +336,14 @@ func seedOf(p *fault.Profile) int64 {
 	return p.Seed
 }
 
-// Close stops the failure detector (if any) and releases the fabric.
-func (c *Cluster) Close() error {
-	if c.detector != nil {
-		c.detector.Stop()
-	}
-	return c.fabric.Close()
-}
+// Close releases the fabric.
+func (c *Cluster) Close() error { return c.fabric.Close() }
 
 // Graph returns the input graph.
 func (c *Cluster) Graph() *graph.Graph { return c.g }
 
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Metrics returns the cluster's metric store (reset between runs by Run).
-func (c *Cluster) Metrics() *metrics.Cluster { return c.met }
 
 // DeadNodes returns the machines the cluster currently believes dead —
 // crashed by fault injection or declared dead by the circuit breaker —
@@ -611,11 +591,6 @@ func (c *Cluster) RunWith(pl *plan.Plan, sinkFactory func(node, socket int) core
 // Count runs a plan with counting sinks — the common case.
 func (c *Cluster) Count(pl *plan.Plan) (Result, error) {
 	return c.Run(pl, func(node, socket int) core.Sink { return &core.CountSink{} })
-}
-
-// CountWith is Count with per-run options.
-func (c *Cluster) CountWith(pl *plan.Plan, opts RunOpts) (Result, error) {
-	return c.RunWith(pl, func(node, socket int) core.Sink { return &core.CountSink{} }, opts)
 }
 
 // CountAll runs several plans sequentially (e.g. motif counting over all

@@ -9,6 +9,7 @@ import (
 
 	"khuzdul/internal/cache"
 	"khuzdul/internal/core"
+	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
@@ -23,6 +24,9 @@ func mustCluster(t *testing.T, g *graph.Graph, cfg Config) *Cluster {
 	t.Cleanup(func() { c.Close() })
 	return c
 }
+
+// countSinks is the sink factory of a counting run.
+func countSinks(node, socket int) core.Sink { return &core.CountSink{} }
 
 // mustCompile compiles pat with g's degree statistics driving the schedule,
 // as the applications compile it.
@@ -278,25 +282,35 @@ func TestConfigValidate(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		"NaN cache":          {Config{CacheFraction: math.NaN()}, "CacheFraction"},
-		"+Inf cache":         {Config{CacheFraction: math.Inf(1)}, "CacheFraction"},
-		"-Inf cache":         {Config{CacheFraction: math.Inf(-1)}, "CacheFraction"},
-		"negative cache":     {Config{CacheFraction: -0.1}, "CacheFraction"},
-		"negative nodes":     {Config{NumNodes: -3}, "NumNodes"},
-		"negative sockets":   {Config{Sockets: -1}, "Sockets"},
-		"negative threads":   {Config{ThreadsPerSocket: -1}, "ThreadsPerSocket"},
-		"negative chunk":     {Config{ChunkSize: -8}, "ChunkSize"},
-		"negative inflight":  {Config{InFlight: -1}, "InFlight"},
-		"negative minibatch": {Config{MiniBatch: -1}, "MiniBatch"},
-		"negative retries":   {Config{FetchRetries: -1}, "FetchRetries"},
-		"negative timeout":   {Config{FetchTimeout: -time.Millisecond}, "FetchTimeout"},
-		"negative backoff":   {Config{RetryBackoff: -time.Millisecond}, "RetryBackoff"},
-		"negative heartbeat": {Config{HeartbeatInterval: -time.Millisecond}, "HeartbeatInterval"},
-		"unknown transport":  {Config{Transport: TransportTCP + 1}, "Transport"},
-		"negative transport": {Config{Transport: -1}, "Transport"},
-		"unknown policy":     {Config{CachePolicy: cache.MRU + 1}, "CachePolicy"},
-		"negative policy":    {Config{CachePolicy: -1}, "CachePolicy"},
-		"sequential spec":    {Config{Speculate: true, SequentialNodes: true}, "Speculate"},
+		"NaN cache":           {Config{CacheFraction: math.NaN()}, "CacheFraction"},
+		"+Inf cache":          {Config{CacheFraction: math.Inf(1)}, "CacheFraction"},
+		"-Inf cache":          {Config{CacheFraction: math.Inf(-1)}, "CacheFraction"},
+		"negative cache":      {Config{CacheFraction: -0.1}, "CacheFraction"},
+		"negative nodes":      {Config{NumNodes: -3}, "NumNodes"},
+		"negative sockets":    {Config{Sockets: -1}, "Sockets"},
+		"negative threads":    {Config{ThreadsPerSocket: -1}, "ThreadsPerSocket"},
+		"negative chunk":      {Config{ChunkSize: -8}, "ChunkSize"},
+		"negative inflight":   {Config{InFlight: -1}, "InFlight"},
+		"negative minibatch":  {Config{MiniBatch: -1}, "MiniBatch"},
+		"negative retries":    {Config{FetchRetries: -1}, "FetchRetries"},
+		"negative timeout":    {Config{FetchTimeout: -time.Millisecond}, "FetchTimeout"},
+		"negative backoff":    {Config{RetryBackoff: -time.Millisecond}, "RetryBackoff"},
+		"unknown transport":   {Config{Transport: TransportTCP + 1}, "Transport"},
+		"negative transport":  {Config{Transport: -1}, "Transport"},
+		"unknown policy":      {Config{CachePolicy: cache.MRU + 1}, "CachePolicy"},
+		"negative policy":     {Config{CachePolicy: -1}, "CachePolicy"},
+		"sequential spec":     {Config{Speculate: true, SequentialNodes: true}, "Speculate"},
+		"fault crash node":    {Config{NumNodes: 4, Fault: &fault.Profile{Crashes: []fault.Crash{{Node: 7, After: 100}}}}, "Fault"},
+		"fault default nodes": {Config{Fault: &fault.Profile{Crashes: []fault.Crash{{Node: 1}}}}, "Fault"},
+		"fault negative node": {Config{NumNodes: 4, Fault: &fault.Profile{Crashes: []fault.Crash{{Node: -1}}}}, "Fault"},
+		"fault partition A":   {Config{NumNodes: 4, Fault: &fault.Profile{Partitions: []fault.Partition{{A: []int{4}, B: []int{0}}}}}, "Fault"},
+		"fault partition B":   {Config{NumNodes: 4, Fault: &fault.Profile{Partitions: []fault.Partition{{A: []int{0}, B: []int{1, 9}}}}}, "Fault"},
+		"fault slow node":     {Config{NumNodes: 4, Fault: &fault.Profile{Slowdowns: []fault.Slowdown{{Node: 4, Factor: 2}}}}, "Fault"},
+		"fault slow factor":   {Config{NumNodes: 4, Fault: &fault.Profile{Slowdowns: []fault.Slowdown{{Node: 1, Factor: 0}}}}, "Fault"},
+		"fault error rate":    {Config{Fault: &fault.Profile{ErrorRate: 1.5}}, "Fault"},
+		"fault corrupt rate":  {Config{Fault: &fault.Profile{CorruptRate: -0.1}}, "Fault"},
+		"fault drop rate":     {Config{Fault: &fault.Profile{DropRate: math.NaN()}}, "Fault"},
+		"fault latency":       {Config{Fault: &fault.Profile{MaxLatency: -time.Millisecond}}, "Fault"},
 	} {
 		err := tc.cfg.Validate()
 		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field) {
@@ -309,7 +323,13 @@ func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{{}, {
 		NumNodes: 8, Sockets: 2, ThreadsPerSocket: 4, ChunkSize: 64, CacheFraction: 1,
 		CachePolicy: cache.MRU, Transport: TransportTCP, InFlight: 1, MiniBatch: 4,
-		FetchTimeout: time.Second, FetchRetries: 3, RetryBackoff: time.Millisecond, HeartbeatInterval: time.Millisecond,
+		FetchTimeout: time.Second, FetchRetries: 3, RetryBackoff: time.Millisecond,
+		Fault: &fault.Profile{
+			ErrorRate: 1, CorruptRate: 0.5, MaxLatency: time.Millisecond,
+			Crashes:    []fault.Crash{{Node: 7}},
+			Partitions: []fault.Partition{{A: []int{0}, B: []int{7}}},
+			Slowdowns:  []fault.Slowdown{{Node: 7, Factor: 0.5}},
+		},
 	}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)

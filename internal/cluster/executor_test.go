@@ -35,7 +35,7 @@ func TestCancelUnderSpeculationAbandonsFetches(t *testing.T) {
 			cancel := make(chan struct{})
 			defer time.AfterFunc(30*time.Millisecond, func() { close(cancel) }).Stop()
 			start := time.Now()
-			_, err := c.CountWith(pl, RunOpts{Cancel: cancel})
+			_, err := c.RunWith(pl, countSinks, RunOpts{Cancel: cancel})
 			if !errors.Is(err, ErrRunCanceled) {
 				t.Fatalf("err = %v, want ErrRunCanceled", err)
 			}
@@ -83,7 +83,7 @@ func TestCancelWithoutRetryLayer(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := c.CountWith(pl, RunOpts{Cancel: cancel})
+		_, err := c.RunWith(pl, countSinks, RunOpts{Cancel: cancel})
 		done <- err
 	}()
 	select {
@@ -108,7 +108,7 @@ func TestRunThreadBudgetGovernsEveryEngine(t *testing.T) {
 	pl := mustCompile(t, pattern.Triangle(), g, plan.Options{Style: plan.StyleGraphPi})
 	c := mustCluster(t, g, Config{NumNodes: 2, Sockets: 2, ThreadsPerSocket: 4, SequentialNodes: true})
 	opts := RunOpts{ThreadsPerSocket: 1}
-	res, err := c.CountWith(pl, opts)
+	res, err := c.RunWith(pl, countSinks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestPooledMemoryExactAcrossRuns(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					res, err := c.CountWith(pc.pl, RunOpts{KeepMetrics: true})
+					res, err := c.RunWith(pc.pl, countSinks, RunOpts{KeepMetrics: true})
 					if err != nil {
 						t.Errorf("concurrent %s: %v", pc.name, err)
 						return
@@ -173,7 +173,7 @@ func TestFailedRunDoesNotPoisonPool(t *testing.T) {
 
 		exact := func(name string, c *Cluster, opts RunOpts) func() error {
 			return func() error {
-				res, err := c.CountWith(pl, opts)
+				res, err := c.RunWith(pl, countSinks, opts)
 				if err != nil {
 					return fmt.Errorf("%s: %w", name, err)
 				}
@@ -193,7 +193,7 @@ func TestFailedRunDoesNotPoisonPool(t *testing.T) {
 				// Canceled while it runs: it either stops with ErrRunCanceled
 				// or had already finished, exactly.
 				close(cancel)
-				res, err := healthy.CountWith(pl, RunOpts{Cancel: cancel, KeepMetrics: true})
+				res, err := healthy.RunWith(pl, countSinks, RunOpts{Cancel: cancel, KeepMetrics: true})
 				if errors.Is(err, ErrRunCanceled) || (err == nil && res.Count == want) {
 					return nil
 				}

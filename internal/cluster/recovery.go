@@ -87,8 +87,8 @@ func (c *Cluster) rootsOf(fo *failover, node, socket int) []graph.VertexID {
 	return append(out, adopted...)
 }
 
-// isDead reports whether node is dead: declared so by the breaker or the
-// failure detector, or crashed by fault injection.
+// isDead reports whether node is dead: declared so by the breaker, or
+// crashed by fault injection.
 func (c *Cluster) isDead(node int) bool {
 	return c.resilient != nil && c.resilient.Dead(node) || c.injector != nil && c.injector.Crashed(node)
 }

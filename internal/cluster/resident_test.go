@@ -37,7 +37,7 @@ func TestResidentCrashTwoConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int, pl *plan.Plan) {
 			defer wg.Done()
-			results[i], errs[i] = c.CountWith(pl, RunOpts{KeepMetrics: true})
+			results[i], errs[i] = c.RunWith(pl, countSinks, RunOpts{KeepMetrics: true})
 		}(i, pl)
 	}
 	wg.Wait()
@@ -71,7 +71,7 @@ func TestResidentCrashTwoConcurrentQueries(t *testing.T) {
 
 	// A later query reuses the adopted topology: no recovery round, no new
 	// re-partition, count still exact.
-	res, err := c.CountWith(pl3, RunOpts{KeepMetrics: true})
+	res, err := c.RunWith(pl3, countSinks, RunOpts{KeepMetrics: true})
 	if err != nil {
 		t.Fatalf("post-adoption query: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestResidentRecoveryHonorsCancel(t *testing.T) {
 	c := mustCluster(t, g, chaosConfig(prof, TransportChan))
 	cancel := make(chan struct{})
 	close(cancel) // canceled before the run starts: the earliest boundary
-	if _, err := c.CountWith(pl, RunOpts{Cancel: cancel}); err == nil {
+	if _, err := c.RunWith(pl, countSinks, RunOpts{Cancel: cancel}); err == nil {
 		t.Fatal("canceled run completed cleanly")
 	}
 }
@@ -120,7 +120,7 @@ func TestResidentLaterFailureOneRecoveryRound(t *testing.T) {
 	}
 	c := mustCluster(t, g, chaosConfig(prof, TransportChan))
 	for i := 0; i < 20; i++ {
-		res, err := c.CountWith(pl, RunOpts{KeepMetrics: true})
+		res, err := c.RunWith(pl, countSinks, RunOpts{KeepMetrics: true})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -27,6 +27,11 @@ type permanentError struct{ error }
 
 func (permanentError) Permanent() bool { return true }
 
+// ErrConnDropped marks a fetch whose connection an injected mid-exchange drop
+// severed. It is retryable: the next fetch redials (TCP) or simply goes
+// through (the in-process fabric).
+var ErrConnDropped = errors.New("comm: injected connection drop")
+
 // Server answers edge-list requests for the vertices one machine owns.
 type Server interface {
 	// ServeEdgeLists returns the adjacency lists of the requested vertices,
@@ -47,7 +52,7 @@ type Fabric interface {
 	// machine from. It blocks until the response arrives (the paper's remote
 	// fetches are blocking; engines batch and pipeline around it).
 	Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error)
-	// Ping carries one heartbeat probe from machine from to machine to. Pings
+	// Ping carries one liveness probe from machine from to machine to. Pings
 	// are control traffic: they round-trip through the transport (and through
 	// any fault-injecting wrapper) but are excluded from byte accounting so
 	// experiment traffic numbers stay payload-only.
@@ -88,6 +93,8 @@ func account(m *metrics.Cluster, from, to int, reqBytes, respBytes uint64) {
 type Local struct {
 	servers []Server
 	m       *metrics.Cluster
+
+	wireFaults WireFaults // fault-injection hook; nil costs one comparison
 }
 
 // NewLocal returns an in-process fabric over the given per-node servers.
@@ -96,10 +103,29 @@ func NewLocal(servers []Server, m *metrics.Cluster) *Local {
 	return &Local{servers: servers, m: m}
 }
 
+// SetWireFaults installs the wire-fault hooks (fault injection). No bytes
+// exist to flip or sockets to sever, so a corrupted exchange fails with
+// ErrCorruptFrame, as TCP's CRC check would fail it, and a dropped one with
+// ErrConnDropped. Call before sharing the fabric across goroutines.
+func (l *Local) SetWireFaults(wf WireFaults) { l.wireFaults = wf }
+
 // Fetch implements Fabric.
 func (l *Local) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
 	if to < 0 || to >= len(l.servers) {
 		return nil, fmt.Errorf("comm: fetch to node %d: %w", to, ErrUnknownNode)
+	}
+	if wf := l.wireFaults; wf != nil {
+		// Both hooks are consulted once per request, as on TCP.
+		corrupt, drop := wf.CorruptFrame(from, to), wf.DropAfterSend(from, to)
+		switch {
+		case corrupt:
+			if l.m != nil {
+				l.m.Nodes[from].CorruptFrames.Add(1)
+			}
+			return nil, fmt.Errorf("comm: fetch %d->%d: injected corrupt request: %w", from, to, ErrCorruptFrame)
+		case drop:
+			return nil, fmt.Errorf("comm: fetch %d->%d: %w", from, to, ErrConnDropped)
+		}
 	}
 	lists := l.servers[to].ServeEdgeLists(ids)
 	account(l.m, from, to, RequestBytes(len(ids)), ResponseBytes(lists))

@@ -410,20 +410,15 @@ func putPayloadBuf(b []byte) {
 	payloadPool.Put(&b)
 }
 
-// WireFaults is the hook surface the fault injector uses to perturb the TCP
-// fabric at the byte level: CorruptFrame flips a payload byte after the CRC
-// is computed (so the receiver's integrity check must catch it), and
+// WireFaults is the hook surface the fault injector uses to perturb a
+// transport's exchanges. On TCP, CorruptFrame flips a payload byte after the
+// CRC is computed (so the receiver's integrity check must catch it), and
 // DropAfterSend severs the connection between sending a request and reading
-// its response (a mid-exchange connection drop). Both are consulted once per
-// request with the client's (from, to) pair — on the multiplexed path each
-// in-flight request rolls its own faults, not the connection.
+// its response (a mid-exchange connection drop); Local fails the fetch with
+// the error each would cause. Both are consulted once per request with the
+// client's (from, to) pair — on the multiplexed path each in-flight request
+// rolls its own faults, not the connection.
 type WireFaults interface {
 	CorruptFrame(from, to int) bool
 	DropAfterSend(from, to int) bool
-}
-
-// WireFaultable is implemented by fabrics that can apply byte-level wire
-// faults (today: the TCP fabric).
-type WireFaultable interface {
-	SetWireFaults(WireFaults)
 }

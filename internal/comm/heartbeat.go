@@ -8,15 +8,11 @@ import (
 	"khuzdul/internal/metrics"
 )
 
-// Heartbeat failure detection. One lightweight goroutine per simulated
-// machine exchanges periodic pings with every peer over the fabric (through
-// the fault injector, so crashes and partitions are felt exactly like data
-// traffic feels them). A peer that misses Misses consecutive pings from any
-// live node is declared suspect — one cluster-wide verdict that every
-// worker's retry layer consumes via Resilient's suspector hook, instead of
-// each worker independently burning its retry budget against a dead peer.
-// This is the proactive half of failure handling; the per-fetch circuit
-// breaker remains as a fallback when the detector is disabled.
+// Heartbeat failure detection: one goroutine per machine pings every peer,
+// and a peer missing Misses consecutive pings from a live node is suspect.
+// The cluster does not run it — the circuit breaker reached every verdict
+// first (DESIGN.md, "What pays rent") — and it remains only for bench/'s
+// fabric-stack probe.
 
 // DetectorConfig tunes the heartbeat failure detector.
 type DetectorConfig struct {
@@ -47,7 +43,6 @@ type Detector struct {
 	fabric Fabric
 	n      int
 	cfg    DetectorConfig
-	m      *metrics.Cluster
 
 	// selfDead, when set, reports that a node's own process is gone (e.g.
 	// crashed by fault injection); its detector goroutine stops accusing
@@ -63,15 +58,14 @@ type Detector struct {
 	wg   sync.WaitGroup
 }
 
-// NewDetector builds a detector for a numNodes cluster over fabric. m may be
-// nil to disable accounting; selfDead may be nil when nodes cannot die
-// outside the detector's own view.
-func NewDetector(fabric Fabric, numNodes int, cfg DetectorConfig, m *metrics.Cluster, selfDead func(int) bool) *Detector {
+// NewDetector builds a detector for a numNodes cluster over fabric. The
+// metrics argument is ignored: the detector accounts nothing. selfDead may be
+// nil when nodes cannot die outside the detector's own view.
+func NewDetector(fabric Fabric, numNodes int, cfg DetectorConfig, _ *metrics.Cluster, selfDead func(int) bool) *Detector {
 	return &Detector{
 		fabric:    fabric,
 		n:         numNodes,
 		cfg:       cfg.withDefaults(),
-		m:         m,
 		selfDead:  selfDead,
 		suspected: make([]atomic.Bool, numNodes),
 		misses:    make([]atomic.Int32, numNodes*numNodes),
@@ -98,17 +92,6 @@ func (d *Detector) Stop() {
 // Suspected reports whether the detector has declared node suspect.
 func (d *Detector) Suspected(node int) bool {
 	return node >= 0 && node < d.n && d.suspected[node].Load()
-}
-
-// SuspectedNodes returns every suspect node so far, ascending.
-func (d *Detector) SuspectedNodes() []int {
-	var out []int
-	for i := range d.suspected {
-		if d.suspected[i].Load() {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // runNode is one machine's heartbeat loop: ping every peer each interval,
@@ -165,17 +148,12 @@ func (d *Detector) pingOnce(node, peer, pair int) {
 		d.misses[pair].Store(0)
 		return
 	}
-	if d.m != nil {
-		d.m.Nodes[node].HeartbeatMisses.Add(1)
-	}
 	if n := d.misses[pair].Add(1); int(n) >= d.cfg.Misses {
 		// Only a live accuser's verdict counts; a node marked dead between
 		// scheduling and verdict must not take peers down with it.
 		if d.selfDead != nil && d.selfDead(node) {
 			return
 		}
-		if d.suspected[peer].CompareAndSwap(false, true) && d.m != nil {
-			d.m.Nodes[node].NodesSuspected.Add(1)
-		}
+		d.suspected[peer].Store(true)
 	}
 }

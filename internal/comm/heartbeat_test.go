@@ -7,7 +7,6 @@ import (
 
 	"khuzdul/internal/graph"
 	"khuzdul/internal/leakcheck"
-	"khuzdul/internal/metrics"
 	"khuzdul/internal/partition"
 )
 
@@ -27,6 +26,17 @@ func (p *pingStub) Ping(from, to int) error {
 	return nil
 }
 
+// suspects lists the nodes d has declared suspect, ascending.
+func suspects(d *Detector, n int) []int {
+	var out []int
+	for node := 0; node < n; node++ {
+		if d.Suspected(node) {
+			out = append(out, node)
+		}
+	}
+	return out
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	t.Helper()
@@ -42,13 +52,12 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 
 func TestDetectorSuspectsUnreachablePeer(t *testing.T) {
 	const n = 4
-	m := metrics.NewCluster(n)
 	fab := &pingStub{fail: func(from, to int) bool { return to == 2 }}
 	d := NewDetector(fab, n, DetectorConfig{
 		Interval: 3 * time.Millisecond,
 		Timeout:  6 * time.Millisecond,
 		Misses:   2,
-	}, m, nil)
+	}, nil, nil)
 	d.Start()
 	defer d.Stop()
 
@@ -60,35 +69,24 @@ func TestDetectorSuspectsUnreachablePeer(t *testing.T) {
 			t.Fatalf("healthy node %d suspected", node)
 		}
 	}
-	got := d.SuspectedNodes()
+	got := suspects(d, n)
 	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("SuspectedNodes = %v, want [2]", got)
-	}
-	s := m.Summarize()
-	if s.HeartbeatMisses == 0 {
-		t.Fatal("no heartbeat misses accounted")
-	}
-	if s.NodesSuspected == 0 {
-		t.Fatal("no suspicion accounted")
+		t.Fatalf("suspects = %v, want [2]", got)
 	}
 }
 
 func TestDetectorNoFalsePositives(t *testing.T) {
 	const n = 4
-	m := metrics.NewCluster(n)
 	d := NewDetector(&pingStub{}, n, DetectorConfig{
 		Interval: 2 * time.Millisecond,
 		Timeout:  20 * time.Millisecond,
 		Misses:   2,
-	}, m, nil)
+	}, nil, nil)
 	d.Start()
 	time.Sleep(100 * time.Millisecond)
 	d.Stop()
-	if got := d.SuspectedNodes(); len(got) != 0 {
+	if got := suspects(d, n); len(got) != 0 {
 		t.Fatalf("healthy cluster produced suspects %v", got)
-	}
-	if s := m.Summarize(); s.NodesSuspected != 0 {
-		t.Fatalf("accounted %d suspicions on a healthy cluster", s.NodesSuspected)
 	}
 }
 
@@ -104,7 +102,7 @@ func TestDetectorDeadAccuserIsSilenced(t *testing.T) {
 	d.Start()
 	time.Sleep(80 * time.Millisecond)
 	d.Stop()
-	if got := d.SuspectedNodes(); len(got) != 0 {
+	if got := suspects(d, n); len(got) != 0 {
 		t.Fatalf("dead accusers suspected %v", got)
 	}
 }
@@ -127,7 +125,7 @@ func TestDetectorOverTCPFabric(t *testing.T) {
 	d.Start()
 	time.Sleep(60 * time.Millisecond)
 	d.Stop()
-	if got := d.SuspectedNodes(); len(got) != 0 {
+	if got := suspects(d, 3); len(got) != 0 {
 		t.Fatalf("TCP heartbeats produced suspects %v", got)
 	}
 }

@@ -194,10 +194,10 @@ func (m *muxState) err() error {
 
 // fail poisons the connection: it is forgotten (the next fetch redials),
 // the socket is severed, and every pending request completes with a
-// retryable error. Idempotent; the first error wins.
+// retryable error. Idempotent; the first error wins. The error is recorded
+// before the socket closes, so the read error that closing causes in the
+// demux can never win over the cause (an injected drop, say).
 func (m *muxState) fail(cause error) {
-	m.t.forgetConn(m.key, m.conn)
-	m.conn.c.Close()
 	m.mu.Lock()
 	if m.failed == nil {
 		m.failed = cause
@@ -206,6 +206,8 @@ func (m *muxState) fail(cause error) {
 	p := m.pending
 	m.pending = map[uint32]chan muxReply{}
 	m.mu.Unlock()
+	m.t.forgetConn(m.key, m.conn)
+	m.conn.c.Close()
 	// Complete the orphaned waiters in request-ID order (deterministic), on
 	// buffered channels, outside the lock.
 	ids := make([]uint32, 0, len(p))
@@ -222,7 +224,7 @@ func (m *muxState) fail(cause error) {
 
 // errDropped fails the requests in flight on a connection an injected
 // mid-exchange drop severed. It is retryable: the next fetch redials.
-var errDropped = fmt.Errorf("injected drop after send: %w", net.ErrClosed)
+var errDropped = fmt.Errorf("drop after send: %w: %w", ErrConnDropped, net.ErrClosed)
 
 // writeLoop serializes request frames onto the socket, flushing when the
 // queue drains so back-to-back requests batch into one syscall.

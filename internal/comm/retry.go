@@ -80,10 +80,8 @@ type Resilient struct {
 	cfg   RetryConfig
 	m     *metrics.Cluster
 	dead  []atomic.Bool
-	// suspect, when set, contributes external death verdicts (the heartbeat
-	// failure detector) to Dead: a suspected peer fails fast for every
-	// worker at once, before any of them burns a retry budget against it.
-	// Set before the fabric is shared across goroutines.
+	// suspect, when set, contributes an external death oracle's verdicts
+	// to Dead. No cluster installs one; see SetSuspector.
 	suspect func(node int) bool
 	// consec counts consecutive timed-out attempts per peer; any successful
 	// attempt resets it.
@@ -108,12 +106,13 @@ func NewResilient(inner Fabric, numNodes int, cfg RetryConfig, m *metrics.Cluste
 	}
 }
 
-// SetSuspector installs an external death oracle (the heartbeat failure
-// detector) consulted alongside the breaker. Call before sharing the fabric
-// across goroutines.
+// SetSuspector installs an external death oracle, consulted alongside the
+// breaker. The cluster declares peers dead by the breaker alone; this hook
+// and Detector remain only for the stack probe in bench/. Call before
+// sharing the fabric across goroutines.
 func (r *Resilient) SetSuspector(suspect func(node int) bool) { r.suspect = suspect }
 
-// Dead reports whether the breaker or the failure detector has declared
+// Dead reports whether the breaker (or an installed suspector) has declared
 // node dead.
 func (r *Resilient) Dead(node int) bool {
 	if node < 0 || node >= len(r.dead) {
@@ -242,9 +241,9 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(h%uint64(d/2+1))
 }
 
-// Ping implements Fabric by delegating to the inner transport. Heartbeats
-// bypass the retry/breaker discipline: the detector owns its own timeout
-// and miss accounting.
+// Ping implements Fabric by delegating to the inner transport. Pings bypass
+// the retry/breaker discipline: the prober owns its own timeout and miss
+// accounting.
 func (r *Resilient) Ping(from, to int) error { return r.inner.Ping(from, to) }
 
 // Close implements Fabric. It releases every caller parked in a backoff or

@@ -1,7 +1,7 @@
 // Package fault injects deterministic, seedable faults into a communication
 // fabric. It wraps any comm.Fabric (the in-process fabric or the TCP
-// loopback fabric) and perturbs fetches with three fault classes drawn from
-// the failure model of production GPM deployments:
+// loopback fabric) and perturbs fetches with fault classes drawn from the
+// failure model of production GPM deployments:
 //
 //   - transient fetch errors (dropped/reset connections, recoverable by
 //     retrying),
@@ -9,7 +9,12 @@
 //   - permanent node crashes: from fault time on, the crashed node's server
 //     answers nothing (callers hang until their deadline) and fetches issued
 //     *by* the crashed node fail fast with a permanent error (the process is
-//     gone).
+//     gone),
+//   - asymmetric partitions and straggler nodes.
+//
+// Frame corruption and mid-exchange connection drops happen inside the
+// transport: the Injector is a comm.WireFaults, and the transport it is
+// handed to (SetWireFaults) applies them.
 //
 // All decisions derive from a seed hashed with the (from, to) pair and a
 // per-pair sequence number, so a given seed reproduces the same fault
@@ -21,6 +26,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,11 +40,6 @@ import (
 
 // ErrInjected marks a transient injected fetch error; retrying may succeed.
 var ErrInjected = errors.New("fault: injected transient error")
-
-// ErrConnDropped marks an injected mid-exchange connection drop on a fabric
-// with no real connections to sever (the in-process fabric); retrying
-// redials and may succeed.
-var ErrConnDropped = errors.New("fault: injected connection drop")
 
 // ErrNodeCrashed marks a fetch attempted by a node that has permanently
 // crashed. It is a permanent error: retrying cannot fix it.
@@ -64,7 +65,7 @@ type Crash struct {
 }
 
 // Partition schedules one asymmetric network partition: once the cluster's
-// total fetch count passes After, every fetch (and heartbeat) from a node in
+// total fetch count passes After, every fetch (and ping) from a node in
 // A to a node in B hangs until its deadline — B's traffic toward A remains
 // untouched, so the two sides disagree about who is reachable, the hard case
 // for failure detection.
@@ -95,15 +96,17 @@ type Profile struct {
 	// transient error before reaching the transport.
 	ErrorRate float64
 	// CorruptRate is the probability in [0,1] that a fetch's request frame
-	// is corrupted. On the TCP fabric a payload byte is flipped after the
-	// CRC is computed, so the receiver's integrity check must catch it; on
-	// the in-process fabric (no bytes exist) the detection outcome —
-	// comm.ErrCorruptFrame — is injected directly.
+	// is corrupted. The transport applies it once handed the Injector
+	// (SetWireFaults): TCP flips a payload byte after the CRC is computed,
+	// so the receiver's integrity check must catch it; the in-process
+	// fabric (no bytes exist) fails the fetch with comm.ErrCorruptFrame.
+	// Both count CorruptFrames. Wrap alone never applies it.
 	CorruptRate float64
 	// DropRate is the probability in [0,1] that the connection is severed
 	// mid-exchange, after the request is sent and before the response
-	// arrives. On the TCP fabric the socket really closes (forcing a
-	// redial); the in-process fabric surfaces ErrConnDropped.
+	// arrives. Like CorruptRate it is the transport's: TCP really closes the
+	// socket (forcing a redial), the in-process fabric fails the fetch with
+	// comm.ErrConnDropped.
 	DropRate float64
 	// MaxLatency, when positive, adds a deterministic pseudo-random delay in
 	// [0, MaxLatency) to every fetch.
@@ -121,6 +124,43 @@ func (p Profile) Zero() bool {
 	return p.ErrorRate <= 0 && p.CorruptRate <= 0 && p.DropRate <= 0 &&
 		p.MaxLatency <= 0 && len(p.Crashes) == 0 && len(p.Partitions) == 0 &&
 		len(p.Slowdowns) == 0
+}
+
+// Validate reports the first setting a numNodes cluster cannot honor: a rate
+// outside [0,1], a negative latency, a straggler factor that is not a
+// positive finite number, or a crash, partition or straggler node outside
+// [0, numNodes). Such a profile would inject nothing, or not what it says.
+func (p Profile) Validate(numNodes int) error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"ErrorRate", p.ErrorRate}, {"CorruptRate", p.CorruptRate}, {"DropRate", p.DropRate}} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return fmt.Errorf("fault: %s %v outside [0,1]", r.name, r.v)
+		}
+	}
+	if p.MaxLatency < 0 {
+		return fmt.Errorf("fault: negative MaxLatency %v", p.MaxLatency)
+	}
+	var nodes []int // every node the profile names
+	for _, c := range p.Crashes {
+		nodes = append(nodes, c.Node)
+	}
+	for _, pa := range p.Partitions {
+		nodes = append(append(nodes, pa.A...), pa.B...)
+	}
+	for _, sl := range p.Slowdowns {
+		if !(sl.Factor > 0) || math.IsInf(sl.Factor, 1) {
+			return fmt.Errorf("fault: slow node %d factor %v is not a positive finite number", sl.Node, sl.Factor)
+		}
+		nodes = append(nodes, sl.Node)
+	}
+	for _, n := range nodes {
+		if n < 0 || n >= numNodes {
+			return fmt.Errorf("fault: node %d outside the %d-node cluster", n, numNodes)
+		}
+	}
+	return nil
 }
 
 // ParseProfile parses a CLI fault-profile spec: comma-separated
@@ -299,15 +339,11 @@ type Injector struct {
 	served  []atomic.Uint64 // fetches served per target node (crash trigger)
 	total   atomic.Uint64   // total fetches across the cluster (partition trigger)
 	pairSeq []atomic.Uint64 // per (from,to) decision sequence numbers
-	// wireSeq drives the byte-level wire-fault decisions (corrupt/drop) on
-	// fabrics that apply them natively, independent of pairSeq so the two
-	// decision streams never perturb each other.
+	// wireSeq drives the wire-fault decisions (corrupt/drop) the transport
+	// asks for, independent of pairSeq so the two decision streams never
+	// perturb each other.
 	wireSeq []atomic.Uint64
-	// hwWireFaults records that some wrapped fabric applies corrupt/drop at
-	// the byte level, so the wrapper must not also inject them
-	// synthetically.
-	hwWireFaults atomic.Bool
-	slowOf       []float64 // per-node straggler factor (0 = full speed)
+	slowOf  []float64 // per-node straggler factor (0 = full speed)
 }
 
 // NewInjector returns fault state for a numNodes cluster. m may be nil to
@@ -377,43 +413,36 @@ func (in *Injector) slowDelay(node int) time.Duration {
 // CorruptFrame implements comm.WireFaults: decide deterministically whether
 // this exchange's request frame gets a byte flipped on the wire.
 func (in *Injector) CorruptFrame(from, to int) bool {
-	if in.prof.CorruptRate <= 0 || from < 0 || from >= in.n || to < 0 || to >= in.n {
-		return false
-	}
-	seq := in.wireSeq[from*in.n+to].Add(1)
-	return unitFloat(mix64(uint64(in.prof.Seed), uint64(from)<<32|uint64(to)|0xc0<<56, seq)) < in.prof.CorruptRate
+	return in.wireRoll(from, to, 0xc0, in.prof.CorruptRate)
 }
 
 // DropAfterSend implements comm.WireFaults: decide deterministically whether
 // the connection is severed between request and response.
 func (in *Injector) DropAfterSend(from, to int) bool {
-	if in.prof.DropRate <= 0 || from < 0 || from >= in.n || to < 0 || to >= in.n {
+	return in.wireRoll(from, to, 0xd0, in.prof.DropRate)
+}
+
+// wireRoll draws the pair's next wire-fault decision at the given rate; salt
+// separates the corrupt and drop draws.
+func (in *Injector) wireRoll(from, to int, salt uint64, rate float64) bool {
+	if rate <= 0 || from < 0 || from >= in.n || to < 0 || to >= in.n {
 		return false
 	}
 	seq := in.wireSeq[from*in.n+to].Add(1)
-	return unitFloat(mix64(uint64(in.prof.Seed), uint64(from)<<32|uint64(to)|0xd0<<56, seq)) < in.prof.DropRate
+	return unitFloat(mix64(uint64(in.prof.Seed), uint64(from)<<32|uint64(to)|salt<<56, seq)) < rate
 }
-
-// Profile returns the injector's profile.
-func (in *Injector) Profile() Profile { return in.prof }
 
 // Crashed reports whether node has permanently crashed.
 func (in *Injector) Crashed(node int) bool {
 	return node >= 0 && node < in.n && in.crashed[node].Load()
 }
 
-// Wrap returns a fabric that injects this injector's faults in front of
-// inner. When inner can apply corrupt/drop faults at the byte level (the
-// TCP fabric), the injector delegates those two classes to it — real bytes
-// get flipped and real sockets get severed, and the integrity protocol must
-// catch them; otherwise the detection outcome is injected synthetically.
-// Closing the wrapper releases callers hanging on crashed nodes and closes
-// inner.
+// Wrap returns a fabric that injects this injector's crashes, partitions,
+// stragglers, latency and transient errors in front of inner. Corruption and
+// drops are not among them: hand the injector to the transport
+// (SetWireFaults) for those. Closing the wrapper releases callers hanging on
+// crashed nodes and closes inner.
 func (in *Injector) Wrap(inner comm.Fabric) comm.Fabric {
-	if wf, ok := inner.(comm.WireFaultable); ok && (in.prof.CorruptRate > 0 || in.prof.DropRate > 0) {
-		wf.SetWireFaults(in)
-		in.hwWireFaults.Store(true)
-	}
 	return &fabric{in: in, inner: inner, closed: make(chan struct{})}
 }
 
@@ -469,23 +498,6 @@ func (f *fabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, 
 			}
 			return nil, fmt.Errorf("fault: fetch %d->%d (pair seq %d): %w", from, to, seq, ErrInjected)
 		}
-		if !in.hwWireFaults.Load() {
-			// The transport cannot flip real bytes; inject the detection
-			// outcomes the integrity layer would have produced.
-			if r := in.prof.CorruptRate; r > 0 && unitFloat(mix64(h, 0xc0, seq)) < r {
-				if in.met != nil {
-					in.met.Nodes[from].CorruptFrames.Add(1)
-					in.met.Nodes[from].FaultsInjected.Add(1)
-				}
-				return nil, fmt.Errorf("fault: fetch %d->%d (pair seq %d): %w", from, to, seq, comm.ErrCorruptFrame)
-			}
-			if r := in.prof.DropRate; r > 0 && unitFloat(mix64(h, 0xd0, seq)) < r {
-				if in.met != nil {
-					in.met.Nodes[from].FaultsInjected.Add(1)
-				}
-				return nil, fmt.Errorf("fault: fetch %d->%d (pair seq %d): %w", from, to, seq, ErrConnDropped)
-			}
-		}
 	}
 	return f.inner.Fetch(from, to, ids)
 }
@@ -493,10 +505,10 @@ func (f *fabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, 
 // Ping implements comm.Fabric with the liveness-relevant fault classes:
 // pings hang toward crashed or partitioned peers (heartbeat misses), but
 // skip latency, straggler delay and the probabilistic error classes — a
-// slow or flaky node is still alive, and the failure detector must not
-// confuse the two. Pings do not advance the crash/partition trigger
-// counters, so detector traffic never perturbs the deterministic fault
-// schedule of the data path.
+// slow or flaky node is still alive, and a liveness prober must not confuse
+// the two. Pings do not advance the crash/partition trigger counters, so
+// probe traffic never perturbs the deterministic fault schedule of the data
+// path.
 func (f *fabric) Ping(from, to int) error {
 	in := f.in
 	if in.Crashed(from) {

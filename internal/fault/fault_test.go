@@ -7,12 +7,13 @@ import (
 
 	"khuzdul/internal/comm"
 	"khuzdul/internal/graph"
+	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/metrics"
 	"khuzdul/internal/partition"
 )
 
-// testFabric builds a Local fabric over a small partitioned graph.
-func testFabric(g *graph.Graph, nodes int, m *metrics.Cluster) comm.Fabric {
+// testServers serves a small graph partitioned over nodes machines.
+func testServers(g *graph.Graph, nodes int) []comm.Server {
 	asg := partition.NewAssignment(nodes, 1)
 	servers := make([]comm.Server, nodes)
 	for node := 0; node < nodes; node++ {
@@ -25,7 +26,12 @@ func testFabric(g *graph.Graph, nodes int, m *metrics.Cluster) comm.Fabric {
 			return out
 		})
 	}
-	return comm.NewLocal(servers, m)
+	return servers
+}
+
+// testFabric builds a Local fabric over a small partitioned graph.
+func testFabric(g *graph.Graph, nodes int, m *metrics.Cluster) *comm.Local {
+	return comm.NewLocal(testServers(g, nodes), m)
 }
 
 // decisions replays the injector's transient-error decision sequence for one
@@ -316,15 +322,17 @@ func TestSlowdownDelaysOnlyStraggler(t *testing.T) {
 }
 
 func TestSyntheticWireFaultsDeterministic(t *testing.T) {
-	// Over a fabric with no byte-level fault surface (Local), corrupt and
-	// drop inject their detection outcomes synthetically, with the documented
-	// error classes and a schedule fixed by the seed.
+	// The in-process fabric has no bytes to flip; handed the injector's
+	// hooks, it fails corrupted and dropped exchanges with the documented
+	// error classes, on a schedule fixed by the seed.
 	run := func(seed int64) (corrupt, dropped []bool) {
 		g := graph.RMATDefault(100, 400, 5)
 		asg := partition.NewAssignment(2, 1)
 		m := metrics.NewCluster(2)
 		in := NewInjector(Profile{Seed: seed, CorruptRate: 0.15, DropRate: 0.15}, 2, m)
-		f := in.Wrap(testFabric(g, 2, m))
+		local := testFabric(g, 2, m)
+		local.SetWireFaults(in)
+		f := in.Wrap(local)
 		defer f.Close()
 		var v graph.VertexID
 		for u := 0; u < g.NumVertices(); u++ {
@@ -336,8 +344,8 @@ func TestSyntheticWireFaultsDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_, err := f.Fetch(0, 1, []graph.VertexID{v})
 			corrupt = append(corrupt, errors.Is(err, comm.ErrCorruptFrame))
-			dropped = append(dropped, errors.Is(err, ErrConnDropped))
-			if err != nil && !errors.Is(err, comm.ErrCorruptFrame) && !errors.Is(err, ErrConnDropped) {
+			dropped = append(dropped, errors.Is(err, comm.ErrConnDropped))
+			if err != nil && !errors.Is(err, comm.ErrCorruptFrame) && !errors.Is(err, comm.ErrConnDropped) {
 				t.Fatalf("fetch %d: unexpected error class %v", i, err)
 			}
 		}
@@ -362,6 +370,54 @@ func TestSyntheticWireFaultsDeterministic(t *testing.T) {
 	}
 	if nc == 0 || nd == 0 {
 		t.Fatalf("degenerate schedule: %d corruptions, %d drops in 200 fetches", nc, nd)
+	}
+}
+
+// TestWireFaultsAreTheTransports: corruption and drops happen inside the
+// transport. An injector that corrupts and drops every exchange injects
+// nothing through Wrap alone, and fails every fetch once the transport it
+// wraps is handed the hooks — on both fabrics.
+func TestWireFaultsAreTheTransports(t *testing.T) {
+	g := graph.RMATDefault(100, 400, 5)
+	asg := partition.NewAssignment(2, 1)
+	var ids []graph.VertexID
+	for u := 0; u < g.NumVertices() && len(ids) < 4; u++ {
+		if asg.Owner(graph.VertexID(u)) == 1 {
+			ids = append(ids, graph.VertexID(u))
+		}
+	}
+	for _, name := range []string{"local", "tcp"} {
+		t.Run(name, func(t *testing.T) {
+			leakcheck.Check(t)
+			var transport interface {
+				comm.Fabric
+				SetWireFaults(comm.WireFaults)
+			}
+			if name == "local" {
+				transport = comm.NewLocal(testServers(g, 2), nil)
+			} else {
+				tcp, err := comm.NewTCP(testServers(g, 2), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				transport = tcp
+			}
+			in := NewInjector(Profile{Seed: 1, CorruptRate: 1, DropRate: 1}, 2, nil)
+			f := in.Wrap(transport)
+			defer f.Close()
+			for i := 0; i < 5; i++ {
+				if _, err := f.Fetch(0, 1, ids); err != nil {
+					t.Fatalf("fetch %d before the transport has the hooks: %v", i, err)
+				}
+			}
+			transport.SetWireFaults(in)
+			for i := 0; i < 5; i++ {
+				_, err := f.Fetch(0, 1, ids)
+				if !errors.Is(err, comm.ErrCorruptFrame) && !errors.Is(err, comm.ErrConnDropped) {
+					t.Fatalf("fetch %d with the hooks: err %v, want a corrupt frame or a dropped connection", i, err)
+				}
+			}
+		})
 	}
 }
 

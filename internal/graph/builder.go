@@ -48,10 +48,6 @@ func (b *Builder) SetLabels(labels []Label) {
 	b.labels = labels
 }
 
-// NumPendingEdges returns the number of edges recorded so far, before
-// dedup/self-loop removal.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build produces the CSR graph: symmetrizes, sorts adjacency lists,
 // removes self-loops and duplicate edges.
 func (b *Builder) Build() *Graph {
@@ -115,19 +111,6 @@ func (b *Builder) Build() *Graph {
 func FromEdges(n int, edges []Edge) *Graph {
 	b := NewBuilder(n)
 	b.AddEdges(edges)
-	return b.Build()
-}
-
-// FromAdjacency builds a graph from explicit adjacency (used by tests).
-func FromAdjacency(adj [][]VertexID) *Graph {
-	b := NewBuilder(len(adj))
-	for u, nbrs := range adj {
-		for _, v := range nbrs {
-			if VertexID(u) < v { // add each undirected edge once
-				b.AddEdge(VertexID(u), v)
-			}
-		}
-	}
 	return b.Build()
 }
 

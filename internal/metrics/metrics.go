@@ -37,8 +37,6 @@ type Node struct {
 	RecoveredRoots     atomic.Uint64 // resilience: source vertices re-executed on this node during recovery
 	CorruptFrames      atomic.Uint64 // wire integrity: frames this node rejected on a CRC/header mismatch
 	Redials            atomic.Uint64 // wire integrity: TCP connections this node re-established after a drop
-	HeartbeatMisses    atomic.Uint64 // failure detector: pings from this node that timed out or failed
-	NodesSuspected     atomic.Uint64 // failure detector: peers this node's detector declared suspect
 	SpeculativeRanges  atomic.Uint64 // speculation: straggler root ranges this node re-executed speculatively
 	SpeculationWins    atomic.Uint64 // speculation: speculative re-executions that finished before the straggler
 	PipelinedFetches   atomic.Uint64 // transport: fetches completed over a multiplexed (v3) connection
@@ -94,8 +92,6 @@ func (n *Node) Reset() {
 	n.RecoveredRoots.Store(0)
 	n.CorruptFrames.Store(0)
 	n.Redials.Store(0)
-	n.HeartbeatMisses.Store(0)
-	n.NodesSuspected.Store(0)
 	n.SpeculativeRanges.Store(0)
 	n.SpeculationWins.Store(0)
 	n.PipelinedFetches.Store(0)
@@ -221,8 +217,6 @@ type Summary struct {
 	RecoveredRoots     uint64
 	CorruptFrames      uint64
 	Redials            uint64
-	HeartbeatMisses    uint64
-	NodesSuspected     uint64
 	SpeculativeRanges  uint64
 	SpeculationWins    uint64
 	PipelinedFetches   uint64
@@ -262,8 +256,6 @@ func (c *Cluster) Summarize() Summary {
 		s.RecoveredRoots += n.RecoveredRoots.Load()
 		s.CorruptFrames += n.CorruptFrames.Load()
 		s.Redials += n.Redials.Load()
-		s.HeartbeatMisses += n.HeartbeatMisses.Load()
-		s.NodesSuspected += n.NodesSuspected.Load()
 		s.SpeculativeRanges += n.SpeculativeRanges.Load()
 		s.SpeculationWins += n.SpeculationWins.Load()
 		s.PipelinedFetches += n.PipelinedFetches.Load()
@@ -311,8 +303,6 @@ func (s *Summary) Merge(o Summary) {
 	s.RecoveredRoots += o.RecoveredRoots
 	s.CorruptFrames += o.CorruptFrames
 	s.Redials += o.Redials
-	s.HeartbeatMisses += o.HeartbeatMisses
-	s.NodesSuspected += o.NodesSuspected
 	s.SpeculativeRanges += o.SpeculativeRanges
 	s.SpeculationWins += o.SpeculationWins
 	s.PipelinedFetches += o.PipelinedFetches

@@ -61,21 +61,17 @@ func TestResilienceCountersSummarizeAndReset(t *testing.T) {
 	c.Nodes[0].CorruptFrames.Add(2)
 	c.Nodes[1].CorruptFrames.Add(1)
 	c.Nodes[1].Redials.Add(4)
-	c.Nodes[2].HeartbeatMisses.Add(5)
-	c.Nodes[2].NodesSuspected.Add(1)
 	c.Nodes[0].SpeculativeRanges.Add(7)
 	c.Nodes[0].SpeculationWins.Add(1)
 	s := c.Summarize()
-	if s.CorruptFrames != 3 || s.Redials != 4 || s.HeartbeatMisses != 5 ||
-		s.NodesSuspected != 1 || s.SpeculativeRanges != 7 || s.SpeculationWins != 1 {
+	if s.CorruptFrames != 3 || s.Redials != 4 || s.SpeculativeRanges != 7 || s.SpeculationWins != 1 {
 		t.Fatalf("summarized resilience counters %+v", s)
 	}
 	for _, n := range c.Nodes {
 		n.Reset()
 	}
 	s = c.Summarize()
-	if s.CorruptFrames != 0 || s.Redials != 0 || s.HeartbeatMisses != 0 ||
-		s.NodesSuspected != 0 || s.SpeculativeRanges != 0 || s.SpeculationWins != 0 {
+	if s.CorruptFrames != 0 || s.Redials != 0 || s.SpeculativeRanges != 0 || s.SpeculationWins != 0 {
 		t.Fatalf("reset left resilience counters %+v", s)
 	}
 }

@@ -86,9 +86,6 @@ func (p *Pattern) HasEdge(u, v int) bool { return p.adj[u]&(1<<uint(v)) != 0 }
 // Degree returns the degree of pattern vertex v.
 func (p *Pattern) Degree(v int) int { return popcount16(p.adj[v]) }
 
-// AdjMask returns the adjacency bitmask of v.
-func (p *Pattern) AdjMask(v int) uint16 { return p.adj[v] }
-
 // Neighbors returns the neighbor indices of v in ascending order.
 func (p *Pattern) Neighbors(v int) []int {
 	var out []int
