@@ -460,8 +460,11 @@ func report(res khuzdul.Result, err error) {
 		fmt.Printf("  speculation: %d ranges re-executed, %d wins\n",
 			s.SpeculativeRanges, s.SpeculationWins)
 	}
-	if s.KernelMerge+s.KernelGallop > 0 {
+	if s.KernelMerge+s.KernelGallop+s.KernelProbe > 0 {
 		fmt.Printf("kernels: %d merge, %d gallop", s.KernelMerge, s.KernelGallop)
+		if s.KernelProbe > 0 {
+			fmt.Printf(", %d probe", s.KernelProbe)
+		}
 		if s.KernelBitmap > 0 {
 			fmt.Printf(", %d bitmap (dense suffix)", s.KernelBitmap)
 		}

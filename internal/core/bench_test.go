@@ -27,6 +27,19 @@ func BenchmarkExtendEngine(b *testing.B) {
 		})
 }
 
+// BenchmarkExtendEngineTriangle is the probed count-only level
+// (plan.Level.Probe): a triangle under a CountSink on an lj-shaped R-MAT,
+// whose last level marks each root's R1 once and probes every later child's
+// list against it. It fails unless the probe kernel ran.
+func BenchmarkExtendEngineTriangle(b *testing.B) {
+	benchExtendEngine(b, graph.RMAT(3000, 24000, 0.57, 0.143, 0.143, 20230325), plan.MustCompile(pattern.Triangle(), plan.Options{Style: plan.StyleGraphPi}),
+		func(sink *core.CountSink, met *metrics.Node, roots int) {
+			if sink.Count() == 0 || met.KernelProbe.Load() == 0 {
+				b.Fatalf("%d matches, %d probe kernels: the last level was not probed", sink.Count(), met.KernelProbe.Load())
+			}
+		})
+}
+
 // BenchmarkExtendEngineDenseClique is the dense suffix (plan.Plan.Dense): a
 // 4-clique under a CountSink on an lj-shaped R-MAT, whose level-1 embeddings
 // build rows over their root's neighborhood and whose levels 2 and 3 are word

@@ -394,3 +394,109 @@ func twoHubRMAT() *graph.Graph {
 	}
 	return b.Build()
 }
+
+// TestDifferentialProbeLevels holds the probed count-only level
+// (plan.Level.Probe) to the materializing run, the executor and brute force
+// in each of its forms — the triangle's R1 ∩ N(v1) with vertical computation
+// sharing and its N(v0) ∩ N(v1) without, and the induced wedge's R1 \ N(v1)
+// — in both restriction directions, and across what splits one parent's
+// children into several runs: ChunkSize 8, MiniBatch 1, three workers, and
+// four nodes, whose circulant batches group children by owner. The induced
+// wedge without VCS probes nothing and is the control. The materializing run
+// never probes, a count-only run probes only on a probed level, and each
+// probed plan probes somewhere in its sweep; on the triangle the count-only
+// ledger total is the materializing one. The plans with VCS then run on the
+// graph with half its IDs moved past the mark set's cap (spreadIDs): the
+// shared sets that straddle both halves are too wide to mark, fall back to the
+// sorted kernels, and must stay exact.
+func TestDifferentialProbeLevels(t *testing.T) {
+	small := twoHubRMAT()
+	// A variant is a direction (bit 0 set: descending) and VCS (bit 1 set:
+	// off). The spread graph's 300,000 roots make each run dear, so it takes
+	// the VCS forms on one configuration per node count.
+	type grid struct{ variants, nodes, threads, chunks, minis []int }
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+		grid grid
+	}{
+		{"two-hub", small, grid{[]int{0, 1, 2, 3}, []int{1, 4}, []int{1, 3}, []int{8, 0}, []int{1, 0}}},
+		{"spread", spreadIDs(small), grid{[]int{0, 1}, []int{1, 4}, []int{2}, []int{0}, []int{0}}},
+	} {
+		for _, c := range []struct {
+			pat     *pattern.Pattern
+			induced bool
+		}{{pattern.Triangle(), false}, {pattern.PathP(3), true}} {
+			want := plan.BruteForceCount(small, c.pat, c.induced)
+			for _, variant := range in.grid.variants {
+				descending, vcs := variant&1 != 0, variant&2 == 0
+				stats := plan.StatsOf(in.g)
+				stats.UpSq, stats.DownSq = 0, 1
+				if descending {
+					stats.UpSq, stats.DownSq = 1, 0
+				}
+				pl := plan.MustCompile(c.pat, plan.Options{Style: plan.StyleAutomine, Induced: c.induced, DisableVCS: !vcs, Stats: stats})
+				name := fmt.Sprintf("%s/%v/induced=%v/descending=%v/vcs=%v", in.name, c.pat, c.induced, descending, vcs)
+				probed := pl.Levels[pl.K-1].Probe
+				if probed != (vcs || !c.induced) {
+					t.Fatalf("%s: last level Probe = %v: %v", name, probed, pl)
+				}
+				if ref := plan.CountGraph(pl, in.g); ref != want {
+					t.Errorf("%s: executor %d, brute force %d", name, ref, want)
+				}
+				var probes uint64
+				for _, nodes := range in.grid.nodes {
+					for _, threads := range in.grid.threads {
+						for _, chunk := range in.grid.chunks {
+							for _, mini := range in.grid.minis {
+								cfg := core.Config{Threads: threads, ChunkSize: chunk, MiniBatch: mini, HDS: true}
+								counted, cm := runClusterSink(t, in.g, pl, nodes, cfg, sinkCount)
+								built, bm := runClusterSink(t, in.g, pl, nodes, cfg, sinkBuild)
+								run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d mini=%d", name, nodes, threads, chunk, mini)
+								if counted != want || built != want {
+									t.Errorf("%s: count-only %d, materializing %d, brute force %d", run, counted, built, want)
+								}
+								cs, bs := cm.Summarize(), bm.Summarize()
+								if bs.KernelProbe != 0 || !probed && cs.KernelProbe != 0 {
+									t.Errorf("%s: probe kernels count-only %d, materializing %d on a level with Probe = %v", run, cs.KernelProbe, bs.KernelProbe, probed)
+								}
+								if !c.induced && cs.KernelMerge+cs.KernelGallop+cs.KernelProbe != bs.KernelMerge+bs.KernelGallop {
+									t.Errorf("%s: count-only merge/gallop/probe %d/%d/%d, materializing merge/gallop %d/%d",
+										run, cs.KernelMerge, cs.KernelGallop, cs.KernelProbe, bs.KernelMerge, bs.KernelGallop)
+								}
+								probes += cs.KernelProbe
+							}
+						}
+					}
+				}
+				if probed && probes == 0 {
+					t.Errorf("%s: a probed level never probed", name)
+				}
+			}
+		}
+	}
+}
+
+// spreadIDs returns g with every vertex from the middle ID on moved up by
+// 300,000, past the mark set's 262,144-ID window, and the IDs between left
+// isolated: the same pattern counts as g, over a neighborhood that can
+// straddle the gap.
+func spreadIDs(g *graph.Graph) *graph.Graph {
+	const gap = 300000
+	n := g.NumVertices()
+	id := func(v graph.VertexID) graph.VertexID {
+		if int(v) >= n/2 {
+			return v + gap
+		}
+		return v
+	}
+	b := graph.NewBuilder(n + gap)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(graph.VertexID(u)) {
+			if graph.VertexID(u) < v {
+				b.AddEdge(id(graph.VertexID(u)), id(v))
+			}
+		}
+	}
+	return b.Build()
+}

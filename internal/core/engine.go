@@ -131,6 +131,11 @@ type workerCtx struct {
 	// getListFn is the method value of getList, created once here so that
 	// extendOne does not allocate a fresh closure per embedding.
 	getListFn func(pos int) []graph.VertexID
+	// mark is the mark set the worker's scratch probes a count-only level's
+	// siblings against (plan.Scratch.LendMarks). It lives here rather than in
+	// the per-run scratch so its words survive from run to run with the pooled
+	// worker; it holds no pointers.
+	mark setops.Bitmap
 	// arena is bump storage for the raw-intersection copies that vertical
 	// candidate sharing stores on child embeddings. Copies are carved out of
 	// one large block instead of one heap allocation per embedding; a full
@@ -164,6 +169,7 @@ func (e *Engine) getWorker() *workerCtx {
 	}
 	w.scratch = e.ext.NewScratch()
 	w.scratch.SetCountOnly(e.count != nil)
+	w.scratch.LendMarks(&w.mark)
 	return w
 }
 
@@ -524,6 +530,13 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 	var cursor atomic.Int64
 	work := func(w *workerCtx) {
 		t0 := time.Now()
+		// run is the parent of the embeddings this worker extends, an index
+		// into the previous level's chunk: where it changes, a new run of
+		// siblings begins (plan.Scratch.NewRun). The key is an index, never a
+		// stored slice, whose storage slab reuse recycles; a parent split
+		// across mini-batches, workers or batches only starts a run again.
+		// Roots all carry parent −1, which is safe: no level 1 is probed.
+		run := int32(-1)
 		for {
 			if next != nil && next.full() {
 				break
@@ -540,9 +553,13 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 			for _, idx := range rem[start:end] {
 				if rows {
 					e.buildRow(w, ch, idx)
-				} else {
-					e.extendOne(w, ch, idx, next, final)
+					continue
 				}
+				if p := ch.parent[idx]; p != run {
+					run = p
+					w.scratch.NewRun()
+				}
+				e.extendOne(w, ch, idx, next, final)
 			}
 		}
 		if next != nil {
@@ -608,6 +625,10 @@ func (e *Engine) drainWorkers() {
 		if kc[setops.KernelBitmap] > 0 {
 			e.met.KernelBitmap.Add(kc[setops.KernelBitmap])
 			kc[setops.KernelBitmap] = 0
+		}
+		if kc[setops.KernelProbe] > 0 {
+			e.met.KernelProbe.Add(kc[setops.KernelProbe])
+			kc[setops.KernelProbe] = 0
 		}
 	}
 }

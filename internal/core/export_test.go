@@ -43,3 +43,14 @@ func InspectChunkPool(n int) (recycled int, dirty []string) {
 // DenseRowPeak returns the most row words one level-1 chunk of a dense plan
 // held during e's runs.
 func DenseRowPeak(e *Engine) int { return e.rowPeak }
+
+// MarkWords returns the words each of e's workers holds in its mark set. It
+// reads the workers of a run in progress, so call it between root ranges
+// (Config.OnRangeDone).
+func MarkWords(e *Engine) []int {
+	words := make([]int, len(e.workers))
+	for i, w := range e.workers {
+		words[i] = w.mark.Words()
+	}
+	return words
+}

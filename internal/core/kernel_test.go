@@ -31,9 +31,17 @@ func TestEngineKernelCountersFlow(t *testing.T) {
 
 	// The ledger is the dispatcher's, not the sink's: a count-only triangle
 	// run (runCluster's CountSink, last level counted) and a materializing
-	// one make the same kernel choices call for call.
+	// one enter a kernel on the same calls. The count-only run's last level is
+	// probed (plan.Level.Probe): a child probing its siblings' mark set enters
+	// KernelProbe, or KernelGallop where the materializing run gallops too, in
+	// place of the merge or gallop the materializing run enters there. So the
+	// totals agree, neither sorted kernel runs more often under counting, and
+	// only the count-only run probes.
 	tri := plan.MustCompile(pattern.Triangle(),
 		plan.Options{Style: plan.StyleGraphPi, DisableVCS: true, Stats: plan.StatsOf(g)})
+	if !tri.Levels[2].Probe {
+		t.Fatalf("triangle's last level not probed: %v", tri)
+	}
 	wantTri := plan.BruteForceCount(g, pattern.Triangle(), false)
 	cfg := core.Config{Threads: 1}
 	counted, cm := runClusterSink(t, g, tri, 1, cfg, sinkCount)
@@ -42,11 +50,15 @@ func TestEngineKernelCountersFlow(t *testing.T) {
 		t.Fatalf("triangle: count-only %d, materializing %d, brute force %d", counted, built, wantTri)
 	}
 	c, b := cm.Summarize(), bm.Summarize()
-	if c.KernelMerge+c.KernelGallop == 0 {
+	if c.KernelMerge+c.KernelGallop+c.KernelProbe == 0 {
 		t.Error("count-only run entered nothing in the kernel ledger")
 	}
-	if c.KernelMerge != b.KernelMerge || c.KernelGallop != b.KernelGallop {
-		t.Errorf("ledger differs: count-only merge/gallop %d/%d, materializing %d/%d",
-			c.KernelMerge, c.KernelGallop, b.KernelMerge, b.KernelGallop)
+	if c.KernelMerge+c.KernelGallop+c.KernelProbe != b.KernelMerge+b.KernelGallop ||
+		c.KernelMerge > b.KernelMerge || c.KernelGallop > b.KernelGallop {
+		t.Errorf("ledger differs: count-only merge/gallop/probe %d/%d/%d, materializing merge/gallop %d/%d",
+			c.KernelMerge, c.KernelGallop, c.KernelProbe, b.KernelMerge, b.KernelGallop)
+	}
+	if c.KernelProbe == 0 || b.KernelProbe != 0 {
+		t.Errorf("probe kernels: count-only %d, materializing %d; want some, and none", c.KernelProbe, b.KernelProbe)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"khuzdul/internal/partition"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
+	"khuzdul/internal/setops"
 )
 
 // TestBoundedMemoryClaim verifies the paper's §4.2 argument: with the
@@ -90,4 +91,73 @@ func TestDenseRowsBounded(t *testing.T) {
 		t.Errorf("BFS-style run held %d row words, not above the chunked run's %d", rowsBFS, rows)
 	}
 	t.Logf("maxdeg %d: peak %d embeddings, %d row words per level-1 chunk (BFS: %d)", maxdeg, peak, rows, rowsBFS)
+}
+
+// TestMarkSetBounded is the bounded-memory claim on the mark set a probed
+// level counts against (plan.Level.Probe): a worker's mark words never exceed
+// the cap Mark holds them to. The graph is twoHubRMAT with half its IDs moved
+// past that cap, so some root's R1 of two or more vertices spans a wider
+// window. One worker extends every run whole, so that run's second child asks
+// Mark for the window and is refused: the run falls back to the sorted kernels
+// and the count stays exact, while the runs inside one half still probe.
+func TestMarkSetBounded(t *testing.T) {
+	small := twoHubRMAT()
+	g := spreadIDs(small)
+	pl := plan.MustCompile(pattern.Triangle(), plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
+	if !pl.Levels[2].Probe || !pl.Levels[1].ClipStore {
+		t.Fatalf("triangle's last level does not probe a clipped R1: %v", pl)
+	}
+	limit := markWordCap()
+	wide := false
+	for v := 0; v < g.NumVertices(); v++ {
+		r1 := setops.Clip(g.Neighbors(graph.VertexID(v)), graph.VertexID(v)+1, setops.NoVertex)
+		if pl.Descending {
+			r1 = setops.Clip(g.Neighbors(graph.VertexID(v)), 0, graph.VertexID(v))
+		}
+		wide = wide || len(r1) > 1 && int(r1[len(r1)-1]>>6)-int(r1[0]>>6) >= limit
+	}
+	if !wide {
+		t.Fatalf("no R1 spans more than %d words: the fallback is not exercised", limit)
+	}
+	want := plan.BruteForceCount(small, pattern.Triangle(), false)
+	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
+		panic("single node should not fetch")
+	})}, nil)
+	defer fabric.Close()
+	src := &testSource{local: partition.NewLocal(g, partition.NewAssignment(1, 1), 0), fabric: fabric}
+	sink, met := &core.CountSink{}, &metrics.Node{}
+	var eng *core.Engine
+	peak := 0
+	cfg := core.Config{Threads: 1, Metrics: met, OnRangeDone: func(int, int) {
+		for _, w := range core.MarkWords(eng) {
+			peak = max(peak, w)
+		}
+	}}
+	eng = core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, cfg)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Count() != want || met.KernelProbe.Load() == 0 {
+		t.Fatalf("%d triangles with %d probe kernels, want %d and some", sink.Count(), met.KernelProbe.Load(), want)
+	}
+	if peak == 0 || peak > limit {
+		t.Errorf("a worker's mark set held %d words, want 1..%d", peak, limit)
+	}
+	t.Logf("mark set peak %d words of %d", peak, limit)
+}
+
+// markWordCap is the mark set's word cap, read off Mark's contract: the
+// widest ID window, in words, it accepts.
+func markWordCap() int {
+	var b setops.Bitmap
+	lo, hi := 1, 1<<20
+	for lo < hi {
+		m := (lo + hi + 1) / 2
+		if b.Mark([]graph.VertexID{0, graph.VertexID(64*m - 1)}) {
+			lo = m
+		} else {
+			hi = m - 1
+		}
+	}
+	return lo
 }

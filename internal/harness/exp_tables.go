@@ -153,6 +153,7 @@ func runTable3(o Options) (*Table, error) {
 		}
 	}
 	t.AddNote("paper: k-Automine is comparable to single-machine systems; Pangolin wins TC on skewed graphs via orientation")
+	t.AddNote("only k-Automine counts TC's and 3-MC's triangle level against a mark set per parent; AutomineIH, Peregrine and Pangolin run plan.Executor, which never counts and so never probes")
 	return t, nil
 }
 

@@ -28,6 +28,7 @@ type Node struct {
 	KernelMerge        atomic.Uint64 // set kernels: linear-merge intersections executed
 	KernelGallop       atomic.Uint64 // set kernels: galloping intersections executed
 	KernelBitmap       atomic.Uint64 // set kernels: dense-suffix candidate sets computed by word AND
+	KernelProbe        atomic.Uint64 // set kernels: count-only children probed against their siblings' mark set
 	CrossSocketFetches atomic.Uint64 // NUMA: lists served from another socket
 	CrossSocketBytes   atomic.Uint64 // NUMA: modeled cross-socket traffic
 	FetchRetries       atomic.Uint64 // resilience: fetch attempts retried after a failure
@@ -83,6 +84,7 @@ func (n *Node) Reset() {
 	n.KernelMerge.Store(0)
 	n.KernelGallop.Store(0)
 	n.KernelBitmap.Store(0)
+	n.KernelProbe.Store(0)
 	n.CrossSocketFetches.Store(0)
 	n.CrossSocketBytes.Store(0)
 	n.FetchRetries.Store(0)
@@ -207,6 +209,7 @@ type Summary struct {
 	KernelMerge        uint64
 	KernelGallop       uint64
 	KernelBitmap       uint64 // dense-suffix candidate sets computed by word AND (plan.Plan.Dense)
+	KernelProbe        uint64 // count-only children probed against a mark set (plan.Level.Probe)
 	KernelPivot        uint64 // always 0 (the engine never selects it); the benchmark's trace reads it
 	CrossSocketFetches uint64
 	CrossSocketBytes   uint64
@@ -247,6 +250,7 @@ func (c *Cluster) Summarize() Summary {
 		s.KernelMerge += n.KernelMerge.Load()
 		s.KernelGallop += n.KernelGallop.Load()
 		s.KernelBitmap += n.KernelBitmap.Load()
+		s.KernelProbe += n.KernelProbe.Load()
 		s.CrossSocketFetches += n.CrossSocketFetches.Load()
 		s.CrossSocketBytes += n.CrossSocketBytes.Load()
 		s.FetchRetries += n.FetchRetries.Load()
@@ -293,6 +297,7 @@ func (s *Summary) Merge(o Summary) {
 	s.KernelMerge += o.KernelMerge
 	s.KernelGallop += o.KernelGallop
 	s.KernelBitmap += o.KernelBitmap
+	s.KernelProbe += o.KernelProbe
 	s.KernelPivot += o.KernelPivot
 	s.CrossSocketFetches += o.CrossSocketFetches
 	s.CrossSocketBytes += o.CrossSocketBytes

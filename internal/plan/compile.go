@@ -175,6 +175,11 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 		}
 	}
 	p.Dense = p.denseable()
+	// The level a count-only run ends at probes a mark set where its siblings
+	// share an operand.
+	for i := 2; i < k; i++ {
+		p.Levels[i].Probe = p.probeable(i)
+	}
 
 	return p, p.Validate()
 }

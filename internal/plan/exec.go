@@ -41,6 +41,13 @@ type Scratch struct {
 	counted   uint64
 	// overflowed latches once a count did not fit counted; see Overflowed.
 	overflowed bool
+	// marks is the mark set a Probe level counts against, lent by the caller
+	// (LendMarks); nil leaves every level on the sorted kernels. runKids counts
+	// the children of the current parent run the Probe level has seen since
+	// NewRun, and marked records that marks holds this run's shared operand.
+	marks   *setops.Bitmap
+	runKids int
+	marked  bool
 	// The dense suffix's state (DenseRow, DenseFinish): the side of its own
 	// index a row covers and, per level, the positions whose rows it ANDs and
 	// the bound positions that can cut it, all derived from the plan by
@@ -90,6 +97,27 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 // one call an engine makes per embedding and a decorator around it sees
 // every level.
 func (s *Scratch) SetCountOnly(on bool) { s.countOnly = on }
+
+// LendMarks lends the scratch a mark set for its Probe level (Level.Probe):
+// once lent, a count-only Extend at that level marks the operand siblings
+// share on a run's second child and probes every later child's own list
+// against it. The set stays the caller's — an engine keeps one per worker, so
+// its storage outlives the scratch — and a lender must call NewRun wherever a
+// new parent's children begin.
+func (s *Scratch) LendMarks(m *setops.Bitmap) {
+	s.marks = m
+	s.NewRun()
+}
+
+// NewRun tells the scratch that the next Extend starts a new parent run: the
+// embeddings extended from here on, until the next NewRun, are children of one
+// parent, so a Probe level's shared operand is the same for all of them. A
+// caller may split one parent's children into several runs — each then marks
+// its operand again — but must never let one run span two parents.
+func (s *Scratch) NewRun() {
+	s.runKids = 0
+	s.marked = false
+}
 
 // TakeCount returns the candidates counted since the last call and resets
 // the counter.
@@ -195,6 +223,11 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 //khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
 	lv := &p.Levels[level]
+	if lv.Probe && s.marks != nil {
+		if n, ok := p.probeLevel(s, level, emb, getList, parentRaw, lo, hi); ok {
+			return n
+		}
+	}
 	d := &s.disp
 	// x ∩ l is the raw intersection; pair is false when x alone already is.
 	var x, l []graph.VertexID
@@ -238,6 +271,57 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 		}
 	}
 	return n
+}
+
+// probeLevel counts a Probe level against the lent mark set. The first child
+// of a run is left to countLevel's sorted path, so a run of one child costs
+// what it did without the mark; the second marks the shared operand x — the
+// parent's stored raw, or the list at Intersect[0] — and it and every later
+// child count by probing their own list (CountProbe). ok is false where the
+// sorted path counts the child instead: the first of its run, an absent stored
+// raw, or a run whose x is too wide to mark.
+//
+//khuzdulvet:hotpath once per child of a probed level
+func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) (int, bool) {
+	lv := &p.Levels[level]
+	reuse := p.VCS && (lv.ReuseExtend || lv.ReuseSame)
+	s.runKids++
+	if s.runKids == 1 || reuse && parentRaw == nil {
+		return 0, false
+	}
+	if s.runKids == 2 {
+		x := parentRaw
+		if !reuse {
+			x = getList(lv.Intersect[0])
+		}
+		s.marked = s.marks.Mark(x)
+	}
+	if !s.marked {
+		return 0, false
+	}
+	// The child's own list: N(v_{level−1}) under ReuseExtend, the one list
+	// ReuseSame subtracts, else the Intersect's second list.
+	subtract := reuse && lv.ReuseSame
+	var l []graph.VertexID
+	switch {
+	case subtract:
+		l = getList(lv.Exclude[0])
+	case reuse:
+		l = getList(level - 1)
+	default:
+		l = getList(lv.Intersect[1])
+	}
+	n := s.disp.CountProbe(s.marks, l, lo, hi)
+	if subtract {
+		n = len(setops.Clip(parentRaw, lo, hi)) - n
+	}
+	// Distinctness as in countLevel, x's membership read off the marks.
+	for _, q := range lv.Exclude {
+		if v := emb[q]; v >= lo && v < hi && s.marks.Contains(v) && setops.Contains(l, v) != subtract {
+			n--
+		}
+	}
+	return n, true
 }
 
 // RawIntersect computes the raw candidate intersection for the given level:

@@ -8,13 +8,13 @@ import (
 // Explain renders the plan as pseudo-code in the paper's nested-loop style
 // (Figure 1/Figure 5): one loop per level with its set operations, symmetry
 // restrictions and the clip they push below the kernels, reuse annotations,
-// count-only marking and active-list bookkeeping, plus — once — the direction
-// the restrictions point and the skew sums that chose it, below the loop
-// nest the binomial a count-only run folds a star tail into, and for a dense
-// plan the row each level-1 embedding builds and the word ANDs that replace
-// the levels below it. It is meant
-// for humans inspecting what a client system compiled; `khuzdul -explain`
-// prints it.
+// count-only marking, the operand a probed level marks and active-list
+// bookkeeping, plus — once — the direction the restrictions point and the
+// skew sums that chose it, below the loop nest the binomial a count-only run
+// folds a star tail into, and for a dense plan the row each level-1 embedding
+// builds and the word ANDs that replace the levels below it. It is meant for
+// humans inspecting what a client system compiled; `khuzdul -explain` prints
+// it.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pattern: %v\n", p.Pattern)
@@ -82,6 +82,9 @@ func (p *Plan) Explain() string {
 		if lv.CountOnly {
 			notes = append(notes, "count-only")
 		}
+		if lv.Probe {
+			notes = append(notes, "probe marked "+p.probeOperand(i))
+		}
 		if lv.StoreInter {
 			notes = append(notes, fmt.Sprintf("store R%d", i))
 		}
@@ -113,6 +116,16 @@ func (p *Plan) Explain() string {
 	sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
+}
+
+// probeOperand names the operand a Probe level marks: the parent's stored
+// intersection, or the shared list of its two-list Intersect.
+func (p *Plan) probeOperand(i int) string {
+	lv := &p.Levels[i]
+	if p.VCS && (lv.ReuseExtend || lv.ReuseSame) {
+		return fmt.Sprintf("R%d", i-1)
+	}
+	return fmt.Sprintf("N(v%d)", lv.Intersect[0])
 }
 
 // explainDense renders level i ≥ 2 of a dense plan: the AND of the rows of its

@@ -60,7 +60,8 @@ func TestExplainLabeled(t *testing.T) {
 
 // TestExplainDirection pins the whole rendering of a triangle plan compiled
 // against a graph whose hubs sit at the low IDs: the restrictions point down,
-// the clip is an upper bound, and the two sums that decided it are printed.
+// the clip is an upper bound, the two sums that decided it are printed, and
+// the last level marks R1 once per parent for its children to probe.
 func TestExplainDirection(t *testing.T) {
 	g := graph.Star(11)
 	pl := MustCompile(pattern.Triangle(), Options{Style: StyleAutomine, Stats: StatsOf(g)})
@@ -70,7 +71,7 @@ mode:    non-induced
 restrictions: descending (Σdown² = 10 < Σup² = 100)
 for v0 in V:    # keep N(v0) — active
   for v1 in N(v0):    # v1 < v0, clip ub=[0], store R1, fetch N(v1) — active
-    for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # v2 < v0, v2 < v1, clip ub=[0 1], count-only
+    for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # v2 < v0, v2 < v1, clip ub=[0 1], count-only, probe marked R1
       emit(v0..v2)
 final level needs no edge lists: candidates are counted directly
 `
@@ -81,8 +82,8 @@ final level needs no edge lists: candidates are counted directly
 	if got != want {
 		t.Errorf("Explain =\n%s\nwant\n%s", got, want)
 	}
-	if s := pl.String(); !strings.Contains(s, " descending ") || !strings.Contains(s, "ub=[0 1] count-only reuse=extend") {
-		t.Errorf("String missing direction, ub= or count-only: %s", s)
+	if s := pl.String(); !strings.Contains(s, " descending ") || !strings.Contains(s, "ub=[0 1] count-only probe reuse=extend") {
+		t.Errorf("String missing direction, ub=, count-only or probe: %s", s)
 	}
 	// A plan with no restrictions has no direction to report.
 	wedge := pattern.PathP(3).WithLabels([]graph.Label{1, 2, 3})

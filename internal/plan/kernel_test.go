@@ -11,36 +11,57 @@ import (
 // TestExtendCountOnlyNoAlloc pins the count path's hot-path contract at run
 // time: with a warm scratch, a count-only Extend allocates nothing on any of
 // its shapes — pair count (triangle), list minus list (induced wedge), bare
-// clipped list with a distinctness probe (wedge), and the star tails folded
-// at level 1 (wedge again, 3-star) — and agrees with the materializing Extend
-// on every embedding.
+// clipped list with a distinctness probe (wedge), the star tails folded at
+// level 1 (wedge again, 3-star), and a probed level against a lent mark set,
+// in all three of its forms (triangle with and without the parent's stored
+// raw, induced wedge with it) — and agrees with the materializing Extend on
+// every embedding. The sweep starts a new parent run where the engine would:
+// before each parent's children at the last level.
 func TestExtendCountOnlyNoAlloc(t *testing.T) {
 	g := graph.RMATDefault(200, 1600, 17)
 	for _, c := range []struct {
 		pat     *pattern.Pattern
 		induced bool
 		fold    bool
+		vcs     bool
+		probe   bool
 	}{
-		{pattern.Triangle(), false, false}, {pattern.PathP(3), true, false}, {pattern.PathP(3), false, false},
-		{pattern.PathP(3), false, true}, {pattern.StarP(4), false, true},
+		{pattern.Triangle(), false, false, false, true}, {pattern.PathP(3), true, false, false, false}, {pattern.PathP(3), false, false, false, false},
+		{pattern.PathP(3), false, true, false, false}, {pattern.StarP(4), false, true, false, false},
+		{pattern.Triangle(), false, false, true, true}, {pattern.PathP(3), true, false, true, true},
 	} {
-		pl := MustCompile(c.pat, Options{Style: StyleAutomine, Induced: c.induced, DisableVCS: true, Stats: StatsOf(g)})
+		pl := MustCompile(c.pat, Options{Style: StyleAutomine, Induced: c.induced, DisableVCS: !c.vcs, Stats: StatsOf(g)})
 		if !pl.Levels[pl.K-1].CountOnly || c.fold && pl.FoldLevel() != 1 {
 			t.Fatalf("%v: last level not count-eligible, or no fold at level 1", pl)
 		}
+		probed := pl.Levels[pl.K-1].Probe
+		if probed != c.probe {
+			t.Fatalf("%v: last level Probe = %v", pl, probed)
+		}
 		counting, building := NewScratch(pl), NewScratch(pl)
 		counting.SetCountOnly(true)
+		var marks setops.Bitmap
+		counting.LendMarks(&marks)
 		emb := make([]graph.VertexID, pl.K)
+		raws := make([][]graph.VertexID, pl.K)
 		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
 		// walk builds the levels before end with the materializing scratch and
-		// takes level end — the last, or the fold level — from s.
+		// takes level end — the last, or the fold level — from s, handing each
+		// level its parent's stored raw.
 		var walk func(s *Scratch, level, end int) uint64
 		walk = func(s *Scratch, level, end int) (n uint64) {
 			if level == end {
-				cands, _ := pl.Extend(s, level, emb[:level], getList, nil, nil, nil)
+				cands, _ := pl.Extend(s, level, emb[:level], getList, raws[level-1], nil, nil)
 				return uint64(len(cands)) + s.TakeCount()
 			}
-			cands, _ := pl.Extend(building, level, emb[:level], getList, nil, nil, nil)
+			cands, raw := pl.Extend(building, level, emb[:level], getList, raws[level-1], nil, nil)
+			raws[level] = nil
+			if pl.Levels[level].StoreInter {
+				raws[level] = raw
+			}
+			if level == end-1 {
+				s.NewRun()
+			}
 			for _, v := range cands {
 				emb[level] = v
 				n += walk(s, level+1, end)
@@ -62,12 +83,17 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		if c.fold {
 			end = pl.FoldLevel()
 		}
+		sweep(counting, end) // warms the mark set
+		counting.KernelCounts()[setops.KernelProbe] = 0
 		var got uint64
 		if allocs := testing.AllocsPerRun(3, func() { got = sweep(counting, end) }); allocs != 0 {
 			t.Errorf("%v: count-only Extend allocated %.0f times per sweep, want 0", pl, allocs)
 		}
 		if got != want || counting.Overflowed() {
 			t.Errorf("%v: count-only sweep %d (overflowed %v), materializing %d", pl, got, counting.Overflowed(), want)
+		}
+		if n := counting.KernelCounts()[setops.KernelProbe]; (n > 0) != probed {
+			t.Errorf("%v: %d probe kernels over a level with Probe = %v", pl, n, probed)
 		}
 	}
 }

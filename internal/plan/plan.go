@@ -78,6 +78,17 @@ type Level struct {
 	// On a scratch in count-only mode Extend counts such a level with the
 	// non-materializing kernels (see Scratch.SetCountOnly).
 	CountOnly bool
+	// Probe marks a count-only level — the one a count-only run ends at, the
+	// CountOnly last level or Plan.FoldLevel — at depth ≥ 2 whose final set
+	// operation has an operand every child of one parent shares: the parent's
+	// stored intersection, extended (R ∩ N(v_{i−1}), ReuseExtend) or reused
+	// with one induced subtraction (R \ N(v_e), ReuseSame), or in a two-list
+	// Intersect the list of position Intersect[0] ≤ i−2. A count-only scratch
+	// lent a mark set marks that operand once per parent run and counts each
+	// later child by probing its own list against it (see Scratch.NewRun).
+	// The compiler marks every level that passes probeable; Validate holds a
+	// hand-set Probe to the same rule.
+	Probe bool
 	// ReuseSame marks that this level's raw intersection equals the parent
 	// level's stored intersection (no set operation needed at all).
 	ReuseSame bool
@@ -301,6 +312,37 @@ func boundedWithin(want, got, inside []int) bool {
 	return true
 }
 
+// probeable reports whether level i qualifies for Level.Probe: it is the
+// level a count-only run ends at, at depth ≥ 2 on a sorted (non-dense),
+// unlabeled plan, and its final set operation is one of the three forms whose
+// operand x the children of one parent share while each brings its own list:
+// x ∩ N(v_{i−1}) for x the parent's stored raw under ReuseExtend, with no
+// subtraction; x \ N(v_e) for x that raw under ReuseSame, with exactly one;
+// x ∩ N(v_j) for x = N(v_{Intersect[0]}), Intersect[0] ≤ i−2, in a two-list
+// Intersect with no subtraction.
+func (p *Plan) probeable(i int) bool {
+	lv := &p.Levels[i]
+	end := p.K - 1
+	if p.Fold > 0 {
+		end = p.FoldLevel()
+	}
+	if i < 2 || i != end || p.Dense || p.Labeled() || p.EdgeLabeled || p.Fold == 0 && !lv.CountOnly {
+		return false
+	}
+	subs := 0
+	if p.Induced {
+		subs = len(lv.Exclude)
+	}
+	switch {
+	case p.VCS && lv.ReuseExtend:
+		return subs == 0
+	case p.VCS && lv.ReuseSame:
+		return subs == 1
+	default:
+		return len(lv.Intersect) == 2 && lv.Intersect[0] <= i-2 && subs == 0
+	}
+}
+
 // String renders a compact human-readable schedule.
 func (p *Plan) String() string {
 	var sb strings.Builder
@@ -331,6 +373,9 @@ func (p *Plan) String() string {
 		}
 		if lv.CountOnly {
 			sb.WriteString(" count-only")
+		}
+		if lv.Probe {
+			sb.WriteString(" probe")
 		}
 		if lv.ReuseSame {
 			sb.WriteString(" reuse=same")
@@ -405,6 +450,9 @@ func (p *Plan) Validate() error {
 		}
 		if lv.ClipStore && !p.storeClippable(i) {
 			return fmt.Errorf("plan: level %d cannot clip its stored intersection: a level deriving from it reaches outside its bounds", i)
+		}
+		if lv.Probe && !p.probeable(i) {
+			return fmt.Errorf("plan: level %d cannot probe a mark set: it is not where a count-only run ends, or no operand of its last set operation is shared by every child of one parent", i)
 		}
 	}
 	for _, r := range p.Restrictions {

@@ -456,3 +456,62 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 		t.Fatalf("the same K4 without Dense: %v", err)
 	}
 }
+
+// TestProbeMarksSharedOperands pins which levels the compiler marks Probe:
+// the level a count-only run ends at, at depth ≥ 2, where its last set
+// operation has an operand all children of one parent share — the parent's
+// stored raw extended (triangle), the parent's raw minus one list (induced
+// wedge), or a list at Intersect[0] ≤ level−2 (triangle without VCS) — and
+// nowhere else: not on a dense plan, a folding one, a labeled one, or a last
+// level that intersects three lists or both intersects and subtracts. Validate rejects a
+// hand-set Probe that fails the rule, and Explain names what it marks.
+func TestProbeMarksSharedOperands(t *testing.T) {
+	labeled := pattern.Triangle().WithLabels([]graph.Label{0, 1, 0})
+	for _, c := range []struct {
+		name  string
+		pl    *Plan
+		probe int // the probed level, -1 for none
+		mark  string
+	}{
+		{"triangle", MustCompile(pattern.Triangle(), Options{Style: StyleAutomine}), 2, "probe marked R1"},
+		{"triangle/no-vcs", MustCompile(pattern.Triangle(), Options{Style: StyleAutomine, DisableVCS: true}), 2, "probe marked N(v0)"},
+		{"induced wedge", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true}), 2, "probe marked R1"},
+		{"induced wedge/no-vcs", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true, DisableVCS: true}), -1, ""},
+		{"wedge (folds)", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine}), -1, ""},
+		{"K4 (dense)", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi}), -1, ""},
+		{"K4/no-vcs (three lists)", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, DisableVCS: true}), -1, ""},
+		{"labeled triangle", MustCompile(labeled, Options{Style: StyleAutomine}), -1, ""},
+		{"induced 4-cycle (intersect and subtract)", MustCompile(pattern.CycleP(4), Options{Style: StyleGraphPi, Induced: true}), -1, ""},
+	} {
+		for i, lv := range c.pl.Levels {
+			if lv.Probe != (i == c.probe) {
+				t.Errorf("%s: level %d Probe = %v: %v", c.name, i, lv.Probe, c.pl)
+			}
+		}
+		if ex := c.pl.Explain(); strings.Contains(ex, "probe marked") != (c.probe > 0) || !strings.Contains(ex, c.mark) {
+			t.Errorf("%s: Explain does not say %q:\n%s", c.name, c.mark, ex)
+		}
+		if strings.Contains(c.pl.String(), " probe") != (c.probe > 0) {
+			t.Errorf("%s: String disagrees with Probe: %v", c.name, c.pl)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		pl   *Plan
+		lv   int
+	}{
+		{"triangle level 1", MustCompile(pattern.Triangle(), Options{Style: StyleAutomine}), 1},
+		{"K4 last level (dense)", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi}), 3},
+		{"folded wedge's last level", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine}), 2},
+		{"induced wedge without VCS", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true, DisableVCS: true}), 2},
+		{"diamond level 2", MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi}), 2},
+	} {
+		bad := *c.pl
+		bad.Levels = append([]Level(nil), c.pl.Levels...)
+		bad.Levels[c.lv].Probe = true
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted Probe on the %s: %v", c.name, &bad)
+		}
+	}
+}

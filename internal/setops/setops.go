@@ -31,6 +31,10 @@ const (
 	// plan's dense suffix (plan.Plan.Dense). The dispatcher never picks it;
 	// the plan enters it in the same ledger.
 	KernelBitmap
+	// KernelProbe tests each element of a list against a mark set built once
+	// over the operand a count-only level's siblings share (see CountProbe):
+	// O(|list|) with no term for the marked list's length.
+	KernelProbe
 	// NumKernels sizes per-kernel counter arrays.
 	NumKernels
 )
@@ -43,6 +47,8 @@ func (k Kernel) String() string {
 		return "gallop"
 	case KernelBitmap:
 		return "bitmap"
+	case KernelProbe:
+		return "probe"
 	default:
 		return "kernel(?)"
 	}
@@ -157,8 +163,9 @@ func gallopIntersect(dst, a, b []graph.VertexID) []graph.VertexID {
 
 // Clip returns the sub-slice {x ∈ a : lo ≤ x < hi}. Bounds encode
 // symmetry-breaking restrictions: the lower bound is inclusive so that 0
-// means "unbounded", the upper bound exclusive so that NoVertex does. Both cut points are found by galloping from the front, so a
-// bounded kernel never walks the prefix or suffix the restriction discards.
+// means "unbounded", the upper bound exclusive so that NoVertex does. Both
+// cut points are found by galloping from the front, so a bounded kernel never
+// walks the prefix or suffix the restriction discards.
 func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	if lo > 0 {
 		a = a[gallopTo(a, 0, lo):]
@@ -169,40 +176,65 @@ func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	return a
 }
 
-// Bitmap is a dense bitset over vertex IDs. With IntersectBitmap and
-// IntersectPivot it is a standalone kernel the engine never selects; the
-// benchmark's layer probes measure all three. Build keeps its own copy of
-// the built list so clearing stale bits never depends on the caller's buffer.
+// markWordCap bounds the ID window Mark accepts, in 64-bit words: 32 KiB of
+// words per mark set, a window of 262,144 IDs. A wider list is left to the
+// sorted kernels.
+const markWordCap = 1 << 12
+
+// Bitmap is a dense bitset over a window of vertex IDs: the words from the one
+// holding the built list's first element to the one holding its last. It is
+// the mark set a count-only level builds over the operand every child of one
+// parent shares (CountProbe), and a standalone kernel with IntersectBitmap.
+// Build keeps its own copy of the built list, so clearing stale bits costs
+// O(|list|) and never depends on the caller's buffer.
 type Bitmap struct {
+	base  int // word index of words[0]: the built list's first element >> 6
 	words []uint64
 	built []graph.VertexID
 }
 
 // Build loads list into the bitmap, clearing whatever was built before.
 // Amortized cost is O(|list|): old bits are cleared word-by-word from the
-// retained copy, and word storage only ever grows.
+// retained copy, and word storage only ever grows, to the widest window built.
 func (b *Bitmap) Build(list []graph.VertexID) {
 	for _, v := range b.built {
-		b.words[v>>6] = 0
+		b.words[int(v>>6)-b.base] = 0
 	}
 	b.built = b.built[:0]
 	if len(list) == 0 {
 		return
 	}
-	if need := int(list[len(list)-1]>>6) + 1; need > len(b.words) {
-		//khuzdulvet:ignore hotalloc word storage grows monotonically; amortized across hub builds
+	b.base = int(list[0] >> 6)
+	if need := int(list[len(list)-1]>>6) - b.base + 1; need > len(b.words) {
+		//khuzdulvet:ignore hotalloc word storage grows monotonically, to at most markWordCap words under Mark
 		b.words = make([]uint64, need)
 	}
 	for _, v := range list {
-		b.words[v>>6] |= 1 << (v & 63)
+		b.words[int(v>>6)-b.base] |= 1 << (v & 63)
 	}
 	b.built = append(b.built, list...)
 }
 
+// Mark builds list into the bitmap when its ID window fits markWordCap words
+// and reports whether it did. A list too wide leaves the bitmap as it was, and
+// the caller counts with the sorted kernels instead. A bitmap only ever Marked
+// holds at most markWordCap words.
+func (b *Bitmap) Mark(list []graph.VertexID) bool {
+	if len(list) > 0 && int(list[len(list)-1]>>6)-int(list[0]>>6) >= markWordCap {
+		return false
+	}
+	b.Build(list)
+	return true
+}
+
+// Words returns the number of 64-bit words the bitmap holds: its widest
+// window so far.
+func (b *Bitmap) Words() int { return len(b.words) }
+
 // Contains reports whether the built list contains v.
 func (b *Bitmap) Contains(v graph.VertexID) bool {
-	w := int(v >> 6)
-	return w < len(b.words) && b.words[w]&(1<<(v&63)) != 0
+	w := int(v>>6) - b.base
+	return uint(w) < uint(len(b.words)) && b.words[w]&(1<<(v&63)) != 0
 }
 
 // IntersectBitmap appends a ∩ built(bm) to dst by probing the bitmap once
@@ -305,6 +337,34 @@ func (d *Dispatcher) CountBounded(a, b []graph.VertexID, lo, hi graph.VertexID) 
 		return countMerge(a, b)
 	}
 	return 0
+}
+
+// CountProbe returns |{x ∈ m ∩ l : lo ≤ x < hi}|, m standing for the list it
+// was last built from: it clips l to [lo, hi) and tests each element's bit, no
+// term for m's length. When the clipped l is at least gallopRatio times the
+// clipped marked list it gallops that list into l instead. It enters a kernel
+// in Counts exactly when CountBounded would — both clipped sides non-empty —
+// KernelProbe or KernelGallop, so a count-only level that probes keeps the
+// materializing path's ledger total.
+func (d *Dispatcher) CountProbe(m *Bitmap, l []graph.VertexID, lo, hi graph.VertexID) int {
+	x := Clip(m.built, lo, hi)
+	if len(x) == 0 {
+		return 0
+	}
+	l = Clip(l, lo, hi)
+	if len(l) == 0 {
+		return 0
+	}
+	if len(l) >= gallopRatio*len(x) {
+		d.count(KernelGallop)
+		return countGallop(x, l)
+	}
+	d.count(KernelProbe)
+	n := 0
+	for _, v := range l {
+		n += b2i(m.Contains(v))
+	}
+	return n
 }
 
 // IntersectRow sets bit base+i of row for every a[i] in b: a ∩ b as a bitmap

@@ -392,6 +392,63 @@ func TestBitmapRebuildClearsStaleBits(t *testing.T) {
 	if bm.Contains(7) {
 		t.Fatal("empty build left bits behind")
 	}
+
+	// The words cover only the built list's window, so a rebuild moves the
+	// window's base: up past the old window, down below it, and overlapping
+	// it. Each must clear every bit of the one before and answer exactly for
+	// IDs inside, below and above its own window.
+	var prev []graph.VertexID
+	for i, list := range [][]graph.VertexID{
+		ids(70000, 70001, 70100),
+		ids(5, 300),
+		ids(200, 64*50+1, 64*60),
+		ids(64*40, 64*41-1),
+		ids(1 << 20),
+		ids(0, 63, 64),
+	} {
+		bm.Build(list)
+		for _, v := range prev {
+			if bm.Contains(v) && !Contains(list, v) {
+				t.Fatalf("rebuild %d at base %d: stale bit %d survived", i, list[0]>>6, v)
+			}
+		}
+		for _, v := range list {
+			for _, u := range []graph.VertexID{v - 1, v, v + 1} {
+				if bm.Contains(u) != Contains(list, u) {
+					t.Fatalf("rebuild %d: Contains(%d) = %v over %v", i, u, bm.Contains(u), list)
+				}
+			}
+		}
+		for _, u := range []graph.VertexID{0, 1 << 21, NoVertex} {
+			if bm.Contains(u) != Contains(list, u) {
+				t.Fatalf("rebuild %d: Contains(%d) = %v over %v", i, u, bm.Contains(u), list)
+			}
+		}
+		prev = list
+	}
+}
+
+// TestMarkRefusesWideWindows: Mark builds a list whose IDs span at most
+// markWordCap words — at any base — and refuses a wider one, leaving the set
+// as it was; a bitmap only ever Marked never holds more than the cap.
+func TestMarkRefusesWideWindows(t *testing.T) {
+	var bm Bitmap
+	widest := graph.VertexID(64*markWordCap - 1)
+	for _, base := range []graph.VertexID{0, 64 * 1000, 1<<31 + 17} {
+		lo := base &^ 63
+		if !bm.Mark(ids(int(lo), int(lo+widest))) || !bm.Contains(lo) || !bm.Contains(lo+widest) {
+			t.Fatalf("base %d: Mark refused or lost a window of exactly %d words", lo, markWordCap)
+		}
+		if bm.Mark(ids(int(lo), int(lo+widest+1))) {
+			t.Fatalf("base %d: Mark accepted a window of %d words", lo, markWordCap+1)
+		}
+		if !bm.Contains(lo+widest) || bm.Contains(lo+widest+1) {
+			t.Fatalf("base %d: a refused Mark changed the set", lo)
+		}
+		if bm.Words() > markWordCap {
+			t.Fatalf("base %d: %d words held, past the cap %d", lo, bm.Words(), markWordCap)
+		}
+	}
 }
 
 func TestIntersectPivotMatchesReference(t *testing.T) {
@@ -605,11 +662,17 @@ func TestCountBoundedNoAlloc(t *testing.T) {
 	b := randSorted(rng, 150, 4000)
 	hub := randSorted(rng, 2000, 4000)
 	var d Dispatcher
+	var m Bitmap
+	m.Mark(b) // warm the word storage and the retained copy
 	allocs := testing.AllocsPerRun(50, func() {
 		sinkInt += d.CountBounded(a, b, 500, 3500)         // merge
 		sinkInt += d.CountBounded(a[:3], hub, 0, NoVertex) // gallop
 		sinkInt += d.CountSubtract(a, b, 500, 3500)
 		sinkInt += CountIntersect(a, b)
+		m.Mark(b)
+		sinkInt += d.CountProbe(&m, a, 500, 3500) // probe
+		m.Mark(a[:3])
+		sinkInt += d.CountProbe(&m, hub, 0, NoVertex) // gallop
 	})
 	if allocs != 0 {
 		t.Fatalf("count kernels allocated %.0f times per run, want 0", allocs)
@@ -619,8 +682,10 @@ func TestCountBoundedNoAlloc(t *testing.T) {
 var sinkInt int
 
 // TestCountKernelsMatchNaive holds every bounded kernel — materializing and
-// counting, under each kernel the dispatcher can pick — to a naive loop, over
-// empty lists, lo = 0, hi = all-ones, lo ≥ hi and bounds outside both lists.
+// counting, under each kernel the dispatcher can pick, and the probe of a
+// mark set built from either list — to a naive loop, over empty lists, lo =
+// 0, hi = all-ones, lo ≥ hi and bounds outside both lists. CountProbe must
+// enter a kernel exactly when CountBounded does.
 func TestCountKernelsMatchNaive(t *testing.T) {
 	naive := func(a, b []graph.VertexID, lo, hi graph.VertexID, subtract bool) int {
 		n := 0
@@ -634,6 +699,7 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(20230325))
 	edge := []graph.VertexID{0, 1, NoVertex - 1, NoVertex}
 	var counts [NumKernels]uint64
+	var m Bitmap
 	for trial := 0; trial < 400; trial++ {
 		// Lopsided sizes reach gallop, comparable ones merge.
 		d := Dispatcher{Counts: &counts}
@@ -661,6 +727,21 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 			if got := d.CountBounded(b, a, lo, hi); got != want {
 				t.Fatalf("CountBounded swapped(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
+			for _, side := range [][2][]graph.VertexID{{a, b}, {b, a}} {
+				if !m.Mark(side[0]) {
+					t.Fatalf("Mark refused %v", side[0])
+				}
+				var probed, bounded [NumKernels]uint64
+				pd, bd := Dispatcher{Counts: &probed}, Dispatcher{Counts: &bounded}
+				if got := pd.CountProbe(&m, side[1], lo, hi); got != want {
+					t.Fatalf("CountProbe(marked %v, %v, lo=%d, hi=%d) = %d, want %d", side[0], side[1], lo, hi, got, want)
+				}
+				bd.CountBounded(side[0], side[1], lo, hi)
+				if probed[KernelProbe]+probed[KernelGallop] != bounded[KernelMerge]+bounded[KernelGallop] || probed[KernelMerge] != 0 {
+					t.Fatalf("CountProbe(marked %v, %v, lo=%d, hi=%d) entered %v, CountBounded %v", side[0], side[1], lo, hi, probed, bounded)
+				}
+				counts[KernelProbe] += probed[KernelProbe]
+			}
 			if got := len(d.IntersectBounded(nil, a, b, lo, hi)); got != want {
 				t.Fatalf("IntersectBounded(%v, %v, lo=%d, hi=%d) has %d elements, want %d", a, b, lo, hi, got, want)
 			}
@@ -675,8 +756,8 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 			t.Fatalf("CountIntersect(%v, %v) = %d, want %d", a, b, got, want)
 		}
 	}
-	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 {
-		t.Fatalf("a pairwise kernel never ran: merge/gallop = %v", counts)
+	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 || counts[KernelProbe] == 0 {
+		t.Fatalf("a pairwise kernel never ran: merge/gallop/bitmap/probe = %v", counts)
 	}
 }
 
@@ -692,6 +773,26 @@ func BenchmarkCountBoundedMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkInt += d.CountBounded(a, hub, 1<<19, NoVertex)
+	}
+}
+
+// BenchmarkCountProbe is BenchmarkCountBoundedMerge's pair as a probed
+// level sees it: the long list marked once, the short one probed against it
+// under the same restriction, each call O(|short|) with no term for the
+// marked list.
+func BenchmarkCountProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randSorted(rng, 5000, 1<<18)
+	hub := randSorted(rng, 25000, 1<<18)
+	var d Dispatcher
+	var m Bitmap
+	if !m.Mark(hub) {
+		b.Fatal("Mark refused the hub")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkInt += d.CountProbe(&m, a, 1<<17, NoVertex)
 	}
 }
 
