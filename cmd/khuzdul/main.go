@@ -488,6 +488,9 @@ func loadGraph(spec string) (*khuzdul.Graph, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad graph spec %q", spec)
 		}
+		if n < 0 || n < 2 && m > 0 {
+			return nil, fmt.Errorf("bad graph spec %q: %d vertices cannot hold %d edges", spec, n, m)
+		}
 		seed := int64(42)
 		if len(parts) > 3 {
 			s, err := strconv.ParseInt(parts[3], 10, 64)

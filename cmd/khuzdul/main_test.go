@@ -128,3 +128,32 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("slow node outside cluster", bad(4, 1, 2, 0, 0, "slow=9:2", "Fault"))
 	t.Run("unknown cache policy", reject("tc", 4, 3, with(func(f *clusterFlags) { f.cachePol = "bogus" }), 0, 0, "-cache-policy"))
 }
+
+// TestLoadGraphSpecs holds -graph's generator specs to sizes that can hold
+// their edges: fewer than two vertices with edges, or fewer than none, are
+// rejected naming the spec — they used to draw forever or panic — while an
+// edgeless spec loads.
+func TestLoadGraphSpecs(t *testing.T) {
+	for _, spec := range []string{"rmat:1:10", "rmat:0:5", "uniform:1:3", "uniform:0:5", "rmat:-1:0"} {
+		t.Run(spec, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := loadGraph(spec)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), spec) {
+					t.Fatalf("loadGraph(%q) = %v, want an error naming the spec", spec, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("loadGraph(%q) still running after 10s", spec)
+			}
+		})
+	}
+	for _, spec := range []string{"rmat:1:0", "uniform:0:0", "uniform:2:3"} {
+		if _, err := loadGraph(spec); err != nil {
+			t.Errorf("loadGraph(%q): %v", spec, err)
+		}
+	}
+}

@@ -223,8 +223,12 @@ func TestCompileOptionsForwarded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.VCS || len(pl.Restrictions) != 0 {
-			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS, len(pl.Restrictions))
+		bounds := 0
+		for _, lv := range pl.Levels {
+			bounds += len(lv.Bounds)
+		}
+		if pl.VCS || bounds != 0 {
+			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS, bounds)
 		}
 	}
 }

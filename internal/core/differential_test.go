@@ -91,7 +91,11 @@ func TestDifferentialCountPaths(t *testing.T) {
 							stats.UpSq, stats.DownSq = 1, 0
 						}
 						pl := plan.MustCompile(pat, plan.Options{Style: plan.StyleGraphPi, Induced: induced, DisableVCS: !vcs, Stats: stats})
-						if pl.Descending != (descending && len(pl.Restrictions) > 0) {
+						restricted := false
+						for _, lv := range pl.Levels {
+							restricted = restricted || len(lv.Bounds) > 0
+						}
+						if pl.Descending != (descending && restricted) {
 							t.Fatalf("%s: plan.Descending = %v", name, pl.Descending)
 						}
 						ex := plan.NewExecutor(pl, in.g.Neighbors, in.g.Label)
@@ -229,11 +233,11 @@ func TestDifferentialFoldedPlans(t *testing.T) {
 		}
 	}
 
-	// A 3-star whose last level is also held above the root: v3 > v0 is a
-	// bound from outside the tail that level 1 does not carry, so the tail's
+	// A 3-star whose last level is also bounded by the root: v3 against v0 is
+	// a bound from outside the tail that level 1 does not carry, so the tail's
 	// candidate sets are no longer nested in level 1's and nothing may fold.
 	pl := plan.MustCompile(pattern.StarP(4), plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
-	pl.Levels[3].LowerBounds = append([]int{0}, pl.Levels[3].LowerBounds...)
+	pl.Levels[3].Bounds = append([]int{0}, pl.Levels[3].Bounds...)
 	for _, r := range []int{2, 3} {
 		pl.Fold = r
 		if err := pl.Validate(); err == nil {

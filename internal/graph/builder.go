@@ -114,12 +114,16 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.Build()
 }
 
-// FromCSR wraps pre-built CSR arrays. Adjacency lists must already be sorted,
-// deduplicated and free of self-loops; this is validated and an error returned
-// otherwise.
+// FromCSR wraps pre-built CSR arrays. Offsets must start at 0 and never
+// decrease, and adjacency lists must already be sorted, deduplicated, free of
+// self-loops and name only vertices below n; this is validated and an error
+// returned otherwise.
 func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: empty offsets")
+	}
+	if offsets[0] != 0 {
+		return nil, fmt.Errorf("graph: offsets start at %d, not 0", offsets[0])
 	}
 	if offsets[len(offsets)-1] != uint64(len(edges)) {
 		return nil, fmt.Errorf("graph: offsets end %d != len(edges) %d",
@@ -128,7 +132,9 @@ func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error)
 	n := len(offsets) - 1
 	var maxDeg uint32
 	for v := 0; v < n; v++ {
-		if offsets[v] > offsets[v+1] {
+		// The end checked above bounds every offset only once all of them are
+		// known not to decrease, so each list's end is checked on its own.
+		if offsets[v] > offsets[v+1] || offsets[v+1] > uint64(len(edges)) {
 			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
 		adj := edges[offsets[v]:offsets[v+1]]
@@ -140,6 +146,9 @@ func FromCSR(offsets []uint64, edges []VertexID, labels []Label) (*Graph, error)
 			// candidate drawn from N(u) is never u itself).
 			if u == VertexID(v) {
 				return nil, fmt.Errorf("graph: self-loop at %d", v)
+			}
+			if uint64(u) >= uint64(n) {
+				return nil, fmt.Errorf("graph: vertex %d lists neighbor %d of %d vertices", v, u, n)
 			}
 		}
 		if d := uint32(len(adj)); d > maxDeg {

@@ -8,7 +8,8 @@ import (
 // Chakrabarti et al. It is the stand-in for the skewed SNAP/WebGraph datasets
 // of the paper (LiveJournal, UK, Twitter, ...): the (a,b,c,d) probabilities
 // control skew. n is rounded up to a power of two for edge placement but the
-// graph keeps exactly n vertices (edges falling outside are re-drawn).
+// graph keeps exactly n vertices (edges falling outside are re-drawn). With
+// n < 2 no edge fits, and the graph has none.
 func RMAT(n int, m uint64, a, b, c float64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	scale := 0
@@ -16,7 +17,7 @@ func RMAT(n int, m uint64, a, b, c float64, seed int64) *Graph {
 		scale++
 	}
 	bld := NewBuilder(n)
-	for placed := uint64(0); placed < m; {
+	for placed := uint64(0); placed < m && n >= 2; {
 		u, v := 0, 0
 		for bit := 0; bit < scale; bit++ {
 			r := rng.Float64()
@@ -49,11 +50,11 @@ func RMATDefault(n int, m uint64, seed int64) *Graph {
 
 // Uniform generates a uniformly random graph with n vertices and ~m distinct
 // edges (Erdős–Rényi G(n,m) flavor). It is the stand-in for less-skewed
-// datasets like Patents.
+// datasets like Patents. With n < 2 no edge fits, and the graph has none.
 func Uniform(n int, m uint64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	bld := NewBuilder(n)
-	for placed := uint64(0); placed < m; {
+	for placed := uint64(0); placed < m && n >= 2; {
 		u := VertexID(rng.Intn(n))
 		v := VertexID(rng.Intn(n))
 		if u == v {
@@ -122,8 +123,9 @@ func Grid(rows, cols int) *Graph {
 
 // RandomLabels returns a label assignment with numLabels distinct labels
 // drawn uniformly, as the paper does for unlabeled FSM datasets ("randomly
-// synthesized their labels").
+// synthesized their labels"). Fewer than one label counts as one.
 func RandomLabels(n, numLabels int, seed int64) []Label {
+	numLabels = max(numLabels, 1)
 	rng := rand.New(rand.NewSource(seed))
 	labels := make([]Label, n)
 	for i := range labels {

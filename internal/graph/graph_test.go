@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBuilderDedupAndSelfLoops(t *testing.T) {
@@ -230,6 +231,61 @@ func TestFromCSRValidation(t *testing.T) {
 	}
 	if _, err := FromCSR([]uint64{0, 1}, []VertexID{0}, nil); err == nil {
 		t.Fatal("want error for self-loop")
+	}
+	if _, err := FromCSR([]uint64{0, 1, 2}, []VertexID{7, 0}, nil); err == nil {
+		t.Fatal("want error for a neighbor past the last vertex")
+	}
+}
+
+// TestReadBinaryRejectsHostileFiles feeds ReadBinary files whose header or
+// offsets lie: each must come back as an error, without a panic and without
+// allocating for what the header claims instead of what the file holds.
+func TestReadBinaryRejectsHostileFiles(t *testing.T) {
+	if g, err := readBinaryBounded(t, validBinary()); err != nil || g.NumVertices() != 3 || g.NumEdges() != 3 || g.Label(1) != 1 {
+		t.Fatalf("valid triangle: %v, %v", g, err)
+	}
+	for name, p := range hostileBinaries() {
+		t.Run(name, func(t *testing.T) {
+			if g, err := readBinaryBounded(t, p); err == nil {
+				t.Fatalf("accepted %v", g)
+			}
+		})
+	}
+}
+
+// TestDegenerateGeneratorSizes holds the random generators to sizes where no
+// edge fits: fewer than two vertices yield the edgeless graph, promptly, and
+// fewer than one label counts as one.
+func TestDegenerateGeneratorSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func() *Graph
+		n    int
+	}{
+		{"rmat 1:10", func() *Graph { return RMATDefault(1, 10, 1) }, 1},
+		{"rmat 0:5", func() *Graph { return RMATDefault(0, 5, 1) }, 0},
+		{"uniform 1:3", func() *Graph { return Uniform(1, 3, 1) }, 1},
+		{"uniform 0:5", func() *Graph { return Uniform(0, 5, 1) }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			done := make(chan *Graph, 1)
+			go func() { done <- c.gen() }()
+			select {
+			case g := <-done:
+				if g.NumVertices() != c.n || g.NumEdges() != 0 {
+					t.Fatalf("got |V|=%d |E|=%d, want %d, 0", g.NumVertices(), g.NumEdges(), c.n)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("generator still drawing after 10s")
+			}
+		})
+	}
+	for _, k := range []int{0, -2} {
+		for _, l := range RandomLabels(16, k, 5) {
+			if l != 0 {
+				t.Fatalf("RandomLabels(16, %d) drew label %d, want only 0", k, l)
+			}
+		}
 	}
 }
 

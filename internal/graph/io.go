@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -89,7 +91,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. The header's counts
+// are not trusted: arrays are read in chunks that grow with the bytes the
+// stream delivers, so a truncated or lying file costs memory in proportion to
+// its length before it is rejected.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint64
@@ -104,21 +109,39 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if hdr[1] != 1 {
 		return nil, fmt.Errorf("graph: unsupported version %d", hdr[1])
 	}
-	n := int(hdr[2])
-	offsets := make([]uint64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
+	if hdr[2] > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d vertices do not fit a 32-bit vertex ID", hdr[2])
+	}
+	n := hdr[2]
+	offsets, err := readArray[uint64](br, n+1)
+	if err != nil {
 		return nil, err
 	}
-	edges := make([]VertexID, offsets[n])
-	if err := binary.Read(br, binary.LittleEndian, edges); err != nil {
+	edges, err := readArray[VertexID](br, offsets[n])
+	if err != nil {
 		return nil, err
 	}
 	var labels []Label
 	if hdr[3] == 1 {
-		labels = make([]Label, n)
-		if err := binary.Read(br, binary.LittleEndian, labels); err != nil {
+		if labels, err = readArray[Label](br, n); err != nil {
 			return nil, err
 		}
 	}
 	return FromCSR(offsets, edges, labels)
+}
+
+// readArray reads n little-endian values, each chunk at most as long as what
+// has been read so far (at least minChunk), so the memory it takes stays
+// within a small factor of the bytes r actually delivered.
+func readArray[T uint64 | VertexID | Label](r io.Reader, n uint64) ([]T, error) {
+	const minChunk = 1 << 10
+	var out []T
+	for have := uint64(0); have < n; have = uint64(len(out)) {
+		c := int(min(n-have, max(have, minChunk)))
+		out = slices.Grow(out, c)[:int(have)+c]
+		if err := binary.Read(r, binary.LittleEndian, out[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

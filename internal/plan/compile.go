@@ -34,7 +34,7 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		stats = GraphStats{NumVertices: 1 << 20, AvgDegree: 16}
 	}
 
-	// Pointing the restrictions down instead of up is free (see Restriction);
+	// Pointing the restrictions down instead of up is free (see Level.Bounds);
 	// it pays when the graph's down-neighborhoods are the smaller ones.
 	descending := stats.DownSq < stats.UpSq
 
@@ -97,7 +97,9 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 
 	// Symmetry-breaking restrictions via the stabilizer-chain / ordered-orbit
 	// scheme on the relabeled pattern: for each position i, one restriction
-	// per element of i's orbit under the pointwise stabilizer of positions <i.
+	// per element j of i's orbit under the pointwise stabilizer of positions
+	// <i. The stabilizer fixes every position before i, so j > i, and the
+	// restriction bounds level j by position i.
 	auts := pattern.Automorphisms(q)
 	p.AutSize = len(auts)
 	if !opts.DisableSymmetryBreak {
@@ -109,7 +111,8 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 			}
 			for j := 0; j < k; j++ {
 				if j != i && inOrbit[j] {
-					p.Restrictions = append(p.Restrictions, Restriction{A: i, B: j})
+					p.Levels[j].Bounds = append(p.Levels[j].Bounds, i)
+					p.Descending = descending
 				}
 			}
 			var next [][]int
@@ -119,15 +122,6 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 				}
 			}
 			group = next
-		}
-		p.Descending = descending && len(p.Restrictions) > 0
-		for _, r := range p.Restrictions {
-			lv := &p.Levels[r.B]
-			if p.Descending {
-				lv.UpperBounds = append(lv.UpperBounds, r.A)
-			} else {
-				lv.LowerBounds = append(lv.LowerBounds, r.A)
-			}
 		}
 	}
 
@@ -315,7 +309,7 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 		lv := &p.Levels[i]
 		cand := d * math.Pow(sel, float64(len(lv.Intersect)-1))
 		// Each restriction halves the expected candidates.
-		cand /= math.Pow(2, float64(len(lv.LowerBounds)+len(lv.UpperBounds)))
+		cand /= math.Pow(2, float64(len(lv.Bounds)))
 		if cand < 1e-9 {
 			cand = 1e-9
 		}

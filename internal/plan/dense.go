@@ -22,7 +22,7 @@ func (p *Plan) denseable() bool {
 		return false
 	}
 	first := &p.Levels[1]
-	if !first.StoreInter || !first.ClipStore && len(first.LowerBounds)+len(first.UpperBounds) > 0 {
+	if !first.StoreInter || !first.ClipStore && len(first.Bounds) > 0 {
 		return false
 	}
 	inside := []int{1}
@@ -35,7 +35,7 @@ func (p *Plan) denseable() bool {
 		if m == 1 {
 			continue
 		}
-		if !boundedWithin(first.LowerBounds, lv.LowerBounds, inside) || !boundedWithin(first.UpperBounds, lv.UpperBounds, inside) {
+		if !boundedWithin(first.Bounds, lv.Bounds, inside) {
 			return false
 		}
 		inside = append(inside, m)
@@ -68,11 +68,7 @@ func (p *Plan) denseRowSide() int8 {
 // one at position q < l in the plan's direction: l is restricted against q,
 // or against a position past q that is itself held beyond q.
 func (p *Plan) heldBeyond(l, q int) bool {
-	chain := p.Levels[l].LowerBounds
-	if p.Descending {
-		chain = p.Levels[l].UpperBounds
-	}
-	for _, a := range chain {
+	for _, a := range p.Levels[l].Bounds {
 		if a == q || a > q && p.heldBeyond(a, q) {
 			return true
 		}
@@ -82,27 +78,13 @@ func (p *Plan) heldBeyond(l, q int) bool {
 
 // denseTables derives, per level ≥ 2 of a dense plan, the positions whose
 // rows the level ANDs (its Intersect positions past 0) and the bound
-// positions that can cut its candidates: a bound in the plan's direction is
-// implied, and dropped, when another bound of the level is held beyond it,
-// and a bound against v0 when level 1 carries it, S lying beyond v0 already.
-func (p *Plan) denseTables() (rows, lower, upper [][]int) {
+// positions that can cut its candidates: a bound is implied, and dropped,
+// when another bound of the level is held beyond it, and a bound against v0
+// when level 1 carries it, S lying beyond v0 already.
+func (p *Plan) denseTables() (rows, bounds [][]int) {
 	rows = make([][]int, p.K)
-	lower = make([][]int, p.K)
-	upper = make([][]int, p.K)
+	bounds = make([][]int, p.K)
 	first := &p.Levels[1]
-	prune := func(bounds, firstBounds []int, chain bool) []int {
-		var kept []int
-		for _, a := range bounds {
-			implied := chain && a == 0 && containsInt(firstBounds, 0)
-			for _, b := range bounds {
-				implied = implied || chain && b > a && p.heldBeyond(b, a)
-			}
-			if !implied {
-				kept = append(kept, a)
-			}
-		}
-		return kept
-	}
 	for l := 2; l < p.K; l++ {
 		lv := &p.Levels[l]
 		for _, q := range lv.Intersect {
@@ -110,10 +92,17 @@ func (p *Plan) denseTables() (rows, lower, upper [][]int) {
 				rows[l] = append(rows[l], q)
 			}
 		}
-		lower[l] = prune(lv.LowerBounds, first.LowerBounds, !p.Descending)
-		upper[l] = prune(lv.UpperBounds, first.UpperBounds, p.Descending)
+		for _, a := range lv.Bounds {
+			implied := a == 0 && containsInt(first.Bounds, 0)
+			for _, b := range lv.Bounds {
+				implied = implied || b > a && p.heldBeyond(b, a)
+			}
+			if !implied {
+				bounds[l] = append(bounds[l], a)
+			}
+		}
 	}
-	return rows, lower, upper
+	return rows, bounds
 }
 
 // DenseRowWords returns the number of 64-bit words of one dense row over a
@@ -186,19 +175,20 @@ func andWord(rows [][]uint64, i int) uint64 {
 //khuzdulvet:hotpath the dense suffix's per-level step
 func (p *Plan) denseLevel(s *Scratch, l int, emb, set []graph.VertexID, rows []uint64, w int, emit func(prefix, last []graph.VertexID)) uint64 {
 	lo, hi := 0, len(set)
-	for _, a := range s.denseLower[l] {
-		b := s.denseRoot
-		if a > 0 {
-			b = s.denseIdx[a] + 1
-		}
-		lo = max(lo, b)
-	}
-	for _, a := range s.denseUpper[l] {
+	for _, a := range s.denseBounds[l] {
+		// S holds no v0 but does hold each later bound's vertex, at its index.
 		b := s.denseRoot
 		if a > 0 {
 			b = s.denseIdx[a]
+			if !p.Descending {
+				b++
+			}
 		}
-		hi = min(hi, b)
+		if p.Descending {
+			hi = min(hi, b)
+		} else {
+			lo = max(lo, b)
+		}
 	}
 	if lo >= hi {
 		return 0

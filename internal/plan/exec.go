@@ -54,14 +54,13 @@ type Scratch struct {
 	// NewScratch; per-level candidate words; the S-index matched at each
 	// position and the index bounding candidates against the root; the last
 	// level's vertices for a materializing sink.
-	denseSide  int8
-	denseRows  [][]int
-	denseLower [][]int
-	denseUpper [][]int
-	denseBits  []uint64
-	denseIdx   []int
-	denseRoot  int
-	denseOut   []graph.VertexID
+	denseSide   int8
+	denseRows   [][]int
+	denseBounds [][]int
+	denseBits   []uint64
+	denseIdx    []int
+	denseRoot   int
+	denseOut    []graph.VertexID
 }
 
 // NewScratch allocates buffers sized for plan p.
@@ -76,7 +75,7 @@ func NewScratch(p *Plan) *Scratch {
 	s.disp.Counts = &s.kernels
 	if p.Dense {
 		s.denseSide = p.denseRowSide()
-		s.denseRows, s.denseLower, s.denseUpper = p.denseTables()
+		s.denseRows, s.denseBounds = p.denseTables()
 		s.denseIdx = make([]int, p.K)
 	}
 	return s
@@ -152,19 +151,17 @@ func binomial(n uint64, r int) (uint64, bool) {
 	return c, true
 }
 
-// bounds folds the level's symmetry-breaking restrictions over the matched
-// prefix into one candidate interval [lo, hi): v > emb[a] for every lower
-// bound, v < emb[a] for every upper bound. (0, noUpper) is unbounded.
-func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
+// bounds folds level's symmetry-breaking restrictions over the matched prefix
+// into one candidate interval [lo, hi): v > emb[a] for every bound of an
+// ascending plan, v < emb[a] for every bound of a descending one. (0, noUpper)
+// is unbounded.
+func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 	hi = noUpper
-	for _, a := range lv.LowerBounds {
-		if emb[a]+1 > lo {
-			lo = emb[a] + 1
-		}
-	}
-	for _, a := range lv.UpperBounds {
-		if emb[a] < hi {
-			hi = emb[a]
+	for _, a := range p.Levels[level].Bounds {
+		if p.Descending {
+			hi = min(hi, emb[a])
+		} else {
+			lo = max(lo, emb[a]+1)
 		}
 	}
 	return lo, hi
@@ -185,7 +182,7 @@ func (lv *Level) bounds(emb []graph.VertexID) (lo, hi graph.VertexID) {
 //khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
 	lv := &p.Levels[level]
-	lo, hi := lv.bounds(emb)
+	lo, hi := p.bounds(level, emb)
 	if s.countOnly {
 		if level == p.FoldLevel() {
 			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.Fold)

@@ -30,8 +30,12 @@ func (p *Plan) Explain() string {
 	if p.EdgeLabeled {
 		sb.WriteString("edge labels: constrained per level\n")
 	}
+	restricted := false
+	for _, lv := range p.Levels {
+		restricted = restricted || len(lv.Bounds) > 0
+	}
 	switch {
-	case len(p.Restrictions) == 0:
+	case !restricted:
 		sb.WriteString("restrictions: none\n")
 	case p.Descending:
 		fmt.Fprintf(&sb, "restrictions: descending (Σdown² = %.4g < Σup² = %.4g)\n", p.DownSq, p.UpSq)
@@ -78,7 +82,7 @@ func (p *Plan) Explain() string {
 		if lv.StoreInter && !lv.ClipStore {
 			clip = "clip after store"
 		}
-		notes := boundNotes(i, lv, clip)
+		notes := p.boundNotes(i, clip)
 		if lv.CountOnly {
 			notes = append(notes, "count-only")
 		}
@@ -144,7 +148,7 @@ func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
 		set = strings.Join(rows, " & ")
 	}
 	fmt.Fprintf(sb, "%sfor v%d in %s:", ind, i, set)
-	notes := boundNotes(i, lv, "mask")
+	notes := p.boundNotes(i, "mask")
 	for _, q := range lv.Exclude {
 		notes = append(notes, fmt.Sprintf("clear v%d", q))
 	}
@@ -157,23 +161,28 @@ func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
 	sb.WriteByte('\n')
 }
 
+// boundSyms returns how the plan's bounds render: the comparison a bound
+// makes and the key its position list goes by.
+func (p *Plan) boundSyms() (op, key string) {
+	if p.Descending {
+		return "<", "ub"
+	}
+	return ">", "lb"
+}
+
 // boundNotes renders level i's restrictions, then how they apply: "clip",
-// "clip after store" or a dense level's "mask", per side.
-func boundNotes(i int, lv *Level, apply string) []string {
+// "clip after store" or a dense level's "mask".
+func (p *Plan) boundNotes(i int, apply string) []string {
+	bounds := p.Levels[i].Bounds
+	if len(bounds) == 0 {
+		return nil
+	}
+	op, key := p.boundSyms()
 	var notes []string
-	for _, a := range lv.LowerBounds {
-		notes = append(notes, fmt.Sprintf("v%d > v%d", i, a))
+	for _, a := range bounds {
+		notes = append(notes, fmt.Sprintf("v%d %s v%d", i, op, a))
 	}
-	for _, a := range lv.UpperBounds {
-		notes = append(notes, fmt.Sprintf("v%d < v%d", i, a))
-	}
-	if len(lv.LowerBounds) > 0 {
-		notes = append(notes, fmt.Sprintf("%s lb=%v", apply, lv.LowerBounds))
-	}
-	if len(lv.UpperBounds) > 0 {
-		notes = append(notes, fmt.Sprintf("%s ub=%v", apply, lv.UpperBounds))
-	}
-	return notes
+	return append(notes, fmt.Sprintf("%s %s=%v", apply, key, bounds))
 }
 
 // foldSetSize renders the n of a folded plan's C(n, r): the size of the first
@@ -183,12 +192,10 @@ func (p *Plan) foldSetSize() string {
 	f := p.FoldLevel()
 	lv := &p.Levels[f]
 	anchor := lv.Intersect[0]
+	op, _ := p.boundSyms()
 	var conds []string
-	for _, a := range lv.LowerBounds {
-		conds = append(conds, fmt.Sprintf("v > v%d", a))
-	}
-	for _, a := range lv.UpperBounds {
-		conds = append(conds, fmt.Sprintf("v < v%d", a))
+	for _, a := range lv.Bounds {
+		conds = append(conds, fmt.Sprintf("v %s v%d", op, a))
 	}
 	for q := 0; q < f; q++ {
 		if q != anchor {

@@ -117,7 +117,7 @@ func TestDenseNoAlloc(t *testing.T) {
 		sweep := func(emit func(prefix, last []graph.VertexID)) (n uint64) {
 			for v0 := 0; v0 < g.NumVertices(); v0++ {
 				emb[0] = graph.VertexID(v0)
-				lo, hi := pl.Levels[1].bounds(emb)
+				lo, hi := pl.bounds(1, emb)
 				set := setops.Clip(g.Neighbors(emb[0]), lo, hi)
 				w := DenseRowWords(len(set))
 				for j, u := range set {

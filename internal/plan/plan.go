@@ -41,17 +41,6 @@ func (s Style) String() string {
 	}
 }
 
-// Restriction is a symmetry-breaking constraint between the vertices matched
-// at positions A and B: emb[A] < emb[B] in an ascending plan, emb[A] > emb[B]
-// when Plan.Descending is set. The stabilizer-chain scheme needs some total
-// order on vertex IDs, not a particular one, so the compiler picks per input
-// graph whichever direction leaves the shorter lists to intersect; all of a
-// plan's restrictions share it. Restrictions always point forward (A < B) and
-// are enforced when matching position B.
-type Restriction struct {
-	A, B int
-}
-
 // Level describes how to match the pattern position at a given depth.
 // Position 0 (the root) has a trivial level.
 type Level struct {
@@ -67,12 +56,14 @@ type Level struct {
 	// distinctness from the prefix is a test against these few. In induced
 	// mode their edge lists are also subtracted from the candidates.
 	Exclude []int
-	// LowerBounds lists earlier positions a with restriction emb[a] < v; an
-	// ascending plan's restrictions land here.
-	LowerBounds []int
-	// UpperBounds lists earlier positions a with restriction v < emb[a]; a
-	// descending plan's restrictions land here.
-	UpperBounds []int
+	// Bounds lists the earlier positions a whose matched vertex bounds this
+	// level's candidates v by symmetry breaking: v > emb[a] in an ascending
+	// plan, v < emb[a] in a descending one (Plan.Descending). The
+	// stabilizer-chain scheme needs some total order on vertex IDs, not a
+	// particular one, so the compiler picks per input graph whichever
+	// direction leaves the shorter lists to intersect; all of a plan's
+	// bounds share it.
+	Bounds []int
 	// CountOnly marks a level whose candidates a count-only caller need not
 	// see: the last level of an unlabeled plan with at most one subtraction.
 	// On a scratch in count-only mode Extend counts such a level with the
@@ -122,12 +113,10 @@ type Plan struct {
 	K int
 	// Levels has one entry per position.
 	Levels []Level
-	// Restrictions is the full symmetry-breaking set (also folded into the
-	// per-level LowerBounds, or UpperBounds when Descending).
-	Restrictions []Restriction
-	// Descending records the direction of every restriction (see
-	// Restriction). UpSq and DownSq are the input's ID-skew sums
-	// (GraphStats) the compiler chose it by: descending when DownSq < UpSq.
+	// Descending records the direction of every level's Bounds; a plan
+	// without bounds is ascending. UpSq and DownSq are the input's ID-skew
+	// sums (GraphStats) the compiler chose it by: descending when
+	// DownSq < UpSq.
 	Descending   bool
 	UpSq, DownSq float64
 	// AutSize is the order of the pattern's automorphism group.
@@ -240,23 +229,13 @@ func (p *Plan) foldable(r int) bool {
 	if len(first.Intersect) != 1 {
 		return false
 	}
-	// chain is a level's bounds in the plan's direction, against the others —
-	// none in a compiled plan, whose restrictions all share the direction.
-	split := func(lv *Level) (chain, against []int) {
-		if p.Descending {
-			return lv.UpperBounds, lv.LowerBounds
-		}
-		return lv.LowerBounds, lv.UpperBounds
-	}
-	firstChain, _ := split(first)
 	for i := f + 1; i < p.K; i++ {
 		lv := &p.Levels[i]
-		chain, against := split(lv)
-		if len(lv.Intersect) != 1 || lv.Intersect[0] != first.Intersect[0] || len(against) != 0 || !containsInt(chain, i-1) {
+		if len(lv.Intersect) != 1 || lv.Intersect[0] != first.Intersect[0] || !containsInt(lv.Bounds, i-1) {
 			return false
 		}
-		for _, a := range chain {
-			if a < f && !containsInt(firstChain, a) {
+		for _, a := range lv.Bounds {
+			if a < f && !containsInt(first.Bounds, a) {
 				return false
 			}
 		}
@@ -269,13 +248,13 @@ func (p *Plan) foldable(r int) bool {
 // its raw from R_i must keep only candidates inside those bounds: the child
 // i+1, and each level below it while the reuse chain keeps storing, because a
 // clipped R_i flows through every stored intersection built on it. The test
-// is per side: a level passes if it carries every bound position of level i,
-// or if it is bounded by a position already shown to lie inside them — i
-// itself, or an earlier level of the chain. The compiler marks every level
+// is on the bounds' one side: a level passes if it carries every bound
+// position of level i, or if it is bounded by a position already shown to lie
+// inside them — i itself, or an earlier level of the chain. The compiler marks every level
 // that passes; Validate holds a hand-set ClipStore to the same conditions.
 func (p *Plan) storeClippable(i int) bool {
 	lv := &p.Levels[i]
-	if !lv.StoreInter || len(lv.LowerBounds)+len(lv.UpperBounds) == 0 {
+	if !lv.StoreInter || len(lv.Bounds) == 0 {
 		return false
 	}
 	inside := []int{i}
@@ -284,7 +263,7 @@ func (p *Plan) storeClippable(i int) bool {
 		if !c.ReuseSame && !c.ReuseExtend {
 			break
 		}
-		if !boundedWithin(lv.LowerBounds, c.LowerBounds, inside) || !boundedWithin(lv.UpperBounds, c.UpperBounds, inside) {
+		if !boundedWithin(lv.Bounds, c.Bounds, inside) {
 			return false
 		}
 		inside = append(inside, m)
@@ -292,9 +271,9 @@ func (p *Plan) storeClippable(i int) bool {
 	return true
 }
 
-// boundedWithin reports whether a level bounded on one side by the positions
-// in got keeps its candidates inside the bounds want on that side: it carries
-// all of want, or one of got lies inside already.
+// boundedWithin reports whether a level bounded by the positions in got keeps
+// its candidates inside the bounds want: it carries all of want, or one of got
+// lies inside already.
 func boundedWithin(want, got, inside []int) bool {
 	if len(want) == 0 {
 		return true
@@ -365,11 +344,9 @@ func (p *Plan) String() string {
 		if p.Induced && len(lv.Exclude) > 0 {
 			fmt.Fprintf(&sb, " sub=%v", lv.Exclude)
 		}
-		if len(lv.LowerBounds) > 0 {
-			fmt.Fprintf(&sb, " lb=%v", lv.LowerBounds)
-		}
-		if len(lv.UpperBounds) > 0 {
-			fmt.Fprintf(&sb, " ub=%v", lv.UpperBounds)
+		if len(lv.Bounds) > 0 {
+			_, key := p.boundSyms()
+			fmt.Fprintf(&sb, " %s=%v", key, lv.Bounds)
 		}
 		if lv.CountOnly {
 			sb.WriteString(" count-only")
@@ -418,14 +395,9 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("plan: level %d intersects future position %d", i, j)
 			}
 		}
-		for _, r := range lv.LowerBounds {
+		for _, r := range lv.Bounds {
 			if r < 0 || r >= i {
-				return fmt.Errorf("plan: level %d lower bound on future position %d", i, r)
-			}
-		}
-		for _, r := range lv.UpperBounds {
-			if r < 0 || r >= i {
-				return fmt.Errorf("plan: level %d upper bound on future position %d", i, r)
+				return fmt.Errorf("plan: level %d bound on future position %d", i, r)
 			}
 		}
 		if lv.CountOnly && (p.Labeled() || p.EdgeLabeled || p.Induced && len(lv.Exclude) > 1 || i != p.K-1) {
@@ -453,11 +425,6 @@ func (p *Plan) Validate() error {
 		}
 		if lv.Probe && !p.probeable(i) {
 			return fmt.Errorf("plan: level %d cannot probe a mark set: it is not where a count-only run ends, or no operand of its last set operation is shared by every child of one parent", i)
-		}
-	}
-	for _, r := range p.Restrictions {
-		if r.A >= r.B {
-			return fmt.Errorf("plan: restriction %v does not point forward", r)
 		}
 	}
 	if p.Fold != 0 && !p.foldable(p.Fold) {

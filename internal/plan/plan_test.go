@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,7 +243,7 @@ func TestClipStoreFlag(t *testing.T) {
 
 	parity := pattern.Clique(5).WithLabels([]graph.Label{0, 1, 0, 1, 0})
 	pl := MustCompile(parity, Options{Style: StyleGraphPi, Stats: down})
-	if !pl.Descending || !pl.Levels[1].StoreInter || len(pl.Levels[1].UpperBounds) == 0 || len(pl.Levels[3].UpperBounds) != 0 {
+	if !pl.Descending || !pl.Levels[1].StoreInter || len(pl.Levels[1].Bounds) == 0 || len(pl.Levels[3].Bounds) != 0 {
 		t.Fatalf("parity-labeled K5 no longer has the shape this test pins: %v", pl)
 	}
 	for i, lv := range pl.Levels {
@@ -381,8 +382,11 @@ func TestPlanStringAndValidate(t *testing.T) {
 // edge-labeled, induced, VCS-off or folding plan of a connected k ≤ 5
 // pattern — the plans TC, 3-MC and FSM run among them — and Explain prints
 // the dense suffix exactly where it is marked. Validate holds a hand-set
-// Dense to the compiler's rule.
+// Dense to the compiler's rule. The direction is one bit of the plan: the
+// sweep compiles each plan against mirrored stats, up- and down-skewed, and
+// the two may differ only in Descending and the skew sums.
 func TestDenseMarksCliqueSuffixes(t *testing.T) {
+	up := GraphStats{NumVertices: 56, AvgDegree: 10, DownSq: 1}
 	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
 	styles := []Style{StyleAutomine, StyleGraphPi}
 	for _, st := range styles {
@@ -397,38 +401,57 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 					t.Errorf("%v marked dense: %v", pat, pl)
 				}
 			}
-			for k := 2; k <= 5; k++ {
-				for _, base := range pattern.ConnectedPatterns(k) {
-					labels := make([]graph.Label, k)
-					for v := range labels {
-						labels[v] = graph.Label(v % 2)
-					}
-					elab := base.Clone()
-					for u := 0; u < k; u++ {
-						for _, v := range elab.Neighbors(u) {
-							if u < v {
-								elab.SetEdgeLabel(u, v, graph.Label((u+v)%2))
-							}
+		}
+		for k := 2; k <= 5; k++ {
+			for _, base := range pattern.ConnectedPatterns(k) {
+				labels := make([]graph.Label, k)
+				for v := range labels {
+					labels[v] = graph.Label(v % 2)
+				}
+				elab := base.Clone()
+				for u := 0; u < k; u++ {
+					for _, v := range elab.Neighbors(u) {
+						if u < v {
+							elab.SetEdgeLabel(u, v, graph.Label((u+v)%2))
 						}
 					}
-					for _, c := range []struct {
-						name string
-						pat  *pattern.Pattern
-						opts Options
-					}{
-						{"labeled", base.WithLabels(labels), Options{Style: st, Stats: stats}},
-						{"edge-labeled", elab, Options{Style: st, Stats: stats}},
-						{"induced", base, Options{Style: st, Stats: stats, Induced: true}},
-						{"no-vcs", base, Options{Style: st, Stats: stats, DisableVCS: true}},
-						{"bare", base, Options{Style: st, Stats: stats}},
-					} {
-						pl := MustCompile(c.pat, c.opts)
+				}
+				for _, c := range []struct {
+					name string
+					pat  *pattern.Pattern
+					opts Options
+				}{
+					{"labeled", base.WithLabels(labels), Options{Style: st}},
+					{"edge-labeled", elab, Options{Style: st}},
+					{"induced", base, Options{Style: st, Induced: true}},
+					{"induced/no-vcs", base, Options{Style: st, Induced: true, DisableVCS: true}},
+					{"no-vcs", base, Options{Style: st, DisableVCS: true}},
+					{"bare", base, Options{Style: st}},
+				} {
+					var mirror [2]*Plan
+					for d, stats := range []GraphStats{up, down} {
+						opts := c.opts
+						opts.Stats = stats
+						pl := MustCompile(c.pat, opts)
 						if pl.Dense && (c.name != "bare" || pl.Fold > 0) {
 							t.Errorf("%s %v marked dense: %v", c.name, c.pat, pl)
 						}
 						if strings.Contains(pl.Explain(), "dense suffix") != pl.Dense {
 							t.Errorf("%s %v: Dense = %v but Explain says otherwise:\n%s", c.name, c.pat, pl.Dense, pl.Explain())
 						}
+						mirror[d] = pl
+					}
+					asc, desc := *mirror[0], *mirror[1]
+					bounded := false
+					for _, lv := range desc.Levels {
+						bounded = bounded || len(lv.Bounds) > 0
+					}
+					if asc.Descending || desc.Descending != bounded {
+						t.Errorf("%s %v: Descending = %v up-skewed, %v down-skewed with bounds %v", c.name, c.pat, asc.Descending, desc.Descending, bounded)
+					}
+					desc.Descending, desc.UpSq, desc.DownSq = asc.Descending, asc.UpSq, asc.DownSq
+					if !reflect.DeepEqual(asc, desc) {
+						t.Errorf("%s %v: mirrored stats compile different plans:\n%v\n%v", c.name, c.pat, mirror[0], mirror[1])
 					}
 				}
 			}
@@ -447,7 +470,7 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 	k4 := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi})
 	k4.Levels = append([]Level(nil), k4.Levels...)
 	k4.Levels[2].StoreInter, k4.Levels[2].ClipStore = false, false
-	k4.Levels[3].ReuseExtend, k4.Levels[3].LowerBounds = false, nil
+	k4.Levels[3].ReuseExtend, k4.Levels[3].Bounds = false, nil
 	if err := k4.Validate(); err == nil {
 		t.Errorf("Validate accepted a dense K4 whose level 3 leaves R1's bounds: %v", k4)
 	}
