@@ -65,9 +65,56 @@ func BenchmarkExtendEngineStarFold(b *testing.B) {
 		})
 }
 
+// BenchmarkExtendEngineLabeledStar is the labeled level filtered once per
+// parent run (plan.Level.FilterOnce): a 3-star with center label 0 and leaf
+// label 1 on a 4-label graph, compiled as frequent subgraph mining compiles
+// it — no symmetry breaking — under a materializing sink. Levels 2 and 3 read
+// the parent's stored raw, so each filters it by label once per run. The
+// executor filters per child; the benchmark fails unless the engine's run
+// tested fewer labels than the executor's walk of the same plan.
+func BenchmarkExtendEngineLabeledStar(b *testing.B) {
+	g0 := graph.RMAT(1600, 9600, 0.40, 0.20, 0.20, 20230325)
+	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 4, 20230326))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl := plan.MustCompile(pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1}),
+		plan.Options{Style: plan.StyleAutomine, DisableSymmetryBreak: true, Stats: plan.StatsOf(g)})
+	if !pl.Levels[2].FilterOnce || !pl.Levels[3].FilterOnce {
+		b.Fatalf("3-star leaves not filtered once per run: %v", pl)
+	}
+	var tests, matches uint64
+	labelOf := func(v graph.VertexID) graph.Label {
+		tests++
+		return g.Label(v)
+	}
+	roots := make([]graph.VertexID, g.NumVertices())
+	for v := range roots {
+		roots[v] = graph.VertexID(v)
+	}
+	want := plan.Count(pl, g.Neighbors, labelOf, roots)
+	perChild := tests
+	newSink := func() core.Sink {
+		tests, matches = 0, 0
+		return &core.FuncSink{F: func([]graph.VertexID) { matches++ }}
+	}
+	benchEngine(b, g, core.NewPlanExtender(pl, labelOf), newSink, func(_ core.Sink, _ *metrics.Node, _ int) {
+		if matches != want || tests >= perChild {
+			b.Fatalf("%d matches in %d label tests, executor %d in %d: the leaf sets were not filtered once per run", matches, tests, want, perChild)
+		}
+	})
+}
+
 // benchExtendEngine runs pl on one node of g under a fresh CountSink per
 // iteration and hands check each run's outcome.
 func benchExtendEngine(b *testing.B, g *graph.Graph, pl *plan.Plan, check func(sink *core.CountSink, met *metrics.Node, roots int)) {
+	benchEngine(b, g, core.NewPlanExtender(pl, nil), func() core.Sink { return &core.CountSink{} },
+		func(sink core.Sink, met *metrics.Node, roots int) { check(sink.(*core.CountSink), met, roots) })
+}
+
+// benchEngine runs ext on one node of g, with one worker, under a fresh sink
+// from newSink per iteration and hands check each run's outcome.
+func benchEngine(b *testing.B, g *graph.Graph, ext core.Extender, newSink func() core.Sink, check func(sink core.Sink, met *metrics.Node, roots int)) {
 	asg := partition.NewAssignment(1, 1)
 	local := partition.NewLocal(g, asg, 0)
 	fabric := comm.NewLocal([]comm.Server{comm.ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID {
@@ -80,8 +127,8 @@ func benchExtendEngine(b *testing.B, g *graph.Graph, pl *plan.Plan, check func(s
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink, met := &core.CountSink{}, &metrics.Node{}
-		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, sink, core.Config{Threads: 1, Metrics: met})
+		sink, met := newSink(), &metrics.Node{}
+		eng := core.NewEngine(ext, src, sink, core.Config{Threads: 1, Metrics: met})
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}

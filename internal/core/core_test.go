@@ -79,6 +79,17 @@ const (
 // runClusterSink is runCluster with a choice of sink.
 func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, cfg core.Config, mode sinkMode) (uint64, *metrics.Cluster) {
 	t.Helper()
+	var labelOf plan.LabelFunc
+	if g.Labeled() {
+		labelOf = g.Label
+	}
+	return runClusterLabels(t, g, pl, labelOf, numNodes, cfg, mode)
+}
+
+// runClusterLabels is runClusterSink with the engines' vertex-label oracle
+// given: nil for none, or one that observes the label tests.
+func runClusterLabels(t *testing.T, g *graph.Graph, pl *plan.Plan, labelOf plan.LabelFunc, numNodes int, cfg core.Config, mode sinkMode) (uint64, *metrics.Cluster) {
+	t.Helper()
 	asg := partition.NewAssignment(numNodes, 1)
 	met := metrics.NewCluster(numNodes)
 	servers := make([]comm.Server, numNodes)
@@ -97,10 +108,7 @@ func runClusterSink(t *testing.T, g *graph.Graph, pl *plan.Plan, numNodes int, c
 	fabric := comm.NewLocal(servers, met)
 	defer fabric.Close()
 
-	ext := core.NewPlanExtender(pl, nil)
-	if g.Labeled() {
-		ext.LabelOf = g.Label
-	}
+	ext := core.NewPlanExtender(pl, labelOf)
 	if g.EdgeLabeled() {
 		ext.EdgeLabelOf = plan.EdgeLabelOracle(g)
 	}

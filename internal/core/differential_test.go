@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"khuzdul/internal/cluster"
@@ -503,4 +504,102 @@ func spreadIDs(g *graph.Graph) *graph.Graph {
 		}
 	}
 	return b.Build()
+}
+
+// TestDifferentialFilterOnce holds the labeled levels that filter their
+// siblings' shared set once per parent run (plan.Level.FilterOnce) to the
+// executor, which filters per child, and to brute force: every connected
+// pattern of at most four vertices, the 5-vertex star and P5, with vertex
+// labels by parity and with every vertex but the first labeled 1, on a graph
+// labeled from the same two values, so an excluded sibling often carries the
+// level's label and must be dropped from the shared set. Each plan runs with
+// symmetry breaking on and off, with vertical computation sharing on and off,
+// in both styles, and across what splits one parent's children into several
+// runs — ChunkSize 8, MiniBatch 1, three workers, four nodes — under a
+// count-only and a materializing sink. The engines' label oracle counts its
+// calls: a plan with a filtered level must call it fewer times than the same
+// plan with its flags cleared, which tests each child's candidates, on the
+// same run.
+func TestDifferentialFilterOnce(t *testing.T) {
+	g0 := hubbedRMAT()
+	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 2, 20230326))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pats []*pattern.Pattern
+	for k := 2; k <= 4; k++ {
+		pats = append(pats, pattern.ConnectedPatterns(k)...)
+	}
+	pats = append(pats, pattern.StarP(5), pattern.PathP(5))
+	labelings := []func(v int) graph.Label{
+		func(v int) graph.Label { return graph.Label(v % 2) },
+		func(v int) graph.Label { return graph.Label(min(v, 1)) },
+	}
+	var calls atomic.Uint64
+	counting := func(v graph.VertexID) graph.Label {
+		calls.Add(1)
+		return g.Label(v)
+	}
+	filtered := map[bool]int{} // flagged plans, by symmetry breaking
+	for _, base := range pats {
+		for li, labeling := range labelings {
+			labels := make([]graph.Label, base.NumVertices())
+			for v := range labels {
+				labels[v] = labeling(v)
+			}
+			pat := base.WithLabels(labels)
+			want := plan.BruteForceCount(g, pat, false)
+			for _, st := range []plan.Style{plan.StyleAutomine, plan.StyleGraphPi} {
+				for variant := 0; variant < 4; variant++ {
+					symmetry, vcs := variant&1 == 0, variant&2 == 0
+					pl := plan.MustCompile(pat, plan.Options{Style: st, DisableSymmetryBreak: !symmetry, DisableVCS: !vcs, Stats: plan.StatsOf(g)})
+					name := fmt.Sprintf("%v/labels=%d/%v/symmetry=%v/vcs=%v", base, li, st, symmetry, vcs)
+					per := uint64(1)
+					if !symmetry {
+						per = uint64(pl.AutSize)
+					}
+					if ref := plan.CountGraph(pl, g); ref != want*per {
+						t.Errorf("%s: executor %d, brute force %d × %d", name, ref, want, per)
+					}
+					cleared := *pl
+					cleared.Levels = append([]plan.Level(nil), pl.Levels...)
+					flagged := false
+					for i := range cleared.Levels {
+						flagged = flagged || cleared.Levels[i].FilterOnce
+						cleared.Levels[i].FilterOnce = false
+					}
+					if !flagged {
+						continue
+					}
+					filtered[symmetry]++
+					for _, nodes := range []int{1, 4} {
+						for _, threads := range []int{1, 3} {
+							for _, chunk := range []int{8, 0} {
+								for _, mini := range []int{1, 0} {
+									for _, mode := range []sinkMode{sinkCount, sinkBuild} {
+										cfg := core.Config{Threads: threads, ChunkSize: chunk, MiniBatch: mini, HDS: true}
+										run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d mini=%d sink=%d", name, nodes, threads, chunk, mini, mode)
+										calls.Store(0)
+										got, _ := runClusterLabels(t, g, pl, counting, nodes, cfg, mode)
+										once := calls.Swap(0)
+										ref, _ := runClusterLabels(t, g, &cleared, counting, nodes, cfg, mode)
+										each := calls.Load()
+										if got != want*per || ref != want*per {
+											t.Errorf("%s: filtered once %d, per child %d, brute force %d × %d", run, got, ref, want, per)
+										}
+										if once >= each {
+											t.Errorf("%s: %d label tests filtering once per run, %d per child", run, once, each)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if filtered[false] == 0 || filtered[true] == 0 {
+		t.Fatalf("%d plans without symmetry breaking and %d with it filtered a level once per run", filtered[false], filtered[true])
+	}
 }

@@ -131,11 +131,13 @@ type workerCtx struct {
 	// getListFn is the method value of getList, created once here so that
 	// extendOne does not allocate a fresh closure per embedding.
 	getListFn func(pos int) []graph.VertexID
-	// mark is the mark set the worker's scratch probes a count-only level's
-	// siblings against (plan.Scratch.LendMarks). It lives here rather than in
-	// the per-run scratch so its words survive from run to run with the pooled
-	// worker; it holds no pointers.
-	mark setops.Bitmap
+	// runs is the storage the worker's scratch shares work among one
+	// parent's children through: the mark set a count-only level's siblings
+	// probe against, and the buffers a labeled level's shared set is filtered
+	// into once per run (plan.Scratch.LendRuns). It lives here rather than in
+	// the per-run scratch so it survives from run to run with the pooled
+	// worker; it holds vertex IDs and bitmap words only.
+	runs plan.RunStorage
 	// arena is bump storage for the raw-intersection copies that vertical
 	// candidate sharing stores on child embeddings. Copies are carved out of
 	// one large block instead of one heap allocation per embedding; a full
@@ -169,7 +171,7 @@ func (e *Engine) getWorker() *workerCtx {
 	}
 	w.scratch = e.ext.NewScratch()
 	w.scratch.SetCountOnly(e.count != nil)
-	w.scratch.LendMarks(&w.mark)
+	w.scratch.LendRuns(&w.runs)
 	return w
 }
 
@@ -535,7 +537,8 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 		// siblings begins (plan.Scratch.NewRun). The key is an index, never a
 		// stored slice, whose storage slab reuse recycles; a parent split
 		// across mini-batches, workers or batches only starts a run again.
-		// Roots all carry parent −1, which is safe: no level 1 is probed.
+		// Roots all carry parent −1, which is safe: no level 1 is probed or
+		// filtered once.
 		run := int32(-1)
 		for {
 			if next != nil && next.full() {

@@ -50,7 +50,7 @@ func DenseRowPeak(e *Engine) int { return e.rowPeak }
 func MarkWords(e *Engine) []int {
 	words := make([]int, len(e.workers))
 	for i, w := range e.workers {
-		words[i] = w.mark.Words()
+		words[i] = w.runs.Marks.Words()
 	}
 	return words
 }

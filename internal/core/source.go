@@ -57,9 +57,10 @@ type Sink interface {
 	// OnMatches receives every match of one extension: the embeddings
 	// prefix+v, in matching-order positions, for each v in last. prefix is
 	// the engine's own buffer with room for one more vertex, so
-	// prefix[:len(prefix)+1] may be written to build a full embedding. Both
-	// slices are reused by the engine; implementations must copy to retain
-	// them.
+	// prefix[:len(prefix)+1] may be written to build a full embedding. last
+	// must not be written: it may be a set the siblings of this extension
+	// share. Both slices are reused by the engine; implementations must
+	// copy to retain them.
 	OnMatches(prefix, last []graph.VertexID)
 }
 

@@ -234,7 +234,8 @@ func runTable4(o Options) (*Table, error) {
 		}
 	}
 	t.AddNote("paper: distributed k-Automine beats all single-node systems and Fractal; single-node k-Automine pays per-pattern engine startup")
-	t.AddNote("modeled makespans (single-core host)")
+	t.AddNote("runtimes are modeled makespans from measured busy times (the host has fewer cores than simulated workers; see DESIGN.md)")
+	t.AddNote("only k-Automine filters a labeled level's shared set by label once per parent run; AutomineIH, Peregrine and Fractal-like run plan.Executor, which tests every child's candidates")
 	return t, nil
 }
 

@@ -20,7 +20,7 @@ func Clique(k int) *Pattern {
 	return p
 }
 
-// CycleP returns the k-cycle pattern.
+// CycleP returns the k-cycle pattern, k ≥ 3.
 func CycleP(k int) *Pattern {
 	p := New(k)
 	for v := 0; v < k; v++ {
@@ -86,6 +86,9 @@ func Parse(name string) (*Pattern, error) {
 		return Clique(n), nil
 	}
 	if n, ok := parsePrefixed(s, "c", "-cycle"); ok {
+		if n < 3 {
+			return nil, fmt.Errorf("pattern: %q: a cycle needs at least 3 vertices", name)
+		}
 		return CycleP(n), nil
 	}
 	if n, ok := parsePrefixed(s, "p", "-path"); ok {

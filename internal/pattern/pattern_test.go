@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +101,12 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{"nope", "K99", "3:0-0", "3:0-5", "x:1-2"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+	// CycleP(2) adds edge 0-1 twice: a "2-cycle" would be a single edge.
+	for _, bad := range []string{"c2", "C2", "2-cycle"} {
+		if p, err := Parse(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("Parse(%q) = %v, %v; want an error naming the input", bad, p, err)
 		}
 	}
 }

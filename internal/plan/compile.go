@@ -170,9 +170,11 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	}
 	p.Dense = p.denseable()
 	// The level a count-only run ends at probes a mark set where its siblings
-	// share an operand.
+	// share an operand, and a labeled level whose siblings share its raw set
+	// filters that set by label once per parent run.
 	for i := 2; i < k; i++ {
 		p.Levels[i].Probe = p.probeable(i)
+		p.Levels[i].FilterOnce = p.filterable(i)
 	}
 
 	return p, p.Validate()

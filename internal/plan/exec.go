@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/bits"
+	"slices"
 
 	"khuzdul/internal/graph"
 	"khuzdul/internal/pattern"
@@ -41,13 +42,16 @@ type Scratch struct {
 	counted   uint64
 	// overflowed latches once a count did not fit counted; see Overflowed.
 	overflowed bool
-	// marks is the mark set a Probe level counts against, lent by the caller
-	// (LendMarks); nil leaves every level on the sorted kernels. runKids counts
-	// the children of the current parent run the Probe level has seen since
-	// NewRun, and marked records that marks holds this run's shared operand.
-	marks   *setops.Bitmap
-	runKids int
-	marked  bool
+	// runs is the storage the children of one parent run share work through,
+	// lent by the caller (LendRuns); nil leaves every level on its per-child
+	// path. runKids counts the children of the current parent run the Probe
+	// level has seen since NewRun, and marked records that runs.Marks holds
+	// this run's shared operand. filtLevel is the FilterOnce level whose
+	// buffer holds its filtered set for the current run, 0 for none.
+	runs      *RunStorage
+	runKids   int
+	marked    bool
+	filtLevel int
 	// The dense suffix's state (DenseRow, DenseFinish): the side of its own
 	// index a row covers and, per level, the positions whose rows it ANDs and
 	// the bound positions that can cut it, all derived from the plan by
@@ -97,25 +101,39 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 // every level.
 func (s *Scratch) SetCountOnly(on bool) { s.countOnly = on }
 
-// LendMarks lends the scratch a mark set for its Probe level (Level.Probe):
-// once lent, a count-only Extend at that level marks the operand siblings
-// share on a run's second child and probes every later child's own list
-// against it. The set stays the caller's — an engine keeps one per worker, so
-// its storage outlives the scratch — and a lender must call NewRun wherever a
-// new parent's children begin.
-func (s *Scratch) LendMarks(m *setops.Bitmap) {
-	s.marks = m
+// RunStorage is what the children of one parent run share work through: the
+// mark set a Probe level (Level.Probe) counts against, and one buffer per
+// FilterOnce level (Level.FilterOnce) holding its shared set filtered by
+// label, so that a level's candidates stay valid while deeper levels extend,
+// as Candidates' do. It holds vertex IDs and bitmap words only.
+type RunStorage struct {
+	Marks    setops.Bitmap
+	Filtered [pattern.MaxVertices][]graph.VertexID
+}
+
+// LendRuns lends the scratch storage for the work siblings share. Once lent,
+// a count-only Extend at a Probe level marks the operand siblings share on a
+// run's second child and probes every later child's own list against it, and
+// Extend at a FilterOnce level filters the set siblings share by the level's
+// label once and hands each child that set, less its own Exclude vertices.
+// The storage stays the caller's — an engine keeps one per worker, so it
+// outlives the scratch — and a lender must call NewRun wherever a new
+// parent's children begin.
+func (s *Scratch) LendRuns(r *RunStorage) {
+	s.runs = r
 	s.NewRun()
 }
 
 // NewRun tells the scratch that the next Extend starts a new parent run: the
 // embeddings extended from here on, until the next NewRun, are children of one
-// parent, so a Probe level's shared operand is the same for all of them. A
-// caller may split one parent's children into several runs — each then marks
-// its operand again — but must never let one run span two parents.
+// parent, so a Probe level's shared operand, and a FilterOnce level's shared
+// set, is the same for all of them. A caller may split one parent's children
+// into several runs — each then marks its operand or filters its set again —
+// but must never let one run span two parents.
 func (s *Scratch) NewRun() {
 	s.runKids = 0
 	s.marked = false
+	s.filtLevel = 0
 }
 
 // TakeCount returns the candidates counted since the last call and resets
@@ -177,7 +195,8 @@ func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 // first level of a star tail, return nothing and leave their count for
 // TakeCount instead (see SetCountOnly). labelOf and edgeLabelOf may be nil
 // for graphs without the corresponding labels. Both returned slices may alias
-// scratch storage, getList output or parentRaw.
+// scratch storage, the lent run storage, getList output or parentRaw; the
+// caller must not write them.
 //
 //khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
@@ -205,6 +224,11 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 		raw = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 		src = raw
 	}
+	if lv.FilterOnce && s.runs != nil && labelOf != nil {
+		if cands, ok := p.siblingCandidates(s, level, emb, getList, parentRaw, labelOf, lo, hi); ok {
+			return cands, raw
+		}
+	}
 	cands = p.Candidates(s, level, emb, src, getList, labelOf, lo, hi)
 	return p.FilterEdgeLabels(level, emb, cands, edgeLabelOf), raw
 }
@@ -220,7 +244,7 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 //khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
 	lv := &p.Levels[level]
-	if lv.Probe && s.marks != nil {
+	if lv.Probe && s.runs != nil {
 		if n, ok := p.probeLevel(s, level, emb, getList, parentRaw, lo, hi); ok {
 			return n
 		}
@@ -291,7 +315,7 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 		if !reuse {
 			x = getList(lv.Intersect[0])
 		}
-		s.marked = s.marks.Mark(x)
+		s.marked = s.runs.Marks.Mark(x)
 	}
 	if !s.marked {
 		return 0, false
@@ -308,17 +332,74 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	default:
 		l = getList(lv.Intersect[1])
 	}
-	n := s.disp.CountProbe(s.marks, l, lo, hi)
+	n := s.disp.CountProbe(&s.runs.Marks, l, lo, hi)
 	if subtract {
 		n = len(setops.Clip(parentRaw, lo, hi)) - n
 	}
 	// Distinctness as in countLevel, x's membership read off the marks.
 	for _, q := range lv.Exclude {
-		if v := emb[q]; v >= lo && v < hi && s.marks.Contains(v) && setops.Contains(l, v) != subtract {
+		if v := emb[q]; v >= lo && v < hi && s.runs.Marks.Contains(v) && setops.Contains(l, v) != subtract {
 			n--
 		}
 	}
 	return n, true
+}
+
+// siblingCandidates returns a FilterOnce level's candidates from the set the
+// children of one parent run share, filtered by the level's label once per
+// run. The shared set is the one RawIntersect reads: the parent's stored raw
+// under ReuseSame, else the one Intersect list. The run's first child fills
+// the level's lent buffer with the vertices of that set inside [lo, hi) —
+// bounds the whole run shares — that carry PosLabel(level), less the Exclude
+// vertices the run shares: the label tests Candidates would make for it.
+// Every later child tests no label at all. A child whose sibling vertex is
+// excluded drops it from a copy; any other gets the filtered slice itself,
+// which no one may write. ok is false where Candidates must filter the child
+// instead: under ReuseSame with no stored raw over a multi-list Intersect.
+//
+//khuzdulvet:hotpath once per child of a filter-once level
+func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) ([]graph.VertexID, bool) {
+	lv := &p.Levels[level]
+	f := s.runs.Filtered[level]
+	if s.filtLevel != level {
+		x := parentRaw
+		if !p.VCS || !lv.ReuseSame || parentRaw == nil {
+			if len(lv.Intersect) != 1 {
+				return nil, false
+			}
+			x = getList(lv.Intersect[0])
+		}
+		// The Exclude vertices before position level−1 are the run's: no
+		// sibling takes them, so the filter drops them.
+		var buf [maxExclude]graph.VertexID
+		shared := buf[:0]
+		for _, q := range lv.Exclude {
+			if q < level-1 {
+				shared = append(shared, emb[q])
+			}
+		}
+		want := p.PosLabel(level)
+		f = f[:0]
+		for _, v := range setops.Clip(x, lo, hi) {
+			if labelOf(v) == want && !containsVertex(shared, v) {
+				f = append(f, v)
+			}
+		}
+		s.runs.Filtered[level], s.filtLevel = f, level
+	}
+	// The one Exclude position the filter left is level−1, the vertex this
+	// child's embedding differs from its siblings' in.
+	if !containsInt(lv.Exclude, level-1) {
+		return f[:len(f):len(f)], true
+	}
+	i, found := slices.BinarySearch(f, emb[level-1])
+	if !found {
+		return f[:len(f):len(f)], true
+	}
+	out := append(s.cand[level][:0], f[:i]...)
+	out = append(out, f[i+1:]...)
+	s.cand[level] = out
+	return out, true
 }
 
 // RawIntersect computes the raw candidate intersection for the given level:

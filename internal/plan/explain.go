@@ -8,13 +8,13 @@ import (
 // Explain renders the plan as pseudo-code in the paper's nested-loop style
 // (Figure 1/Figure 5): one loop per level with its set operations, symmetry
 // restrictions and the clip they push below the kernels, reuse annotations,
-// count-only marking, the operand a probed level marks and active-list
-// bookkeeping, plus — once — the direction the restrictions point and the
-// skew sums that chose it, below the loop nest the binomial a count-only run
-// folds a star tail into, and for a dense plan the row each level-1 embedding
-// builds and the word ANDs that replace the levels below it. It is meant for
-// humans inspecting what a client system compiled; `khuzdul -explain` prints
-// it.
+// count-only marking, the operand a probed level marks, the set a labeled
+// level filters once per run and active-list bookkeeping, plus — once — the
+// direction the restrictions point and the skew sums that chose it, below the
+// loop nest the binomial a count-only run folds a star tail into, and for a
+// dense plan the row each level-1 embedding builds and the word ANDs that
+// replace the levels below it. It is meant for humans inspecting what a
+// client system compiled; `khuzdul -explain` prints it.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pattern: %v\n", p.Pattern)
@@ -87,7 +87,10 @@ func (p *Plan) Explain() string {
 			notes = append(notes, "count-only")
 		}
 		if lv.Probe {
-			notes = append(notes, "probe marked "+p.probeOperand(i))
+			notes = append(notes, "probe marked "+p.sharedOperand(i))
+		}
+		if lv.FilterOnce {
+			notes = append(notes, fmt.Sprintf("filter %s by label %d once per run", p.sharedOperand(i), p.PosLabel(i)))
 		}
 		if lv.StoreInter {
 			notes = append(notes, fmt.Sprintf("store R%d", i))
@@ -122,9 +125,9 @@ func (p *Plan) Explain() string {
 	return sb.String()
 }
 
-// probeOperand names the operand a Probe level marks: the parent's stored
-// intersection, or the shared list of its two-list Intersect.
-func (p *Plan) probeOperand(i int) string {
+// sharedOperand names the set a Probe level marks, or a FilterOnce level
+// filters: the parent's stored intersection, or the list at Intersect[0].
+func (p *Plan) sharedOperand(i int) string {
 	lv := &p.Levels[i]
 	if p.VCS && (lv.ReuseExtend || lv.ReuseSame) {
 		return fmt.Sprintf("R%d", i-1)

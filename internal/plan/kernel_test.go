@@ -40,8 +40,7 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		}
 		counting, building := NewScratch(pl), NewScratch(pl)
 		counting.SetCountOnly(true)
-		var marks setops.Bitmap
-		counting.LendMarks(&marks)
+		counting.LendRuns(&RunStorage{})
 		emb := make([]graph.VertexID, pl.K)
 		raws := make([][]graph.VertexID, pl.K)
 		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
@@ -94,6 +93,77 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		}
 		if n := counting.KernelCounts()[setops.KernelProbe]; (n > 0) != probed {
 			t.Errorf("%v: %d probe kernels over a level with Probe = %v", pl, n, probed)
+		}
+	}
+}
+
+// TestFilterOnceNoAlloc pins the filtered levels' hot-path contract at run
+// time (Level.FilterOnce): a depth-first walk through Extend on a scratch lent
+// run storage, starting a new run before each parent's children, finds
+// what the same walk without it finds — which filters per child — in
+// fewer label tests, and with warm buffers allocates nothing. It runs the
+// labeled 3-star as frequent subgraph mining compiles it, and Automine's
+// labeled P4, whose level 3 filters N(v1).
+func TestFilterOnceNoAlloc(t *testing.T) {
+	g0 := graph.RMATDefault(300, 2400, 17)
+	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 2, 18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	star := pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1})
+	path := pattern.PathP(4).WithLabels([]graph.Label{0, 1, 0, 1})
+	for _, pl := range []*Plan{
+		MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true}),
+		MustCompile(path, Options{Style: StyleAutomine}),
+	} {
+		if !pl.Levels[pl.K-1].FilterOnce {
+			t.Fatalf("%v: last level not filtered once per run", pl)
+		}
+		var tests int
+		labelOf := func(v graph.VertexID) graph.Label {
+			tests++
+			return g.Label(v)
+		}
+		emb := make([]graph.VertexID, pl.K)
+		raws := make([][]graph.VertexID, pl.K)
+		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
+		var walk func(s *Scratch, level int) uint64
+		walk = func(s *Scratch, level int) (n uint64) {
+			cands, raw := pl.Extend(s, level, emb[:level], getList, raws[level-1], labelOf, nil)
+			if level == pl.K-1 {
+				return uint64(len(cands))
+			}
+			// The executor's copy: deeper levels reuse the scratch's buffers.
+			raws[level] = append(raws[level][:0], raw...)
+			s.NewRun()
+			for _, v := range cands {
+				emb[level] = v
+				n += walk(s, level+1)
+			}
+			return n
+		}
+		sweep := func(s *Scratch) (n uint64) {
+			for v0 := 0; v0 < g.NumVertices(); v0++ {
+				if emb[0] = graph.VertexID(v0); g.Label(emb[0]) == pl.PosLabel(0) {
+					n += walk(s, 1)
+				}
+			}
+			return n
+		}
+		perChild := NewScratch(pl)
+		want := sweep(perChild)
+		wantTests := tests
+		if want == 0 || want != CountGraph(pl, g) {
+			t.Fatalf("%v: per-child sweep found %d, executor %d", pl, want, CountGraph(pl, g))
+		}
+		once := NewScratch(pl)
+		once.LendRuns(&RunStorage{})
+		tests = 0
+		if got := sweep(once); got != want || tests >= wantTests {
+			t.Errorf("%v: filtered once %d in %d label tests, per child %d in %d", pl, got, tests, want, wantTests)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { sweep(once) }); allocs != 0 {
+			t.Errorf("%v: filtered sweep allocated %.0f times, want 0", pl, allocs)
 		}
 	}
 }

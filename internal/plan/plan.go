@@ -80,6 +80,16 @@ type Level struct {
 	// The compiler marks every level that passes probeable; Validate holds a
 	// hand-set Probe to the same rule.
 	Probe bool
+	// FilterOnce marks a level i ≥ 2 of a vertex-labeled, non-induced plan
+	// without edge labels whose raw set and bounds every child of one parent
+	// shares: the parent's stored intersection under ReuseSame, or a single
+	// Intersect list at position ≤ i−2, with no bound against position i−1. A
+	// scratch lent run storage (Scratch.LendRuns) filters that set by
+	// PosLabel(i) once per parent run and hands each child the filtered set
+	// less its Exclude vertices (see Scratch.NewRun). The compiler marks every level
+	// that passes filterable; Validate holds a hand-set FilterOnce to the same
+	// rule.
+	FilterOnce bool
 	// ReuseSame marks that this level's raw intersection equals the parent
 	// level's stored intersection (no set operation needed at all).
 	ReuseSame bool
@@ -322,6 +332,21 @@ func (p *Plan) probeable(i int) bool {
 	}
 }
 
+// filterable reports whether level i qualifies for Level.FilterOnce: depth
+// ≥ 2 on a vertex-labeled, non-induced plan without edge labels, whose raw set
+// is one every child of one parent shares — the parent's stored raw, reused
+// whole (ReuseSame), or N(v_j) for the level's one Intersect position
+// j ≤ i−2 — and whose bounds they share too: none is against position i−1,
+// the vertex siblings differ in. Level 1 never qualifies: all roots are
+// children of one parent, and no run is started among them.
+func (p *Plan) filterable(i int) bool {
+	lv := &p.Levels[i]
+	if i < 2 || !p.Labeled() || p.Induced || p.EdgeLabeled || containsInt(lv.Bounds, i-1) {
+		return false
+	}
+	return p.VCS && lv.ReuseSame || len(lv.Intersect) == 1 && lv.Intersect[0] <= i-2
+}
+
 // String renders a compact human-readable schedule.
 func (p *Plan) String() string {
 	var sb strings.Builder
@@ -353,6 +378,9 @@ func (p *Plan) String() string {
 		}
 		if lv.Probe {
 			sb.WriteString(" probe")
+		}
+		if lv.FilterOnce {
+			sb.WriteString(" filter-once")
 		}
 		if lv.ReuseSame {
 			sb.WriteString(" reuse=same")
@@ -425,6 +453,9 @@ func (p *Plan) Validate() error {
 		}
 		if lv.Probe && !p.probeable(i) {
 			return fmt.Errorf("plan: level %d cannot probe a mark set: it is not where a count-only run ends, or no operand of its last set operation is shared by every child of one parent", i)
+		}
+		if lv.FilterOnce && !p.filterable(i) {
+			return fmt.Errorf("plan: level %d cannot filter its set once per run: the plan is not vertex-labeled, non-induced and edge-unlabeled, or the children of one parent do not share the level's raw set and bounds", i)
 		}
 	}
 	if p.Fold != 0 && !p.foldable(p.Fold) {

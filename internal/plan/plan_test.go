@@ -3,6 +3,7 @@ package plan
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -439,6 +440,7 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 						if strings.Contains(pl.Explain(), "dense suffix") != pl.Dense {
 							t.Errorf("%s %v: Dense = %v but Explain says otherwise:\n%s", c.name, c.pat, pl.Dense, pl.Explain())
 						}
+						checkFilterOnce(t, c.name, pl)
 						mirror[d] = pl
 					}
 					asc, desc := *mirror[0], *mirror[1]
@@ -477,6 +479,132 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 	k4.Dense = false
 	if err := k4.Validate(); err != nil {
 		t.Fatalf("the same K4 without Dense: %v", err)
+	}
+}
+
+// checkFilterOnce holds a compiled plan's FilterOnce flags to the rule, and
+// its renderings to them: only a vertex-labeled plan names the flag, so an
+// unlabeled plan renders exactly as it did before the flag existed.
+func checkFilterOnce(t *testing.T, name string, pl *Plan) {
+	t.Helper()
+	flagged := false
+	for i, lv := range pl.Levels {
+		if lv.FilterOnce != (i >= 2 && pl.filterable(i)) {
+			t.Errorf("%s %v: level %d FilterOnce = %v", name, pl.Pattern, i, lv.FilterOnce)
+		}
+		flagged = flagged || lv.FilterOnce
+	}
+	if flagged && !pl.Labeled() {
+		t.Errorf("%s %v: an unlabeled plan filters once: %v", name, pl.Pattern, pl)
+	}
+	if strings.Contains(pl.String(), "filter") != flagged || strings.Contains(pl.Explain(), "filter") != flagged {
+		t.Errorf("%s %v: FilterOnce on some level = %v but String or Explain says otherwise:\n%v\n%s", name, pl.Pattern, flagged, pl, pl.Explain())
+	}
+}
+
+// TestFilterOnceMarksSharedSets pins which levels the compiler marks
+// FilterOnce: a level ≥ 2 of a vertex-labeled, non-induced, edge-unlabeled
+// plan whose raw set and bounds all children of one parent share — the
+// parent's stored raw under ReuseSame (the labeled star's leaves as frequent
+// subgraph mining compiles them, without symmetry breaking), or a single
+// Intersect list at position ≤ level−2 (Automine's P4, N(v1) at level 3) —
+// and nowhere else: not level 1, a level bounded by the vertex siblings
+// differ in (the star's leaves under symmetry breaking), a single list at
+// level−1 (GraphPi's P4, N(v2) at level 3), an induced or edge-labeled plan,
+// a two-list level without vertical computation sharing, or an unlabeled
+// plan. Validate rejects a hand-set flag
+// on each of those, and String and Explain name the flag and the set. A
+// hand-built leaf whose Exclude does not ascend still drops every excluded
+// sibling.
+func TestFilterOnceMarksSharedSets(t *testing.T) {
+	star := pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1})
+	path := pattern.PathP(4).WithLabels([]graph.Label{0, 1, 0, 1})
+	diamond := pattern.Diamond().WithLabels([]graph.Label{0, 1, 0, 1})
+	both := star.Clone()
+	for _, v := range both.Neighbors(0) {
+		both.SetEdgeLabel(0, v, 1)
+	}
+	for _, c := range []struct {
+		name    string
+		pl      *Plan
+		flagged []int
+		explain []string
+	}{
+		{"labeled star", MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true}), []int{2, 3},
+			[]string{"filter R1 by label 1 once per run", "filter R2 by label 1 once per run"}},
+		{"labeled star, no VCS", MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true, DisableVCS: true}), []int{2, 3},
+			[]string{"filter N(v0) by label 1 once per run"}},
+		{"labeled star, symmetry breaking", MustCompile(star, Options{Style: StyleAutomine}), nil, nil},
+		{"Automine P4", MustCompile(path, Options{Style: StyleAutomine}), []int{2, 3},
+			[]string{"filter R1 by label 0 once per run", "filter N(v1) by label 1 once per run"}},
+		{"GraphPi P4", MustCompile(path, Options{Style: StyleGraphPi}), []int{2}, []string{"filter R1 by label 0 once per run"}},
+		{"labeled diamond", MustCompile(diamond, Options{Style: StyleGraphPi}), []int{3}, []string{"filter R2 by label 1 once per run"}},
+		{"labeled diamond, no VCS", MustCompile(diamond, Options{Style: StyleGraphPi, DisableVCS: true}), nil, nil},
+		{"induced labeled star", MustCompile(star, Options{Style: StyleAutomine, Induced: true, DisableSymmetryBreak: true}), nil, nil},
+		{"edge- and vertex-labeled star", MustCompile(both, Options{Style: StyleAutomine, DisableSymmetryBreak: true}), nil, nil},
+		{"unlabeled star", MustCompile(pattern.StarP(4), Options{Style: StyleAutomine, DisableSymmetryBreak: true}), nil, nil},
+	} {
+		for i, lv := range c.pl.Levels {
+			if lv.FilterOnce != containsInt(c.flagged, i) {
+				t.Errorf("%s: level %d FilterOnce = %v: %v", c.name, i, lv.FilterOnce, c.pl)
+			}
+		}
+		checkFilterOnce(t, c.name, c.pl)
+		if got := strings.Count(c.pl.String(), " filter-once"); got != len(c.flagged) {
+			t.Errorf("%s: String names the flag %d times, want %d: %v", c.name, got, len(c.flagged), c.pl)
+		}
+		ex := c.pl.Explain()
+		for _, want := range c.explain {
+			if !strings.Contains(ex, want) {
+				t.Errorf("%s: Explain does not say %q:\n%s", c.name, want, ex)
+			}
+		}
+	}
+	if pl := MustCompile(path, Options{Style: StyleGraphPi}); !reflect.DeepEqual(pl.Levels[3].Intersect, []int{2}) {
+		t.Fatalf("GraphPi P4's level 3 does not read N(v2): %v", pl)
+	}
+
+	for _, c := range []struct {
+		name string
+		pl   *Plan
+		lv   int
+	}{
+		{"labeled star level 1", MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true}), 1},
+		{"labeled star level 3 bounded by v2", MustCompile(star, Options{Style: StyleAutomine}), 3},
+		{"GraphPi P4 level 3 (N(v2))", MustCompile(path, Options{Style: StyleGraphPi}), 3},
+		{"induced labeled star level 2", MustCompile(star, Options{Style: StyleAutomine, Induced: true, DisableSymmetryBreak: true}), 2},
+		{"edge- and vertex-labeled star level 2", MustCompile(both, Options{Style: StyleAutomine, DisableSymmetryBreak: true}), 2},
+		{"two-list level 3 of the labeled diamond without VCS", MustCompile(diamond, Options{Style: StyleGraphPi, DisableVCS: true}), 3},
+		{"unlabeled star level 2", MustCompile(pattern.StarP(4), Options{Style: StyleAutomine, DisableSymmetryBreak: true}), 2},
+	} {
+		bad := *c.pl
+		bad.Levels = append([]Level(nil), c.pl.Levels...)
+		bad.Levels[c.lv].FilterOnce = true
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted FilterOnce on the %s: %v", c.name, &bad)
+		}
+	}
+
+	// Validate does not hold Exclude to the compiler's ascending order, so a
+	// hand-built leaf that excludes v2 before v1 must still drop both.
+	base := MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true})
+	hand := *base
+	hand.Levels = append([]Level(nil), base.Levels...)
+	hand.Levels[3].Exclude = []int{2, 1}
+	if err := hand.Validate(); err != nil || !hand.Levels[3].FilterOnce {
+		t.Fatalf("hand-built star with Exclude [2 1]: %v, FilterOnce = %v", err, hand.Levels[3].FilterOnce)
+	}
+	leaves := []graph.VertexID{1, 2, 3, 4, 5}
+	getList := func(int) []graph.VertexID { return leaves }
+	labelOf := func(v graph.VertexID) graph.Label { return min(graph.Label(v), 1) }
+	emb := []graph.VertexID{0, 1, 2}
+	perChild, _ := hand.Extend(NewScratch(&hand), 3, emb, getList, leaves, labelOf, nil)
+	once := NewScratch(&hand)
+	once.LendRuns(&RunStorage{})
+	filtered, _ := hand.Extend(once, 3, emb, getList, leaves, labelOf, nil)
+	want := []graph.VertexID{3, 4, 5}
+	if !slices.Equal(perChild, want) || !slices.Equal(filtered, want) {
+		t.Errorf("hand-built star with Exclude [2 1]: per child %v, filtered once %v, want %v", perChild, filtered, want)
 	}
 }
 
