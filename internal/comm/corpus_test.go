@@ -1,8 +1,6 @@
 package comm
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -25,26 +23,19 @@ import (
 
 // corpusSeeds builds every seed, keyed by fuzz target and seed name.
 func corpusSeeds() map[string]map[string][]byte {
-	frame := func(version, typ uint8, payload []byte) []byte {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		writeFrame(w, version, typ, payload, -1)
-		w.Flush()
-		return buf.Bytes()
-	}
 	ids := encodeIDs(nil, []graph.VertexID{1, 2, 3, 0xFFFFFFFF})
 	lists := encodeLists(nil, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}})
 
-	request := frame(1, frameRequest, ids)
+	request := encodeFrame(1, frameRequest, ids)
 	crcFlip := append([]byte(nil), request...)
 	crcFlip[len(crcFlip)-1] ^= 0xFF // payload no longer matches header CRC
-	badVersion := frame(1, framePing, nil)
+	badVersion := encodeFrame(1, framePing, nil)
 	badVersion[2] = 0x63 // outside the supported window
-	badType := frame(1, framePing, nil)
+	badType := encodeFrame(1, framePing, nil)
 	badType[3] = 0x7F // type above frameTypeMax
-	hugePayload := frame(1, framePing, nil)
+	hugePayload := encodeFrame(1, framePing, nil)
 	binary.LittleEndian.PutUint32(hugePayload[4:], maxFramePayload+1)
-	badMagic := frame(1, framePing, nil)
+	badMagic := encodeFrame(1, framePing, nil)
 	badMagic[0] = 0x00
 
 	idsTruncated := append([]byte(nil), ids[:len(ids)-3]...)
@@ -53,41 +44,41 @@ func corpusSeeds() map[string]map[string][]byte {
 
 	// v3 multiplexed frames: request-ID-prefixed payloads, plus the hostile
 	// shapes around the prefix (missing ID, frame truncated mid-payload).
-	muxRequest := frame(ProtoVersionMax, frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
-	muxResponse := frame(ProtoVersionMax, frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
-	muxError := frame(ProtoVersionMax, frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
-	muxMissingID := frame(ProtoVersionMax, frameMuxRequest, []byte{0x2A})
+	muxRequest := encodeFrame(protoVersion, frameMuxRequest, encodeMuxIDs(nil, 42, []graph.VertexID{1, 2, 3}))
+	muxResponse := encodeFrame(protoVersion, frameMuxResponse, encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}, {}, {3, 4, 5}}))
+	muxError := encodeFrame(protoVersion, frameMuxError, binary.LittleEndian.AppendUint32(nil, 42))
+	muxMissingID := encodeFrame(protoVersion, frameMuxRequest, []byte{0x2A})
 
 	// Query-plane frames (v3): the service protocol's four message types,
 	// plus the hostile shapes the codecs must reject (a spec-length prefix
 	// that lies about the payload, a result truncated mid-fixed-header).
-	querySubmit := frame(ProtoVersionMax, frameQuerySubmit,
+	querySubmit := encodeFrame(protoVersion, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"}))
-	querySubmitRef := frame(ProtoVersionMax, frameQuerySubmit,
+	querySubmitRef := encodeFrame(protoVersion, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 8, Kind: QueryPlanRef, PlanID: 3}))
-	queryProgress := frame(ProtoVersionMax, frameQueryProgress,
+	queryProgress := encodeFrame(protoVersion, frameQueryProgress,
 		encodeQueryProgress(nil, &QueryProgress{ID: 7, Partial: 12345}))
-	queryResult := frame(ProtoVersionMax, frameQueryResult,
+	queryResult := encodeFrame(protoVersion, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7, Status: QueryOK, PlanID: 1, Count: 99, Elapsed: 1500000}))
-	queryRejected := frame(ProtoVersionMax, frameQueryResult,
+	queryRejected := encodeFrame(protoVersion, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 9, Status: QueryRejected, Detail: "admission window full"}))
-	queryCancel := frame(ProtoVersionMax, frameQueryCancel, encodeQueryCancel(nil, 7))
-	querySubmitDeadline := frame(ProtoVersionMax, frameQuerySubmit,
+	queryCancel := encodeFrame(protoVersion, frameQueryCancel, encodeQueryCancel(nil, 7))
+	querySubmitDeadline := encodeFrame(protoVersion, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 9, Spec: "triangle", Deadline: 5e9}))
-	submitLyingSpec := frame(ProtoVersionMax, frameQuerySubmit,
+	submitLyingSpec := encodeFrame(protoVersion, frameQuerySubmit,
 		encodeQuerySubmit(nil, &QuerySubmit{ID: 7, Spec: "triangle"})[:querySubmitFixed+2])
-	resultTruncated := frame(ProtoVersionMax, frameQueryResult,
+	resultTruncated := encodeFrame(protoVersion, frameQueryResult,
 		encodeQueryResult(nil, &QueryResult{ID: 7})[:queryResultFixed-4])
 
 	// QUERY_HEALTH in both directions (the empty probe and a populated
 	// report), plus the hostile shapes: a suspect-count prefix that lies
 	// about the payload and a report truncated mid-fixed-header.
-	queryHealthProbe := frame(ProtoVersionMax, frameQueryHealth, nil)
-	queryHealthReport := frame(ProtoVersionMax, frameQueryHealth,
+	queryHealthProbe := encodeFrame(protoVersion, frameQueryHealth, nil)
+	queryHealthReport := encodeFrame(protoVersion, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Draining: true, ActiveQueries: 2, Window: 4, Submitted: 17, DeadlineExceeded: 1, Suspects: []uint32{1, 3}}))
-	healthLyingSuspects := frame(ProtoVersionMax, frameQueryHealth,
+	healthLyingSuspects := encodeFrame(protoVersion, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: []uint32{2}})[:queryHealthFixed])
-	healthTruncated := frame(ProtoVersionMax, frameQueryHealth,
+	healthTruncated := encodeFrame(protoVersion, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4})[:queryHealthFixed-5])
 	// Self-consistent report announcing more suspects than the cap: the
 	// length prefix is honest, so only the maxHealthSuspects clamp rejects it.
@@ -95,7 +86,7 @@ func corpusSeeds() map[string]map[string][]byte {
 	for i := range oversized {
 		oversized[i] = uint32(i)
 	}
-	healthOversizedSuspects := frame(ProtoVersionMax, frameQueryHealth,
+	healthOversizedSuspects := encodeFrame(protoVersion, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: oversized}))
 
 	listsTruncated := append([]byte(nil), lists[:len(lists)-2]...)
@@ -105,10 +96,10 @@ func corpusSeeds() map[string]map[string][]byte {
 
 	return map[string]map[string][]byte{
 		"FuzzReadFrame": {
-			"valid-ping":         frame(1, framePing, nil),
+			"valid-ping":         encodeFrame(1, framePing, nil),
 			"valid-request":      request,
-			"valid-response":     frame(1, frameResponse, lists),
-			"valid-hello":        frame(1, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 3)),
+			"valid-response":     encodeFrame(1, frameResponse, lists),
+			"valid-hello":        encodeFrame(1, frameHello, encodeHello(protoVersion, protoVersion, 3)),
 			"crc-flip":           crcFlip,
 			"truncated-header":   request[:frameHeaderSize/2],
 			"truncated-payload":  request[:frameHeaderSize+2],

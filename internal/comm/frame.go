@@ -19,28 +19,30 @@ import (
 //
 //	offset  size  field
 //	0       2     magic 0x4B48 ("KH", little-endian on the wire)
-//	2       1     protocol version (negotiated per connection)
+//	2       1     protocol generation (always protoVersion)
 //	3       1     frame type
 //	4       4     payload length (u32)
 //	8       4     CRC32C (Castagnoli) of the payload
 //	12      …     payload
 //
-// A connection opens with a handshake: the client sends a HELLO frame whose
-// payload carries its supported version window [min,max] plus its node ID;
-// the server picks the highest version both sides support and answers with a
-// HELLO_ACK carrying the choice (or closes the connection when the windows
-// do not overlap). All subsequent frames on the connection carry the
-// negotiated version, and a mismatched magic, version, type, oversized
-// length or CRC failure surfaces as ErrCorruptFrame — a retryable error —
-// instead of silently mis-parsed edge lists.
+// Every simulated machine is the same binary, so the wire has one
+// generation, a constant rather than per-connection state. A connection
+// still opens with a handshake, the same on the data and the query plane:
+// the client sends a HELLO whose payload carries the version window
+// [protoVersion, protoVersion] plus its node ID, and the server answers with
+// a HELLO_ACK carrying protoVersion when the window holds it, or closes the
+// connection when it does not. Every other frame must carry protoVersion,
+// and a mismatched magic, version, type, oversized length or CRC failure
+// surfaces as ErrCorruptFrame — a retryable error — instead of silently
+// mis-parsed edge lists.
 //
 // One exchange discipline. Edge-list traffic is multiplexed: MUX_REQUEST /
 // MUX_RESPONSE / MUX_ERROR frames prefix their payload with a u32 request
 // ID, so many exchanges can be in flight on one connection and responses
-// may return out of order (mux.go). Versions 1 and 2, which spoke one
-// REQUEST/RESPONSE pair at a time, are retired: the window opens at 3, a
-// peer offering [1,2] is refused with ErrVersionMismatch on either plane,
-// and an in-flight window of 1 is the serial exchange on this protocol.
+// may return out of order (mux.go). Generations 1 and 2, which spoke one
+// REQUEST/RESPONSE pair at a time, are retired: a peer offering [1,2] is
+// refused with ErrVersionMismatch on either plane, and an in-flight window
+// of 1 is the serial exchange on this protocol.
 //
 // The frame header is genuine wire overhead, but traffic accounting keeps
 // quoting the paper's payload formulas (RequestBytes/ResponseBytes) so
@@ -51,16 +53,16 @@ import (
 // on a fresh connection may succeed.
 var ErrCorruptFrame = errors.New("comm: corrupt frame")
 
-// ErrVersionMismatch marks a handshake whose version windows do not overlap.
+// ErrVersionMismatch marks a handshake with a peer of another protocol
+// generation.
 var ErrVersionMismatch = errors.New("comm: protocol version mismatch")
 
 const (
 	frameMagic = 0x4B48 // "KH"
 
-	// ProtoVersionMin..ProtoVersionMax is the version window this build
-	// speaks, on the data and the query plane alike.
-	ProtoVersionMin = 3
-	ProtoVersionMax = 3
+	// protoVersion is the one protocol generation this build speaks, on the
+	// data and the query plane alike.
+	protoVersion = 3
 
 	frameHeaderSize = 12
 
@@ -83,7 +85,7 @@ const MaxWireLen = 1 << 29
 // Frame types.
 const (
 	frameHello    = 0x01 // client → server: version window + client node ID
-	frameHelloAck = 0x02 // server → client: chosen version
+	frameHelloAck = 0x02 // server → client: protoVersion
 	frameRequest  = 0x03 // reserved: the retired v1/v2 request; never sent, answered with frameError
 	frameResponse = 0x04 // reserved: the retired v1/v2 response; never sent
 	framePing     = 0x05 // heartbeat probe (empty payload)
@@ -116,10 +118,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // writeFrame emits one frame. corruptByte, when non-negative, XOR-flips the
 // payload byte at that index AFTER the CRC is computed — the fault
 // injector's hook for exercising real end-to-end corruption detection.
-func writeFrame(w *bufio.Writer, version, typ uint8, payload []byte, corruptByte int) error {
+func writeFrame(w *bufio.Writer, typ uint8, payload []byte, corruptByte int) error {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
-	hdr[2] = version
+	hdr[2] = protoVersion
 	hdr[3] = typ
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, castagnoli))
@@ -137,25 +139,23 @@ func writeFrame(w *bufio.Writer, version, typ uint8, payload []byte, corruptByte
 	return err
 }
 
-// readFrame reads and integrity-checks one frame. wantVersion 0 is the
-// handshake, which runs before negotiation: a HELLO may carry any header
-// version — its payload's window decides, so an outdated peer is answered as
-// a version mismatch rather than as line noise — and the ack one inside the
-// supported window. Otherwise the header must carry exactly wantVersion. The
-// returned payload aliases a fresh buffer.
-func readFrame(r *bufio.Reader, wantVersion uint8) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, wantVersion, freshPayload)
+// readFrame reads and integrity-checks one frame. Every frame must carry
+// protoVersion in its header except a HELLO, whose payload window decides,
+// so an outdated peer is answered as a version mismatch rather than as line
+// noise. The returned payload aliases a fresh buffer.
+func readFrame(r *bufio.Reader) (typ uint8, payload []byte, err error) {
+	return readFrameAlloc(r, freshPayload)
 }
 
 // readFramePooled is readFrame with the payload drawn from payloadPool. The
 // caller owns the buffer and returns it with putPayloadBuf once decoded.
-func readFramePooled(r *bufio.Reader, wantVersion uint8) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, wantVersion, getPayloadBuf)
+func readFramePooled(r *bufio.Reader) (typ uint8, payload []byte, err error) {
+	return readFrameAlloc(r, getPayloadBuf)
 }
 
 func freshPayload(n int) []byte { return make([]byte, n) }
 
-func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) (typ uint8, payload []byte, err error) {
+func readFrameAlloc(r *bufio.Reader, alloc func(int) []byte) (typ uint8, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -168,12 +168,8 @@ func readFrameAlloc(r *bufio.Reader, wantVersion uint8, alloc func(int) []byte) 
 	if typ < frameHello || typ > frameTypeMax {
 		return 0, nil, fmt.Errorf("unknown frame type %#02x: %w", typ, ErrCorruptFrame)
 	}
-	if wantVersion == 0 {
-		if typ != frameHello && (v < ProtoVersionMin || v > ProtoVersionMax) {
-			return 0, nil, fmt.Errorf("unsupported version %d: %w", v, ErrCorruptFrame)
-		}
-	} else if v != wantVersion {
-		return 0, nil, fmt.Errorf("version %d on a v%d connection: %w", v, wantVersion, ErrCorruptFrame)
+	if v != protoVersion && typ != frameHello {
+		return 0, nil, fmt.Errorf("unsupported version %d: %w", v, ErrCorruptFrame)
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > maxFramePayload {
@@ -212,51 +208,66 @@ func decodeHello(p []byte) (minVer, maxVer uint8, node int, err error) {
 	return p[0], p[1], int(binary.LittleEndian.Uint32(p[2:])), nil
 }
 
-// acceptHello runs the server half of the handshake, the same on the data
-// and the query plane: read the client's HELLO, pick the highest version in
-// both windows, and ack it. A peer whose window misses ours — one from a
-// retired protocol generation — is an ErrVersionMismatch and gets no ack.
-// deadline arms (or clears) the socket deadline for each half.
-func acceptHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, deadline func(func(time.Time) error)) (uint8, error) {
-	deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(r, 0)
+// clientHello runs the client half of the handshake, the same on the data
+// and the query plane: send HELLO [protoVersion, protoVersion, node] and
+// await the ack. A server of another generation hangs up instead, which is
+// an ErrVersionMismatch. timeout bounds each half; 0 disables deadlines.
+func clientHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, node int, timeout time.Duration) error {
+	deadline(c.SetWriteDeadline, timeout)
+	if err := writeFrame(w, frameHello, encodeHello(protoVersion, protoVersion, node), -1); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	deadline(c.SetReadDeadline, timeout)
+	typ, payload, err := readFrame(r)
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("%w (%v)", ErrVersionMismatch, err)
+	}
+	if typ != frameHelloAck || len(payload) != 1 || payload[0] != protoVersion {
+		return fmt.Errorf("bad hello ack: %w", ErrVersionMismatch)
+	}
+	return nil
+}
+
+// acceptHello runs the server half of the handshake, the same on the data
+// and the query plane: read the client's HELLO and ack protoVersion if its
+// window holds it. A peer whose window misses it — one from a retired
+// protocol generation — is an ErrVersionMismatch and gets no ack. timeout
+// bounds each half; 0 disables deadlines.
+func acceptHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, timeout time.Duration) error {
+	deadline(c.SetReadDeadline, timeout)
+	typ, payload, err := readFrame(r)
+	if err != nil {
+		return err
 	}
 	if typ != frameHello {
-		return 0, fmt.Errorf("frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
+		return fmt.Errorf("frame %#02x where HELLO expected: %w", typ, ErrCorruptFrame)
 	}
 	peerMin, peerMax, _, err := decodeHello(payload)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	version := negotiateVersion(ProtoVersionMin, ProtoVersionMax, peerMin, peerMax)
-	if version == 0 {
-		return 0, fmt.Errorf("peer window [%d,%d] misses [%d,%d]: %w",
-			peerMin, peerMax, ProtoVersionMin, ProtoVersionMax, ErrVersionMismatch)
+	if protoVersion < peerMin || protoVersion > peerMax {
+		return fmt.Errorf("peer window [%d,%d] misses version %d: %w",
+			peerMin, peerMax, protoVersion, ErrVersionMismatch)
 	}
-	deadline(c.SetWriteDeadline)
-	if err := writeFrame(w, version, frameHelloAck, []byte{version}, -1); err != nil {
-		return 0, err
+	deadline(c.SetWriteDeadline, timeout)
+	if err := writeFrame(w, frameHelloAck, []byte{protoVersion}, -1); err != nil {
+		return err
 	}
-	return version, w.Flush()
+	return w.Flush()
 }
 
-// negotiateVersion picks the highest version inside both windows, or 0 when
-// the windows do not overlap.
-func negotiateVersion(aMin, aMax, bMin, bMax uint8) uint8 {
-	hi := aMax
-	if bMax < hi {
-		hi = bMax
+// deadline arms a socket deadline timeout from now through set, or clears
+// it when timeout is 0 (deadlines disabled).
+func deadline(set func(time.Time) error, timeout time.Duration) {
+	if timeout > 0 {
+		set(time.Now().Add(timeout))
+		return
 	}
-	lo := aMin
-	if bMin > lo {
-		lo = bMin
-	}
-	if hi < lo {
-		return 0
-	}
-	return hi
+	set(time.Time{})
 }
 
 // Payload codecs. The request payload is u32 count + count u32 IDs; the
@@ -358,8 +369,8 @@ func decodeLists(p []byte) ([][]graph.VertexID, error) {
 }
 
 // Multiplexed payload helpers. The request ID rides inside the payload
-// rather than the header so the CRC covers it and the frame layout stays
-// identical across protocol versions.
+// rather than the header so the CRC covers it and the 12-byte header stays
+// the same for every frame type.
 
 // encodeMuxIDs appends the mux request payload: request ID + IDs payload.
 func encodeMuxIDs(buf []byte, id uint32, ids []graph.VertexID) []byte {

@@ -20,13 +20,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, p := range payloads {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := writeFrame(w, 1, frameRequest, p, -1); err != nil {
+		if err := writeFrame(w, frameRequest, p, -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		typ, got, err := readFrame(bufio.NewReader(&buf), 1)
+		typ, got, err := readFrame(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("readFrame(%d-byte payload): %v", len(p), err)
 		}
@@ -41,14 +41,14 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	orig := append([]byte(nil), payload...)
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, 1, frameResponse, payload, 3); err != nil {
+	if err := writeFrame(w, frameResponse, payload, 3); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()
 	if !bytes.Equal(payload, orig) {
 		t.Fatal("writeFrame did not restore the caller's buffer after corrupting")
 	}
-	_, _, err := readFrame(bufio.NewReader(&buf), 1)
+	_, _, err := readFrame(bufio.NewReader(&buf))
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupted payload read as %v, want ErrCorruptFrame", err)
 	}
@@ -58,11 +58,7 @@ func TestFrameHeaderValidation(t *testing.T) {
 	// A well-formed empty PING frame as the baseline, then break one header
 	// field at a time.
 	mk := func(mutate func(hdr []byte)) []byte {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		writeFrame(w, 1, framePing, nil, -1)
-		w.Flush()
-		b := buf.Bytes()
+		b := encodeFrame(protoVersion, framePing, nil)
 		mutate(b)
 		return b
 	}
@@ -72,7 +68,7 @@ func TestFrameHeaderValidation(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) { b[0] = 0xFF }},
 		{"zero version", func(b []byte) { b[2] = 0 }},
-		{"future version", func(b []byte) { b[2] = ProtoVersionMax + 1 }},
+		{"future version", func(b []byte) { b[2] = protoVersion + 1 }},
 		{"zero type", func(b []byte) { b[3] = 0 }},
 		{"unknown type", func(b []byte) { b[3] = frameTypeMax + 1 }},
 		{"oversized length", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], maxFramePayload+1) }},
@@ -80,38 +76,24 @@ func TestFrameHeaderValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(tc.mutate))), 1)
+			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(tc.mutate))))
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("got %v, want ErrCorruptFrame", err)
 			}
 		})
 	}
-	t.Run("wrong negotiated version", func(t *testing.T) {
-		// Version inside the window but not the one this connection agreed on.
-		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(mk(func([]byte) {}))), ProtoVersionMax+3)
-		if !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("got %v, want ErrCorruptFrame", err)
-		}
-	})
 }
 
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct {
-		aMin, aMax, bMin, bMax, want uint8
-	}{
-		{1, 1, 1, 1, 1},
-		{1, 3, 2, 5, 3},
-		{2, 5, 1, 3, 3},
-		{1, 2, 3, 4, 0}, // disjoint
-		{3, 4, 1, 2, 0}, // disjoint, other side
-		{1, 9, 4, 4, 4},
-	}
-	for _, tc := range cases {
-		if got := negotiateVersion(tc.aMin, tc.aMax, tc.bMin, tc.bMax); got != tc.want {
-			t.Fatalf("negotiate([%d,%d],[%d,%d]) = %d, want %d",
-				tc.aMin, tc.aMax, tc.bMin, tc.bMax, got, tc.want)
-		}
-	}
+// encodeFrame returns one frame as it crosses the wire, with version in its
+// header byte: writeFrame's bytes, or a peer of another generation's.
+func encodeFrame(version, typ uint8, payload []byte) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	writeFrame(w, typ, payload, -1)
+	w.Flush()
+	b := buf.Bytes()
+	b[2] = version
+	return b
 }
 
 func TestCodecsMatchAccountingFormulas(t *testing.T) {
@@ -190,7 +172,7 @@ func TestTCPVersionMismatch(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		if typ, _, err := readFrame(bufio.NewReader(c), 0); err != nil || typ != frameHello {
+		if typ, _, err := readFrame(bufio.NewReader(c)); err != nil || typ != frameHello {
 			t.Errorf("peer read type %#02x, err %v; want a HELLO", typ, err)
 		}
 	}()

@@ -140,7 +140,7 @@ func (m *muxState) fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID
 	// Liveness: the demux reads without a deadline, so each fetch bounds its
 	// own wait. A hung peer fails every waiter and poisons the connection.
 	var timeout <-chan time.Time
-	if d := time.Duration(m.t.ioTimeout.Load()); d > 0 {
+	if d := m.t.timeout(); d > 0 {
 		tm := time.NewTimer(d)
 		defer tm.Stop()
 		timeout = tm.C
@@ -160,7 +160,7 @@ func (m *muxState) fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID
 		return lists, err
 	case <-timeout:
 		m.fail(fmt.Errorf("no response within %v: %w",
-			time.Duration(m.t.ioTimeout.Load()), os.ErrDeadlineExceeded))
+			m.t.timeout(), os.ErrDeadlineExceeded))
 		return nil, m.err()
 	}
 }
@@ -233,8 +233,8 @@ func (m *muxState) writeLoop() {
 	for {
 		select {
 		case req := <-m.sendq:
-			m.t.deadline(m.conn.c.SetWriteDeadline)
-			err := writeFrame(m.conn.w, m.conn.version, frameMuxRequest, req.payload, req.corrupt)
+			deadline(m.conn.c.SetWriteDeadline, m.t.timeout())
+			err := writeFrame(m.conn.w, frameMuxRequest, req.payload, req.corrupt)
 			if err == nil && len(m.sendq) == 0 {
 				err = m.conn.w.Flush()
 			}
@@ -273,7 +273,7 @@ func (m *muxState) readLoop() {
 			return
 		default:
 		}
-		typ, payload, err := readFramePooled(m.conn.r, m.conn.version)
+		typ, payload, err := readFramePooled(m.conn.r)
 		if err != nil {
 			if isCorrupt(err) {
 				if met := m.nodeMetrics(m.key.from); met != nil {
@@ -341,7 +341,7 @@ func (m *muxState) readLoop() {
 // slow edge list never head-of-line blocks the exchanges behind it. Worker
 // concurrency is bounded by the client's in-flight window (each outstanding
 // request holds a client-side token).
-func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, version uint8) {
+func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	type resp struct {
 		typ     uint8
 		payload []byte // pooled; the writer returns it
@@ -354,8 +354,8 @@ func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, v
 		broken := false
 		for rp := range respq {
 			if !broken {
-				t.deadline(c.SetWriteDeadline)
-				err := writeFrame(w, version, rp.typ, rp.payload, -1)
+				deadline(c.SetWriteDeadline, t.timeout())
+				err := writeFrame(w, rp.typ, rp.payload, -1)
 				if err == nil && len(respq) == 0 {
 					err = w.Flush()
 				}
@@ -372,7 +372,7 @@ func (t *TCP) serveMux(node int, c net.Conn, r *bufio.Reader, w *bufio.Writer, v
 read:
 	for {
 		c.SetReadDeadline(time.Time{}) // clients legitimately idle between requests
-		typ, payload, err := readFramePooled(r, version)
+		typ, payload, err := readFramePooled(r)
 		if err != nil {
 			if isCorrupt(err) {
 				// A damaged frame may have eaten a request ID; reject at

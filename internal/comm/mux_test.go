@@ -161,7 +161,7 @@ func TestMuxPerRequestError(t *testing.T) {
 	}
 	defer f.Close()
 
-	c, r, w, _ := dialHandshake(t, f.addrs[1])
+	c, r, w := dialHandshake(t, f.addrs[1])
 	defer c.Close()
 
 	// Request 7: CRC-intact, but the inner batch announces 100 ids and
@@ -169,13 +169,13 @@ func TestMuxPerRequestError(t *testing.T) {
 	// per-request.
 	bad := binary.LittleEndian.AppendUint32(nil, 7)
 	bad = binary.LittleEndian.AppendUint32(bad, 100)
-	if err := writeFrame(w, ProtoVersionMax, frameMuxRequest, bad, -1); err != nil {
+	if err := writeFrame(w, frameMuxRequest, bad, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(r, ProtoVersionMax)
+	typ, payload, err := readFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestMuxPerRequestError(t *testing.T) {
 		}
 	}
 	good := encodeMuxIDs(nil, 8, []graph.VertexID{v})
-	if err := writeFrame(w, ProtoVersionMax, frameMuxRequest, good, -1); err != nil {
+	if err := writeFrame(w, frameMuxRequest, good, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(r, ProtoVersionMax)
+	typ, payload, err = readFrame(r)
 	if err != nil || typ != frameMuxResponse {
 		t.Fatalf("valid request after rejection: type %#02x err %v, want MUX_RESPONSE", typ, err)
 	}

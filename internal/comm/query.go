@@ -11,10 +11,9 @@ import (
 
 // Query-plane wire messages. The mining service (internal/service) keeps a
 // cluster resident and serves pattern queries over the same framed, CRC32C-
-// checked wire the fabric speaks. A query connection opens with the usual
-// HELLO/HELLO_ACK handshake — pinned to the multiplexed protocol generation,
-// because the query plane needs many exchanges in flight per connection —
-// and then carries four frame types:
+// checked wire the fabric speaks. A query connection opens with the data
+// plane's HELLO/HELLO_ACK handshake (clientHello/acceptHello) and then
+// carries these frame types:
 //
 //	QUERY_SUBMIT    client → server   query ID + deadline + pattern spec or plan ref
 //	QUERY_PROGRESS  server → client   query ID + running partial count
@@ -367,7 +366,6 @@ const QueryClientNode = 0xFFFFFFFF
 type QueryConn struct {
 	c       net.Conn
 	r       *bufio.Reader
-	version uint8
 	timeout time.Duration // per-write deadline; 0 disables
 
 	wmu sync.Mutex
@@ -386,27 +384,12 @@ func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 	q := &QueryConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), timeout: timeout}
 	// -1 encodes as the QueryClientNode sentinel in the HELLO's u32 node
 	// field.
-	q.deadline(c.SetWriteDeadline)
-	if err := writeFrame(q.w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, -1), -1); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	if err := q.w.Flush(); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: %w", err)
-	}
-	q.deadline(c.SetReadDeadline)
-	typ, payload, err := readFrame(q.r, 0)
+	err = clientHello(c, q.r, q.w, -1, timeout)
 	c.SetReadDeadline(time.Time{})
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
-	if typ != frameHelloAck || len(payload) != 1 || payload[0] < ProtoVersionMin {
-		c.Close()
-		return nil, fmt.Errorf("comm: query handshake: peer cannot speak this protocol generation: %w", ErrVersionMismatch)
-	}
-	q.version = payload[0]
 	return q, nil
 }
 
@@ -416,23 +399,12 @@ func DialQuery(addr string, timeout time.Duration) (*QueryConn, error) {
 // connection closed.
 func AcceptQuery(c net.Conn, timeout time.Duration) (*QueryConn, error) {
 	q := &QueryConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), timeout: timeout}
-	version, err := acceptHello(c, q.r, q.w, q.deadline)
+	err := acceptHello(c, q.r, q.w, timeout)
 	c.SetReadDeadline(time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("comm: query handshake: %w", err)
 	}
-	q.version = version
 	return q, nil
-}
-
-// deadline arms a read or write deadline, or clears it when deadlines are
-// disabled.
-func (q *QueryConn) deadline(set func(time.Time) error) {
-	if q.timeout > 0 {
-		set(time.Now().Add(q.timeout))
-		return
-	}
-	set(time.Time{})
 }
 
 // Close severs the connection, unblocking any parked ReadMsg.
@@ -445,7 +417,7 @@ func (q *QueryConn) Close() error { return q.c.Close() }
 // peer or Close unblocks it. Any non-query frame after the handshake is a
 // protocol violation surfaced as ErrCorruptFrame.
 func (q *QueryConn) ReadMsg() (any, error) {
-	typ, payload, err := readFrame(q.r, q.version)
+	typ, payload, err := readFrame(q.r)
 	if err != nil {
 		return nil, err
 	}
@@ -493,8 +465,8 @@ func (q *QueryConn) writeMsg(typ uint8, encode func([]byte) []byte) error {
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
 	q.buf = encode(q.buf[:0])
-	q.deadline(q.c.SetWriteDeadline)
-	if err := writeFrame(q.w, q.version, typ, q.buf, -1); err != nil {
+	deadline(q.c.SetWriteDeadline, q.timeout)
+	if err := writeFrame(q.w, typ, q.buf, -1); err != nil {
 		return err
 	}
 	return q.w.Flush()

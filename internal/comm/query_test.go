@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"testing"
@@ -242,11 +241,7 @@ func TestQueryConnRejectsSerialPeer(t *testing.T) {
 	}
 	defer c.Close()
 	// A serial-generation HELLO: window [1,2], header version 1.
-	w := bufio.NewWriter(c)
-	if err := writeFrame(w, 1, frameHello, encodeHello(1, 2, 0), -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := c.Write(encodeFrame(1, frameHello, encodeHello(1, 2, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; !errors.Is(err, ErrVersionMismatch) {

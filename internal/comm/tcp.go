@@ -36,7 +36,7 @@ const maxFrameEntries = MaxWireLen / 8
 // TCP is a loopback-socket fabric: each simulated machine runs a responder
 // listening on 127.0.0.1, and every exchange travels in integrity-checked
 // frames (see frame.go) over real TCP connections. Each connection opens
-// with a version handshake; payloads are CRC32C-checked on both ends, so
+// with a HELLO handshake; payloads are CRC32C-checked on both ends, so
 // corruption surfaces as ErrCorruptFrame instead of mis-parsed counts. It
 // exercises genuine serialization, syscalls and kernel buffering — the
 // closest laptop equivalent of the paper's MPI communication subsystem.
@@ -76,11 +76,10 @@ type connKey struct {
 }
 
 type tcpConn struct {
-	mu      sync.Mutex // serializes ping round trips
-	c       net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	version uint8 // negotiated protocol version
+	mu sync.Mutex // serializes ping round trips
+	c  net.Conn
+	r  *bufio.Reader
+	w  *bufio.Writer
 
 	// mux carries the request-multiplexing state of a fetch connection; nil
 	// on ping connections, whose round trips are serialized by mu instead.
@@ -142,15 +141,8 @@ func (t *TCP) SetInFlight(n int) {
 	}
 }
 
-// deadline arms a read or write deadline on c, or clears it when the
-// fabric's IO timeout is disabled.
-func (t *TCP) deadline(set func(time.Time) error) {
-	if d := time.Duration(t.ioTimeout.Load()); d > 0 {
-		set(time.Now().Add(d))
-	} else {
-		set(time.Time{})
-	}
-}
+// timeout returns the fabric's per-operation socket deadline (0 = none).
+func (t *TCP) timeout() time.Duration { return time.Duration(t.ioTimeout.Load()) }
 
 // serveConn performs the server half of the handshake, then serves the
 // connection's multiplexed exchanges (and pings) until it closes.
@@ -176,14 +168,13 @@ func (t *TCP) serveConn(node int, c net.Conn) {
 	}()
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-	// A peer outside the version window, or one that does not lead with a
-	// HELLO, gets no ack: the connection just closes, which its own
+	// A peer of another protocol generation, or one that does not lead with
+	// a HELLO, gets no ack: the connection just closes, which its own
 	// handshake reports as ErrVersionMismatch.
-	version, err := acceptHello(c, r, w, t.deadline)
-	if err != nil {
+	if err := acceptHello(c, r, w, t.timeout()); err != nil {
 		return
 	}
-	t.serveMux(node, c, r, w, version)
+	t.serveMux(node, c, r, w)
 }
 
 // isCorrupt reports whether err is an integrity-check failure (as opposed to
@@ -221,15 +212,15 @@ func (t *TCP) Ping(from, to int) error {
 	}
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	t.deadline(conn.c.SetWriteDeadline)
-	if err := writeFrame(conn.w, conn.version, framePing, nil, -1); err == nil {
+	deadline(conn.c.SetWriteDeadline, t.timeout())
+	if err := writeFrame(conn.w, framePing, nil, -1); err == nil {
 		err = conn.w.Flush()
 	} else {
 		t.dropConn(connKey{from, to, 1}, conn)
 		return fmt.Errorf("comm: ping %d->%d: %w", from, to, err)
 	}
-	t.deadline(conn.c.SetReadDeadline)
-	typ, _, err := readFrame(conn.r, conn.version)
+	deadline(conn.c.SetReadDeadline, t.timeout())
+	typ, _, err := readFrame(conn.r)
 	if err != nil || typ != framePong {
 		t.dropConn(connKey{from, to, 1}, conn)
 		if err == nil {
@@ -286,7 +277,7 @@ func (t *TCP) conn(from, to, class int) (*tcpConn, error) {
 		return nil, fmt.Errorf("comm: dial node %d: %w", to, err)
 	}
 	tc := &tcpConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
-	if err := t.handshake(tc, from); err != nil {
+	if err := clientHello(c, tc.r, tc.w, from, t.timeout()); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("comm: handshake with node %d: %w", to, err)
 	}
@@ -302,33 +293,6 @@ func (t *TCP) conn(from, to, class int) (*tcpConn, error) {
 	t.dialed[key] = true
 	t.conns[key] = tc
 	return tc, nil
-}
-
-// handshake runs the client half of the version negotiation on a fresh
-// connection.
-func (t *TCP) handshake(conn *tcpConn, from int) error {
-	t.deadline(conn.c.SetWriteDeadline)
-	if err := writeFrame(conn.w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, from), -1); err != nil {
-		return err
-	}
-	if err := conn.w.Flush(); err != nil {
-		return err
-	}
-	t.deadline(conn.c.SetReadDeadline)
-	typ, payload, err := readFrame(conn.r, 0)
-	if err != nil {
-		// The server closes without an ack when the windows do not overlap.
-		return fmt.Errorf("%w (%v)", ErrVersionMismatch, err)
-	}
-	if typ != frameHelloAck || len(payload) != 1 {
-		return fmt.Errorf("bad hello ack: %w", ErrCorruptFrame)
-	}
-	v := payload[0]
-	if v < ProtoVersionMin || v > ProtoVersionMax {
-		return fmt.Errorf("server chose unsupported version %d: %w", v, ErrVersionMismatch)
-	}
-	conn.version = v
-	return nil
 }
 
 // Close shuts down listeners and connections.

@@ -15,9 +15,8 @@ import (
 )
 
 // dialHandshake raw-dials a fabric listener and runs the client half of the
-// version negotiation, returning the framed connection and the negotiated
-// version.
-func dialHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer, uint8) {
+// handshake, returning the framed connection.
+func dialHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.Writer) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -25,18 +24,11 @@ func dialHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader, *bufio.W
 	}
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
-	if err := writeFrame(w, ProtoVersionMin, frameHello, encodeHello(ProtoVersionMin, ProtoVersionMax, 0), -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(r, 0)
-	if err != nil || typ != frameHelloAck || len(payload) != 1 {
+	if err := clientHello(c, r, w, 0, 5*time.Second); err != nil {
 		c.Close()
-		t.Fatalf("handshake: typ %#02x payload %d err %v", typ, len(payload), err)
+		t.Fatalf("handshake: %v", err)
 	}
-	return c, r, w, payload[0]
+	return c, r, w
 }
 
 // TestOutdatedPeerIsRejected: a data-plane client from the retired serial
@@ -54,11 +46,8 @@ func TestOutdatedPeerIsRejected(t *testing.T) {
 	defer f.Close()
 
 	hello := func(c net.Conn) error {
-		w := bufio.NewWriter(c)
-		if err := writeFrame(w, 1, frameHello, encodeHello(1, 2, 0), -1); err != nil {
-			return err
-		}
-		return w.Flush()
+		_, err := c.Write(encodeFrame(1, frameHello, encodeHello(1, 2, 0)))
+		return err
 	}
 	c, err := net.Dial("tcp", f.addrs[1])
 	if err != nil {
@@ -69,7 +58,7 @@ func TestOutdatedPeerIsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if typ, _, err := readFrame(bufio.NewReader(c), 0); !errors.Is(err, io.EOF) {
+	if typ, _, err := readFrame(bufio.NewReader(c)); !errors.Is(err, io.EOF) {
 		t.Fatalf("outdated peer read frame %#02x, err %v; want a hang-up without an ack", typ, err)
 	}
 
@@ -79,7 +68,7 @@ func TestOutdatedPeerIsRejected(t *testing.T) {
 	defer srv.Close()
 	sent := make(chan error, 1)
 	go func() { sent <- hello(cli) }()
-	_, err = acceptHello(srv, bufio.NewReader(srv), bufio.NewWriter(srv), func(func(time.Time) error) {})
+	err = acceptHello(srv, bufio.NewReader(srv), bufio.NewWriter(srv), 0)
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("acceptHello: %v, want ErrVersionMismatch", err)
 	}
@@ -104,16 +93,16 @@ func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 	}
 	defer f.Close()
 
-	c, r, w, version := dialHandshake(t, f.addrs[1])
+	c, r, w := dialHandshake(t, f.addrs[1])
 	defer c.Close()
-	if err := writeFrame(w, version, frameRequest, nil, -1); err != nil {
+	if err := writeFrame(w, frameRequest, nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := readFrame(r, version)
+	typ, _, err := readFrame(r)
 	if err != nil {
 		t.Fatalf("server hung up without classifying the violation: %v", err)
 	}

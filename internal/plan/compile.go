@@ -19,12 +19,15 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("plan: pattern is disconnected: %v", pat)
 	}
 
+	// Aut(pat) is computed once: each order's relabeled group is its
+	// conjugate, and the order search prunes by it.
+	auts := pattern.Automorphisms(pat)
 	var orders [][]int
 	switch opts.Style {
 	case StyleAutomine:
 		orders = [][]int{automineOrder(pat)}
 	case StyleGraphPi:
-		orders = connectedOrders(pat)
+		orders = connectedOrders(pat, auts)
 	default:
 		return nil, fmt.Errorf("plan: unknown style %v", opts.Style)
 	}
@@ -40,7 +43,7 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 
 	var best *Plan
 	for _, order := range orders {
-		p, err := buildForOrder(pat, order, opts, descending)
+		p, err := buildForOrder(pat, auts, order, opts, descending)
 		if err != nil {
 			return nil, err
 		}
@@ -63,8 +66,9 @@ func MustCompile(pat *pattern.Pattern, opts Options) *Plan {
 }
 
 // buildForOrder compiles a plan for one fixed matching order, its
-// restrictions pointing down the vertex IDs when descending is set.
-func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending bool) (*Plan, error) {
+// restrictions pointing down the vertex IDs when descending is set. auts is
+// Aut(pat).
+func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options, descending bool) (*Plan, error) {
 	k := pat.NumVertices()
 	// q is the pattern relabeled so that position i of the matching order is
 	// vertex i of q.
@@ -99,15 +103,20 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 	// scheme on the relabeled pattern: for each position i, one restriction
 	// per element j of i's orbit under the pointwise stabilizer of positions
 	// <i. The stabilizer fixes every position before i, so j > i, and the
-	// restriction bounds level j by position i.
-	auts := pattern.Automorphisms(q)
+	// restriction bounds level j by position i. Aut(q) is Aut(pat) conjugated
+	// by the order — σ moves position i to pos[σ(order[i])] — so the chain
+	// reads Aut(pat) through that map instead of building Aut(q).
+	pos := make([]int, k)
+	for i, v := range order {
+		pos[v] = i
+	}
 	p.AutSize = len(auts)
 	if !opts.DisableSymmetryBreak {
 		group := auts
-		for i := 0; i < k; i++ {
+		for i, v := range order {
 			inOrbit := make([]bool, k)
 			for _, sigma := range group {
-				inOrbit[sigma[i]] = true
+				inOrbit[pos[sigma[v]]] = true
 			}
 			for j := 0; j < k; j++ {
 				if j != i && inOrbit[j] {
@@ -117,7 +126,7 @@ func buildForOrder(pat *pattern.Pattern, order []int, opts Options, descending b
 			}
 			var next [][]int
 			for _, sigma := range group {
-				if sigma[i] == i {
+				if sigma[v] == v {
 					next = append(next, sigma)
 				}
 			}
@@ -254,19 +263,24 @@ func automineOrder(pat *pattern.Pattern) []int {
 	return order
 }
 
-// connectedOrders enumerates every matching order whose prefixes are all
-// connected. Pattern sizes are tiny, so exhaustive enumeration is cheap.
-func connectedOrders(pat *pattern.Pattern) [][]int {
+// connectedOrders enumerates the matching orders whose prefixes are all
+// connected, one per class of orders an automorphism of pat maps onto each
+// other: those compile to the same relabeled pattern, so to the same plan
+// and cost. A vertex is tried at a position only when no automorphism fixing
+// the prefix maps it to a smaller vertex, which keeps exactly the
+// lexicographically first order of each class. auts is Aut(pat).
+func connectedOrders(pat *pattern.Pattern, auts [][]int) [][]int {
 	k := pat.NumVertices()
 	var out [][]int
 	order := make([]int, 0, k)
 	used := make([]bool, k)
-	var rec func()
-	rec = func() {
+	var rec func(stab [][]int)
+	rec = func(stab [][]int) {
 		if len(order) == k {
 			out = append(out, append([]int(nil), order...))
 			return
 		}
+	next:
 		for v := 0; v < k; v++ {
 			if used[v] {
 				continue
@@ -283,14 +297,23 @@ func connectedOrders(pat *pattern.Pattern) [][]int {
 					continue
 				}
 			}
+			var fixing [][]int
+			for _, sigma := range stab {
+				if sigma[v] < v {
+					continue next
+				}
+				if sigma[v] == v {
+					fixing = append(fixing, sigma)
+				}
+			}
 			used[v] = true
 			order = append(order, v)
-			rec()
+			rec(fixing)
 			order = order[:len(order)-1]
 			used[v] = false
 		}
 	}
-	rec()
+	rec(auts)
 	return out
 }
 

@@ -225,9 +225,7 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 		src = raw
 	}
 	if lv.FilterOnce && s.runs != nil && labelOf != nil {
-		if cands, ok := p.siblingCandidates(s, level, emb, getList, parentRaw, labelOf, lo, hi); ok {
-			return cands, raw
-		}
+		return p.siblingCandidates(s, level, emb, getList, parentRaw, labelOf, lo, hi), raw
 	}
 	cands = p.Candidates(s, level, emb, src, getList, labelOf, lo, hi)
 	return p.FilterEdgeLabels(level, emb, cands, edgeLabelOf), raw
@@ -253,10 +251,10 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	// x ∩ l is the raw intersection; pair is false when x alone already is.
 	var x, l []graph.VertexID
 	pair := false
-	switch reuse := p.VCS && parentRaw != nil; {
-	case reuse && lv.ReuseExtend:
+	switch {
+	case lv.ReuseExtend:
 		x, l, pair = parentRaw, getList(level-1), true
-	case len(lv.Intersect) == 2 && !(reuse && lv.ReuseSame):
+	case len(lv.Intersect) == 2 && !lv.ReuseSame:
 		x, l, pair = getList(lv.Intersect[0]), getList(lv.Intersect[1]), true
 	default:
 		x = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
@@ -299,15 +297,15 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 // what it did without the mark; the second marks the shared operand x — the
 // parent's stored raw, or the list at Intersect[0] — and it and every later
 // child count by probing their own list (CountProbe). ok is false where the
-// sorted path counts the child instead: the first of its run, an absent stored
-// raw, or a run whose x is too wide to mark.
+// sorted path counts the child instead: the first of its run, or a run whose
+// x is too wide to mark.
 //
 //khuzdulvet:hotpath once per child of a probed level
 func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) (int, bool) {
 	lv := &p.Levels[level]
-	reuse := p.VCS && (lv.ReuseExtend || lv.ReuseSame)
+	reuse := lv.ReuseExtend || lv.ReuseSame
 	s.runKids++
-	if s.runKids == 1 || reuse && parentRaw == nil {
+	if s.runKids == 1 {
 		return 0, false
 	}
 	if s.runKids == 2 {
@@ -354,19 +352,15 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 // vertices the run shares: the label tests Candidates would make for it.
 // Every later child tests no label at all. A child whose sibling vertex is
 // excluded drops it from a copy; any other gets the filtered slice itself,
-// which no one may write. ok is false where Candidates must filter the child
-// instead: under ReuseSame with no stored raw over a multi-list Intersect.
+// which no one may write.
 //
 //khuzdulvet:hotpath once per child of a filter-once level
-func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) ([]graph.VertexID, bool) {
+func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
 	f := s.runs.Filtered[level]
 	if s.filtLevel != level {
 		x := parentRaw
-		if !p.VCS || !lv.ReuseSame || parentRaw == nil {
-			if len(lv.Intersect) != 1 {
-				return nil, false
-			}
+		if !lv.ReuseSame {
 			x = getList(lv.Intersect[0])
 		}
 		// The Exclude vertices before position level−1 are the run's: no
@@ -390,16 +384,16 @@ func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, ge
 	// The one Exclude position the filter left is level−1, the vertex this
 	// child's embedding differs from its siblings' in.
 	if !containsInt(lv.Exclude, level-1) {
-		return f[:len(f):len(f)], true
+		return f[:len(f):len(f)]
 	}
 	i, found := slices.BinarySearch(f, emb[level-1])
 	if !found {
-		return f[:len(f):len(f)], true
+		return f[:len(f):len(f)]
 	}
 	out := append(s.cand[level][:0], f[:i]...)
 	out = append(out, f[i+1:]...)
 	s.cand[level] = out
-	return out, true
+	return out
 }
 
 // RawIntersect computes the raw candidate intersection for the given level:
@@ -408,20 +402,19 @@ func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, ge
 // vertical-computation-sharing annotations. Three or more lists are
 // intersected pairwise, the running result narrowed by each further list.
 // getList(pos) must return the sorted edge list of the vertex matched at
-// position pos. parentRaw is the intersection stored by the parent level (nil
-// if none). The result may alias getList output, parentRaw, or scratch
-// storage; callers that retain it across further calls must copy.
+// position pos. parentRaw is the intersection the parent level stored, which
+// a ReuseSame or ReuseExtend level reads. The result may alias getList
+// output, parentRaw, or scratch storage; callers that retain it across
+// further calls must copy.
 func (p *Plan) RawIntersect(s *Scratch, level int, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.Levels[level]
 	d := &s.disp
-	if p.VCS && parentRaw != nil {
-		if lv.ReuseSame {
-			return setops.Clip(parentRaw, lo, hi)
-		}
-		if lv.ReuseExtend {
-			s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), lo, hi)
-			return s.interA[level]
-		}
+	if lv.ReuseSame {
+		return setops.Clip(parentRaw, lo, hi)
+	}
+	if lv.ReuseExtend {
+		s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), lo, hi)
+		return s.interA[level]
 	}
 	if len(lv.Intersect) == 1 {
 		return setops.Clip(getList(lv.Intersect[0]), lo, hi)

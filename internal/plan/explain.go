@@ -54,12 +54,12 @@ func (p *Plan) Explain() string {
 			p.explainDense(&sb, i, indent(i-1))
 			continue
 		}
-		var set string
+		var set, reuse string
 		switch {
 		case lv.ReuseSame:
-			set = fmt.Sprintf("R%d  # reuse parent intersection (VCS)", i-1)
+			set, reuse = fmt.Sprintf("R%d", i-1), "reuse"
 		case lv.ReuseExtend:
-			set = fmt.Sprintf("R%d ∩ N(v%d)  # extend parent intersection (VCS)", i-1, i-1)
+			set, reuse = fmt.Sprintf("R%d ∩ N(v%d)", i-1, i-1), "extend"
 		default:
 			terms := make([]string, len(lv.Intersect))
 			for j, pos := range lv.Intersect {
@@ -73,6 +73,9 @@ func (p *Plan) Explain() string {
 				subs[j] = fmt.Sprintf("N(v%d)", pos)
 			}
 			set += " \\ (" + strings.Join(subs, " ∪ ") + ")"
+		}
+		if reuse != "" {
+			set += "  # " + reuse + " parent intersection (VCS)"
 		}
 		fmt.Fprintf(&sb, "%sfor v%d in %s:", indent(i-1), i, set)
 		// The bounds clip every input list before the kernel reads it, unless
@@ -120,7 +123,9 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "%scount C(%s, %d) per %s — levels %d–%d folded (count-only)\n",
 			indent(f-1), p.foldSetSize(), p.Fold, prefixTuple(f), f, p.K-1)
 	}
-	sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
+	if p.Levels[p.K-1].CountOnly || p.Fold > 0 || p.Dense {
+		sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
+	}
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
 }
@@ -129,7 +134,7 @@ func (p *Plan) Explain() string {
 // filters: the parent's stored intersection, or the list at Intersect[0].
 func (p *Plan) sharedOperand(i int) string {
 	lv := &p.Levels[i]
-	if p.VCS && (lv.ReuseExtend || lv.ReuseSame) {
+	if lv.ReuseExtend || lv.ReuseSame {
 		return fmt.Sprintf("R%d", i-1)
 	}
 	return fmt.Sprintf("N(v%d)", lv.Intersect[0])

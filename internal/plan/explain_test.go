@@ -92,10 +92,47 @@ final level needs no edge lists: candidates are counted directly
 	}
 }
 
+// TestExplainCountOnlyNote: the closing note appears exactly where a
+// count-only run counts the last level — not after a labeled level, nor
+// after an induced level with two subtractions, both of which materialize.
 func TestExplainCountOnlyNote(t *testing.T) {
-	pl := MustCompile(pattern.Triangle(), Options{Style: StyleAutomine})
-	if s := pl.Explain(); !strings.Contains(s, "counted directly") {
-		t.Errorf("Explain missing count-only note:\n%s", s)
+	for _, c := range []struct {
+		pat  *pattern.Pattern
+		opts Options
+		want bool
+	}{
+		{pattern.Triangle(), Options{Style: StyleAutomine}, true},
+		{pattern.StarP(4), Options{Style: StyleGraphPi, Induced: true}, false},
+		{pattern.PathP(3).WithLabels([]graph.Label{1, 2, 3}), Options{Style: StyleAutomine}, false},
+	} {
+		s := MustCompile(c.pat, c.opts).Explain()
+		if got := strings.Contains(s, "counted directly"); got != c.want {
+			t.Errorf("%v: count-only note %v, want %v:\n%s", c.pat, got, c.want, s)
+		}
+	}
+}
+
+// TestExplainInducedReuse pins an induced plan whose levels reuse the parent's
+// stored set: the subtraction belongs to the set expression, before the
+// reuse annotation.
+func TestExplainInducedReuse(t *testing.T) {
+	pl := MustCompile(pattern.StarP(4), Options{Style: StyleGraphPi, Induced: true})
+	want := `pattern: pattern{n=4 edges=0-1 0-2 0-3}
+system:  graphpi   matching order: [0 1 2 3]   |Aut| = 6
+mode:    induced (motif semantics)
+restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # store R1, fetch N(v1) — active
+    for v2 in R1 \ (N(v1))  # reuse parent intersection (VCS):    # v2 > v1, clip lb=[1], store R2, fetch N(v2) — active
+      for v3 in R2 \ (N(v1) ∪ N(v2))  # reuse parent intersection (VCS):    # v3 > v1, v3 > v2, clip lb=[1 2]
+        emit(v0..v3)
+`
+	got := pl.Explain()
+	if i := strings.Index(got, "estimated cost:"); i >= 0 {
+		got = got[:i]
+	}
+	if got != want {
+		t.Errorf("Explain =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -323,9 +323,9 @@ func (p *Plan) probeable(i int) bool {
 		subs = len(lv.Exclude)
 	}
 	switch {
-	case p.VCS && lv.ReuseExtend:
+	case lv.ReuseExtend:
 		return subs == 0
-	case p.VCS && lv.ReuseSame:
+	case lv.ReuseSame:
 		return subs == 1
 	default:
 		return len(lv.Intersect) == 2 && lv.Intersect[0] <= i-2 && subs == 0
@@ -344,7 +344,7 @@ func (p *Plan) filterable(i int) bool {
 	if i < 2 || !p.Labeled() || p.Induced || p.EdgeLabeled || containsInt(lv.Bounds, i-1) {
 		return false
 	}
-	return p.VCS && lv.ReuseSame || len(lv.Intersect) == 1 && lv.Intersect[0] <= i-2
+	return lv.ReuseSame || len(lv.Intersect) == 1 && lv.Intersect[0] <= i-2
 }
 
 // String renders a compact human-readable schedule.
@@ -433,6 +433,14 @@ func (p *Plan) Validate() error {
 		}
 		if lv.ReuseSame && lv.ReuseExtend {
 			return fmt.Errorf("plan: level %d has both reuse modes", i)
+		}
+		// A reuse level reads the raw its parent stored and never rebuilds
+		// it from the lists: the parent must store one, which takes VCS.
+		if (lv.ReuseSame || lv.ReuseExtend || lv.StoreInter) && !p.VCS {
+			return fmt.Errorf("plan: level %d reuses or stores an intersection with vertical computation sharing off", i)
+		}
+		if (lv.ReuseSame || lv.ReuseExtend) && (i < 2 || !p.Levels[i-1].StoreInter) {
+			return fmt.Errorf("plan: level %d reuses an intersection its parent level does not store", i)
 		}
 		// Distinctness tests only the excluded positions, so they must be
 		// every earlier position the level does not intersect.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"khuzdul/internal/graph"
 	"khuzdul/internal/pattern"
@@ -315,6 +316,26 @@ func TestGraphPiOrderBeatsOrEqualsAutomine(t *testing.T) {
 	}
 }
 
+// TestGraphPiCliqueCompileBounded: GraphPi's order search visits one order
+// per automorphism class, so a clique, whose every order is one class,
+// compiles in a single plan build instead of k! of them.
+func TestGraphPiCliqueCompileBounded(t *testing.T) {
+	for _, k := range []int{7, 8} {
+		start := time.Now()
+		p := compile(t, pattern.Clique(k), Options{Style: StyleGraphPi})
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("K%d: GraphPi compile took %v, want under 1s", k, d)
+		}
+		// The lexicographically first order survives the pruning.
+		for i, v := range p.Order {
+			if v != i {
+				t.Errorf("K%d: order %v, want the identity", k, p.Order)
+				break
+			}
+		}
+	}
+}
+
 func TestVisitRootEmitsValidEmbeddings(t *testing.T) {
 	g := graph.RMATDefault(40, 160, 8)
 	pat := pattern.TailedTriangle()
@@ -374,6 +395,23 @@ func TestPlanStringAndValidate(t *testing.T) {
 	bad.Order = []int{0, 0, 1, 2}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate accepted non-permutation order")
+	}
+	// A reuse level reads its parent's stored raw, so reuse and store flags
+	// need VCS on, and a reuse level needs a parent that stores.
+	star := MustCompile(pattern.StarP(4), Options{Style: StyleAutomine})
+	if !star.Levels[2].ReuseSame || !star.Levels[1].StoreInter {
+		t.Fatalf("3-star level 2 does not reuse R1: %v", star)
+	}
+	for name, corrupt := range map[string]func(*Plan){
+		"reuse with VCS off":      func(p *Plan) { p.VCS = false },
+		"reuse of an unstored R1": func(p *Plan) { p.Levels[1].StoreInter = false },
+	} {
+		bad := *star
+		bad.Levels = append([]Level(nil), star.Levels...)
+		corrupt(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted %s: %v", name, &bad)
+		}
 	}
 }
 

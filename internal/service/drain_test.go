@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"khuzdul/internal/apps"
 	"khuzdul/internal/comm"
 	"khuzdul/internal/leakcheck"
 )
@@ -217,6 +218,30 @@ func TestQueryDeadlineExceeded(t *testing.T) {
 	}
 	if n := m.QueriesCanceled.Load(); n != 0 {
 		t.Fatalf("QueriesCanceled = %d, want 0 (deadline has its own status)", n)
+	}
+}
+
+// TestGraphPiCliqueWithinDeadline: compiling runs after admission and no
+// deadline can interrupt it, so a GraphPi compile must itself be bounded —
+// a K8 query completes well inside its deadline instead of holding an
+// admission slot through a factorial order search.
+func TestGraphPiCliqueWithinDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	_, srv := newTestServer(t, fastClusterConfig(), Config{MaxConcurrent: 1, WorkerBudget: 1})
+	cli, err := Dial(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	const deadline = 5 * time.Second
+	start := time.Now()
+	out, err := cli.Run(Spec{Pattern: "K8", System: apps.KGraphPi, Deadline: deadline})
+	if err != nil {
+		t.Fatalf("K8 GraphPi query: err %v (outcome %+v)", err, out)
+	}
+	if elapsed := time.Since(start); elapsed > deadline {
+		t.Fatalf("K8 GraphPi query returned after %v, deadline %v", elapsed, deadline)
 	}
 }
 
