@@ -195,7 +195,7 @@ func taskBytes(g *graph.Graph, pl *plan.Plan, asg partition.Assignment, dst int,
 	bytes := 4 * uint64(len(t.emb)+1)
 	// The next extension (matching position level+1 at dst) needs the lists
 	// of these positions; any not owned by dst must ride along.
-	for _, pos := range pl.Levels[level+1].Intersect {
+	for _, pos := range pl.Level(level + 1).Intersect() {
 		v := t.emb[pos]
 		if asg.Owner(v) != dst {
 			bytes += 4 + 4*uint64(g.Degree(v))

@@ -224,8 +224,8 @@ func TestCompileOptionsForwarded(t *testing.T) {
 			t.Fatal(err)
 		}
 		bounds := 0
-		for _, lv := range pl.Levels {
-			bounds += len(lv.Bounds)
+		for i := 0; i < pl.K; i++ {
+			bounds += len(pl.Level(i).Bounds())
 		}
 		if pl.VCS || bounds != 0 {
 			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS, bounds)

@@ -80,7 +80,7 @@ func BenchmarkExtendEngineLabeledStar(b *testing.B) {
 	}
 	pl := plan.MustCompile(pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1}),
 		plan.Options{Style: plan.StyleAutomine, DisableSymmetryBreak: true, Stats: plan.StatsOf(g)})
-	if !pl.Levels[2].FilterOnce || !pl.Levels[3].FilterOnce {
+	if !pl.Level(2).FilterOnce() || !pl.Level(3).FilterOnce() {
 		b.Fatalf("3-star leaves not filtered once per run: %v", pl)
 	}
 	var tests, matches uint64

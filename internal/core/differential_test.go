@@ -93,8 +93,8 @@ func TestDifferentialCountPaths(t *testing.T) {
 						}
 						pl := plan.MustCompile(pat, plan.Options{Style: plan.StyleGraphPi, Induced: induced, DisableVCS: !vcs, Stats: stats})
 						restricted := false
-						for _, lv := range pl.Levels {
-							restricted = restricted || len(lv.Bounds) > 0
+						for i := 0; i < pl.K; i++ {
+							restricted = restricted || len(pl.Level(i).Bounds()) > 0
 						}
 						if pl.Descending != (descending && restricted) {
 							t.Fatalf("%s: plan.Descending = %v", name, pl.Descending)
@@ -120,10 +120,10 @@ func TestDifferentialCountPaths(t *testing.T) {
 							// unless a star tail folds, which ends the walk at the
 							// fold level with fewer extensions.
 							cs, bs := cm.Summarize(), bm.Summarize()
-							if cs.Matches != bs.Matches || (cs.Extensions == bs.Extensions) != (pl.Fold == 0) || cs.Extensions > bs.Extensions ||
-								pl.Fold == 0 && (cs.VerticalHits != bs.VerticalHits || threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
+							if cs.Matches != bs.Matches || (cs.Extensions == bs.Extensions) != (pl.Fold() == 0) || cs.Extensions > bs.Extensions ||
+								pl.Fold() == 0 && (cs.VerticalHits != bs.VerticalHits || threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
 								t.Errorf("%s threads=%d fold=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
-									name, threads, pl.Fold, cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
+									name, threads, pl.Fold(), cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
 									bs.Matches, bs.Extensions, bs.VerticalHits, bs.PeakEmbeddings)
 							}
 							counting[0] += cs.KernelMerge
@@ -164,8 +164,7 @@ func hubbedRMAT() *graph.Graph {
 // must subtract the earlier matched vertices it finds in the anchor's list).
 // The chunk sizes put the fold level's parents in one chunk and in many. A
 // fold that did not fire shows as an extension count no lower than the
-// materializing run's; the hand-built last case — a bound from outside the
-// tail — must not fire. The folding engines are bare ones, a CountSink under
+// materializing run's. The folding engines are bare ones, a CountSink under
 // core.NewPlanExtender and nothing else, and must take exactly the
 // extensions cluster.Count takes.
 func TestDifferentialFoldedPlans(t *testing.T) {
@@ -188,7 +187,7 @@ func TestDifferentialFoldedPlans(t *testing.T) {
 	}
 	check := func(name string, pl *plan.Plan, want uint64, fold int) {
 		t.Helper()
-		if pl.Fold != fold {
+		if pl.Fold() != fold {
 			t.Fatalf("%s: %v, want fold=%d", name, pl, fold)
 		}
 		if ref := plan.CountGraph(pl, g); ref != want {
@@ -234,22 +233,6 @@ func TestDifferentialFoldedPlans(t *testing.T) {
 		}
 	}
 
-	// A 3-star whose last level is also bounded by the root: v3 against v0 is
-	// a bound from outside the tail that level 1 does not carry, so the tail's
-	// candidate sets are no longer nested in level 1's and nothing may fold.
-	pl := plan.MustCompile(pattern.StarP(4), plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
-	pl.Levels[3].Bounds = append([]int{0}, pl.Levels[3].Bounds...)
-	for _, r := range []int{2, 3} {
-		pl.Fold = r
-		if err := pl.Validate(); err == nil {
-			t.Errorf("Validate accepted %v", pl)
-		}
-	}
-	pl.Fold = 0
-	if err := pl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	check("3-star with an outside bound", pl, plan.CountGraph(pl, g), 0)
 }
 
 // TestBareEngineFoldExactOrLoud is cluster's TestFoldedCountExactOrLoud on a
@@ -313,7 +296,7 @@ func TestDifferentialDensePlans(t *testing.T) {
 				continue
 			}
 			for _, st := range styles {
-				if plan.MustCompile(pat, plan.Options{Style: st, Stats: plan.StatsOf(g)}).Dense {
+				if plan.MustCompile(pat, plan.Options{Style: st, Stats: plan.StatsOf(g)}).Dense() {
 					pats = append(pats, pat)
 					nonCliques++
 					break
@@ -335,12 +318,12 @@ func TestDifferentialDensePlans(t *testing.T) {
 				}
 				pl := plan.MustCompile(pat, plan.Options{Style: st, Stats: stats})
 				clique := pat.NumEdges() == pl.K*(pl.K-1)/2
-				if !clique && !pl.Dense {
+				if !clique && !pl.Dense() {
 					continue // a non-clique the compiler marks dense only elsewhere
 				}
 				name := fmt.Sprintf("%v/%v/descending=%v", pat, st, descending)
-				if clique && pl.Dense != (pl.K >= 4) {
-					t.Fatalf("%s: Dense = %v: %v", name, pl.Dense, pl)
+				if clique && pl.Dense() != (pl.K >= 4) {
+					t.Fatalf("%s: Dense = %v: %v", name, pl.Dense(), pl)
 				}
 				if ref := plan.CountGraph(pl, g); ref != want {
 					t.Errorf("%s: executor %d, brute force %d", name, ref, want)
@@ -358,11 +341,11 @@ func TestDifferentialDensePlans(t *testing.T) {
 								t.Errorf("%s threads=%d chunk=%d sink=%d: %d matches (%d counted), brute force %d",
 									name, threads, chunk, mode, got, s.Matches, want)
 							}
-							if (s.KernelBitmap > 0) != pl.Dense {
+							if (s.KernelBitmap > 0) != pl.Dense() {
 								t.Errorf("%s threads=%d chunk=%d sink=%d: %d bitmap kernels on a plan with Dense = %v",
-									name, threads, chunk, mode, s.KernelBitmap, pl.Dense)
+									name, threads, chunk, mode, s.KernelBitmap, pl.Dense())
 							}
-							if pl.Dense && s.Extensions > uint64(g.NumVertices())+2*uint64(g.NumEdges()) {
+							if pl.Dense() && s.Extensions > uint64(g.NumVertices())+2*uint64(g.NumEdges()) {
 								t.Errorf("%s threads=%d chunk=%d sink=%d: %d extensions, past one per root and per level-1 embedding",
 									name, threads, chunk, mode, s.Extensions)
 							}
@@ -442,7 +425,7 @@ func TestDifferentialProbeLevels(t *testing.T) {
 				}
 				pl := plan.MustCompile(c.pat, plan.Options{Style: plan.StyleAutomine, Induced: c.induced, DisableVCS: !vcs, Stats: stats})
 				name := fmt.Sprintf("%s/%v/induced=%v/descending=%v/vcs=%v", in.name, c.pat, c.induced, descending, vcs)
-				probed := pl.Levels[pl.K-1].Probe
+				probed := pl.Level(pl.K - 1).Probe()
 				if probed != (vcs || !c.induced) {
 					t.Fatalf("%s: last level Probe = %v: %v", name, probed, pl)
 				}
@@ -517,9 +500,8 @@ func spreadIDs(g *graph.Graph) *graph.Graph {
 // in both styles, and across what splits one parent's children into several
 // runs — ChunkSize 8, MiniBatch 1, three workers, four nodes — under a
 // count-only and a materializing sink. The engines' label oracle counts its
-// calls: a plan with a filtered level must call it fewer times than the same
-// plan with its flags cleared, which tests each child's candidates, on the
-// same run.
+// calls: a plan with a filtered level must call it fewer times than the
+// executor, which lends no run storage and so tests each child's candidates.
 func TestDifferentialFilterOnce(t *testing.T) {
 	g0 := hubbedRMAT()
 	g, err := g0.WithLabels(graph.RandomLabels(g0.NumVertices(), 2, 20230326))
@@ -558,15 +540,21 @@ func TestDifferentialFilterOnce(t *testing.T) {
 					if !symmetry {
 						per = uint64(pl.AutSize)
 					}
-					if ref := plan.CountGraph(pl, g); ref != want*per {
-						t.Errorf("%s: executor %d, brute force %d × %d", name, ref, want, per)
-					}
-					cleared := *pl
-					cleared.Levels = append([]plan.Level(nil), pl.Levels...)
 					flagged := false
-					for i := range cleared.Levels {
-						flagged = flagged || cleared.Levels[i].FilterOnce
-						cleared.Levels[i].FilterOnce = false
+					for i := 0; i < pl.K; i++ {
+						flagged = flagged || pl.Level(i).FilterOnce()
+					}
+					// The executor lends no run storage, so it tests each
+					// child's candidates at every level.
+					calls.Store(0)
+					ex := plan.NewExecutor(pl, g.Neighbors, counting)
+					var ref uint64
+					for v := 0; v < g.NumVertices(); v++ {
+						ref += ex.CountRoot(graph.VertexID(v))
+					}
+					each := calls.Load()
+					if ref != want*per {
+						t.Errorf("%s: executor %d, brute force %d × %d", name, ref, want, per)
 					}
 					if !flagged {
 						continue
@@ -581,11 +569,9 @@ func TestDifferentialFilterOnce(t *testing.T) {
 										run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d mini=%d sink=%d", name, nodes, threads, chunk, mini, mode)
 										calls.Store(0)
 										got, _ := runClusterLabels(t, g, pl, counting, nodes, cfg, mode)
-										once := calls.Swap(0)
-										ref, _ := runClusterLabels(t, g, &cleared, counting, nodes, cfg, mode)
-										each := calls.Load()
-										if got != want*per || ref != want*per {
-											t.Errorf("%s: filtered once %d, per child %d, brute force %d × %d", run, got, ref, want, per)
+										once := calls.Load()
+										if got != want*per {
+											t.Errorf("%s: filtered once %d, brute force %d × %d", run, got, want, per)
 										}
 										if once >= each {
 											t.Errorf("%s: %d label tests filtering once per run, %d per child", run, once, each)

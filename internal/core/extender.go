@@ -80,11 +80,11 @@ func (e *PlanExtender) K() int { return e.Plan.K }
 // NeedsList implements Extender. A dense plan reads no list past level 1:
 // deeper levels AND the rows that level-1 embeddings built from theirs.
 func (e *PlanExtender) NeedsList(level int) bool {
-	return e.Plan.Levels[level].NeedsList && !(e.Plan.Dense && level >= 2)
+	return e.Plan.Level(level).NeedsList() && !(e.Plan.Dense() && level >= 2)
 }
 
 // StoreInter implements Extender.
-func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Levels[level].StoreInter }
+func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Level(level).StoreInter() }
 
 // Extend implements Extender. It runs once per extendable embedding, so it
 // is the hottest code in the repository.
@@ -96,7 +96,7 @@ func (e *PlanExtender) Extend(s *plan.Scratch, level int, emb []graph.VertexID, 
 
 // Dense implements Extender.
 func (e *PlanExtender) Dense() *plan.Plan {
-	if e.Plan.Dense {
+	if e.Plan.Dense() {
 		return e.Plan
 	}
 	return nil

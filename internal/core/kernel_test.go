@@ -39,7 +39,7 @@ func TestEngineKernelCountersFlow(t *testing.T) {
 	// only the count-only run probes.
 	tri := plan.MustCompile(pattern.Triangle(),
 		plan.Options{Style: plan.StyleGraphPi, DisableVCS: true, Stats: plan.StatsOf(g)})
-	if !tri.Levels[2].Probe {
+	if !tri.Level(2).Probe() {
 		t.Fatalf("triangle's last level not probed: %v", tri)
 	}
 	wantTri := plan.BruteForceCount(g, pattern.Triangle(), false)

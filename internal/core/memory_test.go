@@ -54,7 +54,7 @@ func TestBoundedMemoryClaim(t *testing.T) {
 func TestDenseRowsBounded(t *testing.T) {
 	g := graph.RMAT(2000, 16000, 0.65, 0.12, 0.12, 20230325)
 	pl := plan.MustCompile(pattern.Clique(5), plan.Options{Style: plan.StyleGraphPi, Stats: plan.StatsOf(g)})
-	if !pl.Dense {
+	if !pl.Dense() {
 		t.Fatalf("K5 not dense: %v", pl)
 	}
 	want := plan.CountGraph(pl, g)
@@ -104,7 +104,7 @@ func TestMarkSetBounded(t *testing.T) {
 	small := twoHubRMAT()
 	g := spreadIDs(small)
 	pl := plan.MustCompile(pattern.Triangle(), plan.Options{Style: plan.StyleAutomine, Stats: plan.StatsOf(g)})
-	if !pl.Levels[2].Probe || !pl.Levels[1].ClipStore {
+	if !pl.Level(2).Probe() || !pl.Level(1).ClipStore() {
 		t.Fatalf("triangle's last level does not probe a clipped R1: %v", pl)
 	}
 	limit := markWordCap()

@@ -37,10 +37,12 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		stats = GraphStats{NumVertices: 1 << 20, AvgDegree: 16}
 	}
 
-	// Pointing the restrictions down instead of up is free (see Level.Bounds);
+	// Pointing the restrictions down instead of up is free (see Level.bounds);
 	// it pays when the graph's down-neighborhoods are the smaller ones.
 	descending := stats.DownSq < stats.UpSq
 
+	// Each order is scored by the cost model, which reads only its sets,
+	// bounds and reuse relations; the winner alone is derived.
 	var best *Plan
 	for _, order := range orders {
 		p, err := buildForOrder(pat, auts, order, opts, descending)
@@ -53,6 +55,7 @@ func Compile(pat *pattern.Pattern, opts Options) (*Plan, error) {
 		}
 	}
 	best.UpSq, best.DownSq = stats.UpSq, stats.DownSq
+	best.derive()
 	return best, nil
 }
 
@@ -65,11 +68,26 @@ func MustCompile(pat *pattern.Pattern, opts Options) *Plan {
 	return p
 }
 
-// buildForOrder compiles a plan for one fixed matching order, its
-// restrictions pointing down the vertex IDs when descending is set. auts is
-// Aut(pat).
+// buildForOrder builds the matching of the plan for pat in one fixed
+// order: each level's intersect, exclude and edge labels read off the
+// relabeled pattern, and its bounds off the stabilizer chain, pointing down
+// the vertex IDs when descending is set. It rejects an order that is not a
+// permutation of pat's vertices or has a disconnected prefix. auts is
+// Aut(pat). The plan's annotations are left to derive.
 func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options, descending bool) (*Plan, error) {
 	k := pat.NumVertices()
+	pos, seen := make([]int, k), make([]bool, k)
+	perm := len(order) == k
+	for i, v := range order {
+		if !perm || v < 0 || v >= k || seen[v] {
+			perm = false
+			break
+		}
+		seen[v], pos[v] = true, i
+	}
+	if !perm {
+		return nil, fmt.Errorf("plan: order %v is not a permutation of %d vertices", order, k)
+	}
 	// q is the pattern relabeled so that position i of the matching order is
 	// vertex i of q.
 	q := pat.Relabel(order)
@@ -78,7 +96,8 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 		Pattern: pat,
 		Order:   append([]int(nil), order...),
 		K:       k,
-		Levels:  make([]Level, k),
+		levels:  make([]Level, k),
+		AutSize: len(auts),
 		Induced: opts.Induced,
 		VCS:     !opts.DisableVCS,
 		Style:   opts.Style,
@@ -86,15 +105,15 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 
 	// Per-level set operations.
 	for i := 1; i < k; i++ {
-		lv := &p.Levels[i]
+		lv := &p.levels[i]
 		for j := 0; j < i; j++ {
 			if q.HasEdge(j, i) {
-				lv.Intersect = append(lv.Intersect, j)
+				lv.intersect = append(lv.intersect, j)
 			} else {
-				lv.Exclude = append(lv.Exclude, j)
+				lv.exclude = append(lv.exclude, j)
 			}
 		}
-		if len(lv.Intersect) == 0 {
+		if len(lv.intersect) == 0 {
 			return nil, fmt.Errorf("plan: order %v has disconnected prefix at %d", order, i)
 		}
 	}
@@ -106,11 +125,6 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 	// restriction bounds level j by position i. Aut(q) is Aut(pat) conjugated
 	// by the order — σ moves position i to pos[σ(order[i])] — so the chain
 	// reads Aut(pat) through that map instead of building Aut(q).
-	pos := make([]int, k)
-	for i, v := range order {
-		pos[v] = i
-	}
-	p.AutSize = len(auts)
 	if !opts.DisableSymmetryBreak {
 		group := auts
 		for i, v := range order {
@@ -120,7 +134,7 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 			}
 			for j := 0; j < k; j++ {
 				if j != i && inOrbit[j] {
-					p.Levels[j].Bounds = append(p.Levels[j].Bounds, i)
+					p.levels[j].bounds = append(p.levels[j].bounds, i)
 					p.Descending = descending
 				}
 			}
@@ -145,82 +159,14 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 	if pat.EdgeLabeled() {
 		p.EdgeLabeled = true
 		for i := 1; i < k; i++ {
-			lv := &p.Levels[i]
-			lv.EdgeLabels = make([]graph.Label, len(lv.Intersect))
-			for idx, j := range lv.Intersect {
-				lv.EdgeLabels[idx] = q.EdgeLabel(j, i)
+			lv := &p.levels[i]
+			lv.edgeLabels = make([]graph.Label, len(lv.intersect))
+			for idx, j := range lv.intersect {
+				lv.edgeLabels[idx] = q.EdgeLabel(j, i)
 			}
 		}
 	}
-
-	// Vertical computation sharing: detect same-set and extend-by-one
-	// relationships between consecutive levels' intersect sets.
-	if p.VCS {
-		annotateVCS(p)
-		for i := 1; i < k; i++ {
-			p.Levels[i].ClipStore = p.storeClippable(i)
-		}
-	}
-
-	annotateNeedsList(p)
-
-	// The last level's candidates are only ever counted by a count-only
-	// sink; mark it when the counting kernels cover its set expression
-	// (labels and chained subtractions fall back to a bounded materialize).
-	last := &p.Levels[k-1]
-	last.CountOnly = !p.Labeled() && !p.EdgeLabeled && (!p.Induced || len(last.Exclude) <= 1)
-
-	// A count-only run can stop earlier still where the plan ends in a star
-	// tail: mark the longest one.
-	for r := k - 1; r >= 2 && p.Fold == 0; r-- {
-		if p.foldable(r) {
-			p.Fold = r
-		}
-	}
-	p.Dense = p.denseable()
-	// The level a count-only run ends at probes a mark set where its siblings
-	// share an operand, and a labeled level whose siblings share its raw set
-	// filters that set by label once per parent run.
-	for i := 2; i < k; i++ {
-		p.Levels[i].Probe = p.probeable(i)
-		p.Levels[i].FilterOnce = p.filterable(i)
-	}
-
-	return p, p.Validate()
-}
-
-// annotateVCS marks ReuseSame / ReuseExtend / StoreInter.
-func annotateVCS(p *Plan) {
-	for i := 2; i < p.K; i++ {
-		prev := p.Levels[i-1].Intersect
-		cur := p.Levels[i].Intersect
-		switch {
-		case equalInts(cur, prev):
-			p.Levels[i].ReuseSame = true
-			p.Levels[i-1].StoreInter = true
-		case equalInts(cur, appendSorted(prev, i-1)):
-			p.Levels[i].ReuseExtend = true
-			p.Levels[i-1].StoreInter = true
-		}
-	}
-}
-
-// annotateNeedsList marks every position whose edge list a deeper level
-// reads — one it intersects, or in induced mode one it subtracts — as an
-// active vertex (the paper's term) whose list the extendable embedding
-// carries.
-func annotateNeedsList(p *Plan) {
-	for m := 1; m < p.K; m++ {
-		lv := &p.Levels[m]
-		for _, j := range lv.Intersect {
-			p.Levels[j].NeedsList = true
-		}
-		if p.Induced {
-			for _, j := range lv.Exclude {
-				p.Levels[j].NeedsList = true
-			}
-		}
-	}
+	return p, nil
 }
 
 // automineOrder reproduces Automine's canonical greedy order: start from the
@@ -331,22 +277,23 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 	embeddings := n
 	total := embeddings
 	for i := 1; i < p.K; i++ {
-		lv := &p.Levels[i]
-		cand := d * math.Pow(sel, float64(len(lv.Intersect)-1))
+		lv := &p.levels[i]
+		cand := d * math.Pow(sel, float64(len(lv.intersect)-1))
 		// Each restriction halves the expected candidates.
-		cand /= math.Pow(2, float64(len(lv.Bounds)))
+		cand /= math.Pow(2, float64(len(lv.bounds)))
 		if cand < 1e-9 {
 			cand = 1e-9
 		}
 		// Work at this level is proportional to parent embeddings times the
 		// cost of the set operations (number of lists intersected).
-		opCost := float64(len(lv.Intersect))
+		opCost := float64(len(lv.intersect))
 		if p.Induced {
-			opCost += float64(len(lv.Exclude))
+			opCost += float64(len(lv.exclude))
 		}
-		if lv.ReuseSame {
+		switch p.reuseOf(i) {
+		case reuseSame:
 			opCost = 0.1
-		} else if lv.ReuseExtend {
+		case reuseExtend:
 			opCost = 1
 		}
 		total += embeddings * (opCost + 1)
@@ -354,44 +301,4 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 		total += embeddings
 	}
 	return total
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func appendSorted(a []int, x int) []int {
-	out := make([]int, 0, len(a)+1)
-	inserted := false
-	for _, y := range a {
-		if !inserted && x < y {
-			out = append(out, x)
-			inserted = true
-		}
-		if y == x {
-			inserted = true
-		}
-		out = append(out, y)
-	}
-	if !inserted {
-		out = append(out, x)
-	}
-	return out
-}
-
-func containsInt(s []int, x int) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
 }

@@ -10,36 +10,37 @@ import (
 )
 
 // denseable reports whether p may finish its levels ≥ 2 on the root's
-// neighborhood (see Plan.Dense). Every level ≥ 1 must intersect position 0,
+// neighborhood (see Plan.dense). Every level ≥ 1 must intersect position 0,
 // and every level ≥ 2 must stay inside level 1's bounds — carry them, or be
 // bounded by a position already inside them, the storeClippable reasoning —
 // so that each candidate lies in S, level 1's stored raw, clipped to those
-// bounds before the store. The compiler marks every plan that passes and has
-// a level ≥ 3 intersecting a position ≥ 2; Validate holds a hand-set Dense to
-// the same rule.
+// bounds before the store. Only non-induced, unlabeled, non-folding plans with
+// K ≥ 4 and vertical computation sharing on qualify, and derive marks one
+// only where a level ≥ 3 intersects a position ≥ 2 — where the sorted path
+// fetches a level-2 list.
 func (p *Plan) denseable() bool {
-	if p.K < 4 || !p.VCS || p.Induced || p.Labeled() || p.EdgeLabeled || p.Fold != 0 {
+	if p.K < 4 || !p.VCS || p.Induced || p.Labeled() || p.EdgeLabeled || p.fold != 0 {
 		return false
 	}
-	first := &p.Levels[1]
-	if !first.StoreInter || !first.ClipStore && len(first.Bounds) > 0 {
+	first := &p.levels[1]
+	if !first.storeInter || !first.clipStore && len(first.bounds) > 0 {
 		return false
 	}
 	inside := []int{1}
 	deep := false
 	for m := 1; m < p.K; m++ {
-		lv := &p.Levels[m]
-		if !containsInt(lv.Intersect, 0) {
+		lv := &p.levels[m]
+		if !slices.Contains(lv.intersect, 0) {
 			return false
 		}
 		if m == 1 {
 			continue
 		}
-		if !boundedWithin(first.Bounds, lv.Bounds, inside) {
+		if !boundedWithin(first.bounds, lv.bounds, inside) {
 			return false
 		}
 		inside = append(inside, m)
-		for _, j := range lv.Intersect {
+		for _, j := range lv.intersect {
 			deep = deep || m >= 3 && j >= 2
 		}
 	}
@@ -52,7 +53,7 @@ func (p *Plan) denseable() bool {
 // descending mirror), and 0 when rows must cover all of S.
 func (p *Plan) denseRowSide() int8 {
 	for l := 2; l < p.K; l++ {
-		for _, q := range p.Levels[l].Intersect {
+		for _, q := range p.levels[l].intersect {
 			if q > 0 && !p.heldBeyond(l, q) {
 				return 0
 			}
@@ -68,7 +69,7 @@ func (p *Plan) denseRowSide() int8 {
 // one at position q < l in the plan's direction: l is restricted against q,
 // or against a position past q that is itself held beyond q.
 func (p *Plan) heldBeyond(l, q int) bool {
-	for _, a := range p.Levels[l].Bounds {
+	for _, a := range p.levels[l].bounds {
 		if a == q || a > q && p.heldBeyond(a, q) {
 			return true
 		}
@@ -77,24 +78,24 @@ func (p *Plan) heldBeyond(l, q int) bool {
 }
 
 // denseTables derives, per level ≥ 2 of a dense plan, the positions whose
-// rows the level ANDs (its Intersect positions past 0) and the bound
+// rows the level ANDs (its intersect positions past 0) and the bound
 // positions that can cut its candidates: a bound is implied, and dropped,
 // when another bound of the level is held beyond it, and a bound against v0
 // when level 1 carries it, S lying beyond v0 already.
 func (p *Plan) denseTables() (rows, bounds [][]int) {
 	rows = make([][]int, p.K)
 	bounds = make([][]int, p.K)
-	first := &p.Levels[1]
+	first := &p.levels[1]
 	for l := 2; l < p.K; l++ {
-		lv := &p.Levels[l]
-		for _, q := range lv.Intersect {
+		lv := &p.levels[l]
+		for _, q := range lv.intersect {
 			if q > 0 {
 				rows[l] = append(rows[l], q)
 			}
 		}
-		for _, a := range lv.Bounds {
-			implied := a == 0 && containsInt(first.Bounds, 0)
-			for _, b := range lv.Bounds {
+		for _, a := range lv.bounds {
+			implied := a == 0 && slices.Contains(first.bounds, 0)
+			for _, b := range lv.bounds {
 				implied = implied || b > a && p.heldBeyond(b, a)
 			}
 			if !implied {
@@ -135,9 +136,9 @@ func (p *Plan) DenseRow(s *Scratch, dst []uint64, set []graph.VertexID, j int, n
 // vertices; DenseFinish writes positions 1..K−2. set is S, the parent's
 // stored raw — in order, the vertices of its level-1 children — and rows
 // holds row(set[j]) at rows[j·w : (j+1)·w] for w = DenseRowWords(len(set)).
-// Candidates at a level are the AND of the rows of its Intersect positions
+// Candidates at a level are the AND of the rows of its intersect positions
 // past 0 (all of S when there are none); the level's bounds become an index
-// mask, S being ID-sorted; its Exclude positions clear their own bit. With
+// mask, S being ID-sorted; its exclude positions clear their own bit. With
 // emit nil the last level is popcounted; otherwise emit receives each
 // extension's matches as a core.Sink's OnMatches does — the prefix emb[:K−1]
 // and the last level's vertices. Each candidate set computed is entered in
@@ -202,7 +203,7 @@ func (p *Plan) denseLevel(s *Scratch, l int, emb, set []graph.VertexID, rows []u
 	}
 	wlo, whi := lo>>6, (hi+63)>>6
 	loMask, hiMask := ^uint64(0)<<(lo&63), ^uint64(0)>>((64-hi&63)&63)
-	excl := p.Levels[l].Exclude
+	excl := p.levels[l].exclude
 	if l == p.K-1 && emit == nil {
 		c := 0
 		for i := wlo; i < whi; i++ {

@@ -77,7 +77,7 @@ func NewScratch(p *Plan) *Scratch {
 		cand:   make([][]graph.VertexID, p.K),
 	}
 	s.disp.Counts = &s.kernels
-	if p.Dense {
+	if p.dense {
 		s.denseSide = p.denseRowSide()
 		s.denseRows, s.denseBounds = p.denseTables()
 		s.denseIdx = make([]int, p.K)
@@ -90,7 +90,7 @@ func NewScratch(p *Plan) *Scratch {
 func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels }
 
 // SetCountOnly tells Extend that the caller wants only the number of matches.
-// A count-eligible level (Level.CountOnly) then returns no candidates and
+// A count-eligible level (Level.countOnly) then returns no candidates and
 // leaves their count for TakeCount, and so does the first level of a star
 // tail (Plan.Fold): at Plan.FoldLevel it leaves C(n, Fold), n being that
 // level's candidate count — every match the tail levels would have built —
@@ -175,7 +175,7 @@ func binomial(n uint64, r int) (uint64, bool) {
 // is unbounded.
 func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 	hi = noUpper
-	for _, a := range p.Levels[level].Bounds {
+	for _, a := range p.levels[level].bounds {
 		if p.Descending {
 			hi = min(hi, emb[a])
 		} else {
@@ -187,10 +187,10 @@ func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 
 // Extend is one EXTEND step of the compiled plan: the candidates for position
 // level given the matched prefix emb, and the raw intersection to keep when
-// the level's StoreInter is set. Every input list is clipped to the level's
-// restriction interval before a kernel touches it — except where the raw
-// intersection is stored for levels that may reach outside the interval
-// (StoreInter without ClipStore): that set is computed whole and clipped on
+// the level stores it (Level.StoreInter). Every input list is clipped to the
+// level's restriction interval before a kernel touches it — except where the
+// raw intersection is stored for levels that may reach outside the interval
+// (stored without Level.ClipStore): that set is computed whole and clipped on
 // the way out. On a scratch in count-only mode a count-eligible level, and the
 // first level of a star tail, return nothing and leave their count for
 // TakeCount instead (see SetCountOnly). labelOf and edgeLabelOf may be nil
@@ -200,31 +200,31 @@ func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 //
 //khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
-	lv := &p.Levels[level]
+	lv := &p.levels[level]
 	lo, hi := p.bounds(level, emb)
 	if s.countOnly {
 		if level == p.FoldLevel() {
-			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.Fold)
+			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.fold)
 			s.counted += c
 			if !ok || s.counted < c {
 				s.overflowed = true
 			}
 			return nil, nil
 		}
-		if lv.CountOnly {
+		if lv.countOnly {
 			s.counted += uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi))
 			return nil, nil
 		}
 	}
 	var src []graph.VertexID
-	if lv.StoreInter && !lv.ClipStore {
+	if lv.storeInter && !lv.clipStore {
 		raw = p.RawIntersect(s, level, getList, parentRaw, 0, noUpper)
 		src = setops.Clip(raw, lo, hi)
 	} else {
 		raw = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 		src = raw
 	}
-	if lv.FilterOnce && s.runs != nil && labelOf != nil {
+	if lv.filterOnce && s.runs != nil && labelOf != nil {
 		return p.siblingCandidates(s, level, emb, getList, parentRaw, labelOf, lo, hi), raw
 	}
 	cands = p.Candidates(s, level, emb, src, getList, labelOf, lo, hi)
@@ -241,8 +241,8 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 //
 //khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
-	lv := &p.Levels[level]
-	if lv.Probe && s.runs != nil {
+	lv := &p.levels[level]
+	if lv.probe && s.runs != nil {
 		if n, ok := p.probeLevel(s, level, emb, getList, parentRaw, lo, hi); ok {
 			return n
 		}
@@ -252,17 +252,17 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	var x, l []graph.VertexID
 	pair := false
 	switch {
-	case lv.ReuseExtend:
+	case lv.reuse == reuseExtend:
 		x, l, pair = parentRaw, getList(level-1), true
-	case len(lv.Intersect) == 2 && !lv.ReuseSame:
-		x, l, pair = getList(lv.Intersect[0]), getList(lv.Intersect[1]), true
+	case len(lv.intersect) == 2 && lv.reuse != reuseSame:
+		x, l, pair = getList(lv.intersect[0]), getList(lv.intersect[1]), true
 	default:
 		x = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 	}
 	var sub []graph.VertexID
-	subtract := p.Induced && len(lv.Exclude) == 1
+	subtract := p.Induced && len(lv.exclude) == 1
 	if subtract {
-		sub = getList(lv.Exclude[0])
+		sub = getList(lv.exclude[0])
 		if pair {
 			s.interB[level] = d.IntersectBounded(s.interB[level][:0], x, l, lo, hi)
 			x, pair = s.interB[level], false
@@ -277,10 +277,10 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	default:
 		n = len(x)
 	}
-	// Distinctness (see Level.Exclude): test the few matched vertices a
+	// Distinctness (see Level.exclude): test the few matched vertices a
 	// candidate can equal for membership instead of filtering every
 	// candidate against the prefix.
-	for _, q := range lv.Exclude {
+	for _, q := range lv.exclude {
 		v := emb[q]
 		if v < lo || v >= hi {
 			continue
@@ -295,15 +295,15 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 // probeLevel counts a Probe level against the lent mark set. The first child
 // of a run is left to countLevel's sorted path, so a run of one child costs
 // what it did without the mark; the second marks the shared operand x — the
-// parent's stored raw, or the list at Intersect[0] — and it and every later
+// parent's stored raw, or the list at intersect[0] — and it and every later
 // child count by probing their own list (CountProbe). ok is false where the
 // sorted path counts the child instead: the first of its run, or a run whose
 // x is too wide to mark.
 //
 //khuzdulvet:hotpath once per child of a probed level
 func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) (int, bool) {
-	lv := &p.Levels[level]
-	reuse := lv.ReuseExtend || lv.ReuseSame
+	lv := &p.levels[level]
+	reuse := lv.reuse != reuseNone
 	s.runKids++
 	if s.runKids == 1 {
 		return 0, false
@@ -311,31 +311,31 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	if s.runKids == 2 {
 		x := parentRaw
 		if !reuse {
-			x = getList(lv.Intersect[0])
+			x = getList(lv.intersect[0])
 		}
 		s.marked = s.runs.Marks.Mark(x)
 	}
 	if !s.marked {
 		return 0, false
 	}
-	// The child's own list: N(v_{level−1}) under ReuseExtend, the one list
-	// ReuseSame subtracts, else the Intersect's second list.
-	subtract := reuse && lv.ReuseSame
+	// The child's own list: N(v_{level−1}) under reuseExtend, the one list
+	// reuseSame subtracts, else the intersect's second list.
+	subtract := lv.reuse == reuseSame
 	var l []graph.VertexID
 	switch {
 	case subtract:
-		l = getList(lv.Exclude[0])
+		l = getList(lv.exclude[0])
 	case reuse:
 		l = getList(level - 1)
 	default:
-		l = getList(lv.Intersect[1])
+		l = getList(lv.intersect[1])
 	}
 	n := s.disp.CountProbe(&s.runs.Marks, l, lo, hi)
 	if subtract {
 		n = len(setops.Clip(parentRaw, lo, hi)) - n
 	}
 	// Distinctness as in countLevel, x's membership read off the marks.
-	for _, q := range lv.Exclude {
+	for _, q := range lv.exclude {
 		if v := emb[q]; v >= lo && v < hi && s.runs.Marks.Contains(v) && setops.Contains(l, v) != subtract {
 			n--
 		}
@@ -346,9 +346,9 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 // siblingCandidates returns a FilterOnce level's candidates from the set the
 // children of one parent run share, filtered by the level's label once per
 // run. The shared set is the one RawIntersect reads: the parent's stored raw
-// under ReuseSame, else the one Intersect list. The run's first child fills
+// under reuseSame, else the one intersect list. The run's first child fills
 // the level's lent buffer with the vertices of that set inside [lo, hi) —
-// bounds the whole run shares — that carry PosLabel(level), less the Exclude
+// bounds the whole run shares — that carry PosLabel(level), less the exclude
 // vertices the run shares: the label tests Candidates would make for it.
 // Every later child tests no label at all. A child whose sibling vertex is
 // excluded drops it from a copy; any other gets the filtered slice itself,
@@ -356,18 +356,18 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 //
 //khuzdulvet:hotpath once per child of a filter-once level
 func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
-	lv := &p.Levels[level]
+	lv := &p.levels[level]
 	f := s.runs.Filtered[level]
 	if s.filtLevel != level {
 		x := parentRaw
-		if !lv.ReuseSame {
-			x = getList(lv.Intersect[0])
+		if lv.reuse != reuseSame {
+			x = getList(lv.intersect[0])
 		}
 		// The Exclude vertices before position level−1 are the run's: no
 		// sibling takes them, so the filter drops them.
 		var buf [maxExclude]graph.VertexID
 		shared := buf[:0]
-		for _, q := range lv.Exclude {
+		for _, q := range lv.exclude {
 			if q < level-1 {
 				shared = append(shared, emb[q])
 			}
@@ -381,9 +381,9 @@ func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, ge
 		}
 		s.runs.Filtered[level], s.filtLevel = f, level
 	}
-	// The one Exclude position the filter left is level−1, the vertex this
+	// The one exclude position the filter left is level−1, the vertex this
 	// child's embedding differs from its siblings' in.
-	if !containsInt(lv.Exclude, level-1) {
+	if !slices.Contains(lv.exclude, level-1) {
 		return f[:len(f):len(f)]
 	}
 	i, found := slices.BinarySearch(f, emb[level-1])
@@ -397,31 +397,31 @@ func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, ge
 }
 
 // RawIntersect computes the raw candidate intersection for the given level:
-// ∩ N(emb[j]) over j in Levels[level].Intersect, restricted to [lo, hi) by
+// ∩ N(emb[j]) over j in the level's intersect, restricted to [lo, hi) by
 // clipping every input before it is read and honoring the plan's
 // vertical-computation-sharing annotations. Three or more lists are
 // intersected pairwise, the running result narrowed by each further list.
 // getList(pos) must return the sorted edge list of the vertex matched at
 // position pos. parentRaw is the intersection the parent level stored, which
-// a ReuseSame or ReuseExtend level reads. The result may alias getList
+// a reusing level reads. The result may alias getList
 // output, parentRaw, or scratch storage; callers that retain it across
 // further calls must copy.
 func (p *Plan) RawIntersect(s *Scratch, level int, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-	lv := &p.Levels[level]
+	lv := &p.levels[level]
 	d := &s.disp
-	if lv.ReuseSame {
+	if lv.reuse == reuseSame {
 		return setops.Clip(parentRaw, lo, hi)
 	}
-	if lv.ReuseExtend {
+	if lv.reuse == reuseExtend {
 		s.interA[level] = d.IntersectBounded(s.interA[level][:0], parentRaw, getList(level-1), lo, hi)
 		return s.interA[level]
 	}
-	if len(lv.Intersect) == 1 {
-		return setops.Clip(getList(lv.Intersect[0]), lo, hi)
+	if len(lv.intersect) == 1 {
+		return setops.Clip(getList(lv.intersect[0]), lo, hi)
 	}
-	a := d.IntersectBounded(s.interA[level][:0], getList(lv.Intersect[0]), getList(lv.Intersect[1]), lo, hi)
+	a := d.IntersectBounded(s.interA[level][:0], getList(lv.intersect[0]), getList(lv.intersect[1]), lo, hi)
 	s.interA[level] = a
-	for _, j := range lv.Intersect[2:] {
+	for _, j := range lv.intersect[2:] {
 		b := d.IntersectBounded(s.interB[level][:0], a, getList(j), lo, hi)
 		s.interB[level] = b
 		// Keep the freshest result in interA so the next round's [:0] reuse
@@ -436,21 +436,21 @@ func (p *Plan) RawIntersect(s *Scratch, level int, getList func(int) []graph.Ver
 const maxExclude = pattern.MaxVertices - 2
 
 // Candidates filters the raw intersection, already clipped to the
-// symmetry-breaking interval [lo, hi) (see Level.bounds), into the final
-// candidate set for the level: induced-mode subtraction of non-neighbor
-// lists, distinctness from the earlier vertices and the position label. Only
-// the matched vertices at Level.Exclude positions that lie in [lo, hi) — and,
-// on a labeled walk, carry the level's label — can be candidates, so they
-// form a short exclusion list, and one pass tests each candidate's label and
-// that list; with both empty the pass is a plain copy. The result aliases the
-// scratch candidate buffer for this level, which deeper levels do not touch,
-// so it remains valid while the caller recurses.
+// symmetry-breaking interval [lo, hi) (see Plan.bounds), into the final
+// candidate set for the level: induced-mode subtraction of non-neighbor lists,
+// distinctness from the earlier vertices and the position label. Only the
+// matched vertices at the level's exclude positions that lie in [lo, hi) — and,
+// on a labeled walk, carry the level's label — can be candidates, so they form
+// a short exclusion list, and one pass tests each candidate's label and that
+// list; with both empty the pass is a plain copy. The result aliases the
+// scratch candidate buffer for this level, which deeper levels do not touch, so
+// it remains valid while the caller recurses.
 func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
-	lv := &p.Levels[level]
+	lv := &p.levels[level]
 	src := raw
-	if p.Induced && len(lv.Exclude) > 0 {
+	if p.Induced && len(lv.exclude) > 0 {
 		a, b := s.subA[level], s.subB[level]
-		for _, j := range lv.Exclude {
+		for _, j := range lv.exclude {
 			a = setops.Subtract(a[:0], src, setops.Clip(getList(j), lo, hi))
 			src = a
 			if len(a) == 0 {
@@ -465,7 +465,7 @@ func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []gra
 	want := p.PosLabel(level)
 	var buf [maxExclude]graph.VertexID
 	excl := buf[:0]
-	for _, q := range lv.Exclude {
+	for _, q := range lv.exclude {
 		if v := emb[q]; v >= lo && v < hi && (!labeled || labelOf(v) == want) {
 			excl = append(excl, v)
 		}
@@ -508,12 +508,12 @@ func (p *Plan) FilterEdgeLabels(level int, emb []graph.VertexID, cands []graph.V
 	if edgeLabelOf == nil || !p.EdgeLabeled {
 		return cands
 	}
-	lv := &p.Levels[level]
+	lv := &p.levels[level]
 	w := cands[:0]
 next:
 	for _, v := range cands {
-		for idx, j := range lv.Intersect {
-			if edgeLabelOf(emb[j], v) != lv.EdgeLabels[idx] {
+		for idx, j := range lv.intersect {
+			if edgeLabelOf(emb[j], v) != lv.edgeLabels[idx] {
 				continue next
 			}
 		}
@@ -596,7 +596,7 @@ func (e *Executor) levelCandidates(level int) []graph.VertexID {
 	}
 	cands, raw := p.Extend(e.scratch, level, e.emb, e.getList, parentRaw, e.labelOf, e.elabelOf)
 	if level < p.K-1 {
-		if p.Levels[level].StoreInter {
+		if p.levels[level].storeInter {
 			e.raws[level] = append(e.raws[level][:0], raw...)
 		} else {
 			e.raws[level] = e.raws[level][:0]
@@ -614,7 +614,7 @@ func (e *Executor) count(level int) uint64 {
 	var total uint64
 	for _, v := range cands {
 		e.emb[level] = v
-		if p.Levels[level].NeedsList {
+		if p.levels[level].needsList {
 			e.lists[level] = e.nbr(v)
 		}
 		total += e.count(level + 1)
@@ -634,7 +634,7 @@ func (e *Executor) visit(level int, onMatch func([]graph.VertexID)) {
 	}
 	for _, v := range cands {
 		e.emb[level] = v
-		if p.Levels[level].NeedsList {
+		if p.levels[level].needsList {
 			e.lists[level] = e.nbr(v)
 		}
 		e.visit(level+1, onMatch)

@@ -31,8 +31,8 @@ func (p *Plan) Explain() string {
 		sb.WriteString("edge labels: constrained per level\n")
 	}
 	restricted := false
-	for _, lv := range p.Levels {
-		restricted = restricted || len(lv.Bounds) > 0
+	for _, lv := range p.levels {
+		restricted = restricted || len(lv.bounds) > 0
 	}
 	switch {
 	case !restricted:
@@ -44,32 +44,32 @@ func (p *Plan) Explain() string {
 	}
 	indent := func(n int) string { return strings.Repeat("  ", n+1) }
 	sb.WriteString("for v0 in V:")
-	if p.Levels[0].NeedsList {
+	if p.levels[0].needsList {
 		sb.WriteString("    # keep N(v0) — active")
 	}
 	sb.WriteByte('\n')
 	for i := 1; i < p.K; i++ {
-		lv := &p.Levels[i]
-		if p.Dense && i >= 2 {
+		lv := &p.levels[i]
+		if p.dense && i >= 2 {
 			p.explainDense(&sb, i, indent(i-1))
 			continue
 		}
 		var set, reuse string
 		switch {
-		case lv.ReuseSame:
+		case lv.reuse == reuseSame:
 			set, reuse = fmt.Sprintf("R%d", i-1), "reuse"
-		case lv.ReuseExtend:
+		case lv.reuse == reuseExtend:
 			set, reuse = fmt.Sprintf("R%d ∩ N(v%d)", i-1, i-1), "extend"
 		default:
-			terms := make([]string, len(lv.Intersect))
-			for j, pos := range lv.Intersect {
+			terms := make([]string, len(lv.intersect))
+			for j, pos := range lv.intersect {
 				terms[j] = fmt.Sprintf("N(v%d)", pos)
 			}
 			set = strings.Join(terms, " ∩ ")
 		}
-		if p.Induced && len(lv.Exclude) > 0 {
-			subs := make([]string, len(lv.Exclude))
-			for j, pos := range lv.Exclude {
+		if p.Induced && len(lv.exclude) > 0 {
+			subs := make([]string, len(lv.exclude))
+			for j, pos := range lv.exclude {
 				subs[j] = fmt.Sprintf("N(v%d)", pos)
 			}
 			set += " \\ (" + strings.Join(subs, " ∪ ") + ")"
@@ -82,30 +82,30 @@ func (p *Plan) Explain() string {
 		// the raw intersection is stored for levels that may reach outside
 		// them; then they clip it on the way out.
 		clip := "clip"
-		if lv.StoreInter && !lv.ClipStore {
+		if lv.storeInter && !lv.clipStore {
 			clip = "clip after store"
 		}
 		notes := p.boundNotes(i, clip)
-		if lv.CountOnly {
+		if lv.countOnly {
 			notes = append(notes, "count-only")
 		}
-		if lv.Probe {
+		if lv.probe {
 			notes = append(notes, "probe marked "+p.sharedOperand(i))
 		}
-		if lv.FilterOnce {
+		if lv.filterOnce {
 			notes = append(notes, fmt.Sprintf("filter %s by label %d once per run", p.sharedOperand(i), p.PosLabel(i)))
 		}
-		if lv.StoreInter {
+		if lv.storeInter {
 			notes = append(notes, fmt.Sprintf("store R%d", i))
 		}
-		if lv.NeedsList {
+		if lv.needsList {
 			notes = append(notes, fmt.Sprintf("fetch N(v%d) — active", i))
 		}
 		if len(notes) > 0 {
 			sb.WriteString("    # " + strings.Join(notes, ", "))
 		}
 		sb.WriteByte('\n')
-		if p.Dense && i == 1 {
+		if p.dense && i == 1 {
 			side := ""
 			switch p.denseRowSide() {
 			case 1:
@@ -118,12 +118,12 @@ func (p *Plan) Explain() string {
 		}
 	}
 	fmt.Fprintf(&sb, "%semit(v0..v%d)\n", indent(p.K-1), p.K-1)
-	if p.Fold > 0 {
+	if p.fold > 0 {
 		f := p.FoldLevel()
 		fmt.Fprintf(&sb, "%scount C(%s, %d) per %s — levels %d–%d folded (count-only)\n",
-			indent(f-1), p.foldSetSize(), p.Fold, prefixTuple(f), f, p.K-1)
+			indent(f-1), p.foldSetSize(), p.fold, prefixTuple(f), f, p.K-1)
 	}
-	if p.Levels[p.K-1].CountOnly || p.Fold > 0 || p.Dense {
+	if p.levels[p.K-1].countOnly || p.fold > 0 || p.dense {
 		sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	}
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
@@ -131,22 +131,22 @@ func (p *Plan) Explain() string {
 }
 
 // sharedOperand names the set a Probe level marks, or a FilterOnce level
-// filters: the parent's stored intersection, or the list at Intersect[0].
+// filters: the parent's stored intersection, or the list at intersect[0].
 func (p *Plan) sharedOperand(i int) string {
-	lv := &p.Levels[i]
-	if lv.ReuseExtend || lv.ReuseSame {
+	lv := &p.levels[i]
+	if lv.reuse != reuseNone {
 		return fmt.Sprintf("R%d", i-1)
 	}
-	return fmt.Sprintf("N(v%d)", lv.Intersect[0])
+	return fmt.Sprintf("N(v%d)", lv.intersect[0])
 }
 
 // explainDense renders level i ≥ 2 of a dense plan: the AND of the rows of its
-// Intersect positions past 0 (all of S when none), its bounds as an index
+// intersect positions past 0 (all of S when none), its bounds as an index
 // mask, and the popcount that ends a count-only run.
 func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
-	lv := &p.Levels[i]
+	lv := &p.levels[i]
 	var rows []string
-	for _, q := range lv.Intersect {
+	for _, q := range lv.intersect {
 		if q > 0 {
 			rows = append(rows, fmt.Sprintf("row(v%d)", q))
 		}
@@ -157,7 +157,7 @@ func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
 	}
 	fmt.Fprintf(sb, "%sfor v%d in %s:", ind, i, set)
 	notes := p.boundNotes(i, "mask")
-	for _, q := range lv.Exclude {
+	for _, q := range lv.exclude {
 		notes = append(notes, fmt.Sprintf("clear v%d", q))
 	}
 	if i == p.K-1 {
@@ -181,7 +181,7 @@ func (p *Plan) boundSyms() (op, key string) {
 // boundNotes renders level i's restrictions, then how they apply: "clip",
 // "clip after store" or a dense level's "mask".
 func (p *Plan) boundNotes(i int, apply string) []string {
-	bounds := p.Levels[i].Bounds
+	bounds := p.levels[i].bounds
 	if len(bounds) == 0 {
 		return nil
 	}
@@ -198,11 +198,11 @@ func (p *Plan) boundNotes(i int, apply string) []string {
 // without the earlier matched vertices.
 func (p *Plan) foldSetSize() string {
 	f := p.FoldLevel()
-	lv := &p.Levels[f]
-	anchor := lv.Intersect[0]
+	lv := &p.levels[f]
+	anchor := lv.intersect[0]
 	op, _ := p.boundSyms()
 	var conds []string
-	for _, a := range lv.Bounds {
+	for _, a := range lv.bounds {
 		conds = append(conds, fmt.Sprintf("v %s v%d", op, a))
 	}
 	for q := 0; q < f; q++ {

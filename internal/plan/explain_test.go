@@ -188,7 +188,7 @@ final level needs no edge lists: candidates are counted directly
 		"      count C(|{v in N(v0): v ≠ v1, v ≠ v2}|, 2) per (v0, v1, v2) — levels 3–4 folded (count-only)\n") {
 		t.Errorf("Explain of a triangle with two pendants:\n%s", s)
 	}
-	if pl := MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true}); pl.Fold != 0 || strings.Contains(pl.Explain(), "folded") {
+	if pl := MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true}); pl.fold != 0 || strings.Contains(pl.Explain(), "folded") {
 		t.Errorf("induced wedge folds: %v", pl)
 	}
 }

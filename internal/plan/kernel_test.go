@@ -31,10 +31,10 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		{pattern.Triangle(), false, false, true, true}, {pattern.PathP(3), true, false, true, true},
 	} {
 		pl := MustCompile(c.pat, Options{Style: StyleAutomine, Induced: c.induced, DisableVCS: !c.vcs, Stats: StatsOf(g)})
-		if !pl.Levels[pl.K-1].CountOnly || c.fold && pl.FoldLevel() != 1 {
+		if !pl.levels[pl.K-1].countOnly || c.fold && pl.FoldLevel() != 1 {
 			t.Fatalf("%v: last level not count-eligible, or no fold at level 1", pl)
 		}
-		probed := pl.Levels[pl.K-1].Probe
+		probed := pl.levels[pl.K-1].probe
 		if probed != c.probe {
 			t.Fatalf("%v: last level Probe = %v", pl, probed)
 		}
@@ -55,7 +55,7 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 			}
 			cands, raw := pl.Extend(building, level, emb[:level], getList, raws[level-1], nil, nil)
 			raws[level] = nil
-			if pl.Levels[level].StoreInter {
+			if pl.levels[level].storeInter {
 				raws[level] = raw
 			}
 			if level == end-1 {
@@ -116,7 +116,7 @@ func TestFilterOnceNoAlloc(t *testing.T) {
 		MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true}),
 		MustCompile(path, Options{Style: StyleAutomine}),
 	} {
-		if !pl.Levels[pl.K-1].FilterOnce {
+		if !pl.levels[pl.K-1].filterOnce {
 			t.Fatalf("%v: last level not filtered once per run", pl)
 		}
 		var tests int
@@ -176,7 +176,7 @@ func TestDenseNoAlloc(t *testing.T) {
 	g := graph.RMATDefault(300, 3000, 17)
 	for _, k := range []int{4, 5} {
 		pl := MustCompile(pattern.Clique(k), Options{Style: StyleAutomine, Stats: StatsOf(g)})
-		if !pl.Dense {
+		if !pl.dense {
 			t.Fatalf("K%d not dense: %v", k, pl)
 		}
 		s := NewScratch(pl)
@@ -271,7 +271,7 @@ func hubbedRMAT(n int, m uint64, seed int64) *graph.Graph {
 func BenchmarkExtendStoredClip(b *testing.B) {
 	g := hubbedRMAT(2048, 16000, 20230325)
 	pl := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, Stats: StatsOf(g)})
-	if !pl.Levels[1].ClipStore || !pl.Levels[2].ClipStore {
+	if !pl.levels[1].clipStore || !pl.levels[2].clipStore {
 		b.Fatalf("4-clique levels 1 and 2 do not clip their stores: %v", pl)
 	}
 	s := NewScratch(pl)
@@ -320,7 +320,7 @@ func BenchmarkCandidatesLabeled(b *testing.B) {
 	}
 	pl := MustCompile(pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1}),
 		Options{Style: StyleAutomine, DisableSymmetryBreak: true, Stats: StatsOf(g)})
-	if pl.Order[0] != 0 || len(pl.Levels[3].Exclude) != 2 {
+	if pl.Order[0] != 0 || len(pl.levels[3].exclude) != 2 {
 		b.Fatalf("3-star not rooted at its center: %v", pl)
 	}
 	s := NewScratch(pl)

@@ -1,10 +1,14 @@
-// Package plan compiles pattern graphs into enumeration plans: a matching
-// order with connected prefixes, per-level set operations, symmetry-breaking
-// restrictions derived from the pattern's automorphism group, and the
-// bookkeeping the Khuzdul engine needs for its extendable-embedding
-// abstraction (which positions are "active" at each level, whether a level's
-// intersection can be reused by its children — the paper's vertical
-// computation sharing).
+// Package plan compiles pattern graphs into enumeration plans. A plan is
+// built from what it matches — a pattern, a matching order with connected
+// prefixes, the direction of its symmetry-breaking bounds and whether it
+// matches induced, with vertical computation sharing and symmetry breaking on
+// or off — and nothing else. Its constructor reads each level's set
+// operations off the relabeled pattern and its bounds off the stabilizer
+// chain; one derive pass then computes every annotation the Khuzdul engine
+// runs by: which positions are "active", whether a level reuses its parent's
+// intersection (the paper's vertical computation sharing), where a count-only
+// run ends and how it counts there. Nothing else writes a level, so a plan
+// cannot disagree with itself.
 //
 // A plan is the Go equivalent of the paper's compiled EXTEND function: the
 // client systems k-Automine and k-GraphPi are Compile's two Styles, and every
@@ -13,6 +17,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"khuzdul/internal/graph"
@@ -42,78 +47,108 @@ func (s Style) String() string {
 }
 
 // Level describes how to match the pattern position at a given depth.
-// Position 0 (the root) has a trivial level.
+// Position 0 (the root) has a trivial level. Its sets are read off the
+// pattern in the plan's order and its annotations are computed from them by
+// derive; nothing else writes either, so outside this package a Level is
+// read through Plan.Level and its methods.
 type Level struct {
-	// Intersect lists the earlier positions adjacent to this one in the
+	// intersect lists the earlier positions adjacent to this one in the
 	// pattern; the raw candidate set is the intersection of their edge lists.
-	Intersect []int
-	// EdgeLabels, when the pattern is edge-labeled, holds the required
-	// label of the edge to each Intersect position (parallel slices).
-	EdgeLabels []graph.Label
-	// Exclude lists the earlier positions NOT adjacent to this one: the only
+	intersect []int
+	// edgeLabels, when the pattern is edge-labeled, holds the required label
+	// of the edge to each intersect position (parallel slices).
+	edgeLabels []graph.Label
+	// exclude lists the earlier positions NOT adjacent to this one: the only
 	// matched vertices a candidate can equal. A candidate is adjacent to
-	// every Intersect position and graphs carry no self-loops, so
+	// every intersect position and graphs carry no self-loops, so
 	// distinctness from the prefix is a test against these few. In induced
 	// mode their edge lists are also subtracted from the candidates.
-	Exclude []int
-	// Bounds lists the earlier positions a whose matched vertex bounds this
+	exclude []int
+	// bounds lists the earlier positions a whose matched vertex bounds this
 	// level's candidates v by symmetry breaking: v > emb[a] in an ascending
 	// plan, v < emb[a] in a descending one (Plan.Descending). The
 	// stabilizer-chain scheme needs some total order on vertex IDs, not a
 	// particular one, so the compiler picks per input graph whichever
 	// direction leaves the shorter lists to intersect; all of a plan's
 	// bounds share it.
-	Bounds []int
-	// CountOnly marks a level whose candidates a count-only caller need not
-	// see: the last level of an unlabeled plan with at most one subtraction.
-	// On a scratch in count-only mode Extend counts such a level with the
-	// non-materializing kernels (see Scratch.SetCountOnly).
-	CountOnly bool
-	// Probe marks a count-only level — the one a count-only run ends at, the
-	// CountOnly last level or Plan.FoldLevel — at depth ≥ 2 whose final set
-	// operation has an operand every child of one parent shares: the parent's
-	// stored intersection, extended (R ∩ N(v_{i−1}), ReuseExtend) or reused
-	// with one induced subtraction (R \ N(v_e), ReuseSame), or in a two-list
-	// Intersect the list of position Intersect[0] ≤ i−2. A count-only scratch
-	// lent a mark set marks that operand once per parent run and counts each
-	// later child by probing its own list against it (see Scratch.NewRun).
-	// The compiler marks every level that passes probeable; Validate holds a
-	// hand-set Probe to the same rule.
-	Probe bool
-	// FilterOnce marks a level i ≥ 2 of a vertex-labeled, non-induced plan
-	// without edge labels whose raw set and bounds every child of one parent
-	// shares: the parent's stored intersection under ReuseSame, or a single
-	// Intersect list at position ≤ i−2, with no bound against position i−1. A
-	// scratch lent run storage (Scratch.LendRuns) filters that set by
-	// PosLabel(i) once per parent run and hands each child the filtered set
-	// less its Exclude vertices (see Scratch.NewRun). The compiler marks every level
-	// that passes filterable; Validate holds a hand-set FilterOnce to the same
-	// rule.
-	FilterOnce bool
-	// ReuseSame marks that this level's raw intersection equals the parent
-	// level's stored intersection (no set operation needed at all).
-	ReuseSame bool
-	// ReuseExtend marks that this level's raw intersection is the parent's
-	// stored intersection ∩ N(previous vertex) — the paper's vertical
-	// computation sharing (§5.1, Figure 9).
-	ReuseExtend bool
-	// StoreInter marks that the raw intersection computed at this level must
+	bounds []int
+
+	// reuse is how this level's raw intersection follows from the one its
+	// parent stored: reuseSame when it is that set (no set operation at all),
+	// reuseExtend when it is that set ∩ N(previous vertex) — the paper's
+	// vertical computation sharing (§5.1, Figure 9).
+	reuse reuseKind
+	// storeInter marks that the raw intersection computed at this level must
 	// be kept in the extendable embedding for reuse by its children.
-	StoreInter bool
-	// ClipStore marks a bounded StoreInter level whose stored intersection is
-	// clipped to the level's own bounds, like every other input: each level
-	// that derives its raw intersection from it — the child, and below it for
-	// as long as the reuse chain keeps storing — keeps only candidates inside
-	// those bounds (see storeClippable). Without it the set is stored whole
-	// and clipped on the way out.
-	ClipStore bool
-	// NeedsList marks that the vertex matched at this level is an active
+	storeInter bool
+	// clipStore marks a bounded storeInter level whose stored intersection
+	// is clipped to the level's own bounds, like every other input: each
+	// level that derives its raw intersection from it keeps only candidates
+	// inside those bounds (see storeClippable). Without it the set is stored
+	// whole and clipped on the way out.
+	clipStore bool
+	// needsList marks that the vertex matched at this level is an active
 	// vertex of some deeper level, i.e. its edge list must be fetched and
 	// carried in the extendable embedding.
-	NeedsList bool
+	needsList bool
+	// countOnly marks a level whose candidates a count-only caller need not
+	// see. On a scratch in count-only mode Extend counts such a level with
+	// the non-materializing kernels (see Scratch.SetCountOnly).
+	countOnly bool
+	// probe marks the level a count-only run ends at whose final set
+	// operation has an operand every child of one parent shares. A
+	// count-only scratch lent a mark set marks that operand once per parent
+	// run and counts each later child by probing its own list against it
+	// (see Scratch.NewRun).
+	probe bool
+	// filterOnce marks a labeled level whose raw set and bounds every child
+	// of one parent shares. A scratch lent run storage (Scratch.LendRuns)
+	// filters that set by PosLabel(i) once per parent run and hands each
+	// child the filtered set less its exclude vertices (see Scratch.NewRun).
+	filterOnce bool
 }
 
-// Plan is a compiled enumeration schedule for one pattern.
+// reuseKind is how a level's raw intersection follows from its parent's.
+type reuseKind uint8
+
+const (
+	reuseNone reuseKind = iota
+	reuseSame
+	reuseExtend
+)
+
+// Intersect returns the earlier positions whose edge lists the level
+// intersects. The slice is the plan's own; callers must not write it.
+func (lv Level) Intersect() []int { return lv.intersect }
+
+// Bounds returns the earlier positions bounding the level's candidates by
+// symmetry breaking. The slice is the plan's own; callers must not write it.
+func (lv Level) Bounds() []int { return lv.bounds }
+
+// StoreInter reports whether the level's raw intersection is kept for its
+// children to reuse.
+func (lv Level) StoreInter() bool { return lv.storeInter }
+
+// ClipStore reports whether the level stores its raw intersection clipped to
+// its own bounds.
+func (lv Level) ClipStore() bool { return lv.clipStore }
+
+// NeedsList reports whether a deeper level reads the edge list of the vertex
+// matched here.
+func (lv Level) NeedsList() bool { return lv.needsList }
+
+// Probe reports whether a count-only run counts the level against a mark set
+// of the operand its siblings share.
+func (lv Level) Probe() bool { return lv.probe }
+
+// FilterOnce reports whether the level filters the set its siblings share by
+// label once per parent run.
+func (lv Level) FilterOnce() bool { return lv.filterOnce }
+
+// Plan is a compiled enumeration schedule for one pattern: the matching —
+// the pattern, its order, the bound direction and the options below — and
+// what derive computes from it. The exported fields describe the matching
+// and are not to be changed after Compile.
 type Plan struct {
 	// Pattern is the original pattern (before reordering).
 	Pattern *pattern.Pattern
@@ -121,9 +156,9 @@ type Plan struct {
 	Order []int
 	// K is the number of pattern vertices.
 	K int
-	// Levels has one entry per position.
-	Levels []Level
-	// Descending records the direction of every level's Bounds; a plan
+	// levels has one entry per position.
+	levels []Level
+	// Descending records the direction of every level's bounds; a plan
 	// without bounds is ascending. UpSq and DownSq are the input's ID-skew
 	// sums (GraphStats) the compiler chose it by: descending when
 	// DownSq < UpSq.
@@ -143,30 +178,31 @@ type Plan struct {
 	Style Style
 	// EstCost is the cost-model estimate used during order selection.
 	EstCost float64
-	// Fold is the length r of the plan's star tail, 0 when it has none: the
-	// last r ≥ 2 levels all intersect one and the same earlier position (the
-	// anchor) and nothing else, each is restricted against its predecessor
-	// in the tail, and none carries a restriction against a position before
-	// the tail that the first tail level does not carry too. The tail then
-	// matches exactly the r-subsets of the first tail level's candidate set,
-	// in ID order, so a count-only run stops at level FoldLevel and adds
-	// C(n, r) for its n candidates (see Scratch.SetCountOnly). Only non-induced
-	// plans without vertex or edge labels fold; the materializing path
-	// ignores the field.
-	Fold int
-	// Dense marks a plan whose levels ≥ 2 finish on the root's neighborhood:
-	// every level ≥ 1 intersects position 0 and stays inside level 1's
-	// bounds, so every candidate lies in S = R1, the level-1 stored raw. An
-	// engine then builds, per level-1 embedding (v0, u), the bit row of u
-	// over S's indices and runs every deeper level as word ANDs of sibling
-	// rows, with no level-2 chunk and no level-2 fetch (see DenseRow and
-	// DenseFinish). The compiler marks it where a level ≥ 3 intersects a
-	// position ≥ 2 — where the sorted path fetches a level-2 list — on
-	// non-induced, unlabeled, non-folding plans with K ≥ 4 and vertical
-	// computation sharing on. The Level fields keep describing the sorted
-	// schedule, which the Executor runs whatever Dense says.
-	Dense bool
+	// fold is the length r of the plan's star tail, 0 when it has none: the
+	// last r levels match exactly the r-subsets of the first tail level's
+	// candidate set, in ID order (see foldable), so a count-only run stops
+	// at level FoldLevel and adds C(n, r) for its n candidates (see
+	// Scratch.SetCountOnly). The materializing path ignores it.
+	fold int
+	// dense marks a plan whose levels ≥ 2 finish on the root's neighborhood:
+	// every candidate lies in S = R1, the level-1 stored raw (see
+	// denseable). An engine then builds, per level-1 embedding (v0, u), the
+	// bit row of u over S's indices and runs every deeper level as word ANDs
+	// of sibling rows, with no level-2 chunk and no level-2 fetch (see
+	// DenseRow and DenseFinish). The levels keep describing the sorted
+	// schedule, which the Executor runs whatever dense says.
+	dense bool
 }
+
+// Level returns a copy of the level at position i.
+func (p *Plan) Level(i int) Level { return p.levels[i] }
+
+// Fold returns the length of the plan's star tail, 0 when it has none.
+func (p *Plan) Fold() int { return p.fold }
+
+// Dense reports whether the plan finishes its levels ≥ 2 on the root's
+// neighborhood as word ANDs of dense rows.
+func (p *Plan) Dense() bool { return p.dense }
 
 // Options configures compilation.
 type Options struct {
@@ -175,8 +211,10 @@ type Options struct {
 	// VCS enables vertical computation sharing annotations (default on via
 	// Compile; disable to reproduce the paper's Figure 11 ablation).
 	DisableVCS bool
-	// DisableSymmetryBreak drops all restrictions; counts must then be
-	// divided by AutSize. Used by tests to validate the restriction scheme.
+	// DisableSymmetryBreak drops all restrictions, so every automorphic
+	// image of a match is counted: AutSize times the matches. Frequent
+	// subgraph mining compiles this way, its support being over all images;
+	// tests use it to check the restriction scheme.
 	DisableSymmetryBreak bool
 	// Stats feeds the GraphPi cost model; zero value uses generic defaults.
 	Stats GraphStats
@@ -225,27 +263,127 @@ func (p *Plan) Labeled() bool { return p.Labels != nil }
 
 // FoldLevel returns the first level of the star tail — the level a folding
 // count-only run ends at — or K when the plan has none.
-func (p *Plan) FoldLevel() int { return p.K - p.Fold }
+func (p *Plan) FoldLevel() int { return p.K - p.fold }
 
-// foldable reports whether the last r levels of p form a star tail (see
-// Plan.Fold). The compiler marks the longest one; Validate holds a
-// hand-written Fold to the same conditions.
+// derive computes every annotation of p from its matching: each level's
+// intersect, exclude and bounds and the plan's Induced, VCS and labels. It is
+// the only code that writes them, so no two can disagree. Per level it reads
+// off what the set expression reads, how it follows from the parent's, which
+// operand the children of one parent share and whether a count-only run ends
+// there, and each annotation is one rule over those.
+func (p *Plan) derive() {
+	k := p.K
+	unlabeled := !p.Labeled() && !p.EdgeLabeled
+	for i := 1; i < k; i++ {
+		lv := &p.levels[i]
+		// The positions the level's set expression reads — intersects, or in
+		// induced mode subtracts — are active: their lists are carried.
+		for _, j := range lv.intersect {
+			p.levels[j].needsList = true
+		}
+		if p.Induced {
+			for _, j := range lv.exclude {
+				p.levels[j].needsList = true
+			}
+		}
+		lv.reuse = p.reuseOf(i)
+		p.levels[i-1].storeInter = lv.reuse != reuseNone
+	}
+	for i := 1; i < k; i++ {
+		p.levels[i].clipStore = p.storeClippable(i)
+	}
+	// The last level's candidates are only ever counted by a count-only
+	// sink; mark it when the counting kernels cover its set expression
+	// (labels and chained subtractions fall back to a bounded materialize).
+	last := &p.levels[k-1]
+	last.countOnly = unlabeled && (!p.Induced || len(last.exclude) <= 1)
+	// A count-only run can stop earlier still where the plan ends in a star
+	// tail: mark the longest one.
+	for r := k - 1; r >= 2 && p.fold == 0; r-- {
+		if p.foldable(r) {
+			p.fold = r
+		}
+	}
+	p.dense = p.denseable()
+	// A dense plan builds each level-1 embedding's row from its list: the
+	// levels below read it as the row of the position they intersect.
+	p.levels[1].needsList = p.levels[1].needsList || p.dense
+	// The level a count-only run ends at: the first of a folded tail, else a
+	// count-only last level.
+	end := p.FoldLevel()
+	if p.fold == 0 && last.countOnly {
+		end = k - 1
+	}
+	for i := 2; i < k; i++ {
+		lv := &p.levels[i]
+		// The operand the level's set expression starts from — the parent's
+		// stored raw, else the list at intersect[0] — is the same for every
+		// child of one parent when it is the raw or that position lies above
+		// the parent.
+		shared := lv.reuse != reuseNone || lv.intersect[0] <= i-2
+		subs := 0
+		if p.Induced {
+			subs = len(lv.exclude)
+		}
+		// A count-only run's last level probes the shared operand x when its
+		// final operation is x ∩ N(v_{i−1}) (reuseExtend), x \ N(v_e)
+		// (reuseSame, one subtraction) or x ∩ N(v_j) (two lists), on a sorted,
+		// unlabeled plan; a dense plan counts by popcount instead.
+		lv.probe = i == end && !p.dense && unlabeled && shared &&
+			(lv.reuse == reuseExtend && subs == 0 || lv.reuse == reuseSame && subs == 1 ||
+				lv.reuse == reuseNone && len(lv.intersect) == 2 && subs == 0)
+		// A labeled level filters once per run when the shared operand is its
+		// whole raw set and no bound is against v_{i−1}, the vertex its
+		// siblings differ in. Level 1 never does: all roots are children of
+		// one parent, and no run is started among them.
+		lv.filterOnce = p.Labeled() && !p.Induced && !p.EdgeLabeled && shared &&
+			(lv.reuse == reuseSame || lv.reuse == reuseNone && len(lv.intersect) == 1) &&
+			!slices.Contains(lv.bounds, i-1)
+	}
+}
+
+// reuseOf returns how level i's raw intersection follows from its parent's
+// under vertical computation sharing: the same positions (reuseSame), or the
+// parent's plus i−1 (reuseExtend), which, i−1 lying past every position the
+// parent reads, is the parent's list with i−1 appended.
+func (p *Plan) reuseOf(i int) reuseKind {
+	if !p.VCS || i < 2 {
+		return reuseNone
+	}
+	cur, prev := p.levels[i].intersect, p.levels[i-1].intersect
+	switch {
+	case slices.Equal(cur, prev):
+		return reuseSame
+	case cur[len(cur)-1] == i-1 && slices.Equal(cur[:len(cur)-1], prev):
+		return reuseExtend
+	}
+	return reuseNone
+}
+
+// foldable reports whether the last r ≥ 2 levels of a non-induced plan
+// without vertex or edge labels form a star tail (see Plan.fold): they all
+// intersect one and the same earlier position (the anchor) and nothing else,
+// each is restricted against its predecessor in the tail, and none carries a
+// restriction against a position before the tail that the first tail level
+// does not carry too. The stabilizer chain never breaks the last condition —
+// tail vertices are interchangeable leaves of the anchor, so an outside bound
+// on one is a bound on the first — but the fold's count rests on it.
 func (p *Plan) foldable(r int) bool {
 	if r < 2 || r >= p.K || p.Induced || p.Labeled() || p.EdgeLabeled {
 		return false
 	}
 	f := p.K - r
-	first := &p.Levels[f]
-	if len(first.Intersect) != 1 {
+	first := &p.levels[f]
+	if len(first.intersect) != 1 {
 		return false
 	}
 	for i := f + 1; i < p.K; i++ {
-		lv := &p.Levels[i]
-		if len(lv.Intersect) != 1 || lv.Intersect[0] != first.Intersect[0] || !containsInt(lv.Bounds, i-1) {
+		lv := &p.levels[i]
+		if len(lv.intersect) != 1 || lv.intersect[0] != first.intersect[0] || !slices.Contains(lv.bounds, i-1) {
 			return false
 		}
-		for _, a := range lv.Bounds {
-			if a < f && !containsInt(first.Bounds, a) {
+		for _, a := range lv.bounds {
+			if a < f && !slices.Contains(first.bounds, a) {
 				return false
 			}
 		}
@@ -254,26 +392,25 @@ func (p *Plan) foldable(r int) bool {
 }
 
 // storeClippable reports whether level i may store its raw intersection R_i
-// clipped to its own bounds (see Level.ClipStore). Every level that derives
+// clipped to its own bounds (see Level.clipStore). Every level that derives
 // its raw from R_i must keep only candidates inside those bounds: the child
 // i+1, and each level below it while the reuse chain keeps storing, because a
 // clipped R_i flows through every stored intersection built on it. The test
 // is on the bounds' one side: a level passes if it carries every bound
 // position of level i, or if it is bounded by a position already shown to lie
-// inside them — i itself, or an earlier level of the chain. The compiler marks every level
-// that passes; Validate holds a hand-set ClipStore to the same conditions.
+// inside them — i itself, or an earlier level of the chain.
 func (p *Plan) storeClippable(i int) bool {
-	lv := &p.Levels[i]
-	if !lv.StoreInter || len(lv.Bounds) == 0 {
+	lv := &p.levels[i]
+	if !lv.storeInter || len(lv.bounds) == 0 {
 		return false
 	}
 	inside := []int{i}
-	for m := i + 1; m < p.K && p.Levels[m-1].StoreInter; m++ {
-		c := &p.Levels[m]
-		if !c.ReuseSame && !c.ReuseExtend {
+	for m := i + 1; m < p.K && p.levels[m-1].storeInter; m++ {
+		c := &p.levels[m]
+		if c.reuse == reuseNone {
 			break
 		}
-		if !boundedWithin(lv.Bounds, c.Bounds, inside) {
+		if !boundedWithin(lv.bounds, c.bounds, inside) {
 			return false
 		}
 		inside = append(inside, m)
@@ -289,62 +426,16 @@ func boundedWithin(want, got, inside []int) bool {
 		return true
 	}
 	for _, a := range got {
-		if containsInt(inside, a) {
+		if slices.Contains(inside, a) {
 			return true
 		}
 	}
 	for _, a := range want {
-		if !containsInt(got, a) {
+		if !slices.Contains(got, a) {
 			return false
 		}
 	}
 	return true
-}
-
-// probeable reports whether level i qualifies for Level.Probe: it is the
-// level a count-only run ends at, at depth ≥ 2 on a sorted (non-dense),
-// unlabeled plan, and its final set operation is one of the three forms whose
-// operand x the children of one parent share while each brings its own list:
-// x ∩ N(v_{i−1}) for x the parent's stored raw under ReuseExtend, with no
-// subtraction; x \ N(v_e) for x that raw under ReuseSame, with exactly one;
-// x ∩ N(v_j) for x = N(v_{Intersect[0]}), Intersect[0] ≤ i−2, in a two-list
-// Intersect with no subtraction.
-func (p *Plan) probeable(i int) bool {
-	lv := &p.Levels[i]
-	end := p.K - 1
-	if p.Fold > 0 {
-		end = p.FoldLevel()
-	}
-	if i < 2 || i != end || p.Dense || p.Labeled() || p.EdgeLabeled || p.Fold == 0 && !lv.CountOnly {
-		return false
-	}
-	subs := 0
-	if p.Induced {
-		subs = len(lv.Exclude)
-	}
-	switch {
-	case lv.ReuseExtend:
-		return subs == 0
-	case lv.ReuseSame:
-		return subs == 1
-	default:
-		return len(lv.Intersect) == 2 && lv.Intersect[0] <= i-2 && subs == 0
-	}
-}
-
-// filterable reports whether level i qualifies for Level.FilterOnce: depth
-// ≥ 2 on a vertex-labeled, non-induced plan without edge labels, whose raw set
-// is one every child of one parent shares — the parent's stored raw, reused
-// whole (ReuseSame), or N(v_j) for the level's one Intersect position
-// j ≤ i−2 — and whose bounds they share too: none is against position i−1,
-// the vertex siblings differ in. Level 1 never qualifies: all roots are
-// children of one parent, and no run is started among them.
-func (p *Plan) filterable(i int) bool {
-	lv := &p.Levels[i]
-	if i < 2 || !p.Labeled() || p.Induced || p.EdgeLabeled || containsInt(lv.Bounds, i-1) {
-		return false
-	}
-	return lv.ReuseSame || len(lv.Intersect) == 1 && lv.Intersect[0] <= i-2
 }
 
 // String renders a compact human-readable schedule.
@@ -357,120 +448,39 @@ func (p *Plan) String() string {
 	if p.Descending {
 		sb.WriteString(" descending")
 	}
-	if p.Fold > 0 {
-		fmt.Fprintf(&sb, " fold=%d", p.Fold)
+	if p.fold > 0 {
+		fmt.Fprintf(&sb, " fold=%d", p.fold)
 	}
-	if p.Dense {
+	if p.dense {
 		sb.WriteString(" dense")
 	}
 	for i := 1; i < p.K; i++ {
-		lv := &p.Levels[i]
-		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.Intersect)
-		if p.Induced && len(lv.Exclude) > 0 {
-			fmt.Fprintf(&sb, " sub=%v", lv.Exclude)
+		lv := &p.levels[i]
+		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.intersect)
+		if p.Induced && len(lv.exclude) > 0 {
+			fmt.Fprintf(&sb, " sub=%v", lv.exclude)
 		}
-		if len(lv.Bounds) > 0 {
+		if len(lv.bounds) > 0 {
 			_, key := p.boundSyms()
-			fmt.Fprintf(&sb, " %s=%v", key, lv.Bounds)
+			fmt.Fprintf(&sb, " %s=%v", key, lv.bounds)
 		}
-		if lv.CountOnly {
+		if lv.countOnly {
 			sb.WriteString(" count-only")
 		}
-		if lv.Probe {
+		if lv.probe {
 			sb.WriteString(" probe")
 		}
-		if lv.FilterOnce {
+		if lv.filterOnce {
 			sb.WriteString(" filter-once")
 		}
-		if lv.ReuseSame {
+		switch lv.reuse {
+		case reuseSame:
 			sb.WriteString(" reuse=same")
-		}
-		if lv.ReuseExtend {
+		case reuseExtend:
 			sb.WriteString(" reuse=extend")
 		}
 		sb.WriteString(")")
 	}
 	sb.WriteString("}")
 	return sb.String()
-}
-
-// Validate checks internal consistency; compiled plans always pass, and
-// hand-written plans can use it as a safety net.
-func (p *Plan) Validate() error {
-	if p.K != len(p.Levels) {
-		return fmt.Errorf("plan: K=%d but %d levels", p.K, len(p.Levels))
-	}
-	if p.K != p.Pattern.NumVertices() {
-		return fmt.Errorf("plan: K=%d but pattern has %d vertices", p.K, p.Pattern.NumVertices())
-	}
-	if len(p.Order) != p.K {
-		return fmt.Errorf("plan: order length %d != K", len(p.Order))
-	}
-	seen := make([]bool, p.K)
-	for _, v := range p.Order {
-		if v < 0 || v >= p.K || seen[v] {
-			return fmt.Errorf("plan: order %v is not a permutation", p.Order)
-		}
-		seen[v] = true
-	}
-	for i := 1; i < p.K; i++ {
-		lv := &p.Levels[i]
-		if len(lv.Intersect) == 0 {
-			return fmt.Errorf("plan: level %d has no intersect positions (order prefix disconnected)", i)
-		}
-		for _, j := range lv.Intersect {
-			if j < 0 || j >= i {
-				return fmt.Errorf("plan: level %d intersects future position %d", i, j)
-			}
-		}
-		for _, r := range lv.Bounds {
-			if r < 0 || r >= i {
-				return fmt.Errorf("plan: level %d bound on future position %d", i, r)
-			}
-		}
-		if lv.CountOnly && (p.Labeled() || p.EdgeLabeled || p.Induced && len(lv.Exclude) > 1 || i != p.K-1) {
-			return fmt.Errorf("plan: level %d cannot be count-only", i)
-		}
-		if lv.ReuseSame && lv.ReuseExtend {
-			return fmt.Errorf("plan: level %d has both reuse modes", i)
-		}
-		// A reuse level reads the raw its parent stored and never rebuilds
-		// it from the lists: the parent must store one, which takes VCS.
-		if (lv.ReuseSame || lv.ReuseExtend || lv.StoreInter) && !p.VCS {
-			return fmt.Errorf("plan: level %d reuses or stores an intersection with vertical computation sharing off", i)
-		}
-		if (lv.ReuseSame || lv.ReuseExtend) && (i < 2 || !p.Levels[i-1].StoreInter) {
-			return fmt.Errorf("plan: level %d reuses an intersection its parent level does not store", i)
-		}
-		// Distinctness tests only the excluded positions, so they must be
-		// every earlier position the level does not intersect.
-		n := 0
-		for j := 0; j < i; j++ {
-			if !containsInt(lv.Intersect, j) {
-				if !containsInt(lv.Exclude, j) {
-					return fmt.Errorf("plan: level %d excludes %v, missing position %d it does not intersect", i, lv.Exclude, j)
-				}
-				n++
-			}
-		}
-		if len(lv.Exclude) != n {
-			return fmt.Errorf("plan: level %d excludes %v, beyond the positions it does not intersect", i, lv.Exclude)
-		}
-		if lv.ClipStore && !p.storeClippable(i) {
-			return fmt.Errorf("plan: level %d cannot clip its stored intersection: a level deriving from it reaches outside its bounds", i)
-		}
-		if lv.Probe && !p.probeable(i) {
-			return fmt.Errorf("plan: level %d cannot probe a mark set: it is not where a count-only run ends, or no operand of its last set operation is shared by every child of one parent", i)
-		}
-		if lv.FilterOnce && !p.filterable(i) {
-			return fmt.Errorf("plan: level %d cannot filter its set once per run: the plan is not vertex-labeled, non-induced and edge-unlabeled, or the children of one parent do not share the level's raw set and bounds", i)
-		}
-	}
-	if p.Fold != 0 && !p.foldable(p.Fold) {
-		return fmt.Errorf("plan: the last %d levels are not a star tail, cannot fold", p.Fold)
-	}
-	if p.Dense && !p.denseable() {
-		return fmt.Errorf("plan: levels ≥ 2 cannot finish on the root's neighborhood, cannot run dense")
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -208,10 +209,10 @@ func TestVCSAnnotationsOnCliques(t *testing.T) {
 	// annotated ReuseExtend (the paper's Figure 9 example).
 	pl := MustCompile(pattern.Clique(5), Options{Style: StyleGraphPi})
 	for i := 2; i < pl.K; i++ {
-		if !pl.Levels[i].ReuseExtend {
+		if pl.levels[i].reuse != reuseExtend {
 			t.Errorf("clique level %d not ReuseExtend: %v", i, pl)
 		}
-		if !pl.Levels[i-1].StoreInter {
+		if !pl.levels[i-1].storeInter {
 			t.Errorf("clique level %d should StoreInter", i-1)
 		}
 	}
@@ -222,7 +223,7 @@ func TestVCSAnnotationsOnCliques(t *testing.T) {
 // K4 clips at levels 1 and 2 and the triangle at level 1, in either
 // direction. The parity-labeled K5 of the differential sweep keeps R1 and R2
 // whole: level 3 derives from R2, which derives from R1, and carries no
-// bounds. Validate must reject the flag hand-set there.
+// bounds, so derive never sets the flag there.
 func TestClipStoreFlag(t *testing.T) {
 	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
 	for _, c := range []struct {
@@ -237,7 +238,7 @@ func TestClipStoreFlag(t *testing.T) {
 		{"K4/no-vcs", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, DisableVCS: true}), []bool{false, false, false, false}},
 	} {
 		for i, want := range c.clip {
-			if got := c.pl.Levels[i].ClipStore; got != want {
+			if got := c.pl.levels[i].clipStore; got != want {
 				t.Errorf("%s: level %d ClipStore = %v, want %v: %v", c.name, i, got, want, c.pl)
 			}
 		}
@@ -245,39 +246,30 @@ func TestClipStoreFlag(t *testing.T) {
 
 	parity := pattern.Clique(5).WithLabels([]graph.Label{0, 1, 0, 1, 0})
 	pl := MustCompile(parity, Options{Style: StyleGraphPi, Stats: down})
-	if !pl.Descending || !pl.Levels[1].StoreInter || len(pl.Levels[1].Bounds) == 0 || len(pl.Levels[3].Bounds) != 0 {
+	if !pl.Descending || !pl.levels[1].storeInter || len(pl.levels[1].bounds) == 0 || len(pl.levels[3].bounds) != 0 {
 		t.Fatalf("parity-labeled K5 no longer has the shape this test pins: %v", pl)
 	}
-	for i, lv := range pl.Levels {
-		if lv.ClipStore {
+	for i, lv := range pl.levels {
+		if lv.clipStore {
 			t.Errorf("parity-labeled K5: level %d clips its store: %v", i, pl)
 		}
 	}
 	if s := pl.Explain(); !strings.Contains(s, "v1 < v0, clip after store ub=[0], store R1") {
 		t.Errorf("Explain of the parity-labeled K5 does not clip R1 after the store:\n%s", s)
 	}
-	bad := *pl
-	bad.Levels = append([]Level(nil), pl.Levels...)
-	bad.Levels[1].ClipStore = true
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted ClipStore on the parity-labeled K5's level 1")
-	}
 
-	// Distinctness reads Exclude alone, so it must name every position the
-	// level does not intersect.
+	// Distinctness reads exclude alone, so it names every position the level
+	// does not intersect (TestReuseFollowsIntersect checks it on every plan).
 	star := MustCompile(pattern.StarP(4), Options{Style: StyleAutomine})
-	if got := star.Levels[3].Exclude; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := star.levels[3].exclude; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("3-star leaf level excludes %v, want [1 2]", got)
-	}
-	star.Levels[3].Exclude = star.Levels[3].Exclude[:1]
-	if err := star.Validate(); err == nil {
-		t.Error("Validate accepted a level that excludes only part of what it does not intersect")
 	}
 }
 
 // TestNeedsListMarksReadPositions: a position's edge list is carried exactly
 // when a deeper level reads it — intersects it, or in induced mode subtracts
-// it — so the last level never carries one.
+// it, or, in a dense plan, reads the rows built from level 1's lists — so the
+// last level never carries one.
 func TestNeedsListMarksReadPositions(t *testing.T) {
 	for _, pat := range []*pattern.Pattern{
 		pattern.Clique(5), pattern.House(), pattern.CycleP(5), pattern.StarP(5),
@@ -287,15 +279,16 @@ func TestNeedsListMarksReadPositions(t *testing.T) {
 			for i := 0; i < pl.K; i++ {
 				read := false
 				for m := i + 1; m < pl.K; m++ {
-					lv := &pl.Levels[m]
-					read = read || containsInt(lv.Intersect, i) || induced && containsInt(lv.Exclude, i)
+					lv := &pl.levels[m]
+					read = read || slices.Contains(lv.intersect, i) || induced && slices.Contains(lv.exclude, i)
 				}
-				if pl.Levels[i].NeedsList != read {
+				read = read || i == 1 && pl.dense
+				if pl.levels[i].needsList != read {
 					t.Errorf("%v induced=%v: level %d NeedsList = %v, read by a deeper level = %v",
-						pat, induced, i, pl.Levels[i].NeedsList, read)
+						pat, induced, i, pl.levels[i].needsList, read)
 				}
 			}
-			if pl.Levels[pl.K-1].NeedsList {
+			if pl.levels[pl.K-1].needsList {
 				t.Errorf("%v induced=%v: last level claims NeedsList", pat, induced)
 			}
 		}
@@ -382,35 +375,42 @@ func TestPropertyEnginesAgreeOnRandomGraphs(t *testing.T) {
 	}
 }
 
-func TestPlanStringAndValidate(t *testing.T) {
+// TestPlanStringAndConstruction: a plan is built from a permutation of the
+// pattern's vertices whose every prefix is connected, and the constructor
+// rejects any other order. Annotations follow from the matching alone: the
+// 3-star's leaves reuse R1 with vertical computation sharing on, and without
+// it no level reuses or stores.
+func TestPlanStringAndConstruction(t *testing.T) {
 	pl := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
 	if pl.String() == "" {
 		t.Fatal("empty plan string")
 	}
-	if err := pl.Validate(); err != nil {
-		t.Fatal(err)
+	for _, order := range [][]int{{0, 0, 1, 2}, {0, 1, 2}, {0, 1, 2, 4}, {0, 1, 2, 3, 0}} {
+		if _, err := BuildForOrder(pattern.Diamond(), order, Options{}, false); err == nil {
+			t.Errorf("order %v accepted for the diamond", order)
+		}
 	}
-	// Corrupt the plan and expect Validate to notice.
-	bad := *pl
-	bad.Order = []int{0, 0, 1, 2}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate accepted non-permutation order")
+	if _, err := BuildForOrder(pattern.PathP(4), []int{0, 2, 1, 3}, Options{}, false); err == nil {
+		t.Error("P4 order [0 2 1 3], whose prefix {0, 2} is disconnected, accepted")
 	}
-	// A reuse level reads its parent's stored raw, so reuse and store flags
-	// need VCS on, and a reuse level needs a parent that stores.
+	if p, err := BuildForOrder(pattern.PathP(4), []int{1, 2, 0, 3}, Options{}, false); err != nil || p.levels[3].intersect[0] != 1 {
+		t.Errorf("P4 order [1 2 0 3]: %v, %v", p, err)
+	}
+	// The tailed triangle in order [1 3 0 2] runs dense, though no level
+	// intersects position 1: its rows are built from level 1's lists, so
+	// level 1 carries them.
+	tailed := pattern.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}})
+	if p, err := BuildForOrder(tailed, []int{1, 3, 0, 2}, Options{}, true); err != nil || !p.dense || !p.levels[1].needsList {
+		t.Errorf("tailed triangle in order [1 3 0 2]: %v, %v", p, err)
+	}
 	star := MustCompile(pattern.StarP(4), Options{Style: StyleAutomine})
-	if !star.Levels[2].ReuseSame || !star.Levels[1].StoreInter {
+	if star.levels[2].reuse != reuseSame || !star.levels[1].storeInter {
 		t.Fatalf("3-star level 2 does not reuse R1: %v", star)
 	}
-	for name, corrupt := range map[string]func(*Plan){
-		"reuse with VCS off":      func(p *Plan) { p.VCS = false },
-		"reuse of an unstored R1": func(p *Plan) { p.Levels[1].StoreInter = false },
-	} {
-		bad := *star
-		bad.Levels = append([]Level(nil), star.Levels...)
-		corrupt(&bad)
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted %s: %v", name, &bad)
+	off := MustCompile(pattern.StarP(4), Options{Style: StyleAutomine, DisableVCS: true})
+	for i, lv := range off.levels {
+		if lv.reuse != reuseNone || lv.storeInter || lv.clipStore {
+			t.Errorf("3-star without VCS: level %d reuses or stores: %v", i, off)
 		}
 	}
 }
@@ -420,10 +420,11 @@ func TestPlanStringAndValidate(t *testing.T) {
 // the tailed triangle, the house and the triangle, nor any labeled,
 // edge-labeled, induced, VCS-off or folding plan of a connected k ≤ 5
 // pattern — the plans TC, 3-MC and FSM run among them — and Explain prints
-// the dense suffix exactly where it is marked. Validate holds a hand-set
-// Dense to the compiler's rule. The direction is one bit of the plan: the
-// sweep compiles each plan against mirrored stats, up- and down-skewed, and
-// the two may differ only in Descending and the skew sums.
+// the dense suffix exactly where it is marked. The diamond stores R1 whole,
+// so its levels are not all inside S and derive never marks it. The
+// direction is one bit of the plan: the sweep compiles each plan against
+// mirrored stats, up- and down-skewed, and the two may differ only in
+// Descending and the skew sums.
 func TestDenseMarksCliqueSuffixes(t *testing.T) {
 	up := GraphStats{NumVertices: 56, AvgDegree: 10, DownSq: 1}
 	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
@@ -431,12 +432,12 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 	for _, st := range styles {
 		for _, stats := range []GraphStats{{}, down} {
 			for k := 4; k <= 6; k++ {
-				if pl := MustCompile(pattern.Clique(k), Options{Style: st, Stats: stats}); !pl.Dense || !strings.Contains(pl.String(), " dense ") {
+				if pl := MustCompile(pattern.Clique(k), Options{Style: st, Stats: stats}); !pl.dense || !strings.Contains(pl.String(), " dense ") {
 					t.Errorf("K%d not dense: %v", k, pl)
 				}
 			}
 			for _, pat := range []*pattern.Pattern{pattern.Diamond(), pattern.TailedTriangle(), pattern.House(), pattern.Triangle()} {
-				if pl := MustCompile(pat, Options{Style: st, Stats: stats}); pl.Dense || strings.Contains(pl.String(), "dense") {
+				if pl := MustCompile(pat, Options{Style: st, Stats: stats}); pl.dense || strings.Contains(pl.String(), "dense") {
 					t.Errorf("%v marked dense: %v", pat, pl)
 				}
 			}
@@ -472,19 +473,19 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 						opts := c.opts
 						opts.Stats = stats
 						pl := MustCompile(c.pat, opts)
-						if pl.Dense && (c.name != "bare" || pl.Fold > 0) {
+						if pl.dense && (c.name != "bare" || pl.fold > 0) {
 							t.Errorf("%s %v marked dense: %v", c.name, c.pat, pl)
 						}
-						if strings.Contains(pl.Explain(), "dense suffix") != pl.Dense {
-							t.Errorf("%s %v: Dense = %v but Explain says otherwise:\n%s", c.name, c.pat, pl.Dense, pl.Explain())
+						if strings.Contains(pl.Explain(), "dense suffix") != pl.dense {
+							t.Errorf("%s %v: Dense = %v but Explain says otherwise:\n%s", c.name, c.pat, pl.dense, pl.Explain())
 						}
 						checkFilterOnce(t, c.name, pl)
 						mirror[d] = pl
 					}
 					asc, desc := *mirror[0], *mirror[1]
 					bounded := false
-					for _, lv := range desc.Levels {
-						bounded = bounded || len(lv.Bounds) > 0
+					for _, lv := range desc.levels {
+						bounded = bounded || len(lv.bounds) > 0
 					}
 					if asc.Descending || desc.Descending != bounded {
 						t.Errorf("%s %v: Descending = %v up-skewed, %v down-skewed with bounds %v", c.name, c.pat, asc.Descending, desc.Descending, bounded)
@@ -497,40 +498,25 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 			}
 		}
 	}
-
-	// The diamond's R1 is stored whole, so its levels are not all inside S.
-	// A K4 whose last level no longer reuses R2 and drops its bounds keeps a
-	// valid clipped R1 — level 3 is off the reuse chain — but reaches
-	// outside S.
-	bad := MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi})
-	bad.Dense = true
-	if err := bad.Validate(); err == nil {
-		t.Errorf("Validate accepted a dense diamond: %v", bad)
-	}
-	k4 := MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi})
-	k4.Levels = append([]Level(nil), k4.Levels...)
-	k4.Levels[2].StoreInter, k4.Levels[2].ClipStore = false, false
-	k4.Levels[3].ReuseExtend, k4.Levels[3].Bounds = false, nil
-	if err := k4.Validate(); err == nil {
-		t.Errorf("Validate accepted a dense K4 whose level 3 leaves R1's bounds: %v", k4)
-	}
-	k4.Dense = false
-	if err := k4.Validate(); err != nil {
-		t.Fatalf("the same K4 without Dense: %v", err)
-	}
 }
 
-// checkFilterOnce holds a compiled plan's FilterOnce flags to the rule, and
-// its renderings to them: only a vertex-labeled plan names the flag, so an
-// unlabeled plan renders exactly as it did before the flag existed.
+// checkFilterOnce holds a compiled plan's FilterOnce flags to the rule,
+// restated here from the matching: a level ≥ 2 of a vertex-labeled,
+// non-induced, edge-unlabeled plan with no bound against the vertex its
+// siblings differ in, whose raw set is the parent's stored raw (reuseSame) or
+// one list fixed above the parent. Its renderings must agree: only a
+// vertex-labeled plan names the flag, so an unlabeled plan renders exactly as
+// it did before the flag existed.
 func checkFilterOnce(t *testing.T, name string, pl *Plan) {
 	t.Helper()
 	flagged := false
-	for i, lv := range pl.Levels {
-		if lv.FilterOnce != (i >= 2 && pl.filterable(i)) {
-			t.Errorf("%s %v: level %d FilterOnce = %v", name, pl.Pattern, i, lv.FilterOnce)
+	for i, lv := range pl.levels {
+		rule := i >= 2 && pl.Labeled() && !pl.Induced && !pl.EdgeLabeled && !slices.Contains(lv.bounds, i-1) &&
+			(lv.reuse == reuseSame || len(lv.intersect) == 1 && lv.intersect[0] <= i-2)
+		if lv.filterOnce != rule {
+			t.Errorf("%s %v: level %d FilterOnce = %v", name, pl.Pattern, i, lv.filterOnce)
 		}
-		flagged = flagged || lv.FilterOnce
+		flagged = flagged || lv.filterOnce
 	}
 	if flagged && !pl.Labeled() {
 		t.Errorf("%s %v: an unlabeled plan filters once: %v", name, pl.Pattern, pl)
@@ -543,17 +529,16 @@ func checkFilterOnce(t *testing.T, name string, pl *Plan) {
 // TestFilterOnceMarksSharedSets pins which levels the compiler marks
 // FilterOnce: a level ≥ 2 of a vertex-labeled, non-induced, edge-unlabeled
 // plan whose raw set and bounds all children of one parent share — the
-// parent's stored raw under ReuseSame (the labeled star's leaves as frequent
+// parent's stored raw under reuseSame (the labeled star's leaves as frequent
 // subgraph mining compiles them, without symmetry breaking), or a single
-// Intersect list at position ≤ level−2 (Automine's P4, N(v1) at level 3) —
+// intersect list at position ≤ level−2 (Automine's P4, N(v1) at level 3) —
 // and nowhere else: not level 1, a level bounded by the vertex siblings
 // differ in (the star's leaves under symmetry breaking), a single list at
 // level−1 (GraphPi's P4, N(v2) at level 3), an induced or edge-labeled plan,
 // a two-list level without vertical computation sharing, or an unlabeled
-// plan. Validate rejects a hand-set flag
-// on each of those, and String and Explain name the flag and the set. A
-// hand-built leaf whose Exclude does not ascend still drops every excluded
-// sibling.
+// plan; derive never sets the flag on any of those. String and Explain name
+// the flag and the set. A leaf whose excluded siblings carry its label drops
+// them from the set it filters once, as it does per child.
 func TestFilterOnceMarksSharedSets(t *testing.T) {
 	star := pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1})
 	path := pattern.PathP(4).WithLabels([]graph.Label{0, 1, 0, 1})
@@ -582,9 +567,9 @@ func TestFilterOnceMarksSharedSets(t *testing.T) {
 		{"edge- and vertex-labeled star", MustCompile(both, Options{Style: StyleAutomine, DisableSymmetryBreak: true}), nil, nil},
 		{"unlabeled star", MustCompile(pattern.StarP(4), Options{Style: StyleAutomine, DisableSymmetryBreak: true}), nil, nil},
 	} {
-		for i, lv := range c.pl.Levels {
-			if lv.FilterOnce != containsInt(c.flagged, i) {
-				t.Errorf("%s: level %d FilterOnce = %v: %v", c.name, i, lv.FilterOnce, c.pl)
+		for i, lv := range c.pl.levels {
+			if lv.filterOnce != slices.Contains(c.flagged, i) {
+				t.Errorf("%s: level %d FilterOnce = %v: %v", c.name, i, lv.filterOnce, c.pl)
 			}
 		}
 		checkFilterOnce(t, c.name, c.pl)
@@ -598,7 +583,7 @@ func TestFilterOnceMarksSharedSets(t *testing.T) {
 			}
 		}
 	}
-	if pl := MustCompile(path, Options{Style: StyleGraphPi}); !reflect.DeepEqual(pl.Levels[3].Intersect, []int{2}) {
+	if pl := MustCompile(path, Options{Style: StyleGraphPi}); !reflect.DeepEqual(pl.levels[3].intersect, []int{2}) {
 		t.Fatalf("GraphPi P4's level 3 does not read N(v2): %v", pl)
 	}
 
@@ -615,34 +600,26 @@ func TestFilterOnceMarksSharedSets(t *testing.T) {
 		{"two-list level 3 of the labeled diamond without VCS", MustCompile(diamond, Options{Style: StyleGraphPi, DisableVCS: true}), 3},
 		{"unlabeled star level 2", MustCompile(pattern.StarP(4), Options{Style: StyleAutomine, DisableSymmetryBreak: true}), 2},
 	} {
-		bad := *c.pl
-		bad.Levels = append([]Level(nil), c.pl.Levels...)
-		bad.Levels[c.lv].FilterOnce = true
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted FilterOnce on the %s: %v", c.name, &bad)
+		if c.pl.levels[c.lv].filterOnce {
+			t.Errorf("derive set FilterOnce on the %s: %v", c.name, c.pl)
 		}
 	}
 
-	// Validate does not hold Exclude to the compiler's ascending order, so a
-	// hand-built leaf that excludes v2 before v1 must still drop both.
-	base := MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true})
-	hand := *base
-	hand.Levels = append([]Level(nil), base.Levels...)
-	hand.Levels[3].Exclude = []int{2, 1}
-	if err := hand.Validate(); err != nil || !hand.Levels[3].FilterOnce {
-		t.Fatalf("hand-built star with Exclude [2 1]: %v, FilterOnce = %v", err, hand.Levels[3].FilterOnce)
+	leaf := MustCompile(star, Options{Style: StyleAutomine, DisableSymmetryBreak: true})
+	if !leaf.levels[3].filterOnce || !slices.Equal(leaf.levels[3].exclude, []int{1, 2}) {
+		t.Fatalf("labeled star's level 3 does not filter once or exclude [1 2]: %v", leaf)
 	}
 	leaves := []graph.VertexID{1, 2, 3, 4, 5}
 	getList := func(int) []graph.VertexID { return leaves }
 	labelOf := func(v graph.VertexID) graph.Label { return min(graph.Label(v), 1) }
 	emb := []graph.VertexID{0, 1, 2}
-	perChild, _ := hand.Extend(NewScratch(&hand), 3, emb, getList, leaves, labelOf, nil)
-	once := NewScratch(&hand)
+	perChild, _ := leaf.Extend(NewScratch(leaf), 3, emb, getList, leaves, labelOf, nil)
+	once := NewScratch(leaf)
 	once.LendRuns(&RunStorage{})
-	filtered, _ := hand.Extend(once, 3, emb, getList, leaves, labelOf, nil)
+	filtered, _ := leaf.Extend(once, 3, emb, getList, leaves, labelOf, nil)
 	want := []graph.VertexID{3, 4, 5}
 	if !slices.Equal(perChild, want) || !slices.Equal(filtered, want) {
-		t.Errorf("hand-built star with Exclude [2 1]: per child %v, filtered once %v, want %v", perChild, filtered, want)
+		t.Errorf("labeled star's leaf: per child %v, filtered once %v, want %v", perChild, filtered, want)
 	}
 }
 
@@ -650,10 +627,11 @@ func TestFilterOnceMarksSharedSets(t *testing.T) {
 // the level a count-only run ends at, at depth ≥ 2, where its last set
 // operation has an operand all children of one parent share — the parent's
 // stored raw extended (triangle), the parent's raw minus one list (induced
-// wedge), or a list at Intersect[0] ≤ level−2 (triangle without VCS) — and
+// wedge), or a list at intersect[0] ≤ level−2 (triangle without VCS) — and
 // nowhere else: not on a dense plan, a folding one, a labeled one, or a last
-// level that intersects three lists or both intersects and subtracts. Validate rejects a
-// hand-set Probe that fails the rule, and Explain names what it marks.
+// level that intersects three lists or both intersects and subtracts. derive
+// never sets the flag on the levels of the second table, and Explain names
+// what a probed level marks.
 func TestProbeMarksSharedOperands(t *testing.T) {
 	labeled := pattern.Triangle().WithLabels([]graph.Label{0, 1, 0})
 	for _, c := range []struct {
@@ -672,9 +650,9 @@ func TestProbeMarksSharedOperands(t *testing.T) {
 		{"labeled triangle", MustCompile(labeled, Options{Style: StyleAutomine}), -1, ""},
 		{"induced 4-cycle (intersect and subtract)", MustCompile(pattern.CycleP(4), Options{Style: StyleGraphPi, Induced: true}), -1, ""},
 	} {
-		for i, lv := range c.pl.Levels {
-			if lv.Probe != (i == c.probe) {
-				t.Errorf("%s: level %d Probe = %v: %v", c.name, i, lv.Probe, c.pl)
+		for i, lv := range c.pl.levels {
+			if lv.probe != (i == c.probe) {
+				t.Errorf("%s: level %d Probe = %v: %v", c.name, i, lv.probe, c.pl)
 			}
 		}
 		if ex := c.pl.Explain(); strings.Contains(ex, "probe marked") != (c.probe > 0) || !strings.Contains(ex, c.mark) {
@@ -696,11 +674,84 @@ func TestProbeMarksSharedOperands(t *testing.T) {
 		{"induced wedge without VCS", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true, DisableVCS: true}), 2},
 		{"diamond level 2", MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi}), 2},
 	} {
-		bad := *c.pl
-		bad.Levels = append([]Level(nil), c.pl.Levels...)
-		bad.Levels[c.lv].Probe = true
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate accepted Probe on the %s: %v", c.name, &bad)
+		if c.pl.levels[c.lv].probe {
+			t.Errorf("derive set Probe on the %s: %v", c.name, c.pl)
 		}
 	}
+}
+
+// sweepPlans compiles the 960-plan sweep — every connected pattern of two to
+// five vertices, unlabeled and labeled by vertex parity, in both styles,
+// induced or not, with vertical computation sharing on and off, and with no
+// input statistics or down-skewed ones (descending bounds) — and hands each
+// plan to check.
+func sweepPlans(t *testing.T, check func(name string, pl *Plan)) {
+	t.Helper()
+	down := GraphStats{NumVertices: 56, AvgDegree: 10, UpSq: 1}
+	n := 0
+	for k := 2; k <= 5; k++ {
+		for _, base := range pattern.ConnectedPatterns(k) {
+			labels := make([]graph.Label, k)
+			for v := range labels {
+				labels[v] = graph.Label(v % 2)
+			}
+			for _, pat := range []*pattern.Pattern{base, base.WithLabels(labels)} {
+				for _, st := range []Style{StyleAutomine, StyleGraphPi} {
+					for variant := 0; variant < 8; variant++ {
+						induced, vcs, skewed := variant&1 != 0, variant&2 == 0, variant&4 != 0
+						opts := Options{Style: st, Induced: induced, DisableVCS: !vcs}
+						if skewed {
+							opts.Stats = down
+						}
+						check(fmt.Sprintf("%v/%v/induced=%v/vcs=%v/skewed=%v", pat, st, induced, vcs, skewed), MustCompile(pat, opts))
+						n++
+					}
+				}
+			}
+		}
+	}
+	if n != 960 {
+		t.Fatalf("swept %d plans, want 960", n)
+	}
+}
+
+// TestReuseFollowsIntersect holds the reuse pair to its rule on every plan of
+// the sweep, at every level i ≥ 2: reuseSame exactly when vertical computation
+// sharing is on and intersect equals the parent's, reuseExtend exactly when
+// it is on and intersect is the parent's plus i−1, and storeInter on the
+// parent exactly when the child reuses. The engine trusts these with no
+// fallback — a level marked reuseExtend whose intersect is the parent's
+// counts wrong — so no plan may break the rule. Level 1 never reuses and the
+// last level never stores; exclude names exactly the earlier positions the
+// level does not intersect.
+func TestReuseFollowsIntersect(t *testing.T) {
+	sweepPlans(t, func(name string, pl *Plan) {
+		if pl.levels[1].reuse != reuseNone || pl.levels[pl.K-1].storeInter {
+			t.Errorf("%s: level 1 reuses or the last level stores: %v", name, pl)
+		}
+		for i := 1; i < pl.K; i++ {
+			lv := &pl.levels[i]
+			var complement []int
+			for j := 0; j < i; j++ {
+				if !slices.Contains(lv.intersect, j) {
+					complement = append(complement, j)
+				}
+			}
+			if !slices.Equal(lv.exclude, complement) {
+				t.Errorf("%s: level %d intersects %v and excludes %v", name, i, lv.intersect, lv.exclude)
+			}
+			if i < 2 {
+				continue
+			}
+			prev := pl.levels[i-1].intersect
+			same := pl.VCS && slices.Equal(lv.intersect, prev)
+			extend := pl.VCS && slices.Equal(lv.intersect, append(slices.Clone(prev), i-1))
+			if (lv.reuse == reuseSame) != same || (lv.reuse == reuseExtend) != extend {
+				t.Errorf("%s: level %d intersects %v under a parent intersecting %v, reuse = %d", name, i, lv.intersect, prev, lv.reuse)
+			}
+			if pl.levels[i-1].storeInter != (lv.reuse != reuseNone) {
+				t.Errorf("%s: level %d stores = %v, its child's reuse = %d", name, i-1, pl.levels[i-1].storeInter, lv.reuse)
+			}
+		}
+	})
 }
