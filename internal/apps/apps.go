@@ -89,8 +89,10 @@ func PatternCount(c *cluster.Cluster, pat *pattern.Pattern, sys System, induced 
 }
 
 // MotifCount runs k-MC by decomposition: it counts every connected size-k
-// pattern non-induced — plans without subtractions, whose star tails fold
-// under any core.CountSink — and converts the counts to induced ones
+// pattern non-induced — plans without subtractions, whose tails of levels
+// sharing one set fold into a binomial and whose last level, where no
+// v_{K−2} changes its count, is multiplied in one level early, under any
+// core.CountSink — and converts the counts to induced ones
 // through the motif set's spanning-supergraph matrix (pattern.InducedCounts).
 // The per-pattern Count and the combined Count are induced counts; every
 // other Result field, Summary included, describes the non-induced runs that

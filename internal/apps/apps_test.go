@@ -227,8 +227,8 @@ func TestCompileOptionsForwarded(t *testing.T) {
 		for i := 0; i < pl.K; i++ {
 			bounds += len(pl.Level(i).Bounds())
 		}
-		if pl.VCS || bounds != 0 {
-			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS, bounds)
+		if pl.VCS() || bounds != 0 {
+			t.Fatalf("%v: options not forwarded: VCS %v, %d restrictions", sys, pl.VCS(), bounds)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestCompileMotifs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pl.Induced {
+			if !pl.Induced() {
 				t.Fatalf("%v: motif plan not induced", sys)
 			}
 			total += plan.CountGraph(pl, g)

@@ -160,7 +160,7 @@ func checkEmbedding(g *graph.Graph, pl *plan.Plan, emb []graph.VertexID) error {
 			if emb[i] == emb[j] {
 				return fmt.Errorf("embedding %v repeats a vertex", emb)
 			}
-			if pl.Pattern.HasEdge(pl.Order[i], pl.Order[j]) && !g.HasEdge(emb[i], emb[j]) {
+			if pl.Pattern.HasEdge(pl.Order()[i], pl.Order()[j]) && !g.HasEdge(emb[i], emb[j]) {
 				return fmt.Errorf("embedding %v misses the edge between positions %d and %d", emb, j, i)
 			}
 		}

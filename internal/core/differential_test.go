@@ -26,7 +26,8 @@ import (
 // merge and gallop kernels must both fire under the count-only sink. Without
 // vertical computation sharing the K4 and K5 levels intersect three or more
 // lists pairwise. Counting instead of building must change nothing but the
-// depth of the walk, and that only where the plan ends in a star tail.
+// depth of the walk, and that only where a tail folds or the last level
+// multiplies.
 func TestDifferentialCountPaths(t *testing.T) {
 	type input struct {
 		name string
@@ -96,8 +97,8 @@ func TestDifferentialCountPaths(t *testing.T) {
 						for i := 0; i < pl.K; i++ {
 							restricted = restricted || len(pl.Level(i).Bounds()) > 0
 						}
-						if pl.Descending != (descending && restricted) {
-							t.Fatalf("%s: plan.Descending = %v", name, pl.Descending)
+						if pl.Descending() != (descending && restricted) {
+							t.Fatalf("%s: plan.Descending = %v", name, pl.Descending())
 						}
 						ex := plan.NewExecutor(pl, in.g.Neighbors, in.g.Label)
 						ex.SetEdgeLabelOf(plan.EdgeLabelOracle(in.g))
@@ -117,13 +118,14 @@ func TestDifferentialCountPaths(t *testing.T) {
 							}
 							// Counting instead of building changes no embedding
 							// the engine creates on the way to the last level —
-							// unless a star tail folds, which ends the walk at the
-							// fold level with fewer extensions.
+							// unless a tail folds or the last level multiplies,
+							// which ends the walk early with fewer extensions.
 							cs, bs := cm.Summarize(), bm.Summarize()
-							if cs.Matches != bs.Matches || (cs.Extensions == bs.Extensions) != (pl.Fold() == 0) || cs.Extensions > bs.Extensions ||
-								pl.Fold() == 0 && (cs.VerticalHits != bs.VerticalHits || threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
-								t.Errorf("%s threads=%d fold=%d: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
-									name, threads, pl.Fold(), cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
+							full := pl.Fold() == 0 && !pl.Multiply()
+							if cs.Matches != bs.Matches || (cs.Extensions == bs.Extensions) != full || cs.Extensions > bs.Extensions ||
+								full && (cs.VerticalHits != bs.VerticalHits || threads == 1 && cs.PeakEmbeddings != bs.PeakEmbeddings) {
+								t.Errorf("%s threads=%d fold=%d multiply=%v: count-only run %d/%d/%d/%d matches/extensions/vertical/peak, materializing %d/%d/%d/%d",
+									name, threads, pl.Fold(), pl.Multiply(), cs.Matches, cs.Extensions, cs.VerticalHits, cs.PeakEmbeddings,
 									bs.Matches, bs.Extensions, bs.VerticalHits, bs.PeakEmbeddings)
 							}
 							counting[0] += cs.KernelMerge
@@ -158,81 +160,128 @@ func hubbedRMAT() *graph.Graph {
 	return hubbed.Build()
 }
 
-// TestDifferentialFoldedPlans holds the folded count to the other three on
-// every shape that ends in a star tail: stars (the whole plan below the root
-// folds), and a triangle and a path carrying a pendant pair (the fold level
-// must subtract the earlier matched vertices it finds in the anchor's list).
-// The chunk sizes put the fold level's parents in one chunk and in many. A
-// fold that did not fire shows as an extension count no lower than the
-// materializing run's. The folding engines are bare ones, a CountSink under
-// core.NewPlanExtender and nothing else, and must take exactly the
-// extensions cluster.Count takes.
+// TestDifferentialFoldedPlans holds the count-only runs that end early to
+// the other three on every shape that does: the plans that fold a tail of
+// levels sharing one set — stars (the whole plan below the root folds), a
+// triangle and a path carrying a pendant pair (the fold level must subtract
+// the earlier matched vertices it finds in the anchor's list), the diamond
+// (C(|R1 ∩ N(v1)|, 2) per (v0, v1)) and the 3-book (an edge plus three
+// common neighbours, r = 3) — and the plans that multiply their last level
+// in one level early: the tailed triangle, K4 with a pendant at v0 (which
+// runs its dense suffix instead while vertical computation sharing is on,
+// so it multiplies without), K4 with a fifth vertex on one of its edges,
+// whose last level's set is two lists, N(v0) ∩ N(v1), and K5 with a sixth
+// vertex on one of its triangles, whose set is three. Each runs in both
+// styles and both bound directions, with vertical computation sharing on
+// and off, on 1 and 4 nodes, 1 and 3 threads, and chunk sizes that put the
+// end level's parents in one chunk and in many; Automine's plans must fold,
+// multiply or run dense as the shape says, and every shape must occur in
+// the graph. A
+// run that did not end early shows as an extension count no lower than the
+// materializing run's, and one that ends at level 2 extends nothing past
+// level 1: the roots and their level-1 children, no level-2 chunk. The
+// count-only engines are bare ones, a CountSink under core.NewPlanExtender
+// and nothing else, and must take exactly the extensions cluster.Count takes.
 func TestDifferentialFoldedPlans(t *testing.T) {
 	g := hubbedRMAT()
-	cl, err := cluster.New(g, cluster.Config{NumNodes: 2, ThreadsPerSocket: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	// fold and multiply are what Automine's plan does; dense marks the one
+	// shape that runs its dense suffix instead of multiplying while vertical
+	// computation sharing is on.
 	shapes := []struct {
-		name string
-		pat  *pattern.Pattern
-		fold int
+		name            string
+		pat             *pattern.Pattern
+		fold            int
+		multiply, dense bool
 	}{
-		{"wedge", pattern.PathP(3), 2},
-		{"3-star", pattern.StarP(4), 3},
-		{"4-star", pattern.StarP(5), 4},
-		{"triangle-with-two-pendants", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {0, 4}}), 2},
-		{"path-with-pendant-pair", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 4}}), 2},
+		{"wedge", pattern.PathP(3), 2, false, false},
+		{"3-star", pattern.StarP(4), 3, false, false},
+		{"4-star", pattern.StarP(5), 4, false, false},
+		{"triangle-with-two-pendants", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {0, 4}}), 2, false, false},
+		{"path-with-pendant-pair", pattern.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 4}}), 2, false, false},
+		{"diamond", pattern.Diamond(), 2, false, false},
+		{"3-book", pattern.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}}), 3, false, false},
+		{"tailed-triangle", pattern.TailedTriangle(), 0, true, false},
+		{"K4-with-pendant", pattern.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4}}), 0, true, true},
+		{"K4-with-a-vertex-on-an-edge", pattern.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4}, {1, 4}}), 0, true, false},
+		{"K5-with-a-vertex-on-a-triangle", pattern.FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, {0, 5}, {1, 5}, {2, 5}}), 0, true, false},
 	}
-	check := func(name string, pl *plan.Plan, want uint64, fold int) {
+	check := func(name string, pl *plan.Plan, want uint64) {
 		t.Helper()
-		if pl.Fold() != fold {
-			t.Fatalf("%s: %v, want fold=%d", name, pl, fold)
-		}
 		if ref := plan.CountGraph(pl, g); ref != want {
 			t.Errorf("%s: executor %d, want %d", name, ref, want)
 		}
-		res, err := cl.Count(pl)
-		if err != nil || res.Count != want {
-			t.Fatalf("%s: cluster.Count = %d, %v; want %d", name, res.Count, err, want)
+		early := pl.Fold() > 0 || pl.Multiply()
+		// The level a count-only run ends at, and the level-1 embeddings a run
+		// ending at level 2 extends: every edge, once under a bound against v0.
+		end := pl.FoldLevel()
+		if pl.Multiply() {
+			end = pl.K - 2
 		}
-		for _, threads := range []int{1, 3} {
-			for _, chunk := range []int{8, 0} {
-				cfg := core.Config{Threads: threads, ChunkSize: chunk, HDS: true}
-				folded, fm := runClusterSink(t, g, pl, 2, cfg, sinkCount)
-				built, bm := runClusterSink(t, g, pl, 2, cfg, sinkBuild)
-				if folded != want || built != want {
-					t.Errorf("%s threads=%d chunk=%d: count-only %d, materializing %d, want %d", name, threads, chunk, folded, built, want)
-				}
-				fs, bs := fm.Summarize(), bm.Summarize()
-				if fs.Matches != bs.Matches || (fs.Extensions < bs.Extensions) != (fold > 0) || fs.Extensions > bs.Extensions {
-					t.Errorf("%s threads=%d chunk=%d fold=%d: count-only run %d matches in %d extensions, materializing %d in %d",
-						name, threads, chunk, fold, fs.Matches, fs.Extensions, bs.Matches, bs.Extensions)
-				}
-				if fs.Extensions != res.Summary.Extensions {
-					t.Errorf("%s threads=%d chunk=%d fold=%d: bare engine took %d extensions, cluster.Count %d",
-						name, threads, chunk, fold, fs.Extensions, res.Summary.Extensions)
+		level1 := g.NumDirectedEdges()
+		if len(pl.Level(1).Bounds()) > 0 {
+			level1 /= 2
+		}
+		for _, nodes := range []int{1, 4} {
+			cl, err := cluster.New(g, cluster.Config{NumNodes: nodes, ThreadsPerSocket: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cl.Count(pl)
+			cl.Close()
+			if err != nil || res.Count != want {
+				t.Fatalf("%s nodes=%d: cluster.Count = %d, %v; want %d", name, nodes, res.Count, err, want)
+			}
+			for _, threads := range []int{1, 3} {
+				for _, chunk := range []int{8, 0} {
+					cfg := core.Config{Threads: threads, ChunkSize: chunk, HDS: true}
+					counted, cm := runClusterSink(t, g, pl, nodes, cfg, sinkCount)
+					built, bm := runClusterSink(t, g, pl, nodes, cfg, sinkBuild)
+					run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d", name, nodes, threads, chunk)
+					if counted != want || built != want {
+						t.Errorf("%s: count-only %d, materializing %d, want %d", run, counted, built, want)
+					}
+					cs, bs := cm.Summarize(), bm.Summarize()
+					if cs.Matches != bs.Matches || (cs.Extensions < bs.Extensions) != early || cs.Extensions > bs.Extensions {
+						t.Errorf("%s fold=%d multiply=%v: count-only run %d matches in %d extensions, materializing %d in %d",
+							run, pl.Fold(), pl.Multiply(), cs.Matches, cs.Extensions, bs.Matches, bs.Extensions)
+					}
+					if end == 2 && cs.Extensions != uint64(g.NumVertices())+level1 {
+						t.Errorf("%s: count-only run ending at level 2 took %d extensions, want %d roots + %d level-1 embeddings",
+							run, cs.Extensions, g.NumVertices(), level1)
+					}
+					if cs.Extensions != res.Summary.Extensions {
+						t.Errorf("%s: bare engine took %d extensions, cluster.Count %d", run, cs.Extensions, res.Summary.Extensions)
+					}
 				}
 			}
 		}
 	}
 	for _, sh := range shapes {
 		want := plan.BruteForceCount(g, sh.pat, false)
-		for _, descending := range []bool{false, true} {
-			stats := plan.StatsOf(g)
-			stats.UpSq, stats.DownSq = 0, 1
-			if descending {
-				stats.UpSq, stats.DownSq = 1, 0
+		if want == 0 {
+			t.Fatalf("%s: no match in the graph", sh.name)
+		}
+		for _, st := range []plan.Style{plan.StyleAutomine, plan.StyleGraphPi} {
+			for variant := 0; variant < 4; variant++ {
+				descending, vcs := variant&1 != 0, variant&2 == 0
+				stats := plan.StatsOf(g)
+				stats.UpSq, stats.DownSq = 0, 1
+				if descending {
+					stats.UpSq, stats.DownSq = 1, 0
+				}
+				pl := plan.MustCompile(sh.pat, plan.Options{Style: st, DisableVCS: !vcs, Stats: stats})
+				name := fmt.Sprintf("%s/%v/descending=%v/vcs=%v", sh.name, st, descending, vcs)
+				if pl.Descending() != descending {
+					t.Fatalf("%s: plan.Descending = %v", name, pl.Descending())
+				}
+				dense := sh.dense && vcs
+				if st == plan.StyleAutomine && (pl.Fold() != sh.fold || pl.Multiply() != (sh.multiply && !dense) || pl.Dense() != dense) {
+					t.Fatalf("%s: %v, want fold=%d multiply=%v dense=%v", name, pl, sh.fold, sh.multiply && !dense, dense)
+				}
+				check(name, pl, want)
 			}
-			pl := plan.MustCompile(sh.pat, plan.Options{Style: plan.StyleAutomine, Stats: stats})
-			if pl.Descending != descending {
-				t.Fatalf("%s: plan.Descending = %v", sh.name, pl.Descending)
-			}
-			check(fmt.Sprintf("%s/descending=%v", sh.name, descending), pl, want, sh.fold)
 		}
 	}
-
 }
 
 // TestBareEngineFoldExactOrLoud is cluster's TestFoldedCountExactOrLoud on a

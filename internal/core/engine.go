@@ -248,9 +248,10 @@ func NewEngine(ext Extender, src DataSource, sink Sink, cfg Config) *Engine {
 var ErrCanceled = errors.New("core: engine canceled")
 
 // ErrCountOverflow is returned by Run when a count-only extension counted
-// more matches than a uint64 holds — a folded star tail on a hub can — rather
-// than reporting a wrapped number. It is checked before every root range is
-// committed, so no overflowed count reaches Config.OnRangeDone.
+// more matches than a uint64 holds — a folded tail or a multiplied last level
+// on a hub can — rather than reporting a wrapped number. It is checked before
+// every root range is committed, so no overflowed count reaches
+// Config.OnRangeDone.
 var ErrCountOverflow = errors.New("core: match count overflows uint64")
 
 // checkCanceled reads Config.Stop. process calls it at every batch boundary
@@ -664,8 +665,9 @@ func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, fina
 	}
 	cands, raw := e.ext.Extend(w.scratch, level+1, w.emb[:level+1], w.getListFn, parentRaw)
 	// A count-only scratch may count a level instead of building it — the
-	// last, or the first of a star tail, whose nil candidates end the walk
-	// here — and leave the number for the engine to take.
+	// last, the first of a folded tail or level K−2 of a multiplied plan,
+	// whose nil candidates end the walk here — and leave the number for the
+	// engine to take.
 	w.matches += w.scratch.TakeCount()
 	if final {
 		w.matches += uint64(len(cands))

@@ -41,8 +41,9 @@ type Extender interface {
 	// in count-only mode (plan.Scratch.SetCountOnly) and takes s's count
 	// after every call: any level may then return no candidates and leave
 	// their number in s instead — the last level counted without building,
-	// or the first level of a star tail folded into a binomial, which ends
-	// the walk there.
+	// the first level of a folded tail counted as a binomial, or level K−2
+	// of a multiplied plan counted as a product (plan.Plan.Multiply), the
+	// last two ending the walk there.
 	Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID)
 	// Dense returns the plan whose dense suffix (plan.Plan.Dense) the engine
 	// runs below level 1, or nil when every level extends through Extend.

@@ -111,7 +111,7 @@ func TestMarkSetBounded(t *testing.T) {
 	wide := false
 	for v := 0; v < g.NumVertices(); v++ {
 		r1 := setops.Clip(g.Neighbors(graph.VertexID(v)), graph.VertexID(v)+1, setops.NoVertex)
-		if pl.Descending {
+		if pl.Descending() {
 			r1 = setops.Clip(g.Neighbors(graph.VertexID(v)), 0, graph.VertexID(v))
 		}
 		wide = wide || len(r1) > 1 && int(r1[len(r1)-1]>>6)-int(r1[0]>>6) >= limit

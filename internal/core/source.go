@@ -51,8 +51,9 @@ type DataSource interface {
 // Sink receives the embeddings the engine finds. Implementations must be
 // safe for concurrent use; the engine calls OnMatches from worker threads.
 // A *CountSink makes the engine count-only: it counts what it can without
-// building it — the last level, and a star tail folded into one binomial
-// (plan.Plan.Fold) — and never calls OnMatches.
+// building it — the last level, a tail folded into one binomial
+// (plan.Plan.Fold) and a last level multiplied in one level early
+// (plan.Plan.Multiply) — and never calls OnMatches.
 type Sink interface {
 	// OnMatches receives every match of one extension: the embeddings
 	// prefix+v, in matching-order positions, for each v in last. prefix is

@@ -198,7 +198,7 @@ type domainSink struct {
 }
 
 func newDomainSink(pl *plan.Plan, n int) *domainSink {
-	s := &domainSink{order: pl.Order, doms: make([]bitset, pl.K)}
+	s := &domainSink{order: pl.Order(), doms: make([]bitset, pl.K)}
 	for i := range s.doms {
 		s.doms[i] = newBitset(n)
 	}

@@ -94,12 +94,12 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 
 	p := &Plan{
 		Pattern: pat,
-		Order:   append([]int(nil), order...),
+		order:   append([]int(nil), order...),
 		K:       k,
 		levels:  make([]Level, k),
 		AutSize: len(auts),
-		Induced: opts.Induced,
-		VCS:     !opts.DisableVCS,
+		induced: opts.Induced,
+		vcs:     !opts.DisableVCS,
 		Style:   opts.Style,
 	}
 
@@ -135,7 +135,7 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 			for j := 0; j < k; j++ {
 				if j != i && inOrbit[j] {
 					p.levels[j].bounds = append(p.levels[j].bounds, i)
-					p.Descending = descending
+					p.descending = descending
 				}
 			}
 			var next [][]int
@@ -154,10 +154,10 @@ func buildForOrder(pat *pattern.Pattern, auts [][]int, order []int, opts Options
 		for i := 0; i < k; i++ {
 			lbl[i] = q.Label(i)
 		}
-		p.Labels = lbl
+		p.labels = lbl
 	}
 	if pat.EdgeLabeled() {
-		p.EdgeLabeled = true
+		p.edgeLabeled = true
 		for i := 1; i < k; i++ {
 			lv := &p.levels[i]
 			lv.edgeLabels = make([]graph.Label, len(lv.intersect))
@@ -287,7 +287,7 @@ func estimateCost(p *Plan, stats GraphStats) float64 {
 		// Work at this level is proportional to parent embeddings times the
 		// cost of the set operations (number of lists intersected).
 		opCost := float64(len(lv.intersect))
-		if p.Induced {
+		if p.induced {
 			opCost += float64(len(lv.exclude))
 		}
 		switch p.reuseOf(i) {

@@ -19,7 +19,7 @@ import (
 // only where a level ≥ 3 intersects a position ≥ 2 — where the sorted path
 // fetches a level-2 list.
 func (p *Plan) denseable() bool {
-	if p.K < 4 || !p.VCS || p.Induced || p.Labeled() || p.EdgeLabeled || p.fold != 0 {
+	if p.K < 4 || !p.vcs || p.induced || p.Labeled() || p.edgeLabeled || p.fold != 0 {
 		return false
 	}
 	first := &p.levels[1]
@@ -59,7 +59,7 @@ func (p *Plan) denseRowSide() int8 {
 			}
 		}
 	}
-	if p.Descending {
+	if p.descending {
 		return -1
 	}
 	return 1
@@ -181,11 +181,11 @@ func (p *Plan) denseLevel(s *Scratch, l int, emb, set []graph.VertexID, rows []u
 		b := s.denseRoot
 		if a > 0 {
 			b = s.denseIdx[a]
-			if !p.Descending {
+			if !p.descending {
 				b++
 			}
 		}
-		if p.Descending {
+		if p.descending {
 			hi = min(hi, b)
 		} else {
 			lo = max(lo, b)

@@ -26,7 +26,7 @@ func TestEdgeLabeledTriangleMatchesBruteForce(t *testing.T) {
 				want := BruteForceCount(g, pat, false)
 				for _, style := range []Style{StyleAutomine, StyleGraphPi} {
 					pl := MustCompile(pat, Options{Style: style})
-					if !pl.EdgeLabeled {
+					if !pl.edgeLabeled {
 						t.Fatal("plan lost edge labels")
 					}
 					if got := CountGraph(pl, g); got != want {

@@ -35,9 +35,9 @@ type Scratch struct {
 	// kernels counts kernel invocations across all levels; engines drain it
 	// into their metrics node between rounds.
 	kernels [setops.NumKernels]uint64
-	// countOnly switches count-eligible levels, and the first level of the
-	// plan's star tail, from returning candidates to adding their number to
-	// counted; see SetCountOnly.
+	// countOnly switches count-eligible levels, the first level of the
+	// plan's folded tail and level K−2 of a multiplied plan from returning
+	// candidates to adding their number to counted; see SetCountOnly.
 	countOnly bool
 	counted   uint64
 	// overflowed latches once a count did not fit counted; see Overflowed.
@@ -91,11 +91,14 @@ func (s *Scratch) KernelCounts() *[setops.NumKernels]uint64 { return &s.kernels 
 
 // SetCountOnly tells Extend that the caller wants only the number of matches.
 // A count-eligible level (Level.countOnly) then returns no candidates and
-// leaves their count for TakeCount, and so does the first level of a star
+// leaves their count for TakeCount, and so does the first level of a folded
 // tail (Plan.Fold): at Plan.FoldLevel it leaves C(n, Fold), n being that
 // level's candidate count — every match the tail levels would have built —
-// and its nil candidates end the walk there. A count-only caller must
-// therefore take the count after every Extend, not only at the last level.
+// and its nil candidates end the walk there. A multiplied plan
+// (Plan.Multiply) ends the walk one level early the same way: level K−2
+// leaves n × m, m being the last level's candidate count, which no v_{K−2}
+// changes. A count-only caller must therefore take the count after every
+// Extend, not only at the last level.
 // The mode rides on the scratch, like the kernel ledger, so Extend stays the
 // one call an engine makes per embedding and a decorator around it sees
 // every level.
@@ -145,10 +148,19 @@ func (s *Scratch) TakeCount() uint64 {
 }
 
 // Overflowed reports whether any count since NewScratch exceeded a uint64 —
-// a folded star tail can count more matches in one step than enumeration
-// could visit in a lifetime. The counts taken since are then meaningless and
-// the run must fail.
+// a folded tail or a multiplied last level can count more matches in one
+// step than enumeration could visit in a lifetime. The counts taken since
+// are then meaningless and the run must fail.
 func (s *Scratch) Overflowed() bool { return s.overflowed }
+
+// add adds c to the count; ok false means c itself did not fit a uint64.
+// Either that or a sum that wraps latches Overflowed.
+func (s *Scratch) add(c uint64, ok bool) {
+	s.counted += c
+	if !ok || s.counted < c {
+		s.overflowed = true
+	}
+}
 
 // binomial returns C(n, r), and false when it does not fit a uint64.
 func binomial(n uint64, r int) (uint64, bool) {
@@ -176,7 +188,7 @@ func binomial(n uint64, r int) (uint64, bool) {
 func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 	hi = noUpper
 	for _, a := range p.levels[level].bounds {
-		if p.Descending {
+		if p.descending {
 			hi = min(hi, emb[a])
 		} else {
 			lo = max(lo, emb[a]+1)
@@ -191,27 +203,30 @@ func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 // level's restriction interval before a kernel touches it — except where the
 // raw intersection is stored for levels that may reach outside the interval
 // (stored without Level.ClipStore): that set is computed whole and clipped on
-// the way out. On a scratch in count-only mode a count-eligible level, and the
-// first level of a star tail, return nothing and leave their count for
-// TakeCount instead (see SetCountOnly). labelOf and edgeLabelOf may be nil
-// for graphs without the corresponding labels. Both returned slices may alias
-// scratch storage, the lent run storage, getList output or parentRaw; the
-// caller must not write them.
+// the way out. On a scratch in count-only mode a count-eligible level, the
+// first level of a folded tail and level K−2 of a multiplied plan return
+// nothing and leave their count for TakeCount instead (see SetCountOnly).
+// labelOf and edgeLabelOf may be nil for graphs without the corresponding
+// labels. Both returned slices may alias scratch storage, the lent run
+// storage, getList output or parentRaw; the caller must not write them.
 //
 //khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
 	lv := &p.levels[level]
 	lo, hi := p.bounds(level, emb)
 	if s.countOnly {
-		if level == p.FoldLevel() {
-			c, ok := binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.fold)
-			s.counted += c
-			if !ok || s.counted < c {
-				s.overflowed = true
-			}
+		switch {
+		case level == p.FoldLevel():
+			s.add(binomial(uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi)), p.fold))
 			return nil, nil
-		}
-		if lv.countOnly {
+		case p.multiply && level == p.K-2:
+			var over, c uint64
+			if n := p.countLevel(s, level, emb, getList, parentRaw, lo, hi); n > 0 {
+				over, c = bits.Mul64(uint64(n), p.multiplier(s, getList))
+			}
+			s.add(c, over == 0)
+			return nil, nil
+		case lv.countOnly:
 			s.counted += uint64(p.countLevel(s, level, emb, getList, parentRaw, lo, hi))
 			return nil, nil
 		}
@@ -232,12 +247,12 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 }
 
 // countLevel returns the number of candidates Candidates would produce for an
-// unlabeled level with at most one subtraction — a count-eligible last level
-// or the first level of a star tail — without building them. The
-// level's set expression is reduced to one final operation on a materialized,
-// clipped operand x — x ∩ l or x \ b — and that operation is counted by the
-// dispatcher, so the kernel choice and the ledger are those of the
-// materializing path.
+// unlabeled level with at most one subtraction — a count-eligible last level,
+// the first level of a folded tail or level K−2 of a multiplied plan —
+// without building them. The level's set expression is reduced to one final
+// operation on a materialized, clipped operand x — x ∩ l or x \ b — and that
+// operation is counted by the dispatcher, so the kernel choice and the ledger
+// are those of the materializing path.
 //
 //khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
@@ -260,7 +275,7 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 		x = p.RawIntersect(s, level, getList, parentRaw, lo, hi)
 	}
 	var sub []graph.VertexID
-	subtract := p.Induced && len(lv.exclude) == 1
+	subtract := p.induced && len(lv.exclude) == 1
 	if subtract {
 		sub = getList(lv.exclude[0])
 		if pair {
@@ -290,6 +305,24 @@ func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 		}
 	}
 	return n
+}
+
+// multiplier returns the number of candidates the last level of a multiplied
+// plan (Plan.multiply) has, the same for every v_{K−2}: |X| − |exclude|, X
+// the intersection of its lists, all at positions ≤ K−3, which holds every
+// vertex it excludes. X is counted, not built, where it is one list or two.
+func (p *Plan) multiplier(s *Scratch, getList func(int) []graph.VertexID) uint64 {
+	lv := &p.levels[p.K-1]
+	var x int
+	switch len(lv.intersect) {
+	case 1:
+		x = len(getList(lv.intersect[0]))
+	case 2:
+		x = s.disp.CountBounded(getList(lv.intersect[0]), getList(lv.intersect[1]), 0, noUpper)
+	default:
+		x = len(p.RawIntersect(s, p.K-1, getList, nil, 0, noUpper))
+	}
+	return uint64(x - len(lv.exclude))
 }
 
 // probeLevel counts a Probe level against the lent mark set. The first child
@@ -448,7 +481,7 @@ const maxExclude = pattern.MaxVertices - 2
 func (p *Plan) Candidates(s *Scratch, level int, emb []graph.VertexID, raw []graph.VertexID, getList func(int) []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.levels[level]
 	src := raw
-	if p.Induced && len(lv.exclude) > 0 {
+	if p.induced && len(lv.exclude) > 0 {
 		a, b := s.subA[level], s.subB[level]
 		for _, j := range lv.exclude {
 			a = setops.Subtract(a[:0], src, setops.Clip(getList(j), lo, hi))
@@ -505,7 +538,7 @@ func containsVertex(excl []graph.VertexID, v graph.VertexID) bool {
 // positions carry the wrong labels, filtering cands in place. It is a
 // separate pass so that engines over unlabeled-edge graphs pay nothing.
 func (p *Plan) FilterEdgeLabels(level int, emb []graph.VertexID, cands []graph.VertexID, edgeLabelOf EdgeLabelFunc) []graph.VertexID {
-	if edgeLabelOf == nil || !p.EdgeLabeled {
+	if edgeLabelOf == nil || !p.edgeLabeled {
 		return cands
 	}
 	lv := &p.levels[level]

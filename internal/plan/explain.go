@@ -11,23 +11,24 @@ import (
 // count-only marking, the operand a probed level marks, the set a labeled
 // level filters once per run and active-list bookkeeping, plus — once — the
 // direction the restrictions point and the skew sums that chose it, below the
-// loop nest the binomial a count-only run folds a star tail into, and for a
-// dense plan the row each level-1 embedding builds and the word ANDs that
-// replace the levels below it. It is meant for humans inspecting what a
-// client system compiled; `khuzdul -explain` prints it.
+// loop nest the binomial a count-only run folds a tail into or the product
+// it multiplies the last level into, and for a dense plan the row each
+// level-1 embedding builds and the word ANDs that replace the levels below
+// it. It is meant for humans inspecting what a client system compiled;
+// `khuzdul -explain` prints it.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pattern: %v\n", p.Pattern)
-	fmt.Fprintf(&sb, "system:  %v   matching order: %v   |Aut| = %d\n", p.Style, p.Order, p.AutSize)
-	if p.Induced {
+	fmt.Fprintf(&sb, "system:  %v   matching order: %v   |Aut| = %d\n", p.Style, p.order, p.AutSize)
+	if p.induced {
 		sb.WriteString("mode:    induced (motif semantics)\n")
 	} else {
 		sb.WriteString("mode:    non-induced\n")
 	}
 	if p.Labeled() {
-		fmt.Fprintf(&sb, "labels:  %v (per position)\n", p.Labels)
+		fmt.Fprintf(&sb, "labels:  %v (per position)\n", p.labels)
 	}
-	if p.EdgeLabeled {
+	if p.edgeLabeled {
 		sb.WriteString("edge labels: constrained per level\n")
 	}
 	restricted := false
@@ -37,7 +38,7 @@ func (p *Plan) Explain() string {
 	switch {
 	case !restricted:
 		sb.WriteString("restrictions: none\n")
-	case p.Descending:
+	case p.descending:
 		fmt.Fprintf(&sb, "restrictions: descending (Σdown² = %.4g < Σup² = %.4g)\n", p.DownSq, p.UpSq)
 	default:
 		fmt.Fprintf(&sb, "restrictions: ascending (Σup² = %.4g ≤ Σdown² = %.4g)\n", p.UpSq, p.DownSq)
@@ -54,20 +55,14 @@ func (p *Plan) Explain() string {
 			p.explainDense(&sb, i, indent(i-1))
 			continue
 		}
-		var set, reuse string
-		switch {
-		case lv.reuse == reuseSame:
-			set, reuse = fmt.Sprintf("R%d", i-1), "reuse"
-		case lv.reuse == reuseExtend:
-			set, reuse = fmt.Sprintf("R%d ∩ N(v%d)", i-1, i-1), "extend"
-		default:
-			terms := make([]string, len(lv.intersect))
-			for j, pos := range lv.intersect {
-				terms[j] = fmt.Sprintf("N(v%d)", pos)
-			}
-			set = strings.Join(terms, " ∩ ")
+		set, reuse := p.rawSet(i), ""
+		switch lv.reuse {
+		case reuseSame:
+			reuse = "reuse"
+		case reuseExtend:
+			reuse = "extend"
 		}
-		if p.Induced && len(lv.exclude) > 0 {
+		if p.induced && len(lv.exclude) > 0 {
 			subs := make([]string, len(lv.exclude))
 			for j, pos := range lv.exclude {
 				subs[j] = fmt.Sprintf("N(v%d)", pos)
@@ -123,11 +118,38 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "%scount C(%s, %d) per %s — levels %d–%d folded (count-only)\n",
 			indent(f-1), p.foldSetSize(), p.fold, prefixTuple(f), f, p.K-1)
 	}
+	if p.multiply {
+		last := &p.levels[p.K-1]
+		fmt.Fprintf(&sb, "%scount n × (|%s| − %d) per %s — n the v%d candidates, level %d multiplied (count-only)\n",
+			indent(p.K-3), listsSet(last.intersect), len(last.exclude), prefixTuple(p.K-2), p.K-2, p.K-1)
+	}
 	if p.levels[p.K-1].countOnly || p.fold > 0 || p.dense {
 		sb.WriteString("final level needs no edge lists: candidates are counted directly\n")
 	}
 	fmt.Fprintf(&sb, "estimated cost: %.3g\n", p.EstCost)
 	return sb.String()
+}
+
+// rawSet renders level i's raw set expression: the parent's stored
+// intersection, that set extended by N(v_{i−1}), or the intersection of the
+// level's lists.
+func (p *Plan) rawSet(i int) string {
+	switch p.levels[i].reuse {
+	case reuseSame:
+		return fmt.Sprintf("R%d", i-1)
+	case reuseExtend:
+		return fmt.Sprintf("R%d ∩ N(v%d)", i-1, i-1)
+	}
+	return listsSet(p.levels[i].intersect)
+}
+
+// listsSet renders the intersection of the edge lists at the given positions.
+func listsSet(positions []int) string {
+	terms := make([]string, len(positions))
+	for j, pos := range positions {
+		terms[j] = fmt.Sprintf("N(v%d)", pos)
+	}
+	return strings.Join(terms, " ∩ ")
 }
 
 // sharedOperand names the set a Probe level marks, or a FilterOnce level
@@ -172,7 +194,7 @@ func (p *Plan) explainDense(sb *strings.Builder, i int, ind string) {
 // boundSyms returns how the plan's bounds render: the comparison a bound
 // makes and the key its position list goes by.
 func (p *Plan) boundSyms() (op, key string) {
-	if p.Descending {
+	if p.descending {
 		return "<", "ub"
 	}
 	return ">", "lb"
@@ -194,26 +216,28 @@ func (p *Plan) boundNotes(i int, apply string) []string {
 }
 
 // foldSetSize renders the n of a folded plan's C(n, r): the size of the first
-// tail level's candidate set — the anchor's list, inside that level's bounds,
-// without the earlier matched vertices.
+// tail level's candidate set — the one list it reads (a star tail's anchor),
+// else its raw set expression, inside that level's bounds, without the
+// earlier matched vertices it excludes.
 func (p *Plan) foldSetSize() string {
 	f := p.FoldLevel()
 	lv := &p.levels[f]
-	anchor := lv.intersect[0]
+	set := fmt.Sprintf("N(v%d)", lv.intersect[0])
+	if len(lv.intersect) > 1 {
+		set = p.rawSet(f)
+	}
 	op, _ := p.boundSyms()
 	var conds []string
 	for _, a := range lv.bounds {
 		conds = append(conds, fmt.Sprintf("v %s v%d", op, a))
 	}
-	for q := 0; q < f; q++ {
-		if q != anchor {
-			conds = append(conds, fmt.Sprintf("v ≠ v%d", q))
-		}
+	for _, q := range lv.exclude {
+		conds = append(conds, fmt.Sprintf("v ≠ v%d", q))
 	}
 	if len(conds) == 0 {
-		return fmt.Sprintf("|N(v%d)|", anchor)
+		return "|" + set + "|"
 	}
-	return fmt.Sprintf("|{v in N(v%d): %s}|", anchor, strings.Join(conds, ", "))
+	return fmt.Sprintf("|{v in %s: %s}|", set, strings.Join(conds, ", "))
 }
 
 // prefixTuple renders the matched prefix before level f: "v0" or "(v0, v1)".

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,8 +138,10 @@ for v0 in V:    # keep N(v0) — active
 }
 
 // TestExplainFold pins the rendering of the two plans 3-MC and 4-MC fold
-// whole: the loop nest the materializing path runs stays, and where it ends
-// stands the binomial a count-only run replaces it with.
+// whole, and of the diamond, whose tail shares a set of two lists: the loop
+// nest the materializing path runs stays, and where it ends stands the
+// binomial a count-only run replaces it with, over the set the fold level
+// counts.
 func TestExplainFold(t *testing.T) {
 	for _, c := range []struct {
 		pat  *pattern.Pattern
@@ -168,6 +171,18 @@ for v0 in V:    # keep N(v0) — active
   count C(|N(v0)|, 3) per v0 — levels 1–3 folded (count-only)
 final level needs no edge lists: candidates are counted directly
 `, " aut=6 fold=3 L1("},
+		{pattern.Diamond(), `pattern: pattern{n=4 edges=0-1 0-2 0-3 1-2 1-3}
+system:  automine   matching order: [0 1 2 3]   |Aut| = 4
+mode:    non-induced
+restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # v1 > v0, clip after store lb=[0], store R1, fetch N(v1) — active
+    for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # probe marked R1, store R2
+      for v3 in R2  # reuse parent intersection (VCS):    # v3 > v2, clip lb=[2], count-only
+        emit(v0..v3)
+    count C(|R1 ∩ N(v1)|, 2) per (v0, v1) — levels 2–3 folded (count-only)
+final level needs no edge lists: candidates are counted directly
+`, " aut=4 fold=2 L1("},
 	} {
 		pl := MustCompile(c.pat, Options{Style: StyleAutomine})
 		got := pl.Explain()
@@ -190,5 +205,40 @@ final level needs no edge lists: candidates are counted directly
 	}
 	if pl := MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true}); pl.fold != 0 || strings.Contains(pl.Explain(), "folded") {
 		t.Errorf("induced wedge folds: %v", pl)
+	}
+}
+
+// TestExplainMultiply pins the rendering of the tailed triangle as Automine
+// orders it: the last level reads N(v0) alone, which holds v1 and v2, so a
+// count-only run ends at level 2, probing R1, and multiplies each count
+// there by |N(v0)| − 2. GraphPi orders it [1 2 0 3], where the last level
+// reads N(v2) and nothing multiplies.
+func TestExplainMultiply(t *testing.T) {
+	pl := MustCompile(pattern.TailedTriangle(), Options{Style: StyleAutomine})
+	want := `pattern: pattern{n=4 edges=0-1 0-2 0-3 1-2}
+system:  automine   matching order: [0 1 2 3]   |Aut| = 2
+mode:    non-induced
+restrictions: ascending (Σup² = 0 ≤ Σdown² = 0)
+for v0 in V:    # keep N(v0) — active
+  for v1 in N(v0):    # store R1, fetch N(v1) — active
+    for v2 in R1 ∩ N(v1)  # extend parent intersection (VCS):    # v2 > v1, clip lb=[1], probe marked R1
+      for v3 in N(v0):    # count-only
+        emit(v0..v3)
+    count n × (|N(v0)| − 2) per (v0, v1) — n the v2 candidates, level 3 multiplied (count-only)
+final level needs no edge lists: candidates are counted directly
+`
+	got := pl.Explain()
+	if i := strings.Index(got, "estimated cost:"); i >= 0 {
+		got = got[:i]
+	}
+	if got != want {
+		t.Errorf("Explain =\n%s\nwant\n%s", got, want)
+	}
+	if s := pl.String(); !strings.Contains(s, " aut=2 multiply L1(") {
+		t.Errorf("String missing the multiply token: %s", s)
+	}
+	gp := MustCompile(pattern.TailedTriangle(), Options{Style: StyleGraphPi})
+	if !slices.Equal(gp.Order(), []int{1, 2, 0, 3}) || gp.Multiply() || strings.Contains(gp.Explain(), "multiplied") {
+		t.Errorf("GraphPi's tailed triangle: %v", gp)
 	}
 }

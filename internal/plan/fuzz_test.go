@@ -35,7 +35,13 @@ const (
 // engine under a count sink with one and two threads and on CountGraph. The
 // seeds in testdata/fuzz/FuzzPlanMutation include the matchings whose reuse
 // flags, hand-set, once counted wrong: Automine's P4 and diamond, induced
-// and not.
+// and not; and the matchings that end a count-only run early: the diamond
+// and the 3-book, whose tails fold over a set of two lists, and the tailed
+// triangle and K4 with a pendant, whose last level multiplies (the latter
+// without vertical computation sharing; with it the plan runs dense); and
+// two that must not: the diamond without symmetry breaking, whose tail
+// carries no chain of bounds, and a plan whose last level is bounded
+// against v2.
 func FuzzPlanMutation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, k uint8, edges uint16, labels uint8, order uint32, flags uint8, seed uint8) {
 		n := 2 + int(k%4)

@@ -12,31 +12,46 @@ import (
 // time: with a warm scratch, a count-only Extend allocates nothing on any of
 // its shapes — pair count (triangle), list minus list (induced wedge), bare
 // clipped list with a distinctness probe (wedge), the star tails folded at
-// level 1 (wedge again, 3-star), and a probed level against a lent mark set,
-// in all three of its forms (triangle with and without the parent's stored
-// raw, induced wedge with it) — and agrees with the materializing Extend on
-// every embedding. The sweep starts a new parent run where the engine would:
-// before each parent's children at the last level.
+// level 1 (wedge again, 3-star), the diamond's tail folded at a probed level
+// 2, the tailed triangle's last level multiplied in at level 2 (its X one
+// list, counted with and without the parent's stored raw), and a probed
+// level against a lent mark set, in all three of its forms (triangle with
+// and without the parent's stored raw, induced wedge with it) — and agrees
+// with the materializing Extend on every embedding. The sweep starts a new
+// parent run where the engine would: before each parent's children at the
+// level the count is taken at.
 func TestExtendCountOnlyNoAlloc(t *testing.T) {
 	g := graph.RMATDefault(200, 1600, 17)
 	for _, c := range []struct {
-		pat     *pattern.Pattern
-		induced bool
-		fold    bool
-		vcs     bool
-		probe   bool
+		pat      *pattern.Pattern
+		induced  bool
+		fold     bool
+		multiply bool
+		vcs      bool
+		probe    bool
 	}{
-		{pattern.Triangle(), false, false, false, true}, {pattern.PathP(3), true, false, false, false}, {pattern.PathP(3), false, false, false, false},
-		{pattern.PathP(3), false, true, false, false}, {pattern.StarP(4), false, true, false, false},
-		{pattern.Triangle(), false, false, true, true}, {pattern.PathP(3), true, false, true, true},
+		{pattern.Triangle(), false, false, false, false, true}, {pattern.PathP(3), true, false, false, false, false}, {pattern.PathP(3), false, false, false, false, false},
+		{pattern.PathP(3), false, true, false, false, false}, {pattern.StarP(4), false, true, false, false, false},
+		{pattern.Triangle(), false, false, false, true, true}, {pattern.PathP(3), true, false, false, true, true},
+		{pattern.Diamond(), false, true, false, true, true},
+		{pattern.TailedTriangle(), false, false, true, true, true}, {pattern.TailedTriangle(), false, false, true, false, true},
 	} {
 		pl := MustCompile(c.pat, Options{Style: StyleAutomine, Induced: c.induced, DisableVCS: !c.vcs, Stats: StatsOf(g)})
-		if !pl.levels[pl.K-1].countOnly || c.fold && pl.FoldLevel() != 1 {
-			t.Fatalf("%v: last level not count-eligible, or no fold at level 1", pl)
+		// end is the level the sweep takes the count at: the last, the fold
+		// level, or level K−2 of a multiplied plan.
+		end := pl.K - 1
+		switch {
+		case c.fold:
+			end = pl.FoldLevel()
+		case c.multiply:
+			end = pl.K - 2
 		}
-		probed := pl.levels[pl.K-1].probe
+		if !pl.levels[pl.K-1].countOnly || c.fold && pl.fold == 0 || pl.multiply != c.multiply {
+			t.Fatalf("%v: last level not count-eligible, or no fold or multiply where expected", pl)
+		}
+		probed := pl.levels[end].probe
 		if probed != c.probe {
-			t.Fatalf("%v: last level Probe = %v", pl, probed)
+			t.Fatalf("%v: level %d Probe = %v", pl, end, probed)
 		}
 		counting, building := NewScratch(pl), NewScratch(pl)
 		counting.SetCountOnly(true)
@@ -45,8 +60,7 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		raws := make([][]graph.VertexID, pl.K)
 		getList := func(pos int) []graph.VertexID { return g.Neighbors(emb[pos]) }
 		// walk builds the levels before end with the materializing scratch and
-		// takes level end — the last, or the fold level — from s, handing each
-		// level its parent's stored raw.
+		// takes level end from s, handing each level its parent's stored raw.
 		var walk func(s *Scratch, level, end int) uint64
 		walk = func(s *Scratch, level, end int) (n uint64) {
 			if level == end {
@@ -77,10 +91,6 @@ func TestExtendCountOnlyNoAlloc(t *testing.T) {
 		want := sweep(building, pl.K-1) // also warms the buffers
 		if want == 0 || want != CountGraph(pl, g) {
 			t.Fatalf("%v: materializing sweep found %d, executor %d", pl, want, CountGraph(pl, g))
-		}
-		end := pl.K - 1
-		if c.fold {
-			end = pl.FoldLevel()
 		}
 		sweep(counting, end) // warms the mark set
 		counting.KernelCounts()[setops.KernelProbe] = 0
@@ -244,6 +254,29 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
+// TestScratchAddLatches holds the one place a fold's binomial and a
+// multiplied level's product reach the count: a term that did not fit a
+// uint64, or a sum that wraps, latches Overflowed for the rest of the
+// scratch's life; a count that fits does not.
+func TestScratchAddLatches(t *testing.T) {
+	s := &Scratch{}
+	s.add(1<<63, true)
+	if s.Overflowed() {
+		t.Fatal("2^63 overflowed")
+	}
+	s.add(1<<63, true)
+	if !s.Overflowed() {
+		t.Error("2^63 + 2^63 did not latch Overflowed")
+	}
+	s = &Scratch{}
+	if s.add(7, false); !s.Overflowed() || s.TakeCount() != 7 {
+		t.Error("a term that did not fit did not latch Overflowed")
+	}
+	if s.add(1, true); !s.Overflowed() {
+		t.Error("Overflowed unlatched")
+	}
+}
+
 var sinkCands int
 
 // hubbedRMAT is a skewed R-MAT draw given a mid-ID hub adjacent to three
@@ -320,7 +353,7 @@ func BenchmarkCandidatesLabeled(b *testing.B) {
 	}
 	pl := MustCompile(pattern.StarP(4).WithLabels([]graph.Label{0, 1, 1, 1}),
 		Options{Style: StyleAutomine, DisableSymmetryBreak: true, Stats: StatsOf(g)})
-	if pl.Order[0] != 0 || len(pl.levels[3].exclude) != 2 {
+	if pl.order[0] != 0 || len(pl.levels[3].exclude) != 2 {
 		b.Fatalf("3-star not rooted at its center: %v", pl)
 	}
 	s := NewScratch(pl)

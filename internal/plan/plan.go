@@ -147,43 +147,51 @@ func (lv Level) FilterOnce() bool { return lv.filterOnce }
 
 // Plan is a compiled enumeration schedule for one pattern: the matching —
 // the pattern, its order, the bound direction and the options below — and
-// what derive computes from it. The exported fields describe the matching
-// and are not to be changed after Compile.
+// what derive computes from it. The matching is fixed by the constructor and
+// read through methods, so no caller can change what a plan matches without
+// derive seeing it; the exported fields only describe the compile.
 type Plan struct {
 	// Pattern is the original pattern (before reordering).
 	Pattern *pattern.Pattern
-	// Order maps position → original pattern vertex.
-	Order []int
+	// order maps position → original pattern vertex.
+	order []int
 	// K is the number of pattern vertices.
 	K int
 	// levels has one entry per position.
 	levels []Level
-	// Descending records the direction of every level's bounds; a plan
+	// descending records the direction of every level's bounds; a plan
 	// without bounds is ascending. UpSq and DownSq are the input's ID-skew
 	// sums (GraphStats) the compiler chose it by: descending when
 	// DownSq < UpSq.
-	Descending   bool
+	descending   bool
 	UpSq, DownSq float64
 	// AutSize is the order of the pattern's automorphism group.
 	AutSize int
-	// Induced selects induced matching (motif semantics).
-	Induced bool
-	// VCS reports whether vertical computation sharing annotations are on.
-	VCS bool
-	// Labels holds the per-position required vertex label, nil if unlabeled.
-	Labels []graph.Label
-	// EdgeLabeled marks plans whose pattern constrains edge labels.
-	EdgeLabeled bool
+	// induced selects induced matching (motif semantics).
+	induced bool
+	// vcs reports whether vertical computation sharing annotations are on.
+	vcs bool
+	// labels holds the per-position required vertex label, nil if unlabeled.
+	labels []graph.Label
+	// edgeLabeled marks plans whose pattern constrains edge labels.
+	edgeLabeled bool
 	// Style records which client system produced the plan.
 	Style Style
 	// EstCost is the cost-model estimate used during order selection.
 	EstCost float64
-	// fold is the length r of the plan's star tail, 0 when it has none: the
-	// last r levels match exactly the r-subsets of the first tail level's
-	// candidate set, in ID order (see foldable), so a count-only run stops
-	// at level FoldLevel and adds C(n, r) for its n candidates (see
-	// Scratch.SetCountOnly). The materializing path ignores it.
+	// fold is the length r of the plan's folded tail, 0 when it has none:
+	// the last r levels intersect the same positions as the first tail level
+	// and so match exactly the r-subsets of its candidate set, in ID order
+	// (see foldable), so a count-only run stops at level FoldLevel and adds
+	// C(n, r) for its n candidates (see Scratch.SetCountOnly). The
+	// materializing path ignores it.
 	fold int
+	// multiply marks a plan whose last level's candidate set X does not
+	// depend on v_{K−2} and holds every vertex the level excludes (see
+	// multipliable): a count-only run stops at level K−2 and adds
+	// n × (|X| − |exclude|) for its n candidates. The materializing path
+	// ignores it.
+	multiply bool
 	// dense marks a plan whose levels ≥ 2 finish on the root's neighborhood:
 	// every candidate lies in S = R1, the level-1 stored raw (see
 	// denseable). An engine then builds, per level-1 embedding (v0, u), the
@@ -194,11 +202,28 @@ type Plan struct {
 	dense bool
 }
 
+// Order returns the matching order: position → original pattern vertex. The
+// slice is the plan's own; callers must not write it.
+func (p *Plan) Order() []int { return p.order }
+
+// Descending reports whether the plan's bounds point down the vertex IDs.
+func (p *Plan) Descending() bool { return p.descending }
+
+// Induced reports whether the plan matches induced (motif semantics).
+func (p *Plan) Induced() bool { return p.induced }
+
+// VCS reports whether vertical computation sharing annotations are on.
+func (p *Plan) VCS() bool { return p.vcs }
+
 // Level returns a copy of the level at position i.
 func (p *Plan) Level(i int) Level { return p.levels[i] }
 
-// Fold returns the length of the plan's star tail, 0 when it has none.
+// Fold returns the length of the plan's folded tail, 0 when it has none.
 func (p *Plan) Fold() int { return p.fold }
+
+// Multiply reports whether a count-only run multiplies the last level's count
+// in at level K−2 instead of enumerating it.
+func (p *Plan) Multiply() bool { return p.multiply }
 
 // Dense reports whether the plan finishes its levels ≥ 2 on the root's
 // neighborhood as word ANDs of dense rows.
@@ -252,16 +277,16 @@ func StatsOf(g *graph.Graph) GraphStats {
 
 // PosLabel returns the required label of the vertex matched at position i.
 func (p *Plan) PosLabel(i int) graph.Label {
-	if p.Labels == nil {
+	if p.labels == nil {
 		return 0
 	}
-	return p.Labels[i]
+	return p.labels[i]
 }
 
 // Labeled reports whether the plan constrains vertex labels.
-func (p *Plan) Labeled() bool { return p.Labels != nil }
+func (p *Plan) Labeled() bool { return p.labels != nil }
 
-// FoldLevel returns the first level of the star tail — the level a folding
+// FoldLevel returns the first level of the folded tail — the level a folding
 // count-only run ends at — or K when the plan has none.
 func (p *Plan) FoldLevel() int { return p.K - p.fold }
 
@@ -273,7 +298,7 @@ func (p *Plan) FoldLevel() int { return p.K - p.fold }
 // there, and each annotation is one rule over those.
 func (p *Plan) derive() {
 	k := p.K
-	unlabeled := !p.Labeled() && !p.EdgeLabeled
+	unlabeled := !p.Labeled() && !p.edgeLabeled
 	for i := 1; i < k; i++ {
 		lv := &p.levels[i]
 		// The positions the level's set expression reads — intersects, or in
@@ -281,7 +306,7 @@ func (p *Plan) derive() {
 		for _, j := range lv.intersect {
 			p.levels[j].needsList = true
 		}
-		if p.Induced {
+		if p.induced {
 			for _, j := range lv.exclude {
 				p.levels[j].needsList = true
 			}
@@ -296,22 +321,28 @@ func (p *Plan) derive() {
 	// sink; mark it when the counting kernels cover its set expression
 	// (labels and chained subtractions fall back to a bounded materialize).
 	last := &p.levels[k-1]
-	last.countOnly = unlabeled && (!p.Induced || len(last.exclude) <= 1)
-	// A count-only run can stop earlier still where the plan ends in a star
-	// tail: mark the longest one.
+	last.countOnly = unlabeled && (!p.induced || len(last.exclude) <= 1)
+	// A count-only run can stop earlier still where the plan ends in a tail
+	// of levels that share one set: mark the longest one. Where none folds
+	// and no dense suffix runs, it can stop one level early when the last
+	// level's count does not depend on v_{K−2}.
 	for r := k - 1; r >= 2 && p.fold == 0; r-- {
 		if p.foldable(r) {
 			p.fold = r
 		}
 	}
 	p.dense = p.denseable()
+	p.multiply = p.multipliable()
 	// A dense plan builds each level-1 embedding's row from its list: the
 	// levels below read it as the row of the position they intersect.
 	p.levels[1].needsList = p.levels[1].needsList || p.dense
-	// The level a count-only run ends at: the first of a folded tail, else a
-	// count-only last level.
+	// The level a count-only run ends at: the first of a folded tail, level
+	// K−2 of a multiplied plan, else a count-only last level.
 	end := p.FoldLevel()
-	if p.fold == 0 && last.countOnly {
+	switch {
+	case p.multiply:
+		end = k - 2
+	case p.fold == 0 && last.countOnly:
 		end = k - 1
 	}
 	for i := 2; i < k; i++ {
@@ -322,11 +353,11 @@ func (p *Plan) derive() {
 		// the parent.
 		shared := lv.reuse != reuseNone || lv.intersect[0] <= i-2
 		subs := 0
-		if p.Induced {
+		if p.induced {
 			subs = len(lv.exclude)
 		}
-		// A count-only run's last level probes the shared operand x when its
-		// final operation is x ∩ N(v_{i−1}) (reuseExtend), x \ N(v_e)
+		// The level a count-only run ends at probes the shared operand x when
+		// its final operation is x ∩ N(v_{i−1}) (reuseExtend), x \ N(v_e)
 		// (reuseSame, one subtraction) or x ∩ N(v_j) (two lists), on a sorted,
 		// unlabeled plan; a dense plan counts by popcount instead.
 		lv.probe = i == end && !p.dense && unlabeled && shared &&
@@ -336,7 +367,7 @@ func (p *Plan) derive() {
 		// whole raw set and no bound is against v_{i−1}, the vertex its
 		// siblings differ in. Level 1 never does: all roots are children of
 		// one parent, and no run is started among them.
-		lv.filterOnce = p.Labeled() && !p.Induced && !p.EdgeLabeled && shared &&
+		lv.filterOnce = p.Labeled() && !p.induced && !p.edgeLabeled && shared &&
 			(lv.reuse == reuseSame || lv.reuse == reuseNone && len(lv.intersect) == 1) &&
 			!slices.Contains(lv.bounds, i-1)
 	}
@@ -347,7 +378,7 @@ func (p *Plan) derive() {
 // parent's plus i−1 (reuseExtend), which, i−1 lying past every position the
 // parent reads, is the parent's list with i−1 appended.
 func (p *Plan) reuseOf(i int) reuseKind {
-	if !p.VCS || i < 2 {
+	if !p.vcs || i < 2 {
 		return reuseNone
 	}
 	cur, prev := p.levels[i].intersect, p.levels[i-1].intersect
@@ -361,25 +392,28 @@ func (p *Plan) reuseOf(i int) reuseKind {
 }
 
 // foldable reports whether the last r ≥ 2 levels of a non-induced plan
-// without vertex or edge labels form a star tail (see Plan.fold): they all
-// intersect one and the same earlier position (the anchor) and nothing else,
-// each is restricted against its predecessor in the tail, and none carries a
-// restriction against a position before the tail that the first tail level
-// does not carry too. The stabilizer chain never breaks the last condition —
-// tail vertices are interchangeable leaves of the anchor, so an outside bound
-// on one is a bound on the first — but the fold's count rests on it.
+// without vertex or edge labels form a tail that folds (see Plan.fold): each
+// intersects the same earlier positions as the first tail level f and
+// nothing else, each is restricted against its predecessor in the tail, and
+// none carries a restriction against a position before the tail that the
+// first tail level does not carry too. The tail's vertices are then pairwise
+// non-adjacent twins over those positions: all draw from level f's candidate
+// set X, which already drops every earlier matched vertex a tail vertex can
+// equal, and the chain of bounds makes them strictly monotone in ID, which
+// in turn keeps each inside level f's outside bounds. So the tail matches
+// exactly the r-subsets of X, one per subset. The stabilizer chain never
+// breaks the last condition — tail vertices are interchangeable, so an
+// outside bound on one is a bound on the first — but the fold's count rests
+// on it.
 func (p *Plan) foldable(r int) bool {
-	if r < 2 || r >= p.K || p.Induced || p.Labeled() || p.EdgeLabeled {
+	if r < 2 || r >= p.K || p.induced || p.Labeled() || p.edgeLabeled {
 		return false
 	}
 	f := p.K - r
 	first := &p.levels[f]
-	if len(first.intersect) != 1 {
-		return false
-	}
 	for i := f + 1; i < p.K; i++ {
 		lv := &p.levels[i]
-		if len(lv.intersect) != 1 || lv.intersect[0] != first.intersect[0] || !slices.Contains(lv.bounds, i-1) {
+		if !slices.Equal(lv.intersect, first.intersect) || !slices.Contains(lv.bounds, i-1) {
 			return false
 		}
 		for _, a := range lv.bounds {
@@ -389,6 +423,46 @@ func (p *Plan) foldable(r int) bool {
 		}
 	}
 	return true
+}
+
+// multipliable reports whether a count-only run may end at level K−2 of a
+// non-induced plan that neither folds nor runs dense, and multiply (see
+// Plan.multiply). Where the dense suffix applies it is kept: it builds no
+// level-2 chunk and fetches no list past level 1, which saves more than
+// ending the sorted walk one level early (K4 with a pendant at v0 takes a
+// ninth of the extensions dense that it takes multiplied). The last level
+// must be count-eligible (so unlabeled), reuse nothing, carry no bounds and
+// intersect only positions ≤ K−3, so that its set X is fixed before v_{K−2}
+// is chosen, and every position it excludes must be adjacent in the pattern
+// to every position it intersects, so that each excluded vertex lies in X.
+// Its candidates are then X less exactly |exclude| distinct vertices, for
+// every v_{K−2}.
+func (p *Plan) multipliable() bool {
+	k := p.K
+	last := &p.levels[k-1]
+	if p.fold != 0 || p.dense || !last.countOnly || p.induced || last.reuse != reuseNone || len(last.bounds) > 0 {
+		return false
+	}
+	for _, j := range last.intersect {
+		if j > k-3 {
+			return false
+		}
+		for _, e := range last.exclude {
+			if !p.adjacent(e, j) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// adjacent reports whether the pattern joins positions a and b: the later of
+// the two intersects the earlier.
+func (p *Plan) adjacent(a, b int) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return slices.Contains(p.levels[b].intersect, a)
 }
 
 // storeClippable reports whether level i may store its raw intersection R_i
@@ -441,15 +515,18 @@ func boundedWithin(want, got, inside []int) bool {
 // String renders a compact human-readable schedule.
 func (p *Plan) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "plan{%s k=%d order=%v aut=%d", p.Style, p.K, p.Order, p.AutSize)
-	if p.Induced {
+	fmt.Fprintf(&sb, "plan{%s k=%d order=%v aut=%d", p.Style, p.K, p.order, p.AutSize)
+	if p.induced {
 		sb.WriteString(" induced")
 	}
-	if p.Descending {
+	if p.descending {
 		sb.WriteString(" descending")
 	}
 	if p.fold > 0 {
 		fmt.Fprintf(&sb, " fold=%d", p.fold)
+	}
+	if p.multiply {
+		sb.WriteString(" multiply")
 	}
 	if p.dense {
 		sb.WriteString(" dense")
@@ -457,7 +534,7 @@ func (p *Plan) String() string {
 	for i := 1; i < p.K; i++ {
 		lv := &p.levels[i]
 		fmt.Fprintf(&sb, " L%d(int=%v", i, lv.intersect)
-		if p.Induced && len(lv.exclude) > 0 {
+		if p.induced && len(lv.exclude) > 0 {
 			fmt.Fprintf(&sb, " sub=%v", lv.exclude)
 		}
 		if len(lv.bounds) > 0 {

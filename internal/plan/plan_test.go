@@ -246,7 +246,7 @@ func TestClipStoreFlag(t *testing.T) {
 
 	parity := pattern.Clique(5).WithLabels([]graph.Label{0, 1, 0, 1, 0})
 	pl := MustCompile(parity, Options{Style: StyleGraphPi, Stats: down})
-	if !pl.Descending || !pl.levels[1].storeInter || len(pl.levels[1].bounds) == 0 || len(pl.levels[3].bounds) != 0 {
+	if !pl.descending || !pl.levels[1].storeInter || len(pl.levels[1].bounds) == 0 || len(pl.levels[3].bounds) != 0 {
 		t.Fatalf("parity-labeled K5 no longer has the shape this test pins: %v", pl)
 	}
 	for i, lv := range pl.levels {
@@ -320,9 +320,9 @@ func TestGraphPiCliqueCompileBounded(t *testing.T) {
 			t.Errorf("K%d: GraphPi compile took %v, want under 1s", k, d)
 		}
 		// The lexicographically first order survives the pruning.
-		for i, v := range p.Order {
+		for i, v := range p.order {
 			if v != i {
-				t.Errorf("K%d: order %v, want the identity", k, p.Order)
+				t.Errorf("K%d: order %v, want the identity", k, p.order)
 				break
 			}
 		}
@@ -339,7 +339,7 @@ func TestVisitRootEmitsValidEmbeddings(t *testing.T) {
 		e.VisitRoot(graph.VertexID(v), func(emb []graph.VertexID) {
 			count++
 			// Verify the embedding is a genuine match of the reordered pattern.
-			q := pat.Relabel(pl.Order)
+			q := pat.Relabel(pl.order)
 			for a := 0; a < pl.K; a++ {
 				for b := a + 1; b < pl.K; b++ {
 					if q.HasEdge(a, b) && !g.HasEdge(emb[a], emb[b]) {
@@ -418,10 +418,10 @@ func TestPlanStringAndConstruction(t *testing.T) {
 // TestDenseMarksCliqueSuffixes pins where the compiler marks a dense suffix:
 // every clique K ≥ 4 in both styles and directions, and none of the diamond,
 // the tailed triangle, the house and the triangle, nor any labeled,
-// edge-labeled, induced, VCS-off or folding plan of a connected k ≤ 5
-// pattern — the plans TC, 3-MC and FSM run among them — and Explain prints
-// the dense suffix exactly where it is marked. The diamond stores R1 whole,
-// so its levels are not all inside S and derive never marks it. The
+// edge-labeled, induced, VCS-off, folding or multiplied plan of a connected
+// k ≤ 5 pattern — the plans TC, 3-MC and FSM run among them — and Explain
+// prints the dense suffix exactly where it is marked. The diamond folds, and
+// stores R1 whole besides, so its levels are not all inside S. The
 // direction is one bit of the plan: the sweep compiles each plan against
 // mirrored stats, up- and down-skewed, and the two may differ only in
 // Descending and the skew sums.
@@ -473,7 +473,7 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 						opts := c.opts
 						opts.Stats = stats
 						pl := MustCompile(c.pat, opts)
-						if pl.dense && (c.name != "bare" || pl.fold > 0) {
+						if pl.dense && (c.name != "bare" || pl.fold > 0 || pl.multiply) {
 							t.Errorf("%s %v marked dense: %v", c.name, c.pat, pl)
 						}
 						if strings.Contains(pl.Explain(), "dense suffix") != pl.dense {
@@ -487,10 +487,10 @@ func TestDenseMarksCliqueSuffixes(t *testing.T) {
 					for _, lv := range desc.levels {
 						bounded = bounded || len(lv.bounds) > 0
 					}
-					if asc.Descending || desc.Descending != bounded {
-						t.Errorf("%s %v: Descending = %v up-skewed, %v down-skewed with bounds %v", c.name, c.pat, asc.Descending, desc.Descending, bounded)
+					if asc.descending || desc.descending != bounded {
+						t.Errorf("%s %v: Descending = %v up-skewed, %v down-skewed with bounds %v", c.name, c.pat, asc.descending, desc.descending, bounded)
 					}
-					desc.Descending, desc.UpSq, desc.DownSq = asc.Descending, asc.UpSq, asc.DownSq
+					desc.descending, desc.UpSq, desc.DownSq = asc.descending, asc.UpSq, asc.DownSq
 					if !reflect.DeepEqual(asc, desc) {
 						t.Errorf("%s %v: mirrored stats compile different plans:\n%v\n%v", c.name, c.pat, mirror[0], mirror[1])
 					}
@@ -511,7 +511,7 @@ func checkFilterOnce(t *testing.T, name string, pl *Plan) {
 	t.Helper()
 	flagged := false
 	for i, lv := range pl.levels {
-		rule := i >= 2 && pl.Labeled() && !pl.Induced && !pl.EdgeLabeled && !slices.Contains(lv.bounds, i-1) &&
+		rule := i >= 2 && pl.Labeled() && !pl.induced && !pl.edgeLabeled && !slices.Contains(lv.bounds, i-1) &&
 			(lv.reuse == reuseSame || len(lv.intersect) == 1 && lv.intersect[0] <= i-2)
 		if lv.filterOnce != rule {
 			t.Errorf("%s %v: level %d FilterOnce = %v", name, pl.Pattern, i, lv.filterOnce)
@@ -626,12 +626,14 @@ func TestFilterOnceMarksSharedSets(t *testing.T) {
 // TestProbeMarksSharedOperands pins which levels the compiler marks Probe:
 // the level a count-only run ends at, at depth ≥ 2, where its last set
 // operation has an operand all children of one parent share — the parent's
-// stored raw extended (triangle), the parent's raw minus one list (induced
-// wedge), or a list at intersect[0] ≤ level−2 (triangle without VCS) — and
-// nowhere else: not on a dense plan, a folding one, a labeled one, or a last
-// level that intersects three lists or both intersects and subtracts. derive
-// never sets the flag on the levels of the second table, and Explain names
-// what a probed level marks.
+// stored raw extended (triangle, the diamond's fold level, the tailed
+// triangle's level 2, which multiplies), the parent's raw minus one list
+// (induced wedge), or a list at intersect[0] ≤ level−2 (triangle without
+// VCS) — and nowhere else: not on a dense plan, one folded at level 1, a
+// labeled one, a level past the one a run ends at, or a last level that
+// intersects three lists or both intersects and subtracts. derive never sets
+// the flag on the levels of the second table, and Explain names what a probed
+// level marks.
 func TestProbeMarksSharedOperands(t *testing.T) {
 	labeled := pattern.Triangle().WithLabels([]graph.Label{0, 1, 0})
 	for _, c := range []struct {
@@ -649,6 +651,8 @@ func TestProbeMarksSharedOperands(t *testing.T) {
 		{"K4/no-vcs (three lists)", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi, DisableVCS: true}), -1, ""},
 		{"labeled triangle", MustCompile(labeled, Options{Style: StyleAutomine}), -1, ""},
 		{"induced 4-cycle (intersect and subtract)", MustCompile(pattern.CycleP(4), Options{Style: StyleGraphPi, Induced: true}), -1, ""},
+		{"diamond (folds at level 2)", MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi}), 2, "probe marked R1"},
+		{"tailed triangle (multiplies at level 2)", MustCompile(pattern.TailedTriangle(), Options{Style: StyleAutomine}), 2, "probe marked R1"},
 	} {
 		for i, lv := range c.pl.levels {
 			if lv.probe != (i == c.probe) {
@@ -672,7 +676,7 @@ func TestProbeMarksSharedOperands(t *testing.T) {
 		{"K4 last level (dense)", MustCompile(pattern.Clique(4), Options{Style: StyleGraphPi}), 3},
 		{"folded wedge's last level", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine}), 2},
 		{"induced wedge without VCS", MustCompile(pattern.PathP(3), Options{Style: StyleAutomine, Induced: true, DisableVCS: true}), 2},
-		{"diamond level 2", MustCompile(pattern.Diamond(), Options{Style: StyleGraphPi}), 2},
+		{"multiplied tailed triangle's last level", MustCompile(pattern.TailedTriangle(), Options{Style: StyleAutomine}), 3},
 	} {
 		if c.pl.levels[c.lv].probe {
 			t.Errorf("derive set Probe on the %s: %v", c.name, c.pl)
@@ -744,8 +748,8 @@ func TestReuseFollowsIntersect(t *testing.T) {
 				continue
 			}
 			prev := pl.levels[i-1].intersect
-			same := pl.VCS && slices.Equal(lv.intersect, prev)
-			extend := pl.VCS && slices.Equal(lv.intersect, append(slices.Clone(prev), i-1))
+			same := pl.vcs && slices.Equal(lv.intersect, prev)
+			extend := pl.vcs && slices.Equal(lv.intersect, append(slices.Clone(prev), i-1))
 			if (lv.reuse == reuseSame) != same || (lv.reuse == reuseExtend) != extend {
 				t.Errorf("%s: level %d intersects %v under a parent intersecting %v, reuse = %d", name, i, lv.intersect, prev, lv.reuse)
 			}
@@ -754,4 +758,42 @@ func TestReuseFollowsIntersect(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMultiplyFollowsRule holds Multiply to its rule on every plan of the
+// sweep, restated from the matching: a non-induced, unlabeled plan that
+// neither folds nor runs dense, whose last level reuses nothing, carries no
+// bounds, intersects only positions ≤ K−3, and excludes only positions the
+// pattern joins to every position it intersects. String names a multiplied
+// plan with one token and Explain with one line, and no other plan mentions
+// it. Some plan of the sweep is dense where the rest of the rule holds (K4
+// with a pendant at v0): the dense suffix is kept there.
+func TestMultiplyFollowsRule(t *testing.T) {
+	multiplied, denseKept := 0, 0
+	sweepPlans(t, func(name string, pl *Plan) {
+		last := &pl.levels[pl.K-1]
+		rule := !pl.induced && !pl.Labeled() && pl.fold == 0 && last.reuse == reuseNone && len(last.bounds) == 0
+		for _, j := range last.intersect {
+			rule = rule && j <= pl.K-3
+			for _, e := range last.exclude {
+				rule = rule && pl.Pattern.HasEdge(pl.order[e], pl.order[j])
+			}
+		}
+		if pl.multiply != (rule && !pl.dense) {
+			t.Errorf("%s: Multiply = %v: %v", name, pl.multiply, pl)
+		}
+		if rule && pl.dense {
+			denseKept++
+		}
+		if strings.Count(pl.String(), " multiply") != strings.Count(pl.Explain(), "multiplied (count-only)") ||
+			strings.Contains(pl.String(), " multiply") != pl.multiply {
+			t.Errorf("%s: Multiply = %v but String or Explain says otherwise:\n%v\n%s", name, pl.multiply, pl, pl.Explain())
+		}
+		if pl.multiply {
+			multiplied++
+		}
+	})
+	if multiplied == 0 || denseKept == 0 {
+		t.Errorf("%d plans of the sweep multiply, %d keep the dense suffix instead; want some of each", multiplied, denseKept)
+	}
 }

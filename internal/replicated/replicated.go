@@ -70,7 +70,7 @@ func Count(g *graph.Graph, pat *pattern.Pattern, cfg Config) (Result, error) {
 // CountMotifs counts all connected size-k patterns with induced semantics:
 // like apps.MotifCount, non-induced plans converted with the motif set's
 // matrix — though through plan.Executor, which never enters count-only mode,
-// so star tails are enumerated here, not folded.
+// so tails are enumerated here, neither folded nor multiplied.
 func CountMotifs(g *graph.Graph, k int, cfg Config) (Result, error) {
 	if err := pattern.CheckMotifSize(k); err != nil {
 		return Result{}, fmt.Errorf("replicated: %w", err)
