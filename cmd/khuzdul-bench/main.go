@@ -4,7 +4,7 @@
 // Usage:
 //
 //	khuzdul-bench -exp table2          # one experiment
-//	khuzdul-bench -exp all -quick      # everything, trimmed rows
+//	khuzdul-bench -exp all -quick      # everything, trimmed rows, then the total wall time
 //	khuzdul-bench -list                # show the registry
 package main
 
@@ -47,6 +47,7 @@ func main() {
 		}
 		exps = []harness.Experiment{e}
 	}
+	all := time.Now()
 	for _, e := range exps {
 		start := time.Now()
 		tab, err := e.Run(opts)
@@ -56,5 +57,8 @@ func main() {
 		}
 		fmt.Println(tab.String())
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if *exp == "all" {
+		fmt.Printf("(all %d experiments completed in %v)\n", len(exps), time.Since(all).Round(time.Millisecond))
 	}
 }

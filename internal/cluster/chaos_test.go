@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -24,6 +25,18 @@ func chaosConfig(prof *fault.Profile, transport Transport) Config {
 		FetchRetries:     5,
 		RetryBackoff:     200 * time.Microsecond,
 	}
+}
+
+// chaosReport says what a chaos run did, so its failure describes itself:
+// the error chain, the count against want, and the resilience counters. They
+// are read from the cluster, not the Result, because a failed run returns an
+// empty Result while its counters survive until the next run.
+func chaosReport(c *Cluster, res Result, err error, want uint64) string {
+	s := c.met.Summarize()
+	return fmt.Sprintf("err=%v; count %d, want %d; recovery rounds %d; dead nodes %v; "+
+		"corrupt frames %d; fetch retries %d; redials %d; fetch timeouts %d; breaker trips %d; faults injected %d",
+		err, res.Count, want, res.RecoveryRounds, c.DeadNodes(),
+		s.CorruptFrames, s.FetchRetries, s.Redials, s.FetchTimeouts, s.BreakerTrips, s.FaultsInjected)
 }
 
 // TestChaosTransientErrorsExactCounts injects transient fetch errors on every
@@ -172,21 +185,18 @@ func TestChaosWireCorruptionExactCounts(t *testing.T) {
 			prof := &fault.Profile{Seed: 19, CorruptRate: 0.05}
 			c := mustCluster(t, g, chaosConfig(prof, transport))
 			res, err := c.Count(pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != want {
-				t.Fatalf("count under corruption = %d, want %d", res.Count, want)
-			}
 			s := res.Summary
-			if s.CorruptFrames == 0 {
-				t.Fatal("no corrupt frames recorded despite 5% corruption rate")
-			}
-			if s.FetchRetries == 0 {
-				t.Fatal("no retries recorded despite rejected frames")
-			}
-			if transport == TransportTCP && s.Redials == 0 {
-				t.Fatal("TCP fabric never redialed after a poisoned connection")
+			switch report := chaosReport(c, res, err, want); {
+			case err != nil:
+				t.Fatalf("run under corruption failed: %s", report)
+			case res.Count != want:
+				t.Fatalf("wrong count under corruption: %s", report)
+			case s.CorruptFrames == 0:
+				t.Fatalf("no corrupt frames recorded despite 5%% corruption rate: %s", report)
+			case s.FetchRetries == 0:
+				t.Fatalf("no retries recorded despite rejected frames: %s", report)
+			case transport == TransportTCP && s.Redials == 0:
+				t.Fatalf("TCP fabric never redialed after a poisoned connection: %s", report)
 			}
 		})
 	}
@@ -205,18 +215,16 @@ func TestChaosConnectionDropsExactCounts(t *testing.T) {
 			prof := &fault.Profile{Seed: 23, DropRate: 0.05}
 			c := mustCluster(t, g, chaosConfig(prof, transport))
 			res, err := c.Count(pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != want {
-				t.Fatalf("count under drops = %d, want %d", res.Count, want)
-			}
 			s := res.Summary
-			if s.FetchRetries == 0 {
-				t.Fatal("no retries recorded despite dropped connections")
-			}
-			if transport == TransportTCP && s.Redials == 0 {
-				t.Fatal("TCP fabric never redialed after a severed connection")
+			switch report := chaosReport(c, res, err, want); {
+			case err != nil:
+				t.Fatalf("run under drops failed: %s", report)
+			case res.Count != want:
+				t.Fatalf("wrong count under drops: %s", report)
+			case s.FetchRetries == 0:
+				t.Fatalf("no retries recorded despite dropped connections: %s", report)
+			case transport == TransportTCP && s.Redials == 0:
+				t.Fatalf("TCP fabric never redialed after a severed connection: %s", report)
 			}
 		})
 	}

@@ -18,56 +18,32 @@ import (
 // pattern-oblivious method gap (§1).
 
 func init() {
-	register(Experiment{ID: "ablation-pipeline", Title: "Strict vs non-strict circulant pipelining (extra)", Run: runAblationPipeline})
-	register(Experiment{ID: "ablation-minibatch", Title: "Mini-batch size sweep (extra)", Run: runAblationMiniBatch})
-	register(Experiment{ID: "ablation-oblivious", Title: "Pattern-aware vs pattern-oblivious enumeration (extra)", Run: runAblationOblivious})
-	register(Experiment{ID: "ablation-transport", Title: "In-flight window 1 vs 16 on the TCP fabric (extra)", Run: runAblationTransport})
+	register("ablation-pipeline", "Strict vs non-strict circulant pipelining (extra)", runAblationPipeline)
+	register("ablation-minibatch", "Mini-batch size sweep (extra)", runAblationMiniBatch)
+	register("ablation-oblivious", "Pattern-aware vs pattern-oblivious enumeration (extra)", runAblationOblivious)
+	register("ablation-transport", "In-flight window 1 vs 16 on the TCP fabric (extra)", runAblationTransport)
 }
 
 // runAblationPipeline quantifies what the paper's non-strict pipelining
 // (fire every circulant batch's fetch at chunk seal) buys over strict
 // stop-and-go fetching.
-func runAblationPipeline(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "ablation-pipeline",
-		Title:  "circulant pipelining (k-GraphPi)",
-		Header: []string{"App", "G.", "non-strict", "strict", "speedup", "net wait ratio"},
-	}
+func runAblationPipeline(x *exhibit) (*Table, error) {
+	t := x.table("circulant pipelining (k-GraphPi)", "App", "G.", "non-strict", "strict", "speedup", "net wait ratio")
 	graphs := []string{"lj"}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "uk", "fr")
 	}
+	strict := plainConfig(x.Nodes, x.Threads)
+	strict.StrictPipeline = true
 	for _, a := range []appSpec{appTC, app4CC} {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, khuzdul(plainConfig(x.Nodes, x.Threads), "non-strict", apps.KGraphPi),
+				khuzdul(strict, "strict", apps.KGraphPi))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			run := func(strict bool) (cluster.Result, error) {
-				c, err := cluster.New(g, cluster.Config{
-					NumNodes: o.Nodes, ThreadsPerSocket: o.Threads,
-					StrictPipeline: strict, SequentialNodes: true,
-				})
-				if err != nil {
-					return cluster.Result{}, err
-				}
-				defer c.Close()
-				return runOnCluster(c, apps.KGraphPi, a)
-			}
-			ns, err := run(false)
-			if err != nil {
-				return nil, err
-			}
-			st, err := run(true)
-			if err != nil {
-				return nil, err
-			}
-			if ns.Count != st.Count {
-				return nil, fmt.Errorf("ablation-pipeline: strictness changed count")
-			}
-			t.AddRow(a.name, abbr, elapsedStr(ns.Elapsed), elapsedStr(st.Elapsed),
+			ns, st := rs[0], rs[1]
+			t.AddRow(a.name, abbr, FmtDur(ns.Elapsed), FmtDur(st.Elapsed),
 				FmtSpeedup(st.Elapsed, ns.Elapsed),
 				fmt.Sprintf("%.2f", ratio(uint64(ns.Summary.Breakdown.Network),
 					uint64(st.Summary.Breakdown.Network))))
@@ -79,44 +55,26 @@ func runAblationPipeline(o Options) (*Table, error) {
 
 // runAblationMiniBatch sweeps the work-distribution unit around the paper's
 // choice of 64 embeddings per mini-batch.
-func runAblationMiniBatch(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "ablation-minibatch",
-		Title:  "mini-batch size sweep on lj (k-GraphPi)",
-		Header: []string{"App", "mb=4", "mb=16", "mb=64", "mb=256", "mb=1024"},
-	}
-	d, err := GetDataset("lj")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(o.Scale)
+func runAblationMiniBatch(x *exhibit) (*Table, error) {
+	t := x.table("mini-batch size sweep on lj (k-GraphPi)", "App", "mb=4", "mb=16", "mb=64", "mb=256", "mb=1024")
 	appsList := []appSpec{appTC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = append(appsList, app4CC)
 	}
+	var systems []system
+	for _, mb := range []int{4, 16, 64, 256, 1024} {
+		cfg := plainConfig(x.Nodes, x.Threads)
+		cfg.MiniBatch = mb
+		systems = append(systems, khuzdul(cfg, fmt.Sprintf("mb=%d", mb), apps.KGraphPi))
+	}
 	for _, a := range appsList {
+		rs, err := x.row("lj", a, systems...)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{a.name}
-		var want uint64
-		for i, mb := range []int{4, 16, 64, 256, 1024} {
-			c, err := cluster.New(g, cluster.Config{
-				NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, MiniBatch: mb,
-				SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r, err := runOnCluster(c, apps.KGraphPi, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				want = r.Count
-			} else if r.Count != want {
-				return nil, fmt.Errorf("ablation-minibatch: size changed count")
-			}
-			row = append(row, elapsedStr(r.Elapsed))
+		for _, r := range rs {
+			row = append(row, FmtDur(r.Elapsed))
 		}
 		t.AddRow(row...)
 	}
@@ -129,54 +87,32 @@ func runAblationMiniBatch(o Options) (*Table, error) {
 // window differs: window 1 admits one exchange at a time per connection, so
 // concurrent fetches to one peer head-of-line block; window 16 (the default)
 // pipelines them on one socket.
-func runAblationTransport(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "ablation-transport",
-		Title:  "in-flight window 1 vs 16 on the TCP fabric (k-GraphPi)",
-		Header: []string{"App", "G.", "window 1", "window 16", "speedup", "peak in-flight"},
-	}
+func runAblationTransport(x *exhibit) (*Table, error) {
+	t := x.table("in-flight window 1 vs 16 on the TCP fabric (k-GraphPi)",
+		"App", "G.", "window 1", "window 16", "speedup", "peak in-flight")
 	graphs := []string{"lj"}
-	if !o.Quick {
-		graphs = append(graphs, "uk")
-	}
 	appsList := []appSpec{appTC}
-	if !o.Quick {
+	if !x.Quick {
+		graphs = append(graphs, "uk")
 		appsList = append(appsList, app4CC)
+	}
+	// Two sockets per machine so several workers fetch from the same remote
+	// peer at once — the contention multiplexing is built to remove.
+	var systems []system
+	for _, window := range []int{1, 16} {
+		cfg := plainConfig(x.Nodes, x.Threads)
+		cfg.SequentialNodes, cfg.Sockets = false, 2
+		cfg.Transport, cfg.InFlight = cluster.TransportTCP, window
+		systems = append(systems, khuzdul(cfg, fmt.Sprintf("window %d", window), apps.KGraphPi))
 	}
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, systems...)
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			run := func(window int) (cluster.Result, error) {
-				// Two sockets per machine so several workers fetch from the
-				// same remote peer at once — the contention multiplexing is
-				// built to remove.
-				c, err := cluster.New(g, cluster.Config{
-					NumNodes: o.Nodes, Sockets: 2, ThreadsPerSocket: o.Threads,
-					Transport: cluster.TransportTCP, InFlight: window,
-				})
-				if err != nil {
-					return cluster.Result{}, err
-				}
-				defer c.Close()
-				return runOnCluster(c, apps.KGraphPi, a)
-			}
-			one, err := run(1)
-			if err != nil {
-				return nil, err
-			}
-			wide, err := run(16)
-			if err != nil {
-				return nil, err
-			}
-			if one.Count != wide.Count {
-				return nil, fmt.Errorf("ablation-transport: in-flight window changed count")
-			}
-			t.AddRow(a.name, abbr, elapsedStr(one.Elapsed), elapsedStr(wide.Elapsed),
+			one, wide := rs[0], rs[1]
+			t.AddRow(a.name, abbr, FmtDur(one.Elapsed), FmtDur(wide.Elapsed),
 				FmtSpeedup(one.Elapsed, wide.Elapsed),
 				fmt.Sprintf("%d", wide.Summary.InFlightPeak))
 		}
@@ -188,28 +124,21 @@ func runAblationTransport(o Options) (*Table, error) {
 // runAblationOblivious reproduces the paper's §1 motivation: the gap between
 // pattern-aware enumeration and Arabesque-style pattern-oblivious
 // enumeration with isomorphism checks.
-func runAblationOblivious(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "ablation-oblivious",
-		Title:  "pattern-aware vs pattern-oblivious 3/4-motif counting",
-		Header: []string{"G.", "k", "aware", "oblivious", "slowdown", "subgraphs enumerated"},
-	}
+func runAblationOblivious(x *exhibit) (*Table, error) {
+	t := x.table("pattern-aware vs pattern-oblivious 3/4-motif counting",
+		"G.", "k", "aware", "oblivious", "slowdown", "subgraphs enumerated")
 	graphs := []string{"mc"}
-	if !o.Quick {
-		graphs = append(graphs, "pt")
-	}
 	ks := []int{3}
-	if !o.Quick {
+	if !x.Quick {
+		graphs = append(graphs, "pt")
 		ks = append(ks, 4)
 	}
-	threads := o.Threads * 2
+	threads := x.Threads * 2
 	for _, abbr := range graphs {
-		d, err := GetDataset(abbr)
+		g, err := x.graph(abbr)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
 		for _, k := range ks {
 			pats := pattern.ConnectedPatterns(k)
 			// Pattern-aware: one plan per motif, induced, single machine for
@@ -228,10 +157,13 @@ func runAblationOblivious(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for i := range pats {
-				if awareCounts[i] != obl.Counts[i] {
-					return nil, fmt.Errorf("ablation-oblivious %s k=%d: count mismatch on %v: %d vs %d",
-						abbr, k, pats[i], awareCounts[i], obl.Counts[i])
+			for i, pat := range pats {
+				row := fmt.Sprintf("induced %v on %s", pat, abbr)
+				if err := x.check(row, "pattern-aware", awareCounts[i]); err != nil {
+					return nil, err
+				}
+				if err := x.check(row, "pattern-oblivious", obl.Counts[i]); err != nil {
+					return nil, err
 				}
 			}
 			t.AddRow(abbr, fmt.Sprintf("%d", k),

@@ -20,62 +20,35 @@ import (
 // count exactly.
 
 func init() {
-	register(Experiment{ID: "ablation-chaos", Title: "Fault injection, retries and task-level recovery (extra)", Run: runAblationChaos})
+	register("ablation-chaos", "Fault injection, retries and task-level recovery (extra)", runAblationChaos)
 }
 
-func runAblationChaos(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "ablation-chaos",
-		Title:  "chaos: resilience cost and recovery (k-GraphPi, lj)",
-		Header: []string{"App", "Scenario", "elapsed", "faults", "retries", "rec.rounds", "dead", "wire c/r", "spec r/w"},
-	}
-	d, err := GetDataset("lj")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(o.Scale)
-
+func runAblationChaos(x *exhibit) (*Table, error) {
+	t := x.table("chaos: resilience cost and recovery (k-GraphPi, lj)",
+		"App", "Scenario", "elapsed", "faults", "retries", "rec.rounds", "dead", "wire c/r", "spec r/w")
 	first := map[string]cluster.Result{} // the first app's row per scenario
 	appsList := []appSpec{appTC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = append(appsList, app4CC)
 	}
 	for ai, a := range appsList {
-		var want uint64
-		for i, sc := range chaosScenarios {
-			// A crash permanently poisons the injector, so every scenario gets
-			// a fresh cluster.
+		for _, sc := range chaosScenarios {
+			// A crash permanently poisons the injector, so every scenario
+			// and repetition gets a fresh cluster.
 			var r cluster.Result
-			reps := max(sc.reps, 1)
-			for rep := 0; rep < reps; rep++ {
-				c, err := cluster.New(g, sc.config(o))
+			for rep := 0; rep < max(sc.reps, 1); rep++ {
+				rs, err := x.row("lj", a, khuzdul(sc.config(x.Options), sc.name, apps.KGraphPi))
 				if err != nil {
 					return nil, err
 				}
-				got, err := runOnCluster(c, apps.KGraphPi, a)
-				c.Close()
-				if err != nil {
-					return nil, err
+				if rep == 0 || rs[0].Elapsed < r.Elapsed {
+					r = rs[0]
 				}
-				if rep > 0 && got.Count != r.Count {
-					return nil, fmt.Errorf("ablation-chaos %s %q: count varies across reps: %d vs %d",
-						a.name, sc.name, got.Count, r.Count)
-				}
-				if rep == 0 || got.Elapsed < r.Elapsed {
-					r = got
-				}
-			}
-			if i == 0 {
-				want = r.Count
-			} else if r.Count != want {
-				return nil, fmt.Errorf("ablation-chaos %s %q: count %d, want %d",
-					a.name, sc.name, r.Count, want)
 			}
 			if ai == 0 {
 				first[sc.name] = r
 			}
-			t.AddRow(a.name, sc.name, elapsedStr(r.Elapsed),
+			t.AddRow(a.name, sc.name, FmtDur(r.Elapsed),
 				FmtCount(r.Summary.FaultsInjected), FmtCount(r.Summary.FetchRetries),
 				fmt.Sprintf("%d", r.RecoveryRounds),
 				fmt.Sprintf("%v", r.DeadNodes),
@@ -150,17 +123,9 @@ var chaosScenarios = []chaosScenario{
 // on, so setting them on the baseline would make it the layer compared with
 // itself.
 func (sc chaosScenario) config(o Options) cluster.Config {
-	cfg := cluster.Config{
-		NumNodes:             o.Nodes,
-		ThreadsPerSocket:     o.Threads,
-		ChunkSize:            experimentChunkSize,
-		CacheFraction:        0.10,
-		CacheDegreeThreshold: 8,
-		SequentialNodes:      !sc.concurrent,
-		Transport:            sc.transport,
-		Speculate:            sc.speculate,
-		Fault:                sc.prof,
-	}
+	cfg := cachedConfig(o.Nodes, o.Threads)
+	cfg.SequentialNodes = !sc.concurrent
+	cfg.Transport, cfg.Speculate, cfg.Fault = sc.transport, sc.speculate, sc.prof
 	if sc.chunk > 0 {
 		cfg.ChunkSize = sc.chunk
 	}

@@ -4,71 +4,42 @@ import (
 	"fmt"
 	"time"
 
-	"khuzdul/internal/adfs"
 	"khuzdul/internal/apps"
 	"khuzdul/internal/cache"
 	"khuzdul/internal/cluster"
-	"khuzdul/internal/gthinker"
-	"khuzdul/internal/pattern"
-	"khuzdul/internal/replicated"
+	"khuzdul/internal/graph"
 	"khuzdul/internal/single"
 )
 
 func init() {
-	register(Experiment{ID: "fig10", Title: "Comparison with aDFS (TC)", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "Speedup from vertical computation sharing", Run: runFig11})
-	register(Experiment{ID: "fig12", Title: "Effect of horizontal data sharing", Run: runFig12})
-	register(Experiment{ID: "fig13", Title: "Inter-node scalability (lj)", Run: runFig13})
-	register(Experiment{ID: "fig14", Title: "Intra-node scalability and COST", Run: runFig14})
-	register(Experiment{ID: "fig15", Title: "Runtime breakdown: G-thinker vs k-Automine", Run: runFig15})
-	register(Experiment{ID: "fig16", Title: "Cache replacement policies", Run: runFig16})
-	register(Experiment{ID: "fig17", Title: "Varying cache size", Run: runFig17})
-	register(Experiment{ID: "fig18", Title: "Varying chunk size", Run: runFig18})
-	register(Experiment{ID: "fig19", Title: "Network bandwidth utilization", Run: runFig19})
+	register("fig10", "Comparison with aDFS (TC)", runFig10)
+	register("fig11", "Speedup from vertical computation sharing", runFig11)
+	register("fig12", "Effect of horizontal data sharing", runFig12)
+	register("fig13", "Inter-node scalability (lj)", runFig13)
+	register("fig14", "Intra-node scalability and COST", runFig14)
+	register("fig15", "Runtime breakdown: G-thinker vs k-Automine", runFig15)
+	register("fig16", "Cache replacement policies", runFig16)
+	register("fig17", "Varying cache size", runFig17)
+	register("fig18", "Varying chunk size", runFig18)
+	register("fig19", "Network bandwidth utilization", runFig19)
 }
 
 // runFig10 reproduces Figure 10: TC against the moving-computation-to-data
 // baseline.
-func runFig10(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig10",
-		Title:  "TC vs aDFS-style baseline",
-		Header: []string{"G.", "aDFS", "k-Automine", "k-GraphPi", "aDFS traffic", "Khuzdul traffic"},
-	}
+func runFig10(x *exhibit) (*Table, error) {
+	t := x.table("TC vs aDFS-style baseline", "G.", "aDFS", "k-Automine", "k-GraphPi", "aDFS traffic", "Khuzdul traffic")
 	graphs := []string{"sk", "ok"}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 	}
 	for _, abbr := range graphs {
-		d, err := GetDataset(abbr)
+		rs, err := x.row(abbr, appTC, aDFS(x.Nodes, x.Threads),
+			khuzdul(cachedConfig(x.Nodes, x.Threads), "", apps.KAutomine, apps.KGraphPi))
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
-		ra, err := adfs.Count(g, pattern.Triangle(), adfs.Config{NumNodes: o.Nodes, ThreadsPerNode: o.Threads})
-		if err != nil {
-			return nil, err
-		}
-		c, err := defaultCluster(g, o.Nodes, o.Threads)
-		if err != nil {
-			return nil, err
-		}
-		rka, err := apps.TriangleCount(c, apps.KAutomine)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		rkg, err := apps.TriangleCount(c, apps.KGraphPi)
-		c.Close()
-		if err != nil {
-			return nil, err
-		}
-		if ra.Count != rka.Count || ra.Count != rkg.Count {
-			return nil, fmt.Errorf("fig10 %s: count mismatch adfs=%d kA=%d kGP=%d",
-				abbr, ra.Count, rka.Count, rkg.Count)
-		}
-		t.AddRow(abbr, elapsedStr(ra.Elapsed), elapsedStr(rka.Elapsed), elapsedStr(rkg.Elapsed),
+		ra, rka, rkg := rs[0], rs[1], rs[2]
+		t.AddRow(abbr, FmtDur(ra.Elapsed), FmtDur(rka.Elapsed), FmtDur(rkg.Elapsed),
 			FmtBytes(ra.Summary.BytesSent), FmtBytes(rka.Summary.BytesSent))
 	}
 	t.AddNote("paper: Khuzdul systems beat aDFS by up to an order of magnitude with fewer cores; carried edge lists inflate aDFS traffic")
@@ -76,113 +47,69 @@ func runFig10(o Options) (*Table, error) {
 }
 
 // runFig11 reproduces Figure 11: the VCS ablation.
-func runFig11(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig11",
-		Title:  "vertical computation sharing speedup (k-GraphPi)",
-		Header: []string{"App", "G.", "VCS on", "VCS off", "speedup"},
-	}
+func runFig11(x *exhibit) (*Table, error) {
+	t := x.table("vertical computation sharing speedup (k-GraphPi)", "App", "G.", "VCS on", "VCS off", "speedup")
 	graphs := []string{"mc", "pt", "lj"}
 	appsList := []appSpec{app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 		appsList = append(appsList, app5CC)
 	}
+	// Both plans run on one cluster; only the compile option differs.
+	vcs := system{[]string{"k-GraphPi (VCS on)", "k-GraphPi (VCS off)"}, func(g *graph.Graph, a appSpec) ([]cluster.Result, error) {
+		out := make([]cluster.Result, 2)
+		return out, withCluster(g, cachedConfig(x.Nodes, x.Threads), func(c *cluster.Cluster) error {
+			for i, opts := range []apps.CompileOptions{{}, {DisableVCS: true}} {
+				pl, err := apps.Compile(apps.KGraphPi, a.pattern(), g, opts)
+				if err == nil {
+					out[i], err = c.Count(pl)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}}
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, vcs)
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			c, err := defaultCluster(g, o.Nodes, o.Threads)
-			if err != nil {
-				return nil, err
-			}
-			on, off, err := runVCSPair(c, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(a.name, abbr, elapsedStr(on.Elapsed), elapsedStr(off.Elapsed),
-				FmtSpeedup(off.Elapsed, on.Elapsed))
+			on, off := rs[0].Elapsed, rs[1].Elapsed
+			t.AddRow(a.name, abbr, FmtDur(on), FmtDur(off), FmtSpeedup(off, on))
 		}
 	}
 	t.AddNote("paper: 2.10x average (up to 4.44x); weakest on pt where extensions are already cheap")
 	return t, nil
 }
 
-func runVCSPair(c *cluster.Cluster, a appSpec) (on, off cluster.Result, err error) {
-	plOn, err := apps.Compile(apps.KGraphPi, a.pattern(), c.Graph(), apps.CompileOptions{})
-	if err != nil {
-		return on, off, err
-	}
-	plOff, err := apps.Compile(apps.KGraphPi, a.pattern(), c.Graph(), apps.CompileOptions{DisableVCS: true})
-	if err != nil {
-		return on, off, err
-	}
-	if on, err = c.Count(plOn); err != nil {
-		return on, off, err
-	}
-	if off, err = c.Count(plOff); err != nil {
-		return on, off, err
-	}
-	if on.Count != off.Count {
-		return on, off, fmt.Errorf("VCS changed count: %d vs %d", on.Count, off.Count)
-	}
-	return on, off, nil
-}
-
 // runFig12 reproduces Figure 12: the HDS ablation (normalized traffic and
 // communication time).
-func runFig12(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig12",
-		Title:  "horizontal data sharing (normalized to HDS off)",
-		Header: []string{"App", "G.", "norm traffic", "norm comm time", "traffic on/off"},
-	}
+func runFig12(x *exhibit) (*Table, error) {
+	t := x.table("horizontal data sharing (normalized to HDS off)",
+		"App", "G.", "norm traffic", "norm comm time", "traffic on/off")
 	graphs := []string{"mc", "pt", "lj"}
 	appsList := []appSpec{app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 		appsList = append(appsList, app5CC)
 	}
+	noHDS := plainConfig(x.Nodes, x.Threads)
+	noHDS.DisableHDS = true
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, khuzdul(plainConfig(x.Nodes, x.Threads), "HDS on", apps.KGraphPi),
+				khuzdul(noHDS, "HDS off", apps.KGraphPi))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			mk := func(disableHDS bool) (cluster.Result, error) {
-				c, err := cluster.New(g, cluster.Config{
-					NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, DisableHDS: disableHDS,
-					SequentialNodes: true,
-				})
-				if err != nil {
-					return cluster.Result{}, err
-				}
-				defer c.Close()
-				return runOnCluster(c, apps.KGraphPi, a)
-			}
-			on, err := mk(false)
-			if err != nil {
-				return nil, err
-			}
-			off, err := mk(true)
-			if err != nil {
-				return nil, err
-			}
-			if on.Count != off.Count {
-				return nil, fmt.Errorf("fig12 %s/%s: HDS changed count", a.name, abbr)
-			}
-			normT := ratio(on.Summary.BytesSent, off.Summary.BytesSent)
-			normC := ratio(uint64(on.Summary.Breakdown.Network), uint64(off.Summary.Breakdown.Network))
+			on, off := rs[0].Summary, rs[1].Summary
 			t.AddRow(a.name, abbr,
-				fmt.Sprintf("%.3f", normT), fmt.Sprintf("%.3f", normC),
-				fmt.Sprintf("%s/%s", FmtBytes(on.Summary.BytesSent), FmtBytes(off.Summary.BytesSent)))
+				fmt.Sprintf("%.3f", ratio(on.BytesSent, off.BytesSent)),
+				fmt.Sprintf("%.3f", ratio(uint64(on.Breakdown.Network), uint64(off.Breakdown.Network))),
+				fmt.Sprintf("%s/%s", FmtBytes(on.BytesSent), FmtBytes(off.BytesSent)))
 		}
 	}
 	t.AddNote("paper: HDS cuts traffic 70.5%% and critical-path communication 67.8%% on average; weakest on less-skewed pt")
@@ -197,53 +124,26 @@ func ratio(a, b uint64) float64 {
 }
 
 // runFig13 reproduces Figure 13: inter-node scalability on lj.
-func runFig13(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig13",
-		Title:  "inter-node scalability on lj (runtime per node count)",
-		Header: []string{"App", "System", "1", "2", "4", "8", "8-node speedup"},
-	}
-	d, err := GetDataset("lj")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(o.Scale)
+func runFig13(x *exhibit) (*Table, error) {
+	t := x.table("inter-node scalability on lj (runtime per node count)",
+		"App", "System", "1", "2", "4", "8", "8-node speedup")
 	appsList := []appSpec{appTC, app3MC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = append(appsList, app5CC)
 	}
-	nodeCounts := []int{1, 2, 4, 8}
 	for _, a := range appsList {
-		var kgTimes, replTimes []time.Duration
-		for _, nn := range nodeCounts {
-			c, err := defaultCluster(g, nn, o.Threads)
+		var kg, repl []time.Duration
+		for _, nn := range []int{1, 2, 4, 8} {
+			rs, err := x.row("lj", a, khuzdul(cachedConfig(nn, x.Threads), fmt.Sprintf("%d nodes", nn), apps.KGraphPi),
+				replicatedGraphPi(nn, x.Threads))
 			if err != nil {
 				return nil, err
 			}
-			r, err := runOnCluster(c, apps.KGraphPi, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			kgTimes = append(kgTimes, r.ModeledElapsed)
-			var rr replicated.Result
-			if a.kind == "mc" {
-				rr, err = replicated.CountMotifs(g, a.k, replicated.Config{NumNodes: nn, ThreadsPerNode: o.Threads})
-			} else {
-				rr, err = replicated.Count(g, a.pattern(), replicated.Config{NumNodes: nn, ThreadsPerNode: o.Threads})
-			}
-			if err != nil {
-				return nil, err
-			}
-			replTimes = append(replTimes, rr.ModeledElapsed)
+			kg, repl = append(kg, rs[0].ModeledElapsed), append(repl, rs[1].ModeledElapsed)
 		}
-		t.AddRow(a.name, "k-GraphPi",
-			elapsedStr(kgTimes[0]), elapsedStr(kgTimes[1]), elapsedStr(kgTimes[2]), elapsedStr(kgTimes[3]),
-			FmtSpeedup(kgTimes[0], kgTimes[3]))
-		t.AddRow(a.name, "GraphPi(repl)",
-			elapsedStr(replTimes[0]), elapsedStr(replTimes[1]), elapsedStr(replTimes[2]), elapsedStr(replTimes[3]),
-			FmtSpeedup(replTimes[0], replTimes[3]))
+		t.AddRow(a.name, "k-GraphPi", FmtDur(kg[0]), FmtDur(kg[1]), FmtDur(kg[2]), FmtDur(kg[3]), FmtSpeedup(kg[0], kg[3]))
+		t.AddRow(a.name, "GraphPi(repl)", FmtDur(repl[0]), FmtDur(repl[1]), FmtDur(repl[2]), FmtDur(repl[3]),
+			FmtSpeedup(repl[0], repl[3]))
 	}
 	t.AddNote("paper: k-GraphPi reaches 6.77x average on 8 nodes vs GraphPi's 4.04x (coarse static partitioning limits the latter)")
 	t.AddNote("modeled makespans (single-core host); GraphPi's static blocks expose hub imbalance, Khuzdul's dynamic mini-batches do not")
@@ -252,54 +152,33 @@ func runFig13(o Options) (*Table, error) {
 
 // runFig14 reproduces Figure 14: intra-node scalability plus the COST
 // metric (cores needed to beat the best single-thread implementation).
-func runFig14(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig14",
-		Title:  "intra-node scalability on lj + COST",
-		Header: []string{"App", "1", "2", "4", "8", "16", "best 1-thread ref", "COST(cores)"},
-	}
-	d, err := GetDataset("lj")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(o.Scale)
+func runFig14(x *exhibit) (*Table, error) {
+	t := x.table("intra-node scalability on lj + COST",
+		"App", "1", "2", "4", "8", "16", "best 1-thread ref", "COST(cores)")
 	appsList := []appSpec{appTC, app3MC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = append(appsList, app4CC)
 	}
 	cores := []int{1, 2, 4, 8, 16}
 	for _, a := range appsList {
 		var times []time.Duration
 		for _, nc := range cores {
-			c, err := defaultCluster(g, 1, nc)
+			rs, err := x.row("lj", a, khuzdul(cachedConfig(1, nc), fmt.Sprintf("%d threads", nc), apps.KAutomine))
 			if err != nil {
 				return nil, err
 			}
-			r, err := runOnCluster(c, apps.KAutomine, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			times = append(times, r.ModeledElapsed)
+			times = append(times, rs[0].ModeledElapsed)
 		}
 		// Reference: fastest single-thread run among the single-machine
 		// systems (the McSherry COST baseline).
+		refs, err := x.row("lj", a, singleMachine(single.AutomineIH(), 1),
+			singleMachine(single.PeregrineLike(), 1), singleMachine(single.PangolinLike(), 1))
+		if err != nil {
+			return nil, err
+		}
 		ref := time.Duration(1<<62 - 1)
-		for _, sys := range []*single.Engine{single.AutomineIH(), single.PeregrineLike(), single.PangolinLike()} {
-			var res single.Result
-			var err error
-			if a.kind == "mc" {
-				_, res, err = sys.CountMotifs(g, a.k, 1)
-			} else {
-				res, err = sys.CountPattern(g, a.pattern(), false, 1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if res.ModeledElapsed < ref {
-				ref = res.ModeledElapsed
-			}
+		for _, r := range refs {
+			ref = min(ref, r.ModeledElapsed)
 		}
 		cost := "-"
 		for i, nc := range cores {
@@ -308,9 +187,8 @@ func runFig14(o Options) (*Table, error) {
 				break
 			}
 		}
-		t.AddRow(a.name,
-			elapsedStr(times[0]), elapsedStr(times[1]), elapsedStr(times[2]),
-			elapsedStr(times[3]), elapsedStr(times[4]), elapsedStr(ref), cost)
+		t.AddRow(a.name, FmtDur(times[0]), FmtDur(times[1]), FmtDur(times[2]),
+			FmtDur(times[3]), FmtDur(times[4]), FmtDur(ref), cost)
 	}
 	t.AddNote("paper: 10.7-11.6x speedup at 16 cores; COST of 6-8 cores")
 	t.AddNote("modeled makespans; serial per-chunk scheduling bounds the speedup (Amdahl), like the paper's reserved communication cores")
@@ -318,43 +196,24 @@ func runFig14(o Options) (*Table, error) {
 }
 
 // runFig15 reproduces Figure 15: the runtime breakdown comparison.
-func runFig15(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig15",
-		Title:  "runtime breakdown (percent of measured category time)",
-		Header: []string{"System", "App", "G.", "compute%", "network%", "scheduler%", "cache%"},
-	}
-	graphs := []string{"mc", "pt", "lj"}
+func runFig15(x *exhibit) (*Table, error) {
+	t := x.table("runtime breakdown (percent of measured category time)",
+		"System", "App", "G.", "compute%", "network%", "scheduler%", "cache%")
 	appsList := []appSpec{appTC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = []appSpec{appTC, app3MC, app4CC, app5CC}
 	}
 	for _, a := range appsList {
-		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+		for _, abbr := range []string{"mc", "pt", "lj"} {
+			rs, err := x.row(abbr, a, gThinker(x.Nodes, x.Threads),
+				khuzdul(cachedConfig(x.Nodes, x.Threads), "", apps.KAutomine))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			gth, err := runGThinker(g, a, gthinkerCfg(o, g.SizeBytes()))
-			if err != nil {
-				return nil, err
+			for i, name := range []string{"G-thinker", "k-Automine"} {
+				cp, np, sp, ca := rs[i].Summary.Breakdown.Percentages()
+				t.AddRow(name, a.name, abbr, pct(cp), pct(np), pct(sp), pct(ca))
 			}
-			cp, np, sp, ca := gth.Summary.Breakdown.Percentages()
-			t.AddRow("G-thinker", a.name, abbr, pct(cp), pct(np), pct(sp), pct(ca))
-
-			c, err := defaultCluster(g, o.Nodes, o.Threads)
-			if err != nil {
-				return nil, err
-			}
-			rka, err := runOnCluster(c, apps.KAutomine, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			cp, np, sp, ca = rka.Summary.Breakdown.Percentages()
-			t.AddRow("k-Automine", a.name, abbr, pct(cp), pct(np), pct(sp), pct(ca))
 		}
 	}
 	t.AddNote("paper: G-thinker spends 41%%/45%% in cache/scheduler; k-Automine raises compute to 59%% average")
@@ -363,67 +222,30 @@ func runFig15(o Options) (*Table, error) {
 
 func pct(v float64) string { return fmt.Sprintf("%.1f", v) }
 
-func gthinkerCfg(o Options, graphBytes uint64) gthinker.Config {
-	return gthinker.Config{
-		NumNodes:       o.Nodes,
-		ThreadsPerNode: o.Threads,
-		CacheBytes:     graphBytes / 8,
-		Sequential:     true,
-	}
-}
-
 // runFig16 reproduces Figure 16: cache replacement policy comparison.
-func runFig16(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig16",
-		Title:  "cache policies (k-GraphPi, normalized to STATIC)",
-		Header: []string{"Workload", "Policy", "norm traffic", "norm runtime"},
-	}
-	type combo struct {
-		a    appSpec
-		abbr string
-	}
-	combos := []combo{{appTC, "lj"}, {app4CC, "lj"}}
-	if !o.Quick {
-		combos = append(combos, combo{app3MC, "lj"}, combo{app5CC, "lj"},
-			combo{appTC, "fr"}, combo{app4CC, "fr"})
+func runFig16(x *exhibit) (*Table, error) {
+	t := x.table("cache policies (k-GraphPi, normalized to STATIC)", "Workload", "Policy", "norm traffic", "norm runtime")
+	workloads := []workload{{appTC, "lj"}, {app4CC, "lj"}}
+	if !x.Quick {
+		workloads = append(workloads, workload{app3MC, "lj"}, workload{app5CC, "lj"},
+			workload{appTC, "fr"}, workload{app4CC, "fr"})
 	}
 	policies := []cache.Policy{cache.Static, cache.FIFO, cache.LIFO, cache.LRU, cache.MRU}
-	for _, cb := range combos {
-		d, err := GetDataset(cb.abbr)
+	var systems []system
+	for _, pol := range policies {
+		cfg := cachedConfig(x.Nodes, x.Threads)
+		cfg.CachePolicy = pol
+		systems = append(systems, khuzdul(cfg, pol.String(), apps.KGraphPi))
+	}
+	for _, w := range workloads {
+		rs, err := x.row(w.abbr, w.a, systems...)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
-		var base cluster.Result
-		results := make([]cluster.Result, len(policies))
-		for i, pol := range policies {
-			c, err := cluster.New(g, cluster.Config{
-				NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, ChunkSize: experimentChunkSize,
-				CacheFraction: 0.10, CachePolicy: pol, CacheDegreeThreshold: 8,
-				SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			results[i], err = runOnCluster(c, apps.KGraphPi, cb.a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			if pol == cache.Static {
-				base = results[i]
-			}
-		}
-		for i, pol := range policies {
-			r := results[i]
-			if r.Count != base.Count {
-				return nil, fmt.Errorf("fig16 %s-%s: policy %v changed count", cb.abbr, cb.a.name, pol)
-			}
-			t.AddRow(fmt.Sprintf("%s-%s", cb.abbr, cb.a.name), pol.String(),
-				fmt.Sprintf("%.3f", ratio(r.Summary.BytesSent, base.Summary.BytesSent)),
-				fmt.Sprintf("%.3f", float64(r.Elapsed)/float64(base.Elapsed)))
+		for j, r := range rs {
+			t.AddRow(w.String(), policies[j].String(),
+				fmt.Sprintf("%.3f", ratio(r.Summary.BytesSent, rs[0].Summary.BytesSent)),
+				fmt.Sprintf("%.3f", float64(r.Elapsed)/float64(rs[0].Elapsed)))
 		}
 	}
 	t.AddNote("paper: STATIC sometimes loses a little traffic to FIFO/LRU yet wins runtime by ~10x — replacement bookkeeping dominates")
@@ -431,52 +253,31 @@ func runFig16(o Options) (*Table, error) {
 }
 
 // runFig17 reproduces Figure 17: the cache size sweep.
-func runFig17(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig17",
-		Title:  "cache size sweep (k-GraphPi, normalized to 1% cache)",
-		Header: []string{"Workload", "cache/graph", "norm traffic", "hit rate%", "norm runtime"},
-	}
-	type combo struct {
-		a    appSpec
-		abbr string
-	}
-	combos := []combo{{appTC, "lj"}}
-	if !o.Quick {
-		combos = append(combos, combo{app4CC, "lj"}, combo{appTC, "uk"}, combo{app4CC, "fr"})
+func runFig17(x *exhibit) (*Table, error) {
+	t := x.table("cache size sweep (k-GraphPi, normalized to 1% cache)",
+		"Workload", "cache/graph", "norm traffic", "hit rate%", "norm runtime")
+	workloads := []workload{{appTC, "lj"}}
+	if !x.Quick {
+		workloads = append(workloads, workload{app4CC, "lj"}, workload{appTC, "uk"}, workload{app4CC, "fr"})
 	}
 	fracs := []float64{0.01, 0.05, 0.10, 0.20, 0.30, 0.50}
-	for _, cb := range combos {
-		d, err := GetDataset(cb.abbr)
+	var systems []system
+	for _, f := range fracs {
+		cfg := cachedConfig(x.Nodes, x.Threads)
+		cfg.CacheFraction = f
+		systems = append(systems, khuzdul(cfg, fmt.Sprintf("cache %.0f%%", 100*f), apps.KGraphPi))
+	}
+	for _, w := range workloads {
+		rs, err := x.row(w.abbr, w.a, systems...)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
-		var baseT uint64
-		var baseR time.Duration
-		for i, f := range fracs {
-			c, err := cluster.New(g, cluster.Config{
-				NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, ChunkSize: experimentChunkSize,
-				CacheFraction: f, CacheDegreeThreshold: 8,
-				SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r, err := runOnCluster(c, apps.KGraphPi, cb.a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				baseT, baseR = r.Summary.BytesSent, r.Elapsed
-			}
-			t.AddRow(fmt.Sprintf("%s-%s", cb.abbr, cb.a.name),
-				fmt.Sprintf("%.0f%%", 100*f),
-				fmt.Sprintf("%.3f", ratio(r.Summary.BytesSent, baseT)),
+		for j, r := range rs {
+			t.AddRow(w.String(),
+				fmt.Sprintf("%.0f%%", 100*fracs[j]),
+				fmt.Sprintf("%.3f", ratio(r.Summary.BytesSent, rs[0].Summary.BytesSent)),
 				fmt.Sprintf("%.1f", 100*r.Summary.CacheHitRate()),
-				fmt.Sprintf("%.3f", float64(r.Elapsed)/float64(baseR)))
+				fmt.Sprintf("%.3f", float64(r.Elapsed)/float64(rs[0].Elapsed)))
 		}
 	}
 	t.AddNote("paper: traffic falls and hit rate rises with size, runtime flattens past the point where communication is hidden")
@@ -484,46 +285,27 @@ func runFig17(o Options) (*Table, error) {
 }
 
 // runFig18 reproduces Figure 18: the chunk size sweep.
-func runFig18(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig18",
-		Title:  "chunk size sweep on lj (k-GraphPi, chunk capacity in embeddings)",
-		Header: []string{"App", "2^6", "2^8", "2^10", "2^12", "2^14", "2^16"},
-	}
-	d, err := GetDataset("lj")
-	if err != nil {
-		return nil, err
-	}
-	g := d.Generate(o.Scale)
+func runFig18(x *exhibit) (*Table, error) {
+	t := x.table("chunk size sweep on lj (k-GraphPi, chunk capacity in embeddings)",
+		"App", "2^6", "2^8", "2^10", "2^12", "2^14", "2^16")
 	appsList := []appSpec{appTC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = []appSpec{appTC, app3MC, app4CC, app5CC}
 	}
-	sizes := []int{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}
+	var systems []system
+	for _, cs := range []int{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
+		cfg := cachedConfig(x.Nodes, x.Threads)
+		cfg.ChunkSize = cs
+		systems = append(systems, khuzdul(cfg, fmt.Sprintf("chunk %d", cs), apps.KGraphPi))
+	}
 	for _, a := range appsList {
+		rs, err := x.row("lj", a, systems...)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{a.name}
-		var want uint64
-		for i, cs := range sizes {
-			c, err := cluster.New(g, cluster.Config{
-				NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, ChunkSize: cs,
-				CacheFraction: 0.1, CacheDegreeThreshold: 8,
-				SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r, err := runOnCluster(c, apps.KGraphPi, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				want = r.Count
-			} else if r.Count != want {
-				return nil, fmt.Errorf("fig18 %s: chunk size changed count", a.name)
-			}
-			row = append(row, elapsedStr(r.Elapsed))
+		for _, r := range rs {
+			row = append(row, FmtDur(r.Elapsed))
 		}
 		t.AddRow(row...)
 	}
@@ -532,39 +314,25 @@ func runFig18(o Options) (*Table, error) {
 }
 
 // runFig19 reproduces Figure 19: network bandwidth utilization.
-func runFig19(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "fig19",
-		Title:  "network utilization (k-GraphPi, reference bandwidth 1 GB/s aggregate)",
-		Header: []string{"App", "G.", "traffic", "runtime", "utilization%"},
-	}
+func runFig19(x *exhibit) (*Table, error) {
+	t := x.table("network utilization (k-GraphPi, reference bandwidth 1 GB/s aggregate)",
+		"App", "G.", "traffic", "runtime", "utilization%")
 	const refBandwidth = 1 << 30 // 1 GB/s reference aggregate fabric bandwidth
 	graphs := []string{"mc", "pt", "lj"}
 	appsList := []appSpec{appTC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 		appsList = []appSpec{appTC, app3MC, app4CC, app5CC}
 	}
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, khuzdul(cachedConfig(x.Nodes, x.Threads), "", apps.KGraphPi))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			c, err := defaultCluster(g, o.Nodes, o.Threads)
-			if err != nil {
-				return nil, err
-			}
-			r, err := runOnCluster(c, apps.KGraphPi, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			util := 100 * r.Summary.NetworkUtilization(refBandwidth, r.Elapsed)
-			t.AddRow(a.name, abbr, FmtBytes(r.Summary.BytesSent), elapsedStr(r.Elapsed),
-				fmt.Sprintf("%.1f", util))
+			r := rs[0]
+			t.AddRow(a.name, abbr, FmtBytes(r.Summary.BytesSent), FmtDur(r.Elapsed),
+				fmt.Sprintf("%.1f", 100*r.Summary.NetworkUtilization(refBandwidth, r.Elapsed)))
 		}
 	}
 	t.AddNote("paper: mostly compute-bound, network under 50%% utilized; pt is the outlier with poor request locality")

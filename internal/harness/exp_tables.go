@@ -1,153 +1,85 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"sort"
+	"strings"
 
 	"khuzdul/internal/apps"
 	"khuzdul/internal/cluster"
 	"khuzdul/internal/fsm"
 	"khuzdul/internal/graph"
-	"khuzdul/internal/gthinker"
 	"khuzdul/internal/pattern"
 	"khuzdul/internal/plan"
-	"khuzdul/internal/replicated"
 	"khuzdul/internal/single"
 )
 
 func init() {
-	register(Experiment{ID: "table2", Title: "k-Automine/k-GraphPi vs GraphPi (replicated) vs G-thinker, distributed", Run: runTable2})
-	register(Experiment{ID: "table3", Title: "Single-node k-Automine vs single-machine systems", Run: runTable3})
-	register(Experiment{ID: "table4", Title: "FSM performance", Run: runTable4})
-	register(Experiment{ID: "table5", Title: "Large-scale graphs (orientation on)", Run: runTable5})
-	register(Experiment{ID: "table6", Title: "Static data cache: traffic and runtime", Run: runTable6})
-	register(Experiment{ID: "table7", Title: "NUMA-aware support", Run: runTable7})
+	register("table2", "k-Automine/k-GraphPi vs GraphPi (replicated) vs G-thinker, distributed", runTable2)
+	register("table3", "Single-node k-Automine vs single-machine systems", runTable3)
+	register("table4", "FSM performance", runTable4)
+	register("table5", "Large-scale graphs (orientation on)", runTable5)
+	register("table6", "Static data cache: traffic and runtime", runTable6)
+	register("table7", "NUMA-aware support", runTable7)
 }
 
 // runTable2 reproduces Table 2: the headline distributed comparison.
-func runTable2(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:    "table2",
-		Title: "distributed GPM comparison",
-		Header: []string{"App", "G.", "k-Automine", "k-GraphPi", "GraphPi(repl)", "G-thinker",
-			"kA/G-th", "kGP/G-th"},
-	}
+func runTable2(x *exhibit) (*Table, error) {
+	t := x.table("distributed GPM comparison",
+		"App", "G.", "k-Automine", "k-GraphPi", "GraphPi(repl)", "G-thinker", "kA/G-th", "kGP/G-th")
 	graphs := []string{"mc", "pt", "lj"}
 	appsList := []appSpec{appTC, app3MC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 		appsList = append(appsList, app5CC)
 	}
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			if a.kind == "cc" && a.k == 5 && (abbr == "fr" || abbr == "uk") {
-				// 5-CC on the biggest presets is disproportionately heavy;
-				// the paper itself trims combinations (Table 2 omits uk/tw
-				// for 5-CC).
-				if abbr == "fr" && o.Scale > 0.5 {
-					continue
-				}
+			// 5-CC on the biggest preset is disproportionately heavy; the
+			// paper itself trims combinations (Table 2 omits uk/tw for 5-CC).
+			if a == app5CC && abbr == "fr" && x.Scale > 0.5 {
+				continue
 			}
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a,
+				khuzdul(cachedConfig(x.Nodes, x.Threads), "", apps.KAutomine, apps.KGraphPi),
+				replicatedGraphPi(x.Nodes, x.Threads), gThinker(x.Nodes, x.Threads))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			c, err := defaultCluster(g, o.Nodes, o.Threads)
-			if err != nil {
-				return nil, err
-			}
-			ka, err := runOnCluster(c, apps.KAutomine, a)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			kg, err := runOnCluster(c, apps.KGraphPi, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			var repl replicated.Result
-			if a.kind == "mc" {
-				repl, err = replicated.CountMotifs(g, a.k, replicated.Config{NumNodes: o.Nodes, ThreadsPerNode: o.Threads})
-			} else {
-				repl, err = replicated.Count(g, a.pattern(), replicated.Config{NumNodes: o.Nodes, ThreadsPerNode: o.Threads})
-			}
-			if err != nil {
-				return nil, err
-			}
-			gth, err := runGThinker(g, a, gthinker.Config{
-				NumNodes: o.Nodes, ThreadsPerNode: o.Threads, CacheBytes: g.SizeBytes() / 8,
-				Sequential: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if ka.Count != kg.Count || ka.Count != repl.Count || ka.Count != gth.Count {
-				return nil, fmt.Errorf("table2 %s/%s: count mismatch kA=%d kGP=%d repl=%d gth=%d",
-					a.name, abbr, ka.Count, kg.Count, repl.Count, gth.Count)
-			}
-			t.AddRow(a.name, abbr,
-				elapsedStr(ka.ModeledElapsed), elapsedStr(kg.ModeledElapsed),
-				elapsedStr(repl.ModeledElapsed), elapsedStr(gth.ModeledElapsed),
-				FmtSpeedup(gth.ModeledElapsed, ka.ModeledElapsed),
-				FmtSpeedup(gth.ModeledElapsed, kg.ModeledElapsed))
+			ka, kg, repl, gth := rs[0].ModeledElapsed, rs[1].ModeledElapsed, rs[2].ModeledElapsed, rs[3].ModeledElapsed
+			t.AddRow(a.name, abbr, FmtDur(ka), FmtDur(kg), FmtDur(repl), FmtDur(gth),
+				FmtSpeedup(gth, ka), FmtSpeedup(gth, kg))
 		}
 	}
 	t.AddNote("paper: k-Automine/k-GraphPi beat G-thinker by 17.7x/20.3x average, and beat replicated GraphPi on all but tiny workloads")
 	t.AddNote("runtimes are modeled cluster makespans from measured busy times (host has fewer cores than simulated workers; see DESIGN.md)")
-	t.AddNote("datasets are scaled synthetic stand-ins (scale=%.2f, %d nodes)", o.Scale, o.Nodes)
+	t.AddNote("datasets are scaled synthetic stand-ins (scale=%.2f, %d nodes)", x.Scale, x.Nodes)
 	return t, nil
 }
 
 // runTable3 reproduces Table 3: single-node efficiency vs single-machine
 // systems.
-func runTable3(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "table3",
-		Title:  "single-node comparison",
-		Header: []string{"App", "G.", "k-Automine(1)", "AutomineIH", "Peregrine", "Pangolin"},
-	}
-	graphs := []string{"mc", "pt", "lj"}
+func runTable3(x *exhibit) (*Table, error) {
+	t := x.table("single-node comparison", "App", "G.", "k-Automine(1)", "AutomineIH", "Peregrine", "Pangolin")
 	appsList := []appSpec{appTC, app3MC, app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		appsList = append(appsList, app5CC)
 	}
-	threads := o.Threads * 2 // single machine gets the whole node's workers
-	singles := []*single.Engine{single.AutomineIH(), single.PeregrineLike(), single.PangolinLike()}
+	threads := x.Threads * 2 // single machine gets the whole node's workers
+	systems := []system{khuzdul(cachedConfig(1, threads), "", apps.KAutomine)}
+	for _, e := range []*single.Engine{single.AutomineIH(), single.PeregrineLike(), single.PangolinLike()} {
+		systems = append(systems, singleMachine(e, threads))
+	}
 	for _, a := range appsList {
-		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+		for _, abbr := range []string{"mc", "pt", "lj"} {
+			rs, err := x.row(abbr, a, systems...)
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			c, err := defaultCluster(g, 1, threads)
-			if err != nil {
-				return nil, err
-			}
-			ka, err := runOnCluster(c, apps.KAutomine, a)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			row := []string{a.name, abbr, elapsedStr(ka.Elapsed)}
-			for _, sys := range singles {
-				var res single.Result
-				if a.kind == "mc" {
-					_, res, err = sys.CountMotifs(g, a.k, threads)
-				} else {
-					res, err = sys.CountPattern(g, a.pattern(), false, threads)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if res.Count != ka.Count {
-					return nil, fmt.Errorf("table3 %s/%s: %s count %d != k-Automine %d",
-						a.name, abbr, sys.Name(), res.Count, ka.Count)
-				}
-				row = append(row, elapsedStr(res.Elapsed))
+			row := []string{a.name, abbr}
+			for _, r := range rs {
+				row = append(row, FmtDur(r.Elapsed))
 			}
 			t.AddRow(row...)
 		}
@@ -157,80 +89,63 @@ func runTable3(o Options) (*Table, error) {
 	return t, nil
 }
 
-// runTable4 reproduces Table 4: FSM on one node and the full cluster.
-func runTable4(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:    "table4",
-		Title: "FSM performance (MNI support, patterns up to 3 edges)",
-		Header: []string{"G.", "Threshold", "k-Automine(1)", "k-Automine(8)",
-			"AutomineIH", "Peregrine", "Fractal-like(8)", "#frequent"},
-	}
+// runTable4 reproduces Table 4: FSM on one node and the full cluster. Every
+// system's frequent set, canonical code to MNI support, is cross-checked.
+func runTable4(x *exhibit) (*Table, error) {
+	t := x.table("FSM performance (MNI support, patterns up to 3 edges)",
+		"G.", "Threshold", "k-Automine(1)", "k-Automine(8)", "AutomineIH", "Peregrine", "Fractal-like(8)", "#frequent")
 	graphs := []string{"mc"}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "pt")
 	}
-	threads := o.Threads * 2
+	threads := x.Threads * 2
 	for _, abbr := range graphs {
-		d, err := GetDataset(abbr)
+		g, err := x.graph(abbr)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
 		n := uint64(g.NumVertices())
 		// Thresholds scale with |V| the way the paper's do (3K-5K on 96K
 		// vertices ≈ n/32..n/19); slightly higher fractions keep the
 		// frequent set small enough for repeated cross-system runs.
 		for _, th := range []uint64{n / 10, n / 12, n / 14} {
 			cfg := fsm.Config{MinSupport: th, MaxEdges: 3, Style: plan.StyleAutomine}
-
-			c1, err := cluster.New(g, cluster.Config{
-				NumNodes: 1, ThreadsPerSocket: threads, SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
+			peregrine := cfg
+			peregrine.Style = plan.StyleGraphPi
+			onCluster := func(cc cluster.Config) func() (fsm.Result, error) {
+				return func() (r fsm.Result, err error) {
+					err = withCluster(g, cc, func(c *cluster.Cluster) (err error) { r, err = fsm.Mine(c, cfg); return err })
+					return r, err
+				}
 			}
-			r1, err := fsm.Mine(c1, cfg)
-			c1.Close()
-			if err != nil {
-				return nil, err
+			mineSingle := func(fc fsm.Config, threads int) func() (fsm.Result, error) {
+				return func() (fsm.Result, error) { return fsm.MineSingle(g, fc, threads) }
 			}
-			c8, err := cluster.New(g, cluster.Config{
-				NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, SequentialNodes: true,
-			})
-			if err != nil {
-				return nil, err
+			row := []string{abbr, fmt.Sprintf("%d", th)}
+			var frequent int
+			for _, s := range []struct {
+				label string
+				mine  func() (fsm.Result, error)
+			}{
+				{"k-Automine(1)", onCluster(plainConfig(1, threads))},
+				{"k-Automine(8)", onCluster(plainConfig(x.Nodes, x.Threads))},
+				{"AutomineIH", mineSingle(cfg, threads)},
+				{"Peregrine", mineSingle(peregrine, threads)},
+				// Fractal replicates the graph on every machine; its aggregate
+				// parallelism is nodes × threads over one shared candidate loop.
+				{"Fractal-like(8)", mineSingle(cfg, x.Nodes*x.Threads)},
+			} {
+				r, err := s.mine()
+				if err == nil {
+					err = x.check(fmt.Sprintf("FSM th=%d on %s", th, abbr), s.label, frequentSet(r))
+				}
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, FmtDur(r.ModeledElapsed))
+				frequent = len(r.Frequent)
 			}
-			r8, err := fsm.Mine(c8, cfg)
-			c8.Close()
-			if err != nil {
-				return nil, err
-			}
-			rIH, err := fsm.MineSingle(g, cfg, threads)
-			if err != nil {
-				return nil, err
-			}
-			cfgP := cfg
-			cfgP.Style = plan.StyleGraphPi
-			rPer, err := fsm.MineSingle(g, cfgP, threads)
-			if err != nil {
-				return nil, err
-			}
-			// Fractal replicates the graph on every machine; its aggregate
-			// parallelism is nodes × threads over one shared candidate loop.
-			rFr, err := fsm.MineSingle(g, cfg, o.Nodes*o.Threads)
-			if err != nil {
-				return nil, err
-			}
-			if len(r1.Frequent) != len(r8.Frequent) || len(r1.Frequent) != len(rIH.Frequent) {
-				return nil, fmt.Errorf("table4 %s th=%d: frequent-set size mismatch %d/%d/%d",
-					abbr, th, len(r1.Frequent), len(r8.Frequent), len(rIH.Frequent))
-			}
-			t.AddRow(abbr, fmt.Sprintf("%d", th),
-				elapsedStr(r1.ModeledElapsed), elapsedStr(r8.ModeledElapsed),
-				elapsedStr(rIH.ModeledElapsed), elapsedStr(rPer.ModeledElapsed),
-				elapsedStr(rFr.ModeledElapsed),
-				fmt.Sprintf("%d", len(r1.Frequent)))
+			t.AddRow(append(row, fmt.Sprintf("%d", frequent))...)
 		}
 	}
 	t.AddNote("paper: distributed k-Automine beats all single-node systems and Fractal; single-node k-Automine pays per-pattern engine startup")
@@ -239,57 +154,53 @@ func runTable4(o Options) (*Table, error) {
 	return t, nil
 }
 
+// frequentSet is the answer Table 4 cross-checks: the size of an FSM
+// result's frequent set and a digest of its sorted canonical code → MNI
+// support pairs, so a failure stays one line however many patterns differ.
+func frequentSet(r fsm.Result) string {
+	pairs := make([]string, len(r.Frequent))
+	for i, fp := range r.Frequent {
+		pairs[i] = fmt.Sprintf("%q:%d", pattern.CanonicalCode(fp.Pattern), fp.Support)
+	}
+	sort.Strings(pairs)
+	return fmt.Sprintf("%d patterns (sha256 %x)", len(pairs), sha256.Sum256([]byte(strings.Join(pairs, "\n"))))
+}
+
 // runTable5 reproduces Table 5: TC and 4-CC on the massive-graph presets
 // with the orientation optimization, 18 simulated nodes vs one big machine.
-func runTable5(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "table5",
-		Title:  "large-scale graphs (orientation preprocessing)",
-		Header: []string{"G.", "|V|/|E|", "App", "k-Automine(18)", "AutomineIH(1)", "speedup"},
-	}
+func runTable5(x *exhibit) (*Table, error) {
+	t := x.table("large-scale graphs (orientation preprocessing)",
+		"G.", "|V|/|E|", "App", "k-Automine(18)", "AutomineIH(1)", "speedup")
 	graphs := []string{"cl"}
-	scale := o.Scale
-	if o.Quick {
-		scale = o.Scale / 4
+	if x.Quick {
+		x.Scale /= 4
 	} else {
 		graphs = append(graphs, "uk14", "wdc")
 	}
+	cfg := plainConfig(18, x.Threads)
+	cfg.CacheFraction = 0.04
+	cfg.CacheDegreeThreshold = 8
 	for _, abbr := range graphs {
-		d, err := GetDataset(abbr)
+		g, err := x.graph(abbr)
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(scale)
 		dag := graph.Orient(g)
-		for _, a := range []appSpec{appTC, app4CC} {
-			c, err := cluster.New(dag, cluster.Config{
-				NumNodes: 18, ThreadsPerSocket: o.Threads,
-				CacheFraction: 0.04, CacheDegreeThreshold: 8,
+		oriented := one("k-Automine(18)", func(_ *graph.Graph, a appSpec) (r cluster.Result, err error) {
+			err = withCluster(dag, cfg, func(c *cluster.Cluster) (err error) {
+				r, err = apps.OrientedCliqueCount(c, a.pattern().NumVertices(), apps.KAutomine)
+				return err
 			})
+			return r, err
+		})
+		for _, a := range []appSpec{appTC, app4CC} {
+			rs, err := x.row(abbr, a, oriented, singleMachine(single.AutomineIHOriented(), x.Threads*2))
 			if err != nil {
 				return nil, err
 			}
-			k := 3
-			if a.kind == "cc" {
-				k = a.k
-			}
-			ka, err := apps.OrientedCliqueCount(c, k, apps.KAutomine)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			ih, err := single.AutomineIHOriented().CountPattern(g, pattern.Clique(k), false, o.Threads*2)
-			if err != nil {
-				return nil, err
-			}
-			if ka.Count != ih.Count {
-				return nil, fmt.Errorf("table5 %s/%s: %d != %d", abbr, a.name, ka.Count, ih.Count)
-			}
-			t.AddRow(abbr,
-				fmt.Sprintf("%s/%s", FmtCount(uint64(g.NumVertices())), FmtCount(g.NumEdges())),
-				a.name, elapsedStr(ka.ModeledElapsed), elapsedStr(ih.ModeledElapsed),
-				FmtSpeedup(ih.ModeledElapsed, ka.ModeledElapsed))
+			ka, ih := rs[0].ModeledElapsed, rs[1].ModeledElapsed
+			t.AddRow(abbr, fmt.Sprintf("%s/%s", FmtCount(uint64(g.NumVertices())), FmtCount(g.NumEdges())),
+				a.name, FmtDur(ka), FmtDur(ih), FmtSpeedup(ih, ka))
 		}
 	}
 	t.AddNote("paper: k-Automine on 18 nodes beats a 64-core 1TB machine by 3.2x average; graphs exceed single-node memory there")
@@ -299,111 +210,54 @@ func runTable5(o Options) (*Table, error) {
 
 // runTable6 reproduces Table 6: the static cache's traffic and runtime
 // effect.
-func runTable6(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "table6",
-		Title:  "static data cache effect (k-GraphPi)",
-		Header: []string{"App", "G.", "traffic(cache)", "traffic(none)", "time(cache)", "time(none)"},
+func runTable6(x *exhibit) (*Table, error) {
+	t := x.table("static data cache effect (k-GraphPi)",
+		"App", "G.", "traffic(cache)", "traffic(none)", "time(cache)", "time(none)")
+	workloads := []workload{{appTC, "pt"}, {appTC, "lj"}, {app4CC, "pt"}, {app4CC, "lj"}}
+	if !x.Quick {
+		workloads = append(workloads, workload{appTC, "uk"}, workload{appTC, "fr"},
+			workload{app4CC, "fr"}, workload{app5CC, "pt"}, workload{app5CC, "lj"})
 	}
-	type combo struct {
-		a    appSpec
-		abbr string
-	}
-	combos := []combo{{appTC, "pt"}, {appTC, "lj"}, {app4CC, "pt"}, {app4CC, "lj"}}
-	if !o.Quick {
-		combos = append(combos, combo{appTC, "uk"}, combo{appTC, "fr"},
-			combo{app4CC, "fr"}, combo{app5CC, "pt"}, combo{app5CC, "lj"})
-	}
-	for _, cb := range combos {
-		d, err := GetDataset(cb.abbr)
+	noCache := cachedConfig(x.Nodes, x.Threads)
+	noCache.CacheFraction, noCache.CacheDegreeThreshold = 0, 0
+	for _, w := range workloads {
+		rs, err := x.row(w.abbr, w.a, khuzdul(cachedConfig(x.Nodes, x.Threads), "", apps.KGraphPi),
+			khuzdul(noCache, "no cache", apps.KGraphPi))
 		if err != nil {
 			return nil, err
 		}
-		g := d.Generate(o.Scale)
-		withCache, err := defaultCluster(g, o.Nodes, o.Threads)
-		if err != nil {
-			return nil, err
-		}
-		rc, err := runOnCluster(withCache, apps.KGraphPi, cb.a)
-		withCache.Close()
-		if err != nil {
-			return nil, err
-		}
-		noCache, err := cluster.New(g, cluster.Config{
-			NumNodes: o.Nodes, ThreadsPerSocket: o.Threads, ChunkSize: experimentChunkSize,
-			SequentialNodes: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rn, err := runOnCluster(noCache, apps.KGraphPi, cb.a)
-		noCache.Close()
-		if err != nil {
-			return nil, err
-		}
-		if rc.Count != rn.Count {
-			return nil, fmt.Errorf("table6 %s/%s: cache changed count", cb.a.name, cb.abbr)
-		}
-		t.AddRow(cb.a.name, cb.abbr,
+		rc, rn := rs[0], rs[1]
+		t.AddRow(w.a.name, w.abbr,
 			FmtBytes(rc.Summary.BytesSent), FmtBytes(rn.Summary.BytesSent),
-			elapsedStr(rc.Elapsed), elapsedStr(rn.Elapsed))
+			FmtDur(rc.Elapsed), FmtDur(rn.Elapsed))
 	}
 	t.AddNote("paper: cache cuts traffic sharply (57.7TB→487GB for uk-TC); runtime gains appear where communication is not already hidden")
 	return t, nil
 }
 
 // runTable7 reproduces Table 7: NUMA-aware support on a single node.
-func runTable7(o Options) (*Table, error) {
-	o = o.withDefaults()
-	t := &Table{
-		ID:     "table7",
-		Title:  "NUMA-aware support (single node, 2 sockets)",
-		Header: []string{"App", "G.", "with NUMA", "no NUMA", "speedup"},
-	}
+func runTable7(x *exhibit) (*Table, error) {
+	t := x.table("NUMA-aware support (single node, 2 sockets)", "App", "G.", "with NUMA", "no NUMA", "speedup")
 	graphs := []string{"pt", "lj"}
 	appsList := []appSpec{app4CC}
-	if !o.Quick {
+	if !x.Quick {
 		graphs = append(graphs, "fr")
 		appsList = append(appsList, app5CC)
 	}
+	// Same total worker count: 2 sockets × T vs 1 socket × 2T.
+	numa := cachedConfig(1, x.Threads)
+	numa.ChunkSize, numa.SequentialNodes = 0, false
+	flat := numa
+	numa.Sockets = 2
+	flat.Sockets, flat.ThreadsPerSocket = 1, 2*x.Threads
 	for _, a := range appsList {
 		for _, abbr := range graphs {
-			d, err := GetDataset(abbr)
+			rs, err := x.row(abbr, a, khuzdul(numa, "NUMA", apps.KGraphPi), khuzdul(flat, "flat", apps.KGraphPi))
 			if err != nil {
 				return nil, err
 			}
-			g := d.Generate(o.Scale)
-			// Same total worker count: 2 sockets × T vs 1 socket × 2T.
-			numa, err := cluster.New(g, cluster.Config{
-				NumNodes: 1, Sockets: 2, ThreadsPerSocket: o.Threads,
-				CacheFraction: 0.1, CacheDegreeThreshold: 8,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rn, err := runOnCluster(numa, apps.KGraphPi, a)
-			numa.Close()
-			if err != nil {
-				return nil, err
-			}
-			flat, err := cluster.New(g, cluster.Config{
-				NumNodes: 1, Sockets: 1, ThreadsPerSocket: 2 * o.Threads,
-				CacheFraction: 0.1, CacheDegreeThreshold: 8,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rf, err := runOnCluster(flat, apps.KGraphPi, a)
-			flat.Close()
-			if err != nil {
-				return nil, err
-			}
-			if rn.Count != rf.Count {
-				return nil, fmt.Errorf("table7 %s/%s: NUMA changed count", a.name, abbr)
-			}
-			t.AddRow(a.name, abbr, elapsedStr(rn.Elapsed), elapsedStr(rf.Elapsed),
-				FmtSpeedup(rf.Elapsed, rn.Elapsed))
+			rn, rf := rs[0].Elapsed, rs[1].Elapsed
+			t.AddRow(a.name, abbr, FmtDur(rn), FmtDur(rf), FmtSpeedup(rf, rn))
 		}
 	}
 	t.AddNote("paper: 1.26x average gain; here the measurable effect is reduced shared-structure contention plus accounted cross-socket traffic (%s)", "see DESIGN.md")

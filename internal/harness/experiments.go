@@ -3,12 +3,9 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"khuzdul/internal/apps"
 	"khuzdul/internal/cluster"
-	"khuzdul/internal/graph"
-	"khuzdul/internal/gthinker"
 	"khuzdul/internal/pattern"
 )
 
@@ -50,8 +47,6 @@ type Experiment struct {
 // registry holds all experiments, populated by init functions across the
 // exp_*.go files.
 var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
 
 // Experiments returns all registered experiments sorted by ID (tables first,
 // then figures, numerically).
@@ -101,6 +96,14 @@ var (
 	app5CC = appSpec{name: "5-CC", kind: "cc", k: 5}
 )
 
+// workload is one application on one preset.
+type workload struct {
+	a    appSpec
+	abbr string
+}
+
+func (w workload) String() string { return w.abbr + "-" + w.a.name }
+
 // runOnCluster executes one application with one client system on a cluster.
 func runOnCluster(c *cluster.Cluster, sys apps.System, a appSpec) (cluster.Result, error) {
 	switch a.kind {
@@ -116,37 +119,7 @@ func runOnCluster(c *cluster.Cluster, sys apps.System, a appSpec) (cluster.Resul
 	}
 }
 
-// runGThinker executes one application on the G-thinker baseline.
-func runGThinker(g *graph.Graph, a appSpec, cfg gthinker.Config) (gthinker.Result, error) {
-	switch a.kind {
-	case "tc":
-		return gthinker.Count(g, pattern.Triangle(), cfg)
-	case "cc":
-		return gthinker.Count(g, pattern.Clique(a.k), cfg)
-	case "mc":
-		cfg.Induced = true
-		var total gthinker.Result
-		for _, pat := range pattern.ConnectedPatterns(a.k) {
-			r, err := gthinker.Count(g, pat, cfg)
-			if err != nil {
-				return gthinker.Result{}, err
-			}
-			total.Count += r.Count
-			total.Elapsed += r.Elapsed
-			total.ModeledElapsed += r.ModeledElapsed
-			total.Summary.BytesSent += r.Summary.BytesSent
-			total.Summary.Breakdown.Compute += r.Summary.Breakdown.Compute
-			total.Summary.Breakdown.Network += r.Summary.Breakdown.Network
-			total.Summary.Breakdown.Scheduler += r.Summary.Breakdown.Scheduler
-			total.Summary.Breakdown.Cache += r.Summary.Breakdown.Cache
-		}
-		return total, nil
-	default:
-		return gthinker.Result{}, fmt.Errorf("harness: unknown app kind %q", a.kind)
-	}
-}
-
-// patternFor returns the single pattern of tc/cc specs.
+// pattern returns the single pattern of tc/cc specs.
 func (a appSpec) pattern() *pattern.Pattern {
 	switch a.kind {
 	case "tc":
@@ -157,26 +130,3 @@ func (a appSpec) pattern() *pattern.Pattern {
 		panic("harness: appSpec.pattern on multi-pattern app")
 	}
 }
-
-// defaultCluster builds a cluster with the experiment-wide defaults: static
-// cache at 10% of graph size with a scaled-down admission threshold (the
-// paper's threshold of 64 assumes real-graph degrees), HDS on.
-func defaultCluster(g *graph.Graph, nodes, threads int) (*cluster.Cluster, error) {
-	return cluster.New(g, cluster.Config{
-		NumNodes:             nodes,
-		ThreadsPerSocket:     threads,
-		ChunkSize:            experimentChunkSize,
-		CacheFraction:        0.10,
-		CacheDegreeThreshold: 8,
-		SequentialNodes:      true,
-	})
-}
-
-// experimentChunkSize keeps the chunk:graph ratio at preset scale close to
-// the paper's (4GB chunks against hundreds-of-GB graphs): small enough that
-// every level spans many chunk generations, so the static cache sees repeat
-// accesses across chunks.
-const experimentChunkSize = 2048
-
-// elapsedStr formats a runtime column.
-func elapsedStr(d time.Duration) string { return FmtDur(d) }

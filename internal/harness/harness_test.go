@@ -103,6 +103,16 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
 			}
+			for i, row := range tab.Rows {
+				if len(row) != len(tab.Header) {
+					t.Fatalf("%s: row %d has %d cells, header %d: %q", e.ID, i, len(row), len(tab.Header), row)
+				}
+				for j, c := range row {
+					if c == "" {
+						t.Fatalf("%s: row %d cell %d (%s) is empty: %q", e.ID, i, j, tab.Header[j], row)
+					}
+				}
+			}
 			out := tab.String()
 			if !strings.Contains(out, e.ID) {
 				t.Fatalf("%s: rendering lacks id:\n%s", e.ID, out)
@@ -164,12 +174,13 @@ func TestChaosScenarioConfigs(t *testing.T) {
 	o := Options{}.withDefaults()
 	resilient := map[string]bool{}
 	for _, sc := range chaosScenarios {
-		c, err := cluster.New(graph.Path(4), sc.config(o))
+		err := withCluster(graph.Path(4), sc.config(o), func(c *cluster.Cluster) error {
+			resilient[sc.name] = c.Config().FetchTimeout > 0
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resilient[sc.name] = c.Config().FetchTimeout > 0
-		c.Close()
 		if resilient[sc.name] != sc.resilient {
 			t.Errorf("%q: cluster resilient = %v, scenario says %v", sc.name, resilient[sc.name], sc.resilient)
 		}
@@ -177,5 +188,35 @@ func TestChaosScenarioConfigs(t *testing.T) {
 	if resilient["baseline"] || !resilient["resilient, no faults"] {
 		t.Fatalf("baseline resilient = %v, resilient-no-faults resilient = %v; want false, true",
 			resilient["baseline"], resilient["resilient, no faults"])
+	}
+}
+
+// TestRowCrossChecksEverySystem: a row fails as soon as any system's count
+// disagrees with an earlier one for the same (application, graph), whether
+// the earlier one ran in the same row call or in an earlier one, and the
+// failure names the exhibit, the row and both systems.
+func TestRowCrossChecksEverySystem(t *testing.T) {
+	x := &exhibit{Options: Options{Scale: 0.05}.withDefaults(), id: "figX",
+		presets: map[string]*graph.Graph{}, answers: map[string]answer{}}
+	counting := func(label string, n uint64) system {
+		return one(label, func(*graph.Graph, appSpec) (cluster.Result, error) { return cluster.Result{Count: n}, nil })
+	}
+	if _, err := x.row("mc", appTC, counting("A", 7), counting("B", 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.row("mc", app4CC, counting("A", 9)); err != nil {
+		t.Fatalf("another application is another row: %v", err)
+	}
+	_, err := x.row("mc", appTC, counting("C", 8))
+	if err == nil {
+		t.Fatal("want a cross-check failure")
+	}
+	for _, want := range []string{"figX", "TC on mc", "C = 8", "A = 7"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("failure %q lacks %q", err, want)
+		}
+	}
+	if len(x.presets) != 1 {
+		t.Errorf("generated %d presets for one abbreviation", len(x.presets))
 	}
 }

@@ -61,9 +61,6 @@ type Config struct {
 	// ProgressInterval is the period between streamed partial counts
 	// (default DefaultProgressInterval; negative disables streaming).
 	ProgressInterval time.Duration
-	// IOTimeout bounds each frame write to a client (default
-	// DefaultIOTimeout); a stalled client cannot pin a query goroutine.
-	IOTimeout time.Duration
 	// QueryDeadline caps every query's execution time. A submission's own
 	// deadline is honored up to this cap; queries without one inherit it.
 	// 0 means no server-side cap.
@@ -71,7 +68,7 @@ type Config struct {
 }
 
 // ErrInvalidConfig marks a Config that New refuses: a negative
-// MaxConcurrent, WorkerBudget, IOTimeout or QueryDeadline.
+// MaxConcurrent, WorkerBudget or QueryDeadline.
 var ErrInvalidConfig = errors.New("service: invalid config")
 
 // Validate reports the first setting New cannot honor, wrapped around
@@ -86,13 +83,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s must not be negative, got %d", ErrInvalidConfig, f.name, f.n)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		d    time.Duration
-	}{{"IOTimeout", c.IOTimeout}, {"QueryDeadline", c.QueryDeadline}} {
-		if f.d < 0 {
-			return fmt.Errorf("%w: %s must not be negative, got %v", ErrInvalidConfig, f.name, f.d)
-		}
+	if c.QueryDeadline < 0 {
+		return fmt.Errorf("%w: QueryDeadline must not be negative, got %v", ErrInvalidConfig, c.QueryDeadline)
 	}
 	return nil
 }
@@ -101,8 +93,12 @@ func (c Config) Validate() error {
 const (
 	DefaultMaxConcurrent    = 4
 	DefaultProgressInterval = 25 * time.Millisecond
-	DefaultIOTimeout        = 10 * time.Second
 )
+
+// DefaultIOTimeout bounds the server's handshake and each frame write to a
+// client, so a stalled client cannot pin a query goroutine; Dial uses it
+// when given no timeout.
+const DefaultIOTimeout = 10 * time.Second
 
 // Server is a running query service over one resident cluster.
 type Server struct {
@@ -156,9 +152,6 @@ func New(cl *cluster.Cluster, cfg Config) (*Server, error) {
 	}
 	if cfg.ProgressInterval == 0 {
 		cfg.ProgressInterval = DefaultProgressInterval
-	}
-	if cfg.IOTimeout == 0 {
-		cfg.IOTimeout = DefaultIOTimeout
 	}
 	budget := cfg.WorkerBudget
 	if budget <= 0 {
@@ -373,7 +366,7 @@ func (s *Server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 	}()
 	defer c.Close()
-	qc, err := comm.AcceptQuery(c, s.cfg.IOTimeout)
+	qc, err := comm.AcceptQuery(c, DefaultIOTimeout)
 	if err != nil {
 		return
 	}

@@ -422,7 +422,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}{
 		{"MaxConcurrent", Config{MaxConcurrent: -1}},
 		{"WorkerBudget", Config{WorkerBudget: -1}},
-		{"IOTimeout", Config{IOTimeout: -time.Second}},
 		{"QueryDeadline", Config{QueryDeadline: -time.Second}},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
