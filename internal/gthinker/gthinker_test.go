@@ -1,6 +1,7 @@
 package gthinker
 
 import (
+	"math/rand"
 	"testing"
 
 	"khuzdul/internal/graph"
@@ -115,5 +116,53 @@ func TestSWCacheAcquireRegistersDependency(t *testing.T) {
 	c.releaseTask(1, met)
 	if _, ok := c.acquire(3, 9, met); !ok {
 		t.Fatal("entry lost while still referenced")
+	}
+}
+
+// TestSWCacheIdleListIsUnreferenced drives the cache through a random
+// sequence of acquires, inserts and releases by overlapping tasks, at a
+// capacity that keeps it collecting, and checks after every step that the
+// idle list holds exactly the entries no task references, each once, and
+// that the cache is under capacity whenever anything is idle.
+func TestSWCacheIdleListIsUnreferenced(t *testing.T) {
+	met := &metrics.Node{}
+	rng := rand.New(rand.NewSource(1))
+	c := newSWCache(400)
+	live := map[int64]bool{}
+	for step := 0; step < 5000; step++ {
+		task := int64(rng.Intn(12))
+		v := graph.VertexID(rng.Intn(40))
+		switch rng.Intn(3) {
+		case 0:
+			if _, ok := c.acquire(task, v, met); ok {
+				live[task] = true
+			}
+		case 1:
+			c.insert(task, v, make([]graph.VertexID, rng.Intn(20)), met)
+			live[task] = true
+		default:
+			c.releaseTask(task, met)
+			delete(live, task)
+		}
+		idle := map[graph.VertexID]bool{}
+		for e := c.idle.next; e != &c.idle; e = e.next {
+			if idle[e.v] || c.entries[e.v] != e || len(e.refs) != 0 {
+				t.Fatalf("step %d: idle list holds %d twice, evicted or referenced", step, e.v)
+			}
+			idle[e.v] = true
+		}
+		for v, e := range c.entries {
+			if (len(e.refs) == 0) != idle[v] {
+				t.Fatalf("step %d: entry %d has %d references, idle %v", step, v, len(e.refs), idle[v])
+			}
+			for task := range e.refs {
+				if !live[task] {
+					t.Fatalf("step %d: entry %d referenced by released task %d", step, v, task)
+				}
+			}
+		}
+		if len(idle) > 0 && c.size > c.capacity {
+			t.Fatalf("step %d: %d bytes over capacity %d with %d idle entries", step, c.size, c.capacity, len(idle))
+		}
 	}
 }

@@ -365,7 +365,8 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 	}
 	n := s.disp.CountProbe(&s.runs.Marks, l, lo, hi)
 	if subtract {
-		n = len(setops.Clip(parentRaw, lo, hi)) - n
+		// The marks hold parentRaw: CountProbe has just made this cut.
+		n = len(s.runs.Marks.Clip(lo, hi)) - n
 	}
 	// Distinctness as in countLevel, x's membership read off the marks.
 	for _, q := range lv.exclude {

@@ -163,9 +163,11 @@ func gallopIntersect(dst, a, b []graph.VertexID) []graph.VertexID {
 
 // Clip returns the sub-slice {x ∈ a : lo ≤ x < hi}. Bounds encode
 // symmetry-breaking restrictions: the lower bound is inclusive so that 0
-// means "unbounded", the upper bound exclusive so that NoVertex does. Both
-// cut points are found by galloping from the front, so a bounded kernel never
-// walks the prefix or suffix the restriction discards.
+// means "unbounded", the upper bound exclusive so that NoVertex does. Each
+// cut point is found by galloping from the front, so a bounded kernel never
+// walks the prefix or suffix the restriction discards. A marked list is cut
+// by Bitmap.Clip instead, which gallops on from its last cut, and CountProbe
+// cuts the probed list at hi inside its loop.
 func Clip(a []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	if lo > 0 {
 		a = a[gallopTo(a, 0, lo):]
@@ -186,11 +188,18 @@ const markWordCap = 1 << 12
 // the mark set a count-only level builds over the operand every child of one
 // parent shares (CountProbe), and a standalone kernel with IntersectBitmap.
 // Build keeps its own copy of the built list, so clearing stale bits costs
-// O(|list|) and never depends on the caller's buffer.
+// O(|list|) and never depends on the caller's buffer. It also remembers the
+// last point Clip cut that copy at: the children of one parent arrive in
+// ascending ID order, so their bounds rise through a run and each cut gallops
+// on from the one before.
 type Bitmap struct {
 	base  int // word index of words[0]: the built list's first element >> 6
 	words []uint64
 	built []graph.VertexID
+	// cutIdx is the first index of built whose element is ≥ cutAt: the last
+	// cut Clip made, or (0, 0) after Build.
+	cutIdx int
+	cutAt  graph.VertexID
 }
 
 // Build loads list into the bitmap, clearing whatever was built before.
@@ -201,6 +210,7 @@ func (b *Bitmap) Build(list []graph.VertexID) {
 		b.words[int(v>>6)-b.base] = 0
 	}
 	b.built = b.built[:0]
+	b.cutIdx, b.cutAt = 0, 0
 	if len(list) == 0 {
 		return
 	}
@@ -230,6 +240,32 @@ func (b *Bitmap) Mark(list []graph.VertexID) bool {
 // Words returns the number of 64-bit words the bitmap holds: its widest
 // window so far.
 func (b *Bitmap) Words() int { return len(b.words) }
+
+// Clip returns Clip(built, lo, hi), built the list the bitmap was last built
+// from. Each cut gallops from the last one when its bound is no smaller, and
+// from the front otherwise, so a run of rising bounds walks the list once
+// while any order of bounds gets the same answer.
+func (b *Bitmap) Clip(lo, hi graph.VertexID) []graph.VertexID {
+	i, j := 0, len(b.built)
+	if lo > 0 {
+		i = b.cut(lo)
+	}
+	if hi != NoVertex {
+		j = max(b.cut(hi), i)
+	}
+	return b.built[i:j]
+}
+
+// cut returns the first index of built whose element is ≥ v and remembers it.
+func (b *Bitmap) cut(v graph.VertexID) int {
+	i := 0
+	if v >= b.cutAt {
+		i = b.cutIdx
+	}
+	i = gallopTo(b.built, i, v)
+	b.cutIdx, b.cutAt = i, v
+	return i
+}
 
 // Contains reports whether the built list contains v.
 func (b *Bitmap) Contains(v graph.VertexID) bool {
@@ -340,28 +376,39 @@ func (d *Dispatcher) CountBounded(a, b []graph.VertexID, lo, hi graph.VertexID) 
 }
 
 // CountProbe returns |{x ∈ m ∩ l : lo ≤ x < hi}|, m standing for the list it
-// was last built from: it clips l to [lo, hi) and tests each element's bit, no
-// term for m's length. When the clipped l is at least gallopRatio times the
-// clipped marked list it gallops that list into l instead. It enters a kernel
-// in Counts exactly when CountBounded would — both clipped sides non-empty —
-// KernelProbe or KernelGallop, so a count-only level that probes keeps the
-// materializing path's ledger total.
+// was last built from: it tests the bit of each element of l inside [lo, hi),
+// no term for m's length. When that part of l is at least gallopRatio times
+// the clipped marked list it gallops that list into l instead. It enters a
+// kernel in Counts exactly when CountBounded would — both clipped sides
+// non-empty — KernelProbe or KernelGallop, so a count-only level that probes
+// keeps the materializing path's ledger total.
+//
+// The marked side is cut by m.Clip, which gallops on from the run's last cut.
+// l is cut at lo by galloping, as Clip does, but never at hi: the loop stops
+// at the first element past hi, and the kernel choice reads the one element
+// of l whose side of hi decides it. The gallop kernel needs no cut at hi, the
+// marked side already lying inside [lo, hi).
 func (d *Dispatcher) CountProbe(m *Bitmap, l []graph.VertexID, lo, hi graph.VertexID) int {
-	x := Clip(m.built, lo, hi)
+	x := m.Clip(lo, hi)
 	if len(x) == 0 {
 		return 0
 	}
-	l = Clip(l, lo, hi)
-	if len(l) == 0 {
+	if lo > 0 {
+		l = l[gallopTo(l, 0, lo):]
+	}
+	if len(l) == 0 || l[0] >= hi {
 		return 0
 	}
-	if len(l) >= gallopRatio*len(x) {
+	if k := gallopRatio * len(x); k <= len(l) && l[k-1] < hi {
 		d.count(KernelGallop)
 		return countGallop(x, l)
 	}
 	d.count(KernelProbe)
 	n := 0
 	for _, v := range l {
+		if v >= hi {
+			break
+		}
 		n += b2i(m.Contains(v))
 	}
 	return n

@@ -2,6 +2,7 @@ package setops
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -681,25 +682,59 @@ func TestCountBoundedNoAlloc(t *testing.T) {
 
 var sinkInt int
 
+// naiveCount is |{x ∈ a : lo ≤ x < hi, x ∈ b}|, or with subtract the x ∉ b:
+// the loop every bounded kernel is held to.
+func naiveCount(a, b []graph.VertexID, lo, hi graph.VertexID, subtract bool) int {
+	n := 0
+	for _, x := range a {
+		if x >= lo && x < hi && Contains(b, x) != subtract {
+			n++
+		}
+	}
+	return n
+}
+
+// boundRun returns the bounds one mark set sees through a run, in order: hi
+// rising with a repeat, as a descending plan's children bring them, then a
+// fall; lo rising with a repeat, as an ascending plan's do, then a fall; both
+// sides set; lo ≥ hi; and every pair of the edge values.
+func boundRun(rng *rand.Rand, max int) [][2]graph.VertexID {
+	rising := func() []graph.VertexID {
+		vs := []graph.VertexID{graph.VertexID(rng.Intn(max + 20)), graph.VertexID(rng.Intn(max + 20)), graph.VertexID(rng.Intn(max + 20))}
+		slices.Sort(vs)
+		return append(vs, vs[2], vs[0]/2)
+	}
+	var run [][2]graph.VertexID
+	for _, hi := range rising() {
+		run = append(run, [2]graph.VertexID{0, hi})
+	}
+	for _, lo := range rising() {
+		run = append(run, [2]graph.VertexID{lo, NoVertex})
+	}
+	both := rising()
+	run = append(run, [2]graph.VertexID{both[0], both[2]}, [2]graph.VertexID{both[2], both[0]})
+	edge := []graph.VertexID{0, 1, NoVertex - 1, NoVertex}
+	for _, lo := range edge {
+		for _, hi := range edge {
+			run = append(run, [2]graph.VertexID{lo, hi})
+		}
+	}
+	return run
+}
+
 // TestCountKernelsMatchNaive holds every bounded kernel — materializing and
 // counting, under each kernel the dispatcher can pick, and the probe of a
-// mark set built from either list — to a naive loop, over empty lists, lo =
-// 0, hi = all-ones, lo ≥ hi and bounds outside both lists. CountProbe must
-// enter a kernel exactly when CountBounded does.
+// mark set built from either list — to a naive loop, over empty lists and
+// the bounds of boundRun: each mark set is built once per pair of lists and
+// probed through the whole run, so its remembered cut moves forward, repeats,
+// falls back and meets lo ≥ hi and bounds outside both lists. CountProbe must
+// enter a kernel exactly when CountBounded does, and Bitmap.Clip must cut
+// where Clip does. Re-marking a shorter list after a far cut must not reuse
+// the cut.
 func TestCountKernelsMatchNaive(t *testing.T) {
-	naive := func(a, b []graph.VertexID, lo, hi graph.VertexID, subtract bool) int {
-		n := 0
-		for _, x := range a {
-			if x >= lo && x < hi && Contains(b, x) != subtract {
-				n++
-			}
-		}
-		return n
-	}
 	rng := rand.New(rand.NewSource(20230325))
-	edge := []graph.VertexID{0, 1, NoVertex - 1, NoVertex}
 	var counts [NumKernels]uint64
-	var m Bitmap
+	var marks [2]Bitmap
 	for trial := 0; trial < 400; trial++ {
 		// Lopsided sizes reach gallop, comparable ones merge.
 		d := Dispatcher{Counts: &counts}
@@ -712,48 +747,64 @@ func TestCountKernelsMatchNaive(t *testing.T) {
 		if trial%11 == 0 {
 			b = nil
 		}
-		for step := 0; step < 6; step++ {
-			lo, hi := graph.VertexID(rng.Intn(max+20)), graph.VertexID(rng.Intn(max+20))
-			if rng.Intn(3) == 0 {
-				lo = edge[rng.Intn(len(edge))]
+		sides := [2][2][]graph.VertexID{{a, b}, {b, a}}
+		for i, side := range sides {
+			if !marks[i].Mark(side[0]) {
+				t.Fatalf("Mark refused %v", side[0])
 			}
-			if rng.Intn(3) == 0 {
-				hi = edge[rng.Intn(len(edge))]
-			}
-			want := naive(a, b, lo, hi, false)
+		}
+		for _, r := range boundRun(rng, max) {
+			lo, hi := r[0], r[1]
+			want := naiveCount(a, b, lo, hi, false)
 			if got := d.CountBounded(a, b, lo, hi); got != want {
 				t.Fatalf("CountBounded(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
 			if got := d.CountBounded(b, a, lo, hi); got != want {
 				t.Fatalf("CountBounded swapped(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
-			for _, side := range [][2][]graph.VertexID{{a, b}, {b, a}} {
-				if !m.Mark(side[0]) {
-					t.Fatalf("Mark refused %v", side[0])
-				}
+			for i, side := range sides {
+				m := &marks[i]
 				var probed, bounded [NumKernels]uint64
 				pd, bd := Dispatcher{Counts: &probed}, Dispatcher{Counts: &bounded}
-				if got := pd.CountProbe(&m, side[1], lo, hi); got != want {
+				if got := pd.CountProbe(m, side[1], lo, hi); got != want {
 					t.Fatalf("CountProbe(marked %v, %v, lo=%d, hi=%d) = %d, want %d", side[0], side[1], lo, hi, got, want)
 				}
 				bd.CountBounded(side[0], side[1], lo, hi)
 				if probed[KernelProbe]+probed[KernelGallop] != bounded[KernelMerge]+bounded[KernelGallop] || probed[KernelMerge] != 0 {
 					t.Fatalf("CountProbe(marked %v, %v, lo=%d, hi=%d) entered %v, CountBounded %v", side[0], side[1], lo, hi, probed, bounded)
 				}
+				x, l := Clip(side[0], lo, hi), Clip(side[1], lo, hi)
+				if got := m.Clip(lo, hi); !equal(got, x) {
+					t.Fatalf("Bitmap.Clip(marked %v, lo=%d, hi=%d) = %v, want %v", side[0], lo, hi, got, x)
+				}
+				if gallop := len(x) > 0 && len(l) >= gallopRatio*len(x); (probed[KernelGallop] == 1) != gallop {
+					t.Fatalf("CountProbe(marked %v, %v, lo=%d, hi=%d) entered %v, want gallop %v", side[0], side[1], lo, hi, probed, gallop)
+				}
 				counts[KernelProbe] += probed[KernelProbe]
 			}
 			if got := len(d.IntersectBounded(nil, a, b, lo, hi)); got != want {
 				t.Fatalf("IntersectBounded(%v, %v, lo=%d, hi=%d) has %d elements, want %d", a, b, lo, hi, got, want)
 			}
-			if got, want := d.CountSubtract(a, b, lo, hi), naive(a, b, lo, hi, true); got != want {
+			if got, want := d.CountSubtract(a, b, lo, hi), naiveCount(a, b, lo, hi, true); got != want {
 				t.Fatalf("CountSubtract(%v, %v, lo=%d, hi=%d) = %d, want %d", a, b, lo, hi, got, want)
 			}
-			if got, want := len(Clip(a, lo, hi)), naive(a, nil, lo, hi, true); got != want {
+			if got, want := len(Clip(a, lo, hi)), naiveCount(a, nil, lo, hi, true); got != want {
 				t.Fatalf("Clip(%v, lo=%d, hi=%d) keeps %d, want %d", a, lo, hi, got, want)
 			}
 		}
-		if got, want := CountIntersect(a, b), naive(a, b, 0, NoVertex, false); got != want {
+		if got, want := CountIntersect(a, b), naiveCount(a, b, 0, NoVertex, false); got != want {
 			t.Fatalf("CountIntersect(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		// A cut past the end of a, then half of a marked: the next cuts at or
+		// beyond the old bound must start over in the shorter list.
+		far := NoVertex - 1
+		marks[0].Clip(far, NoVertex)
+		short := a[:len(a)/2]
+		marks[0].Mark(short)
+		for _, r := range [][2]graph.VertexID{{far, NoVertex}, {0, far}, {far, far + 1}} {
+			if got, want := (&Dispatcher{}).CountProbe(&marks[0], b, r[0], r[1]), naiveCount(short, b, r[0], r[1], false); got != want {
+				t.Fatalf("CountProbe after re-marking %v (lo=%d, hi=%d) = %d, want %d", short, r[0], r[1], got, want)
+			}
 		}
 	}
 	if counts[KernelMerge] == 0 || counts[KernelGallop] == 0 || counts[KernelProbe] == 0 {
@@ -793,6 +844,31 @@ func BenchmarkCountProbe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkInt += d.CountProbe(&m, a, 1<<17, NoVertex)
+	}
+}
+
+// BenchmarkCountProbeRun is TC's last level as a run of a descending plan
+// sees it: one hub v0 marked once, then each of its neighbors v1 in ascending
+// order probing its own list under hi = v1, so the marked side's cut moves
+// forward through the run. One op is the whole run.
+func BenchmarkCountProbeRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	hub := randSorted(rng, 4000, 1<<16)
+	lists := make([][]graph.VertexID, len(hub))
+	for i := range lists {
+		lists[i] = randSorted(rng, 8+rng.Intn(120), 1<<16)
+	}
+	var d Dispatcher
+	var m Bitmap
+	if !m.Mark(hub) {
+		b.Fatal("Mark refused the hub")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, v := range hub {
+			sinkInt += d.CountProbe(&m, lists[j], 0, v)
+		}
 	}
 }
 
