@@ -41,7 +41,7 @@ type jsonFinding struct {
 }
 
 // jsonTiming is the -json timing line, emitted after the findings: first
-// "program" (the shared program build: fact walk, call graph, summaries),
+// "program" (the shared program build: fact walk and call graph),
 // then one per analyzer. It has no "file" key, so the CI problem matcher
 // skips it; the slowest-analyzers CI step selects on "elapsed_ms".
 type jsonTiming struct {
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	suite := analysis.Suite()
 	if *list {
 		for _, a := range suite {
-			fmt.Fprintf(stdout, "%-14s tier %d  %s\n", a.Name, a.Tier, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +28,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	for _, a := range got {
 		names = append(names, a.Name)
 	}
-	// Suite order, not spec order: lockorder (tier 3) precedes timerstop.
+	// Suite order, not spec order: lockorder precedes timerstop.
 	if strings.Join(names, ",") != "lockorder,timerstop" {
 		t.Fatalf("got %v, want [lockorder timerstop]", names)
 	}
@@ -44,7 +43,8 @@ func TestSelectAnalyzers(t *testing.T) {
 }
 
 // TestRunListAndFilter drives the CLI entry point end to end: -list prints
-// every analyzer with its tier, -run with an unknown or retired name exits
+// the pinned roster, one analyzer per line with its doc, in suite order, -run
+// with an unknown or retired name exits
 // 2, and a filtered -json run over the real tree is clean and carries the
 // program-build timing line followed by one line per selected analyzer.
 func TestRunListAndFilter(t *testing.T) {
@@ -52,26 +52,23 @@ func TestRunListAndFilter(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exit = %d, stderr %q", code, errOut.String())
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != len(analysis.Suite()) {
-		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(analysis.Suite()), out.String())
+	roster := []string{
+		"wirecodec", "errclass", "hotalloc", "lockorder", "wirebound",
+		"metriclive", "guardfield", "timerstop",
 	}
-	for _, a := range analysis.Suite() {
-		want := fmt.Sprintf("tier %d", a.Tier)
-		found := false
-		for _, l := range lines {
-			if strings.HasPrefix(l, a.Name) && strings.Contains(l, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("-list is missing %q with %q:\n%s", a.Name, want, out.String())
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(roster) {
+		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(roster), out.String())
+	}
+	for i, a := range analysis.Suite() {
+		if fields := strings.Fields(lines[i]); fields[0] != roster[i] || !strings.HasSuffix(lines[i], a.Doc) {
+			t.Errorf("-list line %d = %q, want %s with its doc", i, lines[i], roster[i])
 		}
 	}
 
-	// atomicmix left the suite (go vet's copylocks covers its typed-atomic
-	// rows), so naming it is an unknown-analyzer error like any other name.
-	for _, name := range []string{"nosuch", "atomicmix"} {
+	// Retired analyzers (DESIGN.md names what catches each one's seeded
+	// defect now) are unknown names like any other.
+	for _, name := range []string{"nosuch", "atomicmix", "framecase", "sleepban", "cancelpoll", "locksend", "maporder"} {
 		out.Reset()
 		errOut.Reset()
 		if code := run([]string{"-run", name, "./..."}, &out, &errOut); code != 2 {
@@ -87,7 +84,7 @@ func TestRunListAndFilter(t *testing.T) {
 	}
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-json", "-run", "wirecodec,sleepban"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-json", "-run", "errclass,timerstop"}, &out, &errOut); code != 0 {
 		t.Fatalf("filtered run exit = %d, stderr %q, stdout %q", code, errOut.String(), out.String())
 	}
 	var timings []jsonTiming
@@ -103,8 +100,8 @@ func TestRunListAndFilter(t *testing.T) {
 		timings = append(timings, tm)
 	}
 	if len(timings) != 3 || timings[0].Analyzer != "program" ||
-		timings[1].Analyzer != "wirecodec" || timings[2].Analyzer != "sleepban" {
-		t.Fatalf("timing lines = %+v, want program, wirecodec, sleepban", timings)
+		timings[1].Analyzer != "errclass" || timings[2].Analyzer != "timerstop" {
+		t.Fatalf("timing lines = %+v, want program, errclass, timerstop", timings)
 	}
 	if timings[0].ElapsedMs <= 0 {
 		t.Errorf("program build reported %v ms; it walks every body of the module", timings[0].ElapsedMs)

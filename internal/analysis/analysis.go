@@ -31,11 +31,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and ignore directives.
 	Name string
-	// Tier is the suite generation the analyzer shipped with: 1 for the
-	// single-package AST analyzers, 2 for the call-graph dataflow analyzers,
-	// 3 for the whole-program protocol analyzers, 4 for the
-	// concurrency-integrity analyzers.
-	Tier int
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string
 	// Run inspects pass and reports findings through pass.Reportf.
@@ -54,9 +49,9 @@ type Pass struct {
 	Files []*ast.File
 	// Info is the type-checking fact base for Files.
 	Info *types.Info
-	// Prog is the whole-program tier-2 fact base (call graph, directive
-	// roots, reachability, summaries) built once per Run over every loaded
-	// package — not just this pass's. Tier-1 analyzers ignore it.
+	// Prog is the whole-program fact base (call graph, hot-path roots and
+	// reachability, the fact table) built once per Run over every loaded
+	// package — not just this pass's. Single-package analyzers ignore it.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -157,10 +152,9 @@ func Run(pkgs []*LoadedPackage, analyzers []*Analyzer) []Diagnostic {
 }
 
 // A Timing is one wall-clock cost of one RunTimed: the program build (named
-// "program": the fact walk, call graph and summaries every analyzer shares)
-// or one analyzer's accumulated cost across every package, including the
-// whole-program result only it reads (the lock graph, the guard inference,
-// the timer interpretation).
+// "program": the fact walk and call graph every analyzer shares) or one
+// analyzer's accumulated cost across every package, including the
+// whole-program result only it reads (the lock graph, the guard inference).
 type Timing struct {
 	Name    string
 	Elapsed time.Duration
@@ -240,21 +234,15 @@ func RunTimed(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, []Tim
 	return all, timings
 }
 
-// Suite returns the full khuzdulvet analyzer suite: the tier-1 AST analyzers
-// of PR 3, the tier-2 call-graph analyzers, the tier-3 whole-program
-// protocol analyzers, and the tier-4 concurrency-integrity analyzers.
+// Suite returns the full khuzdulvet analyzer suite. DESIGN.md records, for
+// each analyzer, the seeded defect that only it catches.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		WireCodec,
 		ErrClass,
-		SleepBan,
-		LockSend,
 		HotAlloc,
-		MapOrder,
-		CancelPoll,
 		LockOrder,
 		WireBound,
-		FrameCase,
 		MetricLive,
 		GuardField,
 		TimerStop,

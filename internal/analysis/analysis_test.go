@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -112,25 +111,18 @@ func runFixtureTest(t *testing.T, a *Analyzer) {
 
 func TestWireCodec(t *testing.T)  { runFixtureTest(t, WireCodec) }
 func TestErrClass(t *testing.T)   { runFixtureTest(t, ErrClass) }
-func TestSleepBan(t *testing.T)   { runFixtureTest(t, SleepBan) }
-func TestLockSend(t *testing.T)   { runFixtureTest(t, LockSend) }
 func TestHotAlloc(t *testing.T)   { runFixtureTest(t, HotAlloc) }
-func TestMapOrder(t *testing.T)   { runFixtureTest(t, MapOrder) }
-func TestCancelPoll(t *testing.T) { runFixtureTest(t, CancelPoll) }
 func TestLockOrder(t *testing.T)  { runFixtureTest(t, LockOrder) }
 func TestWireBound(t *testing.T)  { runFixtureTest(t, WireBound) }
-func TestFrameCase(t *testing.T)  { runFixtureTest(t, FrameCase) }
 func TestMetricLive(t *testing.T) { runFixtureTest(t, MetricLive) }
 func TestGuardField(t *testing.T) { runFixtureTest(t, GuardField) }
 func TestTimerStop(t *testing.T)  { runFixtureTest(t, TimerStop) }
 
-// TestCallGraph pins the program construction the tier-2 analyzers rely on:
-// directive roots, interface-method over-approximation, reachability and the
-// blocks/polls summaries, using the hotalloc and cancelpoll fixtures.
+// TestCallGraph pins the program construction hotalloc and lockorder rely
+// on: directive roots, interface-method over-approximation and reachability,
+// using the hotalloc fixture.
 func TestCallGraph(t *testing.T) {
-	pkgs := fixtureSubset(t, "hotalloc")
-	pkgs = append(pkgs, fixtureSubset(t, "cancelpoll")...)
-	prog := BuildProgram(pkgs)
+	prog := BuildProgram(fixtureSubset(t, "hotalloc"))
 
 	byName := map[string]bool{}
 	for fn := range prog.Hot {
@@ -151,48 +143,13 @@ func TestCallGraph(t *testing.T) {
 	if byName["hotalloc.Cold"] {
 		t.Errorf("hotalloc.Cold must not be hot-reachable")
 	}
-
-	var drain, waitStop, spawnLit, spawnCall *types.Func
-	for fn := range prog.Decls {
-		switch fn.Pkg().Path() + "." + fn.Name() {
-		case "cancelpoll.drain":
-			drain = fn
-		case "cancelpoll.waitStop":
-			waitStop = fn
-		case "cancelpoll.spawnLit":
-			spawnLit = fn
-		case "cancelpoll.spawnCall":
-			spawnCall = fn
-		}
-	}
-	if drain == nil || waitStop == nil || spawnLit == nil || spawnCall == nil {
-		t.Fatalf("fixture functions missing from program")
-	}
-	// A goroutine blocks on its own stack, whether spawned as a literal or a
-	// call.
-	if prog.Blocks(spawnLit) || prog.Blocks(spawnCall) {
-		t.Errorf("spawners must not summarize as blocking: spawnLit %v, spawnCall %v",
-			prog.Blocks(spawnLit), prog.Blocks(spawnCall))
-	}
-	if !prog.Long[drain] {
-		t.Errorf("drain must be longrun-reachable through RunIndirect")
-	}
-	if !prog.Blocks(drain) {
-		t.Errorf("drain must summarize as blocking")
-	}
-	if !prog.Polls(waitStop) {
-		t.Errorf("waitStop must summarize as polling (cancel-named select case)")
-	}
-	if prog.Polls(drain) {
-		t.Errorf("drain must not summarize as polling")
-	}
 }
 
 // TestStaleIgnore checks the audit both ways: the used directive stays
 // silent (and keeps suppressing), the orphaned one is reported.
 func TestStaleIgnore(t *testing.T) {
 	pkgs := fixtureSubset(t, "staleignore")
-	diags := Run(pkgs, []*Analyzer{SleepBan})
+	diags := Run(pkgs, []*Analyzer{TimerStop})
 	var stale int
 	for _, d := range diags {
 		if d.Analyzer != "staleignore" {
@@ -200,15 +157,15 @@ func TestStaleIgnore(t *testing.T) {
 			continue
 		}
 		stale++
-		if !strings.Contains(d.Message, "sleepban") || !strings.Contains(d.Message, "stale") {
+		if !strings.Contains(d.Message, "timerstop") || !strings.Contains(d.Message, "stale") {
 			t.Errorf("stale diagnostic has unexpected message: %s", d)
 		}
 	}
 	if stale != 1 {
 		t.Errorf("got %d stale-ignore diagnostics, want 1: %v", stale, diags)
 	}
-	// A run without sleepban in the set must not condemn its directives.
-	if extra := Run(pkgs, []*Analyzer{WireCodec}); len(extra) != 0 {
+	// A run without timerstop in the set must not condemn its directives.
+	if extra := Run(pkgs, []*Analyzer{ErrClass}); len(extra) != 0 {
 		t.Errorf("directives for analyzers outside the running set were audited: %v", extra)
 	}
 }
@@ -218,8 +175,8 @@ func TestStaleIgnore(t *testing.T) {
 // "directive" finding without suppressing, and uncovered findings survive.
 func TestIgnoreDirectives(t *testing.T) {
 	pkgs := fixtureSubset(t, "ignore")
-	diags := Run(pkgs, []*Analyzer{SleepBan})
-	var directive, sleep int
+	diags := Run(pkgs, []*Analyzer{TimerStop})
+	var directive, timer int
 	for _, d := range diags {
 		switch d.Analyzer {
 		case "directive":
@@ -227,24 +184,24 @@ func TestIgnoreDirectives(t *testing.T) {
 			if !strings.Contains(d.Message, "malformed") {
 				t.Errorf("directive diagnostic has unexpected message: %s", d)
 			}
-		case "sleepban":
-			sleep++
+		case "timerstop":
+			timer++
 		default:
 			t.Errorf("unexpected analyzer %q: %s", d.Analyzer, d)
 		}
 	}
-	if directive != 1 || sleep != 2 {
-		t.Errorf("got %d directive + %d sleepban diagnostics, want 1 + 2: %v", directive, sleep, diags)
+	if directive != 1 || timer != 2 {
+		t.Errorf("got %d directive + %d timerstop diagnostics, want 1 + 2: %v", directive, timer, diags)
 	}
 }
 
-// TestTier3Directives is the directive × analyzer matrix for the tier-3
-// analyzers: hotpath/longrun roots neither gate nor suppress them, a live
-// ignore suppresses exactly its wirebound finding, and stale ignores naming
-// each tier-3 analyzer are audited.
+// TestTier3Directives is the directive × analyzer matrix for lockorder,
+// wirebound and metriclive: hotpath roots neither gate nor suppress them, a
+// live ignore suppresses exactly its wirebound finding, and stale ignores
+// naming each of them are audited.
 func TestTier3Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier3dir")
-	diags := Run(pkgs, []*Analyzer{LockOrder, WireBound, FrameCase, MetricLive})
+	diags := Run(pkgs, []*Analyzer{LockOrder, WireBound, MetricLive})
 	counts := map[string]int{}
 	for _, d := range diags {
 		counts[d.Analyzer]++
@@ -254,10 +211,9 @@ func TestTier3Directives(t *testing.T) {
 	}
 	want := map[string]int{
 		"lockorder":   1, // one cycle between the two hotpath roots
-		"framecase":   1, // non-exhaustive switch inside the longrun root
 		"metriclive":  1, // dead gauge in the metrics package
 		"wirebound":   0, // suppressed by the live ignore directive
-		"staleignore": 4, // one stale ignore per tier-3 analyzer
+		"staleignore": 3, // one stale ignore per analyzer of the matrix
 	}
 	for a, n := range want {
 		if counts[a] != n {
@@ -271,10 +227,10 @@ func TestTier3Directives(t *testing.T) {
 	}
 }
 
-// TestTier4Directives is the directive × analyzer matrix for the tier-4
-// analyzers: hotpath/longrun roots neither gate nor suppress them, a live
-// ignore suppresses exactly its timerstop finding, and stale ignores naming
-// each tier-4 analyzer are audited.
+// TestTier4Directives is the directive × analyzer matrix for guardfield and
+// timerstop: hotpath roots neither gate nor suppress them, a live ignore
+// suppresses exactly its timerstop finding, and stale ignores naming each of
+// them are audited.
 func TestTier4Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier4dir")
 	diags := Run(pkgs, []*Analyzer{GuardField, TimerStop})
@@ -287,8 +243,8 @@ func TestTier4Directives(t *testing.T) {
 	}
 	want := map[string]int{
 		"guardfield":  1, // lock-free read of the guarded field inside the hotpath root
-		"timerstop":   1, // ticker leaked on the stop path of the longrun root; the discarded timer is suppressed
-		"staleignore": 2, // one stale ignore per tier-4 analyzer
+		"timerstop":   1, // the root's ticker has no deferred Stop; the discarded timer is suppressed
+		"staleignore": 2, // one stale ignore per analyzer of the matrix
 	}
 	for a, n := range want {
 		if counts[a] != n {
@@ -302,36 +258,25 @@ func TestTier4Directives(t *testing.T) {
 	}
 }
 
-// TestSuiteComposition pins the suite roster: thirteen analyzers, each in its
-// documented tier, in deterministic (tier, name) order.
+// TestSuiteComposition pins the suite roster by name, in suite order: each
+// analyzer here is one that DESIGN.md's seeded-defect table shows only it
+// catching.
 func TestSuiteComposition(t *testing.T) {
-	wantTiers := map[string]int{
-		"wirecodec": 1, "errclass": 1, "sleepban": 1, "locksend": 1,
-		"hotalloc": 2, "maporder": 2, "cancelpoll": 2,
-		"lockorder": 3, "wirebound": 3, "framecase": 3, "metriclive": 3,
-		"guardfield": 4, "timerstop": 4,
+	roster := []string{
+		"wirecodec", "errclass", "hotalloc", "lockorder", "wirebound",
+		"metriclive", "guardfield", "timerstop",
 	}
 	suite := Suite()
-	if len(suite) != len(wantTiers) {
-		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(wantTiers))
+	if len(suite) != len(roster) {
+		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(roster))
 	}
-	seen := map[string]bool{}
-	for _, a := range suite {
-		tier, ok := wantTiers[a.Name]
-		if !ok {
-			t.Errorf("unexpected analyzer %q in suite", a.Name)
-			continue
-		}
-		if a.Tier != tier {
-			t.Errorf("%s: tier = %d, want %d", a.Name, a.Tier, tier)
+	for i, a := range suite {
+		if a.Name != roster[i] {
+			t.Errorf("Suite()[%d] = %q, want %q", i, a.Name, roster[i])
 		}
 		if a.Doc == "" {
 			t.Errorf("%s: empty Doc; -list depends on a one-line invariant", a.Name)
 		}
-		if seen[a.Name] {
-			t.Errorf("analyzer %q listed twice", a.Name)
-		}
-		seen[a.Name] = true
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 	"strings"
 )
 
-// This file builds the tier-2 view of the module: a whole-program approximate
-// call graph over every loaded package. Tier-1 analyzers look at one package's
-// syntax; the properties that matter most after PR 3 — heap traffic on the
-// per-task hot path, cancellation-poll coverage of long-running loops — are
-// cross-function, so they need reachability.
+// This file builds the whole-program view of the module: an approximate call
+// graph over every loaded package. Heap traffic on the per-task hot path and
+// transitive lock acquisitions are cross-function properties, so hotalloc and
+// lockorder need reachability.
 //
 // The graph is deliberately approximate, in the only direction that is safe
 // for each client:
@@ -23,29 +22,22 @@ import (
 //     declared).
 //   - A call through an interface method over-approximates to every concrete
 //     method in the program with that name whose receiver implements the
-//     interface. Hot-path reachability and cancel-poll propagation both want
+//     interface. Hot-path reachability and lock-order propagation both want
 //     the union of possible callees.
 //   - Calls of function values (fields, parameters, locals) resolve to
-//     nothing. Analyzers that care about those sites match them syntactically
-//     (e.g. cancelpoll treats a call of any function named *Canceled as a
-//     poll).
+//     nothing.
 //
-// Roots come from two directives, mirroring //khuzdulvet:ignore:
+// Hot-path roots come from a directive mirroring //khuzdulvet:ignore:
 //
 //	//khuzdulvet:hotpath [reason]   on a function: the function is a
 //	    per-task hot-path root; on a package clause: every function in the
 //	    package is.
-//	//khuzdulvet:longrun [reason]   likewise, for long-running loops that
-//	    must stay cancellable.
 
-const (
-	hotpathPrefix = "khuzdulvet:hotpath"
-	longrunPrefix = "khuzdulvet:longrun"
-)
+const hotpathPrefix = "khuzdulvet:hotpath"
 
-// Program is the whole-program fact base shared by every tier-2 analyzer of
-// one Run: declarations, call edges, directive-marked roots, reachability
-// closures, and per-function summaries.
+// Program is the whole-program fact base shared by every analyzer of one Run:
+// declarations, call edges, the hot-path roots and their reachability
+// closure, and the fact table.
 type Program struct {
 	// Fset positions every loaded file; the loader shares one FileSet across
 	// packages, so cross-package positions (a lockorder acquisition path that
@@ -57,8 +49,8 @@ type Program struct {
 	// DeclList holds the same functions sorted by full name. Every iteration
 	// that feeds an ordered artifact — root lists, call edges, diagnostics —
 	// walks this list rather than ranging Decls, so a Run's output is
-	// identical from one execution to the next (the same determinism maporder
-	// demands of the engine).
+	// identical from one execution to the next (the same determinism the
+	// engine owes its wire traffic).
 	DeclList []*types.Func
 	// InfoOf returns the type-checking fact base of the package declaring fn
 	// (needed to resolve calls inside fn's body).
@@ -69,39 +61,31 @@ type Program struct {
 	Callees map[*types.Func][]*types.Func
 	// syncCallees is Callees minus the calls that run on a goroutine of their
 	// own — `go` statements and every call inside a spawned literal: a
-	// spawned goroutine's blocking or polling happens on its own stack, so
-	// summary propagation must not attribute it to the spawner.
-	// Reachability (Hot/Long) still uses the full edge set — work done on a
-	// spawned goroutine is still on the hot or long-running path.
+	// spawned goroutine takes its locks on its own stack, so lock-order
+	// propagation must not attribute them to the spawner. Reachability (Hot)
+	// still uses the full edge set — work done on a spawned goroutine is
+	// still on the hot path.
 	syncCallees map[*types.Func][]*types.Func
-	// HotRoots and LongRoots are the directive-marked entry points.
-	HotRoots  []*types.Func
-	LongRoots []*types.Func
-	// Hot and Long are the forward-reachability closures of the roots.
-	Hot  map[*types.Func]bool
-	Long map[*types.Func]bool
+	// HotRoots are the directive-marked entry points, Hot their
+	// forward-reachability closure.
+	HotRoots []*types.Func
+	Hot      map[*types.Func]bool
 
-	// summary holds the per-function facts of summary.go, propagated to a
-	// fixpoint over syncCallees.
-	summary map[*types.Func]map[summaryFact]bool
-
-	// Pkgs is the set of loaded (in-program) packages; tier-4 analyzers use
-	// it to limit field tracking to structs the program declares.
+	// Pkgs is the set of loaded (in-program) packages; the fact walk uses it
+	// to limit field tracking to structs the program declares.
 	Pkgs map[*types.Package]bool
 
 	// tab is the fact table of locktable.go. lockInfo is the lock graph of
-	// lockorder.go; guardInfo and timerInfo are the tier-4 results. Each of
-	// those three is built lazily by the one analyzer that reads it.
+	// lockorder.go and guardInfo guardfield's inference; each is built lazily
+	// by the one analyzer that reads it.
 	tab       *lockTable
 	lockInfo  *lockGraphInfo
 	guardInfo *guardFieldInfo
-	timerInfo *timerStopInfo
 }
 
 // BuildProgram walks every declared body once (the fact table) and derives
-// from it the call graph, reachability closures and function summaries for
-// the given packages. It is called once per Run and shared by every pass
-// through Pass.Prog.
+// from it the call graph and the hot-path closure for the given packages. It
+// is called once per Run and shared by every pass through Pass.Prog.
 func BuildProgram(pkgs []*LoadedPackage) *Program {
 	p := &Program{
 		Decls:       map[*types.Func]*ast.FuncDecl{},
@@ -109,8 +93,6 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		Callees:     map[*types.Func][]*types.Func{},
 		syncCallees: map[*types.Func][]*types.Func{},
 		Hot:         map[*types.Func]bool{},
-		Long:        map[*types.Func]bool{},
-		summary:     map[*types.Func]map[summaryFact]bool{},
 		Pkgs:        map[*types.Package]bool{},
 	}
 	if len(pkgs) > 0 {
@@ -120,16 +102,14 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		p.Pkgs[pkg.Types] = true
 	}
 	// Phase 1: declarations and directive-marked roots.
-	pkgHot, pkgLong := map[*types.Package]bool{}, map[*types.Package]bool{}
+	pkgHot := map[*types.Package]bool{}
 	for _, pkg := range pkgs {
 		for fn, fd := range funcDecls(pkg.Info, pkg.Files) {
 			p.Decls[fn] = fd
 			p.InfoOf[fn] = pkg.Info
 		}
 		for _, f := range pkg.Files {
-			hot, long := directiveKinds(f.Doc)
-			pkgHot[pkg.Types] = pkgHot[pkg.Types] || hot
-			pkgLong[pkg.Types] = pkgLong[pkg.Types] || long
+			pkgHot[pkg.Types] = pkgHot[pkg.Types] || isHotpath(f.Doc)
 		}
 	}
 	for fn := range p.Decls {
@@ -139,12 +119,8 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		return p.DeclList[i].FullName() < p.DeclList[j].FullName()
 	})
 	for _, fn := range p.DeclList {
-		hot, long := directiveKinds(p.Decls[fn].Doc)
-		if hot || pkgHot[fn.Pkg()] {
+		if isHotpath(p.Decls[fn].Doc) || pkgHot[fn.Pkg()] {
 			p.HotRoots = append(p.HotRoots, fn)
-		}
-		if long || pkgLong[fn.Pkg()] {
-			p.LongRoots = append(p.LongRoots, fn)
 		}
 	}
 
@@ -168,11 +144,44 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 	}
 
 	p.Hot = p.reachable(p.HotRoots)
-	p.Long = p.reachable(p.LongRoots)
-	propagate(p, p.summary, func(fn, _ *types.Func, f summaryFact, _ bool) (bool, bool) {
-		return true, f != factTimerSource || hasTimerResult(fn)
-	})
 	return p
+}
+
+// propagate grows each declared function's facts by those of its
+// synchronous callees until nothing changes. inherit says whether fn takes
+// callee's fact k, and what fn records for it. Facts are only ever added, so
+// recursion converges; passes visit DeclList and each callee list in order,
+// so the witness recorded for a fact is deterministic.
+func propagate[K comparable, V any](p *Program, facts map[*types.Func]map[K]V,
+	inherit func(fn, callee *types.Func, k K, v V) (V, bool)) {
+	fixpoint(func() (changed bool) {
+		for _, fn := range p.DeclList {
+			for _, c := range p.syncCallees[fn] {
+				for k, v := range facts[c] {
+					if _, ok := facts[fn][k]; ok {
+						continue
+					}
+					if v, ok := inherit(fn, c, k, v); ok {
+						if facts[fn] == nil {
+							facts[fn] = map[K]V{}
+						}
+						facts[fn][k] = v
+						changed = true
+					}
+				}
+			}
+		}
+		return changed
+	})
+}
+
+// fixpoint repeats pass until a pass changes nothing. It is the package's
+// one fixpoint loop: lockorder's propagate runs on it, and so does
+// guardfield's entry-set intersection.
+func fixpoint(pass func() (changed bool)) {
+	for changed := true; changed; {
+		changed = pass()
+	}
 }
 
 // implementations resolves a callee object to its declared implementations:
@@ -239,21 +248,18 @@ func recvOf(fn *types.Func) *types.Var {
 	return sig.Recv()
 }
 
-// directiveKinds reports whether a doc comment group carries the hotpath or
-// longrun root directives. The trailing reason is optional — the directive
-// marks an entry point rather than suppressing a finding.
-func directiveKinds(doc *ast.CommentGroup) (hot, long bool) {
+// isHotpath reports whether a doc comment group carries the hotpath root
+// directive. The trailing reason is optional — the directive marks an entry
+// point rather than suppressing a finding.
+func isHotpath(doc *ast.CommentGroup) bool {
 	if doc == nil {
-		return false, false
+		return false
 	}
 	for _, c := range doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if text == hotpathPrefix || strings.HasPrefix(text, hotpathPrefix+" ") {
-			hot = true
-		}
-		if text == longrunPrefix || strings.HasPrefix(text, longrunPrefix+" ") {
-			long = true
+			return true
 		}
 	}
-	return hot, long
+	return false
 }

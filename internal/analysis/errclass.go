@@ -16,7 +16,6 @@ import (
 // site mints an unclassifiable error no caller can route.
 var ErrClass = &Analyzer{
 	Name: "errclass",
-	Tier: 1,
 	Doc: "errors crossing the comm boundary must wrap a classifiable sentinel: " +
 		"fmt.Errorf needs %w and return sites must not mint bare errors.New values",
 	Run: runErrClass,

@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the package's one control-flow walker. It runs the fact walk
-// of locktable.go (which the call graph, the summaries and the lock analyzers
-// read), timerstop's interpretation and wirebound's taint tracking. The
-// walker owns control flow for a function body; the analyzer owns an
-// abstract state S and says what each node does to it:
+// of locktable.go (which the call graph and the lock analyzers read) and
+// wirebound's taint tracking. The walker owns control flow for a function
+// body; the analyzer owns an abstract state S and says what each node does
+// to it:
 //
 //   - each arm of an if, switch or select walks a copy of the state, and the
 //     arms that can fall through are joined. An arm ending in return,
@@ -44,12 +44,6 @@ type flowHooks[S any] interface {
 	// simple statement or an expression, false skips the node's children (the
 	// hook visits what it needs through flow.visit).
 	node(st S, n ast.Node, stack []ast.Node) (S, bool)
-	// lit sees a function literal where it is evaluated, before its body is
-	// queued as a scope of its own.
-	lit(st S, lit *ast.FuncLit) S
-	// exit sees the state at each return and at the end of a scope that falls
-	// through.
-	exit(S)
 }
 
 // flow walks function bodies for one analyzer. Hooks read inLit and spawned
@@ -91,9 +85,7 @@ func (f *flow[S]) walkFunc(info *types.Info, body *ast.BlockStmt) {
 }
 
 func (f *flow[S]) scope(body *ast.BlockStmt) {
-	if st, live := f.stmts(f.hooks.empty(), body.List); live {
-		f.hooks.exit(st)
-	}
+	f.stmts(f.hooks.empty(), body.List)
 }
 
 // stmts walks a statement list; live is false when control cannot fall
@@ -165,9 +157,7 @@ func (f *flow[S]) stmt(st S, s ast.Stmt, label string) (S, bool) {
 		st, _ = f.hooks.node(st, s, nil)
 		return f.clauses(st, label, s.Body, false)
 	case *ast.ReturnStmt:
-		st = f.visit(st, s)
-		f.hooks.exit(st)
-		return st, false
+		return f.visit(st, s), false
 	}
 	// A simple statement: assignment, declaration, send, inc/dec, go, defer
 	// or expression statement.
@@ -279,8 +269,8 @@ func (f *flow[S]) merge(st S, arms []S) (S, bool) {
 }
 
 // visit walks the subtree under n in source order, threading st through the
-// node hook; stack seeds the enclosing nodes. Function literals go to the lit
-// hook and are queued as scopes of their own.
+// node hook; stack seeds the enclosing nodes. Function literals are queued as
+// scopes of their own.
 func (f *flow[S]) visit(st S, n ast.Node, stack ...ast.Node) S {
 	if n == nil {
 		return st
@@ -291,7 +281,6 @@ func (f *flow[S]) visit(st S, n ast.Node, stack ...ast.Node) S {
 			return true
 		}
 		if lit, ok := m.(*ast.FuncLit); ok {
-			st = f.hooks.lit(st, lit)
 			_, inGo := stackRoot(stack).(*ast.GoStmt)
 			f.queue = append(f.queue, flowLit{body: lit.Body, spawned: f.spawned || inGo})
 			return false

@@ -47,7 +47,6 @@ import (
 //	//khuzdulvet:ignore guardfield <why the lock-free access is safe>
 var GuardField = &Analyzer{
 	Name: "guardfield",
-	Tier: 4,
 	Doc: "a struct field accessed under one consistent lock at >=80% of its " +
 		"sites is presumed guarded by it; every remaining lock-free access " +
 		"is a potential data race",

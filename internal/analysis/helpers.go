@@ -134,6 +134,18 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// calledName returns the bare name of the called function or method,
+// whatever the callee resolves to — including calls of func-typed fields.
+func calledName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
 // inspectStack walks the subtree under root like ast.Inspect but hands the
 // visitor the stack of enclosing nodes (outermost first, n excluded).
 func inspectStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) {

@@ -29,7 +29,6 @@ import (
 // suppressed with //khuzdulvet:ignore hotalloc <reason>.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Tier: 2,
 	Doc: "no heap allocation, interface boxing, fmt/log call or growing " +
 		"append in functions reachable from //khuzdulvet:hotpath roots",
 	Run: runHotAlloc,

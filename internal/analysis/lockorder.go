@@ -20,8 +20,8 @@ import (
 // scope for non-field mutexes. Acquisitions and calls, each with the locks
 // held there, come from the fact table (locktable.go). Holding L while
 // acquiring M — directly, or anywhere inside a callee reached without
-// spawning a goroutine, propagated over the call graph like the tier-2
-// summaries — adds the edge L → M. A cycle in the resulting graph is a
+// spawning a goroutine, propagated over the synchronous call edges — adds
+// the edge L → M. A cycle in the resulting graph is a
 // potential deadlock, reported once with both acquisition paths cited.
 //
 // The key is instance-insensitive: two *different* tcpConn values locked in
@@ -33,7 +33,6 @@ import (
 // ignore directive with a reason is the documented escape hatch.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Tier: 3,
 	Doc: "lock acquisition order must be acyclic across the program: holding " +
 		"L while (transitively) acquiring M orders L before M, and a cycle " +
 		"is a potential deadlock",

@@ -7,17 +7,14 @@ import (
 	"strings"
 )
 
-// lockTable is the program's fact table: every mutex acquisition, call,
-// blocking operation and struct-field access, each with the locks held at
-// that point. BuildProgram fills it with one flow walk over every declaration
-// (locks are named by lockKeyOf, arms join by intersection), and everything
-// else is read off it: the call graph's edges, the direct summary facts (the
-// same walk records them into Program.summary), the lock analyzers' inputs,
-// and timerstop's field stops.
+// lockTable is the program's fact table: every mutex acquisition, call and
+// struct-field access, each with the locks held at that point. BuildProgram
+// fills it with one flow walk over every declaration (locks are named by
+// lockKeyOf, arms join by intersection), and everything else is read off it:
+// the call graph's edges and the lock analyzers' inputs.
 type lockTable struct {
 	acquires []lockAcquire
 	calls    []lockCall
-	blocks   []lockBlock
 	// fields holds each program-declared struct field's accesses, order the
 	// fields in first-seen order (for determinism).
 	fields map[types.Object]*guardFieldState
@@ -63,13 +60,6 @@ type lockCall struct {
 	spawn bool
 }
 
-// lockBlock is one operation that can block on communication, recorded only
-// while a lock is held. msg has one %s for the most recently acquired lock.
-type lockBlock struct {
-	lockSite
-	msg string
-}
-
 // guardFieldState accumulates one field's accesses plus its rendered name.
 type guardFieldState struct {
 	name     string
@@ -83,21 +73,7 @@ type guardAccess struct {
 	// ctor: the access goes through a value still inside its constructor,
 	// which guard inference skips.
 	ctor bool
-	use  fieldUse
 }
-
-// fieldUse is what an access does with the field's value, by the expression
-// directly around it.
-type fieldUse uint8
-
-const (
-	// useHandOff: the value goes onward (aliased, passed, returned, compared,
-	// address taken, another method called) to code that may stop it.
-	useHandOff fieldUse = iota
-	useStore            // an assignment target
-	useStop             // x.f.Stop
-	useTick             // x.f.C or x.f.Reset: used without being stopped
-)
 
 // buildTable runs the program's one fact walk.
 func (p *Program) buildTable() *lockTable {
@@ -113,7 +89,6 @@ func (p *Program) buildTable() *lockTable {
 		}
 		w.fn, w.info = fn, p.InfoOf[fn]
 		w.ctor = ctorLocals(fd.Body, w.info)
-		w.comm = map[ast.Stmt]bool{}
 		w.f.walkFunc(w.info, fd.Body)
 	}
 	return w.tab
@@ -128,9 +103,6 @@ type lockWalk struct {
 	fn   *types.Func
 	info *types.Info
 	ctor map[types.Object]bool
-	// comm holds the communication statements of the selects seen so far:
-	// their blocking is the select's, reported once at the select.
-	comm map[ast.Stmt]bool
 }
 
 func (w *lockWalk) empty() []heldLock { return nil }
@@ -152,49 +124,13 @@ func (w *lockWalk) join(arms [][]heldLock) []heldLock {
 	return out
 }
 
-func (w *lockWalk) lit(held []heldLock, _ *ast.FuncLit) []heldLock { return held }
-
-func (w *lockWalk) exit([]heldLock) {}
-
 func (w *lockWalk) site(pos token.Pos, held []heldLock) lockSite {
 	return lockSite{fn: w.fn, pos: pos, entry: !w.f.inLit, spawned: w.f.spawned, held: held}
 }
 
-func (w *lockWalk) block(pos token.Pos, held []heldLock, msg string) {
-	if len(held) > 0 {
-		w.tab.blocks = append(w.tab.blocks, lockBlock{lockSite: w.site(pos, held), msg: msg})
-	}
-}
-
 func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLock, bool) {
-	// A spawned goroutine blocks, polls and creates timers on its own stack.
-	if _, inGo := stackRoot(stack).(*ast.GoStmt); !inGo && !w.f.spawned {
-		w.directFacts(n)
-	}
 	parent := stackParent(stack)
 	switch n := n.(type) {
-	case *ast.SelectStmt:
-		for _, c := range n.Body.List {
-			if cc := c.(*ast.CommClause); cc.Comm != nil {
-				w.comm[cc.Comm] = true
-			}
-		}
-		if !selectHasDefault(n) {
-			w.block(n.Pos(), held, "blocking select while %s is held: every case waits on communication")
-		}
-	case *ast.RangeStmt:
-		if isChanType(w.info, n.X) {
-			w.block(n.Pos(), held, "blocking receive (range over channel) while %s is held")
-		}
-	case *ast.SendStmt:
-		if !w.comm[n] {
-			w.block(n.Pos(), held,
-				"channel send while %s is held: a blocked send under a lock is the deadlock shape partitions expose")
-		}
-	case *ast.UnaryExpr:
-		if root, _ := stackRoot(stack).(ast.Stmt); n.Op == token.ARROW && !w.comm[root] {
-			w.block(n.Pos(), held, "blocking channel receive while %s is held")
-		}
 	case *ast.CallExpr:
 		if key, text, acquire, ok := mutexCall(w.info, w.fn, n); ok {
 			// Only a Lock or Unlock statement changes the held set; a
@@ -210,10 +146,6 @@ func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLo
 		}
 		_, spawn := parent.(*ast.GoStmt)
 		_, deferred := parent.(*ast.DeferStmt)
-		if name, ok := fabricCall(w.info, n); ok && !spawn && !deferred {
-			w.block(n.Pos(), held, "fabric "+name+
-				" while %s is held: a blocked fabric operation under a lock is the deadlock shape partitions expose")
-		}
 		if callee := calleeFunc(w.info, n); callee != nil {
 			site := w.site(n.Pos(), held)
 			if spawn || deferred {
@@ -230,29 +162,6 @@ func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLo
 		}
 	}
 	return held, true
-}
-
-// directFacts records the summary facts n establishes for the function being
-// walked; a timer creation counts only where the function can hand the timer
-// back (see hasTimerResult).
-func (w *lockWalk) directFacts(n ast.Node) {
-	set := func(f summaryFact) {
-		if w.prog.summary[w.fn] == nil {
-			w.prog.summary[w.fn] = map[summaryFact]bool{}
-		}
-		w.prog.summary[w.fn][f] = true
-	}
-	if pollsCancelNode(n) {
-		set(factPolls)
-	}
-	if blocksNode(n) {
-		set(factBlocks)
-	}
-	if call, ok := n.(*ast.CallExpr); ok && hasTimerResult(w.fn) {
-		if _, _, creates := timerCreationCall(w.info, call); creates {
-			set(factTimerSource)
-		}
-	}
 }
 
 // valueRef marks a declared function named by id (through expr) as taken as
@@ -319,28 +228,7 @@ up:
 		lockSite: w.site(sel.Sel.Pos(), held),
 		write:    write,
 		ctor:     w.ctor[rootIdentObj(w.info, sel.X)],
-		use:      fieldUseOf(sel, stackParent(stack)),
 	})
-}
-
-// fieldUseOf classifies an access by the node directly around it.
-func fieldUseOf(sel *ast.SelectorExpr, parent ast.Node) fieldUse {
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		switch p.Sel.Name {
-		case "Stop":
-			return useStop
-		case "C", "Reset":
-			return useTick
-		}
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if lhs == sel {
-				return useStore
-			}
-		}
-	}
-	return useHandOff
 }
 
 // mutexCall classifies a call as a sync.Mutex/RWMutex Lock/RLock (acquire) or

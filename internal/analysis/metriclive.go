@@ -25,7 +25,6 @@ import (
 // the runtime summary is the surface that matters.
 var MetricLive = &Analyzer{
 	Name: "metriclive",
-	Tier: 3,
 	Doc: "metrics counters/gauges must be both incremented and surfaced: " +
 		"dead or write-only atomics are reported at their declaration",
 	Run: runMetricLive,

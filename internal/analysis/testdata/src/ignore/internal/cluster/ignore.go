@@ -6,25 +6,25 @@ package cluster
 
 import "time"
 
-// SettleSuppressed documents why its sleep is exempt.
-func SettleSuppressed() {
-	//khuzdulvet:ignore sleepban fixture exercising a documented suppression
-	time.Sleep(time.Millisecond)
+// ArmSuppressed documents why its discarded timer is exempt.
+func ArmSuppressed(f func()) {
+	//khuzdulvet:ignore timerstop fixture exercising a documented suppression
+	time.AfterFunc(time.Millisecond, f)
 }
 
-// SettleSuppressedInline carries the directive on the offending line.
-func SettleSuppressedInline() {
-	time.Sleep(time.Millisecond) //khuzdulvet:ignore sleepban same-line suppression form
+// ArmSuppressedInline carries the directive on the offending line.
+func ArmSuppressedInline(f func()) {
+	time.AfterFunc(time.Millisecond, f) //khuzdulvet:ignore timerstop same-line suppression form
 }
 
-// SettleMalformed names no reason, so the directive itself is a finding and
-// the sleep still fires.
-func SettleMalformed() {
-	//khuzdulvet:ignore sleepban
-	time.Sleep(time.Millisecond)
+// ArmMalformed names no reason, so the directive itself is a finding and
+// the timer still fires.
+func ArmMalformed(f func()) {
+	//khuzdulvet:ignore timerstop
+	time.AfterFunc(time.Millisecond, f)
 }
 
-// SettleBare has no directive at all.
-func SettleBare() {
-	time.Sleep(time.Millisecond)
+// ArmBare has no directive at all.
+func ArmBare(f func()) {
+	time.AfterFunc(time.Millisecond, f)
 }

@@ -5,14 +5,14 @@ package staleignore
 
 import "time"
 
-// LiveSuppression still contains the sleep its directive excuses.
-func LiveSuppression() {
-	//khuzdulvet:ignore sleepban fixture: a used suppression is not stale
-	time.Sleep(time.Millisecond)
+// LiveSuppression still contains the discarded timer its directive excuses.
+func LiveSuppression(f func()) {
+	//khuzdulvet:ignore timerstop fixture: a used suppression is not stale
+	time.AfterFunc(time.Millisecond, f)
 }
 
-// FixedSuppression lost the sleep its directive once excused; the directive
+// FixedSuppression lost the timer its directive once excused; the directive
 // is now stale and must be reported.
 func FixedSuppression() {
-	//khuzdulvet:ignore sleepban fixture: the excused sleep was removed
+	//khuzdulvet:ignore timerstop fixture: the excused timer was removed
 }

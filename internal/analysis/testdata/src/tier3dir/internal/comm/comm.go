@@ -1,18 +1,12 @@
-// Package comm is the tier-3 directive matrix fixture: hotpath/longrun roots
-// must not gate (or suppress) the tier-3 analyzers, a live ignore directive
-// must suppress exactly its finding, and stale ignores naming the tier-3
-// analyzers must be audited.
+// Package comm is the directive matrix fixture for lockorder, wirebound and
+// metriclive: hotpath roots must not gate (or suppress) them, a live ignore
+// directive must suppress exactly its finding, and stale ignores naming them
+// must be audited.
 package comm
 
 import (
 	"encoding/binary"
 	"sync"
-)
-
-const (
-	frameHello = 0x01
-	frameData  = 0x02
-	frameAck   = 0x03
 )
 
 type P struct{ mu sync.Mutex }
@@ -40,20 +34,6 @@ func lockQP() {
 	q.mu.Unlock()
 }
 
-// dispatch is a longrun root with a non-exhaustive frame switch: framecase
-// fires inside root-marked functions just the same.
-//
-//khuzdulvet:longrun tier3 matrix root
-func dispatch(t byte) int {
-	switch t {
-	case frameHello:
-		return 1
-	case frameData:
-		return 2
-	}
-	return 0
-}
-
 // decodeSuppressed carries a live wirebound suppression: the finding is
 // silenced and the directive is not stale.
 func decodeSuppressed(b []byte) []byte {
@@ -62,11 +42,10 @@ func decodeSuppressed(b []byte) []byte {
 	return make([]byte, n)
 }
 
-// fixedAll holds one stale ignore per comm-side tier-3 analyzer: the excused
+// fixedAll holds one stale ignore per comm-side analyzer of the matrix: the excused
 // findings no longer exist, so each directive is reported.
 func fixedAll() {
 	//khuzdulvet:ignore wirebound tier3 matrix: the decode was removed
 	//khuzdulvet:ignore lockorder tier3 matrix: the cycle was fixed
-	//khuzdulvet:ignore framecase tier3 matrix: the switch went exhaustive
 	_ = 0
 }

@@ -1,4 +1,4 @@
-// Package metrics is the metrics half of the tier-3 directive matrix: one
+// Package metrics is the metrics half of the directive matrix: one
 // dead gauge for metriclive plus one stale metriclive ignore.
 package metrics
 

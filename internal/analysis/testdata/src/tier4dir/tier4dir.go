@@ -1,7 +1,7 @@
-// Package tier4dir is the tier-4 directive matrix fixture: hotpath/longrun
-// roots must not gate (or suppress) the tier-4 analyzers, a live ignore
-// directive must suppress exactly its finding, and stale ignores naming the
-// tier-4 analyzers must be audited.
+// Package tier4dir is the directive matrix fixture for guardfield and
+// timerstop: hotpath roots must not gate (or suppress) them, a live ignore
+// directive must suppress exactly its finding, and stale ignores naming them
+// must be audited.
 package tier4dir
 
 import (
@@ -50,10 +50,10 @@ func hotPeek() int {
 	return r.n
 }
 
-// pump is a longrun root that leaks its ticker on the stop path: timerstop
-// fires inside root-marked functions just the same.
+// pump is a hotpath root whose ticker has no deferred Stop: timerstop fires
+// inside root-marked functions just the same.
 //
-//khuzdulvet:longrun tier4 matrix root
+//khuzdulvet:hotpath tier4 matrix root
 func pump(stop chan struct{}) {
 	t := time.NewTicker(time.Second)
 	for {
@@ -73,7 +73,7 @@ func schedule(f func()) {
 	time.AfterFunc(time.Second, f)
 }
 
-// fixedAll holds one stale ignore per tier-4 analyzer: the excused findings
+// fixedAll holds one stale ignore per analyzer of the matrix: the excused findings
 // no longer exist, so each directive is reported.
 func fixedAll() {
 	//khuzdulvet:ignore guardfield tier4 matrix: the access was locked

@@ -33,7 +33,6 @@ import (
 // charges the function that performs the decode.
 var WireBound = &Analyzer{
 	Name: "wirebound",
-	Tier: 3,
 	Doc: "wire-decoded integers must be clamped against a constant cap " +
 		"before sizing allocations, slice reservations, or loop bounds",
 	Run: runWireBound,
@@ -74,10 +73,6 @@ func (w *wireWalk) join(arms []taintSet) taintSet {
 	}
 	return out
 }
-
-func (w *wireWalk) lit(st taintSet, _ *ast.FuncLit) taintSet { return st }
-
-func (w *wireWalk) exit(taintSet) {}
 
 // node checks each statement's sinks against the taint before it and then
 // applies its assignments; an if or for condition is checked where the

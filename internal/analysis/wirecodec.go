@@ -17,7 +17,6 @@ import (
 // encoding/binary or hash/crc32 is a finding.
 var WireCodec = &Analyzer{
 	Name: "wirecodec",
-	Tier: 1,
 	Doc: "cross-node payloads must go through the canonical codecs in internal/comm; " +
 		"manual binary encoding elsewhere breaks byte accounting and CRC coverage",
 	Run: runWireCodec,

@@ -116,8 +116,6 @@ func (s *speculator) slotDone(slot int, err error) {
 // monitor samples progress each tick and speculates when idle survivors and
 // a straggler coexist. When the caller cancels it stops every engine of the
 // run and retires: nothing is worth speculating on any more.
-//
-//khuzdulvet:longrun monitor loop; must exit promptly on quit
 func (s *speculator) monitor() {
 	defer s.wg.Done()
 	t := time.NewTicker(specTick)

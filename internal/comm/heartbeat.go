@@ -96,8 +96,6 @@ func (d *Detector) Suspected(node int) bool {
 
 // runNode is one machine's heartbeat loop: ping every peer each interval,
 // with at most one outstanding ping per pair.
-//
-//khuzdulvet:longrun heartbeat loop; must exit promptly on stop
 func (d *Detector) runNode(node int) {
 	defer d.wg.Done()
 	t := time.NewTicker(d.cfg.Interval)

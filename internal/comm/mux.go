@@ -215,7 +215,6 @@ func (m *muxState) fail(cause error) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	//khuzdulvet:ignore cancelpoll deliver sends on cap-1 channels with a default case; it can never park
 	for _, id := range ids {
 		deliver(p[id], muxReply{err: err})
 	}

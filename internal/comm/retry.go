@@ -186,8 +186,8 @@ func (r *Resilient) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexI
 }
 
 // waitBackoff blocks for the pre-retry backoff d, or until the fabric
-// closes. A sleep here would strand Close for the whole backoff schedule —
-// this wait is exactly the sleepban invariant's motivating case.
+// closes. A sleep here would strand Close for the whole backoff schedule
+// (TestResilientCloseUnblocksBackoff).
 func (r *Resilient) waitBackoff(from, to int, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()

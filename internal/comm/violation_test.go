@@ -114,6 +114,63 @@ func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 	}
 }
 
+// TestMuxClientRejectsUnexpectedFrameType is the client-side mirror of
+// TestServeMuxRejectsUnexpectedFrameType: a handshaken peer that answers a
+// fetch with a declared frame type that has no place in a response (a PONG)
+// commits a protocol violation. The client's demux must fail the pending
+// fetch at once with ErrCorruptFrame, not skip the frame and leave the fetch
+// waiting out its timeout.
+func TestMuxClientRejectsUnexpectedFrameType(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		c, err := ln.Accept()
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		defer c.Close()
+		r, w := bufio.NewReader(c), bufio.NewWriter(c)
+		if err := acceptHello(c, r, w, 5*time.Second); err != nil {
+			t.Errorf("handshake: %v", err)
+			return
+		}
+		if typ, _, err := readFrame(r); err != nil || typ != frameMuxRequest {
+			t.Errorf("read request: frame %#02x, err %v", typ, err)
+			return
+		}
+		if err := writeFrame(w, framePong, nil, -1); err != nil || w.Flush() != nil {
+			t.Errorf("write pong: %v", err)
+			return
+		}
+		io.Copy(io.Discard, c) // hold the stream open until the client hangs up
+	}()
+
+	f, err := NewTCP(testServers(graph.Path(8), partition.NewAssignment(2, 1)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.addrs[1] = ln.Addr().String()
+	const timeout = 2 * time.Second
+	f.SetIOTimeout(timeout)
+	start := time.Now()
+	_, err = f.Fetch(0, 1, []graph.VertexID{1, 2})
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("fetch answered by a PONG: err %v after %v, want ErrCorruptFrame", err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed >= timeout {
+		t.Fatalf("fetch failed after %v, not before its %v timeout", elapsed, timeout)
+	}
+	<-peerDone
+}
+
 // TestDecodeQueryHealthSuspectCap: a health report announcing more suspects
 // than maxHealthSuspects is corrupt even when its length field is internally
 // consistent — the count must be clamped, not just cross-checked.

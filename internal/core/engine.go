@@ -275,8 +275,6 @@ func (e *Engine) checkCanceled() error {
 // that still write its chunks' lists — a stopped run does not wait for the
 // fetches in flight — so it returns nothing and leaves its memory to the
 // garbage collector.
-//
-//khuzdulvet:longrun whole-partition exploration; must observe Config.Stop
 func (e *Engine) Run() error {
 	e.workers = make([]*workerCtx, e.cfg.Threads)
 	for i := range e.workers {

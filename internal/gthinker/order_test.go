@@ -26,7 +26,7 @@ func (f *recordingFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.V
 func (f *recordingFabric) Ping(from, to int) error { return nil }
 func (f *recordingFabric) Close() error            { return nil }
 
-// TestFetchRemoteOwnerOrder pins the wire determinism maporder enforces:
+// TestFetchRemoteOwnerOrder pins the wire determinism of remote fetches:
 // fetchRemote must batch by owner in ascending owner order, not in Go's
 // randomized map iteration order. Against the old map-range implementation
 // a single trial passes with probability 1/7! — twenty-five trials make an

@@ -49,7 +49,6 @@ func settle(before int, patience time.Duration) string {
 			buf = buf[:runtime.Stack(buf, true)]
 			return fmt.Sprintf("goroutine leak: %d at test start, %d after settle window\n%s", before, n, buf)
 		}
-		//khuzdulvet:ignore sleepban settle polling between runtime.NumGoroutine samples has no channel to wait on
 		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -273,6 +273,71 @@ func TestServerDeadlineCap(t *testing.T) {
 	}
 }
 
+// TestReusedIDOutlivesFinishedDeadline: a query's deadline belongs to that
+// query alone. Once the query has finished, its deadline must not cancel a
+// later query that reuses its ID on the same connection — the server's
+// deadline timer has to be stopped when execute returns, not left to fire.
+func TestReusedIDOutlivesFinishedDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	_, srv := newTestServer(t, slowClusterConfig(t, "200ms"), Config{MaxConcurrent: 1, WorkerBudget: 1})
+	qc, err := comm.DialQuery(srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc.Close()
+	results := make(chan *comm.QueryResult, 4)
+	go func() {
+		for {
+			msg, err := qc.ReadMsg()
+			if err != nil {
+				return // the deferred Close ends the reader
+			}
+			if r, ok := msg.(*comm.QueryResult); ok {
+				results <- r
+			}
+		}
+	}()
+	result := func(what string) *comm.QueryResult {
+		t.Helper()
+		select {
+		case r := <-results:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no result for %s", what)
+			return nil
+		}
+	}
+
+	const id = 7
+	if err := qc.WriteSubmit(&comm.QuerySubmit{ID: id, Spec: "K4", Deadline: 300 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := qc.WriteCancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if r := result("the first query"); r.ID != id {
+		t.Fatalf("first result for query %d, want %d", r.ID, id)
+	}
+
+	// The same ID again, with no deadline: only its own cancel may end it.
+	// Uncanceled, K4 runs for seconds under this latency; the first query's
+	// deadline would fall inside the wait below.
+	if err := qc.WriteSubmit(&comm.QuerySubmit{ID: id, Spec: "K4"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-results:
+		t.Fatalf("reused ID ended early: status %d (%s); the finished query's deadline fired into it", r.Status, r.Detail)
+	case <-time.After(time.Second):
+	}
+	if err := qc.WriteCancel(id); err != nil {
+		t.Fatal(err)
+	}
+	if r := result("the reused ID"); r.Status != comm.QueryCanceled {
+		t.Fatalf("reused ID ended with status %d (%s), want QueryCanceled", r.Status, r.Detail)
+	}
+}
+
 // TestSequentialSubmitsAdmitted: a client that waits for each result before
 // submitting again is never refused at MaxConcurrent 1 — the admission token
 // is back in the window before the result frame reaches the client.

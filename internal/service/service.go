@@ -231,12 +231,12 @@ func (s *Server) drain(timeout time.Duration) error {
 	graceful := timeout > 0
 	if graceful {
 		t := time.NewTimer(timeout)
+		defer t.Stop()
 		select {
 		case <-finished:
 		case <-t.C:
 			graceful = false
 		}
-		t.Stop()
 	}
 	if !graceful {
 		// Hard-cancel the stragglers. Their runQuery goroutines observe the
@@ -265,8 +265,6 @@ func (s *Server) drain(timeout time.Duration) error {
 }
 
 // acceptLoop admits client connections until the listener closes.
-//
-//khuzdulvet:longrun
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -356,8 +354,6 @@ func (st *connState) cancelAll() {
 // reading submissions and cancels until the client disconnects. Disconnect
 // — deliberate or not — cancels every query the connection still has in
 // flight: results would have nowhere to go.
-//
-//khuzdulvet:longrun
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
