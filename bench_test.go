@@ -94,13 +94,6 @@ func BenchmarkFig18(b *testing.B) { runExperiment(b, "fig18", 0.4) }
 // BenchmarkFig19 regenerates Figure 19: network bandwidth utilization.
 func BenchmarkFig19(b *testing.B) { runExperiment(b, "fig19", 0.4) }
 
-// BenchmarkAblationPipeline measures the strict-vs-non-strict circulant
-// pipelining ablation (beyond the paper's exhibits; see DESIGN.md).
-func BenchmarkAblationPipeline(b *testing.B) { runExperiment(b, "ablation-pipeline", 0.4) }
-
-// BenchmarkAblationMiniBatch sweeps the mini-batch work-distribution unit.
-func BenchmarkAblationMiniBatch(b *testing.B) { runExperiment(b, "ablation-minibatch", 0.4) }
-
 // BenchmarkAblationOblivious measures the pattern-aware vs pattern-oblivious
 // enumeration gap (the paper's §1 motivation).
 func BenchmarkAblationOblivious(b *testing.B) { runExperiment(b, "ablation-oblivious", 0.3) }

@@ -58,7 +58,6 @@ func runMine() {
 	flag.StringVar(&cf.cachePol, "cache-policy", "static", "cache policy: static, fifo, lifo, lru, mru")
 	flag.UintVar(&cf.cacheDeg, "cache-threshold", 8, "static cache degree admission threshold")
 	flag.BoolVar(&cf.noHDS, "no-hds", false, "disable horizontal data sharing")
-	flag.IntVar(&cf.inflight, "inflight", 0, "multiplexed requests kept in flight per TCP peer connection (0 = default 16)")
 	flag.StringVar(&cf.faultProf, "fault-profile", "", "deterministic fault injection spec, e.g. seed=7,err=0.05,corrupt=0.01,drop=0.01,partition=0|1@500,slow=2:20,crash=2@500 (empty disables)")
 	flag.DurationVar(&cf.fetchTO, "fetch-timeout", 0, "per-fetch-attempt timeout; enables the resilience layer (0 = default 250ms when enabled)")
 	flag.IntVar(&cf.retries, "retries", 0, "retry budget per fetch; enables the resilience layer (0 = default 5 when enabled)")
@@ -340,12 +339,12 @@ func runHealth(args []string) {
 // resilience and cache-design flags are the mining run's alone, and serve
 // leaves them at their zero value.
 type clusterFlags struct {
-	nodes, sockets, threads, chunk, inflight, retries int
-	cacheFrac                                         float64
-	cacheDeg                                          uint
-	cachePol, faultProf                               string
-	fetchTO                                           time.Duration
-	noHDS, tcp, speculate                             bool
+	nodes, sockets, threads, chunk, retries int
+	cacheFrac                               float64
+	cacheDeg                                uint
+	cachePol, faultProf                     string
+	fetchTO                                 time.Duration
+	noHDS, tcp, speculate                   bool
 }
 
 // register defines the sizing flags on fs.
@@ -416,7 +415,6 @@ func validateFlags(app string, k, maxEdges int, f clusterFlags, drainTO, queryDe
 		CachePolicy:          pol,
 		CacheDegreeThreshold: uint32(f.cacheDeg),
 		DisableHDS:           f.noHDS,
-		InFlight:             f.inflight,
 		Fault:                prof,
 		FetchTimeout:         f.fetchTO,
 		FetchRetries:         f.retries,

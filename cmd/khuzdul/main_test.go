@@ -86,7 +86,6 @@ func TestValidateFlags(t *testing.T) {
 			}
 		}
 	})
-	t.Run("negative inflight", reject("tc", 4, 3, with(func(f *clusterFlags) { f.inflight = -1 }), 0, 0, "InFlight"))
 	t.Run("negative timeout", bad(8, 1, 2, 0, -time.Second, "", "FetchTimeout"))
 	t.Run("serve durations ok", accept("tc", 4, 3, def, 10*time.Second, time.Minute))
 	t.Run("zero drain timeout ok", accept("tc", 4, 3, def, 0, 0))

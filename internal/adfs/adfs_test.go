@@ -45,21 +45,27 @@ func TestLabeledCount(t *testing.T) {
 
 func TestTrafficDominatedByCarriedLists(t *testing.T) {
 	// The defining property of moving-computation-to-data: traffic includes
-	// whole edge lists travelling with embeddings, so on a multi-node skewed
-	// graph it must vastly exceed the embedding volume alone.
-	g := graph.RMATDefault(300, 2400, 89)
-	res, err := Count(g, pattern.Triangle(), Config{NumNodes: 4, ThreadsPerNode: 2})
+	// whole edge lists travelling with embeddings. On two nodes, vertices 0,
+	// 1 and 3 live on node 0 and 2 and 4 on node 1. The graph has edges 01
+	// 02 03 12 23 24 34 (degrees 3 2 4 3 2) and three triangles. The
+	// triangle plan extends v0 by v1 < v0 in N(v0), ships (v0, v1) to v1's
+	// owner, and there intersects N(v0) ∩ N(v1), so a shipped task carries
+	// N(v0) whenever v0 lives elsewhere. A task costs 4 bytes per vertex
+	// plus a 4-byte count (12), and a carried list 4 bytes per neighbor plus
+	// its own 4-byte count. The four cross-node tasks:
+	//   (2,0) node 1→0: 12 + 4 + 4·|N(2)|=16 → 32
+	//   (2,1) node 1→0: 12 + 4 + 16         → 32
+	//   (3,2) node 0→1: 12 + 4 + 4·|N(3)|=12 → 28
+	//   (4,3) node 1→0: 12 + 4 + 4·|N(4)|=8  → 24
+	// 116 bytes in all, 68 of them carried lists against 48 of embeddings.
+	// (1,0), (3,0) and (4,2) stay on their node and cost nothing.
+	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 2, V: 4}, {U: 3, V: 4}})
+	res, err := Count(g, pattern.Triangle(), Config{NumNodes: 2, ThreadsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.BytesSent == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	// Lower bound: one triangle's embedding is 12 bytes; carried lists push
-	// per-hop cost far beyond that. Require traffic > 16 bytes per match as
-	// a loose sanity check on the accounting.
-	if res.Summary.BytesSent < 16*res.Count {
-		t.Fatalf("traffic %d suspiciously low for %d matches", res.Summary.BytesSent, res.Count)
+	if res.Count != 3 || res.Summary.BytesSent != 116 {
+		t.Fatalf("%d triangles over %d bytes, want 3 over 116", res.Count, res.Summary.BytesSent)
 	}
 }
 

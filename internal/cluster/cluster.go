@@ -82,15 +82,6 @@ type Config struct {
 	SharedCache bool
 	// Transport selects the fabric.
 	Transport Transport
-	// InFlight bounds how many multiplexed requests the TCP fabric keeps
-	// outstanding per connection (0 = the fabric default). Ignored by the
-	// chan transport.
-	InFlight int
-	// MiniBatch passes through to the engine.
-	MiniBatch int
-	// StrictPipeline disables the engine's fire-all-fetches-at-seal
-	// overlapping (ablation of the paper's §4.3 design choice).
-	StrictPipeline bool
 	// SequentialNodes runs the simulated machines one after another instead
 	// of concurrently. Edge-list serving is passive (executed in the
 	// requester's context), so results are identical; per-machine busy-time
@@ -164,8 +155,7 @@ func (c Config) Validate() error {
 		n    int
 	}{
 		{"NumNodes", c.NumNodes}, {"Sockets", c.Sockets}, {"ThreadsPerSocket", c.ThreadsPerSocket},
-		{"ChunkSize", c.ChunkSize}, {"InFlight", c.InFlight}, {"MiniBatch", c.MiniBatch},
-		{"FetchRetries", c.FetchRetries},
+		{"ChunkSize", c.ChunkSize}, {"FetchRetries", c.FetchRetries},
 	} {
 		if f.n < 0 {
 			return fmt.Errorf("%w: %s must not be negative, got %d", ErrInvalidConfig, f.name, f.n)
@@ -305,9 +295,6 @@ func (c *Cluster) buildFabric(servers []comm.Server) error {
 			// Bound every socket operation by the fetch deadline so a hung
 			// peer releases the connection promptly.
 			t.SetIOTimeout(c.cfg.FetchTimeout)
-		}
-		if c.cfg.InFlight > 0 {
-			t.SetInFlight(c.cfg.InFlight)
 		}
 		t.SetWireFaults(wire)
 		fabric = t

@@ -290,8 +290,6 @@ func TestConfigValidate(t *testing.T) {
 		"negative sockets":    {Config{Sockets: -1}, "Sockets"},
 		"negative threads":    {Config{ThreadsPerSocket: -1}, "ThreadsPerSocket"},
 		"negative chunk":      {Config{ChunkSize: -8}, "ChunkSize"},
-		"negative inflight":   {Config{InFlight: -1}, "InFlight"},
-		"negative minibatch":  {Config{MiniBatch: -1}, "MiniBatch"},
 		"negative retries":    {Config{FetchRetries: -1}, "FetchRetries"},
 		"negative timeout":    {Config{FetchTimeout: -time.Millisecond}, "FetchTimeout"},
 		"negative backoff":    {Config{RetryBackoff: -time.Millisecond}, "RetryBackoff"},
@@ -322,7 +320,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, cfg := range []Config{{}, {
 		NumNodes: 8, Sockets: 2, ThreadsPerSocket: 4, ChunkSize: 64, CacheFraction: 1,
-		CachePolicy: cache.MRU, Transport: TransportTCP, InFlight: 1, MiniBatch: 4,
+		CachePolicy: cache.MRU, Transport: TransportTCP,
 		FetchTimeout: time.Second, FetchRetries: 3, RetryBackoff: time.Millisecond,
 		Fault: &fault.Profile{
 			ErrorRate: 1, CorruptRate: 0.5, MaxLatency: time.Millisecond,

@@ -85,14 +85,12 @@ type task struct {
 func (r *run) engine(t task) *core.Engine {
 	c := r.c
 	cfg := core.Config{
-		ChunkSize:      c.cfg.ChunkSize,
-		Threads:        r.threads,
-		MiniBatch:      c.cfg.MiniBatch,
-		HDS:            !c.cfg.DisableHDS,
-		StrictPipeline: c.cfg.StrictPipeline,
-		Cache:          t.cache,
-		Metrics:        c.met.Nodes[t.node],
-		Stop:           t.stop,
+		ChunkSize: c.cfg.ChunkSize,
+		Threads:   r.threads,
+		HDS:       !c.cfg.DisableHDS,
+		Cache:     t.cache,
+		Metrics:   c.met.Nodes[t.node],
+		Stop:      t.stop,
 	}
 	if t.socket == wholeMachine {
 		cfg.Threads *= c.cfg.Sockets

@@ -116,7 +116,7 @@ func BenchmarkTCPFetchPipelined(b *testing.B) {
 func BenchmarkTCPFetchWindow1(b *testing.B) {
 	f, ids := benchFabric(b)
 	defer f.Close()
-	f.SetInFlight(1)
+	f.window = 1
 	runFetchers(b, f, ids, 8)
 }
 

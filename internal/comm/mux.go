@@ -61,13 +61,12 @@ type muxReply struct {
 }
 
 func newMuxState(t *TCP, key connKey, conn *tcpConn) *muxState {
-	win := int(t.inflight.Load())
 	return &muxState{
 		t:       t,
 		key:     key,
 		conn:    conn,
-		window:  make(chan struct{}, win),
-		sendq:   make(chan muxReq, win),
+		window:  make(chan struct{}, t.window),
+		sendq:   make(chan muxReq, t.window),
 		pending: make(map[uint32]chan muxReply),
 		stop:    make(chan struct{}),
 	}

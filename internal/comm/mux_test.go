@@ -51,7 +51,7 @@ func runOverlap(t *testing.T, window int, wait time.Duration) []bool {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetInFlight(window)
+	f.window = window
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -98,8 +98,8 @@ func TestSerialFetchesDoNotOverlap(t *testing.T) {
 	}
 }
 
-// TestMuxInFlightWindowBound proves the window is a real bound: with
-// SetInFlight(2), sixteen concurrent fetchers never put more than two requests
+// TestMuxInFlightWindowBound proves the window is a real bound: with a
+// window of 2, sixteen concurrent fetchers never put more than two requests
 // on the server at once, and the in-flight peak gauge agrees.
 func TestMuxInFlightWindowBound(t *testing.T) {
 	leakcheck.Check(t)
@@ -123,7 +123,7 @@ func TestMuxInFlightWindowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetInFlight(window)
+	f.window = window
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

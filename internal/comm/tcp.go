@@ -19,10 +19,10 @@ import (
 const DefaultIOTimeout = 30 * time.Second
 
 // DefaultInFlight bounds how many multiplexed requests may be outstanding
-// per connection. SetInFlight overrides it; a window of 1 is the serial
-// exchange — one request/response pair at a time — on the same protocol.
-// The window also sizes the server's response queue, so it doubles as the
-// transport's memory bound per connection.
+// per connection. The window also sizes the server's response queue, so it
+// doubles as the transport's memory bound per connection. The benchmark's
+// TCP workloads never fill it: their in-flight peak is 7 or less
+// (EXPERIMENTS.md).
 const DefaultInFlight = 16
 
 // maxFrameEntries bounds the u32 count prefixes of the wire format. A
@@ -46,7 +46,10 @@ type TCP struct {
 	listeners []net.Listener
 	addrs     []string
 	ioTimeout atomic.Int64 // nanoseconds; read by server goroutines
-	inflight  atomic.Int64 // per-connection mux window
+	// window is the per-connection mux window, DefaultInFlight. A connection
+	// takes it when dialed; tests narrow it before any traffic, and a window
+	// of 1 is the serial exchange on the same protocol.
+	window int
 
 	// wireFaults, when set, injects byte-level corruption and mid-exchange
 	// connection drops (fault-injection hook; nil costs one comparison).
@@ -95,9 +98,9 @@ func NewTCP(servers []Server, m *metrics.Cluster) (*TCP, error) {
 		dialed:   map[connKey]bool{},
 		accepted: map[net.Conn]struct{}{},
 		closed:   make(chan struct{}),
+		window:   DefaultInFlight,
 	}
 	t.ioTimeout.Store(int64(DefaultIOTimeout))
-	t.inflight.Store(DefaultInFlight)
 	for node := range servers {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -131,15 +134,6 @@ func (t *TCP) SetIOTimeout(d time.Duration) { t.ioTimeout.Store(int64(d)) }
 // SetWireFaults installs the byte-level fault hooks (fault injection). Call
 // before sharing the fabric across goroutines.
 func (t *TCP) SetWireFaults(wf WireFaults) { t.wireFaults = wf }
-
-// SetInFlight bounds how many multiplexed requests may be outstanding per
-// connection (default DefaultInFlight). The window is snapshotted when a
-// connection is dialed, so set it before traffic starts.
-func (t *TCP) SetInFlight(n int) {
-	if n > 0 {
-		t.inflight.Store(int64(n))
-	}
-}
 
 // timeout returns the fabric's per-operation socket deadline (0 = none).
 func (t *TCP) timeout() time.Duration { return time.Duration(t.ioTimeout.Load()) }

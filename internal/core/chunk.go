@@ -75,9 +75,6 @@ type fetchBatch struct {
 	next  int // extension progress: idxs[:next] already extended
 	ready chan struct{}
 	err   error
-	// lazyFetch, when set (strict pipelining), is the batch's fetch, which
-	// waitBatch starts the first time the extender waits on the batch.
-	lazyFetch func()
 }
 
 // closedReady is the ready channel of every batch that needs no
@@ -124,7 +121,7 @@ func (c *chunk) reset(level, capacity int) {
 	c.inter = c.inter[:0]
 	c.hasLists, c.hasInter = false, false
 	for _, b := range c.batches {
-		b.err, b.lazyFetch = nil, nil
+		b.err = nil
 	}
 	c.batches = c.batchStore[:0]
 	c.size.Store(0)

@@ -34,7 +34,6 @@ func TestChunkAppendAndReset(t *testing.T) {
 	c.lists[2] = inter
 	c.allIdxs()
 	c.batches[0].err = errTest
-	c.batches[0].lazyFetch = func() {}
 
 	// The same chunk serves another level at another capacity, and nothing
 	// of the first use is reachable from it.
@@ -45,8 +44,8 @@ func TestChunkAppendAndReset(t *testing.T) {
 	if len(c.batches) != 0 || c.hasLists || c.hasInter {
 		t.Fatal("reset kept batches or column flags")
 	}
-	if b := c.batchStore[0]; b.err != nil || b.lazyFetch != nil {
-		t.Fatal("reset left a retired batch holding an error or a closure")
+	if b := c.batchStore[0]; b.err != nil {
+		t.Fatal("reset left a retired batch holding an error")
 	}
 	for _, col := range [][][]graph.VertexID{c.lists[:cap(c.lists)], c.inter[:cap(c.inter)]} {
 		for i, l := range col {
@@ -151,15 +150,15 @@ func TestHashVertexSpreads(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.ChunkSize <= 0 || cfg.Threads <= 0 || cfg.MiniBatch <= 0 {
+	if cfg.ChunkSize <= 0 || cfg.Threads <= 0 || cfg.miniBatch != miniBatch {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Metrics == nil {
 		t.Fatal("nil metrics after defaults")
 	}
 	// Explicit values survive.
-	cfg2 := Config{ChunkSize: 7, Threads: 3, MiniBatch: 5}.withDefaults()
-	if cfg2.ChunkSize != 7 || cfg2.Threads != 3 || cfg2.MiniBatch != 5 {
+	cfg2 := Config{ChunkSize: 7, Threads: 3, miniBatch: 5}.withDefaults()
+	if cfg2.ChunkSize != 7 || cfg2.Threads != 3 || cfg2.miniBatch != 5 {
 		t.Fatalf("explicit config overridden: %+v", cfg2)
 	}
 }

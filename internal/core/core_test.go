@@ -384,41 +384,41 @@ func (s *blockedSource) Fetch(owner int, ids []graph.VertexID) ([][]graph.Vertex
 }
 
 // TestEngineStopAbandonsBlockedFetch: a stop raised while the engine waits
-// for a fetch that never answers must end Run at once, under both pipeline
-// schedules — the engine, not the fabric, owns the wait. An engine that only
-// polls its stop at boundaries stays parked until the fetch is released.
+// for a fetch that never answers must end Run at once — the engine, not the
+// fabric, owns the wait. An engine that only polls its stop at boundaries
+// stays parked until the fetch is released. The subtest keeps the name of
+// the one fetch schedule left, the non-strict one that fires a batch's
+// fetch when its chunk is sealed.
 func TestEngineStopAbandonsBlockedFetch(t *testing.T) {
 	g := graph.RMATDefault(150, 900, 61)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
 	local := partition.NewLocal(g, partition.NewAssignment(2, 1), 0)
-	for _, strict := range []bool{false, true} {
-		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
-			leakcheck.Check(t)
-			src := &blockedSource{testSource: &testSource{local: local},
-				fetching: make(chan struct{}), release: make(chan struct{})}
-			t.Cleanup(func() { close(src.release) })
-			stop := make(chan struct{})
-			eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{},
-				core.Config{Threads: 2, StrictPipeline: strict, HDS: true, Stop: stop})
-			done := make(chan error, 1)
-			go func() { done <- eng.Run() }()
-			<-src.fetching
-			time.Sleep(20 * time.Millisecond) // let the engine park in its wait
-			close(stop)
-			stopped := time.Now()
-			select {
-			case err := <-done:
-				if !errors.Is(err, core.ErrCanceled) {
-					t.Fatalf("Run = %v, want ErrCanceled", err)
-				}
-				if took := time.Since(stopped); took > 250*time.Millisecond {
-					t.Fatalf("Run returned %v after the stop, want under 250ms", took)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("Run still waiting for its fetch 5s after the stop")
+	t.Run("strict=false", func(t *testing.T) {
+		leakcheck.Check(t)
+		src := &blockedSource{testSource: &testSource{local: local},
+			fetching: make(chan struct{}), release: make(chan struct{})}
+		t.Cleanup(func() { close(src.release) })
+		stop := make(chan struct{})
+		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{},
+			core.Config{Threads: 2, HDS: true, Stop: stop})
+		done := make(chan error, 1)
+		go func() { done <- eng.Run() }()
+		<-src.fetching
+		time.Sleep(20 * time.Millisecond) // let the engine park in its wait
+		close(stop)
+		stopped := time.Now()
+		select {
+		case err := <-done:
+			if !errors.Is(err, core.ErrCanceled) {
+				t.Fatalf("Run = %v, want ErrCanceled", err)
 			}
-		})
-	}
+			if took := time.Since(stopped); took > 250*time.Millisecond {
+				t.Fatalf("Run returned %v after the stop, want under 250ms", took)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Run still waiting for its fetch 5s after the stop")
+		}
+	})
 }
 
 func TestEngineLabeledPattern(t *testing.T) {
@@ -464,19 +464,6 @@ func TestEngineVCSOffStillCorrect(t *testing.T) {
 		if got != want {
 			t.Errorf("VCS disable=%v: got %d, want %d", disable, got, want)
 		}
-	}
-}
-
-func TestEngineStrictPipelineCorrect(t *testing.T) {
-	g := graph.RMATDefault(150, 900, 61)
-	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
-	want := plan.CountGraph(pl, g)
-	got, met := runCluster(t, g, pl, 4, core.Config{Threads: 2, StrictPipeline: true, HDS: true})
-	if got != want {
-		t.Fatalf("strict pipeline: %d, want %d", got, want)
-	}
-	if met.Summarize().BytesSent == 0 {
-		t.Fatal("no traffic under strict pipelining")
 	}
 }
 

@@ -437,7 +437,7 @@ func twoHubRMAT() *graph.Graph {
 // in each of its forms — the triangle's R1 ∩ N(v1) with vertical computation
 // sharing and its N(v0) ∩ N(v1) without, and the induced wedge's R1 \ N(v1)
 // — in both restriction directions, and across what splits one parent's
-// children into several runs: ChunkSize 8, MiniBatch 1, three workers, and
+// children into several runs: ChunkSize 8, mini-batches of 1, three workers, and
 // four nodes, whose circulant batches group children by owner. The induced
 // wedge without VCS probes nothing and is the control. The materializing run
 // never probes, a count-only run probes only on a probed level, and each
@@ -486,7 +486,7 @@ func TestDifferentialProbeLevels(t *testing.T) {
 					for _, threads := range in.grid.threads {
 						for _, chunk := range in.grid.chunks {
 							for _, mini := range in.grid.minis {
-								cfg := core.Config{Threads: threads, ChunkSize: chunk, MiniBatch: mini, HDS: true}
+								cfg := core.WithMiniBatch(core.Config{Threads: threads, ChunkSize: chunk, HDS: true}, mini)
 								counted, cm := runClusterSink(t, in.g, pl, nodes, cfg, sinkCount)
 								built, bm := runClusterSink(t, in.g, pl, nodes, cfg, sinkBuild)
 								run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d mini=%d", name, nodes, threads, chunk, mini)
@@ -547,7 +547,7 @@ func spreadIDs(g *graph.Graph) *graph.Graph {
 // level's label and must be dropped from the shared set. Each plan runs with
 // symmetry breaking on and off, with vertical computation sharing on and off,
 // in both styles, and across what splits one parent's children into several
-// runs — ChunkSize 8, MiniBatch 1, three workers, four nodes — under a
+// runs — ChunkSize 8, mini-batches of 1, three workers, four nodes — under a
 // count-only and a materializing sink. The engines' label oracle counts its
 // calls: a plan with a filtered level must call it fewer times than the
 // executor, which lends no run storage and so tests each child's candidates.
@@ -614,7 +614,7 @@ func TestDifferentialFilterOnce(t *testing.T) {
 							for _, chunk := range []int{8, 0} {
 								for _, mini := range []int{1, 0} {
 									for _, mode := range []sinkMode{sinkCount, sinkBuild} {
-										cfg := core.Config{Threads: threads, ChunkSize: chunk, MiniBatch: mini, HDS: true}
+										cfg := core.WithMiniBatch(core.Config{Threads: threads, ChunkSize: chunk, HDS: true}, mini)
 										run := fmt.Sprintf("%s nodes=%d threads=%d chunk=%d mini=%d sink=%d", name, nodes, threads, chunk, mini, mode)
 										calls.Store(0)
 										got, _ := runClusterLabels(t, g, pl, counting, nodes, cfg, mode)

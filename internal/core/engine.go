@@ -24,16 +24,8 @@ type Config struct {
 	// Threads is the number of compute workers (paper §6 uses a 3:1
 	// compute:communication ratio; communication here is goroutines).
 	Threads int
-	// MiniBatch is the work-distribution unit in embeddings (paper: 64).
-	MiniBatch int
 	// HDS enables horizontal data sharing within a chunk (§5.2).
 	HDS bool
-	// StrictPipeline makes each circulant batch's fetch start only when the
-	// extender reaches that batch, instead of firing all fetches at chunk
-	// seal time. The paper explicitly rejects strict pipelining ("the
-	// computation does not stall communication", §4.3); this knob exists to
-	// measure what that choice buys (ablation experiment).
-	StrictPipeline bool
 	// Cache is the edge-list cache consulted before remote fetches; nil
 	// disables caching (§5.3, Figure 16/17 ablations).
 	Cache cache.Cache
@@ -54,7 +46,16 @@ type Config struct {
 	// committed before the stop have fully reached the sink — the clean
 	// prefix straggler speculation reconciles counts on. Nil never stops.
 	Stop <-chan struct{}
+
+	// miniBatch is the work-distribution unit in embeddings; 0 selects the
+	// constant miniBatch. Only tests set it, to split one parent's children
+	// across workers.
+	miniBatch int
 }
+
+// miniBatch is the work-distribution unit in embeddings (paper §6: 64).
+// Units of 16, 64 and 256 measured as a tie, 4 slower (EXPERIMENTS.md).
+const miniBatch = 64
 
 func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
@@ -63,8 +64,8 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.MiniBatch <= 0 {
-		c.MiniBatch = 64
+	if c.miniBatch <= 0 {
+		c.miniBatch = miniBatch
 	}
 	if c.Metrics == nil {
 		c.Metrics = &metrics.Node{}
@@ -434,7 +435,7 @@ func (e *Engine) processDense(ch *chunk) error {
 // between parents.
 func (e *Engine) denseRound(ch *chunk) error {
 	runs := len(ch.runs) - 1
-	mini := e.cfg.MiniBatch
+	mini := e.cfg.miniBatch
 	nWorkers := min((runs+mini-1)/mini, e.cfg.Threads)
 	var cursor atomic.Int64
 	var canceled atomic.Bool
@@ -489,15 +490,9 @@ func (e *Engine) buildRow(w *workerCtx, ch *chunk, idx int32) {
 }
 
 // waitBatch blocks until a batch's communication completes or Config.Stop
-// closes, accounting the wait as network time. Under strict pipelining the
-// batch's fetch starts here, the first time the batch is waited on. A stopped
-// engine leaves the fetch running; Run then hands nothing it wrote to the
-// pools.
+// closes, accounting the wait as network time. A stopped engine leaves the
+// fetch running; Run then hands nothing it wrote to the pools.
 func (e *Engine) waitBatch(b *fetchBatch) error {
-	if f := b.lazyFetch; f != nil {
-		b.lazyFetch = nil
-		go f()
-	}
 	select {
 	case <-b.ready:
 		return b.err
@@ -522,7 +517,7 @@ func (e *Engine) extendRound(ch *chunk, b *fetchBatch, next *chunk, final bool) 
 	if len(rem) == 0 {
 		return
 	}
-	mini := e.cfg.MiniBatch
+	mini := e.cfg.miniBatch
 	nWorkers := (len(rem) + mini - 1) / mini
 	if nWorkers > e.cfg.Threads {
 		nWorkers = e.cfg.Threads

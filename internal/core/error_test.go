@@ -50,17 +50,14 @@ func TestEngineSurfacesFetchErrors(t *testing.T) {
 	g := graph.RMATDefault(100, 600, 77)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi})
 	wantErr := errors.New("fabric down")
-	for _, strict := range []bool{false, true} {
-		src := &failingSource{g: g, err: wantErr}
-		eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{},
-			core.Config{Threads: 2, StrictPipeline: strict})
-		err := eng.Run()
-		if err == nil {
-			t.Fatalf("strict=%v: engine swallowed the fetch error", strict)
-		}
-		if !errors.Is(err, wantErr) && !strings.Contains(err.Error(), "fabric down") {
-			t.Fatalf("strict=%v: unexpected error %v", strict, err)
-		}
+	src := &failingSource{g: g, err: wantErr}
+	eng := core.NewEngine(core.NewPlanExtender(pl, nil), src, &core.CountSink{}, core.Config{Threads: 2})
+	err := eng.Run()
+	if err == nil {
+		t.Fatal("engine swallowed the fetch error")
+	}
+	if !errors.Is(err, wantErr) && !strings.Contains(err.Error(), "fabric down") {
+		t.Fatalf("unexpected error %v", err)
 	}
 }
 

@@ -2,11 +2,18 @@ package core
 
 import "fmt"
 
+// WithMiniBatch returns c with its work-distribution unit set to n
+// embeddings, so a test can split one parent's children across workers.
+func WithMiniBatch(c Config, n int) Config {
+	c.miniBatch = n
+	return c
+}
+
 // InspectChunkPool draws up to n chunks out of the process-wide pool (they are
 // not put back) and reports how many of them had served a run before, and for
 // each that is not fit for reuse what is wrong with it: an entry of a
 // pointer-bearing column still set anywhere in its capacity, a batch still
-// open, or a retired batch holding an error or a closure.
+// open, or a retired batch holding an error.
 func InspectChunkPool(n int) (recycled int, dirty []string) {
 	for i := 0; i < n; i++ {
 		c := chunkPool.Get().(*chunk)
@@ -32,8 +39,8 @@ func InspectChunkPool(n int) (recycled int, dirty []string) {
 			dirty = append(dirty, fmt.Sprintf("chunk %d: %d batches open", i, len(c.batches)))
 		}
 		for j, b := range c.batchStore {
-			if b.err != nil || b.lazyFetch != nil {
-				dirty = append(dirty, fmt.Sprintf("chunk %d: retired batch %d holds an error or a closure", i, j))
+			if b.err != nil {
+				dirty = append(dirty, fmt.Sprintf("chunk %d: retired batch %d holds an error", i, j))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func TestBoundedMemoryClaim(t *testing.T) {
 
 	const chunkSize = 128
 	threads := 2
-	cfg := core.Config{ChunkSize: chunkSize, Threads: threads, MiniBatch: 16}
+	cfg := core.WithMiniBatch(core.Config{ChunkSize: chunkSize, Threads: threads}, 16)
 	_, metSmall := runCluster(t, g, pl, 1, cfg)
 	peakSmall := metSmall.Summarize().PeakEmbeddings
 	if peakSmall == 0 {
@@ -78,7 +78,7 @@ func TestDenseRowsBounded(t *testing.T) {
 
 	const chunkSize, threads, mini = 8, 2, 4
 	maxdeg := int(g.MaxDegree())
-	peak, rows := run(core.Config{ChunkSize: chunkSize, Threads: threads, MiniBatch: mini})
+	peak, rows := run(core.WithMiniBatch(core.Config{ChunkSize: chunkSize, Threads: threads}, mini))
 	if bound := uint64(pl.K*chunkSize + threads*mini*maxdeg); peak > bound {
 		t.Errorf("peak %d embeddings exceeds the BFS-DFS bound %d", peak, bound)
 	}

@@ -186,11 +186,7 @@ func (e *Engine) prepare(ch *chunk) {
 		b := ch.newBatch(make(chan struct{}))
 		b.idxs = append(b.idxs, g.fetchIdxs...)
 		b.idxs = append(b.idxs, g.aliasTo...)
-		if e.cfg.StrictPipeline {
-			b.lazyFetch = func() { e.runFetch(ch, b, g) }
-		} else {
-			go e.runFetch(ch, b, g)
-		}
+		go e.runFetch(ch, b, g)
 	}
 }
 

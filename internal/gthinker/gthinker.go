@@ -40,10 +40,6 @@ type Config struct {
 	CacheBytes uint64
 	// Induced selects induced (motif) matching semantics.
 	Induced bool
-	// Sequential runs the simulated machines one after another so that
-	// per-machine busy times (and hence ModeledElapsed) stay accurate on
-	// hosts with fewer cores than simulated workers.
-	Sequential bool
 }
 
 // Result reports one run.
@@ -95,24 +91,14 @@ func Count(g *graph.Graph, pat *pattern.Pattern, cfg Config) (Result, error) {
 	fabric := comm.NewLocal(servers, met)
 	defer fabric.Close()
 
+	// The simulated machines run one after another, so per-machine busy
+	// times (and hence ModeledElapsed) stay accurate on hosts with fewer
+	// cores than simulated workers. Edge-list serving is passive, so the
+	// count is the same as under concurrent machines.
 	start := time.Now()
-	var total atomic.Uint64
-	if cfg.Sequential {
-		for node := 0; node < cfg.NumNodes; node++ {
-			n := newNode(locals[node], fabric, met.Nodes[node], cfg, pl)
-			total.Add(n.run())
-		}
-	} else {
-		var wg sync.WaitGroup
-		for node := 0; node < cfg.NumNodes; node++ {
-			wg.Add(1)
-			go func(node int) {
-				defer wg.Done()
-				n := newNode(locals[node], fabric, met.Nodes[node], cfg, pl)
-				total.Add(n.run())
-			}(node)
-		}
-		wg.Wait()
+	var total uint64
+	for node := 0; node < cfg.NumNodes; node++ {
+		total += newNode(locals[node], fabric, met.Nodes[node], cfg, pl).run()
 	}
 	var modeled time.Duration
 	for _, n := range met.Nodes {
@@ -122,7 +108,7 @@ func Count(g *graph.Graph, pat *pattern.Pattern, cfg Config) (Result, error) {
 		}
 	}
 	return Result{
-		Count:          total.Load(),
+		Count:          total,
 		Elapsed:        time.Since(start),
 		ModeledElapsed: modeled,
 		Summary:        met.Summarize(),

@@ -49,18 +49,18 @@ func TestOverheadMetricsRecorded(t *testing.T) {
 	}
 }
 
+// TestSequentialModeIdentical: machines that run one after another, each
+// fetching from peers that are not running, count what brute force counts,
+// and the modeled makespan is read from their busy clocks.
 func TestSequentialModeIdentical(t *testing.T) {
 	g := graph.RMATDefault(120, 600, 701)
-	conc, err := Count(g, pattern.Triangle(), Config{NumNodes: 3, ThreadsPerNode: 2, CacheBytes: 1 << 16})
+	want := plan.BruteForceCount(g, pattern.Triangle(), false)
+	seq, err := Count(g, pattern.Triangle(), Config{NumNodes: 3, ThreadsPerNode: 2, CacheBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Count(g, pattern.Triangle(), Config{NumNodes: 3, ThreadsPerNode: 2, CacheBytes: 1 << 16, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conc.Count != seq.Count {
-		t.Fatalf("sequential changed count: %d vs %d", conc.Count, seq.Count)
+	if seq.Count != want {
+		t.Fatalf("sequential machines counted %d, brute force %d", seq.Count, want)
 	}
 	if seq.ModeledElapsed <= 0 {
 		t.Fatal("no modeled makespan")

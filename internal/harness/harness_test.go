@@ -62,8 +62,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table3", "table4", "table5", "table6", "table7",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "fig18", "fig19",
-		"ablation-pipeline", "ablation-minibatch", "ablation-oblivious",
-		"ablation-chaos", "ablation-transport",
+		"ablation-oblivious", "ablation-chaos",
 	}
 	exps := Experiments()
 	if len(exps) != len(want) {

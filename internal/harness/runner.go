@@ -192,7 +192,7 @@ func replicatedGraphPi(nodes, threads int) system {
 // gThinker is the G-thinker baseline with a cache of an eighth of the graph.
 func gThinker(nodes, threads int) system {
 	return one("G-thinker", func(g *graph.Graph, a appSpec) (cluster.Result, error) {
-		cfg := gthinker.Config{NumNodes: nodes, ThreadsPerNode: threads, CacheBytes: g.SizeBytes() / 8, Sequential: true}
+		cfg := gthinker.Config{NumNodes: nodes, ThreadsPerNode: threads, CacheBytes: g.SizeBytes() / 8}
 		var pats []*pattern.Pattern
 		if a.kind == "mc" {
 			cfg.Induced = true

@@ -26,12 +26,31 @@ const patience = 2 * time.Second
 // built.
 func Check(t testing.TB) {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	before := baseline()
 	t.Cleanup(func() {
 		if msg := settle(before, patience); msg != "" {
 			t.Error(msg)
 		}
 	})
+}
+
+// baseline returns the goroutine count once it has held still for a few
+// polls, so goroutines an earlier test released but that are still exiting
+// are not counted: one of them exiting later would hide a goroutine the test
+// leaves parked. A count that keeps moving is read as it stands after a
+// bounded wait.
+func baseline() int {
+	const still, poll, maxWait = 5, time.Millisecond, 200 * time.Millisecond
+	n := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(maxWait); same < still && time.Now().Before(deadline); {
+		time.Sleep(poll)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // settle polls until the goroutine count drops to the baseline or the

@@ -1,7 +1,6 @@
 package leakcheck
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +9,7 @@ import (
 // TestSettleToleratesUnwindingGoroutines: a goroutine that exits shortly
 // after the test body must not be reported — the settle window absorbs it.
 func TestSettleToleratesUnwindingGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baseline()
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -23,9 +22,12 @@ func TestSettleToleratesUnwindingGoroutines(t *testing.T) {
 }
 
 // TestSettleReportsStuckGoroutine: a goroutine parked forever must be
-// reported once patience runs out, with its stack in the report.
+// reported once patience runs out, with its stack in the report. The
+// baseline waits out goroutines still exiting from earlier tests (or from
+// this one's earlier iterations under -count), whose exit during the settle
+// window would otherwise hide the parked one.
 func TestSettleReportsStuckGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := baseline()
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go func() {

@@ -203,10 +203,7 @@ func (e *Engine) CountPattern(p *Pattern, induced bool) (Result, error) {
 }
 
 // FrequentPattern is one FSM result: a labeled pattern and its MNI support.
-type FrequentPattern struct {
-	Pattern *Pattern
-	Support uint64
-}
+type FrequentPattern = fsm.FrequentPattern
 
 // MineFrequent runs frequent subgraph mining over a labeled graph: all
 // labeled patterns with at most maxEdges edges whose MNI support reaches
@@ -216,11 +213,7 @@ func (e *Engine) MineFrequent(minSupport uint64, maxEdges int) ([]FrequentPatter
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]FrequentPattern, len(res.Frequent))
-	for i, fp := range res.Frequent {
-		out[i] = FrequentPattern{Pattern: fp.Pattern, Support: fp.Support}
-	}
-	return out, res.Elapsed, nil
+	return res.Frequent, res.Elapsed, nil
 }
 
 // Query service: a resident Engine can serve pattern queries over TCP with
