@@ -469,7 +469,7 @@ func report(res khuzdul.Result, err error) {
 		fmt.Println()
 	}
 	if s.PipelinedFetches > 0 || s.InFlightPeak > 0 {
-		fmt.Printf("transport: %d pipelined fetches, in-flight peak %d\n",
+		fmt.Printf("transport: %d TCP fetches, in-flight peak %d\n",
 			s.PipelinedFetches, s.InFlightPeak)
 	}
 }

@@ -10,7 +10,7 @@
 //	go run ./cmd/khuzdulvet ./...
 //	go run ./cmd/khuzdulvet -json ./...
 //	go run ./cmd/khuzdulvet -list
-//	go run ./cmd/khuzdulvet -run lockorder,guardfield ./...
+//	go run ./cmd/khuzdulvet -run lockorder,timerstop ./...
 //	go run ./cmd/khuzdulvet ./internal/comm/... ./internal/cluster
 //
 // Exit status is 0 when the tree is clean, 1 when findings (including

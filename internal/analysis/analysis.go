@@ -244,7 +244,6 @@ func Suite() []*Analyzer {
 		LockOrder,
 		WireBound,
 		MetricLive,
-		GuardField,
 		TimerStop,
 	}
 }

@@ -115,7 +115,6 @@ func TestHotAlloc(t *testing.T)   { runFixtureTest(t, HotAlloc) }
 func TestLockOrder(t *testing.T)  { runFixtureTest(t, LockOrder) }
 func TestWireBound(t *testing.T)  { runFixtureTest(t, WireBound) }
 func TestMetricLive(t *testing.T) { runFixtureTest(t, MetricLive) }
-func TestGuardField(t *testing.T) { runFixtureTest(t, GuardField) }
 func TestTimerStop(t *testing.T)  { runFixtureTest(t, TimerStop) }
 
 // TestCallGraph pins the program construction hotalloc and lockorder rely
@@ -227,13 +226,12 @@ func TestTier3Directives(t *testing.T) {
 	}
 }
 
-// TestTier4Directives is the directive × analyzer matrix for guardfield and
-// timerstop: hotpath roots neither gate nor suppress them, a live ignore
-// suppresses exactly its timerstop finding, and stale ignores naming each of
-// them are audited.
+// TestTier4Directives is the directive matrix for timerstop: a hotpath root
+// neither gates nor suppresses it, a live ignore suppresses exactly its
+// finding, and a stale ignore naming it is audited.
 func TestTier4Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier4dir")
-	diags := Run(pkgs, []*Analyzer{GuardField, TimerStop})
+	diags := Run(pkgs, []*Analyzer{TimerStop})
 	counts := map[string]int{}
 	for _, d := range diags {
 		counts[d.Analyzer]++
@@ -242,9 +240,8 @@ func TestTier4Directives(t *testing.T) {
 		}
 	}
 	want := map[string]int{
-		"guardfield":  1, // lock-free read of the guarded field inside the hotpath root
 		"timerstop":   1, // the root's ticker has no deferred Stop; the discarded timer is suppressed
-		"staleignore": 2, // one stale ignore per analyzer of the matrix
+		"staleignore": 1, // the stale ignore
 	}
 	for a, n := range want {
 		if counts[a] != n {
@@ -264,7 +261,7 @@ func TestTier4Directives(t *testing.T) {
 func TestSuiteComposition(t *testing.T) {
 	roster := []string{
 		"wirecodec", "errclass", "hotalloc", "lockorder", "wirebound",
-		"metriclive", "guardfield", "timerstop",
+		"metriclive", "timerstop",
 	}
 	suite := Suite()
 	if len(suite) != len(roster) {

@@ -71,16 +71,10 @@ type Program struct {
 	HotRoots []*types.Func
 	Hot      map[*types.Func]bool
 
-	// Pkgs is the set of loaded (in-program) packages; the fact walk uses it
-	// to limit field tracking to structs the program declares.
-	Pkgs map[*types.Package]bool
-
 	// tab is the fact table of locktable.go. lockInfo is the lock graph of
-	// lockorder.go and guardInfo guardfield's inference; each is built lazily
-	// by the one analyzer that reads it.
-	tab       *lockTable
-	lockInfo  *lockGraphInfo
-	guardInfo *guardFieldInfo
+	// lockorder.go, built lazily by the one analyzer that reads it.
+	tab      *lockTable
+	lockInfo *lockGraphInfo
 }
 
 // BuildProgram walks every declared body once (the fact table) and derives
@@ -93,13 +87,9 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 		Callees:     map[*types.Func][]*types.Func{},
 		syncCallees: map[*types.Func][]*types.Func{},
 		Hot:         map[*types.Func]bool{},
-		Pkgs:        map[*types.Package]bool{},
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
-	}
-	for _, pkg := range pkgs {
-		p.Pkgs[pkg.Types] = true
 	}
 	// Phase 1: declarations and directive-marked roots.
 	pkgHot := map[*types.Package]bool{}
@@ -154,7 +144,8 @@ func BuildProgram(pkgs []*LoadedPackage) *Program {
 // so the witness recorded for a fact is deterministic.
 func propagate[K comparable, V any](p *Program, facts map[*types.Func]map[K]V,
 	inherit func(fn, callee *types.Func, k K, v V) (V, bool)) {
-	fixpoint(func() (changed bool) {
+	for changed := true; changed; {
+		changed = false
 		for _, fn := range p.DeclList {
 			for _, c := range p.syncCallees[fn] {
 				for k, v := range facts[c] {
@@ -171,16 +162,6 @@ func propagate[K comparable, V any](p *Program, facts map[*types.Func]map[K]V,
 				}
 			}
 		}
-		return changed
-	})
-}
-
-// fixpoint repeats pass until a pass changes nothing. It is the package's
-// one fixpoint loop: lockorder's propagate runs on it, and so does
-// guardfield's entry-set intersection.
-func fixpoint(pass func() (changed bool)) {
-	for changed := true; changed; {
-		changed = pass()
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // LockOrder enforces acyclic lock acquisition across the whole program. The
 // resident service runs many queries concurrently over ~20 interacting
-// mutexes (Server.mu, connState.mu, adoptMu, the mux and tracker locks); two
+// mutexes (Server.mu, connState.mu, adoptMu, the fabric and tracker locks); two
 // goroutines acquiring the same pair of locks in opposite orders is the
 // classic deadlock, and it only shows up dynamically when the interleaving
 // loses the race. This analyzer finds the shape statically.
@@ -24,7 +24,7 @@ import (
 // the edge L → M. A cycle in the resulting graph is a
 // potential deadlock, reported once with both acquisition paths cited.
 //
-// The key is instance-insensitive: two *different* tcpConn values locked in
+// The key is instance-insensitive: two *different* connState values locked in
 // sequence collapse onto one node, so a self-edge (L → L) is not reported —
 // hand-over-hand locking over siblings would be a false positive, and
 // single-instance re-entry deadlocks immediately in any test. Interface

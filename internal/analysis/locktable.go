@@ -7,21 +7,14 @@ import (
 	"strings"
 )
 
-// lockTable is the program's fact table: every mutex acquisition, call and
-// struct-field access, each with the locks held at that point. BuildProgram
+// lockTable is the program's fact table: every mutex acquisition and call,
+// each with the locks held at that point. BuildProgram
 // fills it with one flow walk over every declaration (locks are named by
 // lockKeyOf, arms join by intersection), and everything else is read off it:
 // the call graph's edges and the lock analyzers' inputs.
 type lockTable struct {
 	acquires []lockAcquire
 	calls    []lockCall
-	// fields holds each program-declared struct field's accesses, order the
-	// fields in first-seen order (for determinism).
-	fields map[types.Object]*guardFieldState
-	order  []types.Object
-	// valueRef marks functions referenced as values: their entry set is
-	// unknowable, so they enter lock-free.
-	valueRef map[*types.Func]bool
 }
 
 // heldLock is one held mutex: key names it program-wide, text is its
@@ -35,10 +28,6 @@ type heldLock struct {
 type lockSite struct {
 	fn  *types.Func
 	pos token.Pos
-	// entry: the declaration body itself, where fn's entry-held set applies
-	// (false inside function literals, which run on their own goroutine or at
-	// defer time).
-	entry bool
 	// spawned: inside a literal that runs on a goroutine of its own.
 	spawned bool
 	held    []heldLock
@@ -55,32 +44,14 @@ type lockCall struct {
 	lockSite
 	callee *types.Func
 	// spawn: the call is a `go` statement, so the callee starts lock-free.
-	// A deferred call is recorded with no held locks and entry false: it runs
-	// at exit under an unknown held set.
+	// A deferred call is recorded with no held locks: it runs at exit under
+	// an unknown held set.
 	spawn bool
-}
-
-// guardFieldState accumulates one field's accesses plus its rendered name.
-type guardFieldState struct {
-	name     string
-	accesses []guardAccess
-}
-
-// guardAccess is one recorded field access with its lock context.
-type guardAccess struct {
-	lockSite
-	write bool
-	// ctor: the access goes through a value still inside its constructor,
-	// which guard inference skips.
-	ctor bool
 }
 
 // buildTable runs the program's one fact walk.
 func (p *Program) buildTable() *lockTable {
-	w := &lockWalk{prog: p, tab: &lockTable{
-		fields:   map[types.Object]*guardFieldState{},
-		valueRef: map[*types.Func]bool{},
-	}}
+	w := &lockWalk{tab: &lockTable{}}
 	w.f.hooks = w
 	for _, fn := range p.DeclList {
 		fd := p.Decls[fn]
@@ -88,7 +59,6 @@ func (p *Program) buildTable() *lockTable {
 			continue
 		}
 		w.fn, w.info = fn, p.InfoOf[fn]
-		w.ctor = ctorLocals(fd.Body, w.info)
 		w.f.walkFunc(w.info, fd.Body)
 	}
 	return w.tab
@@ -98,11 +68,9 @@ func (p *Program) buildTable() *lockTable {
 // held-lock list.
 type lockWalk struct {
 	f    flow[[]heldLock]
-	prog *Program
 	tab  *lockTable
 	fn   *types.Func
 	info *types.Info
-	ctor map[types.Object]bool
 }
 
 func (w *lockWalk) empty() []heldLock { return nil }
@@ -125,110 +93,37 @@ func (w *lockWalk) join(arms [][]heldLock) []heldLock {
 }
 
 func (w *lockWalk) site(pos token.Pos, held []heldLock) lockSite {
-	return lockSite{fn: w.fn, pos: pos, entry: !w.f.inLit, spawned: w.f.spawned, held: held}
+	return lockSite{fn: w.fn, pos: pos, spawned: w.f.spawned, held: held}
 }
 
 func (w *lockWalk) node(held []heldLock, n ast.Node, stack []ast.Node) ([]heldLock, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return held, true
+	}
 	parent := stackParent(stack)
-	switch n := n.(type) {
-	case *ast.CallExpr:
-		if key, text, acquire, ok := mutexCall(w.info, w.fn, n); ok {
-			// Only a Lock or Unlock statement changes the held set; a
-			// deferred Unlock leaves the lock held to the function's end.
-			if _, isStmt := parent.(*ast.ExprStmt); isStmt {
-				if !acquire {
-					return release(held, key), false
-				}
-				w.tab.acquires = append(w.tab.acquires, lockAcquire{lockSite: w.site(n.Pos(), held), key: key})
-				return append(w.clone(held), heldLock{key: key, text: text}), false
+	if key, text, acquire, ok := mutexCall(w.info, w.fn, call); ok {
+		// Only a Lock or Unlock statement changes the held set; a deferred
+		// Unlock leaves the lock held to the function's end.
+		if _, isStmt := parent.(*ast.ExprStmt); isStmt {
+			if !acquire {
+				return release(held, key), false
 			}
-			return held, false
+			w.tab.acquires = append(w.tab.acquires, lockAcquire{lockSite: w.site(call.Pos(), held), key: key})
+			return append(w.clone(held), heldLock{key: key, text: text}), false
 		}
-		_, spawn := parent.(*ast.GoStmt)
-		_, deferred := parent.(*ast.DeferStmt)
-		if callee := calleeFunc(w.info, n); callee != nil {
-			site := w.site(n.Pos(), held)
-			if spawn || deferred {
-				site.held, site.entry = nil, false
-			}
-			w.tab.calls = append(w.tab.calls, lockCall{lockSite: site, callee: callee, spawn: spawn})
+		return held, false
+	}
+	_, spawn := parent.(*ast.GoStmt)
+	_, deferred := parent.(*ast.DeferStmt)
+	if callee := calleeFunc(w.info, call); callee != nil {
+		site := w.site(call.Pos(), held)
+		if spawn || deferred {
+			site.held = nil
 		}
-	case *ast.SelectorExpr:
-		w.valueRef(n.Sel, parent, n)
-		w.field(n, held, stack)
-	case *ast.Ident:
-		if sel, ok := parent.(*ast.SelectorExpr); !ok || sel.Sel != n {
-			w.valueRef(n, parent, n)
-		}
+		w.tab.calls = append(w.tab.calls, lockCall{lockSite: site, callee: callee, spawn: spawn})
 	}
 	return held, true
-}
-
-// valueRef marks a declared function named by id (through expr) as taken as
-// a value unless expr is the callee of a call.
-func (w *lockWalk) valueRef(id *ast.Ident, parent ast.Node, expr ast.Expr) {
-	fn, ok := w.info.Uses[id].(*types.Func)
-	if !ok {
-		return
-	}
-	if call, ok := parent.(*ast.CallExpr); ok && call.Fun == expr {
-		return
-	}
-	if _, declared := w.prog.Decls[fn]; declared {
-		w.tab.valueRef[fn] = true
-	}
-}
-
-// field records one access to a program-declared struct field, unless the
-// field's type is exempt (sync primitives, atomics); pre-escape constructor
-// initialization is marked ctor. The access is a write when sel is (under
-// index, dereference and parenthesis layers) an assignment target:
-// s.m[k] = v writes (through) field m.
-func (w *lockWalk) field(sel *ast.SelectorExpr, held []heldLock, stack []ast.Node) {
-	obj, ok := w.info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() || obj.Pkg() == nil || !w.prog.Pkgs[obj.Pkg()] ||
-		guardExemptType(obj.Type()) {
-		return
-	}
-	st := w.tab.fields[obj]
-	if st == nil {
-		ownerPkg, ownerName := namedType(receiverType(w.info, sel))
-		if ownerName == "" {
-			return
-		}
-		st = &guardFieldState{name: shortPkgPath(ownerPkg) + "." + ownerName + "." + obj.Name()}
-		w.tab.fields[obj] = st
-		w.tab.order = append(w.tab.order, obj)
-	}
-	var target ast.Node = sel
-	write := false
-up:
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch p := stack[i].(type) {
-		case *ast.ParenExpr, *ast.StarExpr:
-			target = p
-			continue
-		case *ast.IndexExpr:
-			if p.X == target {
-				target = p
-				continue
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range p.Lhs {
-				write = write || lhs == target
-			}
-		case *ast.IncDecStmt:
-			write = p.X == target
-		case *ast.RangeStmt:
-			write = p.Key == target || p.Value == target
-		}
-		break up
-	}
-	st.accesses = append(st.accesses, guardAccess{
-		lockSite: w.site(sel.Sel.Pos(), held),
-		write:    write,
-		ctor:     w.ctor[rootIdentObj(w.info, sel.X)],
-	})
 }
 
 // mutexCall classifies a call as a sync.Mutex/RWMutex Lock/RLock (acquire) or

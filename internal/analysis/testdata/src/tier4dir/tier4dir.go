@@ -1,54 +1,11 @@
-// Package tier4dir is the directive matrix fixture for guardfield and
-// timerstop: hotpath roots must not gate (or suppress) them, a live ignore
-// directive must suppress exactly its finding, and stale ignores naming them
-// must be audited.
+// Package tier4dir is the directive matrix fixture for timerstop: a hotpath
+// root must not gate (or suppress) it, a live ignore directive must suppress
+// exactly its finding, and a stale ignore naming it must be audited.
 package tier4dir
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// reg.n is guarded at four locked sites; the stray read sits inside a
-// hotpath root, where guardfield fires just the same.
-type reg struct {
-	mu sync.Mutex
-	n  int
-}
-
-var r reg
-
-func lockInc() {
-	r.mu.Lock()
-	r.n++
-	r.mu.Unlock()
-}
-
-func lockDec() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n--
-}
-
-func lockReset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n = 0
-}
-
-func lockGet() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// hotPeek is a hotpath root with a lock-free read of the guarded field:
-// guardfield runs everywhere, so the directive changes nothing.
-//
-//khuzdulvet:hotpath tier4 matrix root
-func hotPeek() int {
-	return r.n
-}
+var ticks int
 
 // pump is a hotpath root whose ticker has no deferred Stop: timerstop fires
 // inside root-marked functions just the same.
@@ -59,7 +16,7 @@ func pump(stop chan struct{}) {
 	for {
 		select {
 		case <-t.C:
-			lockInc()
+			ticks++
 		case <-stop:
 			return
 		}
@@ -73,10 +30,9 @@ func schedule(f func()) {
 	time.AfterFunc(time.Second, f)
 }
 
-// fixedAll holds one stale ignore per analyzer of the matrix: the excused findings
-// no longer exist, so each directive is reported.
-func fixedAll() {
-	//khuzdulvet:ignore guardfield tier4 matrix: the access was locked
+// fixed holds a stale ignore: the excused finding no longer exists, so the
+// directive is reported.
+func fixed() {
 	//khuzdulvet:ignore timerstop tier4 matrix: the ticker is stopped now
 	_ = 0
 }

@@ -306,7 +306,6 @@ func (c *replacementCache) SizeBytes() uint64 {
 }
 
 func (c *replacementCache) Policy() Policy {
-	//khuzdulvet:ignore guardfield policy is assigned at construction and never written after
 	return c.policy
 }
 

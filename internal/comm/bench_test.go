@@ -10,16 +10,14 @@ import (
 	"khuzdul/internal/partition"
 )
 
-// Transport microbenchmarks. BenchmarkTCPFetchPipelined is the evidence for
-// the multiplexed wire path: 8 concurrent fetchers hammering one peer over
-// one loopback connection, which an in-flight window of 1 head-of-line
-// blocks and the default window pipelines. The bench servers add a fixed
-// service latency emulating a remote peer — on loopback the exchange is otherwise pure CPU,
-// which no wire discipline can overlap; the latency is what circulant
-// scheduling actually has to hide. BenchmarkDecodeLists pins the
-// response-decode allocation cost. TCPFetchWindow1 admits one exchange at a
-// time per connection — what the wire did before multiplexing — so it stands
-// in for "before" on the same load shape.
+// Transport microbenchmarks. BenchmarkTCPFetchPipelined drives 8 concurrent
+// fetchers at one peer over loopback; each fetch takes a pooled connection of
+// the pair, so the pool grows to the fetchers' concurrency and the exchanges
+// overlap on separate sockets. The bench servers add a fixed service latency
+// emulating a remote peer: on loopback the exchange is otherwise pure CPU,
+// and the latency is what circulant scheduling actually has to hide. Its
+// allocs/op is the per-fetch allocation cost of the serial exchange.
+// BenchmarkDecodeLists pins the response-decode allocation cost.
 
 // benchRemoteLatency is the emulated per-request service time of a remote
 // peer (network + queueing a real deployment pays per fetch).
@@ -107,16 +105,6 @@ func runFetchers(b *testing.B, f Fabric, ids []graph.VertexID, workers int) {
 func BenchmarkTCPFetchPipelined(b *testing.B) {
 	f, ids := benchFabric(b)
 	defer f.Close()
-	runFetchers(b, f, ids, 8)
-}
-
-// BenchmarkTCPFetchWindow1 narrows the in-flight window to 1, so the same
-// 8-fetcher load queues behind one exchange at a time — the baseline the
-// pipelined window is measured against.
-func BenchmarkTCPFetchWindow1(b *testing.B) {
-	f, ids := benchFabric(b)
-	defer f.Close()
-	f.window = 1
 	runFetchers(b, f, ids, 8)
 }
 

@@ -36,13 +36,15 @@ import (
 // surfaces as ErrCorruptFrame — a retryable error — instead of silently
 // mis-parsed edge lists.
 //
-// One exchange discipline. Edge-list traffic is multiplexed: MUX_REQUEST /
-// MUX_RESPONSE / MUX_ERROR frames prefix their payload with a u32 request
-// ID, so many exchanges can be in flight on one connection and responses
-// may return out of order (mux.go). Generations 1 and 2, which spoke one
-// REQUEST/RESPONSE pair at a time, are retired: a peer offering [1,2] is
-// refused with ErrVersionMismatch on either plane, and an in-flight window
-// of 1 is the serial exchange on this protocol.
+// One exchange discipline. A connection carries one edge-list exchange at a
+// time: the client writes a MUX_REQUEST and reads its MUX_RESPONSE (or
+// MUX_ERROR) before the connection serves anything else, and concurrent
+// fetches to one peer take separate connections from the pair's pool
+// (tcp.go). The frames keep their u32 request-ID prefix, which the client
+// checks on every reply, so a reply to another request fails as corrupt.
+// Generations 1 and 2, which spoke an ID-less REQUEST/RESPONSE pair, are
+// retired: a peer offering [1,2] is refused with ErrVersionMismatch on
+// either plane.
 //
 // The frame header is genuine wire overhead, but traffic accounting keeps
 // quoting the paper's payload formulas (RequestBytes/ResponseBytes) so
@@ -92,7 +94,7 @@ const (
 	framePong     = 0x06 // heartbeat reply (empty payload)
 	frameError    = 0x07 // connection-level rejection (e.g. corrupt request); empty payload
 
-	// Multiplexed exchange: payloads carry a u32 request ID prefix so the CRC
+	// Edge-list exchange: payloads carry a u32 request ID prefix so the CRC
 	// covers it, followed by the canonical request/response payload.
 	frameMuxRequest  = 0x08 // edge-list request: u32 request ID + IDs payload
 	frameMuxResponse = 0x09 // edge-list response: u32 request ID + lists payload
@@ -213,11 +215,7 @@ func decodeHello(p []byte) (minVer, maxVer uint8, node int, err error) {
 // await the ack. A server of another generation hangs up instead, which is
 // an ErrVersionMismatch. timeout bounds each half; 0 disables deadlines.
 func clientHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, node int, timeout time.Duration) error {
-	deadline(c.SetWriteDeadline, timeout)
-	if err := writeFrame(w, frameHello, encodeHello(protoVersion, protoVersion, node), -1); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	if err := sendFrame(c, w, frameHello, encodeHello(protoVersion, protoVersion, node), -1, timeout); err != nil {
 		return err
 	}
 	deadline(c.SetReadDeadline, timeout)
@@ -253,8 +251,15 @@ func acceptHello(c net.Conn, r *bufio.Reader, w *bufio.Writer, timeout time.Dura
 		return fmt.Errorf("peer window [%d,%d] misses version %d: %w",
 			peerMin, peerMax, protoVersion, ErrVersionMismatch)
 	}
+	return sendFrame(c, w, frameHelloAck, []byte{protoVersion}, -1, timeout)
+}
+
+// sendFrame writes one frame under a write deadline of timeout from now
+// (none when 0) and flushes it, so every frame leaves in full before its
+// sender waits for a reply.
+func sendFrame(c net.Conn, w *bufio.Writer, typ uint8, payload []byte, corruptByte int, timeout time.Duration) error {
 	deadline(c.SetWriteDeadline, timeout)
-	if err := writeFrame(w, frameHelloAck, []byte{protoVersion}, -1); err != nil {
+	if err := writeFrame(w, typ, payload, corruptByte); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -368,7 +373,7 @@ func decodeLists(p []byte) ([][]graph.VertexID, error) {
 	return lists, nil
 }
 
-// Multiplexed payload helpers. The request ID rides inside the payload
+// Request-ID payload helpers. The request ID rides inside the payload
 // rather than the header so the CRC covers it and the 12-byte header stays
 // the same for every frame type.
 
@@ -427,8 +432,8 @@ func putPayloadBuf(b []byte) {
 // DropAfterSend severs the connection between sending a request and reading
 // its response (a mid-exchange connection drop); Local fails the fetch with
 // the error each would cause. Both are consulted once per request with the
-// client's (from, to) pair — on the multiplexed path each in-flight request
-// rolls its own faults, not the connection.
+// client's (from, to) pair: each request rolls its own faults, not the
+// connection.
 type WireFaults interface {
 	CorruptFrame(from, to int) bool
 	DropAfterSend(from, to int) bool

@@ -465,11 +465,7 @@ func (q *QueryConn) writeMsg(typ uint8, encode func([]byte) []byte) error {
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
 	q.buf = encode(q.buf[:0])
-	deadline(q.c.SetWriteDeadline, q.timeout)
-	if err := writeFrame(q.w, typ, q.buf, -1); err != nil {
-		return err
-	}
-	return q.w.Flush()
+	return sendFrame(q.c, q.w, typ, q.buf, -1, q.timeout)
 }
 
 // WriteSubmit sends a QUERY_SUBMIT (client side).

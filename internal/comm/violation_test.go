@@ -117,9 +117,9 @@ func TestServeMuxRejectsUnexpectedFrameType(t *testing.T) {
 // TestMuxClientRejectsUnexpectedFrameType is the client-side mirror of
 // TestServeMuxRejectsUnexpectedFrameType: a handshaken peer that answers a
 // fetch with a declared frame type that has no place in a response (a PONG)
-// commits a protocol violation. The client's demux must fail the pending
-// fetch at once with ErrCorruptFrame, not skip the frame and leave the fetch
-// waiting out its timeout.
+// commits a protocol violation. The client must fail the fetch at once with
+// ErrCorruptFrame, not skip the frame and leave the fetch waiting out its
+// timeout.
 func TestMuxClientRejectsUnexpectedFrameType(t *testing.T) {
 	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -37,11 +37,11 @@ type Node struct {
 	FaultsInjected     atomic.Uint64 // resilience: transient faults injected into this node's fetches
 	RecoveredRoots     atomic.Uint64 // resilience: source vertices re-executed on this node during recovery
 	CorruptFrames      atomic.Uint64 // wire integrity: frames this node rejected on a CRC/header mismatch
-	Redials            atomic.Uint64 // wire integrity: TCP connections this node re-established after a drop
+	Redials            atomic.Uint64 // wire integrity: TCP dials this node made to replace a connection a failure closed
 	SpeculativeRanges  atomic.Uint64 // speculation: straggler root ranges this node re-executed speculatively
 	SpeculationWins    atomic.Uint64 // speculation: speculative re-executions that finished before the straggler
-	PipelinedFetches   atomic.Uint64 // transport: fetches completed over a multiplexed (v3) connection
-	InFlightFetches    atomic.Int64  // transport gauge: multiplexed requests outstanding from this node right now
+	PipelinedFetches   atomic.Uint64 // transport: fetches this node completed over the TCP fabric
+	InFlightFetches    atomic.Int64  // transport gauge: TCP fetches outstanding from this node right now, across all peers
 	InFlightPeak       atomic.Uint64 // transport: high-water mark of InFlightFetches
 	// PeakEmbeddings is the high-water mark of simultaneously allocated
 	// extendable embeddings across this machine's live chunks — the
@@ -224,7 +224,7 @@ type Summary struct {
 	SpeculationWins    uint64
 	PipelinedFetches   uint64
 	// InFlightPeak is the maximum over machines of the per-machine
-	// multiplexed in-flight-request high-water mark.
+	// high-water mark of outstanding TCP fetches.
 	InFlightPeak uint64
 	// PeakEmbeddings is the maximum over machines of the per-machine
 	// live-embedding high-water mark.
