@@ -1,8 +1,8 @@
 // Package analysis is a small, stdlib-only static-analysis framework for
 // enforcing Khuzdul's project-specific invariants: the rules that make exact
 // counts under chaos possible but that generic tools (go vet, staticcheck)
-// cannot see — canonical wire codecs, classifiable error chains,
-// determinism-safe sleeping, and no blocking fabric traffic under a lock.
+// cannot see and no test run observes: classifiable error chains, an acyclic
+// lock order, and timers stopped where they are made.
 // The Pass/Analyzer shape mirrors golang.org/x/tools/go/analysis so
 // analyzers stay portable, but the framework itself depends only on
 // go/parser, go/types and go/ast.
@@ -49,9 +49,9 @@ type Pass struct {
 	Files []*ast.File
 	// Info is the type-checking fact base for Files.
 	Info *types.Info
-	// Prog is the whole-program fact base (call graph, hot-path roots and
-	// reachability, the fact table) built once per Run over every loaded
-	// package — not just this pass's. Single-package analyzers ignore it.
+	// Prog is the whole-program fact base (the fact table and the call graph
+	// read off it) built once per Run over every loaded package — not just
+	// this pass's. Single-package analyzers ignore it.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -154,7 +154,7 @@ func Run(pkgs []*LoadedPackage, analyzers []*Analyzer) []Diagnostic {
 // A Timing is one wall-clock cost of one RunTimed: the program build (named
 // "program": the fact walk and call graph every analyzer shares) or one
 // analyzer's accumulated cost across every package, including the
-// whole-program result only it reads (the lock graph, the guard inference).
+// whole-program result only it reads (the lock graph).
 type Timing struct {
 	Name    string
 	Elapsed time.Duration
@@ -238,12 +238,8 @@ func RunTimed(pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, []Tim
 // each analyzer, the seeded defect that only it catches.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		WireCodec,
 		ErrClass,
-		HotAlloc,
 		LockOrder,
-		WireBound,
-		MetricLive,
 		TimerStop,
 	}
 }

@@ -109,38 +109,32 @@ func runFixtureTest(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestWireCodec(t *testing.T)  { runFixtureTest(t, WireCodec) }
-func TestErrClass(t *testing.T)   { runFixtureTest(t, ErrClass) }
-func TestHotAlloc(t *testing.T)   { runFixtureTest(t, HotAlloc) }
-func TestLockOrder(t *testing.T)  { runFixtureTest(t, LockOrder) }
-func TestWireBound(t *testing.T)  { runFixtureTest(t, WireBound) }
-func TestMetricLive(t *testing.T) { runFixtureTest(t, MetricLive) }
-func TestTimerStop(t *testing.T)  { runFixtureTest(t, TimerStop) }
+func TestErrClass(t *testing.T)  { runFixtureTest(t, ErrClass) }
+func TestLockOrder(t *testing.T) { runFixtureTest(t, LockOrder) }
+func TestTimerStop(t *testing.T) { runFixtureTest(t, TimerStop) }
 
-// TestCallGraph pins the program construction hotalloc and lockorder rely
-// on: directive roots, interface-method over-approximation and reachability,
-// using the hotalloc fixture.
+// TestCallGraph pins the program construction lockorder relies on, using the
+// lockorder fixture: static edges, interface-method over-approximation, and
+// no edge for a call spawned on a goroutine of its own.
 func TestCallGraph(t *testing.T) {
-	prog := BuildProgram(fixtureSubset(t, "hotalloc"))
+	prog := BuildProgram(fixtureSubset(t, "lockorder"))
 
-	byName := map[string]bool{}
-	for fn := range prog.Hot {
-		byName[fn.Pkg().Path()+"."+fn.Name()] = true
-	}
-	for _, want := range []string{
-		"hotalloc.Hot",            // directive root
-		"hotalloc.helper",         // static call from the root
-		"hotalloc.merge",          // static call from the root
-		"hotalloc.Do",             // interface-method over-approximation
-		"hotalloc/kernels.Shrink", // package-clause directive
-		"hotalloc/kernels.Grow",   // package-clause directive
-	} {
-		if !byName[want] {
-			t.Errorf("expected %s in the hot set; hot = %v", want, byName)
+	edges := map[string]bool{}
+	for fn, callees := range prog.syncCallees {
+		for _, c := range callees {
+			edges[fn.Name()+"->"+c.Name()] = true
 		}
 	}
-	if byName["hotalloc.Cold"] {
-		t.Errorf("hotalloc.Cold must not be hot-reachable")
+	for _, want := range []string{
+		"lockCthenCallD->dWork", // static call
+		"lockIthenWork->work",   // interface-method over-approximation
+	} {
+		if !edges[want] {
+			t.Errorf("expected edge %s; edges = %v", want, edges)
+		}
+	}
+	if edges["spawnNamedUnderF->lockEJust"] {
+		t.Errorf("a `go` call must not be a synchronous edge; edges = %v", edges)
 	}
 }
 
@@ -194,25 +188,22 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 }
 
-// TestTier3Directives is the directive × analyzer matrix for lockorder,
-// wirebound and metriclive: hotpath roots neither gate nor suppress them, a
-// live ignore suppresses exactly its wirebound finding, and stale ignores
-// naming each of them are audited.
+// TestTier3Directives is the directive matrix for lockorder: a live ignore
+// suppresses exactly its cycle's finding, and a stale ignore naming lockorder
+// is audited.
 func TestTier3Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier3dir")
-	diags := Run(pkgs, []*Analyzer{LockOrder, WireBound, MetricLive})
+	diags := Run(pkgs, []*Analyzer{LockOrder})
 	counts := map[string]int{}
 	for _, d := range diags {
 		counts[d.Analyzer]++
 		if d.Analyzer == "staleignore" && strings.Contains(d.Message, "suppressed on purpose") {
-			t.Errorf("live wirebound suppression reported stale: %s", d)
+			t.Errorf("live lockorder suppression reported stale: %s", d)
 		}
 	}
 	want := map[string]int{
-		"lockorder":   1, // one cycle between the two hotpath roots
-		"metriclive":  1, // dead gauge in the metrics package
-		"wirebound":   0, // suppressed by the live ignore directive
-		"staleignore": 3, // one stale ignore per analyzer of the matrix
+		"lockorder":   1, // the P/Q cycle; the R/S cycle is suppressed
+		"staleignore": 1, // the stale ignore
 	}
 	for a, n := range want {
 		if counts[a] != n {
@@ -226,9 +217,8 @@ func TestTier3Directives(t *testing.T) {
 	}
 }
 
-// TestTier4Directives is the directive matrix for timerstop: a hotpath root
-// neither gates nor suppresses it, a live ignore suppresses exactly its
-// finding, and a stale ignore naming it is audited.
+// TestTier4Directives is the directive matrix for timerstop: a live ignore
+// suppresses exactly its finding, and a stale ignore naming it is audited.
 func TestTier4Directives(t *testing.T) {
 	pkgs := fixtureSubset(t, "tier4dir")
 	diags := Run(pkgs, []*Analyzer{TimerStop})
@@ -240,7 +230,7 @@ func TestTier4Directives(t *testing.T) {
 		}
 	}
 	want := map[string]int{
-		"timerstop":   1, // the root's ticker has no deferred Stop; the discarded timer is suppressed
+		"timerstop":   1, // pump's ticker has no deferred Stop; the discarded timer is suppressed
 		"staleignore": 1, // the stale ignore
 	}
 	for a, n := range want {
@@ -259,10 +249,7 @@ func TestTier4Directives(t *testing.T) {
 // analyzer here is one that DESIGN.md's seeded-defect table shows only it
 // catching.
 func TestSuiteComposition(t *testing.T) {
-	roster := []string{
-		"wirecodec", "errclass", "hotalloc", "lockorder", "wirebound",
-		"metriclive", "timerstop",
-	}
+	roster := []string{"errclass", "lockorder", "timerstop"}
 	suite := Suite()
 	if len(suite) != len(roster) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(roster))

@@ -7,10 +7,9 @@ import (
 )
 
 // This file is the package's one control-flow walker. It runs the fact walk
-// of locktable.go (which the call graph and the lock analyzers read) and
-// wirebound's taint tracking. The walker owns control flow for a function
-// body; the analyzer owns an abstract state S and says what each node does
-// to it:
+// of locktable.go, which the call graph and lockorder read. The walker owns
+// control flow for a function body; its client owns an abstract state S and
+// says what each node does to it:
 //
 //   - each arm of an if, switch or select walks a copy of the state, and the
 //     arms that can fall through are joined. An arm ending in return,
@@ -31,7 +30,7 @@ import (
 //
 // The walker is one forward pass: loop bodies are not iterated to a fixpoint.
 
-// flowHooks is what one analyzer plugs into the walker.
+// flowHooks is what a client plugs into the walker.
 type flowHooks[S any] interface {
 	// empty is the state every scope starts from.
 	empty() S
@@ -46,16 +45,14 @@ type flowHooks[S any] interface {
 	node(st S, n ast.Node, stack []ast.Node) (S, bool)
 }
 
-// flow walks function bodies for one analyzer. Hooks read inLit and spawned
-// to tell which kind of scope is being walked.
+// flow walks function bodies for one client. Hooks read spawned to tell
+// whether the scope being walked runs on a goroutine of its own.
 type flow[S any] struct {
-	hooks flowHooks[S]
-	info  *types.Info
-	// inLit: the scope is a function literal; spawned: it runs on a goroutine
-	// of its own.
-	inLit, spawned bool
-	queue          []flowLit
-	targets        []*flowTarget[S]
+	hooks   flowHooks[S]
+	info    *types.Info
+	spawned bool
+	queue   []flowLit
+	targets []*flowTarget[S]
 }
 
 type flowLit struct {
@@ -74,12 +71,12 @@ type flowTarget[S any] struct {
 // walkFunc walks a declaration body and then every function literal found in
 // it, each as its own scope.
 func (f *flow[S]) walkFunc(info *types.Info, body *ast.BlockStmt) {
-	f.info, f.inLit, f.spawned = info, false, false
+	f.info, f.spawned = info, false
 	f.scope(body)
 	for len(f.queue) > 0 {
 		lit := f.queue[0]
 		f.queue = f.queue[1:]
-		f.inLit, f.spawned = true, lit.spawned
+		f.spawned = lit.spawned
 		f.scope(lit.body)
 	}
 }

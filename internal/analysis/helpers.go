@@ -30,15 +30,6 @@ func pathHasSegments(pkgPath string, segs ...string) bool {
 	return false
 }
 
-// pkgOfIdent resolves an identifier used as a package qualifier to its
-// imported path, or "" when id is not a package name.
-func pkgOfIdent(info *types.Info, id *ast.Ident) string {
-	if pn, ok := info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
-}
-
 // isPkgCall reports whether call invokes pkgPath.name (through any import
 // alias).
 func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
@@ -47,7 +38,11 @@ func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)
-	return ok && pkgOfIdent(info, id) == pkgPath
+	if !ok {
+		return false
+	}
+	pn, ok := info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == pkgPath
 }
 
 // namedType returns the package path and name of t's underlying named type,
@@ -103,7 +98,7 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 }
 
 // funcDecls maps each package-level function and method object to its
-// declaration, so analyzers can follow calls into same-package bodies.
+// declaration, so the program build can walk every body.
 func funcDecls(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl {
 	out := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range files {
@@ -132,18 +127,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// calledName returns the bare name of the called function or method,
-// whatever the callee resolves to — including calls of func-typed fields.
-func calledName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }
 
 // inspectStack walks the subtree under root like ast.Inspect but hands the

@@ -40,26 +40,21 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) {
-	if pass.Prog != nil {
-		reportProg(pass, pass.Prog.lockGraph().findings)
+	if pass.Prog == nil {
+		return
 	}
-}
-
-// progFinding is one whole-program finding attributed to a package, the
-// shape every lazily-built fact base reports through.
-type progFinding struct {
-	pos token.Pos
-	pkg *types.Package
-	msg string
-}
-
-// reportProg reports the findings that belong to the pass's package.
-func reportProg(pass *Pass, findings []progFinding) {
-	for _, f := range findings {
+	for _, f := range pass.Prog.lockGraph().findings {
 		if f.pkg == pass.Pkg {
 			pass.Reportf(f.pos, "%s", f.msg)
 		}
 	}
+}
+
+// lockFinding is one cycle, attributed to the package of its reporting edge.
+type lockFinding struct {
+	pos token.Pos
+	pkg *types.Package
+	msg string
 }
 
 // lockGraphInfo is the whole-program lock-acquisition graph plus the cycle
@@ -67,7 +62,7 @@ func reportProg(pass *Pass, findings []progFinding) {
 type lockGraphInfo struct {
 	// edges[from][to] is the first witness for "to acquired while from held".
 	edges    map[string]map[string]*lockEdge
-	findings []progFinding
+	findings []lockFinding
 }
 
 // lockEdge is one ordered acquisition: `to` taken while `from` is held.
@@ -177,7 +172,7 @@ func (p *Program) lockGraph() *lockGraphInfo {
 			for i := 0; i < len(cycle)-1; i++ {
 				parts = append(parts, g.edges[cycle[i]][cycle[i+1]].desc)
 			}
-			g.findings = append(g.findings, progFinding{
+			g.findings = append(g.findings, lockFinding{
 				pos: e.pos,
 				pkg: e.fn.Pkg(),
 				msg: fmt.Sprintf("potential deadlock: lock-order cycle %s: %s",

@@ -11,7 +11,7 @@ import (
 // each with the locks held at that point. BuildProgram
 // fills it with one flow walk over every declaration (locks are named by
 // lockKeyOf, arms join by intersection), and everything else is read off it:
-// the call graph's edges and the lock analyzers' inputs.
+// the call graph's edges and lockorder's inputs.
 type lockTable struct {
 	acquires []lockAcquire
 	calls    []lockCall

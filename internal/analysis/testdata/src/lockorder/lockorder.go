@@ -2,7 +2,8 @@
 // same pair of mutexes in opposite orders — directly or through a callee —
 // must be flagged as a potential deadlock; consistent ordering,
 // release-before-reacquire, and goroutine-spawned acquisitions are the legal
-// near misses.
+// near misses. A call through an interface orders the held lock before what
+// every implementation acquires.
 package lockorder
 
 import "sync"
@@ -151,4 +152,35 @@ func handOverHand(x, y *A) {
 	y.mu.Lock()
 	y.mu.Unlock()
 	x.mu.Unlock()
+}
+
+type I struct{ mu sync.Mutex }
+type J struct{ mu sync.Mutex }
+
+var i I
+var j J
+
+// worker is called through an interface: the call graph expands the call to
+// every declared implementation, so jWorker's J lock is ordered after I.
+type worker interface{ work() }
+
+type jWorker struct{}
+
+func (jWorker) work() {
+	j.mu.Lock()
+	j.mu.Unlock()
+}
+
+func lockIthenWork(w worker) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	w.work() // want "potential deadlock: lock-order cycle"
+}
+
+// lockJI closes the interface-mediated cycle.
+func lockJI() {
+	j.mu.Lock()
+	i.mu.Lock()
+	i.mu.Unlock()
+	j.mu.Unlock()
 }

@@ -1,16 +1,13 @@
-// Package tier4dir is the directive matrix fixture for timerstop: a hotpath
-// root must not gate (or suppress) it, a live ignore directive must suppress
-// exactly its finding, and a stale ignore naming it must be audited.
+// Package tier4dir is the directive matrix fixture for timerstop: a live
+// ignore directive must suppress exactly its finding, and a stale ignore
+// naming it must be audited.
 package tier4dir
 
 import "time"
 
 var ticks int
 
-// pump is a hotpath root whose ticker has no deferred Stop: timerstop fires
-// inside root-marked functions just the same.
-//
-//khuzdulvet:hotpath tier4 matrix root
+// pump's ticker has no deferred Stop.
 func pump(stop chan struct{}) {
 	t := time.NewTicker(time.Second)
 	for {

@@ -117,8 +117,6 @@ func NewStatic(capacityBytes uint64, degThreshold uint32) *StaticCache {
 }
 
 // Get implements Cache.
-//
-//khuzdulvet:hotpath consulted on every remote-list miss
 func (c *StaticCache) Get(v graph.VertexID) ([]graph.VertexID, bool) {
 	c.mu.RLock()
 	l, ok := c.data[v]
@@ -204,7 +202,6 @@ func newReplacement(policy Policy, capacityBytes uint64) *replacementCache {
 	}
 }
 
-//khuzdulvet:hotpath consulted on every remote-list miss
 func (c *replacementCache) Get(v graph.VertexID) ([]graph.VertexID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"khuzdul/internal/cache"
 	"khuzdul/internal/fault"
 	"khuzdul/internal/graph"
 	"khuzdul/internal/leakcheck"
@@ -297,5 +298,65 @@ func BenchmarkRunSmallGraph(b *testing.B) {
 		if res.Count == 0 {
 			b.Fatal("no triangles")
 		}
+	}
+}
+
+// warmRunAllocBase and warmRunAllocPerMessage bound what one warm run of
+// TestWarmRunAllocBudget may allocate: a constant for the run's set-up
+// (engines, workers, sinks, the per-node result) plus a constant per network
+// message (its request and reply). Nothing may scale with the extensions a
+// run performs or the cache hits it takes.
+const (
+	warmRunAllocBase       = 1000
+	warmRunAllocPerMessage = 4
+)
+
+// TestWarmRunAllocBudget holds a warm run's allocations to per-run and
+// per-message costs: a 4-clique over 4 nodes whose shared caches answer
+// thousands of fetches per run, under the static cache and under a
+// replacement policy. A cache hit that copies its list, or an engine that
+// allocates per extension, reads thousands of allocations over the budget.
+func TestWarmRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := graph.RMAT(3000, 24000, 0.57, 0.143, 0.143, 20230325)
+	pl, err := plan.Compile(pattern.Clique(4), plan.Options{Style: plan.StyleGraphPi, Stats: plan.StatsOf(g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.CountGraph(pl, g)
+	// The static cache holds the hubs, a tenth of the graph. The LRU cache is
+	// sized to hold every list a node fetches, so its warm runs admit and
+	// evict nothing: an admission allocates its entry, a cost of the
+	// replacement design (and of each fetched list), not of a hit.
+	for _, cfg := range []struct {
+		policy   cache.Policy
+		fraction float64
+	}{{cache.Static, 0.10}, {cache.LRU, 1}} {
+		t.Run(cfg.policy.String(), func(t *testing.T) {
+			c := mustCluster(t, g, Config{NumNodes: 4, ThreadsPerSocket: 1, CacheFraction: cfg.fraction,
+				CacheDegreeThreshold: 8, CachePolicy: cfg.policy, SharedCache: true})
+			var res Result
+			allocs := testing.AllocsPerRun(3, func() {
+				var err error
+				if res, err = c.Count(pl); err != nil {
+					t.Fatal(err)
+				}
+				if res.Count != want {
+					t.Fatalf("count %d, want %d", res.Count, want)
+				}
+			})
+			s := res.Summary
+			budget := float64(warmRunAllocBase + warmRunAllocPerMessage*s.Messages)
+			t.Logf("%.0f allocs per warm run: %d messages, %d cache hits, %d extensions; budget %.0f",
+				allocs, s.Messages, s.CacheHits, s.Extensions, budget)
+			if s.CacheHits == 0 {
+				t.Fatalf("no cache hits: the run does not exercise the cache's Get")
+			}
+			if allocs > budget {
+				t.Fatalf("a warm run allocated %.0f times, budget %.0f", allocs, budget)
+			}
+		})
 	}
 }

@@ -89,6 +89,27 @@ func corpusSeeds() map[string]map[string][]byte {
 	healthOversizedSuspects := encodeFrame(protoVersion, frameQueryHealth,
 		encodeQueryHealth(nil, &QueryHealth{Window: 4, Suspects: oversized}))
 
+	// One lying count per decoder that reads a count, each at its clamp
+	// rather than above it: the clamp admits the count, so only the length
+	// check that follows rejects it, and a decoder that sized an allocation
+	// from it first would reserve the most the clamp allows (256 MiB for the
+	// IDs) in place of the few bytes received.
+	atClamp32 := func(prefix []byte) []byte {
+		return binary.LittleEndian.AppendUint32(prefix, maxFrameEntries)
+	}
+	atClamp16 := func(payload []byte, off int, n uint16) []byte {
+		binary.LittleEndian.PutUint16(payload[off:], n)
+		return payload
+	}
+	muxRequestAtClamp := encodeFrame(protoVersion, frameMuxRequest, atClamp32(binary.LittleEndian.AppendUint32(nil, 42)))
+	muxResponseAtClamp := encodeFrame(protoVersion, frameMuxResponse, atClamp32(binary.LittleEndian.AppendUint32(nil, 42)))
+	submitAtClamp := encodeFrame(protoVersion, frameQuerySubmit,
+		atClamp16(encodeQuerySubmit(nil, &QuerySubmit{ID: 7}), querySubmitFixed-2, maxQuerySpec))
+	resultAtClamp := encodeFrame(protoVersion, frameQueryResult,
+		atClamp16(encodeQueryResult(nil, &QueryResult{ID: 7, Status: QueryFailed}), queryResultFixed-2, maxQueryDetail))
+	healthAtClamp := encodeFrame(protoVersion, frameQueryHealth,
+		atClamp16(encodeQueryHealth(nil, &QueryHealth{Window: 4}), queryHealthFixed-2, maxHealthSuspects))
+
 	listsTruncated := append([]byte(nil), lists[:len(lists)-2]...)
 	listsLyingLen := binary.LittleEndian.AppendUint32(
 		binary.LittleEndian.AppendUint32(nil, 1), maxFrameEntries+1)
@@ -129,21 +150,31 @@ func corpusSeeds() map[string]map[string][]byte {
 			"query-health-truncated":    healthTruncated,
 
 			"query-health-oversized-suspects": healthOversizedSuspects,
+
+			"mux-request-count-at-clamp":  muxRequestAtClamp,
+			"mux-response-count-at-clamp": muxResponseAtClamp,
+			"query-submit-len-at-clamp":   submitAtClamp,
+			"query-result-len-at-clamp":   resultAtClamp,
+			"query-health-count-at-clamp": healthAtClamp,
 		},
 		"FuzzReadIDs": {
 			"valid-empty":    encodeIDs(nil, nil),
 			"valid-ids":      ids,
 			"truncated":      idsTruncated,
 			"lying-count":    idsLyingCount,
+			"count-at-clamp": atClamp32(nil),
 			"trailing-bytes": idsTrailing,
 		},
 		"FuzzReadLists": {
-			"valid-empty":     encodeLists(nil, nil),
-			"valid-lists":     lists,
-			"truncated":       listsTruncated,
-			"lying-list-len":  listsLyingLen,
-			"trailing-bytes":  listsTrailing,
-			"nested-overflow": binary.LittleEndian.AppendUint32(nil, maxFrameEntries+1),
+			"valid-empty":    encodeLists(nil, nil),
+			"valid-lists":    lists,
+			"truncated":      listsTruncated,
+			"lying-list-len": listsLyingLen,
+			"count-at-clamp": atClamp32(nil),
+			// One list whose announced length sits at the clamp.
+			"list-len-at-clamp": atClamp32(binary.LittleEndian.AppendUint32(nil, 1)),
+			"trailing-bytes":    listsTrailing,
+			"nested-overflow":   binary.LittleEndian.AppendUint32(nil, maxFrameEntries+1),
 			// A mux payload handed to the inner decoder without stripping the
 			// request ID must be rejected, not mis-parsed as a count.
 			"mux-prefixed": encodeMuxLists(nil, 42, [][]graph.VertexID{{1, 2}}),

@@ -24,8 +24,8 @@ import (
 // The query ID is client-assigned and scoped to the connection, exactly as
 // mux request IDs are; the server echoes it on every progress and result
 // frame so responses demultiplex without ordering constraints. All payload
-// layouts live here so the wirecodec invariant holds: no byte of the wire
-// format is interpreted outside internal/comm.
+// layouts live here: no byte of the wire format is interpreted outside
+// internal/comm.
 
 // QueryKind says how a QUERY_SUBMIT names its pattern.
 type QueryKind uint8

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"khuzdul/internal/graph"
+	"khuzdul/internal/leakcheck"
 	"khuzdul/internal/metrics"
 )
 
@@ -242,5 +243,69 @@ func TestResilientPassThroughOnRealFabric(t *testing.T) {
 	fetchAll(t, r, g, asg)
 	if s := m.Summarize(); s.FetchRetries != 0 || s.FetchTimeouts != 0 || s.BreakerTrips != 0 {
 		t.Fatalf("healthy run recorded resilience events: %+v", s)
+	}
+}
+
+// countingFabric counts the fetches that reach the fabric it wraps.
+type countingFabric struct {
+	Fabric
+	calls atomic.Int64
+}
+
+func (c *countingFabric) Fetch(from, to int, ids []graph.VertexID) ([][]graph.VertexID, error) {
+	c.calls.Add(1)
+	return c.Fabric.Fetch(from, to, ids)
+}
+
+// TestUnknownNodeFailsFast fetches from a node outside the cluster over both
+// real fabrics, bare and under Resilient with a retry budget: the error must
+// match ErrUnknownNode, be permanent for the retry layer, and take exactly
+// one attempt — no retry is counted and no backoff is slept.
+func TestUnknownNodeFailsFast(t *testing.T) {
+	leakcheck.Check(t)
+	servers := []Server{
+		ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID { return make([][]graph.VertexID, len(ids)) }),
+		ServerFunc(func(ids []graph.VertexID) [][]graph.VertexID { return make([][]graph.VertexID, len(ids)) }),
+	}
+	tcp, err := NewTCP(servers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	for _, fab := range []struct {
+		name  string
+		inner Fabric
+	}{{"local", NewLocal(servers, nil)}, {"tcp", tcp}} {
+		for _, resilient := range []bool{false, true} {
+			name := fab.name
+			if resilient {
+				name += "/resilient"
+			}
+			t.Run(name, func(t *testing.T) {
+				m := metrics.NewCluster(len(servers))
+				counted := &countingFabric{Fabric: fab.inner}
+				var f Fabric = counted
+				if resilient {
+					f = NewResilient(counted, len(servers), RetryConfig{Timeout: time.Second, Retries: 3, Backoff: time.Second}, m)
+				}
+				for _, to := range []int{len(servers), -1} {
+					counted.calls.Store(0)
+					_, err := f.Fetch(0, to, []graph.VertexID{1})
+					if !errors.Is(err, ErrUnknownNode) {
+						t.Fatalf("fetch to node %d: %v, want ErrUnknownNode", to, err)
+					}
+					var pe PermanentError
+					if !errors.As(err, &pe) || !pe.Permanent() {
+						t.Fatalf("fetch to node %d: %v is not a PermanentError", to, err)
+					}
+					if n := counted.calls.Load(); n != 1 {
+						t.Fatalf("fetch to node %d took %d attempts, want 1", to, n)
+					}
+					if n := m.Summarize().FetchRetries; n != 0 {
+						t.Fatalf("fetch to node %d counted %d retries, want 0", to, n)
+					}
+				}
+			})
+		}
 	}
 }

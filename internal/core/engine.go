@@ -206,7 +206,7 @@ func (w *workerCtx) copyInter(raw []graph.VertexID) []graph.VertexID {
 		if len(raw) > n {
 			n = len(raw)
 		}
-		//khuzdulvet:ignore hotalloc amortized block refill, not a per-embedding allocation
+		// An amortized block refill, not a per-embedding allocation.
 		w.arena = make([]graph.VertexID, 0, n)
 	}
 	start := len(w.arena)
@@ -465,8 +465,6 @@ func (e *Engine) denseRound(ch *chunk) error {
 }
 
 // finishRun runs the dense pass below the r-th parent of a level-1 chunk.
-//
-//khuzdulvet:hotpath once per level-1 parent of a dense plan
 func (e *Engine) finishRun(w *workerCtx, ch *chunk, r int) {
 	start, end := ch.runs[r], ch.runs[r+1]
 	set := ch.inter[start]
@@ -479,8 +477,6 @@ func (e *Engine) finishRun(w *workerCtx, ch *chunk, r int) {
 // buildRow builds the row of one level-1 embedding of a dense plan: its
 // vertex's neighbors among its parent's stored set, as bits over the set's
 // indices. It is that embedding's extension.
-//
-//khuzdulvet:hotpath once per level-1 embedding of a dense plan
 func (e *Engine) buildRow(w *workerCtx, ch *chunk, idx int32) {
 	set := ch.inter[idx]
 	off := ch.rowOff[idx]
@@ -633,8 +629,6 @@ func (e *Engine) drainWorkers() {
 // extendOne performs one fine-grained task: extend a single extendable
 // embedding by one vertex (paper §3.1). Active edge lists of earlier
 // positions are resolved through the parent chain — vertical data sharing.
-//
-//khuzdulvet:hotpath per-embedding driver around Extend
 func (e *Engine) extendOne(w *workerCtx, ch *chunk, idx int32, next *chunk, final bool) {
 	level := ch.level
 	w.anc[level] = idx

@@ -89,8 +89,6 @@ func (e *PlanExtender) StoreInter(level int) bool { return e.Plan.Level(level).S
 
 // Extend implements Extender. It runs once per extendable embedding, so it
 // is the hottest code in the repository.
-//
-//khuzdulvet:hotpath per-embedding extension kernel
 func (e *PlanExtender) Extend(s *plan.Scratch, level int, emb []graph.VertexID, getList func(pos int) []graph.VertexID, parentRaw []graph.VertexID) (cands, raw []graph.VertexID) {
 	return e.Plan.Extend(s, level, emb, getList, parentRaw, e.LabelOf, e.EdgeLabelOf)
 }

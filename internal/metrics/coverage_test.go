@@ -7,12 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestSummarizeCoversEveryNodeCounter walks Node's exported atomic fields by
 // reflection, gives each a distinct value, and checks the same-named Summary
 // field carries it after Summarize — so a counter added to Node without a
-// summary surface fails here (the metriclive invariant, pinned at runtime).
+// summary surface fails here. This is the surfaced half of the metrics
+// invariant; cluster's TestSummaryEveryCounterMoves is the written half.
 func TestSummarizeCoversEveryNodeCounter(t *testing.T) {
 	// Point-in-time gauges have no summed summary form; each must name the
 	// summarized field that stands in for it.
@@ -149,5 +151,42 @@ func TestServiceSummaryLineCoversEveryCounter(t *testing.T) {
 	}
 	if s.AvgQueryDuration() == 0 {
 		t.Error("queryDurationNS never surfaced through AvgQueryDuration")
+	}
+}
+
+// TestNodeResetZeroesEveryField sets every Node field by reflection — the
+// exported counters and the unexported breakdown clocks alike — and requires
+// Reset to zero each one, so a counter added to Node without a line in Reset
+// fails here instead of accumulating across runs.
+func TestNodeResetZeroesEveryField(t *testing.T) {
+	var n Node
+	nv := reflect.ValueOf(&n).Elem()
+	// field returns a settable view of field i, unexported or not.
+	field := func(i int) any {
+		f := nv.Field(i)
+		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Interface()
+	}
+	for i := 0; i < nv.NumField(); i++ {
+		switch x := field(i).(type) {
+		case *atomic.Uint64:
+			x.Store(uint64(i + 1))
+		case *atomic.Int64:
+			x.Store(int64(i + 1))
+		default:
+			t.Fatalf("Node.%s has unhandled type %s", nv.Type().Field(i).Name, nv.Type().Field(i).Type)
+		}
+	}
+	n.Reset()
+	for i := 0; i < nv.NumField(); i++ {
+		var v int64
+		switch x := field(i).(type) {
+		case *atomic.Uint64:
+			v = int64(x.Load())
+		case *atomic.Int64:
+			v = x.Load()
+		}
+		if v != 0 {
+			t.Errorf("Node.%s = %d after Reset, want 0", nv.Type().Field(i).Name, v)
+		}
 	}
 }

@@ -117,8 +117,6 @@ func DenseRowWords(n int) int { return (n + 63) >> 6 }
 // built — the same merge, over the same part of S, as the sorted path's R2 —
 // and the other side stays zero. The merge is entered in the kernel ledger
 // like any other.
-//
-//khuzdulvet:hotpath once per level-1 embedding of a dense plan
 func (p *Plan) DenseRow(s *Scratch, dst []uint64, set []graph.VertexID, j int, nbr []graph.VertexID) {
 	clear(dst)
 	switch s.denseSide {
@@ -143,8 +141,6 @@ func (p *Plan) DenseRow(s *Scratch, dst []uint64, set []graph.VertexID, j int, n
 // extension's matches as a core.Sink's OnMatches does — the prefix emb[:K−1]
 // and the last level's vertices. Each candidate set computed is entered in
 // the kernel ledger as one KernelBitmap.
-//
-//khuzdulvet:hotpath once per level-1 parent of a dense plan
 func (p *Plan) DenseFinish(s *Scratch, emb, set []graph.VertexID, rows []uint64, emit func(prefix, last []graph.VertexID)) uint64 {
 	n := len(set)
 	w := DenseRowWords(n)
@@ -172,8 +168,6 @@ func andWord(rows [][]uint64, i int) uint64 {
 // denseLevel computes level l's candidate words below the matched prefix
 // and recurses into each candidate, or counts or emits them at the last
 // level.
-//
-//khuzdulvet:hotpath the dense suffix's per-level step
 func (p *Plan) denseLevel(s *Scratch, l int, emb, set []graph.VertexID, rows []uint64, w int, emit func(prefix, last []graph.VertexID)) uint64 {
 	lo, hi := 0, len(set)
 	for _, a := range s.denseBounds[l] {

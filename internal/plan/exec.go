@@ -209,8 +209,6 @@ func (p *Plan) bounds(level int, emb []graph.VertexID) (lo, hi graph.VertexID) {
 // labelOf and edgeLabelOf may be nil for graphs without the corresponding
 // labels. Both returned slices may alias scratch storage, the lent run
 // storage, getList output or parentRaw; the caller must not write them.
-//
-//khuzdulvet:hotpath runs once per extendable embedding in every engine
 func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, edgeLabelOf EdgeLabelFunc) (cands, raw []graph.VertexID) {
 	lv := &p.levels[level]
 	lo, hi := p.bounds(level, emb)
@@ -253,8 +251,6 @@ func (p *Plan) Extend(s *Scratch, level int, emb []graph.VertexID, getList func(
 // operation on a materialized, clipped operand x — x ∩ l or x \ b — and that
 // operation is counted by the dispatcher, so the kernel choice and the ledger
 // are those of the materializing path.
-//
-//khuzdulvet:hotpath the level every count-only run ends at
 func (p *Plan) countLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) int {
 	lv := &p.levels[level]
 	if lv.probe && s.runs != nil {
@@ -332,8 +328,6 @@ func (p *Plan) multiplier(s *Scratch, getList func(int) []graph.VertexID) uint64
 // child count by probing their own list (CountProbe). ok is false where the
 // sorted path counts the child instead: the first of its run, or a run whose
 // x is too wide to mark.
-//
-//khuzdulvet:hotpath once per child of a probed level
 func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, lo, hi graph.VertexID) (int, bool) {
 	lv := &p.levels[level]
 	reuse := lv.reuse != reuseNone
@@ -387,8 +381,6 @@ func (p *Plan) probeLevel(s *Scratch, level int, emb []graph.VertexID, getList f
 // Every later child tests no label at all. A child whose sibling vertex is
 // excluded drops it from a copy; any other gets the filtered slice itself,
 // which no one may write.
-//
-//khuzdulvet:hotpath once per child of a filter-once level
 func (p *Plan) siblingCandidates(s *Scratch, level int, emb []graph.VertexID, getList func(int) []graph.VertexID, parentRaw []graph.VertexID, labelOf LabelFunc, lo, hi graph.VertexID) []graph.VertexID {
 	lv := &p.levels[level]
 	f := s.runs.Filtered[level]

@@ -8,8 +8,6 @@
 // All functions append to dst and return the extended slice, so callers can
 // reuse buffers across calls. Inputs must be strictly ascending; outputs are
 // strictly ascending.
-//
-//khuzdulvet:hotpath every kernel here sits inside the per-embedding loop
 package setops
 
 import (
@@ -216,7 +214,7 @@ func (b *Bitmap) Build(list []graph.VertexID) {
 	}
 	b.base = int(list[0] >> 6)
 	if need := int(list[len(list)-1]>>6) - b.base + 1; need > len(b.words) {
-		//khuzdulvet:ignore hotalloc word storage grows monotonically, to at most markWordCap words under Mark
+		// Word storage grows monotonically, to at most markWordCap words under Mark.
 		b.words = make([]uint64, need)
 	}
 	for _, v := range list {
@@ -304,8 +302,8 @@ func IntersectPivot(dst []graph.VertexID, lists [][]graph.VertexID) []graph.Vert
 		return Intersect(dst, lists[0], lists[1])
 	}
 	if len(lists) > maxPivotLists {
-		// Compiled plans cannot reach this arity; correctness fallback only.
-		//khuzdulvet:ignore hotalloc unreachable from compiled plans (K-1 ≤ maxPivotLists)
+		// Compiled plans cannot reach this arity (K-1 ≤ maxPivotLists);
+		// correctness fallback only.
 		return IntersectMany(dst, lists, nil)
 	}
 	p := 0

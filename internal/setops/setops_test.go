@@ -297,9 +297,10 @@ func BenchmarkIntersectGallop(b *testing.B) {
 	}
 }
 
-// TestIntersectManyNoAlloc pins the hotalloc fix: with warm caller-owned dst
-// and scratch, the k-way running intersection must not touch the heap. The
-// old implementation allocated a fresh intermediate per inner list.
+// TestIntersectManyNoAlloc pins the allocation-free kernel: with warm
+// caller-owned dst and scratch, the k-way running intersection must not touch
+// the heap. The old implementation allocated a fresh intermediate per inner
+// list.
 func TestIntersectManyNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lists := make([][]graph.VertexID, 5)
@@ -590,7 +591,8 @@ func TestPropertyBoundedMatchesReference(t *testing.T) {
 }
 
 // Alloc-pinning tests: with warm buffers, the new kernels must never touch
-// the heap in steady state (the hotalloc invariant, pinned at runtime).
+// the heap in steady state (the per-embedding path's allocation budget rests
+// on it; see core's TestExtendEngineAllocBudget).
 
 func TestIntersectBitmapNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
