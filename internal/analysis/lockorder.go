@@ -29,8 +29,8 @@ import (
 // hand-over-hand locking over siblings would be a false positive, and
 // single-instance re-entry deadlocks immediately in any test. Interface
 // calls over-approximate to every implementing method, so an edge through an
-// interface may name a callee the concrete program never dispatches to; an
-// ignore directive with a reason is the documented escape hatch.
+// interface may name a callee the concrete program never dispatches to;
+// there is no suppression syntax, so such a finding is answered in the code.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "lock acquisition order must be acyclic across the program: holding " +

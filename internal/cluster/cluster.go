@@ -62,7 +62,8 @@ type Config struct {
 	ThreadsPerSocket int
 	// ChunkSize is the per-level chunk capacity in embeddings.
 	ChunkSize int
-	// HDS enables horizontal data sharing (default on; Figure 12 ablation).
+	// DisableHDS turns off horizontal data sharing within a chunk (§5.2),
+	// which every engine runs by default; Figure 12's ablation sets it.
 	DisableHDS bool
 	// CacheFraction sizes each machine's static cache as a fraction of the
 	// graph size (paper: 5–15%). 0 disables the cache.

@@ -146,18 +146,21 @@ func writeFrame(w *bufio.Writer, typ uint8, payload []byte, corruptByte int) err
 // so an outdated peer is answered as a version mismatch rather than as line
 // noise. The returned payload aliases a fresh buffer.
 func readFrame(r *bufio.Reader) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, freshPayload)
+	return readFrameAlloc(r, nil)
 }
 
-// readFramePooled is readFrame with the payload drawn from payloadPool. The
-// caller owns the buffer and returns it with putPayloadBuf once decoded.
+// readFramePooled is readFrame with the payload drawn from payloadPool when
+// a pooled buffer holds it. The caller owns the buffer and returns it with
+// putPayloadBuf once decoded.
 func readFramePooled(r *bufio.Reader) (typ uint8, payload []byte, err error) {
-	return readFrameAlloc(r, getPayloadBuf)
+	return readFrameAlloc(r, pooledPayload)
 }
 
-func freshPayload(n int) []byte { return make([]byte, n) }
-
-func readFrameAlloc(r *bufio.Reader, alloc func(int) []byte) (typ uint8, payload []byte, err error) {
+// readFrameAlloc reads one frame into the buffer inHand returns for the
+// announced length, or into readGrowing's when inHand is nil or returns nil:
+// the announced length alone never sizes a fresh allocation past
+// payloadFirstStep.
+func readFrameAlloc(r *bufio.Reader, inHand func(int) []byte) (typ uint8, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -178,8 +181,15 @@ func readFrameAlloc(r *bufio.Reader, alloc func(int) []byte) (typ uint8, payload
 		return 0, nil, fmt.Errorf("frame announces %d payload bytes (max %d): %w", n, maxFramePayload, ErrCorruptFrame)
 	}
 	want := binary.LittleEndian.Uint32(hdr[8:])
-	payload = alloc(int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if inHand != nil {
+		payload = inHand(int(n))
+	}
+	if payload != nil {
+		_, err = io.ReadFull(r, payload)
+	} else {
+		payload, err = readGrowing(r, int(n))
+	}
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, nil, fmt.Errorf("truncated frame (want %d payload bytes): %w", n, io.ErrUnexpectedEOF)
 		}
@@ -189,6 +199,38 @@ func readFrameAlloc(r *bufio.Reader, alloc func(int) []byte) (typ uint8, payload
 		return 0, nil, fmt.Errorf("payload CRC %#08x, header says %#08x: %w", got, want, ErrCorruptFrame)
 	}
 	return typ, payload, nil
+}
+
+// payloadFirstStep is as much of an announced payload length as a reader
+// with no buffer in hand trusts before bytes arrive. A header announcing
+// maxFramePayload on a connection that then sends nothing costs this much,
+// not half a gigabyte.
+const payloadFirstStep = 32 << 10
+
+// readGrowing reads an n-byte payload into fresh memory that grows only as
+// bytes arrive: a first chunk of at most payloadFirstStep, then chunks no
+// larger than what has already been read, joined once all n bytes are in. A
+// read that fails after r bytes has allocated at most 2r + payloadFirstStep;
+// a complete one at most 2n.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	first := make([]byte, min(n, payloadFirstStep))
+	if _, err := io.ReadFull(r, first); err != nil || len(first) == n {
+		return first, err
+	}
+	chunks := [][]byte{first}
+	for read := len(first); read < n; {
+		c := make([]byte, min(n-read, read))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		read += len(c)
+	}
+	payload := make([]byte, 0, n)
+	for _, c := range chunks {
+		payload = append(payload, c...)
+	}
+	return payload, nil
 }
 
 // Handshake payloads.
@@ -407,11 +449,20 @@ var payloadPool sync.Pool
 // its high-water mark indefinitely.
 const maxPooledPayload = 1 << 20
 
+// pooledPayload returns a pooled buffer resliced to length n, or nil when
+// the buffer the pool hands out cannot hold n bytes.
+func pooledPayload(n int) []byte {
+	if p, ok := payloadPool.Get().(*[]byte); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return nil
+}
+
 // getPayloadBuf returns a length-n buffer, reusing a pooled one when its
 // capacity suffices. getPayloadBuf(0) seeds an encode buffer for append.
 func getPayloadBuf(n int) []byte {
-	if p, ok := payloadPool.Get().(*[]byte); ok && cap(*p) >= n {
-		return (*p)[:n]
+	if p := pooledPayload(n); p != nil {
+		return p
 	}
 	return make([]byte, n)
 }

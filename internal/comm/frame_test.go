@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -16,7 +17,13 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {}, {0x42}, bytes.Repeat([]byte{0xAB, 0xCD}, 5000)}
+	// The last payload outgrows payloadFirstStep, so readFrame reads it in
+	// chunks and joins them; its bytes vary so a misplaced chunk shows.
+	long := make([]byte, 5*payloadFirstStep+17)
+	for i := range long {
+		long[i] = byte(i % 251)
+	}
+	payloads := [][]byte{nil, {}, {0x42}, bytes.Repeat([]byte{0xAB, 0xCD}, 5000), long}
 	for _, p := range payloads {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
@@ -81,6 +88,31 @@ func TestFrameHeaderValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrCorruptFrame", err)
 			}
 		})
+	}
+}
+
+// TestLyingHeaderAllocatesWhatArrives: a HELLO header announcing the
+// largest payload the clamp admits, followed by a few bytes or by none, must
+// fail as a truncated frame on both read paths without allocating what it
+// announced. acceptHello reads such a header before any handshake.
+func TestLyingHeaderAllocatesWhatArrives(t *testing.T) {
+	for _, sent := range []int{0, 3 * payloadFirstStep} {
+		frame := encodeFrame(protoVersion, frameHello, make([]byte, sent))
+		binary.LittleEndian.PutUint32(frame[4:], maxFramePayload)
+		for name, read := range map[string]func(*bufio.Reader) (uint8, []byte, error){
+			"readFrame":       readFrame,
+			"readFramePooled": readFramePooled,
+		} {
+			r := bufio.NewReader(bytes.NewReader(frame))
+			var err error
+			grew := heapGrowth(func() { _, _, err = read(r) })
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s, %d payload bytes sent: got %v, want a truncated frame", name, sent, err)
+			}
+			if grew >= 1<<20 {
+				t.Errorf("%s, %d payload bytes sent: allocated %d bytes for a header announcing %d", name, sent, grew, maxFramePayload)
+			}
+		}
 	}
 }
 

@@ -27,18 +27,28 @@ const (
 	// decodeAllocSlack covers what a decode spends regardless of its input:
 	// a rejection's message and wrapping.
 	decodeAllocSlack = 1 << 10
+	// frameReadSlack is what one frame read may spend past twice the bytes
+	// it consumed: the payloadFirstStep it trusts a header for, a
+	// rejection's message, and what the runtime allocates on its own when a
+	// collection lands inside the read (seen at up to 6 KiB).
+	frameReadSlack = 64 << 10
 )
+
+// heapGrowth returns the bytes f allocated.
+func heapGrowth(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // checkDecodeAlloc runs decode over an n-byte payload and fails t when the
 // heap grew by more than the decode allowance for n bytes.
 func checkDecodeAlloc(t *testing.T, n int, decode func()) {
 	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	decode()
-	runtime.ReadMemStats(&after)
 	limit := uint64(decodeAllocPerByte*n + decodeAllocSlack)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+	if grew := heapGrowth(decode); grew > limit {
 		t.Fatalf("decoding %d bytes allocated %d bytes (limit %d): a length prefix sized an allocation past the bytes received", n, grew, limit)
 	}
 }
@@ -169,7 +179,18 @@ func FuzzReadFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[4:], maxFramePayload+1)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		// A frame read may allocate twice the bytes it consumed plus
+		// frameReadSlack, whatever length its header announces.
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		var typ uint8
+		var payload []byte
+		var err error
+		grew := heapGrowth(func() { typ, payload, err = readFrame(r) })
+		read := len(data) - src.Len() - r.Buffered()
+		if limit := uint64(2*read + frameReadSlack); grew > limit {
+			t.Fatalf("reading %d bytes allocated %d bytes (limit %d): a header sized an allocation past the bytes received", read, grew, limit)
+		}
 		if err != nil {
 			ok := errors.Is(err, ErrCorruptFrame) ||
 				errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
